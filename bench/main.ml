@@ -385,11 +385,14 @@ let span_totals f =
     counters )
 
 (* The flow-engine effort counters published in every scaling row:
-   solver work (pivots, the block-pricing hit rate that keeps full
-   sweeps rare), LP-prep pruning, and the parallel-FEAS sweep count.
+   solver work (max-flow phases and augmentations for the default
+   closure solve; pivots and the block-pricing hit rate when network
+   simplex runs), LP-prep pruning, and the parallel-FEAS sweep count.
    Fixed whitelist so the row shape is stable; absent counters emit 0. *)
 let scale_counter_keys =
   [
+    "maxflow_phases";
+    "maxflow_augmentations";
     "netsimplex_pivots";
     "netsimplex_block_hits";
     "netsimplex_cycle_arcs";
@@ -489,21 +492,46 @@ let scale_grar ~gates =
          p.Suite.p o.Outcome.n_slaves (Outcome.ed_count o)
          o.Outcome.total_area)
 
-(* G-RAR stages every endpoint cone through STA and solves the full
-   flow LP, so its cost grows superlinearly. With the O(cycle +
-   min-side) simplex pivot and block pricing it runs in ~36 s at 25k
-   gates (down from ~190 s) and ~4 min at 50k on the single-core
-   reference container; at 100k the simplex pivot count itself turns
-   super-linear (2.6M+ pivots vs 280k at 25k) and the solve does not
-   finish within an hour, so the larger points stay FEAS-only. The
+(* G-RAR stages every endpoint cone through STA and solves the LP by
+   one max-flow closure; stage classification dominates and grows
+   superlinearly (O(sinks x n)), so 10^6 gates stays FEAS-only. The
    curve keeps G-RAR points at the tractable sizes and says so when
    it skips one, rather than silently thinning the curve. *)
-let grar_max_gates = 50_000
+let grar_max_gates = 100_000
 
-(* Must run on a fresh heap, before the bechamel kernels and the table
-   grids: those sections leave a fragmented multi-GB free list behind
-   (and OCaml 5.1's [Gc.compact] cannot defragment — heap compaction
-   only returned in 5.2). *)
+(* Every scaling row runs in a child process of this executable
+   ([--scale-row PATH GATES]), so each gets a fresh heap that is handed
+   back when the row ends: a 10^5-gate G-RAR row peaks at ~3.5 GB, and
+   OCaml 5.1's [Gc.compact] cannot return a fragmented heap (compaction
+   only came back in 5.2), so rows sharing the bench's heap would carry
+   their high-water marks into every later section. The child prints
+   its progress line, then the row's JSON entry as its last line. *)
+let scale_row ~path ~gates =
+  match path with
+  | "classic_feas" -> scale_classic_feas ~gates
+  | "grar" -> scale_grar ~gates
+  | _ -> invalid_arg ("unknown scaling path " ^ path)
+
+let scale_row_in_child ~path ~gates =
+  let exe = Sys.executable_name in
+  let ic =
+    Unix.open_process_args_in exe
+      [| exe; "--scale-row"; path; string_of_int gates |]
+  in
+  let lines =
+    In_channel.input_all ic |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  (match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> ()
+  | _ -> failwith (Printf.sprintf "scaling row %s/%d failed" path gates));
+  match List.rev lines with
+  | entry :: progress ->
+    List.iter print_endline (List.rev progress);
+    entry
+  | [] ->
+    failwith (Printf.sprintf "scaling row %s/%d printed nothing" path gates)
+
 let run_scaling () =
   Printf.printf "\n== Scaling curve (generated circuits) ==\n%!";
   let sizes =
@@ -516,8 +544,9 @@ let run_scaling () =
   in
   List.concat_map
     (fun gates ->
-      let f = scale_classic_feas ~gates in
-      if gates <= grar_max_gates then [ f; scale_grar ~gates ]
+      let f = scale_row_in_child ~path:"classic_feas" ~gates in
+      if gates <= grar_max_gates then
+        [ f; scale_row_in_child ~path:"grar" ~gates ]
       else begin
         Printf.printf
           "  grar         %9d gates: skipped (> %d-gate G-RAR bound)\n%!"
@@ -888,13 +917,14 @@ let run_smoke () =
     ~scaling:[] ~jobs_curve
 
 (* RAR_BENCH_SCALE_SMOKE=1: one 10^5-gate classic-FEAS row plus one
-   gated G-RAR row through the scaling plumbing, written to
+   gated 10^5-gate G-RAR row through the scaling plumbing, written to
    BENCH_scale.json and gated in CI against the wall-clock ceilings in
    bench/smoke_floor.json (scale_total_max_s for FEAS,
    grar_scale_max_s for the G-RAR row) — so neither the million-gate
-   FEAS path nor the flow-engine hot paths (block-priced simplex,
-   pooled LP prep) can silently regress. Schema rar-bench-scale/2:
-   rows carry a "counters" object with the solver-effort counters. *)
+   FEAS path nor the G-RAR hot paths (stage classification, pooled LP
+   prep, the closure max flow) can silently regress. Schema
+   rar-bench-scale/2: rows carry a "counters" object with the
+   solver-effort counters. *)
 let run_scale_smoke () =
   let gates =
     match Sys.getenv_opt "RAR_BENCH_SCALE" with
@@ -903,8 +933,8 @@ let run_scale_smoke () =
   in
   let grar_gates =
     match Sys.getenv_opt "RAR_BENCH_SCALE_GRAR" with
-    | Some s -> ( match int_of_string_opt s with Some g -> g | None -> 25_000)
-    | None -> 25_000
+    | Some s -> ( match int_of_string_opt s with Some g -> g | None -> 100_000)
+    | None -> 100_000
   in
   Printf.printf "== Scale smoke (%d gates classic FEAS, %d gates G-RAR) ==\n%!"
     gates grar_gates;
@@ -933,9 +963,8 @@ let run_scale_smoke () =
   Printf.printf "\nwrote %s (%.1fs total)\n%!" path total_s
 
 (* RAR_BENCH_ECO_SMOKE=1: the gated edit-and-resolve measurement on a
-   25k-gate generated circuit (the largest size G-RAR is tractable
-   at), written to BENCH_eco.json. CI requires speedup >=
-   eco_speedup_min_ratio (bench/smoke_floor.json) and identical =
+   25k-gate generated circuit, written to BENCH_eco.json. CI requires
+   speedup >= eco_speedup_min_ratio (bench/smoke_floor.json) and identical =
    true: a steady-state session resolve must beat the cold
    stage-analysis + LP-solve pipeline by the floor ratio while
    producing the same verified outcome. RAR_BENCH_ECO_GATES overrides
@@ -1032,15 +1061,17 @@ let run_resynth_ablation () =
   show "resynthesised" net'
 
 let () =
-  if Sys.getenv_opt "RAR_BENCH_ECO_SMOKE" = Some "1" then run_eco_smoke ()
-  else if Sys.getenv_opt "RAR_BENCH_SCALE_SMOKE" = Some "1" then
-    run_scale_smoke ()
-  else if Sys.getenv_opt "RAR_BENCH_SMOKE" = Some "1" then run_smoke ()
-  else begin
+  let env_on k = Sys.getenv_opt k = Some "1" in
+  match Sys.argv with
+  | [| _; "--scale-row"; path; gates |] ->
+    print_endline (scale_row ~path ~gates:(int_of_string gates))
+  | _ when env_on "RAR_BENCH_ECO_SMOKE" -> run_eco_smoke ()
+  | _ when env_on "RAR_BENCH_SCALE_SMOKE" -> run_scale_smoke ()
+  | _ when env_on "RAR_BENCH_SMOKE" -> run_smoke ()
+  | _ ->
     let scaling = run_scaling () in
     let kernels = run_benchmarks () in
     run_eval_json ~scaling kernels;
     run_cluster_ablation ();
     run_resynth_ablation ();
     run_tables ()
-  end

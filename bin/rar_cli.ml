@@ -147,10 +147,33 @@ let deadline_arg =
           "Wall-clock budget for the solve; when exceeded the run aborts \
            cleanly with a timeout error instead of running to completion.")
 
+(* Same names the serve protocol accepts, so a request and a command
+   line select solvers identically; [auto] (the default) pins nothing. *)
+let solver_conv =
+  let parse s =
+    Result.map_error (fun e -> `Msg e) (Rar_serve.Protocol.solver_of_name s)
+  in
+  let print ppf = function
+    | None -> Format.pp_print_string ppf "auto"
+    | Some e -> Format.pp_print_string ppf (Rar_flow.Difflp.engine_name e)
+  in
+  Arg.conv (parse, print)
+
+let solver_arg =
+  Arg.(
+    value & opt solver_conv None
+    & info [ "solver" ] ~docv:"SOLVER"
+        ~doc:
+          "LP solver: $(b,auto) (default; the min-cut closure engine \
+           whenever the LP confines every retiming value to {-1, 0}, as \
+           every retiming LP here does, else network simplex), $(b,ns) \
+           (network simplex, the paper's solver and the reference), \
+           $(b,ssp) or $(b,closure).")
+
 let make_deadline =
   Option.map (fun budget_s -> Rar_util.Deadline.make ~budget_s)
 
-let ctx names sim_cycles = Report.create ?names ~sim_cycles ()
+let ctx ?solver names sim_cycles = Report.create ?names ~sim_cycles ?solver ()
 
 (* --- rar table ----------------------------------------------------- *)
 
@@ -189,9 +212,9 @@ let all_cmd =
       value & opt (some string) None
       & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Also write the report to FILE.")
   in
-  let run verbose jobs names sim_cycles format out =
+  let run verbose jobs names sim_cycles format solver out =
     setup verbose jobs;
-    let t = ctx names sim_cycles in
+    let t = ctx ?solver names sim_cycles in
     let tables = Report.all_tables ~format t in
     let text =
       match format with
@@ -219,7 +242,7 @@ let all_cmd =
     Term.(
       ret
         (const run $ verbose_arg $ jobs_arg $ circuits_arg $ sim_cycles_arg
-        $ format_arg $ out))
+        $ format_arg $ solver_arg $ out))
 
 (* --- rar info ------------------------------------------------------ *)
 
@@ -291,14 +314,16 @@ let run_cmd =
       value & flag
       & info [ "metrics" ]
           ~doc:
-            "Collect solver/kernel counters (network-simplex pivots, SPFA \
-             relaxations, SSP augmentations, STA pin relaxations, W/D memo \
+            "Collect solver/kernel counters (network-simplex pivots, \
+             max-flow phases and augmentations, SPFA relaxations, SSP \
+             augmentations, STA pin relaxations, W/D memo \
              hits, solver fallbacks) and pool gauges; with \
              $(b,--format json) they are embedded as a $(b,metrics) object \
              in the rar-run/1 document, otherwise printed after the \
              summary line.")
   in
-  let run verbose jobs name approach model format c deadline trace metrics =
+  let run verbose jobs name approach model format c solver deadline trace
+      metrics =
     setup verbose jobs;
     (match trace with
     | Some path ->
@@ -310,7 +335,7 @@ let run_cmd =
       Rar_obs.Metrics.reset ();
       Rar_obs.Metrics.arm ()
     end;
-    let cfg = Engine.config ~model ~c approach in
+    let cfg = Engine.config ~model ?solver ~c approach in
     match Engine.load_and_run ?deadline:(make_deadline deadline) cfg name with
     | Error err -> `Error (false, Error.to_string err)
     | Ok r ->
@@ -341,8 +366,8 @@ let run_cmd =
     Term.(
       ret
         (const run $ verbose_arg $ jobs_arg $ name_arg $ approach_arg
-        $ model_arg $ format_arg $ c_arg $ deadline_arg $ trace_arg
-        $ metrics_arg))
+        $ model_arg $ format_arg $ c_arg $ solver_arg $ deadline_arg
+        $ trace_arg $ metrics_arg))
 
 (* --- rar bench ----------------------------------------------------- *)
 
@@ -358,7 +383,7 @@ let bench_cmd =
       & info [ "lib" ] ~docv:"LIBFILE"
           ~doc:"Liberty (.lib) cell library to use instead of the built-in.")
   in
-  let run verbose jobs file c format libfile =
+  let run verbose jobs file c format solver libfile =
     setup verbose jobs;
     let lib =
       match libfile with
@@ -380,7 +405,7 @@ let bench_cmd =
         let results =
           List.map
             (fun spec ->
-              let cfg = Engine.config ~c spec in
+              let cfg = Engine.config ?solver ~c spec in
               (spec, cfg, Engine.run_prepared cfg p))
             Engine.tabulated
         in
@@ -419,7 +444,7 @@ let bench_cmd =
     Term.(
       ret
         (const run $ verbose_arg $ jobs_arg $ file $ c_arg $ format_arg
-        $ lib_arg))
+        $ solver_arg $ lib_arg))
 
 (* --- rar dot ------------------------------------------------------- *)
 
@@ -704,8 +729,8 @@ let eco_cmd =
            fields)
     | j -> j
   in
-  let run verbose jobs name bench edits approach model c deadline metrics
-      verify =
+  let run verbose jobs name bench edits approach model c solver deadline
+      metrics verify =
     setup verbose jobs;
     if metrics then begin
       Rar_obs.Metrics.reset ();
@@ -729,7 +754,7 @@ let eco_cmd =
       match Transform.Edit.parse_script (In_channel.with_open_text edits In_channel.input_all) with
       | Error e -> `Error (false, e)
       | Ok batches -> (
-        let cfg = Engine.config ~model ~c approach in
+        let cfg = Engine.config ~model ?solver ~c approach in
         match
           Stage.make ~model ~source:p.Suite.two_phase ~lib:p.Suite.lib
             ~clocking:p.Suite.clocking p.Suite.cc
@@ -864,8 +889,8 @@ let eco_cmd =
     Term.(
       ret
         (const run $ verbose_arg $ jobs_arg $ name_arg $ bench_arg $ edits_arg
-        $ approach_arg $ model_arg $ c_arg $ deadline_arg $ metrics_arg
-        $ verify_arg))
+        $ approach_arg $ model_arg $ c_arg $ solver_arg $ deadline_arg
+        $ metrics_arg $ verify_arg))
 
 (* --- rar serve ------------------------------------------------------- *)
 

@@ -84,99 +84,34 @@ let m_fallbacks = Rar_obs.Metrics.counter "solver_fallbacks"
    order, so fault firing is reproducible under any domain scheduling. *)
 let fault_key t = (t.n * 1_000_003) + Vec.length t.cons
 
-let solve_flow ?deadline ?on_fallback ?(verify = true) t ~reference
-    ~use_simplex =
-  if not (balanced t) then
-    Error "Difflp.solve: objective coefficients do not sum to zero"
-  else begin
-    let p = to_problem t in
-    let key = fault_key t in
-    let from_potentials pi = normalise reference (Array.map (fun x -> -x) pi) in
-    (* Gate every accepted solution on the LP-duality certificate; a
-       solver bug (or an injected [badcert] fault) is caught here and
-       routed to the alternate engine instead of reaching the caller. *)
-    let certify ~faulty eng ~flow ~potentials =
-      if not verify then Ok potentials
+(* The binary-window scan behind the default engine choice: every
+   non-reference variable [x] carries both [x - ref <= 0] and
+   [ref - x <= 1] (or tighter), and no bound is below -1. Then every
+   feasible normalised solution lies in {-1, 0}, which is exactly the
+   precondition of the closure reduction. One linear pass. *)
+let binary_window t ~reference =
+  let upper = Bytes.make t.n '\000' and lower = Bytes.make t.n '\000' in
+  let ok = ref true in
+  Vec.iter
+    (fun c ->
+      if c.bound < -1 then ok := false
       else begin
-        let report = Certificate.check p ~flow ~potentials in
-        let ok = Certificate.is_optimal report in
-        let ok =
-          if faulty && Faults.flip_certificate ~key then not ok else ok
-        in
-        if ok then Ok potentials
-        else
-          Error
-            (Format.asprintf
-               "%s solution failed the optimality certificate (%a)"
-               (engine_name eng) Certificate.pp report)
-      end
-    in
-    (* Faults only ever perturb the primary attempt ([faulty] = true);
-       the fallback runs clean, so a faulted run still converges. A
-       failed attempt also reports whether the verdict is definitive —
-       a typed statement about the instance itself (unbalanced,
-       infeasible, negative cycle) that no other engine could overturn
-       — so infeasible LPs stop paying a doomed fallback solve.
-       Retryable failures (pivot cap, certificate rejection, injected
-       faults) keep the engine-swap behaviour. *)
-    let attempt ~faulty eng =
-      if faulty && Faults.solver_timeout ~key then
-        Error (Printf.sprintf "%s: injected timeout" (engine_name eng), false)
-      else
-        match eng with
-        | Network_simplex -> (
-          match Netsimplex.solve ?deadline p with
-          | Ok s -> (
-            match
-              certify ~faulty eng ~flow:s.Netsimplex.flow
-                ~potentials:s.Netsimplex.potentials
-            with
-            | Ok pi -> Ok pi
-            | Error e -> Error (e, false))
-          | Error err ->
-            let definitive =
-              match err with
-              | Netsimplex.Unbalanced | Netsimplex.Infeasible
-              | Netsimplex.Unbounded ->
-                true
-              | Netsimplex.Pivot_limit _ -> false
-            in
-            Error (Netsimplex.error_to_string err, definitive))
-        | Ssp -> (
-          match Ssp.solve ?deadline p with
-          | Ok s -> (
-            match
-              certify ~faulty eng ~flow:s.Ssp.flow ~potentials:s.Ssp.potentials
-            with
-            | Ok pi -> Ok pi
-            | Error e -> Error (e, false))
-          | Error e -> Error (e, false))
-        | Closure -> Error ("Difflp.solve_flow: closure is not a flow engine", true)
-    in
-    let primary, secondary =
-      if use_simplex then (Network_simplex, Ssp) else (Ssp, Network_simplex)
-    in
-    match attempt ~faulty:true primary with
-    | Ok pi -> Ok (from_potentials pi)
-    | Error (reason, true) ->
-      Error (Printf.sprintf "%s: %s" (engine_name primary) reason)
-    | Error (reason, false) -> (
-      match attempt ~faulty:false secondary with
-      | Ok pi ->
-        Rar_obs.Metrics.incr m_fallbacks;
-        (match on_fallback with
-        | Some f -> f { failed = primary; retried = secondary; reason }
-        | None -> ());
-        Ok (from_potentials pi)
-      | Error (e2, _) ->
-        Error
-          (Printf.sprintf "%s: %s; %s fallback: %s" (engine_name primary)
-             reason (engine_name secondary) e2))
-  end
+        if c.v = reference && c.bound <= 0 then Bytes.set upper c.u '\001';
+        if c.u = reference && c.bound <= 1 then Bytes.set lower c.v '\001'
+      end)
+    t.cons;
+  let v = ref 0 in
+  while !ok && !v < t.n do
+    if !v <> reference
+       && (Bytes.get upper !v = '\000' || Bytes.get lower !v = '\000')
+    then ok := false;
+    incr v
+  done;
+  !ok
 
-let solve_closure t ~reference =
-  (* Translate assuming every feasible normalised solution is in
-     {-1, 0}; selection means r = -1. *)
+let closure_instance t ~reference =
+  (* Selection means r = -1; assumes every feasible normalised
+     solution is in {-1, 0}. *)
   let implications = ref [] in
   let must_select = ref [] in
   let must_reject = ref [ reference ] in
@@ -197,9 +132,9 @@ let solve_closure t ~reference =
                c.u c.v c.bound))
     t.cons;
   match !infeasible with
-  | Some msg -> Error ("Difflp.solve (closure): " ^ msg)
-  | None -> (
-    let inst =
+  | Some msg -> Error msg
+  | None ->
+    Ok
       {
         Closure.n = t.n;
         profit = Array.copy t.coeff;
@@ -207,11 +142,108 @@ let solve_closure t ~reference =
         must_select = !must_select;
         must_reject = !must_reject;
       }
+
+(* One engine behind the fallback chain. Faults only ever perturb the
+   primary attempt ([faulty] = true); the fallback runs clean, so a
+   faulted run still converges. A failed attempt also reports whether
+   the verdict is definitive — a typed statement about the instance
+   itself (infeasible, negative cycle, outside closure's window) that
+   no other engine could overturn — so infeasible LPs stop paying a
+   doomed fallback solve. Retryable failures (pivot cap, certificate
+   rejection, injected faults) keep the engine-swap behaviour. Every
+   accepted solution is gated on its engine's certificate (LP duality
+   for the flow engines, flow value = cut capacity for closure); a
+   solver bug or an injected [badcert] fault is caught there and
+   routed to the alternate engine instead of reaching the caller. *)
+let attempt ?deadline ~verify ~faulty t ~reference ~problem eng =
+  let key = fault_key t in
+  let certify ok detail =
+    if not verify then Ok ()
+    else begin
+      let ok = if faulty && Faults.flip_certificate ~key then not ok else ok in
+      if ok then Ok ()
+      else
+        Error
+          (Printf.sprintf "%s solution failed the optimality certificate (%s)"
+             (engine_name eng) (Lazy.force detail), false)
+    end
+  in
+  let flow_result ~flow ~potentials =
+    let report = Certificate.check (Lazy.force problem) ~flow ~potentials in
+    Result.map
+      (fun () -> normalise reference (Array.map (fun x -> -x) potentials))
+      (certify
+         (Certificate.is_optimal report)
+         (lazy (Format.asprintf "%a" Certificate.pp report)))
+  in
+  if faulty && Faults.solver_timeout ~key then
+    Error (Printf.sprintf "%s: injected timeout" (engine_name eng), false)
+  else
+    match eng with
+    | Network_simplex -> (
+      match Netsimplex.solve ?deadline (Lazy.force problem) with
+      | Ok s ->
+        flow_result ~flow:s.Netsimplex.flow ~potentials:s.Netsimplex.potentials
+      | Error err ->
+        let definitive =
+          match err with
+          | Netsimplex.Unbalanced | Netsimplex.Infeasible
+          | Netsimplex.Unbounded ->
+            true
+          | Netsimplex.Pivot_limit _ -> false
+        in
+        Error (Netsimplex.error_to_string err, definitive))
+    | Ssp -> (
+      match Ssp.solve ?deadline (Lazy.force problem) with
+      | Ok s -> flow_result ~flow:s.Ssp.flow ~potentials:s.Ssp.potentials
+      | Error e -> Error (e, false))
+    | Closure -> (
+      Rar_obs.Trace.span "solver/closure" @@ fun () ->
+      match closure_instance t ~reference with
+      | Error e -> Error (e, true)
+      | Ok inst -> (
+        match Closure.solve ?deadline inst with
+        | Error e -> Error (e, true)
+        | Ok o ->
+          let cert = o.Closure.certificate in
+          Result.map
+            (fun () ->
+              Array.map (fun s -> if s then -1 else 0) o.Closure.selected)
+            (certify (Result.is_ok cert)
+               (lazy (match cert with Ok () -> "ok" | Error e -> e)))))
+
+(* The alternate engine a failed primary hands over to. *)
+let secondary = function
+  | Network_simplex -> Ssp
+  | Ssp | Closure -> Network_simplex
+
+let solve_with ?deadline ?on_fallback ?(verify = true) t ~reference primary =
+  if not (balanced t) then
+    Error "Difflp.solve: objective coefficients do not sum to zero"
+  else begin
+    (* Built at most once, and only if a flow engine runs. *)
+    let problem = lazy (to_problem t) in
+    let run ~faulty eng =
+      attempt ?deadline ~verify ~faulty t ~reference ~problem eng
     in
-    match Closure.solve inst with
-    | Error e -> Error ("Difflp.solve (closure): " ^ e)
-    | Ok o ->
-      Ok (Array.init t.n (fun v -> if o.Closure.selected.(v) then -1 else 0)))
+    match run ~faulty:true primary with
+    | Ok r -> Ok r
+    | Error (reason, true) ->
+      Error (Printf.sprintf "%s: %s" (engine_name primary) reason)
+    | Error (reason, false) -> (
+      let retried = secondary primary in
+      match run ~faulty:false retried with
+      | Ok r ->
+        Rar_obs.Metrics.incr m_fallbacks;
+        (match on_fallback with
+        | Some f -> f { failed = primary; retried; reason }
+        | None -> ());
+        Ok r
+      | Error (e2, _) ->
+        Error
+          (Printf.sprintf "%s: %s; %s fallback: %s" (engine_name primary)
+             reason (engine_name retried) e2))
+  end
 
 (* Session-scoped solve cache for ECO delta solves. Keyed by the full
    structural signature of the instance (variables, every constraint in
@@ -247,10 +279,15 @@ let cache_store cache key r =
   Fun.protect ~finally:(fun () -> Mutex.unlock cache.lock) @@ fun () ->
   Hashtbl.replace cache.tbl (Digest.string key) (key, Array.copy r)
 
-let solve ?deadline ?on_fallback ?verify ?(engine = Network_simplex) ?cache t
-    ~reference =
+let default_engine t ~reference =
+  if binary_window t ~reference then Closure else Network_simplex
+
+let solve ?deadline ?on_fallback ?verify ?engine ?cache t ~reference =
   Rar_obs.Trace.span "difflp/solve" @@ fun () ->
   check_var t reference "solve";
+  let engine =
+    match engine with Some e -> e | None -> default_engine t ~reference
+  in
   let key =
     match cache with
     | None -> None
@@ -266,19 +303,7 @@ let solve ?deadline ?on_fallback ?verify ?(engine = Network_simplex) ?cache t
     Rar_obs.Metrics.incr m_cache_hits;
     Ok r
   | None -> (
-    let result =
-      match engine with
-      | Network_simplex ->
-        solve_flow ?deadline ?on_fallback ?verify t ~reference
-          ~use_simplex:true
-      | Ssp ->
-        solve_flow ?deadline ?on_fallback ?verify t ~reference
-          ~use_simplex:false
-      | Closure ->
-        Rar_obs.Trace.span "solver/closure" (fun () ->
-            solve_closure t ~reference)
-    in
-    match result with
+    match solve_with ?deadline ?on_fallback ?verify t ~reference engine with
     | Error _ as e -> e
     | Ok r -> (
       match check t r with

@@ -9,10 +9,12 @@
     once positively and once negatively) — the LP is shift-invariant
     and solutions are normalised to [r(reference) = 0].
 
-    Three exact engines (DESIGN.md §5): the paper's network simplex,
-    successive shortest paths on the same flow dual, and — exploiting
-    that all our retimings have [r in {-1, 0}] — a max-flow closure
-    reduction. A brute-force enumerator backs property tests. *)
+    Three exact engines (DESIGN.md §5): a max-flow closure reduction
+    (the default whenever every variable is confined to [{-1, 0}], as
+    in every retiming LP here), the paper's network simplex (the
+    reference, and the default otherwise) and successive shortest paths
+    on the same flow dual. A brute-force enumerator backs property
+    tests. *)
 
 type t
 
@@ -50,31 +52,46 @@ type cache
 
 val create_cache : unit -> cache
 
+val default_engine : t -> reference:int -> engine
+(** The engine {!solve} runs when given none, chosen by one linear
+    scan: [Closure] when no bound is below [-1] and every variable
+    [x <> reference] has both [x - reference <= b] for some [b <= 0]
+    and [reference - x <= b] for some [b <= 1] — so every feasible
+    normalised solution lies in [{-1, 0}] — else [Network_simplex]. *)
+
 val solve :
   ?deadline:Rar_util.Deadline.t ->
   ?on_fallback:(fallback_event -> unit) ->
   ?verify:bool ->
   ?engine:engine ->
   ?cache:cache -> t -> reference:int -> (int array, string) result
-(** Optimal [r] with [r(reference) = 0]. Default engine is
-    [Network_simplex]. The [Closure] engine additionally requires that
-    every feasible normalised solution lies in [{-1, 0}] — the caller's
-    bound constraints must enforce this, as retiming's region bounds
-    do.
+(** Optimal [r] with [r(reference) = 0]. An explicit [?engine] is
+    always honoured; without one the engine is {!default_engine}. The
+    [Closure] engine requires that every feasible normalised solution
+    lies in [{-1, 0}] — the caller's bound constraints must enforce
+    this, as retiming's region bounds do — and returns the minimal
+    optimal set of [r = -1] variables (the residual source side of the
+    max flow), which does not depend on the max-flow algorithm.
 
-    For the two flow engines every accepted solution is checked against
-    the LP-duality certificate ({!Certificate.is_optimal}) unless
-    [~verify:false]; on solver error or certificate failure the
-    alternate flow engine ([Network_simplex] <-> [Ssp]) is retried
-    before an error is reported, and a successful retry is announced
-    via [?on_fallback]. [?deadline] is threaded into both solvers and
-    expiry raises [Rar_util.Deadline.Expired] (it is {e not} caught by
-    the fallback chain — a budget overrun aborts the whole solve).
+    Every accepted solution is checked against its engine's
+    certificate unless [~verify:false]: LP duality
+    ({!Certificate.is_optimal}) for the flow engines, a feasible flow
+    whose value equals the returned cut's capacity
+    ({!Maxflow.certify}) for closure. On a retryable solver error or a
+    certificate failure the alternate engine is tried before an error
+    is reported ([Network_simplex] -> [Ssp], [Ssp] and [Closure] ->
+    [Network_simplex]), and a successful retry is announced via
+    [?on_fallback]. Fault injection ({!Rar_resilience.Faults}) only
+    perturbs the first attempt. [?deadline] is threaded into every
+    solver and expiry raises [Rar_util.Deadline.Expired] (it is {e not}
+    caught by the fallback chain — a budget overrun aborts the whole
+    solve). The objective must be balanced for every engine.
 
     With [?cache], an instance identical to a previously solved one
-    returns the stored solution without running a solver (no pivots, no
-    fault injection, no fallback events — counted in the
-    [difflp_cache_hits] metric); only successful solves are stored. *)
+    (same resolved engine) returns the stored solution without running
+    a solver (no pivots, no fault injection, no fallback events —
+    counted in the [difflp_cache_hits] metric); only successful solves
+    are stored. *)
 
 val solve_brute :
   t -> lo:int -> hi:int -> reference:int -> (int array * float) option

@@ -35,16 +35,6 @@ let par_scan_threshold = 65_536
 
 exception Fail of error
 
-(* Diagnostic progress probe: when RAR_NETSIMPLEX_PROGRESS is set to a
-   positive pivot stride, the solver prints its counters to stderr
-   every that-many pivots.  Purely observational — it never changes
-   the pivot sequence — and costs one integer compare per pivot when
-   unset. *)
-let progress_every =
-  match Sys.getenv_opt "RAR_NETSIMPLEX_PROGRESS" with
-  | Some s -> (try max 0 (int_of_string (String.trim s)) with _ -> 0)
-  | None -> 0
-
 let solve ?deadline ?max_pivots ?(pricing = Block) p =
   Rar_obs.Trace.span "solver/network-simplex" @@ fun () ->
   let n = Problem.node_count p in
@@ -274,11 +264,6 @@ let solve ?deadline ?max_pivots ?(pricing = Block) p =
          else begin
            incr pivots;
            if !pivots > max_pivots then raise (Fail (Pivot_limit max_pivots));
-           if progress_every > 0 && !pivots mod progress_every = 0 then
-             Printf.eprintf
-               "[netsimplex] pivots=%d block_hits=%d cycle_arcs=%d \
-                shift_nodes=%d\n%!"
-               !pivots !block_hits !cycle_arcs !shift_nodes;
            (match deadline with
            | None -> ()
            | Some d -> Rar_util.Deadline.check d ~phase:"netsimplex");

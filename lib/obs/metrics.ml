@@ -1,9 +1,10 @@
 (* Named counters and gauges, registered once at module-init time by
    the subsystem that owns them and summed atomically.
 
-   Counters are algorithm-effort totals (network-simplex pivots, SPFA
-   relaxations, SSP augmentations, STA pin relaxations, W/D memo
-   hits/misses, solver fallbacks): each kernel accumulates a local
+   Counters are algorithm-effort totals (network-simplex pivots,
+   max-flow phases and augmentations, SPFA relaxations, SSP
+   augmentations, STA pin relaxations, W/D memo hits/misses, solver
+   fallbacks): each kernel accumulates a local
    count and publishes it once per call, so the inner loops stay
    untouched and the totals are deterministic — identical under any
    RAR_JOBS because atomic adds commute and the per-call counts do not

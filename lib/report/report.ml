@@ -28,6 +28,7 @@ type t = {
   names_ : string list;
   sim_cycles : int;
   movable_moves : int;
+  solver : Rar_flow.Difflp.engine option;
   lock : Mutex.t; (* guards every memo table below *)
   prepared_ : (string, Suite.prepared) Hashtbl.t;
   stages : (string, Stage.t) Hashtbl.t;
@@ -36,11 +37,13 @@ type t = {
   rows_ : (int, Row.table) Hashtbl.t;
 }
 
-let create ?(names = Spec.names) ?(sim_cycles = 300) ?(movable_moves = 4) () =
+let create ?(names = Spec.names) ?(sim_cycles = 300) ?(movable_moves = 4)
+    ?solver () =
   {
     names_ = names;
     sim_cycles;
     movable_moves;
+    solver;
     lock = Mutex.create ();
     prepared_ = Hashtbl.create 16;
     stages = Hashtbl.create 32;
@@ -92,7 +95,7 @@ let stage t ?(model = Sta.Path_based) name =
            ~clocking:p.Suite.clocking p.Suite.cc))
 
 let config t ?(model = Sta.Path_based) ~c spec =
-  Engine.config ~model ~c ~movable_moves:t.movable_moves spec
+  Engine.config ~model ?solver:t.solver ~c ~movable_moves:t.movable_moves spec
 
 let run_result t ?(model = Sta.Path_based) name ~spec ~c =
   let cfg = config t ~model ~c spec in

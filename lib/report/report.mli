@@ -34,11 +34,14 @@ val create :
   ?names:string list ->
   ?sim_cycles:int ->
   ?movable_moves:int ->
+  ?solver:Rar_flow.Difflp.engine ->
   unit ->
   t
 (** [names] defaults to the full Table I suite (12 circuits);
     [sim_cycles] (default 300) drives Table VIII;
-    [movable_moves] (default 4) bounds Table IX's local search. *)
+    [movable_moves] (default 4) bounds Table IX's local search;
+    [solver] pins every engine run's LP solver (default: each LP's
+    {!Rar_flow.Difflp.default_engine}). *)
 
 val names : t -> string list
 
@@ -51,7 +54,7 @@ val stage : t -> ?model:Sta.model -> string -> Stage.t
 
 val config : t -> ?model:Sta.model -> c:float -> Engine.spec -> Engine.config
 (** The context's engine config: the given model (default path-based),
-    default solver, post-swap on, the context's movable move budget. *)
+    the context's solver, post-swap on, the context's movable move budget. *)
 
 val run_result :
   t ->

@@ -74,22 +74,24 @@ type setting = From_env | Disabled | Forced of config
 
 let setting = ref From_env
 
+(* Read once at module initialisation, before any domain can exist:
+   a [lazy] here raced when two domains forced it at once
+   ([CamlinternalLazy.Undefined]). *)
 let env_config =
-  lazy
-    (match Sys.getenv_opt "RAR_FAULTS" with
-    | None | Some "" -> None
-    | Some s -> (
-      match of_string s with
-      | Ok c -> Some c
-      | Error msg ->
-        Printf.eprintf "rar: ignoring RAR_FAULTS=%s (%s)\n%!" s msg;
-        None))
+  match Sys.getenv_opt "RAR_FAULTS" with
+  | None | Some "" -> None
+  | Some s -> (
+    match of_string s with
+    | Ok c -> Some c
+    | Error msg ->
+      Printf.eprintf "rar: ignoring RAR_FAULTS=%s (%s)\n%!" s msg;
+      None)
 
 let active () =
   match !setting with
   | Forced c -> Some c
   | Disabled -> None
-  | From_env -> Lazy.force env_config
+  | From_env -> env_config
 
 let set c = setting := Forced c
 let disable () = setting := Disabled

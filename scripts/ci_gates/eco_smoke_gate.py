@@ -30,10 +30,10 @@ def main(argv):
     sp, cold_s, med_s, circ = (
         e["speedup"], e["cold_solve_s"], e["median_resolve_s"], e["circuit"])
     assert sp >= need, (
-        f"eco speedup {sp:.1f}x < required {need:.0f}x "
+        f"eco speedup {sp:.2f}x < required {need:.2f}x "
         f"(cold {cold_s:.1f} s, median resolve {med_s:.3f} s)")
     print(f"{circ}: cold {cold_s:.1f} s, median resolve {med_s:.3f} s -> "
-          f"{sp:.1f}x (floor {need:.0f}x), identical")
+          f"{sp:.2f}x (floor {need:.2f}x), identical")
 
 
 if __name__ == "__main__":

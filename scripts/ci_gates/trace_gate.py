@@ -18,11 +18,13 @@ def gate_metrics(path):
     assert d["schema"] == "rar-run/1", d
     m = d["metrics"]
     c = m["counters"]
-    for key in ("netsimplex_pivots", "spfa_relaxations",
+    for key in ("netsimplex_pivots", "maxflow_phases",
+                "maxflow_augmentations", "spfa_relaxations",
                 "ssp_augmentations", "sta_pin_relaxations",
                 "wd_memo_hits", "wd_memo_misses", "solver_fallbacks"):
         assert key in c, f"missing counter {key}: {sorted(c)}"
-    assert c["netsimplex_pivots"] > 0, c
+    # the default G-RAR solve is the max-flow closure engine
+    assert c["maxflow_augmentations"] > 0, c
     assert c["sta_pin_relaxations"] > 0, c
     assert "gauges" in m, m
     print("metrics:", {k: v for k, v in sorted(c.items())})

@@ -118,8 +118,11 @@ def clean_daemon_pass():
     expect_error(r, "timeout")
 
     # Cold solve, then identical repeats served from the session cache.
+    # A large circuit: its cold run (~3 s, mostly stage analysis) must
+    # dwarf the replay cost so the ratio measures the cache, not host
+    # noise — small circuits cold-solve in ~0.1 s, near the floor.
     t0 = time.time()
-    r = c.rpc(run_req("cold", "s5378"))
+    r = c.rpc(run_req("cold", "s38417"))
     cold_s = time.time() - t0
     assert r["status"] == "ok", r
     cold_outcome = r["result"]["outcome"]
@@ -127,7 +130,7 @@ def clean_daemon_pass():
     warm_s = float("inf")
     for i in range(3):
         t0 = time.time()
-        r = c.rpc(run_req(f"warm{i}", "s5378"))
+        r = c.rpc(run_req(f"warm{i}", "s38417"))
         warm_s = min(warm_s, time.time() - t0)
         assert r["status"] == "ok", r
         assert r["result"]["outcome"] == cold_outcome, (

@@ -220,6 +220,35 @@ let test_result_json_shape () =
         | Some (Rar_util.Json.Obj _) -> true
         | _ -> false))
 
+(* The default G-RAR solve is closure's minimal min cut: the retiming
+   vector and the rendered result must not depend on the pool size. *)
+let test_closure_jobs_identical () =
+  let p = cached_prepared 3 in
+  let cfg = Engine.config ~c:1.0 Engine.Grar in
+  Fun.protect ~finally:(fun () -> Rar_util.Pool.set_jobs 1) @@ fun () ->
+  let at_jobs j =
+    Rar_util.Pool.set_jobs j;
+    match Engine.run_prepared cfg p with
+    | Error e -> Alcotest.failf "jobs=%d: %s" j (Error.to_string e)
+    | Ok r ->
+      let r_vec =
+        match r.Engine.extras with
+        | Engine.Retiming { r; _ } -> r
+        | _ -> Alcotest.fail "G-RAR reports a retiming"
+      in
+      ( r_vec,
+        Rar_util.Json.to_string
+          (Engine.result_json ~circuit:"prop" cfg { r with Engine.wall_s = 0. })
+      )
+  in
+  let r1, j1 = at_jobs 1 in
+  List.iter
+    (fun j ->
+      let rj, jj = at_jobs j in
+      Alcotest.(check (array int)) (Printf.sprintf "r at jobs=%d" j) r1 rj;
+      Alcotest.(check string) (Printf.sprintf "rar-run/1 at jobs=%d" j) j1 jj)
+    [ 2; 4 ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_registry_legal;
@@ -229,6 +258,8 @@ let suite =
     Alcotest.test_case "movable requires the source netlist" `Quick
       test_movable_requires_source;
     Alcotest.test_case "unknown circuit is typed" `Quick test_unknown_circuit;
+    Alcotest.test_case "closure answer identical across jobs 1/2/4" `Quick
+      test_closure_jobs_identical;
     Alcotest.test_case "run JSON has the rar-run/1 shape" `Quick
       test_result_json_shape;
   ]

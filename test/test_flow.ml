@@ -77,14 +77,14 @@ let test_negative_cycle_detected () =
 
 let test_maxflow_classic () =
   (* Classic 6-node example with max flow 19. *)
-  let mf = Maxflow.create ~n:6 in
+  let mf = Maxflow.create ~n:6 () in
   let e s d c = Maxflow.add_edge mf ~src:s ~dst:d ~cap:c in
   e 0 1 10.; e 0 2 10.; e 1 2 2.; e 1 3 4.; e 1 4 8.; e 2 4 9.;
   e 4 3 6.; e 3 5 10.; e 4 5 10.;
   feq "max flow" 19. (Maxflow.run mf ~source:0 ~sink:5)
 
 let test_mincut_side () =
-  let mf = Maxflow.create ~n:3 in
+  let mf = Maxflow.create ~n:3 () in
   Maxflow.add_edge mf ~src:0 ~dst:1 ~cap:1.;
   Maxflow.add_edge mf ~src:1 ~dst:2 ~cap:5.;
   ignore (Maxflow.run mf ~source:0 ~sink:2);
@@ -380,6 +380,153 @@ let test_engines_agree_medium_scale () =
     List.iter (fun y -> feq "engines agree at scale" x y) rest
   | [] -> Alcotest.fail "no engines"
 
+(* --- default engine: closure on binary-window LPs ------------------ *)
+
+(* Every optimal {-1, 0} solution by enumeration, as the sets of
+   variables at -1. *)
+let optimal_sets lp ~reference best =
+  let n = Difflp.var_count lp in
+  let r = Array.make n 0 in
+  let acc = ref [] in
+  let rec go v =
+    if v = n then begin
+      if Difflp.check lp r = Ok ()
+         && Float.abs (Difflp.objective_value lp r -. best) < 1e-6
+      then acc := Array.map (fun x -> x = -1) r :: !acc
+    end
+    else if v = reference then go (v + 1)
+    else
+      List.iter
+        (fun x ->
+          r.(v) <- x;
+          go (v + 1))
+        [ -1; 0 ]
+  in
+  go 0;
+  !acc
+
+let prop_auto_is_closure =
+  QCheck.Test.make
+    ~name:"auto picks closure on binary-window LPs: = simplex = brute, minimal"
+    ~count:300 QCheck.small_int (fun seed ->
+      (* a clean engine: the CI fault matrix would route the primary
+         attempt to the network-simplex fallback *)
+      Rar_resilience.Faults.disable ();
+      Fun.protect ~finally:Rar_resilience.Faults.use_env @@ fun () ->
+      let rng = Rng.make ((seed + 101) * 2246822519) in
+      let lp, reference = random_instance rng in
+      let brute = Difflp.solve_brute lp ~lo:(-1) ~hi:0 ~reference in
+      Difflp.default_engine lp ~reference = Difflp.Closure
+      &&
+      match
+        ( Difflp.solve lp ~reference,
+          Difflp.solve ~engine:Difflp.Network_simplex lp ~reference,
+          brute )
+      with
+      | Ok auto, Ok ns, Some (_, best) ->
+        let obj = Difflp.objective_value lp in
+        Float.abs (obj auto -. best) < 1e-6
+        && Float.abs (obj ns -. best) < 1e-6
+        && Difflp.solve ~engine:Difflp.Closure lp ~reference = Ok auto
+        (* the residual source side is the minimal optimum: its r = -1
+           set is contained in every optimal solution's *)
+        && List.for_all
+             (fun set ->
+               Array.for_all Fun.id
+                 (Array.mapi (fun v x -> x = 0 || set.(v)) auto))
+             (optimal_sets lp ~reference best)
+      | Error _, Error _, None -> true
+      | _ -> false)
+
+let test_scan_rejects () =
+  let window_lp () =
+    let lp = Difflp.create ~n:4 in
+    binary_window lp 0 [ 1; 2; 3 ];
+    Difflp.add_constraint lp ~u:2 ~v:1 ~bound:0;
+    Difflp.add_objective lp 1 1.;
+    Difflp.add_objective lp 3 (-1.);
+    lp
+  in
+  Alcotest.(check bool) "window LP defaults to closure" true
+    (Difflp.default_engine (window_lp ()) ~reference:0 = Difflp.Closure);
+  let unbounded =
+    (* variable 3 lacks its lower window arc: r(3) may fall below -1 *)
+    let lp = Difflp.create ~n:4 in
+    binary_window lp 0 [ 1; 2 ];
+    Difflp.add_constraint lp ~u:3 ~v:0 ~bound:0;
+    Difflp.add_constraint lp ~u:3 ~v:1 ~bound:0;
+    Difflp.add_objective lp 3 1.;
+    Difflp.add_objective lp 2 (-1.);
+    lp
+  in
+  let deep =
+    let lp = window_lp () in
+    Difflp.add_constraint lp ~u:3 ~v:2 ~bound:(-2);
+    lp
+  in
+  List.iter
+    (fun (what, lp) ->
+      Alcotest.(check bool) (what ^ ": default is network simplex") true
+        (Difflp.default_engine lp ~reference:0 = Difflp.Network_simplex);
+      let show = function
+        | Ok r ->
+          "ok " ^ String.concat "," (List.map string_of_int (Array.to_list r))
+        | Error e -> "error " ^ e
+      in
+      Alcotest.(check string) (what ^ ": auto = explicit network simplex")
+        (show (Difflp.solve ~engine:Difflp.Network_simplex lp ~reference:0))
+        (show (Difflp.solve lp ~reference:0)))
+    [ ("unbounded variable", unbounded); ("bound below -1", deep) ]
+
+(* A 100 000-node path: one augmenting path of depth 10^5. With the
+   fiber stack capped far below what a recursive DFS would need (~4
+   words per frame), the run only completes if the DFS is iterative. *)
+let test_maxflow_long_chain () =
+  let n = 100_000 in
+  let mf = Maxflow.create ~n () in
+  for i = 0 to n - 2 do
+    Maxflow.add_edge mf ~src:i ~dst:(i + 1)
+      ~cap:(if i = n / 2 then 1.5 else 2.)
+  done;
+  let g = Gc.get () in
+  let value =
+    Fun.protect
+      ~finally:(fun () -> Gc.set g)
+      (fun () ->
+        Gc.set { g with Gc.stack_limit = 1 lsl 17 };
+        Maxflow.run mf ~source:0 ~sink:(n - 1))
+  in
+  feq "bottleneck value" 1.5 value;
+  let side = Maxflow.min_cut_source_side mf ~source:0 in
+  Alcotest.(check bool) "cut right after the bottleneck" true
+    (side.(n / 2) && not side.((n / 2) + 1));
+  Alcotest.(check bool) "certified" true
+    (Maxflow.certify mf ~source:0 ~sink:(n - 1) ~side = Ok ())
+
+let test_maxflow_certificate_rejects () =
+  let mf = Maxflow.create ~n:3 () in
+  Maxflow.add_edge mf ~src:0 ~dst:1 ~cap:1.;
+  Maxflow.add_edge mf ~src:1 ~dst:2 ~cap:5.;
+  ignore (Maxflow.run mf ~source:0 ~sink:2);
+  (* a valid cut that is not minimum: capacity 5 <> flow 1 *)
+  match Maxflow.certify mf ~source:0 ~sink:2 ~side:[| true; true; false |] with
+  | Ok () -> Alcotest.fail "a non-minimum cut must fail the certificate"
+  | Error _ -> ()
+
+let test_maxflow_deadline () =
+  let n = 5_000 in
+  let mf = Maxflow.create ~n () in
+  for i = 0 to n - 2 do
+    Maxflow.add_edge mf ~src:i ~dst:(i + 1) ~cap:1.
+  done;
+  match
+    Maxflow.run ~deadline:(Rar_util.Deadline.make ~budget_s:0.) mf ~source:0
+      ~sink:(n - 1)
+  with
+  | exception Rar_util.Deadline.Expired { phase; _ } ->
+    Alcotest.(check string) "phase" "maxflow" phase
+  | _ -> Alcotest.fail "maxflow must hit the deadline"
+
 let suite =
   [
     Alcotest.test_case "ssp on a chain" `Quick test_ssp_chain;
@@ -404,4 +551,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_engines_match_brute;
     QCheck_alcotest.to_alcotest prop_solutions_feasible;
     QCheck_alcotest.to_alcotest prop_block_matches_dantzig;
+    QCheck_alcotest.to_alcotest prop_auto_is_closure;
+    Alcotest.test_case "scan rejects non-binary LPs" `Quick test_scan_rejects;
+    Alcotest.test_case "maxflow 100k chain, iterative DFS" `Quick
+      test_maxflow_long_chain;
+    Alcotest.test_case "maxflow certificate rejects a non-minimum cut" `Quick
+      test_maxflow_certificate_rejects;
+    Alcotest.test_case "maxflow honours the deadline" `Quick
+      test_maxflow_deadline;
   ]

@@ -274,6 +274,113 @@ let test_solver_events_json () =
         Alcotest.(check bool) "event names the failed engine" true
           (contains j (Difflp.engine_name Difflp.Network_simplex)))
 
+(* --- Closure, the default engine, in the fault matrix -------------- *)
+
+(* A binary-window LP: [Difflp.solve] without an engine picks closure. *)
+let window_lp () =
+  let t = Difflp.create ~n:4 in
+  List.iter
+    (fun v ->
+      Difflp.add_constraint t ~u:v ~v:0 ~bound:0;
+      Difflp.add_constraint t ~u:0 ~v ~bound:1)
+    [ 1; 2; 3 ];
+  Difflp.add_constraint t ~u:2 ~v:1 ~bound:0;
+  Difflp.add_objective t 1 1.0;
+  Difflp.add_objective t 2 (-2.0);
+  Difflp.add_objective t 3 1.0;
+  t
+
+let check_closure_fallback profile =
+  let t = window_lp () in
+  Alcotest.(check bool) "default engine is closure" true
+    (Difflp.default_engine t ~reference:0 = Difflp.Closure);
+  let clean =
+    without_faults (fun () ->
+        match Difflp.solve ~engine:Difflp.Network_simplex t ~reference:0 with
+        | Ok r -> Difflp.objective_value t r
+        | Error e -> Alcotest.fail ("clean simplex solve failed: " ^ e))
+  in
+  with_faults [ profile ] (fun () ->
+      let events = ref [] in
+      match
+        Difflp.solve ~on_fallback:(fun e -> events := e :: !events) t
+          ~reference:0
+      with
+      | Error e -> Alcotest.fail ("fallback chain must recover: " ^ e)
+      | Ok r -> (
+        Alcotest.(check (float 1e-9)) "same optimum as the reference" clean
+          (Difflp.objective_value t r);
+        match !events with
+        | [ e ] ->
+          Alcotest.(check bool) "primary was closure" true
+            (e.Difflp.failed = Difflp.Closure);
+          Alcotest.(check bool) "retry was netsimplex" true
+            (e.Difflp.retried = Difflp.Network_simplex)
+        | es ->
+          Alcotest.failf "expected exactly one fallback event, got %d"
+            (List.length es)))
+
+let test_closure_fallback_on_timeout () = check_closure_fallback Faults.Timeout
+let test_closure_fallback_on_badcert () = check_closure_fallback Faults.Badcert
+
+let test_closure_badcert_engine_events () =
+  let p = prepared () in
+  let cfg = Engine.config ~c:1.0 Engine.Grar in
+  let clean =
+    without_faults (fun () ->
+        match Engine.run_prepared cfg p with
+        | Ok r -> r
+        | Error e -> Alcotest.fail (Error.to_string e))
+  in
+  with_faults [ Faults.Badcert ] (fun () ->
+      match Engine.run_prepared cfg p with
+      | Error e -> Alcotest.fail (Error.to_string e)
+      | Ok r ->
+        Alcotest.(check bool) "solver_events recorded" true
+          (r.Engine.events <> []);
+        List.iter
+          (fun (e : Difflp.fallback_event) ->
+            Alcotest.(check bool) "closure failed" true
+              (e.Difflp.failed = Difflp.Closure);
+            Alcotest.(check bool) "netsimplex retried" true
+              (e.Difflp.retried = Difflp.Network_simplex))
+          r.Engine.events;
+        let j = Json.to_string (Engine.result_json ~circuit:"resil" cfg r) in
+        Alcotest.(check bool) "solver_events in rar-run/1" true
+          (contains j "solver_events");
+        Alcotest.(check int) "same ED count as the clean run"
+          (Outcome.ed_count clean.Engine.outcome)
+          (Outcome.ed_count r.Engine.outcome))
+
+let test_closure_deadline () =
+  let p = prepared () in
+  without_faults (fun () ->
+      let deadline = Deadline.make ~budget_s:0. in
+      match
+        Engine.run_prepared ~deadline
+          (Engine.config ~solver:Difflp.Closure ~c:1.0 Engine.Grar)
+          p
+      with
+      | Error (Error.Timeout _) -> ()
+      | Error e -> Alcotest.fail ("expected Timeout, got " ^ Error.to_string e)
+      | Ok _ -> Alcotest.fail "expected Timeout")
+
+(* The environment configuration is read once at load time; concurrent
+   readers must never race on its initialisation. *)
+let test_faults_active_concurrent () =
+  Faults.use_env ();
+  let expected = Faults.active () in
+  let worker () =
+    let same = ref true in
+    for _ = 1 to 1_000 do
+      if Faults.active () <> expected then same := false
+    done;
+    !same
+  in
+  let ds = List.init 4 (fun _ -> Domain.spawn worker) in
+  Alcotest.(check (list bool)) "every domain saw the same configuration"
+    [ true; true; true; true ] (List.map Domain.join ds)
+
 (* --- RAR_FAULTS grammar -------------------------------------------- *)
 
 let test_faults_grammar () =
@@ -440,6 +547,16 @@ let suite =
     Alcotest.test_case "solver_events only when a fallback fired" `Quick
       test_solver_events_json;
     Alcotest.test_case "RAR_FAULTS grammar" `Quick test_faults_grammar;
+    Alcotest.test_case "closure falls back on injected timeout" `Quick
+      test_closure_fallback_on_timeout;
+    Alcotest.test_case "closure falls back on flipped certificate" `Quick
+      test_closure_fallback_on_badcert;
+    Alcotest.test_case "badcert on closure records solver_events" `Quick
+      test_closure_badcert_engine_events;
+    Alcotest.test_case "closure honours the deadline" `Quick
+      test_closure_deadline;
+    Alcotest.test_case "Faults.active is safe across domains" `Quick
+      test_faults_active_concurrent;
     QCheck_alcotest.to_alcotest prop_bench_fuzz;
     QCheck_alcotest.to_alcotest prop_liberty_fuzz;
     QCheck_alcotest.to_alcotest prop_verilog_fuzz;
