@@ -232,10 +232,12 @@ let tests =
         let c = Clocking.of_p 1.0 in
         ignore (Format.asprintf "%a" Clocking.pp_diagram c)));
     Test.make ~name:"fig4/worked_example" (Staged.stage (fun () ->
-        ignore
-          (ok
-             (Grar.run ~lib:(Fig4.library ()) ~clocking:Fig4.clocking ~c:2.0
-                (Fig4.circuit ())))));
+        let stage =
+          ok
+            (Stage.make ~lib:(Fig4.library ()) ~clocking:Fig4.clocking
+               (Fig4.circuit ()))
+        in
+        ignore (ok (Grar.run_on_stage ~c:2.0 stage))));
   ]
 
 let measure_kernels ~banner tests =

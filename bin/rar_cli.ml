@@ -613,8 +613,8 @@ let classic_cmd =
     let loaded =
       match (bench, name) with
       | Some file, _ -> (
-        match Bench_io.parse_file file with
-        | Error e -> Error e
+        match Bench_io.parse_file_diag file with
+        | Error d -> Error (Rar_util.Diag.to_string d)
         | Ok net -> Ok (file, net, Rar_liberty.Liberty.default ()))
       | None, Some name -> (
         match Suite.load name with
@@ -713,10 +713,8 @@ let eco_cmd =
       & info [ "metrics" ]
           ~doc:
             "Embed the cumulative counter/gauge snapshot (including \
-             $(b,sta_incremental_pins), $(b,wd_patch_hits), \
-             $(b,wd_patch_rebuilds), $(b,spfa_warm_starts) and \
-             $(b,difflp_cache_hits)) as a $(b,metrics) object in every \
-             streamed record.")
+             $(b,sta_incremental_pins) and $(b,difflp_cache_hits)) as a \
+             $(b,metrics) object in every streamed record.")
   in
   (* Stripped comparison documents for --verify-cold: wall clocks
      always differ and an LP cache hit legitimately drops fallback
@@ -800,16 +798,7 @@ let eco_cmd =
                       (Json.to_string
                          (Engine.result_json ~circuit:name ?metrics:metrics_json
                             cfg_now r));
-                    if not verify then begin
-                      (* track the cumulative netlist anyway: later
-                         batches parse against the session state only *)
-                      let applied =
-                        Transform.Edit.apply ?annot:!cold_annot !cold_net batch
-                      in
-                      cold_net := applied.Transform.Edit.net;
-                      cold_annot := Some applied.Transform.Edit.annot
-                    end
-                    else begin
+                    if verify then begin
                       let applied =
                         Transform.Edit.apply ?annot:!cold_annot !cold_net batch
                       in
@@ -871,8 +860,8 @@ let eco_cmd =
        ~doc:
          "Incremental (ECO) retiming: open a session on a benchmark, apply \
           batches of local edits from a script and re-solve each batch \
-          incrementally — cone-limited STA, patched W/D memos and \
-          warm-started solvers — streaming one rar-run/1 JSON record per \
+          incrementally — cone-limited STA, a patched stage analysis and \
+          replayed LP solves — streaming one rar-run/1 JSON record per \
           batch. Results are identical to cold re-solves on the edited \
           netlist ($(b,--verify-cold) checks)."
        ~man:

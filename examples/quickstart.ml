@@ -4,11 +4,10 @@
 
 module Suite = Rar_circuits.Suite
 module Stage = Rar_retime.Stage
-module Grar = Rar_retime.Grar
-module Base = Rar_retime.Base_retiming
 module Outcome = Rar_retime.Outcome
 module Vl = Rar_vl.Vl
 module Clocking = Rar_sta.Clocking
+module Engine = Rar_engine
 
 let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "s1423" in
@@ -36,27 +35,26 @@ let () =
     (Outcome.ed_count initial)
     (List.length initial.Outcome.violations);
   (* 4. Compare the engines at EDL overhead c = 1. *)
-  let show tag (o : Outcome.t) runtime =
-    Printf.printf
-      "%-8s: %4d slaves  %4d EDL  seq area %8.2f  total %8.2f  (%.2f s)\n" tag
-      o.Outcome.n_slaves (Outcome.ed_count o) o.Outcome.seq_area
-      o.Outcome.total_area runtime
+  let show spec =
+    match Engine.run (Engine.config ~c spec) stage with
+    | Ok r ->
+      let o = r.Engine.outcome in
+      Printf.printf
+        "%-8s: %4d slaves  %4d EDL  seq area %8.2f  total %8.2f  (%.2f s)\n"
+        (Engine.name spec) o.Outcome.n_slaves (Outcome.ed_count o)
+        o.Outcome.seq_area o.Outcome.total_area r.Engine.wall_s;
+      r.Engine.extras
+    | Error e ->
+      Printf.printf "%s: %s\n" (Engine.name spec)
+        (Rar_retime.Error.to_string e);
+      Engine.No_extras
   in
-  (match Base.run_on_stage ~c stage with
-  | Ok r -> show "base" r.Base.outcome r.Base.runtime_s
-  | Error e -> Printf.printf "base: %s\n" (Rar_retime.Error.to_string e));
   List.iter
-    (fun variant ->
-      match Vl.run_on_stage ~c variant stage with
-      | Ok r -> show (Vl.variant_name variant) r.Vl.outcome r.Vl.runtime_s
-      | Error e ->
-        Printf.printf "%s: %s\n" (Vl.variant_name variant)
-          (Rar_retime.Error.to_string e))
-    Vl.all_variants;
-  (match Grar.run_on_stage ~c stage with
-  | Ok r ->
-    show "G-RAR" r.Grar.outcome r.Grar.runtime_s;
+    (fun spec -> ignore (show spec))
+    [ Engine.Base; Engine.Vl Vl.Nvl; Engine.Vl Vl.Evl; Engine.Vl Vl.Rvl ];
+  match show Engine.Grar with
+  | Engine.Retiming { modelled_non_ed; _ } ->
     Printf.printf
       "\nG-RAR converted %d retiming-dependent masters to plain latches.\n"
-      (List.length r.Grar.modelled_non_ed)
-  | Error e -> Printf.printf "grar: %s\n" (Rar_retime.Error.to_string e))
+      (List.length modelled_non_ed)
+  | Engine.No_extras | Engine.Retype _ | Engine.Moves _ -> ()

@@ -28,11 +28,6 @@ let m_block_hits = Rar_obs.Metrics.counter "netsimplex_block_hits"
 let m_cycle_arcs = Rar_obs.Metrics.counter "netsimplex_cycle_arcs"
 let m_shift_nodes = Rar_obs.Metrics.counter "netsimplex_shift_nodes"
 
-(* Arc ranges are fanned over the pool only when a full pricing sweep
-   has at least this many arcs to look at; below it the dispatch
-   overhead dominates the scan itself. *)
-let par_scan_threshold = 65_536
-
 exception Fail of error
 
 let solve ?deadline ?max_pivots ?(pricing = Block) p =
@@ -146,38 +141,15 @@ let solve ?deadline ?max_pivots ?(pricing = Block) p =
       (!best_rc, !best)
     in
     (* Rotating pricing blocks. A pivot first scans only the current
-       block; a full sweep (every block, fanned over the pool above
-       [par_scan_threshold]) runs only when the block is dry. The merge
-       keeps the strictly most-negative reduced cost scanning blocks in
-       index order, so ties resolve to the lowest arc index and the
-       chosen pivot sequence is byte-identical at any pool size. *)
+       block; a full sweep over every arc runs only when the block is
+       dry. Both keep the strictly most-negative reduced cost, so ties
+       resolve to the lowest arc index. *)
     let block_size = Int.max 64 ((total_arcs + 63) / 64) in
-    let nblocks = (total_arcs + block_size - 1) / block_size in
-    let block_ids = Array.init nblocks (fun b -> b) in
     let price_block b =
       let lo = b * block_size in
       price_range lo (Int.min total_arcs (lo + block_size))
     in
-    let full_sweep () =
-      let per_block =
-        if total_arcs >= par_scan_threshold
-           && Rar_util.Pool.effective_jobs () > 1
-        then
-          Rar_util.Pool.map
-            ~min_chunk:(Int.max 1 (nblocks / (Rar_util.Pool.effective_jobs () * 4)))
-            block_ids price_block
-        else Array.map price_block block_ids
-      in
-      let best_rc = ref 0 and best = ref (-1) in
-      Array.iter
-        (fun (rc, i) ->
-          if i >= 0 && rc < !best_rc then begin
-            best_rc := rc;
-            best := i
-          end)
-        per_block;
-      !best
-    in
+    let full_sweep () = snd (price_range 0 total_arcs) in
     let cur_block = ref 0 in
     let block_hits = ref 0 in
     let cycle_arcs = ref 0 in

@@ -10,12 +10,11 @@
     Entering-arc selection uses block pricing: arcs are partitioned
     into rotating blocks, a pivot scans only the current block for the
     most-negative reduced cost (lowest arc index on ties), and only a
-    dry block triggers a full sweep — every block priced, fanned over
-    {!Rar_util.Pool} above a size threshold and merged in block order.
-    The strict most-negative/lowest-index rule makes the pivot
-    sequence (and hence the returned basis) byte-identical at any pool
-    size. A generous pivot cap guards against (never yet observed)
-    cycling, and {!Difflp} falls back to {!Ssp} if the cap is hit. *)
+    dry block triggers a sequential full sweep under the same rule, so
+    the pivot sequence (and hence the returned basis) is a pure
+    function of the input. A generous pivot cap guards against (never
+    yet observed) cycling, and {!Difflp} falls back to {!Ssp} if the
+    cap is hit. *)
 
 type solution = {
   flow : float array;      (** per problem arc id *)

@@ -31,23 +31,12 @@
 val print : Liberty.t -> string
 val write_file : string -> Liberty.t -> unit
 
-val parse : string -> (Liberty.t, string) result
-(** Parse from a string. Thin wrapper over {!parse_diag} preserving the
-    historical error strings ("line N: ..." from the tokenizer,
-    "Liberty_io.parse: ..." from the group parser and semantic
-    checks). *)
-
-val parse_file : string -> (Liberty.t, string) result
-(** Raises [Sys_error] when the file cannot be read (historical
-    behaviour); {!parse_file_diag} returns it as a diagnostic
-    instead. *)
-
 val parse_diag : ?file:string -> string -> (Liberty.t, Rar_util.Diag.t) result
-(** Structured-diagnostic entry point: the error carries the 1-based
-    line and, for tokenizer errors, the 1-based column (0 when the
-    error is not attached to a position). Never raises on malformed
-    input. A [truncate] fault profile ({!Rar_resilience.Faults}) cuts
-    the input before parsing, for both this and {!parse}. *)
+(** Parse from a string. The error carries the 1-based line and, for
+    tokenizer errors, the 1-based column (0 when the error is not
+    attached to a position). Never raises on malformed input. A
+    [truncate] fault profile ({!Rar_resilience.Faults}) cuts the input
+    before parsing. *)
 
 val parse_file_diag : string -> (Liberty.t, Rar_util.Diag.t) result
 (** Like {!parse_diag} but reads the file first; an unreadable file

@@ -2,17 +2,6 @@ module B = Netlist.Builder
 module Diag = Rar_util.Diag
 module Faults = Rar_resilience.Faults
 
-(* Internal structured error. [line = 0] marks the unlocated errors the
-   legacy [parse] reported without a "line N:" prefix (OUTPUT-phase
-   lookups, freeze failures); the legacy rendering must stay
-   byte-identical. *)
-type err = { line : int; col : int; msg : string }
-
-let legacy_of_err e =
-  if e.line > 0 then Printf.sprintf "line %d: %s" e.line e.msg else e.msg
-
-let diag_of_err ?file e = Diag.make ?file ~line:e.line ~col:e.col e.msg
-
 type line =
   | L_input of string
   | L_output of string
@@ -62,7 +51,9 @@ let content_col ln =
   in
   go 0
 
-let parse_err text =
+(* Errors not attached to a line (OUTPUT-phase lookups, freeze
+   failures) carry [line = 0]; [parse_diag] attaches the file name. *)
+let parse_text text =
   let text = Faults.truncate text in
   let lines = Array.of_list (String.split_on_char '\n' text) in
   let b = B.create ~name:"bench" () in
@@ -74,7 +65,7 @@ let parse_err text =
   let errors = ref [] in
   let at lineno msg =
     let col = if lineno > 0 then content_col lines.(lineno - 1) else 0 in
-    errors := { line = lineno; col; msg } :: !errors
+    errors := Diag.make ~line:lineno ~col msg :: !errors
   in
   let lookup name =
     match Hashtbl.find_opt ids name with
@@ -149,47 +140,22 @@ let parse_err text =
        (List.rev !outputs);
      match !errors with
      | e :: _ -> Error e
-     | [] -> ( try Ok (B.freeze b) with Failure msg -> Error { line = 0; col = 0; msg })
+     | [] -> ( try Ok (B.freeze b) with Failure msg -> Error (Diag.make msg))
    with
   | (Stack_overflow | Out_of_memory) as e -> raise e
   | e ->
     (* Mutated input must never escape as an exception; anything the
-       builder throws on malformed structure becomes a located error. *)
+       builder throws on malformed structure becomes a diagnostic. *)
     Error
-      {
-        line = 0;
-        col = 0;
-        msg =
-          Printf.sprintf "Bench_io.parse: unexpected exception %s"
-            (Printexc.to_string e);
-      })
-
-let parse text =
-  match parse_err text with
-  | Ok net -> Ok net
-  | Error e -> Error (legacy_of_err e)
+      (Diag.make
+         (Printf.sprintf "Bench_io.parse: unexpected exception %s"
+            (Printexc.to_string e))))
 
 let parse_diag ?file text =
-  match parse_err text with
-  | Ok net -> Ok net
-  | Error e -> Error (diag_of_err ?file e)
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      really_input_string ic len)
-
-let parse_file path =
-  let text = read_file path in
-  parse text
+  Result.map_error (fun d -> { d with Diag.file }) (parse_text text)
 
 let parse_file_diag path =
-  match read_file path with
-  | exception Sys_error msg -> Error (Diag.make msg)
-  | text -> parse_diag ~file:path text
+  Result.bind (Diag.read_file path) (parse_diag ~file:path)
 
 let op_name fn = String.uppercase_ascii (Cell_kind.name fn)
 

@@ -20,24 +20,14 @@
     [Output] nodes named ["<signal>$po"] when the output signal also
     feeds logic, and plain where it does not. *)
 
-val parse : string -> (Netlist.t, string) result
-(** Parse from a string. The error carries a line number and reason.
-    Thin wrapper over {!parse_diag} preserving the historical error
-    strings. *)
-
-val parse_file : string -> (Netlist.t, string) result
-(** Raises [Sys_error] when the file cannot be read (historical
-    behaviour); {!parse_file_diag} returns it as a diagnostic
-    instead. *)
-
 val parse_diag : ?file:string -> string -> (Netlist.t, Rar_util.Diag.t) result
-(** Structured-diagnostic entry point: the error carries the 1-based
-    line, the column of the offending line's first content character
-    (0 when the error is not attached to a line) and the message.
-    Never raises on malformed input — anything the netlist builder
-    throws on structurally-broken text is converted into a diagnostic.
-    A [truncate] fault profile ({!Rar_resilience.Faults}) cuts the
-    input before parsing, for both this and {!parse}. *)
+(** Parse from a string. The error carries the 1-based line, the
+    column of the offending line's first content character (0 when the
+    error is not attached to a line) and the message. Never raises on
+    malformed input — anything the netlist builder throws on
+    structurally-broken text is converted into a diagnostic. A
+    [truncate] fault profile ({!Rar_resilience.Faults}) cuts the input
+    before parsing. *)
 
 val parse_file_diag : string -> (Netlist.t, Rar_util.Diag.t) result
 (** Like {!parse_diag} but reads [path] first; an unreadable file
@@ -46,9 +36,10 @@ val parse_file_diag : string -> (Netlist.t, Rar_util.Diag.t) result
 val print : Netlist.t -> string
 (** Render a netlist (combinational gates, sequential elements, PIs,
     POs) back to ".bench" text. Flops are rendered as [DFF]; master and
-    slave latches as [MLATCH]/[SLATCH], which {!parse} maps back to the
-    same roles — a converted two-phase design round-trips exactly.
-    Gates whose kind has no ".bench" spelling (AOI/OAI/MUX) are emitted
-    with their library names, which {!parse} also accepts. *)
+    slave latches as [MLATCH]/[SLATCH], which {!parse_diag} maps back
+    to the same roles — a converted two-phase design round-trips
+    exactly. Gates whose kind has no ".bench" spelling (AOI/OAI/MUX)
+    are emitted with their library names, which {!parse_diag} also
+    accepts. *)
 
 val write_file : string -> Netlist.t -> unit

@@ -2,16 +2,6 @@ module B = Netlist.Builder
 module Diag = Rar_util.Diag
 module Faults = Rar_resilience.Faults
 
-(* Internal structured error; [line = 0] marks the unlocated errors the
-   legacy [parse] reported without a "line N:" prefix (builder-phase
-   duplicate/undriven-signal checks, freeze failures). *)
-type err = { line : int; col : int; msg : string }
-
-let legacy_of_err e =
-  if e.line > 0 then Printf.sprintf "line %d: %s" e.line e.msg else e.msg
-
-let diag_of_err ?file e = Diag.make ?file ~line:e.line ~col:e.col e.msg
-
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -132,7 +122,7 @@ let tokenize text =
   let i = ref 0 in
   let push t = toks := (t, !line) :: !toks in
   let fail_at pos msg =
-    error := Some { line = !line; col = pos - !bol + 1; msg }
+    error := Some (Diag.make ~line:!line ~col:(pos - !bol + 1) msg)
   in
   while !i < n && !error = None do
     let c = text.[!i] in
@@ -225,14 +215,16 @@ let kind_of_keyword = function
   | "latch_s" -> Some (`Seq Netlist.Slave)
   | _ -> None
 
-let parse_err text =
+(* Builder-phase errors (duplicate/undriven signals, freeze failures)
+   carry [line = 0]; [parse_diag] attaches the file name. *)
+let parse_text text =
   let text = Faults.truncate text in
   match tokenize text with
   | Error _ as e -> e
   | Ok toks -> (
     let toks = ref toks in
     let line () = match !toks with (_, l) :: _ -> l | [] -> 0 in
-    let fail msg = Error { line = line (); col = 0; msg } in
+    let fail msg = Error (Diag.make ~line:(line ()) msg) in
     try
     let next () =
       match !toks with
@@ -402,10 +394,9 @@ let parse_err text =
                     | `Out id -> B.connect b id ~fanins))
                 (List.rev !pending);
               match !errors with
-              | e :: _ -> Error { line = 0; col = 0; msg = e }
+              | e :: _ -> Error (Diag.make e)
               | [] -> (
-                try Ok (B.freeze b)
-                with Failure m -> Error { line = 0; col = 0; msg = m }))
+                try Ok (B.freeze b) with Failure m -> Error (Diag.make m)))
           end
         end))
     | _ -> fail "expected 'module'"
@@ -414,37 +405,12 @@ let parse_err text =
     | e ->
       (* Mutated input must never escape as an exception. *)
       Error
-        {
-          line = 0;
-          col = 0;
-          msg =
-            Printf.sprintf "Verilog_io.parse: unexpected exception %s"
-              (Printexc.to_string e);
-        })
-
-let parse text =
-  match parse_err text with
-  | Ok net -> Ok net
-  | Error e -> Error (legacy_of_err e)
+        (Diag.make
+           (Printf.sprintf "Verilog_io.parse: unexpected exception %s"
+              (Printexc.to_string e))))
 
 let parse_diag ?file text =
-  match parse_err text with
-  | Ok net -> Ok net
-  | Error e -> Error (diag_of_err ?file e)
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      really_input_string ic len)
-
-let parse_file path =
-  let text = read_file path in
-  parse text
+  Result.map_error (fun d -> { d with Diag.file }) (parse_text text)
 
 let parse_file_diag path =
-  match read_file path with
-  | exception Sys_error msg -> Error (Diag.make msg)
-  | text -> parse_diag ~file:path text
+  Result.bind (Diag.read_file path) (parse_diag ~file:path)

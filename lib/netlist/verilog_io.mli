@@ -15,21 +15,12 @@
 val print : Netlist.t -> string
 val write_file : string -> Netlist.t -> unit
 
-val parse : string -> (Netlist.t, string) result
-(** Errors carry a line number and reason. Thin wrapper over
-    {!parse_diag} preserving the historical error strings. *)
-
-val parse_file : string -> (Netlist.t, string) result
-(** Raises [Sys_error] when the file cannot be read (historical
-    behaviour); {!parse_file_diag} returns it as a diagnostic
-    instead. *)
-
 val parse_diag : ?file:string -> string -> (Netlist.t, Rar_util.Diag.t) result
-(** Structured-diagnostic entry point: the error carries the 1-based
-    line and, for tokenizer errors, the 1-based column (0 when the
-    error is not attached to a position). Never raises on malformed
-    input. A [truncate] fault profile ({!Rar_resilience.Faults}) cuts
-    the input before parsing, for both this and {!parse}. *)
+(** Parse from a string. The error carries the 1-based line and, for
+    tokenizer errors, the 1-based column (0 when the error is not
+    attached to a position). Never raises on malformed input. A
+    [truncate] fault profile ({!Rar_resilience.Faults}) cuts the input
+    before parsing. *)
 
 val parse_file_diag : string -> (Netlist.t, Rar_util.Diag.t) result
 (** Like {!parse_diag} but reads the file first; an unreadable file

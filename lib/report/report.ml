@@ -24,10 +24,12 @@ let format_of_string s =
 
 exception Engine_failed of { what : string; err : Error.t }
 
+(* Candidate-move budget of Table IX's movable-master local search. *)
+let movable_moves = 4
+
 type t = {
   names_ : string list;
   sim_cycles : int;
-  movable_moves : int;
   solver : Rar_flow.Difflp.engine option;
   lock : Mutex.t; (* guards every memo table below *)
   prepared_ : (string, Suite.prepared) Hashtbl.t;
@@ -37,12 +39,10 @@ type t = {
   rows_ : (int, Row.table) Hashtbl.t;
 }
 
-let create ?(names = Spec.names) ?(sim_cycles = 300) ?(movable_moves = 4)
-    ?solver () =
+let create ?(names = Spec.names) ?(sim_cycles = 300) ?solver () =
   {
     names_ = names;
     sim_cycles;
-    movable_moves;
     solver;
     lock = Mutex.create ();
     prepared_ = Hashtbl.create 16;
@@ -95,7 +95,7 @@ let stage t ?(model = Sta.Path_based) name =
            ~clocking:p.Suite.clocking p.Suite.cc))
 
 let config t ?(model = Sta.Path_based) ~c spec =
-  Engine.config ~model ?solver:t.solver ~c ~movable_moves:t.movable_moves spec
+  Engine.config ~model ?solver:t.solver ~c ~movable_moves spec
 
 let run_result t ?(model = Sta.Path_based) name ~spec ~c =
   let cfg = config t ~model ~c spec in

@@ -33,14 +33,13 @@ type t
 val create :
   ?names:string list ->
   ?sim_cycles:int ->
-  ?movable_moves:int ->
   ?solver:Rar_flow.Difflp.engine ->
   unit ->
   t
 (** [names] defaults to the full Table I suite (12 circuits);
-    [sim_cycles] (default 300) drives Table VIII;
-    [movable_moves] (default 4) bounds Table IX's local search;
-    [solver] pins every engine run's LP solver (default: each LP's
+    [sim_cycles] (default 300) drives Table VIII; Table IX's local
+    search tries at most 4 candidate moves; [solver] pins every engine
+    run's LP solver (default: each LP's
     {!Rar_flow.Difflp.default_engine}). *)
 
 val names : t -> string list

@@ -7,10 +7,6 @@
     Masters whose verified arrival falls in the resiliency window are
     then replaced with error-detecting latches after the fact. *)
 
-module Transform = Rar_netlist.Transform
-module Liberty = Rar_liberty.Liberty
-module Sta = Rar_sta.Sta
-module Clocking = Rar_sta.Clocking
 module Difflp = Rar_flow.Difflp
 
 type t = {
@@ -18,27 +14,14 @@ type t = {
   stage : Stage.t;
   r : int array;
   lp_latches : float;
-  runtime_s : float;
 }
-
-val run :
-  ?deadline:Rar_util.Deadline.t ->
-  ?on_fallback:(Difflp.fallback_event -> unit) ->
-  ?engine:Difflp.engine ->
-  ?solve_cache:Difflp.cache ->
-  ?model:Sta.model ->
-  lib:Liberty.t ->
-  clocking:Clocking.t ->
-  c:float ->
-  Transform.comb_circuit ->
-  (t, Error.t) result
-(** [c] only affects the area accounting of the after-the-fact EDL
-    assignment, never the optimisation. [?deadline], [?on_fallback]
-    and [?solve_cache] are threaded into the LP solve (see
-    {!Rgraph.solve}). *)
 
 val run_on_stage :
   ?deadline:Rar_util.Deadline.t ->
   ?on_fallback:(Difflp.fallback_event -> unit) ->
   ?engine:Difflp.engine ->
   ?solve_cache:Difflp.cache -> c:float -> Stage.t -> (t, Error.t) result
+(** [c] only affects the area accounting of the after-the-fact EDL
+    assignment, never the optimisation. [?deadline], [?on_fallback]
+    and [?solve_cache] are threaded into the LP solve (see
+    {!Rgraph.solve}). *)

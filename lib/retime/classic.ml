@@ -32,9 +32,9 @@ type graph = {
       (* memoised sparse W/D kernel; everything else in the record is
          immutable, so the cache is keyed on the graph value itself.
          Guarded by [wd_lock]: concurrent solves on one graph value
-         (e.g. eco sessions sharing a pool) must neither duplicate the
-         all-pairs build nor observe a partially published one, so
-         every access goes through the lock (reads included — plain
+         must neither duplicate the all-pairs build nor observe a
+         partially published one, so every access goes through the
+         lock (reads included — plain
          OCaml 5 accesses give no publication ordering). *)
   wd_lock : Mutex.t;
 }
@@ -198,12 +198,7 @@ let wd g =
     g.wd_cache <- Some t;
     t
 
-let seed_wd g t = with_wd_lock g (fun () -> g.wd_cache <- Some t)
-
 let wd_matrices g = Wd.to_dense (wd g)
-
-let wd_matrices_dense g =
-  Wd.floyd_warshall ~n:g.n ~delays:g.delays ~edges:(wd_edges g)
 
 (* The current period is the worst zero-register path delay. When the
    W/D kernel is already memoised, read it straight off the matrices;
@@ -248,14 +243,6 @@ let constraint_arcs g ~period =
       decr pos);
   arcs
 
-(* [init] warm-starts the feasibility SPFA: potentials from a probe at
-   a larger period satisfy every arc that probe already had, and
-   shrinking the period only adds arcs, so relaxation restarts from
-   the previous fixpoint instead of from zero. Negative-cycle
-   detection (and hence the boolean) is init-independent. *)
-let feasible_from ?deadline g ~period ~init =
-  Spfa.from_init ?deadline ~n:g.n ~arcs:(constraint_arcs g ~period) ~init ()
-
 let feasible ?deadline g ~period =
   match
     Spfa.from_virtual_root ?deadline ~n:g.n
@@ -264,22 +251,24 @@ let feasible ?deadline g ~period =
   | Ok _ -> true
   | Error _ -> false
 
-let min_period_warm ?deadline ?init g =
+(* Each probe after the first feasible one warm-starts its SPFA from
+   that probe's potentials: they satisfy every arc the earlier (larger)
+   period had, and shrinking the period only adds arcs, so relaxation
+   restarts from the previous fixpoint instead of from zero.
+   Negative-cycle detection (and hence the boolean) is
+   init-independent. *)
+let min_period ?deadline g =
   let arr = Wd.distinct_d_values (wd g) in
   let lo = ref 0 and hi = ref (Array.length arr - 1) in
-  let warm = ref init in
+  let warm = ref None in
   (* the largest D is always feasible (no constraints) *)
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
+    let arcs = constraint_arcs g ~period:arr.(mid) in
     let result =
       match !warm with
-      | Some pi -> feasible_from ?deadline g ~period:arr.(mid) ~init:pi
-      | None ->
-        (* Cold first probe: the all-zero virtual-root start — the
-           same fixpoint the old all-zero [from_init] computed, but
-           not counted as a warm start. *)
-        Spfa.from_virtual_root ?deadline ~n:g.n
-          ~arcs:(constraint_arcs g ~period:arr.(mid)) ()
+      | Some init -> Spfa.from_init ?deadline ~n:g.n ~arcs ~init ()
+      | None -> Spfa.from_virtual_root ?deadline ~n:g.n ~arcs ()
     in
     match result with
     | Ok pi ->
@@ -287,9 +276,7 @@ let min_period_warm ?deadline ?init g =
       hi := mid
     | Error _ -> lo := mid + 1
   done;
-  (arr.(!lo), !warm)
-
-let min_period ?deadline g = fst (min_period_warm ?deadline g)
+  arr.(!lo)
 
 (* ------------------------------------------------------------------ *)
 (* Min-area retiming at a period                                       *)
@@ -772,84 +759,3 @@ let retime ?deadline ?on_fallback ?(engine = Difflp.Network_simplex) g
           retimed;
         }
   end
-
-(* ------------------------------------------------------------------ *)
-(* ECO sessions: warm state across repeated solves on an edited graph  *)
-(* ------------------------------------------------------------------ *)
-
-module Eco = struct
-  module Transform = Rar_netlist.Transform
-
-  type session = {
-    lib : Liberty.t;
-    host_registers : int;
-    mutable graph : graph;
-    mutable potentials : int array option;
-        (* last feasible SPFA potentials; valid warm init for any
-           period probe on any graph (outcome is init-independent) *)
-    mutable last_r : int array option;
-        (* last feasible retiming; a legal FEAS warm start only while
-           the edge topology (hence the retimed weights) is unchanged *)
-  }
-
-  let of_graph (g : graph) =
-    { lib = g.lib; host_registers = g.host_registers; graph = g;
-      potentials = None; last_r = None }
-
-  let open_session ?(host_registers = 0) ~lib net =
-    of_graph (of_netlist ~host_registers ~lib net)
-
-  let graph t = t.graph
-
-  let conn_equal a b =
-    a.src = b.src && a.dst = b.dst && a.w = b.w && a.phys_src = b.phys_src
-    && a.sink_node = b.sink_node && a.pin = b.pin
-
-  let same_topology a b =
-    a.n = b.n && List.equal conn_equal a.conns b.conns
-
-  let apply t edits =
-    List.iter
-      (fun e ->
-        match e with
-        | Transform.Edit.Annotate _ | Transform.Edit.Set_c _ ->
-          invalid_arg
-            "Classic.Eco.apply: only resize/rewire edits apply to classic \
-             retiming"
-        | Transform.Edit.Resize _ | Transform.Edit.Rewire _ -> ())
-      edits;
-    let applied = Transform.Edit.apply t.graph.net edits in
-    let g' =
-      of_netlist ~host_registers:t.host_registers ~lib:t.lib
-        applied.Transform.Edit.net
-    in
-    let old = t.graph in
-    if same_topology old g' then begin
-      (* Delay-only change: patch the memoised W/D rows instead of a
-         cold all-pairs build, and keep the FEAS warm start (retimed
-         weights are untouched). *)
-      (match with_wd_lock old (fun () -> old.wd_cache) with
-      | Some wd_old ->
-        seed_wd g' (Wd.patch wd_old ~delays:g'.delays ~edges:(wd_edges g'))
-      | None -> ())
-    end
-    else begin
-      t.potentials <- None;
-      t.last_r <- None
-    end;
-    t.graph <- g'
-
-  let min_period ?deadline t =
-    let p, pi = min_period_warm ?deadline ?init:t.potentials t.graph in
-    (match pi with Some pi -> t.potentials <- Some pi | None -> ());
-    p
-
-  let feas ?deadline ?max_iters ?patience t ~period =
-    match
-      feas ?deadline ?init:t.last_r ?max_iters ?patience t.graph ~period
-    with
-    | Some (r, _) as result ->
-      t.last_r <- Some (Array.copy r);
-      result
-    | None -> None
-end

@@ -52,29 +52,15 @@ val wd_matrices : graph -> int array array * float array array
     all-pairs computation, later calls (and every other query on this
     page) reuse it. *)
 
-val wd_matrices_dense : graph -> int array array * float array array
-(** The retained O(V^3) Floyd–Warshall reference ({!Wd.floyd_warshall})
-    — slow, bypasses the cache; tests cross-check the sparse kernel
-    against it. *)
-
 val period_of : graph -> float
 (** Current clock period (longest register-free combinational path). *)
 
 val min_period : ?deadline:Rar_util.Deadline.t -> graph -> float
-(** Smallest period achievable by retiming. [?deadline] bounds the
-    feasibility probes (phase ["spfa"]). *)
-
-val min_period_warm :
-  ?deadline:Rar_util.Deadline.t ->
-  ?init:int array ->
-  graph -> float * int array option
-(** {!min_period} plus the final feasible SPFA potentials (when at
-    least one probe succeeded). [init] warm-starts the first probe
-    from previous potentials — e.g. across ECO edits — via
-    {!Rar_flow.Spfa.from_init} (counted in the [spfa_warm_starts]
-    metric); the returned period is identical for any [init] (the
-    feasibility boolean is init-independent). Without [init] the first
-    probe is a cold virtual-root run. *)
+(** Smallest period achievable by retiming. Probes after the first
+    feasible one warm-start from its SPFA potentials
+    ({!Rar_flow.Spfa.from_init}, counted in the [spfa_warm_starts]
+    metric); the feasibility verdict is init-independent. [?deadline]
+    bounds the feasibility probes (phase ["spfa"]). *)
 
 val feasible : ?deadline:Rar_util.Deadline.t -> graph -> period:float -> bool
 
@@ -159,46 +145,3 @@ val retime_feas :
     min-period path (no min-area objective — FEAS moves registers
     wherever feasibility demands). Deadline expiry surfaces as
     [Error.Timeout] with phase ["feas"]. *)
-
-(** ECO sessions over classic retiming: apply {!Rar_netlist.Transform.Edit}
-    edits (resize / rewire) to the flop netlist and keep warm state
-    across the rebuilds — patched W/D rows when only delays changed
-    ({!Wd.patch}), previous SPFA potentials for {!min_period} probes,
-    and the last feasible retiming as a FEAS warm start. Results are
-    identical to cold solves on the edited netlist: W/D patching is
-    bitwise-exact and the min-period bisection outcome is
-    warm-start-independent. Sessions are single-owner (not
-    thread-safe); the graphs they produce share the lock-guarded W/D
-    memo like any other graph. *)
-module Eco : sig
-  type session
-
-  val open_session :
-    ?host_registers:int -> lib:Liberty.t -> Netlist.t -> session
-
-  val of_graph : graph -> session
-  (** Wrap an existing graph (its memoised W/D, if any, is reused). *)
-
-  val graph : session -> graph
-  (** The current graph; use it with {!retime} / {!feasible} / etc. *)
-
-  val apply : session -> Rar_netlist.Transform.Edit.t list -> unit
-  (** Apply edits to the session netlist and rebuild the graph.
-      Delay-only edits (resizes) keep the memoised W/D via {!Wd.patch}
-      and every warm start; topology edits (rewires) invalidate both.
-      Raises [Invalid_argument] on [Annotate]/[Set_c] edits (they have
-      no classic-retiming meaning) and on ill-formed edits, like
-      {!Rar_netlist.Transform.Edit.apply}. *)
-
-  val min_period : ?deadline:Rar_util.Deadline.t -> session -> float
-  (** {!Classic.min_period} warm-started from the session's last
-      feasible potentials; stores the new potentials back. *)
-
-  val feas :
-    ?deadline:Rar_util.Deadline.t ->
-    ?max_iters:int ->
-    ?patience:int ->
-    session -> period:float -> (int array * float) option
-  (** {!Classic.feas} warm-started from the session's last feasible
-      retiming (when still legal); stores the result back. *)
-end

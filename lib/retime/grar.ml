@@ -1,7 +1,3 @@
-module Netlist = Rar_netlist.Netlist
-module Transform = Rar_netlist.Transform
-module Liberty = Rar_liberty.Liberty
-module Sta = Rar_sta.Sta
 module Clocking = Rar_sta.Clocking
 module Difflp = Rar_flow.Difflp
 
@@ -11,11 +7,9 @@ type t = {
   r : int array;
   modelled_non_ed : int list;
   lp_latches : float;
-  runtime_s : float;
 }
 
 let run_on_stage ?deadline ?on_fallback ?engine ?solve_cache ~c stage =
-  let t0 = Rar_util.Clock.now_s () in
   let g = Rgraph.build ~edl_overhead:c stage in
   match Rgraph.solve ?deadline ?on_fallback ?engine ?cache:solve_cache g with
   | Error _ as e -> e
@@ -50,24 +44,4 @@ let run_on_stage ?deadline ?on_fallback ?engine ?solve_cache ~c stage =
                  approach = "G-RAR";
                  count = List.length outcome.Outcome.violations;
                })
-        else
-          Ok
-            {
-              outcome;
-              stage = stage';
-              r;
-              modelled_non_ed;
-              lp_latches;
-              runtime_s = Rar_util.Clock.now_s () -. t0;
-            }))
-
-let run ?deadline ?on_fallback ?engine ?solve_cache ?(model = Sta.Path_based)
-    ~lib ~clocking ~c cc =
-  let t0 = Rar_util.Clock.now_s () in
-  match Stage.make ~model ~lib ~clocking cc with
-  | Error _ as e -> e
-  | Ok stage -> (
-    match run_on_stage ?deadline ?on_fallback ?engine ?solve_cache ~c stage
-    with
-    | Error _ as e -> e
-    | Ok r -> Ok { r with runtime_s = Rar_util.Clock.now_s () -. t0 })
+        else Ok { outcome; stage = stage'; r; modelled_non_ed; lp_latches }))

@@ -7,10 +7,6 @@
     sink the model claimed non-error-detecting but whose verified
     arrival lands in the resiliency window. *)
 
-module Transform = Rar_netlist.Transform
-module Liberty = Rar_liberty.Liberty
-module Sta = Rar_sta.Sta
-module Clocking = Rar_sta.Clocking
 module Difflp = Rar_flow.Difflp
 
 type t = {
@@ -19,25 +15,7 @@ type t = {
   r : int array;            (** LP solution over the graph variables *)
   modelled_non_ed : int list;  (** targets the LP decided need no EDL *)
   lp_latches : float;       (** modelled (shared) slave-latch count *)
-  runtime_s : float;        (** CPU seconds, mirroring Table VII *)
 }
-
-val run :
-  ?deadline:Rar_util.Deadline.t ->
-  ?on_fallback:(Difflp.fallback_event -> unit) ->
-  ?engine:Difflp.engine ->
-  ?solve_cache:Difflp.cache ->
-  ?model:Sta.model ->
-  lib:Liberty.t ->
-  clocking:Clocking.t ->
-  c:float ->
-  Transform.comb_circuit ->
-  (t, Error.t) result
-(** [model] defaults to the journal version's [Path_based]; pass
-    [Gate_based] to reproduce the DAC'17 model (Table II compares
-    both). [engine] defaults to the paper's network simplex.
-    [?deadline] and [?on_fallback] are threaded into the LP solve (see
-    {!Rgraph.solve}). *)
 
 val run_on_stage :
   ?deadline:Rar_util.Deadline.t ->
@@ -47,4 +25,10 @@ val run_on_stage :
   c:float ->
   Stage.t ->
   (t, Error.t) result
-(** As {!run} but reusing an existing stage analysis. *)
+(** G-RAR at EDL overhead [c] on a stage analysis; the stage's delay
+    model ([Stage.make ~model]) selects the journal's path-based or the
+    DAC'17 gate-based formulation (Table II compares both). [engine]
+    defaults to {!Difflp.default_engine}. [?deadline], [?on_fallback]
+    and [?solve_cache] are threaded into the LP solve (see
+    {!Rgraph.solve}). Wall-clock time is measured one layer up, by
+    [Rar_engine.run]. *)

@@ -28,7 +28,6 @@ let eps = 1e-9
 
 type t = {
   n : int;
-  delays : float array;
   reach : int array array;
       (* per source u: reachable vertices, ascending, including u *)
   w : int array array;   (* parallel to [reach.(u)] *)
@@ -220,70 +219,10 @@ let build ~n ~delays ~edges =
   in
   {
     n;
-    delays;
     reach = Array.map (fun (r, _, _) -> r) rows;
     w = Array.map (fun (_, w, _) -> w) rows;
     d = Array.map (fun (_, _, d) -> d) rows;
   }
-
-let m_patch_hits = Rar_obs.Metrics.counter "wd_patch_hits"
-let m_patch_rebuilds = Rar_obs.Metrics.counter "wd_patch_rebuilds"
-
-let patch t ~delays ~edges =
-  Rar_obs.Trace.span "wd/patch" @@ fun () ->
-  let n = t.n in
-  if Array.length delays <> n then invalid_arg "Wd.patch: delays length";
-  let changed = Array.make n false in
-  let any = ref false in
-  for v = 0 to n - 1 do
-    if Int64.bits_of_float delays.(v) <> Int64.bits_of_float t.delays.(v)
-    then begin
-      changed.(v) <- true;
-      any := true
-    end
-  done;
-  if not !any then begin
-    Rar_obs.Metrics.add m_patch_hits n;
-    { t with delays }
-  end
-  else begin
-    (* A source row's W entries depend only on the (unchanged) edge
-       weights; its D entries accumulate delays of vertices inside its
-       reach set. A row whose reach touches no changed vertex is
-       therefore bitwise what [build] would produce; every other row is
-       recomputed with the shared per-source kernel. *)
-    let adj = csr ~n edges in
-    let rank = zero_rank ~n adj in
-    let dirty = ref [] in
-    for u = n - 1 downto 0 do
-      let row = t.reach.(u) in
-      let k = Array.length row in
-      let hit = ref false in
-      let i = ref 0 in
-      while (not !hit) && !i < k do
-        if changed.(row.(!i)) then hit := true;
-        incr i
-      done;
-      if !hit then dirty := u :: !dirty
-    done;
-    let dirty = Array.of_list !dirty in
-    let rows =
-      Pool.map ~min_chunk:32 dirty (from_source ~n ~delays ~rank adj)
-    in
-    let reach = Array.copy t.reach in
-    let w = Array.copy t.w in
-    let d = Array.copy t.d in
-    Array.iteri
-      (fun k u ->
-        let r, wr, dr = rows.(k) in
-        reach.(u) <- r;
-        w.(u) <- wr;
-        d.(u) <- dr)
-      dirty;
-    Rar_obs.Metrics.add m_patch_rebuilds (Array.length dirty);
-    Rar_obs.Metrics.add m_patch_hits (n - Array.length dirty);
-    { n; delays; reach; w; d }
-  end
 
 let to_dense t =
   let w = Array.make_matrix t.n t.n big in
@@ -385,42 +324,3 @@ let max_zero_weight_delay_edges ~n ~delays ~edges =
     if best.(v) > !worst then worst := best.(v)
   done;
   !worst
-
-(* ------------------------------------------------------------------ *)
-(* Retained dense reference (tests cross-check the sparse kernel
-   against it)                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let floyd_warshall ~n ~delays ~edges =
-  let w = Array.make_matrix n n big in
-  let d = Array.make_matrix n n neg_infinity in
-  for v = 0 to n - 1 do
-    w.(v).(v) <- 0;
-    d.(v).(v) <- delays.(v)
-  done;
-  List.iter
-    (fun (u, v, we) ->
-      if u <> v then begin
-        let cand_d = delays.(u) +. delays.(v) in
-        if we < w.(u).(v) || (we = w.(u).(v) && cand_d > d.(u).(v)) then begin
-          w.(u).(v) <- we;
-          d.(u).(v) <- cand_d
-        end
-      end)
-    edges;
-  for k = 0 to n - 1 do
-    for i = 0 to n - 1 do
-      if w.(i).(k) < big then
-        for j = 0 to n - 1 do
-          if w.(k).(j) < big then begin
-            let nw = w.(i).(k) + w.(k).(j) in
-            let nd = d.(i).(k) +. d.(k).(j) -. delays.(k) in
-            if nw < w.(i).(j) || (nw = w.(i).(j) && nd > d.(i).(j)) then begin
-              w.(i).(j) <- nw;
-              d.(i).(j) <- nd
-            end
-          end
-        done
-    done
-  done;
-  (w, d)

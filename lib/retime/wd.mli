@@ -25,17 +25,6 @@ val build : n:int -> delays:float array -> edges:(int * int * int) list -> t
     the million-gate target, and weights are register counts bounded by
     the node count). *)
 
-val patch : t -> delays:float array -> edges:(int * int * int) list -> t
-(** Delta rebuild after a delay-only change (the ECO resize /
-    annotation case): keeps every per-source row whose reach set
-    contains no vertex with a bitwise-changed delay, and recomputes the
-    others with the shared per-source kernel. [edges] {e must} be the
-    edge set [t] was built from (edit layers guarantee this by
-    comparing topology before patching; a changed topology requires a
-    cold {!build}). The result is bitwise-identical to
-    [build ~n ~delays ~edges]. Kept and rebuilt row counts are
-    published as the [wd_patch_hits] / [wd_patch_rebuilds] metrics. *)
-
 val node_count : t -> int
 
 val big : int
@@ -70,11 +59,3 @@ val max_zero_weight_delay_edges :
     to building {!t} and reading {!max_zero_weight_delay}: both reduce
     to a maximum over the same set of left-accumulated path-delay sums.
     Raises like {!build}. *)
-
-val floyd_warshall :
-  n:int ->
-  delays:float array ->
-  edges:(int * int * int) list ->
-  int array array * float array array
-(** The retained dense lexicographic Floyd–Warshall reference
-    (O(n^3)); property tests cross-check {!build} against it. *)

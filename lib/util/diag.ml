@@ -22,3 +22,8 @@ let to_string d =
   Buffer.contents b
 
 let pp ppf d = Format.pp_print_string ppf (to_string d)
+
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Ok text
+  | exception Sys_error msg -> Error (make msg)

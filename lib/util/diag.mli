@@ -1,8 +1,8 @@
 (** Located parser diagnostics.
 
-    The hardened [_diag] entry points of [Bench_io], [Liberty_io] and
-    [Verilog_io] report errors as a structured value instead of a
-    pre-rendered string, so callers (the CLI, fuzzers, a future LSP)
+    The parsers of [Bench_io], [Liberty_io] and [Verilog_io] report
+    errors as a structured value instead of a pre-rendered string, so
+    callers (the CLI, fuzzers, a future LSP)
     can point at the offending position. [line] and [col] are 1-based;
     0 means unknown and is omitted from the rendering. *)
 
@@ -20,3 +20,7 @@ val to_string : t -> string
     parts. *)
 
 val pp : Format.formatter -> t -> unit
+
+val read_file : string -> (string, t) result
+(** The whole contents of [path]; an unreadable file becomes an
+    unlocated diagnostic carrying the [Sys_error] message. *)

@@ -10,7 +10,6 @@ type t = {
   movable : Vl.t;
   moves_tried : int;
   moves_kept : int;
-  runtime_s : float;
 }
 
 (* The slave fed by a master (its only sequential fanout). *)
@@ -80,10 +79,10 @@ let total_area (r : Vl.t) = r.Vl.outcome.Outcome.total_area
 
 let run ?deadline ?on_fallback ?engine ?model ?(max_moves = 6) ~lib ~clocking
     ~c two_phase =
-  let t0 = Rar_util.Clock.now_s () in
   let run_vl net =
-    Vl.run ?deadline ?on_fallback ?engine ?model ~lib ~clocking ~c Vl.Rvl
-      (Transform.extract_comb net)
+    Result.bind
+      (Rar_retime.Stage.make ?model ~lib ~clocking (Transform.extract_comb net))
+      (Vl.run_on_stage ?deadline ?on_fallback ?engine ~c Vl.Rvl)
   in
   match run_vl two_phase with
   | Error _ as e -> e
@@ -134,5 +133,4 @@ let run ?deadline ?on_fallback ?engine ?model ?(max_moves = 6) ~lib ~clocking
     let _net, movable, moves_tried, moves_kept =
       search two_phase fixed 0 0 master_names
     in
-    Ok { fixed; movable; moves_tried; moves_kept;
-         runtime_s = Rar_util.Clock.now_s () -. t0 }
+    Ok { fixed; movable; moves_tried; moves_kept }

@@ -23,7 +23,6 @@ type t = {
   movable : Vl.t;         (** after accepted master moves *)
   moves_tried : int;
   moves_kept : int;
-  runtime_s : float;
 }
 
 val run :

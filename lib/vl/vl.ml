@@ -1,7 +1,4 @@
 module Netlist = Rar_netlist.Netlist
-module Transform = Rar_netlist.Transform
-module Liberty = Rar_liberty.Liberty
-module Sta = Rar_sta.Sta
 module Clocking = Rar_sta.Clocking
 module Difflp = Rar_flow.Difflp
 module Stage = Rar_retime.Stage
@@ -26,7 +23,6 @@ type t = {
   forced_to_ed : int list;
   swapped_to_non_ed : int list;
   retype_rounds : int;
-  runtime_s : float;
 }
 
 let eps = 1e-9
@@ -53,7 +49,6 @@ let seed_types stage variant =
 
 let run_on_stage ?deadline ?on_fallback ?engine ?solve_cache
     ?(post_swap = true) ~c variant stage =
-  let t0 = Rar_util.Clock.now_s () in
   let sinks = Array.to_list (Stage.sinks stage) in
   let initial_ed = seed_types stage variant in
   let period = Clocking.period (Stage.clocking stage) in
@@ -176,16 +171,4 @@ let run_on_stage ?deadline ?on_fallback ?engine ?solve_cache
               forced_to_ed;
               swapped_to_non_ed;
               retype_rounds = rounds;
-              runtime_s = Rar_util.Clock.now_s () -. t0;
             }))
-
-let run ?deadline ?on_fallback ?engine ?solve_cache
-    ?(model = Sta.Path_based) ?post_swap ~lib ~clocking ~c variant cc =
-  let t0 = Rar_util.Clock.now_s () in
-  match Stage.make ~model ~lib ~clocking cc with
-  | Error _ as e -> e
-  | Ok stage -> (
-    match run_on_stage ?deadline ?on_fallback ?engine ?solve_cache ?post_swap
-            ~c variant stage with
-    | Error _ as e -> e
-    | Ok r -> Ok { r with runtime_s = Rar_util.Clock.now_s () -. t0 })

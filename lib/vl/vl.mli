@@ -16,10 +16,6 @@
     the paper's observed gap to G-RAR, which couples both decisions in
     one objective. *)
 
-module Transform = Rar_netlist.Transform
-module Liberty = Rar_liberty.Liberty
-module Sta = Rar_sta.Sta
-module Clocking = Rar_sta.Clocking
 module Difflp = Rar_flow.Difflp
 module Stage = Rar_retime.Stage
 module Outcome = Rar_retime.Outcome
@@ -43,28 +39,7 @@ type t = {
   swapped_to_non_ed : int list;
       (** EDL masters relaxed by the optional post-retiming swap *)
   retype_rounds : int;       (** infeasibility retries during retiming *)
-  runtime_s : float;
 }
-
-val run :
-  ?deadline:Rar_util.Deadline.t ->
-  ?on_fallback:(Difflp.fallback_event -> unit) ->
-  ?engine:Difflp.engine ->
-  ?solve_cache:Difflp.cache ->
-  ?model:Sta.model ->
-  ?post_swap:bool ->
-  lib:Liberty.t ->
-  clocking:Clocking.t ->
-  c:float ->
-  variant ->
-  Transform.comb_circuit ->
-  (t, Error.t) result
-(** [post_swap] (default true) enables the §V post-retiming step that
-    swaps unnecessary error-detecting masters back to normal latches;
-    disabling it reproduces the paper's "-0.36%" RVL data point.
-    [?deadline] is force-checked at the top of every retype round
-    (phase ["vl-retype"]) besides being threaded into each LP solve;
-    [?on_fallback] reports successful alternate-solver retries. *)
 
 val run_on_stage :
   ?deadline:Rar_util.Deadline.t ->
@@ -76,3 +51,9 @@ val run_on_stage :
   variant ->
   Stage.t ->
   (t, Error.t) result
+(** [post_swap] (default true) enables the §V post-retiming step that
+    swaps unnecessary error-detecting masters back to normal latches;
+    disabling it reproduces the paper's "-0.36%" RVL data point.
+    [?deadline] is force-checked at the top of every retype round
+    (phase ["vl-retype"]) besides being threaded into each LP solve;
+    [?on_fallback] reports successful alternate-solver retries. *)

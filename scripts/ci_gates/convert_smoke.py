@@ -19,7 +19,7 @@ For each circuit in CIRCUITS:
 One circuit additionally runs the --phases 3 decomposition and retimes
 the .conv3 form under the three-phase resiliency clocking.
 
-Used by the convert-smoke CI job. Requires bin/rar_cli.exe to be built
+Run as the convert-smoke step of the build-and-test CI job. Requires bin/rar_cli.exe to be built
 (RAR_EXE overrides the path).
 """
 

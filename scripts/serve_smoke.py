@@ -10,7 +10,7 @@ from the cross-request caches (hit counters > 0, >= SPEEDUP_FLOOR x
 faster), and that the daemon drains and exits 0 on `shutdown` and on
 SIGTERM.
 
-Used by the serve-smoke CI job; the Client class doubles as a minimal
+Run as the serve-smoke step of the build-and-test CI job; the Client class doubles as a minimal
 example of the wire protocol (see README.md, "Running the server").
 """
 

@@ -123,8 +123,8 @@ let s27 =
    G11 = NOR(G5, G9)\nG12 = NOR(G1, G7)\nG13 = NAND(G2, G12)\n"
 
 let test_real_s27 () =
-  match Rar_netlist.Bench_io.parse s27 with
-  | Error e -> Alcotest.fail e
+  match Rar_netlist.Bench_io.parse_diag s27 with
+  | Error d -> Alcotest.fail (Rar_util.Diag.to_string d)
   | Ok net -> (
     let st = Stats.compute net in
     Alcotest.(check int) "flops" 3 st.Stats.n_flops;
@@ -166,7 +166,8 @@ let prop_generated_bench_roundtrip =
         }
       in
       let net = Generator.generate spec in
-      match Rar_netlist.Bench_io.parse (Rar_netlist.Bench_io.print net) with
+      let text = Rar_netlist.Bench_io.print net in
+      match Rar_netlist.Bench_io.parse_diag text with
       | Error _ -> false
       | Ok net2 ->
         let a = Stats.compute net and b = Stats.compute net2 in

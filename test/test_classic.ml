@@ -221,7 +221,7 @@ let prop_wd_sparse_matches_dense =
       let n, delays, edges = random_wd_graph seed in
       let t = Wd.build ~n ~delays ~edges in
       let w_s, d_s = Wd.to_dense t in
-      let w_d, d_d = Wd.floyd_warshall ~n ~delays ~edges in
+      let w_d, d_d = Wd_ref.floyd_warshall ~n ~delays ~edges in
       w_s = w_d && d_s = d_d)
 
 let prop_period_edges_matches_matrix =
@@ -241,7 +241,7 @@ let prop_wd_constraints_match_dense_scan =
     (fun seed ->
       let n, delays, edges = random_wd_graph seed in
       let t = Wd.build ~n ~delays ~edges in
-      let w_m, d_m = Wd.floyd_warshall ~n ~delays ~edges in
+      let w_m, d_m = Wd_ref.floyd_warshall ~n ~delays ~edges in
       (* probe a handful of periods spanning the D range *)
       let rng = Random.State.make [| 0xbeef; seed |] in
       let ds = Wd.distinct_d_values t in
@@ -283,10 +283,10 @@ let d_matches a b =
   || (a > neg_infinity && b > neg_infinity
       && Float.abs (a -. b) <= 1e-12 *. Float.max 1. (Float.abs b))
 
-let check_circuit_matches_dense ?(exact_d = false) name g =
+let check_circuit_matches_dense ?(exact_d = false) ~lib net name g =
   let t = Classic.wd g in
   let w_s, d_s = Wd.to_dense t in
-  let w_d, d_d = Classic.wd_matrices_dense g in
+  let w_d, d_d = Wd_ref.classic ~lib net g in
   Alcotest.(check bool) (name ^ ": W sparse = dense") true (w_s = w_d);
   let n = Classic.node_count g in
   let d_ok = ref true in
@@ -385,16 +385,15 @@ let check_circuit_matches_dense ?(exact_d = false) name g =
 
 let test_sparse_vs_dense_correlator () =
   (* integral delays: every association is exact, so bitwise equal *)
-  check_circuit_matches_dense ~exact_d:true "correlator" (graph ())
+  let net = correlator () in
+  check_circuit_matches_dense ~exact_d:true ~lib net "correlator"
+    (Classic.of_netlist ~lib net)
 
 let test_sparse_vs_dense_fig4 () =
-  let cc = Rar_circuits.Fig4.circuit () in
+  let net = (Rar_circuits.Fig4.circuit ()).Rar_netlist.Transform.comb in
   let lib4 = Rar_circuits.Fig4.library () in
-  let g =
-    Classic.of_netlist ~host_registers:1 ~lib:lib4
-      cc.Rar_netlist.Transform.comb
-  in
-  check_circuit_matches_dense "fig4" g;
+  let g = Classic.of_netlist ~host_registers:1 ~lib:lib4 net in
+  check_circuit_matches_dense ~lib:lib4 net "fig4" g;
   (* outcome sanity on the worked example *)
   let pmin = Classic.min_period g in
   Alcotest.(check bool) "fig4 min <= original" true
@@ -412,13 +411,13 @@ let test_sparse_vs_dense_generated () =
   let net = Generator.generate spec in
   let lib = Liberty.default () in
   let g = Classic.of_netlist ~host_registers:1 ~lib net in
-  check_circuit_matches_dense "s1196-small" g
+  check_circuit_matches_dense ~lib net "s1196-small" g
 
 let test_sparse_vs_dense_s1423 () =
   let net = Generator.generate (Option.get (Spec.find "s1423")) in
   let lib = Liberty.default () in
   let g = Classic.of_netlist ~host_registers:1 ~lib net in
-  check_circuit_matches_dense "s1423" g
+  check_circuit_matches_dense ~lib net "s1423" g
 
 let test_feas_parallel_path_identical () =
   (* The wave-synchronised pool fan-out (forced through the [par_nodes]

@@ -19,6 +19,9 @@ let get = function
   | Ok x -> x
   | Error e -> Alcotest.failf "unexpected error: %s" e
 
+let parse_bench text =
+  Result.map_error Rar_util.Diag.to_string (Bench_io.parse_diag text)
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -193,14 +196,14 @@ let test_bench_roundtrip () =
   (* one parse canonicalises node order (ports first); after that the
      text and the frozen digest are fixpoints. *)
   let text = Bench_io.print conv in
-  let reparsed = get (Bench_io.parse text) in
+  let reparsed = get (parse_bench text) in
   let text2 = Bench_io.print reparsed in
   Alcotest.(check string) "printed text is a fixpoint" text2
-    (Bench_io.print (get (Bench_io.parse text2)));
+    (Bench_io.print (get (parse_bench text2)));
   Alcotest.(check string)
     "digest stable across reparse"
     (Netlist.digest reparsed)
-    (Netlist.digest (get (Bench_io.parse text2)));
+    (Netlist.digest (get (parse_bench text2)));
   Alcotest.(check int)
     "roles survive" (count_role conv Netlist.Master)
     (count_role reparsed Netlist.Master);
@@ -222,7 +225,7 @@ let test_verilog_convert_bench_roundtrip () =
   (* node ids differ between the two paths (the Verilog writer hoists
      port declarations), so compare the frozen digests after one bench
      parse of each — the canonical order both emitters round-trip to. *)
-  let canon n = Netlist.digest (get (Bench_io.parse (Bench_io.print n))) in
+  let canon n = Netlist.digest (get (parse_bench (Bench_io.print n))) in
   Alcotest.(check string)
     "digest equal through Verilog -> Convert -> bench" (canon direct)
     (canon conv)

@@ -19,8 +19,6 @@ module Spec = Rar_circuits.Spec
 module Generator = Rar_circuits.Generator
 module Suite = Rar_circuits.Suite
 module Stage = Rar_retime.Stage
-module Wd = Rar_retime.Wd
-module Classic = Rar_retime.Classic
 module Engine = Rar_engine
 module Pool = Rar_util.Pool
 module Json = Rar_util.Json
@@ -212,97 +210,6 @@ let prop_resolve_matches_cold =
       | [ a; b; c ] -> a = b && b = c
       | _ -> false)
 
-(* --- W/D patching --------------------------------------------------- *)
-
-(* Same random graphs as the classic W/D cross-checks: integral
-   delays, zero-weight edges only forward, so every path sum is exact
-   and bitwise comparison is meaningful. *)
-let random_wd_graph seed =
-  let rng = Random.State.make [| 0x5eed; seed |] in
-  let n = 2 + Random.State.int rng 7 in
-  let delays =
-    Array.init n (fun _ -> float_of_int (1 + Random.State.int rng 9))
-  in
-  let m = Random.State.int rng (3 * n) in
-  let edges =
-    List.init m (fun _ ->
-        let u = Random.State.int rng n and v = Random.State.int rng n in
-        let w =
-          if u < v then Random.State.int rng 3 else 1 + Random.State.int rng 2
-        in
-        (u, v, w))
-  in
-  (n, delays, edges)
-
-let prop_wd_patch_matches_build =
-  QCheck.Test.make ~name:"Wd.patch = Wd.build on the new delays" ~count:300
-    QCheck.small_int (fun seed ->
-      let n, delays, edges = random_wd_graph seed in
-      let t = Wd.build ~n ~delays ~edges in
-      let rng = Random.State.make [| 0xd1f; seed |] in
-      let delays' =
-        Array.map
-          (fun d ->
-            if Random.State.int rng 3 = 0 then
-              float_of_int (1 + Random.State.int rng 9)
-            else d)
-          delays
-      in
-      let patched = Wd.patch t ~delays:delays' ~edges in
-      let cold = Wd.build ~n ~delays:delays' ~edges in
-      Wd.to_dense patched = Wd.to_dense cold)
-
-(* --- classic ECO sessions ------------------------------------------- *)
-
-let prop_classic_eco_min_period =
-  QCheck.Test.make ~name:"Classic.Eco.min_period = cold min_period"
-    ~count:10 QCheck.small_int (fun seed ->
-      let p = cached_prepared (seed mod 5) in
-      let lib = p.Suite.lib in
-      let session =
-        Classic.Eco.open_session ~host_registers:1 ~lib p.Suite.flop_netlist
-      in
-      let rng = Random.State.make [| 0xc1a; seed |] in
-      let cold_net = ref p.Suite.flop_netlist in
-      let ok = ref true in
-      for _batch = 0 to 1 do
-        let gates =
-          Array.of_list
-            (List.filter
-               (fun v ->
-                 match Netlist.kind !cold_net v with
-                 | Netlist.Gate _ -> true
-                 | _ -> false)
-               (List.init (Netlist.node_count !cold_net) Fun.id))
-        in
-        let drives = Array.of_list (Liberty.drives lib) in
-        let batch =
-          List.init
-            (1 + Random.State.int rng 2)
-            (fun _ ->
-              Edit.Resize
-                {
-                  node =
-                    Netlist.node_name !cold_net
-                      gates.(Random.State.int rng (Array.length gates));
-                  drive = drives.(Random.State.int rng (Array.length drives));
-                })
-        in
-        Classic.Eco.apply session batch;
-        let applied = Edit.apply !cold_net batch in
-        cold_net := applied.Edit.net;
-        let cold_g = Classic.of_netlist ~host_registers:1 ~lib !cold_net in
-        let warm = Classic.Eco.min_period session in
-        let cold = Classic.min_period cold_g in
-        if warm <> cold then ok := false;
-        (* a warm-started FEAS result may differ from a cold one, but
-           every Some must be genuinely feasible at its own period *)
-        match Classic.Eco.feas session ~period:warm with
-        | Some (_, achieved) -> if achieved > warm +. 1e-9 then ok := false
-        | None -> ok := false
-      done;
-      !ok)
-
 (* --- edit-script parsing -------------------------------------------- *)
 
 let test_parse_script () =
@@ -383,18 +290,12 @@ let test_resolve_bad_edit_keeps_session () =
 let test_eco_metrics_registered () =
   Rar_obs.Metrics.arm ();
   Fun.protect ~finally:Rar_obs.Metrics.disarm @@ fun () ->
-  let n, delays, edges = random_wd_graph 3 in
-  let t = Wd.build ~n ~delays ~edges in
-  ignore (Wd.patch t ~delays:(Array.copy delays) ~edges);
   let counters, _ = Rar_obs.Metrics.snapshot () in
   let has name = List.mem_assoc name counters in
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " registered") true (has name))
-    [
-      "wd_patch_hits"; "wd_patch_rebuilds"; "spfa_warm_starts";
-      "sta_incremental_pins"; "difflp_cache_hits";
-    ]
+    [ "sta_incremental_pins"; "difflp_cache_hits" ]
 
 (* --- concurrent sessions ------------------------------------------- *)
 
@@ -477,7 +378,5 @@ let suite =
       test_eco_metrics_registered;
     Alcotest.test_case "concurrent sessions match serial" `Slow
       test_concurrent_sessions_match_serial;
-    QCheck_alcotest.to_alcotest prop_wd_patch_matches_build;
-    QCheck_alcotest.to_alcotest prop_classic_eco_min_period;
     QCheck_alcotest.to_alcotest prop_resolve_matches_cold;
   ]

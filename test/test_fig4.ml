@@ -78,18 +78,12 @@ let test_g_of_o9 () =
   | Stage.Always_ed -> Alcotest.fail "O9 classified always-ed"
 
 let run_grar ?engine c =
-  match
-    Grar.run ?engine ~lib:(Fig4.library ()) ~clocking:Fig4.clocking ~c
-      (Fig4.circuit ())
-  with
+  match Grar.run_on_stage ?engine ~c (stage ()) with
   | Ok r -> r
   | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
 
 let run_base c =
-  match
-    Base.run ~lib:(Fig4.library ()) ~clocking:Fig4.clocking ~c
-      (Fig4.circuit ())
-  with
+  match Base.run_on_stage ~c (stage ()) with
   | Ok r -> r
   | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
 

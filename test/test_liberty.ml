@@ -104,9 +104,12 @@ let test_synthetic_constant_delay () =
 
 module Liberty_io = Rar_liberty.Liberty_io
 
+let parse_lib text =
+  Result.map_error Rar_util.Diag.to_string (Liberty_io.parse_diag text)
+
 let test_lib_roundtrip () =
   let text = Liberty_io.print lib in
-  match Liberty_io.parse text with
+  match parse_lib text with
   | Error e -> Alcotest.fail e
   | Ok lib2 ->
     Alcotest.(check string) "name" (Liberty.name lib) (Liberty.name lib2);
@@ -166,7 +169,7 @@ library (tiny) {
   }
 }|x}
   in
-  match Liberty_io.parse text with
+  match parse_lib text with
   | Error e -> Alcotest.fail e
   | Ok lib2 ->
     let c = Liberty.comb_cell lib2 Rar_netlist.Cell_kind.Nand ~drive:2 in
@@ -176,17 +179,17 @@ library (tiny) {
       (Liberty.latch lib2).Liberty.seq_area
 
 let test_lib_parse_errors () =
-  (match Liberty_io.parse "nonsense" with
+  (match parse_lib "nonsense" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected parse error");
-  match Liberty_io.parse "library (x) { }" with
+  match parse_lib "library (x) { }" with
   | Error _ -> () (* no latch / no cells *)
   | Ok _ -> Alcotest.fail "expected missing-cell error"
 
 let test_lib_drives_sta () =
   (* a parsed library drives the full flow *)
   let text = Liberty_io.print lib in
-  match Liberty_io.parse text with
+  match parse_lib text with
   | Error e -> Alcotest.fail e
   | Ok lib2 -> (
     match Rar_circuits.Suite.load ~lib:lib2 "s1196" with

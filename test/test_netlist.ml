@@ -158,8 +158,11 @@ let s27_text =
    inv1 = NOT(c)\n\
    y = AND(n2, inv1)\n"
 
+let parse_bench text =
+  Result.map_error Rar_util.Diag.to_string (Bench_io.parse_diag text)
+
 let test_bench_parse () =
-  match Bench_io.parse s27_text with
+  match parse_bench s27_text with
   | Error e -> Alcotest.fail e
   | Ok net ->
     let stats = Stats.compute net in
@@ -169,11 +172,11 @@ let test_bench_parse () =
     Alcotest.(check int) "gates" 4 stats.Stats.n_gates
 
 let test_bench_roundtrip () =
-  match Bench_io.parse s27_text with
+  match parse_bench s27_text with
   | Error e -> Alcotest.fail e
   | Ok net -> (
     let text = Bench_io.print net in
-    match Bench_io.parse text with
+    match parse_bench text with
     | Error e -> Alcotest.fail ("reparse: " ^ e)
     | Ok net2 ->
       let s1 = Rar_netlist.Stats.compute net and s2 = Stats.compute net2 in
@@ -183,13 +186,13 @@ let test_bench_roundtrip () =
       Alcotest.(check int) "depth" s1.Stats.depth s2.Stats.depth)
 
 let test_bench_errors () =
-  (match Bench_io.parse "n1 = FROB(a)\n" with
+  (match parse_bench "n1 = FROB(a)\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown op should fail");
-  (match Bench_io.parse "INPUT(a)\nn1 = NAND(a, ghost)\n" with
+  (match parse_bench "INPUT(a)\nn1 = NAND(a, ghost)\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "undefined signal should fail");
-  match Bench_io.parse "INPUT(a)\nINPUT(a)\n" with
+  match parse_bench "INPUT(a)\nINPUT(a)\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "duplicate signal should fail"
 
@@ -237,12 +240,15 @@ let prop_staged_extract_roundtrip =
 
 module Verilog_io = Rar_netlist.Verilog_io
 
+let parse_verilog text =
+  Result.map_error Rar_util.Diag.to_string (Verilog_io.parse_diag text)
+
 let test_verilog_roundtrip () =
-  match Bench_io.parse s27_text with
+  match parse_bench s27_text with
   | Error e -> Alcotest.fail e
   | Ok net -> (
     let text = Verilog_io.print net in
-    match Verilog_io.parse text with
+    match parse_verilog text with
     | Error e -> Alcotest.fail ("verilog reparse: " ^ e)
     | Ok net2 ->
       let s1 = Stats.compute net and s2 = Stats.compute net2 in
@@ -254,11 +260,11 @@ let test_verilog_roundtrip () =
 
 let test_verilog_roundtrip_two_phase () =
   (* master/slave cells survive the trip *)
-  match Bench_io.parse s27_text with
+  match parse_bench s27_text with
   | Error e -> Alcotest.fail e
   | Ok net -> (
     let two = Transform.to_two_phase net in
-    match Verilog_io.parse (Verilog_io.print two) with
+    match parse_verilog (Verilog_io.print two) with
     | Error e -> Alcotest.fail e
     | Ok net2 ->
       let s1 = Stats.compute two and s2 = Stats.compute net2 in
@@ -274,7 +280,7 @@ let test_verilog_drive_attr () =
   in
   let _ = Netlist.Builder.add_output b "y" ~fanin:g in
   let net = Netlist.Builder.freeze b in
-  match Verilog_io.parse (Verilog_io.print net) with
+  match parse_verilog (Verilog_io.print net) with
   | Error e -> Alcotest.fail e
   | Ok net2 -> (
     match Netlist.kind net2 (Option.get (Netlist.find net2 "g")) with
@@ -282,10 +288,10 @@ let test_verilog_drive_attr () =
     | _ -> Alcotest.fail "gate lost")
 
 let test_verilog_rejects_garbage () =
-  (match Verilog_io.parse "modul x;" with
+  (match parse_verilog "modul x;" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected parse error");
-  match Verilog_io.parse "module m (a); input a; frob g (a, a); endmodule" with
+  match parse_verilog "module m (a); input a; frob g (a, a); endmodule" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown cell should fail"
 

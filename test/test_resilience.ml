@@ -418,9 +418,9 @@ let lib_text =
 let verilog_text =
   lazy
     (without_faults (fun () ->
-         match Bench_io.parse bench_text with
+         match Bench_io.parse_diag bench_text with
          | Ok net -> Verilog_io.print net
-         | Error e -> Alcotest.fail e))
+         | Error d -> Alcotest.fail (Diag.to_string d)))
 
 let mutate text i c =
   if text = "" then text
@@ -432,54 +432,39 @@ let truncate_at text cut =
   String.sub text 0 (cut mod (String.length text + 1))
 
 (* Never-raises property shared by the three parsers: on a mutated or
-   truncated document both the legacy and the diagnostic entry points
-   must return, not throw. *)
-let never_raises name base parse parse_diag =
+   truncated document the parser must return, not throw. *)
+let never_raises name base parse =
   QCheck.Test.make
     ~name:(name ^ " never raises on mutated/truncated input")
     ~count:200
     QCheck.(triple small_nat printable_char small_nat)
     (fun (i, c, cut) ->
       without_faults (fun () ->
-          let s = truncate_at (mutate base i c) cut in
-          (match parse s with Ok _ | Error _ -> ());
-          match parse_diag s with Ok _ | Error _ -> true))
+          let s = truncate_at (mutate (Lazy.force base) i c) cut in
+          match parse s with Ok _ | Error _ -> true))
 
 let prop_bench_fuzz =
-  never_raises "Bench_io" bench_text Bench_io.parse (Bench_io.parse_diag ?file:None)
+  never_raises "Bench_io" (Lazy.from_val bench_text)
+    (Bench_io.parse_diag ?file:None)
 
 let prop_liberty_fuzz =
-  QCheck.Test.make ~name:"Liberty_io never raises on mutated/truncated input"
-    ~count:200
-    QCheck.(triple small_nat printable_char small_nat)
-    (fun (i, c, cut) ->
-      without_faults (fun () ->
-          let s = truncate_at (mutate (Lazy.force lib_text) i c) cut in
-          (match Liberty_io.parse s with Ok _ | Error _ -> ());
-          match Liberty_io.parse_diag s with Ok _ | Error _ -> true))
+  never_raises "Liberty_io" lib_text (Liberty_io.parse_diag ?file:None)
 
 let prop_verilog_fuzz =
-  QCheck.Test.make ~name:"Verilog_io never raises on mutated/truncated input"
-    ~count:200
-    QCheck.(triple small_nat printable_char small_nat)
-    (fun (i, c, cut) ->
-      without_faults (fun () ->
-          let s = truncate_at (mutate (Lazy.force verilog_text) i c) cut in
-          (match Verilog_io.parse s with Ok _ | Error _ -> ());
-          match Verilog_io.parse_diag s with Ok _ | Error _ -> true))
+  never_raises "Verilog_io" verilog_text (Verilog_io.parse_diag ?file:None)
 
 let prop_garbage_fuzz =
   QCheck.Test.make ~name:"parsers never raise on arbitrary text" ~count:200
     QCheck.printable_string (fun s ->
       without_faults (fun () ->
-          (match Bench_io.parse s with Ok _ | Error _ -> ());
-          (match Liberty_io.parse s with Ok _ | Error _ -> ());
-          match Verilog_io.parse s with Ok _ | Error _ -> true))
+          (match Bench_io.parse_diag s with Ok _ | Error _ -> ());
+          (match Liberty_io.parse_diag s with Ok _ | Error _ -> ());
+          match Verilog_io.parse_diag s with Ok _ | Error _ -> true))
 
 let test_truncate_profile_is_deterministic () =
   with_faults [ Faults.Truncate ] (fun () ->
-      let a = Bench_io.parse bench_text in
-      let b = Bench_io.parse bench_text in
+      let a = Bench_io.parse_diag bench_text in
+      let b = Bench_io.parse_diag bench_text in
       Alcotest.(check bool) "truncated parse is reproducible" true (a = b))
 
 let test_diag_locations () =
@@ -489,11 +474,13 @@ let test_diag_locations () =
       | Error d ->
         Alcotest.(check string) "gcc-style rendering"
           "x.bench:2:3: unknown operator \"BOGUS\"" (Diag.to_string d));
-      (match Bench_io.parse "INPUT(a)\n  G1 = BOGUS(a)\n" with
+      (match Bench_io.parse_diag "INPUT(a)\n  G1 = BOGUS(a)\n" with
       | Ok _ -> Alcotest.fail "bogus operator must fail"
-      | Error e ->
-        Alcotest.(check string) "legacy string preserved"
-          "line 2: unknown operator \"BOGUS\"" e);
+      | Error d ->
+        Alcotest.(check int) "line" 2 d.Diag.line;
+        Alcotest.(check int) "column" 3 d.Diag.col;
+        Alcotest.(check string) "message" "unknown operator \"BOGUS\""
+          d.Diag.msg);
       match Liberty_io.parse_diag "library (l) {\n  /* open" with
       | Ok _ -> Alcotest.fail "unterminated comment must fail"
       | Error d ->

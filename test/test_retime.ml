@@ -51,11 +51,11 @@ let cached_stage =
    the whole registry. *)
 
 let prop_engines_agree_on_objective =
-  QCheck.Test.make ~name:"LP engines agree on the G-RAR objective" ~count:8
-    QCheck.(int_bound 40)
-    (fun seed ->
+  QCheck.Test.make ~name:"LP engines agree on the G-RAR objective" ~count:12
+    QCheck.(pair (int_bound 40) (oneofl [ 0.5; 1.0; 2.0 ]))
+    (fun (seed, c) ->
       let st = cached_stage seed in
-      let g = Rgraph.build ~edl_overhead:1.0 st in
+      let g = Rgraph.build ~edl_overhead:c st in
       let objectives =
         List.filter_map
           (fun engine ->
