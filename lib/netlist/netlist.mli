@@ -35,7 +35,18 @@ type t
     name↔id side table is the netlist itself ({!node_name}/{!find}) and
     is only consulted off the hot path. *)
 module Compact : sig
-  type t
+  type t = private {
+    n : int;
+    tags : int array;        (** {!tag} per node *)
+    fanin_head : int array;  (** length n+1: {!fanin_lo} per node *)
+    fanin : int array;       (** {!fanin} per flat pin position *)
+    fanout_head : int array; (** length n+1, as [fanin_head] *)
+    fanout : int array;      (** {!fanout} per flat position *)
+    topo : int array;        (** {!topo} *)
+  }
+  (** The fields are the accessors below as flat arrays — shared,
+      never mutate them. Per-sink kernels read them directly: under
+      separate compilation every accessor call is a real call. *)
 
   val n : t -> int
   (** Node count; ids are [0 .. n-1], same numbering as the netlist. *)

@@ -162,138 +162,190 @@ let compute_regions ~sta_an ~lib ~clocking net =
   | Some name -> Error (Error.Illegal_stage { node = name })
   | None -> Ok regions
 
+(* Per-sink classification state, owned by one chunk of one {!make} or
+   {!patch} call (see [Pool.map_adaptive_with]) and reused for every
+   sink of that chunk, so a sink costs O(|cone| + cone pins) rather
+   than O(n). [flags] and [cand] entries are written before they are
+   read for each sink, so nothing is cleared between sinks. *)
+type scratch = {
+  cone : Sta.cone;
+  flags : Bytes.t;  (* per node: the [f_*] bits below *)
+  cand : int array; (* nodes feeding the edge and cut lists *)
+}
+
+let new_scratch sta_an =
+  let n = Netlist.node_count (Sta.netlist sta_an) in
+  { cone = Sta.cone_scratch sta_an; flags = Bytes.create n;
+    cand = Array.make n 0 }
+
+(* Node flags of the sink being classified. *)
+let f_bad = 1      (* some source-to-node path passes no good position *)
+let f_late_in = 2  (* some fanin pin's A exceeds the period *)
+let f_good_out = 4 (* some cone out-edge is a good position *)
+let f_late_out = 8 (* some cone out-edge's A exceeds the period *)
+
+(* Ascending in-place heapsort of [a.(0 .. len-1)], monomorphic on
+   ints (the polymorphic [Array.sort] pays a closure call and a
+   generic compare per comparison). *)
+let sort_prefix (a : int array) len =
+  let rec sift root hi =
+    let child = (2 * root) + 1 in
+    if child < hi then begin
+      let child =
+        if child + 1 < hi && a.(child + 1) > a.(child) then child + 1
+        else child
+      in
+      if a.(child) > a.(root) then begin
+        let x = a.(root) in
+        a.(root) <- a.(child);
+        a.(child) <- x;
+        sift child hi
+      end
+    end
+  in
+  for i = (len / 2) - 1 downto 0 do
+    sift i len
+  done;
+  for hi = len - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(hi);
+    a.(hi) <- x;
+    sift 0 hi
+  done
+
+let m_cone_nodes = Rar_obs.Metrics.counter "stage_cone_nodes"
+
 (* Classification of one sink (paper §IV-A). While scanning every
    latch position in the cone we also record the positions that violate
    the max-delay bound for this sink (the per-edge form of Constraint
-   7). Pure: reads only the shared read-only [sta_an] (whose
-   [backward_all] cache {!make} forces before fan-out), so sinks
-   classify in parallel. All loops walk the sink's fan-in cone, not
-   the whole netlist: [cone_asc] replicates the previous ascending
-   [for v = 0 to n-1 ... if in_cone v] iteration exactly. *)
-let classify_sink ~sta_an ~clocking ~latch net s =
+   7). Reads only the shared read-only [sta_an] (whose [backward_all]
+   cache {!make} forces before fan-out) and writes only [sc], so sinks
+   classify in parallel, one scratch per chunk. [launchable u]: a slave
+   just after [u] meets its own setup against the closing edge
+   (Constraint 6). *)
+let classify_sink ~sta_an ~clocking ~latch ~launchable sc s =
   let period = Clocking.period clocking in
   let limit = Clocking.max_delay clocking in
-  let cv = Netlist.compact net in
-  let cone, db = Sta.backward_cone sta_an ~sink:s in
-  let dbr = db.Sta.rise and dbf = db.Sta.fall in
-  let in_cone v = dbr.(v) > neg_infinity || dbf.(v) > neg_infinity in
-  let cone_asc = Array.copy cone in
-  Array.sort (fun (a : int) b -> compare a b) cone_asc;
-  (* Longest pure combinational path into s, polarity-paired. *)
-  let max_path = ref neg_infinity in
-  Array.iter
-    (fun v ->
-      let thru_rise = Sta.arrival_rise sta_an v +. dbr.(v) in
-      let thru_fall = Sta.arrival_fall sta_an v +. dbf.(v) in
-      if thru_rise > !max_path then max_path := thru_rise;
-      if thru_fall > !max_path then max_path := thru_fall)
-    cone_asc;
-  let a_of ~u ~v =
-    Sta.arrival_with_slave_after sta_an ~clocking ~latch ~u ~v ~db
-  in
-  (* A position (u,v) is legal when the slave's own setup against the
-     closing edge holds (Constraint 6 at u) and the capture meets max
-     delay (per-edge Constraint 7); it is *good* when additionally the
-     capture stays out of the resiliency window. *)
-  let close_limit = Clocking.slave_close clocking -. latch.Liberty.setup in
-  let can_launch u = Sta.df sta_an u <= close_limit +. eps in
-  (* One pass over every cone position: record per-edge (7) violations,
-     the window edges, the worst legal A, and the good-edge predicate
-     for the path DP below. Edges are keyed as [u * n + v] in an int
-     table — the cone loops walk the compact CSR view, allocating
-     nothing per position. *)
-  let n_nodes = Netlist.node_count net in
+  let cv = Netlist.compact (Sta.netlist sta_an) in
+  let c = sc.cone in
+  Sta.load_cone sta_an c ~sink:s;
+  let size = Sta.cone_size c in
+  Rar_obs.Metrics.add m_cone_nodes size;
+  let nodes = Sta.cone_nodes c in
+  let a = Sta.cone_slave_arrivals sta_an c ~clocking ~latch in
+  let flags = sc.flags and cand = sc.cand in
+  let tags = cv.Netlist.Compact.tags and head = cv.Netlist.Compact.fanin_head
+  and fin = cv.Netlist.Compact.fanin in
+  let flag v = Char.code (Bytes.get flags v) in
+  let set_flag v f = Bytes.set flags v (Char.unsafe_chr f) in
+  (* One forward pass over the cone ([nodes] reversed is a topological
+     order), reading each pin's A once. A position (u,v) is legal when
+     [launchable u] and the capture meets max delay (per-edge
+     Constraint 7); it is *good* when additionally the capture stays
+     out of the resiliency window. The pass takes the worst legal A,
+     runs the path DP — [f_bad]: some path to the node passed no good
+     position, so the sink can be made non-error-detecting iff it is
+     not bad — and records the g(t) conditions as node flags. A node's
+     flags are initialised when the pass reaches it, before any of its
+     fanouts (later in the order) set out-edge bits on it. Nodes with a
+     late fanin pin are collected as candidates: they hold every window
+     and illegal edge (max delay >= period) and every gate of g(t). *)
   let a_max_legal = ref neg_infinity in
-  let good = Hashtbl.create 64 in
-  let good_edge u v = Hashtbl.mem good ((u * n_nodes) + v) in
-  let illegal = ref [] in
-  let window = ref [] in
-  Array.iter
-    (fun v ->
-      let tg = Netlist.Compact.tag cv v in
-      if tg <> Netlist.Compact.tag_input then begin
-        assert (tg <> Netlist.Compact.tag_seq);
-        let hi = Netlist.Compact.fanin_hi cv v in
-        for p = Netlist.Compact.fanin_lo cv v to hi - 1 do
-          let u = Netlist.Compact.fanin cv p in
-          let a = a_of ~u ~v in
-          if a > limit +. eps then illegal := (u, v) :: !illegal
-          else if a > period +. eps then window := (u, v) :: !window;
-          if can_launch u && a <= limit +. eps then begin
-            if a > !a_max_legal then a_max_legal := a;
-            if a <= period +. eps then
-              Hashtbl.replace good ((u * n_nodes) + v) ()
-          end
-        done
-      end)
-    cone_asc;
-  let ill = List.rev !illegal in
-  (* Path DP: [bad v] = some source-to-v path passed no good position.
-     The sink can be made non-error-detecting iff no bad path reaches
-     it. [cone] reversed is a forward topological order of the cone. *)
-  let bad = Array.make n_nodes false in
-  for i = Array.length cone - 1 downto 0 do
-    let v = cone.(i) in
-    let tg = Netlist.Compact.tag cv v in
-    if tg = Netlist.Compact.tag_input then bad.(v) <- true
+  let n_cand = ref 0 in
+  for i = size - 1 downto 0 do
+    let v = nodes.(i) in
+    if tags.(v) = Netlist.Compact.tag_input then set_flag v f_bad
     else begin
-      assert (tg <> Netlist.Compact.tag_seq);
-      let b = ref false in
-      let hi = Netlist.Compact.fanin_hi cv v in
-      for p = Netlist.Compact.fanin_lo cv v to hi - 1 do
-        let u = Netlist.Compact.fanin cv p in
-        if in_cone u && bad.(u) && not (good_edge u v) then b := true
+      let fv = ref 0 in
+      for p = head.(v) to head.(v + 1) - 1 do
+        let u = fin.(p) in
+        let ap = a.(p) in
+        let late = ap > period +. eps in
+        let good =
+          launchable.(u) && ap <= limit +. eps
+          && begin
+            if ap > !a_max_legal then a_max_legal := ap;
+            not late
+          end
+        in
+        let fu = flag u in
+        if good then set_flag u (fu lor f_good_out)
+        else if fu land f_bad <> 0 then fv := !fv lor f_bad;
+        if late then begin
+          set_flag u (flag u lor f_late_out);
+          fv := !fv lor f_late_in
+        end
       done;
-      if !b then bad.(v) <- true
+      set_flag v !fv;
+      if !fv land f_late_in <> 0 then begin
+        cand.(!n_cand) <- v;
+        incr n_cand
+      end
     end
   done;
-  if bad.(s) then
-    { cls = Always_ed; mp = !max_path; ill; win = []; empty_cut = false }
-  else if !a_max_legal <= period +. eps then
-    { cls = Never_ed; mp = !max_path; ill; win = []; empty_cut = false }
-  else begin
-    (* g(t) per Eq. 8-9, over legal positions. Condition (9) for a
-       source uses the host-edge position (its worst fanout edge). *)
-    let cut = ref [] in
-    Array.iter
-      (fun v ->
-        let tg = Netlist.Compact.tag cv v in
-        let can_hold_latch =
-          tg = Netlist.Compact.tag_input || tg = Netlist.Compact.tag_gate
-        in
-        if can_hold_latch then begin
-          let ok_after = ref false in
-          let fo_hi = Netlist.Compact.fanout_hi cv v in
-          for p = Netlist.Compact.fanout_lo cv v to fo_hi - 1 do
-            let n_ = Netlist.Compact.fanout cv p in
-            if in_cone n_ && good_edge v n_ then ok_after := true
-          done;
-          if !ok_after then begin
-            let bad_before = ref false in
-            if tg = Netlist.Compact.tag_input then
-              for p = Netlist.Compact.fanout_lo cv v to fo_hi - 1 do
-                let n_ = Netlist.Compact.fanout cv p in
-                if in_cone n_ && a_of ~u:v ~v:n_ > period +. eps then
-                  bad_before := true
-              done
-            else begin
-              let fi_hi = Netlist.Compact.fanin_hi cv v in
-              for p = Netlist.Compact.fanin_lo cv v to fi_hi - 1 do
-                let k = Netlist.Compact.fanin cv p in
-                if (not !bad_before) && a_of ~u:k ~v > period +. eps then
-                  bad_before := true
-              done
-            end;
-            if !bad_before then cut := v :: !cut
-          end
-        end)
-      cone_asc;
-    if !cut = [] then
-      { cls = Always_ed; mp = !max_path; ill; win = !window; empty_cut = true }
-    else
-      { cls = Target { cut = List.rev !cut }; mp = !max_path; ill;
-        win = !window; empty_cut = false }
-  end
+  let mp = Sta.cone_max_path sta_an c in
+  let always = flag s land f_bad <> 0 in
+  let never = (not always) && !a_max_legal <= period +. eps in
+  let target = not (always || never) in
+  if target then
+    (* g(t) per Eq. 8-9, over legal positions: a node with a good
+       out-edge and a late position before it. A source has no fanin
+       pins; condition (9) uses its host-edge position, i.e. its own
+       cone out-edges. *)
+    for i = 0 to size - 1 do
+      let v = nodes.(i) in
+      if
+        tags.(v) = Netlist.Compact.tag_input
+        && flag v land (f_good_out lor f_late_out) = f_good_out lor f_late_out
+      then begin
+        cand.(!n_cand) <- v;
+        incr n_cand
+      end
+    done;
+  (* The lists follow ascending node id, then pin order. *)
+  sort_prefix cand !n_cand;
+  let illegal = ref [] and window = ref [] and cut = ref [] in
+  for j = 0 to !n_cand - 1 do
+    let v = cand.(j) in
+    let tg = tags.(v) in
+    if tg = Netlist.Compact.tag_input then cut := v :: !cut
+    else begin
+      for p = head.(v) to head.(v + 1) - 1 do
+        let u = fin.(p) in
+        if a.(p) > limit +. eps then illegal := (u, v) :: !illegal
+        else if a.(p) > period +. eps then window := (u, v) :: !window
+      done;
+      if
+        target && tg = Netlist.Compact.tag_gate
+        && flag v land f_good_out <> 0
+      then cut := v :: !cut
+    end
+  done;
+  let ill = List.rev !illegal in
+  if always then { cls = Always_ed; mp; ill; win = []; empty_cut = false }
+  else if never then { cls = Never_ed; mp; ill; win = []; empty_cut = false }
+  else if !cut = [] then
+    { cls = Always_ed; mp; ill; win = !window; empty_cut = true }
+  else
+    { cls = Target { cut = List.rev !cut }; mp; ill; win = !window;
+      empty_cut = false }
+
+(* Per node: a slave just after it meets its setup against the closing
+   edge (Constraint 6) — shared by every sink's classification. *)
+let launchable_nodes ~sta_an ~clocking ~latch =
+  let close_limit = Clocking.slave_close clocking -. latch.Liberty.setup in
+  Array.init
+    (Netlist.node_count (Sta.netlist sta_an))
+    (fun u -> Sta.df sta_an u <= close_limit +. eps)
+
+(* Classify [sinks] over the domain pool, one scratch per chunk. *)
+let classify_sinks ~sta_an ~clocking ~latch sinks =
+  Rar_obs.Trace.span "stage/classify" @@ fun () ->
+  let launchable = launchable_nodes ~sta_an ~clocking ~latch in
+  Rar_util.Pool.map_adaptive_with
+    ~init:(fun () -> new_scratch sta_an)
+    sinks
+    (fun sc s -> (s, classify_sink ~sta_an ~clocking ~latch ~launchable sc s))
 
 (* Shared back half of {!make} and {!patch}: reject untimeable sinks,
    merge per-sink classification results sequentially in sink order
@@ -370,18 +422,18 @@ let make ?(model = Sta.Path_based) ?source ?annot ~lib ~clocking cc =
        forced by [compute_regions] above; force it regardless so the
        shared [Sta.t] stays read-only inside the workers. *)
     ignore (Sta.backward_all sta_an : float array);
-    (* Adaptive chunked dispatch: a sink classifies in well under a
-       millisecond, so anything smaller than a few hundred sinks is
-       cheaper to scan in place than to ship through the pool (waking
-       a domain costs milliseconds on a contended host — the
-       BENCH_eval stage_make regression). ISCAS-scale circuits
-       (<= ~250 sinks) therefore stay on the sequential path; larger
-       endpoint sets are cut into a few chunks per worker, so
-       mid-size designs fan out instead of tripping the pool's
-       task-ratio fallback the old fixed 256-sink grain hit. *)
+    (* Adaptive chunked dispatch: a sink classifies in O(|cone|) on a
+       reused scratch — tens of microseconds on the 24x64 pipeline —
+       so anything smaller than a few hundred sinks is cheaper to scan
+       in place than to ship through the pool (waking a domain costs
+       milliseconds on a contended host — the BENCH_eval stage_make
+       regression). ISCAS-scale circuits (<= ~250 sinks) therefore
+       stay on the sequential path; larger endpoint sets are cut into
+       a few chunks per worker, each with its own scratch, so mid-size
+       designs fan out instead of tripping the pool's task-ratio
+       fallback the old fixed 256-sink grain hit. *)
     let classified =
-      Rar_util.Pool.map_adaptive (Netlist.outputs net) (fun s ->
-          (s, classify_sink ~sta_an ~clocking ~latch net s))
+      classify_sinks ~sta_an ~clocking ~latch (Netlist.outputs net)
     in
     finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~latch ~regions
       ~classified
@@ -425,10 +477,7 @@ let patch t (applied : Transform.Edit.applied) =
            t.per_sink [])
     in
     ignore (Sta.backward_all sta_an : float array);
-    let reclassified =
-      Rar_util.Pool.map_adaptive affected (fun s ->
-          (s, classify_sink ~sta_an ~clocking ~latch net s))
-    in
+    let reclassified = classify_sinks ~sta_an ~clocking ~latch affected in
     let fresh = Hashtbl.create (Array.length reclassified * 2) in
     Array.iter (fun (s, r) -> Hashtbl.replace fresh s r) reclassified;
     let classified =

@@ -251,18 +251,19 @@ let arrival_at_sink t v = df t v
    classification. *)
 let relax_back t dbr dbf w =
   let cv = t.cv in
-  let tg = Compact.tag cv w in
+  let fin = cv.Compact.fanin and head = cv.Compact.fanin_head in
+  let tg = cv.Compact.tags.(w) in
   if tg = Compact.tag_input then ()
   else if tg = Compact.tag_output then begin
-    let u = Compact.fanin cv (Compact.fanin_lo cv w) in
+    let u = fin.(head.(w)) in
     if dbr.(w) > dbr.(u) then dbr.(u) <- dbr.(w);
     if dbf.(w) > dbf.(u) then dbf.(u) <- dbf.(w)
   end
   else begin
     let r = dbr.(w) and f = dbf.(w) in
-    let hi = Compact.fanin_hi cv w in
-    for p = Compact.fanin_lo cv w to hi - 1 do
-      let u = Compact.fanin cv p in
+    let hi = head.(w + 1) in
+    for p = head.(w) to hi - 1 do
+      let u = fin.(p) in
       let code = t.unate.(p) in
       let c_r, c_f =
         if code = un_pos then (t.pa_rise.(p) +. r, t.pa_fall.(p) +. f)
@@ -314,49 +315,6 @@ let backward t ~sink =
   Array.init (Array.length rise) (fun v ->
       if rise.(v) = neg_infinity && fall.(v) = neg_infinity then neg_inf_arc
       else Liberty.{ rise = rise.(v); fall = fall.(v) })
-
-let backward_cone t ~sink =
-  check_sink "Sta.backward_cone" t sink;
-  let cv = t.cv in
-  let n = Compact.n cv in
-  (* Iterative DFS from the sink along fanin edges; the reverse
-     postorder puts every cone node before its fanins (sink first),
-     exactly the processing order the backward DP needs, so the DP
-     touches only the |cone| nodes instead of scanning all n. *)
-  let seen = Array.make n false in
-  seen.(sink) <- true;
-  let post = ref [] in
-  let n_cone = ref 0 in
-  let stack = ref [ (sink, ref 0) ] in
-  (let continue_ = ref true in
-   while !continue_ do
-     match !stack with
-     | [] -> continue_ := false
-     | (v, next_pin) :: rest ->
-       let lo = Compact.fanin_lo cv v in
-       let deg = Compact.fanin_hi cv v - lo in
-       if !next_pin < deg then begin
-         let u = Compact.fanin cv (lo + !next_pin) in
-         incr next_pin;
-         if not seen.(u) then begin
-           seen.(u) <- true;
-           stack := (u, ref 0) :: !stack
-         end
-       end
-       else begin
-         post := v :: !post;
-         incr n_cone;
-         stack := rest
-       end
-   done);
-  let cone = Array.make !n_cone sink in
-  List.iteri (fun i v -> cone.(i) <- v) !post;
-  let dbr = Array.make n neg_infinity in
-  let dbf = Array.make n neg_infinity in
-  dbr.(sink) <- 0.;
-  dbf.(sink) <- 0.;
-  Array.iter (fun w -> relax_back t dbr dbf w) cone;
-  (cone, { rise = dbr; fall = dbf })
 
 let backward_scalar t ~sink =
   let { rise; fall } = backward_packed t ~sink in
@@ -441,6 +399,161 @@ let arrival_with_slave_after t ~clocking ~latch ~u ~v ~db =
   let lo_f = Float.max open_t (t.arr_fall.(u) +. d_to_q) in
   let out_r, out_f = through_rf t ~driver:u ~via:v lo_r lo_f in
   Float.max (out_r +. db.rise.(v)) (out_f +. db.fall.(v))
+
+(* ------------------------------------------------------------------ *)
+(* Per-sink cone scratch                                               *)
+(* ------------------------------------------------------------------ *)
+
+type cone = {
+  mutable epoch : int;
+  seen : int array;        (* [= epoch]: node is in the loaded cone *)
+  nodes : int array;       (* [0 .. size-1]: the cone, sink first *)
+  mutable size : int;
+  stack_v : int array;     (* DFS stack: node ... *)
+  stack_p : int array;     (* ... and its next fanin pin position *)
+  cone_db : db;            (* D^b; entries valid on cone nodes only *)
+  a_pin : float array;     (* per fanin pin position: A(fanin, node, sink) *)
+}
+
+let cone_scratch t =
+  let n = Compact.n t.cv in
+  {
+    epoch = 0;
+    seen = Array.make n 0;
+    nodes = Array.make n 0;
+    size = 0;
+    stack_v = Array.make n 0;
+    stack_p = Array.make n 0;
+    cone_db =
+      { rise = Array.make n neg_infinity; fall = Array.make n neg_infinity };
+    a_pin = Array.make (Int.max 1 (Compact.fanin_lo t.cv n)) neg_infinity;
+  }
+
+let cone_size c = c.size
+let cone_nodes c = c.nodes
+let cone_db c = c.cone_db
+
+let load_cone t c ~sink =
+  check_sink "Sta.load_cone" t sink;
+  let cv = t.cv in
+  if Array.length c.seen <> Compact.n cv then
+    invalid_arg "Sta.load_cone: scratch built for another netlist";
+  c.epoch <- c.epoch + 1;
+  let ep = c.epoch in
+  let seen = c.seen and nodes = c.nodes in
+  let head = cv.Compact.fanin_head and fin = cv.Compact.fanin in
+  let stack_v = c.stack_v and stack_p = c.stack_p in
+  (* Iterative DFS from the sink along fanin edges; the reverse
+     postorder puts every cone node before its fanins (sink first),
+     exactly the processing order the backward DP needs, so the DP
+     touches only the |cone| nodes instead of scanning all n. *)
+  seen.(sink) <- ep;
+  stack_v.(0) <- sink;
+  stack_p.(0) <- head.(sink);
+  let top = ref 1 and k = ref 0 in
+  while !top > 0 do
+    let v = stack_v.(!top - 1) in
+    let p = stack_p.(!top - 1) in
+    if p < head.(v + 1) then begin
+      stack_p.(!top - 1) <- p + 1;
+      let u = fin.(p) in
+      if seen.(u) <> ep then begin
+        seen.(u) <- ep;
+        stack_v.(!top) <- u;
+        stack_p.(!top) <- head.(u);
+        incr top
+      end
+    end
+    else begin
+      nodes.(!k) <- v;
+      incr k;
+      decr top
+    end
+  done;
+  let size = !k in
+  for i = 0 to (size / 2) - 1 do
+    let j = size - 1 - i in
+    let x = nodes.(i) in
+    nodes.(i) <- nodes.(j);
+    nodes.(j) <- x
+  done;
+  c.size <- size;
+  (* Only cone entries are reset: the DP reads and writes nothing else. *)
+  let dbr = c.cone_db.rise and dbf = c.cone_db.fall in
+  for i = 0 to size - 1 do
+    let v = nodes.(i) in
+    dbr.(v) <- neg_infinity;
+    dbf.(v) <- neg_infinity
+  done;
+  dbr.(sink) <- 0.;
+  dbf.(sink) <- 0.;
+  for i = 0 to size - 1 do
+    relax_back t dbr dbf nodes.(i)
+  done
+
+let cone_max_path t c =
+  let dbr = c.cone_db.rise and dbf = c.cone_db.fall in
+  let best = ref neg_infinity in
+  for i = 0 to c.size - 1 do
+    let v = c.nodes.(i) in
+    let thru_rise = t.arr_rise.(v) +. dbr.(v) in
+    let thru_fall = t.arr_fall.(v) +. dbf.(v) in
+    if thru_rise > !best then best := thru_rise;
+    if thru_fall > !best then best := thru_fall
+  done;
+  !best
+
+(* [arrival_with_slave_after] for every cone pin at once, with the
+   through-pin propagation ([through_rf]) written out inline so nothing
+   is boxed: no tuple or float results cross a call inside the loops. *)
+let cone_slave_arrivals t c ~clocking ~latch =
+  let cv = t.cv in
+  let head = cv.Compact.fanin_head and fin = cv.Compact.fanin in
+  let tags = cv.Compact.tags in
+  let open_t = Clocking.slave_open clocking +. latch.Liberty.ck_to_q in
+  let d_to_q = latch.Liberty.d_to_q in
+  let dbr = c.cone_db.rise and dbf = c.cone_db.fall and a_pin = c.a_pin in
+  for i = 0 to c.size - 1 do
+    let v = c.nodes.(i) in
+    let tg = tags.(v) in
+    if tg <> Compact.tag_input then begin
+      (* analyse rejects sequential nodes: [v] is a gate or the sink *)
+      let gate = tg = Compact.tag_gate in
+      let lo = head.(v) and hi = head.(v + 1) in
+      for p = lo to hi - 1 do
+        let u = fin.(p) in
+        let lo_r = Float.max open_t (t.arr_rise.(u) +. d_to_q) in
+        let lo_f = Float.max open_t (t.arr_fall.(u) +. d_to_q) in
+        let out_r = ref lo_r and out_f = ref lo_f in
+        if gate then begin
+          (* worst over every pin of [v] that [u] drives *)
+          out_r := neg_infinity;
+          out_f := neg_infinity;
+          for q = lo to hi - 1 do
+            if fin.(q) = u then begin
+              let code = t.unate.(q) in
+              let pr = t.pa_rise.(q) and pf = t.pa_fall.(q) in
+              let r =
+                if code = un_pos then lo_r +. pr
+                else if code = un_neg then lo_f +. pr
+                else Float.max lo_r lo_f +. pr
+              in
+              let f =
+                if code = un_pos then lo_f +. pf
+                else if code = un_neg then lo_r +. pf
+                else if code = un_non then Float.max lo_r lo_f +. pf
+                else Float.max lo_r lo_f +. pr
+              in
+              if r > !out_r then out_r := r;
+              if f > !out_f then out_f := f
+            end
+          done
+        end;
+        a_pin.(p) <- Float.max (!out_r +. dbr.(v)) (!out_f +. dbf.(v))
+      done
+    end
+  done;
+  a_pin
 
 let forward_with_latches t ~clocking ~latch ~latched =
   let open_t = Clocking.slave_open clocking +. latch.Liberty.ck_to_q in

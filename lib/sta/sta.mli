@@ -104,14 +104,6 @@ val backward_packed : t -> sink:int -> db
 (** {!backward} in packed form (the arrays {!backward} materialises
     its arcs from). *)
 
-val backward_cone : t -> sink:int -> int array * db
-(** Sparse {!backward}: [(cone, db)] where [cone] lists exactly the
-    nodes in the fan-in cone of [sink], ordered so every node precedes
-    its fanins (the sink first), and [db] equals
-    [backward_packed t ~sink]. The DP walks only the cone instead of
-    scanning all [n] nodes, so the cost is O(|cone|) edge relaxations —
-    the per-sink kernel of {!Rar_retime.Stage} classification. *)
-
 val backward_scalar : t -> sink:int -> float array
 (** Max of the {!backward} arcs. *)
 
@@ -140,8 +132,58 @@ val arrival_with_slave_after :
   t -> clocking:Clocking.t -> latch:Liberty.seq_cell -> u:int -> v:int ->
   db:db -> float
 (** [A(u,v,t)] of Eq. 5: worst arrival at the sink whose backward
-    times are [db], through a slave latch on edge [(u,v)]. Entirely
-    allocation-free — the inner loop of stage classification. *)
+    times are [db], through a slave latch on edge [(u,v)]. Allocates a
+    few boxed floats and a tuple per call; per-sink classification
+    evaluates [A] through {!cone_slave_arrivals} instead. *)
+
+(** {1 Per-sink cone scratch}
+
+    Reusable buffers for the per-sink kernel of
+    {!Rar_retime.Stage} classification. A scratch is sized once for a
+    netlist (O(n + pins)) and then serves any number of sinks back to
+    back: loading a sink costs O(|cone| + cone pins) — nothing is
+    cleared or allocated per sink. A scratch is mutable, single-owner
+    state: never share one between domains or concurrent calls. *)
+
+type cone
+
+val cone_scratch : t -> cone
+(** Fresh scratch for [t]'s netlist; usable with any analysis of a
+    netlist with the same node count and pin layout. *)
+
+val load_cone : t -> cone -> sink:int -> unit
+(** Load [sink]'s fan-in cone and its backward delays into the scratch,
+    replacing the previous sink's. Raises [Invalid_argument] if [sink]
+    is not an [Output] node or the scratch was built for a netlist of
+    another size. *)
+
+val cone_size : cone -> int
+(** Node count of the loaded cone. *)
+
+val cone_nodes : cone -> int array
+(** The loaded cone in its first {!cone_size} entries, ordered so every
+    node precedes its fanins (the sink first); entries past the cone
+    are stale. The buffer is the scratch's own: read-only. *)
+
+val cone_db : cone -> db
+(** The loaded sink's backward delays: on cone nodes, bitwise
+    [backward_packed t ~sink]; entries of other nodes are stale. The
+    arrays are the scratch's own: read-only. *)
+
+val cone_max_path : t -> cone -> float
+(** Longest pure combinational path into the loaded sink,
+    polarity-paired: max over cone nodes [v] of [arrival + D^b(v)]. *)
+
+val cone_slave_arrivals :
+  t -> cone -> clocking:Clocking.t -> latch:Liberty.seq_cell -> float array
+(** Evaluate [A(u,v,t)] (Eq. 5) for the loaded sink at every fanin pin
+    position of every non-input cone node [v], [u] being the pin's
+    driver: entry [p] of the returned per-pin array equals
+    [arrival_with_slave_after t ~clocking ~latch ~u ~v ~db] bitwise,
+    with [db] the sink's backward delays. Other entries are stale; the
+    array is the scratch's own (read-only, overwritten by the next
+    call). Allocates nothing per pin: at most the one boxed clock edge
+    a call reads. *)
 
 val forward_with_latches :
   t ->

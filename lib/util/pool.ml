@@ -154,14 +154,18 @@ let batch_hook :
 
 let set_batch_hook h = batch_hook := h
 
-let map ?(min_chunk = 1) (xs : 'a array) (f : 'a -> 'b) : 'b array =
+(* The one dispatch kernel: [init] builds per-chunk state once, in the
+   domain that runs the chunk, and [f] receives it with every element
+   of that chunk. [map] is the stateless special case. *)
+let map_with ?(min_chunk = 1) ~(init : unit -> 's) (xs : 'a array)
+    (f : 's -> 'a -> 'b) : 'b array =
   let f =
     match !task_hook with
     | None -> f
     | Some hook ->
-      fun x ->
+      fun s x ->
         hook ();
-        f x
+        f s x
   in
   let n = Array.length xs in
   let chunk = Int.max 1 min_chunk in
@@ -175,7 +179,8 @@ let map ?(min_chunk = 1) (xs : 'a array) (f : 'a -> 'b) : 'b array =
   (match !decision_hook with
   | Some hook -> hook ~requested ~effective:size ~n_tasks ~reason
   | None -> ());
-  if size <= 1 then Array.map f xs
+  if n = 0 then [||]
+  else if size <= 1 then Array.map (f (init ())) xs
   else begin
     let p = get_pool size in
     let results : ('b, exn * Printexc.raw_backtrace) result option array =
@@ -201,13 +206,20 @@ let map ?(min_chunk = 1) (xs : 'a array) (f : 'a -> 'b) : 'b array =
               if !pending = 0 then Condition.signal all_done;
               Mutex.unlock join_lock)
             (fun () ->
-              for i = lo to hi do
-                let r =
-                  try Ok (f xs.(i))
-                  with e -> Error (e, Printexc.get_raw_backtrace ())
-                in
-                results.(i) <- Some r
-              done))
+              match init () with
+              | s ->
+                for i = lo to hi do
+                  let r =
+                    try Ok (f s xs.(i))
+                    with e -> Error (e, Printexc.get_raw_backtrace ())
+                  in
+                  results.(i) <- Some r
+                done
+              | exception e ->
+                let r = Error (e, Printexc.get_raw_backtrace ()) in
+                for i = lo to hi do
+                  results.(i) <- Some r
+                done))
         p.queue
     done;
     let occupancy = Queue.length p.queue in
@@ -234,6 +246,8 @@ let map ?(min_chunk = 1) (xs : 'a array) (f : 'a -> 'b) : 'b array =
       results
   end
 
+let map ?min_chunk xs f = map_with ?min_chunk ~init:ignore xs (fun () x -> f x)
+
 (* Adaptive chunking: pick the chunk size from the batch size and the
    effective worker count instead of a fixed grain. A fixed [min_chunk]
    interacts badly with the task-ratio threshold in [decide]: 256-sink
@@ -243,15 +257,19 @@ let map ?(min_chunk = 1) (xs : 'a array) (f : 'a -> 'b) : 'b array =
    pool exists for. Aiming at [chunks_per_worker] tasks per worker
    keeps the batch above the threshold while leaving enough tasks for
    the queue to balance uneven chunk costs. *)
-let map_adaptive ?(seq_below = 512) ?(floor = 64) ?(chunks_per_worker = 4)
-    (xs : 'a array) (f : 'a -> 'b) : 'b array =
+let map_adaptive_with ?(seq_below = 512) ?(floor = 64) ?(chunks_per_worker = 4)
+    ~init xs f =
   let n = Array.length xs in
-  if n < seq_below then map ~min_chunk:(Int.max 1 n) xs f
+  if n < seq_below then map_with ~min_chunk:(Int.max 1 n) ~init xs f
   else begin
     let target = effective_jobs () * chunks_per_worker in
     let chunk = Int.max floor ((n + target - 1) / target) in
-    map ~min_chunk:chunk xs f
+    map_with ~min_chunk:chunk ~init xs f
   end
+
+let map_adaptive ?seq_below ?floor ?chunks_per_worker xs f =
+  map_adaptive_with ?seq_below ?floor ?chunks_per_worker ~init:ignore xs
+    (fun () x -> f x)
 
 let run (thunks : (unit -> 'a) list) : 'a list =
   Array.to_list (map (Array.of_list thunks) (fun f -> f ()))

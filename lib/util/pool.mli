@@ -76,6 +76,23 @@ val map_adaptive :
     overhead on huge ones. Results are identical to [Array.map f xs]
     at any pool size. *)
 
+val map_adaptive_with :
+  ?seq_below:int ->
+  ?floor:int ->
+  ?chunks_per_worker:int ->
+  init:(unit -> 's) ->
+  'a array ->
+  ('s -> 'a -> 'b) ->
+  'b array
+(** {!map_adaptive} with per-chunk state: every chunk the call runs
+    (the whole array, on the sequential path) first builds its own
+    state with [init], in the domain that evaluates it, and passes it
+    to [f] for each of its elements. For reusable scratch buffers that
+    must stay private to one call and one domain: the state is never
+    shared between chunks, calls or domains. [init] is not called for
+    an empty array; an [init] that raises fails every element of its
+    chunk. *)
+
 val run : (unit -> 'a) list -> 'a list
 (** [run thunks] evaluates the thunks in parallel, returning results
     in the original order. *)

@@ -16,6 +16,9 @@ module Generator = Rar_circuits.Generator
 module Suite = Rar_circuits.Suite
 module Error = Rar_retime.Error
 module Classic = Rar_retime.Classic
+module Stage = Rar_retime.Stage
+module Netlist = Rar_netlist.Netlist
+module Transform = Rar_netlist.Transform
 module Engine = Rar_engine
 
 let small_spec seed =
@@ -119,6 +122,10 @@ let test_balance_under_poolkill () =
 
 (* --- counter determinism across pool sizes ------------------------- *)
 
+let pipe_prepared =
+  let p = lazy (Suite.prepare (Generator.pipeline ~stages:16 ())) in
+  fun () -> Lazy.force p
+
 let counters_at_jobs jobs =
   Pool.set_jobs jobs;
   Metrics.reset ();
@@ -133,6 +140,14 @@ let counters_at_jobs jobs =
     Classic.of_netlist ~host_registers:1 ~lib:p.Suite.lib p.Suite.flop_netlist
   in
   ignore (Classic.min_period g);
+  (* A stage with more sinks than the pool's sequential threshold, so
+     jobs 2/4 really classify in chunks, one cone scratch each. *)
+  let pipe = pipe_prepared () in
+  (match
+     Stage.make ~lib:pipe.Suite.lib ~clocking:pipe.Suite.clocking pipe.Suite.cc
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Error.to_string e));
   fst (Metrics.snapshot ())
 
 let test_counters_jobs_invariant () =
@@ -162,7 +177,18 @@ let test_counters_jobs_invariant () =
       Alcotest.(check bool) "sta pin relaxations counted" true
         (v "sta_pin_relaxations" > 0);
       Alcotest.(check bool) "wd memo counted" true
-        (v "wd_memo_misses" > 0 && v "wd_memo_hits" > 0))
+        (v "wd_memo_misses" > 0 && v "wd_memo_hits" > 0);
+      let pipe_sinks =
+        Array.length
+          (Netlist.outputs (pipe_prepared ()).Suite.cc.Transform.comb)
+      in
+      Alcotest.(check bool) "stage cone nodes counted" true
+        (v "stage_cone_nodes" > pipe_sinks);
+      (* the object [rar run --metrics] embeds *)
+      Alcotest.(check bool) "stage_cone_nodes in the metrics JSON" true
+        (match Json.member "counters" (Metrics.snapshot_json ()) with
+        | Some counters -> Json.member_int "stage_cone_nodes" counters <> None
+        | None -> false))
 
 (* --- disabled tracing leaves output byte-identical ------------------ *)
 

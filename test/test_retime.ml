@@ -177,12 +177,64 @@ let test_sizing_noop_when_clean () =
       Alcotest.(check bool) "same netlist object" true (st' == r.Base.stage)
     | Error e -> Alcotest.fail (Rar_retime.Error.to_string e))
 
+(* [Stage.make] against the dense first-written classifier
+   ([Stage_ref]), bitwise: every sink's class (cut sets in order),
+   longest-path bits and window edges in order, and the merged illegal
+   edge list in order. Random DAGs and carry-chain pipelines, both
+   delay models, both clocking schemes, each at the derived clock and
+   with a looser one (fewer window edges, more never-ED sinks). *)
+let prop_stage_matches_reference =
+  QCheck.Test.make ~name:"Stage.make = dense reference classifier" ~count:8
+    QCheck.(int_bound 40)
+    (fun seed ->
+      let net =
+        if seed mod 2 = 0 then Generator.generate (small_spec seed)
+        else
+          Generator.pipeline ~width:6 ~seed:(Printf.sprintf "ref%d" seed)
+            ~stages:2 ()
+      in
+      let p = Suite.prepare net in
+      let lib = p.Suite.lib and cc = p.Suite.cc in
+      let latch = Liberty.latch lib in
+      let bits = Int64.bits_of_float in
+      List.for_all
+        (fun (model, clock) ->
+          let _, p0 = Suite.derive_clocking ~clock lib cc in
+          let checked =
+            List.filter_map
+              (fun scale ->
+                let clocking = clock (p0 *. scale) in
+                match Stage.make ~model ~lib ~clocking cc with
+                | Error _ -> None
+                | Ok st ->
+                  let per_sink, illegal =
+                    Stage_ref.classify ~sta:(Stage.sta st) ~clocking ~latch
+                  in
+                  Some
+                    (Stage.illegal_edges st = illegal
+                    && Array.for_all
+                         (fun (s, r) ->
+                           Stage.classify st s = r.Stage_ref.cls
+                           && bits (Stage.max_path st s) = bits r.Stage_ref.mp
+                           &&
+                           match r.Stage_ref.cls with
+                           | Stage.Target _ ->
+                             Stage.window_edges st s = r.Stage_ref.win
+                           | Stage.Never_ed | Stage.Always_ed -> true)
+                         per_sink))
+              [ 1.0; 1.3 ]
+          in
+          checked <> [] && List.for_all Fun.id checked)
+        [ (Sta.Path_based, Clocking.of_p); (Sta.Gate_based, Clocking.of_p);
+          (Sta.Path_based, Clocking.of_p3); (Sta.Gate_based, Clocking.of_p3) ])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_engines_agree_on_objective;
     QCheck_alcotest.to_alcotest prop_grar_beats_base_model;
     QCheck_alcotest.to_alcotest prop_deterministic;
     QCheck_alcotest.to_alcotest prop_ed_iff_window;
+    QCheck_alcotest.to_alcotest prop_stage_matches_reference;
     Alcotest.test_case "regions exclusive" `Quick test_regions_exclusive;
     Alcotest.test_case "grar conversions verified" `Quick
       test_grar_converts_targets;

@@ -201,67 +201,149 @@ let prop_arrival_recurrence =
             (Netlist.gates comb))
         [ Sta.Gate_based; Sta.Path_based ])
 
-let prop_backward_cone_matches_backward =
-  QCheck.Test.make ~name:"backward_cone = backward on every node" ~count:10
+let cone_comb seed =
+  let spec =
+    { (Option.get (Spec.find "s1238")) with
+      Spec.n_gates = 200; depth = 8;
+      seed = Printf.sprintf "cone%d" seed }
+  in
+  (Transform.extract_comb (Transform.to_two_phase (Generator.generate spec)))
+    .Transform.comb
+
+let bits = Int64.bits_of_float
+
+(* The scratch loaded with [s] against a fresh dense [backward_packed]:
+   the cone is exactly the dense support, listed once, sink first and
+   every node before its fanins, with bitwise-equal delays on it. *)
+let cone_matches_dense sta comb c s =
+  let n = Netlist.node_count comb in
+  Sta.load_cone sta c ~sink:s;
+  let size = Sta.cone_size c and cone = Sta.cone_nodes c in
+  let db = Sta.cone_db c in
+  let dense = Sta.backward_packed sta ~sink:s in
+  let pos = Array.make n (-1) in
+  for i = 0 to size - 1 do
+    pos.(cone.(i)) <- i
+  done;
+  let in_dense v =
+    dense.Sta.rise.(v) > neg_infinity || dense.Sta.fall.(v) > neg_infinity
+  in
+  let support = List.filter in_dense (List.init n Fun.id) in
+  List.length support = size
+  && List.for_all
+       (fun v ->
+         pos.(v) >= 0
+         && bits db.Sta.rise.(v) = bits dense.Sta.rise.(v)
+         && bits db.Sta.fall.(v) = bits dense.Sta.fall.(v)
+         && Array.for_all (fun u -> pos.(u) > pos.(v)) (Netlist.fanins comb v))
+       support
+  && cone.(0) = s
+
+let prop_cone_matches_backward =
+  QCheck.Test.make ~name:"cone scratch = backward on every node" ~count:10
     QCheck.(int_bound 20)
     (fun seed ->
-      let lib = Liberty.default () in
-      let spec =
-        { (Option.get (Spec.find "s1238")) with
-          Spec.n_gates = 200; depth = 8;
-          seed = Printf.sprintf "cone%d" seed }
-      in
-      let net = Generator.generate spec in
-      let comb =
-        (Transform.extract_comb (Transform.to_two_phase net)).Transform.comb
-      in
-      let sta = Sta.analyse lib Sta.Path_based comb in
-      let n = Netlist.node_count comb in
-      let arc_eq a b =
-        let c x y =
-          (x = neg_infinity && y = neg_infinity) || Float.abs (x -. y) < 1e-9
-        in
-        c a.Liberty.rise b.Liberty.rise && c a.Liberty.fall b.Liberty.fall
-      in
+      let comb = cone_comb seed in
+      let sta = Sta.analyse (Liberty.default ()) Sta.Path_based comb in
       Array.for_all
-        (fun s ->
-          let dense = Sta.backward sta ~sink:s in
-          let cone, sparse = Sta.backward_cone sta ~sink:s in
-          (* Same values everywhere: inside the cone they agree, and
-             outside it both sides hold neg_infinity arcs. *)
-          let values_match =
-            Array.for_all Fun.id
-              (Array.init n (fun v ->
-                   arc_eq dense.(v)
-                     {
-                       Liberty.rise = sparse.Sta.rise.(v);
-                       fall = sparse.Sta.fall.(v);
-                     }))
-          in
-          (* The cone is exactly the reachable set, sink first, with
-             every node listed before its fanins. *)
-          let in_cone = Array.make n false in
-          Array.iter (fun v -> in_cone.(v) <- true) cone
-          ;
-          let cone_is_support =
-            Array.for_all Fun.id
-              (Array.init n (fun v ->
-                   in_cone.(v) = (dense.(v).Liberty.rise > neg_infinity
-                                  || dense.(v).Liberty.fall > neg_infinity)))
-          in
-          let pos = Array.make n (-1) in
-          Array.iteri (fun i v -> pos.(v) <- i) cone;
-          let topo_ok =
-            (Array.length cone > 0 && cone.(0) = s)
-            && Array.for_all
-                 (fun v ->
-                   Array.for_all
-                     (fun u -> pos.(u) < 0 || pos.(u) > pos.(v))
-                     (Netlist.fanins comb v))
-                 cone
-          in
-          values_match && cone_is_support && topo_ok)
+        (fun s -> cone_matches_dense sta comb (Sta.cone_scratch sta) s)
         (Netlist.outputs comb))
+
+(* One scratch serving many sinks back to back — both delay models of
+   the same netlist, every sink in reverse, then forward order — must
+   keep matching fresh dense results: no state leaks between sinks. *)
+let prop_cone_scratch_reused =
+  QCheck.Test.make ~name:"one cone scratch serves many sinks" ~count:5
+    QCheck.(int_bound 20)
+    (fun seed ->
+      let comb = cone_comb seed in
+      let lib = Liberty.default () in
+      let sinks = Netlist.outputs comb in
+      let c = Sta.cone_scratch (Sta.analyse lib Sta.Path_based comb) in
+      List.for_all
+        (fun model ->
+          let sta = Sta.analyse lib model comb in
+          let order =
+            Array.append (Array.of_list (List.rev (Array.to_list sinks))) sinks
+          in
+          Array.for_all (cone_matches_dense sta comb c) order)
+        [ Sta.Path_based; Sta.Gate_based ])
+
+(* The per-pin A kernel equals [arrival_with_slave_after] bitwise, and
+   the longest path equals the dense polarity-paired maximum. *)
+let prop_cone_slave_arrivals =
+  QCheck.Test.make ~name:"cone A kernel = arrival_with_slave_after" ~count:5
+    QCheck.(int_bound 20)
+    (fun seed ->
+      let comb = cone_comb seed in
+      let lib = Liberty.default () in
+      let latch = Liberty.latch lib in
+      let cv = Netlist.compact comb in
+      List.for_all
+        (fun (model, clocking) ->
+          let sta = Sta.analyse lib model comb in
+          let c = Sta.cone_scratch sta in
+          Array.for_all
+            (fun s ->
+              Sta.load_cone sta c ~sink:s;
+              let a = Sta.cone_slave_arrivals sta c ~clocking ~latch in
+              let db = Sta.backward_packed sta ~sink:s in
+              let cone = Sta.cone_nodes c in
+              let ok = ref true and mp = ref neg_infinity in
+              for i = 0 to Sta.cone_size c - 1 do
+                let v = cone.(i) in
+                mp := Float.max !mp (Sta.arrival_rise sta v +. db.Sta.rise.(v));
+                mp := Float.max !mp (Sta.arrival_fall sta v +. db.Sta.fall.(v));
+                if Netlist.kind comb v <> Netlist.Input then
+                  for p = Netlist.Compact.fanin_lo cv v
+                          to Netlist.Compact.fanin_hi cv v - 1 do
+                    let u = Netlist.Compact.fanin cv p in
+                    let want =
+                      Sta.arrival_with_slave_after sta ~clocking ~latch ~u ~v
+                        ~db
+                    in
+                    if bits a.(p) <> bits want then ok := false
+                  done
+              done;
+              !ok && bits (Sta.cone_max_path sta c) = bits !mp)
+            (Netlist.outputs comb))
+        [ (Sta.Path_based, Clocking.of_p 2.0);
+          (Sta.Gate_based, Clocking.of_p3 2.0) ])
+
+(* The per-pin A evaluation allocates nothing: a call costs the same
+   minor words (the boxed clock edge it reads, under separate
+   compilation) on the sink with the smallest cone as on the one with
+   the most pins. *)
+let test_cone_slave_arrivals_allocation_free () =
+  let comb = cone_comb 3 in
+  let lib = Liberty.default () in
+  let latch = Liberty.latch lib and clocking = Clocking.of_p 2.0 in
+  let sta = Sta.analyse lib Sta.Path_based comb in
+  let c = Sta.cone_scratch sta in
+  let words_per_call s =
+    Sta.load_cone sta c ~sink:s;
+    ignore (Sta.cone_slave_arrivals sta c ~clocking ~latch : float array);
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      ignore (Sta.cone_slave_arrivals sta c ~clocking ~latch : float array)
+    done;
+    (Gc.minor_words () -. before) /. 100.
+  in
+  let by_size =
+    List.sort compare
+      (Array.to_list
+         (Array.map
+            (fun s ->
+              Sta.load_cone sta c ~sink:s;
+              (Sta.cone_size c, s))
+            (Netlist.outputs comb)))
+  in
+  let small_n, small = List.hd by_size in
+  let large_n, large = List.hd (List.rev by_size) in
+  Alcotest.(check bool) "cones differ in size" true (large_n > 10 * small_n);
+  let w_small = words_per_call small and w_large = words_per_call large in
+  Alcotest.(check (float 0.)) "no words per pin" w_small w_large;
+  Alcotest.(check bool) "at most one boxed float per call" true (w_large <= 2.)
 
 let prop_latches_only_delay =
   QCheck.Test.make ~name:"inserting slaves never speeds a path up" ~count:10
@@ -371,7 +453,11 @@ let suite =
       test_through_matches_arrival;
     Alcotest.test_case "rejects sequential netlists" `Quick
       test_rejects_sequential;
-    QCheck_alcotest.to_alcotest prop_backward_cone_matches_backward;
+    QCheck_alcotest.to_alcotest prop_cone_matches_backward;
+    QCheck_alcotest.to_alcotest prop_cone_scratch_reused;
+    QCheck_alcotest.to_alcotest prop_cone_slave_arrivals;
+    Alcotest.test_case "cone A kernel allocation-free" `Quick
+      test_cone_slave_arrivals_allocation_free;
     QCheck_alcotest.to_alcotest prop_latches_only_delay;
     Alcotest.test_case "critical path report" `Quick test_critical_path_report;
     Alcotest.test_case "critical path on generated" `Quick

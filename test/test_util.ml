@@ -157,6 +157,47 @@ let test_pool_nested_map () =
       let expect = Array.init 8 (fun x -> (50 * x) + 10) in
       Alcotest.(check (array int)) "nested map" expect got)
 
+let test_pool_map_with_chunk_state () =
+  (* Each chunk builds its state once and shares it with no other
+     chunk: every element records the state that served it, the states
+     served contiguous ranges, and their counts add up. *)
+  List.iter
+    (fun j ->
+      with_jobs j (fun () ->
+          let inits = Atomic.make 0 in
+          let init () =
+            Atomic.incr inits;
+            ref 0
+          in
+          Alcotest.(check int) "empty array builds no state" 0
+            (Array.length
+               (Pool.map_adaptive_with ~init [||] (fun _ (x : int) -> x)));
+          Alcotest.(check int) "no init for an empty array" 0
+            (Atomic.get inits);
+          let xs = Array.init 2000 Fun.id in
+          let got =
+            Pool.map_adaptive_with ~init xs (fun served x ->
+                incr served;
+                (3 * x, served))
+          in
+          Alcotest.(check (array int))
+            (Printf.sprintf "results (jobs=%d)" j)
+            (Array.map (fun x -> 3 * x) xs)
+            (Array.map fst got);
+          let runs = ref [] in
+          Array.iteri
+            (fun i (_, st) ->
+              if i = 0 || snd got.(i - 1) != st then runs := st :: !runs)
+            got;
+          Alcotest.(check int) "one contiguous run per state" (Atomic.get inits)
+            (List.length !runs);
+          Alcotest.(check int) "states served every element" 2000
+            (List.fold_left (fun acc st -> acc + !st) 0 !runs);
+          if j = 1 then
+            Alcotest.(check int) "sequential path builds one state" 1
+              (Atomic.get inits)))
+    [ 1; 4 ]
+
 let prop_heap_matches_sort =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
     QCheck.(list (float_bound_exclusive 1000.))
@@ -368,6 +409,8 @@ let suite =
     Alcotest.test_case "pool workers survive raising tasks" `Quick
       test_pool_worker_survives_raise;
     Alcotest.test_case "pool size-1 fallback" `Quick test_pool_size_clamp;
+    Alcotest.test_case "pool per-chunk state" `Quick
+      test_pool_map_with_chunk_state;
     Alcotest.test_case "pool nested map" `Quick test_pool_nested_map;
     Alcotest.test_case "pool submit" `Quick test_pool_submit;
     Alcotest.test_case "json parse basics" `Quick test_json_parse_basics;
