@@ -77,28 +77,13 @@ let grar_result = lazy (Report.run ctx circuit ~spec:Engine.Grar ~c:1.0)
 let sim_design =
   lazy
     (let r = Lazy.force grar_result in
-     let st = r.Engine.stage in
-     let cc = Stage.cc st in
-     let staged =
-       Transform.apply_retiming cc r.Engine.outcome.Outcome.placements
-     in
-     let p = Lazy.force prepared in
-     {
-       Sim.staged;
-       lib = p.Suite.lib;
-       clocking = p.Suite.clocking;
-       ed_sinks =
-         List.map
-           (fun s -> Sim.sink_of_comb ~comb:cc.Transform.comb ~staged s)
-           r.Engine.outcome.Outcome.ed_sinks;
-     })
+     Report.sim_design r.Engine.stage r.Engine.outcome)
 
 (* Resilience-overhead kernels: the same solve with and without the
    instrumentation the resilience layer adds. A far-future deadline
    exercises the strided in-loop checks at full frequency without ever
-   firing; the verify pair isolates the optimality-certificate cost;
-   the fallback kernel times the full fail-and-retry path under an
-   injected timeout. *)
+   firing; the fallback kernel times the full fail-and-retry path under
+   an injected timeout. *)
 let far_deadline () = Rar_util.Deadline.make ~budget_s:86400.
 
 (* Armed-tracing wrapper for the *_trace kernels and the
@@ -222,8 +207,6 @@ let tests =
         with_tracing classic_pipeline));
     Test.make ~name:"resilience/solve_verify" (Staged.stage (fun () ->
         ignore (Difflp.solve (Lazy.force chain_lp) ~reference:0)));
-    Test.make ~name:"resilience/solve_noverify" (Staged.stage (fun () ->
-        ignore (Difflp.solve ~verify:false (Lazy.force chain_lp) ~reference:0)));
     Test.make ~name:"resilience/fallback_timeout" (Staged.stage (fun () ->
         Rar_resilience.Faults.configure [ Rar_resilience.Faults.Timeout ];
         Fun.protect ~finally:Rar_resilience.Faults.use_env (fun () ->
@@ -240,10 +223,17 @@ let tests =
         ignore (ok (Grar.run_on_stage ~c:2.0 stage))));
   ]
 
+(* [~stabilize:false]: Bechamel's default compacts the heap before
+   every sample, and after the hundreds of compactions a microsecond
+   kernel takes, OCaml 5.1's major GC no longer keeps pace with
+   allocation for the rest of the process — the wall-clock sections
+   that follow the kernels then grew the heap by ~285 MB per classic
+   pipeline run, past 6 GB. *)
 let measure_kernels ~banner tests =
   let instance = Instance.monotonic_clock in
   let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 2.0) ~kde:(Some 10) ()
+    Benchmark.cfg ~limit:200 ~quota:(Time.second 2.0) ~kde:(Some 10)
+      ~stabilize:false ()
   in
   Printf.printf "%s\n%!" banner;
   let kernels = ref [] in
@@ -279,7 +269,7 @@ let run_benchmarks () =
 (* ------------------------------------------------------------------ *)
 
 (* Sequential-vs-parallel wall clock of the two pool-parallel paths:
-   Stage.make (per-sink classification fan-out) and Report.all_tables
+   stage analysis (per-sink classification fan-out) and Report.all_tables
    (whole-grid precompute). Schema documented in EXPERIMENTS.md. *)
 
 let time_wall f =
@@ -293,12 +283,7 @@ let wall_stage_make ~jobs ~names =
   List.iter
     (fun name ->
       let p = Report.prepared ctx name in
-      let _, dt =
-        time_wall (fun () ->
-            ok
-              (Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking
-                 p.Suite.cc))
-      in
+      let _, dt = time_wall (fun () -> ok (Engine.stage_of p)) in
       total := !total +. dt)
     names;
   !total
@@ -389,8 +374,8 @@ let span_totals f =
 (* The flow-engine effort counters published in every scaling row:
    solver work (max-flow phases and augmentations for the default
    closure solve; pivots and the block-pricing hit rate when network
-   simplex runs), LP-prep pruning, and the parallel-FEAS sweep count.
-   Fixed whitelist so the row shape is stable; absent counters emit 0. *)
+   simplex runs) and LP-prep pruning. Fixed whitelist so the row shape
+   is stable; absent counters emit 0. *)
 let scale_counter_keys =
   [
     "maxflow_phases";
@@ -400,7 +385,6 @@ let scale_counter_keys =
     "netsimplex_cycle_arcs";
     "netsimplex_shift_nodes";
     "endpoints_pruned";
-    "feas_parallel_sweeps";
   ]
 
 let counters_json counters =
@@ -471,12 +455,7 @@ let scale_grar ~gates =
     time_wall (fun () ->
         span_totals (fun () ->
             let p = Suite.prepare net in
-            let st =
-              ok
-                (Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking
-                   p.Suite.cc)
-            in
-            (p, ok (Grar.run_on_stage ~c:1.0 st))))
+            (p, ok (Grar.run_on_stage ~c:1.0 (ok (Engine.stage_of p))))))
   in
   let p, r = res in
   let o = r.Grar.outcome in
@@ -602,10 +581,14 @@ let eco_edit_targets net k =
   List.init k (fun j ->
       N.node_name net gates.(base + ((j + 1) * (m - base) / (k + 2))))
 
+(* ECO circuit size of the full run and the ECO smoke; the eco-smoke
+   gate requires it to equal eco_gates in bench/smoke_floor.json. *)
+let eco_gates = 25_000
+
 type eco_stats = {
   eco_circuit : string;
   eco_gates : int;
-  eco_stage_s : float;  (* cold Stage.make *)
+  eco_stage_s : float;  (* cold stage analysis *)
   eco_warm_s : float;  (* first (cache-priming) resolve *)
   eco_resolve_s : float list;  (* steady-state edit batches *)
   eco_cold_s : float;  (* cold re-solve of the edited netlist *)
@@ -631,10 +614,7 @@ let eco_measure ~gates ~n_batches ~edits_per_batch =
   let net = Rar_circuits.Generator.generate spec in
   let p = Suite.prepare net in
   let cfg = Engine.config ~c:1.0 Engine.Grar in
-  let stage0, stage_s =
-    time_wall (fun () ->
-        ok (Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking p.Suite.cc))
-  in
+  let stage0, stage_s = time_wall (fun () -> ok (Engine.stage_of p)) in
   let comb = p.Suite.cc.Transform.comb in
   let session = Engine.open_session cfg stage0 in
   let r0, warm_s = time_wall (fun () -> ok (Engine.resolve session [])) in
@@ -657,13 +637,7 @@ let eco_measure ~gates ~n_batches ~edits_per_batch =
   let applied = Transform.Edit.apply comb (List.concat batches) in
   let rc, cold_s =
     time_wall (fun () ->
-        let st =
-          ok
-            (Stage.make ~annot:applied.Transform.Edit.annot ~lib:p.Suite.lib
-               ~clocking:p.Suite.clocking
-               { p.Suite.cc with Transform.comb = applied.Transform.Edit.net })
-        in
-        ok (Engine.run cfg st))
+        ok (Engine.run cfg (ok (Engine.stage_of ~edits:applied p))))
   in
   let identical =
     !last.Engine.outcome = rc.Engine.outcome
@@ -797,7 +771,7 @@ let run_eval_json ~scaling kernels =
     "\n== Wall clock: sequential vs %d-domain pool ==\n%!" par_jobs;
   let stage_seq = wall_stage_make ~jobs:1 ~names:stage_names in
   let stage_par = wall_stage_make ~jobs:par_jobs ~names:stage_names in
-  Printf.printf "  Stage.make   %s: %.3fs seq, %.3fs par (%.2fx)\n%!"
+  Printf.printf "  stage_make   %s: %.3fs seq, %.3fs par (%.2fx)\n%!"
     (String.concat "+" stage_names) stage_seq stage_par
     (stage_seq /. Float.max 1e-9 stage_par);
   let tables_seq = wall_all_tables ~jobs:1 ~names:table_names ~sim_cycles in
@@ -814,9 +788,6 @@ let run_eval_json ~scaling kernels =
         ( "deadline_overhead_ratio",
           "g/resilience/classic_deadline",
           "g/ablation/classic_retiming" );
-        ( "verify_overhead_ratio",
-          "g/resilience/solve_verify",
-          "g/resilience/solve_noverify" );
         ( "fallback_overhead_ratio",
           "g/resilience/fallback_timeout",
           "g/resilience/solve_verify" );
@@ -829,7 +800,7 @@ let run_eval_json ~scaling kernels =
   let jobs_curve = run_jobs_curve ~table_names ~sim_cycles in
   Printf.printf "\n== ECO: cold solve vs edit-and-resolve ==\n%!";
   let eco =
-    eco_json (eco_measure ~gates:25_000 ~n_batches:4 ~edits_per_batch:3)
+    eco_json (eco_measure ~gates:eco_gates ~n_batches:4 ~edits_per_batch:3)
   in
   write_bench_eval ~eco ~kernels ~resilience ~par_jobs ~stage_names
     ~table_names ~sim_cycles ~stage_seq ~stage_par ~tables_seq ~tables_par
@@ -924,26 +895,18 @@ let run_smoke () =
    bench/smoke_floor.json (scale_total_max_s for FEAS,
    grar_scale_max_s for the G-RAR row) — so neither the million-gate
    FEAS path nor the G-RAR hot paths (stage classification, pooled LP
-   prep, the closure max flow) can silently regress. Schema
-   rar-bench-scale/2: rows carry a "counters" object with the
-   solver-effort counters. *)
+   prep, the closure max flow) can silently regress. Both rows use
+   [scale_smoke_gates], which the gate requires to equal scale_gates
+   and grar_scale_gates there. Schema rar-bench-scale/2: rows carry a
+   "counters" object with the solver-effort counters. *)
+let scale_smoke_gates = 100_000
+
 let run_scale_smoke () =
-  let gates =
-    match Sys.getenv_opt "RAR_BENCH_SCALE" with
-    | Some s -> ( match int_of_string_opt s with Some g -> g | None -> 100_000)
-    | None -> 100_000
-  in
-  let grar_gates =
-    match Sys.getenv_opt "RAR_BENCH_SCALE_GRAR" with
-    | Some s -> ( match int_of_string_opt s with Some g -> g | None -> 100_000)
-    | None -> 100_000
-  in
+  let gates = scale_smoke_gates in
   Printf.printf "== Scale smoke (%d gates classic FEAS, %d gates G-RAR) ==\n%!"
-    gates grar_gates;
+    gates gates;
   let feas_entry, feas_s = time_wall (fun () -> scale_classic_feas ~gates) in
-  let grar_entry, grar_s =
-    time_wall (fun () -> scale_grar ~gates:grar_gates)
-  in
+  let grar_entry, grar_s = time_wall (fun () -> scale_grar ~gates) in
   let total_s = feas_s +. grar_s in
   let path = "BENCH_scale.json" in
   let oc = open_out path in
@@ -964,20 +927,14 @@ let run_scale_smoke () =
   close_out oc;
   Printf.printf "\nwrote %s (%.1fs total)\n%!" path total_s
 
-(* RAR_BENCH_ECO_SMOKE=1: the gated edit-and-resolve measurement on a
-   25k-gate generated circuit, written to BENCH_eco.json. CI requires
-   speedup >= eco_speedup_min_ratio (bench/smoke_floor.json) and identical =
-   true: a steady-state session resolve must beat the cold
-   stage-analysis + LP-solve pipeline by the floor ratio while
-   producing the same verified outcome. RAR_BENCH_ECO_GATES overrides
-   the size for local iteration. *)
+(* RAR_BENCH_ECO_SMOKE=1: the gated edit-and-resolve measurement on an
+   [eco_gates]-gate generated circuit, written to BENCH_eco.json. CI
+   requires speedup >= eco_speedup_min_ratio (bench/smoke_floor.json)
+   and identical = true: a steady-state session resolve must beat the
+   cold stage-analysis + LP-solve pipeline by the floor ratio while
+   producing the same verified outcome. *)
 let run_eco_smoke () =
-  let gates =
-    match Sys.getenv_opt "RAR_BENCH_ECO_GATES" with
-    | Some s -> (
-      match int_of_string_opt s with Some g when g > 0 -> g | _ -> 25_000)
-    | None -> 25_000
-  in
+  let gates = eco_gates in
   Printf.printf "== ECO smoke (%d gates, grar edit-and-resolve) ==\n%!" gates;
   let st, total_s =
     time_wall (fun () -> eco_measure ~gates ~n_batches:4 ~edits_per_batch:3)
@@ -1043,9 +1000,7 @@ let run_resynth_ablation () =
     rs.Rar_retime.Resynth.gates_decomposed rs.Rar_retime.Resynth.gates_added;
   let show tag n =
     let p = Suite.prepare ~lib n in
-    match
-      Stage.make ~lib ~clocking:p.Suite.clocking p.Suite.cc
-    with
+    match Engine.stage_of p with
     | Error e -> Printf.printf "  %s: %s\n" tag (Rar_retime.Error.to_string e)
     | Ok st -> (
       match Grar.run_on_stage ~c:1.0 st with

@@ -175,6 +175,36 @@ let make_deadline =
 
 let ctx ?solver names sim_cycles = Report.create ?names ~sim_cycles ?solver ()
 
+(* The positional CIRCUIT argument: wrap it in [Arg.required], or in
+   [Arg.value] where a flag can stand in for it. *)
+let circuit_arg ?(doc = "Benchmark name.") () =
+  Arg.(pos 0 (some string) None & info [] ~docv:"CIRCUIT" ~doc)
+
+(* [CIRCUIT | --bench FILE]: a suite benchmark, or a ".bench" netlist
+   parsed from FILE; paired with its name or path for messages. *)
+type circuit = Suite_circuit of Suite.prepared | Bench_file of Netlist.t
+
+let load_circuit name bench =
+  match (bench, name) with
+  | Some file, _ -> (
+    match Bench_io.parse_file_diag file with
+    | Error d -> Error (Rar_util.Diag.to_string d)
+    | Ok net -> Ok (file, Bench_file net))
+  | None, Some name ->
+    Result.map (fun p -> (name, Suite_circuit p)) (Suite.load name)
+  | None, None -> Error "give a CIRCUIT name or --bench FILE"
+
+let write_file path text =
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc
+
+(* [--out FILE] or, without it, stdout. *)
+let write_out out text =
+  match out with
+  | Some path -> write_file path text
+  | None -> print_string text
+
 (* --- rar table ----------------------------------------------------- *)
 
 let table_cmd =
@@ -229,12 +259,7 @@ let all_cmd =
              tables)
     in
     print_string text;
-    (match out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc
-    | None -> ());
+    Option.iter (fun path -> write_file path text) out;
     `Ok ()
   in
   Cmd.v
@@ -248,9 +273,7 @@ let all_cmd =
 
 let info_cmd =
   let name_arg =
-    Arg.(
-      value & pos 0 (some string) None
-      & info [] ~docv:"CIRCUIT" ~doc:"Benchmark to describe in detail.")
+    Arg.value (circuit_arg ~doc:"Benchmark to describe in detail." ())
   in
   let run verbose jobs name =
     setup verbose jobs;
@@ -271,9 +294,7 @@ let info_cmd =
         Format.printf "clocking: %a@." Clocking.pp p.Suite.clocking;
         Format.printf "%a@." Clocking.pp_diagram p.Suite.clocking;
         Printf.printf "NCE (initial latch design): %d\n" p.Suite.nce;
-        (match
-           Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking p.Suite.cc
-         with
+        (match Engine.stage_of p with
         | Ok st -> Format.printf "%a@." Stage.pp_summary st
         | Error e -> Printf.printf "stage: %s\n" (Error.to_string e));
         `Ok ())
@@ -293,11 +314,7 @@ let pp_outcome name approach c (o : Outcome.t) runtime =
     o.Outcome.total_area runtime
 
 let run_cmd =
-  let name_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"CIRCUIT" ~doc:"Benchmark name.")
-  in
+  let name_arg = Arg.required (circuit_arg ()) in
   let trace_arg =
     Arg.(
       value
@@ -402,11 +419,12 @@ let bench_cmd =
           Printf.printf "%s: P=%.3f ns, %d flops, NCE=%d, flop area=%.2f\n"
             (Netlist.name net) p.Suite.p p.Suite.n_flops p.Suite.nce
             p.Suite.flop_area;
+        let stage = Engine.stage_of p in
         let results =
           List.map
             (fun spec ->
               let cfg = Engine.config ?solver ~c spec in
-              (spec, cfg, Engine.run_prepared cfg p))
+              (spec, cfg, Result.bind stage (Engine.run cfg)))
             Engine.tabulated
         in
         if format = Report.Json then begin
@@ -449,11 +467,7 @@ let bench_cmd =
 (* --- rar dot ------------------------------------------------------- *)
 
 let dot_cmd =
-  let name_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"CIRCUIT" ~doc:"Benchmark name.")
-  in
+  let name_arg = Arg.required (circuit_arg ()) in
   let out =
     Arg.(
       required & pos 1 (some string) None
@@ -475,11 +489,7 @@ let dot_cmd =
 (* --- rar period ---------------------------------------------------- *)
 
 let period_cmd =
-  let name_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"CIRCUIT" ~doc:"Benchmark name.")
-  in
+  let name_arg = Arg.required (circuit_arg ()) in
   let run verbose jobs name =
     setup verbose jobs;
     match Suite.load name with
@@ -522,11 +532,7 @@ let period_cmd =
 (* --- rar trace ------------------------------------------------------ *)
 
 let trace_cmd =
-  let name_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"CIRCUIT" ~doc:"Benchmark name.")
-  in
+  let name_arg = Arg.required (circuit_arg ()) in
   let out =
     Arg.(
       required & pos 1 (some string) None
@@ -542,27 +548,10 @@ let trace_cmd =
     let t = Report.create ~names:[ name ] () in
     try
       let r = Report.run t name ~spec:Engine.Grar ~c:1.0 in
-      let p = Report.prepared t name in
-      let st = r.Engine.stage in
-      let cc = Stage.cc st in
-      let staged =
-        Transform.apply_retiming cc r.Engine.outcome.Outcome.placements
-      in
-      let design =
-        {
-          Rar_sim.Sim.staged;
-          lib = p.Suite.lib;
-          clocking = p.Suite.clocking;
-          ed_sinks =
-            List.map
-              (fun s ->
-                Rar_sim.Sim.sink_of_comb ~comb:cc.Transform.comb ~staged s)
-              r.Engine.outcome.Outcome.ed_sinks;
-        }
-      in
+      let design = Report.sim_design r.Engine.stage r.Engine.outcome in
       let vcd = Rar_sim.Vcd.create design in
       let rng = Rar_util.Rng.of_string (name ^ "/trace") in
-      let n = Array.length (Rar_netlist.Netlist.inputs staged) in
+      let n = Array.length (Netlist.inputs design.Rar_sim.Sim.staged) in
       let vec () = Array.init n (fun _ -> Rar_util.Rng.bool rng) in
       let prev = ref (vec ()) in
       for _ = 1 to cycles do
@@ -586,10 +575,8 @@ let trace_cmd =
 
 let classic_cmd =
   let name_arg =
-    Arg.(
-      value & pos 0 (some string) None
-      & info [] ~docv:"CIRCUIT"
-          ~doc:"Benchmark name (omit when $(b,--bench) is given).")
+    Arg.value
+      (circuit_arg ~doc:"Benchmark name (omit when $(b,--bench) is given)." ())
   in
   let bench_arg =
     Arg.(
@@ -610,21 +597,14 @@ let classic_cmd =
   in
   let run verbose name bench feas =
     setup_logs verbose;
-    let loaded =
-      match (bench, name) with
-      | Some file, _ -> (
-        match Bench_io.parse_file_diag file with
-        | Error d -> Error (Rar_util.Diag.to_string d)
-        | Ok net -> Ok (file, net, Rar_liberty.Liberty.default ()))
-      | None, Some name -> (
-        match Suite.load name with
-        | Error e -> Error e
-        | Ok p -> Ok (name, p.Suite.flop_netlist, p.Suite.lib))
-      | None, None -> Error "give a CIRCUIT name or --bench FILE"
-    in
-    match loaded with
+    match load_circuit name bench with
     | Error e -> `Error (false, e)
-    | Ok (name, net, lib) -> (
+    | Ok (name, circuit) -> (
+      let net, lib =
+        match circuit with
+        | Bench_file net -> (net, Rar_liberty.Liberty.default ())
+        | Suite_circuit p -> (p.Suite.flop_netlist, p.Suite.lib)
+      in
       try
         let g = Rar_retime.Classic.of_netlist ~host_registers:1 ~lib net in
         let p0 = Rar_retime.Classic.period_of g in
@@ -674,10 +654,8 @@ let classic_cmd =
 
 let eco_cmd =
   let name_arg =
-    Arg.(
-      value & pos 0 (some string) None
-      & info [] ~docv:"CIRCUIT"
-          ~doc:"Benchmark name (omit when $(b,--bench) is given).")
+    Arg.value
+      (circuit_arg ~doc:"Benchmark name (omit when $(b,--bench) is given)." ())
   in
   let bench_arg =
     Arg.(
@@ -734,29 +712,19 @@ let eco_cmd =
       Rar_obs.Metrics.reset ();
       Rar_obs.Metrics.arm ()
     end;
-    let loaded =
-      match (bench, name) with
-      | Some file, _ -> (
-        match Bench_io.parse_file_diag file with
-        | Error d -> Error (Rar_util.Diag.to_string d)
-        | Ok net -> Ok (file, Suite.prepare net))
-      | None, Some name -> (
-        match Suite.load name with
-        | Error e -> Error e
-        | Ok p -> Ok (name, p))
-      | None, None -> Error "give a CIRCUIT name or --bench FILE"
-    in
-    match loaded with
+    match load_circuit name bench with
     | Error e -> `Error (false, e)
-    | Ok (name, p) -> (
+    | Ok (name, circuit) -> (
+      let p =
+        match circuit with
+        | Bench_file net -> Suite.prepare net
+        | Suite_circuit p -> p
+      in
       match Transform.Edit.parse_script (In_channel.with_open_text edits In_channel.input_all) with
       | Error e -> `Error (false, e)
       | Ok batches -> (
         let cfg = Engine.config ~model ?solver ~c approach in
-        match
-          Stage.make ~model ~source:p.Suite.two_phase ~lib:p.Suite.lib
-            ~clocking:p.Suite.clocking p.Suite.cc
-        with
+        match Engine.stage_of ~model p with
         | Error err -> `Error (false, Error.to_string err)
         | Ok stage0 -> (
           match Engine.open_session cfg stage0 with
@@ -807,13 +775,7 @@ let eco_cmd =
                         | None -> !cold_cfg
                         | Some c -> { !cold_cfg with Engine.c }
                       in
-                      match
-                        Stage.make ~model ~source:p.Suite.two_phase
-                          ~annot:applied.Transform.Edit.annot ~lib:p.Suite.lib
-                          ~clocking:p.Suite.clocking
-                          { p.Suite.cc with
-                            Transform.comb = applied.Transform.Edit.net }
-                      with
+                      match Engine.stage_of ~model ~edits:applied p with
                       | Error err ->
                         failure :=
                           Some
@@ -950,12 +912,12 @@ let serve_cmd =
 
 let convert_cmd =
   let name_arg =
-    Arg.(
-      value & pos 0 (some string) None
-      & info [] ~docv:"CIRCUIT"
-          ~doc:
-            "Suite benchmark whose edge-triggered form is converted (omit \
-             when $(b,--bench) or $(b,--verilog) is given).")
+    Arg.value
+      (circuit_arg
+         ~doc:
+           "Suite benchmark whose edge-triggered form is converted (omit \
+            when $(b,--bench) or $(b,--verilog) is given)."
+         ())
   in
   let bench_arg =
     Arg.(
@@ -1020,18 +982,19 @@ let convert_cmd =
     | Error e -> `Error (false, e)
     | Ok scheme -> (
       let loaded =
-        match (bench, verilog, name) with
+        match (verilog, bench, name) with
+        | Some _, Some _, _ -> Error "give only one of --bench and --verilog"
         | Some file, None, _ ->
           Result.map_error Rar_util.Diag.to_string
-            (Bench_io.parse_file_diag file)
-        | None, Some file, _ ->
-          Result.map_error Rar_util.Diag.to_string
             (Rar_netlist.Verilog_io.parse_file_diag file)
-        | Some _, Some _, _ -> Error "give only one of --bench and --verilog"
-        | None, None, Some name ->
-          Result.map (fun p -> p.Suite.flop_netlist) (Suite.load name)
         | None, None, None ->
           Error "give a CIRCUIT name, --bench FILE or --verilog FILE"
+        | None, _, _ ->
+          Result.map
+            (function
+              | _, Bench_file net -> net
+              | _, Suite_circuit p -> p.Suite.flop_netlist)
+            (load_circuit name bench)
       in
       match loaded with
       | Error e -> `Error (false, e)
@@ -1060,12 +1023,7 @@ let convert_cmd =
               | `Bench -> Bench_io.print converted
               | `Verilog -> Rar_netlist.Verilog_io.print converted
             in
-            (match out with
-            | Some path ->
-              let oc = open_out path in
-              output_string oc text;
-              close_out oc
-            | None -> print_string text);
+            write_out out text;
             say "converted %s: %s"
               (Netlist.name net)
               (Format.asprintf "%a" Rar_netlist.Convert.pp_stats stats);
@@ -1254,13 +1212,8 @@ let lib_cmd =
   let run verbose out =
     setup_logs verbose;
     let text = Rar_liberty.Liberty_io.print (Rar_liberty.Liberty.default ()) in
-    (match out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-    | None -> print_string text);
+    write_out out text;
+    Option.iter (Printf.printf "wrote %s\n") out;
     `Ok ()
   in
   Cmd.v
@@ -1274,11 +1227,7 @@ let lib_cmd =
 (* --- rar timing ----------------------------------------------------- *)
 
 let timing_cmd =
-  let name_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"CIRCUIT" ~doc:"Benchmark name.")
-  in
+  let name_arg = Arg.required (circuit_arg ()) in
   let count =
     Arg.(
       value & opt int 3
@@ -1316,11 +1265,7 @@ let timing_cmd =
 (* --- rar sweep ------------------------------------------------------ *)
 
 let sweep_cmd =
-  let name_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"CIRCUIT" ~doc:"Benchmark name.")
-  in
+  let name_arg = Arg.required (circuit_arg ()) in
   let out =
     Arg.(
       value & opt (some string) None
@@ -1366,13 +1311,8 @@ let sweep_cmd =
         | Report.Csv -> Row.render_csv table
         | Report.Json -> Row.render_json table ^ "\n"
       in
-      (match out with
-      | Some path ->
-        let oc = open_out path in
-        output_string oc rendered;
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-      | None -> print_string rendered);
+      write_out out rendered;
+      Option.iter (Printf.printf "wrote %s\n") out;
       `Ok ()
     with Report.Engine_failed { what; err } ->
       `Error (false, Printf.sprintf "%s: %s" what (Error.to_string err))

@@ -5,25 +5,10 @@
    Run with:  dune exec examples/error_rate_demo.exe [circuit] [cycles] *)
 
 module Suite = Rar_circuits.Suite
-module Stage = Rar_retime.Stage
 module Grar = Rar_retime.Grar
 module Base = Rar_retime.Base_retiming
 module Outcome = Rar_retime.Outcome
 module Sim = Rar_sim.Sim
-module Transform = Rar_netlist.Transform
-
-let design p (stage : Stage.t) (o : Outcome.t) =
-  let cc = Stage.cc stage in
-  let staged = Transform.apply_retiming cc o.Outcome.placements in
-  {
-    Sim.staged;
-    lib = p.Suite.lib;
-    clocking = p.Suite.clocking;
-    ed_sinks =
-      List.map
-        (fun s -> Sim.sink_of_comb ~comb:cc.Transform.comb ~staged s)
-        o.Outcome.ed_sinks;
-  }
 
 let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "s1423" in
@@ -32,13 +17,13 @@ let () =
   in
   let p = match Suite.load name with Ok p -> p | Error e -> failwith e in
   let stage =
-    match Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking p.Suite.cc with
+    match Rar_engine.stage_of p with
     | Ok s -> s
     | Error e -> failwith (Rar_retime.Error.to_string e)
   in
   Printf.printf "%s: %d random vector pairs per design\n\n" name cycles;
   let show tag stage' o =
-    let d = design p stage' o in
+    let d = Rar_report.Report.sim_design stage' o in
     let r = Sim.error_rate ~cycles ~seed:(name ^ "/" ^ tag) d in
     Printf.printf
       "%-6s: error rate %6.2f%%  (%d error cycles, %d flags, %d EDL \

@@ -15,7 +15,7 @@ let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "s5378" in
   let p = match Suite.load name with Ok p -> p | Error e -> failwith e in
   let stage =
-    match Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking p.Suite.cc with
+    match Rar_engine.stage_of p with
     | Ok s -> s
     | Error e -> failwith (Rar_retime.Error.to_string e)
   in

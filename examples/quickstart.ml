@@ -21,7 +21,7 @@ let () =
   Format.printf "%a@.@." Clocking.pp_diagram p.Suite.clocking;
   (* 2. Analyse the retiming stage: regions, per-sink classification. *)
   let stage =
-    match Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking p.Suite.cc with
+    match Engine.stage_of p with
     | Ok s -> s
     | Error e -> failwith (Rar_retime.Error.to_string e)
   in

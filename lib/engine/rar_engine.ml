@@ -245,12 +245,22 @@ let run ?deadline ?solve_cache (cfg : config) stage =
                  r.Movable.fixed.Vl.outcome.Outcome.total_area;
              })))
 
-let run_prepared ?deadline (cfg : config) (p : Suite.prepared) =
+let stage_of ?model ?edits (p : Suite.prepared) =
   guard @@ fun () ->
+  let cc, annot =
+    match edits with
+    | None -> (p.Suite.cc, None)
+    | Some (a : Transform.Edit.applied) ->
+      ( { p.Suite.cc with Transform.comb = a.Transform.Edit.net },
+        Some a.Transform.Edit.annot )
+  in
+  Stage.make ?model ~source:p.Suite.two_phase ?annot ~lib:p.Suite.lib
+    ~clocking:p.Suite.clocking cc
+
+let run_prepared ?deadline (cfg : config) (p : Suite.prepared) =
   match
     Rar_obs.Trace.span ("engine/prepare:" ^ name cfg.spec) @@ fun () ->
-    Stage.make ~model:cfg.model ~source:p.Suite.two_phase ~lib:p.Suite.lib
-      ~clocking:p.Suite.clocking p.Suite.cc
+    stage_of ~model:cfg.model p
   with
   | Error _ as e -> e
   | Ok stage -> run ?deadline cfg stage
@@ -286,7 +296,6 @@ let open_session (cfg : config) stage =
   { s_cfg = cfg; s_stage = stage; solve_cache = Difflp.create_cache () }
 
 let session_config s = s.s_cfg
-let session_stage s = s.s_stage
 
 let resolve ?deadline (s : session) edits =
   Rar_obs.Trace.span "engine/resolve" @@ fun () ->

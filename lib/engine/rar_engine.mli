@@ -141,12 +141,21 @@ val run :
     a cache hit skips fault injection and produces no fallback events,
     but the returned solution is byte-identical. *)
 
+val stage_of :
+  ?model:Sta.model ->
+  ?edits:Transform.Edit.applied ->
+  Suite.prepared -> (Stage.t, Error.t) Stdlib.result
+(** The stage analysis of a prepared benchmark, with its two-phase
+    source attached (so every engine, [Movable] included, runs on
+    it), under the same exception guard as {!run}. [model] defaults
+    to path-based. With [?edits] it analyses the edited netlist and
+    its cumulative delay annotations from scratch — the cold
+    reference an ECO {!resolve} must match. *)
+
 val run_prepared :
   ?deadline:Rar_util.Deadline.t ->
   config -> Suite.prepared -> (result, Error.t) Stdlib.result
-(** Build the stage (with its two-phase source attached) from a
-    prepared benchmark, then {!run}. Stage analysis runs under the
-    same exception guard as {!run}. *)
+(** {!stage_of} under the config's model, then {!run}. *)
 
 val load_and_run :
   ?deadline:Rar_util.Deadline.t ->
@@ -170,10 +179,6 @@ val open_session : config -> Stage.t -> session
 
 val session_config : session -> config
 (** Current config ([c] reflects any applied [Set_c] edits). *)
-
-val session_stage : session -> Stage.t
-(** The session's current (pre-sizing) stage analysis — byte-identical
-    to [Stage.make] on the cumulatively edited netlist. *)
 
 val resolve :
   ?deadline:Rar_util.Deadline.t ->

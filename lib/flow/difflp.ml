@@ -30,7 +30,6 @@ let add_objective t v a =
   t.coeff.(v) <- t.coeff.(v) +. a
 
 let iter_constraints t f = Vec.iter (fun c -> f ~u:c.u ~v:c.v ~bound:c.bound) t.cons
-let objective_coeff t v = t.coeff.(v)
 
 type engine = Network_simplex | Ssp | Closure
 
@@ -155,18 +154,15 @@ let closure_instance t ~reference =
    for the flow engines, flow value = cut capacity for closure); a
    solver bug or an injected [badcert] fault is caught there and
    routed to the alternate engine instead of reaching the caller. *)
-let attempt ?deadline ~verify ~faulty t ~reference ~problem eng =
+let attempt ?deadline ~faulty t ~reference ~problem eng =
   let key = fault_key t in
   let certify ok detail =
-    if not verify then Ok ()
-    else begin
-      let ok = if faulty && Faults.flip_certificate ~key then not ok else ok in
-      if ok then Ok ()
-      else
-        Error
-          (Printf.sprintf "%s solution failed the optimality certificate (%s)"
-             (engine_name eng) (Lazy.force detail), false)
-    end
+    let ok = if faulty && Faults.flip_certificate ~key then not ok else ok in
+    if ok then Ok ()
+    else
+      Error
+        (Printf.sprintf "%s solution failed the optimality certificate (%s)"
+           (engine_name eng) (Lazy.force detail), false)
   in
   let flow_result ~flow ~potentials =
     let report = Certificate.check (Lazy.force problem) ~flow ~potentials in
@@ -217,14 +213,14 @@ let secondary = function
   | Network_simplex -> Ssp
   | Ssp | Closure -> Network_simplex
 
-let solve_with ?deadline ?on_fallback ?(verify = true) t ~reference primary =
+let solve_with ?deadline ?on_fallback t ~reference primary =
   if not (balanced t) then
     Error "Difflp.solve: objective coefficients do not sum to zero"
   else begin
     (* Built at most once, and only if a flow engine runs. *)
     let problem = lazy (to_problem t) in
     let run ~faulty eng =
-      attempt ?deadline ~verify ~faulty t ~reference ~problem eng
+      attempt ?deadline ~faulty t ~reference ~problem eng
     in
     match run ~faulty:true primary with
     | Ok r -> Ok r
@@ -282,7 +278,7 @@ let cache_store cache key r =
 let default_engine t ~reference =
   if binary_window t ~reference then Closure else Network_simplex
 
-let solve ?deadline ?on_fallback ?verify ?engine ?cache t ~reference =
+let solve ?deadline ?on_fallback ?engine ?cache t ~reference =
   Rar_obs.Trace.span "difflp/solve" @@ fun () ->
   check_var t reference "solve";
   let engine =
@@ -303,7 +299,7 @@ let solve ?deadline ?on_fallback ?verify ?engine ?cache t ~reference =
     Rar_obs.Metrics.incr m_cache_hits;
     Ok r
   | None -> (
-    match solve_with ?deadline ?on_fallback ?verify t ~reference engine with
+    match solve_with ?deadline ?on_fallback t ~reference engine with
     | Error _ as e -> e
     | Ok r -> (
       match check t r with

@@ -28,7 +28,6 @@ val add_objective : t -> int -> float -> unit
 (** Accumulate a coefficient onto variable [v]. *)
 
 val iter_constraints : t -> (u:int -> v:int -> bound:int -> unit) -> unit
-val objective_coeff : t -> int -> float
 
 type engine = Network_simplex | Ssp | Closure
 
@@ -62,7 +61,6 @@ val default_engine : t -> reference:int -> engine
 val solve :
   ?deadline:Rar_util.Deadline.t ->
   ?on_fallback:(fallback_event -> unit) ->
-  ?verify:bool ->
   ?engine:engine ->
   ?cache:cache -> t -> reference:int -> (int array, string) result
 (** Optimal [r] with [r(reference) = 0]. An explicit [?engine] is
@@ -74,7 +72,7 @@ val solve :
     max flow), which does not depend on the max-flow algorithm.
 
     Every accepted solution is checked against its engine's
-    certificate unless [~verify:false]: LP duality
+    certificate: LP duality
     ({!Certificate.is_optimal}) for the flow engines, a feasible flow
     whose value equals the returned cut's capacity
     ({!Maxflow.certify}) for closure. On a retryable solver error or a

@@ -6,14 +6,11 @@ type t = {
   n : int;
   arcs : arc Vec.t;
   demands : float array;
-  mutable adj_out : int array array option;
-  mutable adj_in : int array array option;
 }
 
 let create ~n =
   if n <= 0 then invalid_arg "Problem.create: n <= 0";
-  { n; arcs = Vec.create (); demands = Array.make n 0.; adj_out = None;
-    adj_in = None }
+  { n; arcs = Vec.create (); demands = Array.make n 0. }
 
 let node_count t = t.n
 let arc_count t = Vec.length t.arcs
@@ -26,8 +23,6 @@ let add_arc t ~src ~dst ~cost =
   check_node t src "add_arc";
   check_node t dst "add_arc";
   if src = dst then invalid_arg "Problem.add_arc: self-loop";
-  if t.adj_out <> None || t.adj_in <> None then
-    invalid_arg "Problem.add_arc: adjacency already built";
   let id = Vec.length t.arcs in
   Vec.add_last t.arcs { src; dst; cost };
   id
@@ -44,32 +39,3 @@ let demand t v =
   t.demands.(v)
 
 let total_demand t = Array.fold_left ( +. ) 0. t.demands
-
-let build_adj t select =
-  let count = Array.make t.n 0 in
-  Vec.iter (fun a -> count.(select a) <- count.(select a) + 1) t.arcs;
-  let adj = Array.map (fun c -> Array.make c 0) count in
-  let cursor = Array.make t.n 0 in
-  Vec.iteri
-    (fun i a ->
-      let v = select a in
-      adj.(v).(cursor.(v)) <- i;
-      cursor.(v) <- cursor.(v) + 1)
-    t.arcs;
-  adj
-
-let out_arcs t =
-  match t.adj_out with
-  | Some a -> a
-  | None ->
-    let a = build_adj t (fun arc -> arc.src) in
-    t.adj_out <- Some a;
-    a
-
-let in_arcs t =
-  match t.adj_in with
-  | Some a -> a
-  | None ->
-    let a = build_adj t (fun arc -> arc.dst) in
-    t.adj_in <- Some a;
-    a

@@ -33,9 +33,3 @@ val demand : t -> int -> float
 
 val total_demand : t -> float
 (** Must be ~0 for the problem to be feasible; solvers check this. *)
-
-val out_arcs : t -> int array array
-(** Adjacency (arc ids) indexed by source node; built lazily and
-    cached. Do not add arcs after calling. *)
-
-val in_arcs : t -> int array array

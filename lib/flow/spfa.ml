@@ -148,8 +148,3 @@ let from_init ?deadline ~n ~arcs ~init () =
   if Array.length init <> n then invalid_arg "Spfa.from_init: init length";
   Rar_obs.Metrics.incr m_warm;
   run ?deadline ~n ~arcs ~init ()
-
-let from_root ?deadline ~n ~arcs ~root () =
-  let init = Array.make n inf in
-  init.(root) <- 0;
-  run ?deadline ~n ~arcs ~init ()

@@ -29,12 +29,5 @@ val from_init :
     start; the distances themselves may differ and are simply {e some}
     feasible potential assignment. *)
 
-val from_root :
-  ?deadline:Rar_util.Deadline.t ->
-  n:int -> arcs:(int * int * int) array -> root:int -> unit ->
-  (int array, string) result
-(** Single-source variant; unreachable nodes hold [inf]. Errors on a
-    negative cycle reachable from [root]. *)
-
 val inf : int
 (** The unreachable sentinel, [max_int / 2]. *)

@@ -85,8 +85,4 @@ let unateness k pin =
   | Xor | Xnor -> Non_unate
   | Mux2 -> if pin = 2 then Non_unate else Positive
 
-let is_inverting = function
-  | Inv | Nand | Nor | Xnor | Aoi21 | Oai21 -> true
-  | Buf | And | Or | Xor | Mux2 -> false
-
 let pp ppf k = Format.pp_print_string ppf (name k)

@@ -52,9 +52,4 @@ val unateness : t -> int -> unateness
     exist (XOR-like cells and mux select). Used by path-based STA to
     pair rise/fall arrivals with the correct pin-to-pin arcs. *)
 
-val is_inverting : t -> bool
-(** True for the kinds whose output is the complement of the
-    corresponding non-inverting kind ([Inv], [Nand], [Nor], [Xnor],
-    [Aoi21], [Oai21]). *)
-
 val pp : Format.formatter -> t -> unit

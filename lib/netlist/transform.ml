@@ -331,8 +331,6 @@ end
 
 type placement = { after : int; latched : (int * int) list }
 
-let count_slaves placements = List.length placements
-
 let apply_retiming cc placements =
   let net = cc.comb in
   let n = Netlist.node_count net in

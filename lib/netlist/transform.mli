@@ -113,7 +113,3 @@ val apply_retiming : comb_circuit -> placement list -> Netlist.t
     chosen positions — the physical stage used by the error-rate
     simulator. Raises [Invalid_argument] on a placement referencing a
     pin twice or a non-existent edge. *)
-
-val count_slaves : placement list -> int
-(** Number of physical slave latches a placement list realises (one per
-    element). *)

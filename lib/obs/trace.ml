@@ -26,7 +26,6 @@ type event = {
 type buf = { dom : int; mutable seq : int; events : event Vec.t }
 
 let armed = Atomic.make false
-let enabled () = Atomic.get armed
 let arm () = Atomic.set armed true
 let disarm () = Atomic.set armed false
 

@@ -30,7 +30,6 @@ val arm : unit -> unit
     {!clear} first for a fresh trace. *)
 
 val disarm : unit -> unit
-val enabled : unit -> bool
 
 val span : string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f] inside a [name] span. The End event is

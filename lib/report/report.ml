@@ -15,13 +15,6 @@ let overheads = [ ("low", 0.5); ("medium", 1.0); ("high", 2.0) ]
 
 type format = Text | Csv | Json
 
-let format_of_string s =
-  match String.lowercase_ascii s with
-  | "text" -> Some Text
-  | "csv" -> Some Csv
-  | "json" -> Some Json
-  | _ -> None
-
 exception Engine_failed of { what : string; err : Error.t }
 
 (* Candidate-move budget of Table IX's movable-master local search. *)
@@ -89,10 +82,7 @@ let stage t ?(model = Sta.Path_based) name =
   memo t t.stages
     (Printf.sprintf "%s/%s" name (model_tag model))
     (fun () ->
-      let p = prepared t name in
-      ok_or_fail (name ^ " stage")
-        (Stage.make ~model ~source:p.Suite.two_phase ~lib:p.Suite.lib
-           ~clocking:p.Suite.clocking p.Suite.cc))
+      ok_or_fail (name ^ " stage") (Engine.stage_of ~model (prepared t name)))
 
 let config t ?(model = Sta.Path_based) ~c spec =
   Engine.config ~model ?solver:t.solver ~c ~movable_moves spec
@@ -122,8 +112,7 @@ let run t ?model name ~spec ~c =
     (name ^ " " ^ Engine.name spec)
     (run_result t ?model name ~spec ~c)
 
-let sim_design t name st (outcome : Outcome.t) =
-  let p = prepared t name in
+let sim_design st (outcome : Outcome.t) =
   let cc = Stage.cc st in
   let staged = Transform.apply_retiming cc outcome.Outcome.placements in
   let ed_sinks =
@@ -131,7 +120,7 @@ let sim_design t name st (outcome : Outcome.t) =
       (fun s -> Sim.sink_of_comb ~comb:cc.Transform.comb ~staged s)
       outcome.Outcome.ed_sinks
   in
-  { Sim.staged; lib = p.Suite.lib; clocking = p.Suite.clocking; ed_sinks }
+  { Sim.staged; lib = Stage.lib st; clocking = Stage.clocking st; ed_sinks }
 
 let error_rate t name ~spec ~c =
   let tag = Engine.name spec in
@@ -140,7 +129,7 @@ let error_rate t name ~spec ~c =
     (fun () ->
       let r = run t name ~spec ~c in
       Sim.error_rate ~cycles:t.sim_cycles ~seed:(name ^ "/" ^ tag)
-        (sim_design t name r.Engine.stage r.Engine.outcome))
+        (sim_design r.Engine.stage r.Engine.outcome))
 
 (* ------------------------------------------------------------------ *)
 (* Parallel precompute                                                 *)

@@ -20,9 +20,6 @@ val overheads : (string * float) list
 
 type format = Text | Csv | Json
 
-val format_of_string : string -> format option
-(** ["text"] / ["csv"] / ["json"], case-insensitive. *)
-
 exception Engine_failed of { what : string; err : Error.t }
 (** Raised by the raising accessors below when a cached cell cannot be
     computed; {!rows} and {!table} catch it and return a one-line
@@ -69,6 +66,13 @@ val run :
   t -> ?model:Sta.model -> string -> spec:Engine.spec -> c:float ->
   Engine.result
 (** Like {!run_result} but raises {!Engine_failed}. *)
+
+val sim_design : Stage.t -> Outcome.t -> Rar_sim.Sim.design
+(** The simulatable retimed design: the outcome's slave placements
+    realised in the stage's netlist ({!Rar_netlist.Transform.apply_retiming}),
+    its error-detecting masters mapped onto that netlist, under the
+    stage's library and clocking. Pass an engine result's own
+    (post-sizing) stage. *)
 
 val error_rate :
   t -> string -> spec:Engine.spec -> c:float -> Rar_sim.Sim.rate

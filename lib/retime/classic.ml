@@ -447,21 +447,8 @@ let conn_csr g =
   done;
   (m, esrc, edst, ew, head, eidx)
 
-(* Graphs at least this large price their FEAS clock-period waves over
-   the domain pool; the counter tracks eligible sweeps (a size-only
-   criterion, so the metric stays identical at any pool size — the
-   pool itself still degrades to sequential when it has one worker). *)
-let feas_par_nodes = 65_536
-let feas_par_wave = 4_096
-let m_feas_parallel = Rar_obs.Metrics.counter "feas_parallel_sweeps"
-
-let feas ?deadline ?init ?max_iters ?(patience = 100)
-    ?(par_nodes = feas_par_nodes) g ~period =
+let feas ?deadline ?init ?max_iters ?(patience = 100) g ~period =
   Rar_obs.Trace.span "classic/feas" @@ fun () ->
-  (* The wave fan-out threshold scales with the node gate so the
-     [par_nodes] testing seam exercises the pooled path on small
-     graphs; at the default gate it equals [feas_par_wave]. *)
-  let par_wave = Int.max 1 (Int.min feas_par_wave (par_nodes / 16)) in
   let n = g.n and delays = g.delays in
   let m, esrc, edst, ew, head, eidx = conn_csr g in
   let r =
@@ -493,115 +480,25 @@ let feas ?deadline ?init ?max_iters ?(patience = 100)
         incr tail
       end
     done;
+    (* Kahn's drain over the zero-weight retimed edges. *)
     let hd = ref 0 in
-    if n < par_nodes then
-      (* Sequential drain: process-as-you-pop, the classic Kahn loop. *)
-      while !hd < !tail do
-        let x = queue.(!hd) in
-        incr hd;
-        for i = head.(x) to head.(x + 1) - 1 do
-          let e = eidx.(i) in
-          if ew.(e) + r.(edst.(e)) - r.(x) = 0 then begin
-            let y = edst.(e) in
-            let nd = delta.(x) +. delays.(y) in
-            if nd > delta.(y) then delta.(y) <- nd;
-            indeg.(y) <- indeg.(y) - 1;
-            if indeg.(y) = 0 then begin
-              queue.(!tail) <- y;
-              incr tail
-            end
+    while !hd < !tail do
+      let x = queue.(!hd) in
+      incr hd;
+      for i = head.(x) to head.(x + 1) - 1 do
+        let e = eidx.(i) in
+        if ew.(e) + r.(edst.(e)) - r.(x) = 0 then begin
+          let y = edst.(e) in
+          let nd = delta.(x) +. delays.(y) in
+          if nd > delta.(y) then delta.(y) <- nd;
+          indeg.(y) <- indeg.(y) - 1;
+          if indeg.(y) = 0 then begin
+            queue.(!tail) <- y;
+            incr tail
           end
-        done
-      done
-    else begin
-      (* Wave-synchronised drain: the nodes currently in the queue all
-         have their predecessors settled, so their out-edge relaxations
-         are independent — a large wave fans out over the pool, each
-         chunk emitting (dst, candidate-delta) pairs into a private
-         buffer, and the sequential merge applies max/decrement in
-         chunk order. Max-merge and indegree arithmetic are
-         order-independent, so [delta] (and hence [r]) is
-         byte-identical at any pool size; only the queue's internal
-         order can differ, and it is never observable. *)
-      Rar_obs.Metrics.incr m_feas_parallel;
-      let relax_seq x =
-        for i = head.(x) to head.(x + 1) - 1 do
-          let e = eidx.(i) in
-          if ew.(e) + r.(edst.(e)) - r.(x) = 0 then begin
-            let y = edst.(e) in
-            let nd = delta.(x) +. delays.(y) in
-            if nd > delta.(y) then delta.(y) <- nd;
-            indeg.(y) <- indeg.(y) - 1;
-            if indeg.(y) = 0 then begin
-              queue.(!tail) <- y;
-              incr tail
-            end
-          end
-        done
-      in
-      let scan_chunk (clo, chi) =
-        let cap = ref 256 in
-        let ys = ref (Array.make !cap 0) in
-        let nds = ref (Array.make !cap 0.) in
-        let len = ref 0 in
-        for qi = clo to chi - 1 do
-          let x = queue.(qi) in
-          for i = head.(x) to head.(x + 1) - 1 do
-            let e = eidx.(i) in
-            if ew.(e) + r.(edst.(e)) - r.(x) = 0 then begin
-              if !len = !cap then begin
-                let cap' = 2 * !cap in
-                let ys' = Array.make cap' 0 in
-                let nds' = Array.make cap' 0. in
-                Array.blit !ys 0 ys' 0 !len;
-                Array.blit !nds 0 nds' 0 !len;
-                ys := ys';
-                nds := nds';
-                cap := cap'
-              end;
-              let y = edst.(e) in
-              !ys.(!len) <- y;
-              !nds.(!len) <- delta.(x) +. delays.(y);
-              incr len
-            end
-          done
-        done;
-        (!ys, !nds, !len)
-      in
-      while !hd < !tail do
-        let lo = !hd and hi = !tail in
-        hd := hi;
-        if hi - lo < par_wave then
-          for qi = lo to hi - 1 do
-            relax_seq queue.(qi)
-          done
-        else begin
-          let jobs = Rar_util.Pool.effective_jobs () in
-          let chunk =
-            Int.max par_wave ((hi - lo + (jobs * 4) - 1) / (jobs * 4))
-          in
-          let nchunks = (hi - lo + chunk - 1) / chunk in
-          let chunks =
-            Array.init nchunks (fun c ->
-                (lo + (c * chunk), Int.min hi (lo + ((c + 1) * chunk))))
-          in
-          let buffers = Rar_util.Pool.map chunks scan_chunk in
-          Array.iter
-            (fun (ys, nds, len) ->
-              for k = 0 to len - 1 do
-                let y = ys.(k) in
-                let nd = nds.(k) in
-                if nd > delta.(y) then delta.(y) <- nd;
-                indeg.(y) <- indeg.(y) - 1;
-                if indeg.(y) = 0 then begin
-                  queue.(!tail) <- y;
-                  incr tail
-                end
-              done)
-            buffers
         end
       done
-    end;
+    done;
     if !hd < n then
       invalid_arg "Classic.feas: zero-weight cycle under retiming";
     let worst = ref 0. in

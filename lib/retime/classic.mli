@@ -97,7 +97,6 @@ val feas :
   ?init:int array ->
   ?max_iters:int ->
   ?patience:int ->
-  ?par_nodes:int ->
   graph -> period:float -> (int array * float) option
 (** Leiserson–Saxe Algorithm FEAS: a legal retiming meeting [period],
     or [None] if none was reached. Each sweep is an O(V + E)
@@ -113,11 +112,7 @@ val feas :
     Returns [(r, achieved)] with [r] normalised to [r(host) = 0] and
     [achieved] the clock period of the retimed graph (can undershoot
     [period]). Needs no W/D matrices — O(V) memory beyond the graph.
-    [par_nodes] (default 65536) is the node count at which the
-    clock-period passes switch to wave-synchronised pool fan-out; the
-    result is byte-identical on either path and at any pool size, so
-    the knob exists only to let tests force the parallel path on small
-    graphs. [?deadline] phase is ["feas"]. *)
+    [?deadline] phase is ["feas"]. *)
 
 val min_period_feas :
   ?deadline:Rar_util.Deadline.t ->

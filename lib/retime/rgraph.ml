@@ -8,15 +8,12 @@ type t = {
   host : int;
   var_of : int array;      (* comb node -> variable *)
   p_sinks : (int * int) list;
-  constant : float;
   edges : (int * int * int * float) list; (* (xu, xv, w, beta) *)
 }
 
 let lp t = t.lp
 let host t = t.host
-let var_of_node t v = t.var_of.(v)
 let p_vars t = t.p_sinks
-let latch_constant t = t.constant
 
 let m_endpoints_pruned = Rar_obs.Metrics.counter "endpoints_pruned"
 
@@ -77,7 +74,6 @@ let build ?edl_overhead ?(forbidden_edges = []) ?(bias_early = false) stage =
       (ps, List.rev !canon)
   in
   let lp = Difflp.create ~n:!next in
-  let constant = ref 0. in
   let edges = ref [] in
   (* An edge of the retiming graph: from variable [xu] to variable [xv],
      weight [w], breadth [beta]. *)
@@ -86,7 +82,6 @@ let build ?edl_overhead ?(forbidden_edges = []) ?(bias_early = false) stage =
     if beta <> 0. then begin
       Difflp.add_objective lp xv beta;
       Difflp.add_objective lp xu (-.beta);
-      constant := !constant +. (beta *. float_of_int w);
       edges := (xu, xv, w, beta) :: !edges
     end
   in
@@ -164,7 +159,7 @@ let build ?edl_overhead ?(forbidden_edges = []) ?(bias_early = false) stage =
       Difflp.add_objective lp host w
     done
   end;
-  { stage; lp; host; var_of; p_sinks; constant = !constant; edges = !edges }
+  { stage; lp; host; var_of; p_sinks; edges = !edges }
 
 let solve ?deadline ?on_fallback ?engine ?cache t =
   match
@@ -178,8 +173,6 @@ let modelled_latch_count t r =
     (fun acc (xu, xv, w, beta) ->
       acc +. (beta *. float_of_int (w + r.(xv) - r.(xu))))
     0. t.edges
-
-let r_of_node t r v = r.(t.var_of.(v))
 
 let placements_of t r =
   let net = Stage.comb t.stage in
@@ -219,8 +212,6 @@ let placements_of t r =
     | Netlist.Seq _ -> ()
   done;
   !placements
-
-let count_latches _t placements = List.length placements
 
 let check_legal t placements =
   let net = Stage.comb t.stage in

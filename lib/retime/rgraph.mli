@@ -46,7 +46,6 @@ val build :
 
 val lp : t -> Difflp.t
 val host : t -> int
-val var_of_node : t -> int -> int
 val p_vars : t -> (int * int) list
 (** [(sink, var)] pairs for the resilient pseudo vertices, in sink
     order. Target sinks with identical cut sets share one canonical
@@ -54,10 +53,6 @@ val p_vars : t -> (int * int) list
     new constraint, and the shared [P] takes the same optimal value
     each private copy would), so the same [var] may appear for several
     sinks; per-sink reads like [r.(var) = -1] are unaffected. *)
-
-val latch_constant : t -> float
-(** The constant term dropped from the objective ([sum beta * w] over
-    all edges). *)
 
 val modelled_latch_count : t -> int array -> float
 (** The Leiserson–Saxe shared latch count of a solution,
@@ -77,17 +72,11 @@ val solve :
     [?cache] is the ECO solve cache ({!Difflp.cache}): identical LP
     instances replay their stored solution without touching a solver. *)
 
-val r_of_node : t -> int array -> int -> int
-(** Retiming value of a comb node under a solution. *)
-
 val placements_of : t -> int array -> Transform.placement list
 (** Decode a solution into physical slave placements: a source with
     [r = 0] keeps its initial slave; any node with [r = -1] grows one
     shared slave covering exactly the fanout pins whose head has
     [r = 0]. *)
-
-val count_latches : t -> Transform.placement list -> int
-(** Physical slave count of a placement list (= list length). *)
 
 val check_legal :
   t -> Transform.placement list -> (unit, Error.t) result

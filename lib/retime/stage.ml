@@ -35,19 +35,13 @@ type t = {
   sta : Sta.t;
   annot : float array option; (* ECO delay annotations baked into sta *)
   regions : region array;
-  classes : (int * sink_class) list; (* per sink node id *)
-  class_tbl : (int, sink_class) Hashtbl.t;
-    (* same mapping as [classes]; O(1) lookup for the per-sink hot
-       paths (Rgraph.build probes every sink, which on the list was
-       O(sinks^2) per build) *)
   initial_arr : Liberty.arc array;   (* un-retimed arrivals *)
-  max_paths : (int, float) Hashtbl.t;
   illegal : (int * int) list;        (* edges that can never hold a slave *)
-  window : (int, (int * int) list) Hashtbl.t;
-    (* per Target sink: edges whose A exceeds the period *)
   per_sink : (int * classified) array;
-    (* raw classification results, in sink order — the cache
-       {!patch} reuses for sinks outside an edit's affected cone *)
+    (* every sink's classification, in sink order — read by the
+       accessors below and reused by {!patch} for sinks outside an
+       edit's affected cone *)
+  slot : int array; (* node id -> index into [per_sink], -1 off sinks *)
 }
 
 let cc t = t.cc
@@ -62,10 +56,14 @@ let region t v = t.regions.(v)
 let sinks t = Netlist.outputs (comb t)
 let slave_latch t = Liberty.latch t.lib
 
-let classify t s =
-  match Hashtbl.find_opt t.class_tbl s with
-  | Some c -> c
-  | None -> invalid_arg "Stage.classify: not a sink node"
+(* The classification record of sink [s]; [fn] names the accessor in
+   the [Invalid_argument] a non-sink raises. *)
+let entry fn t s =
+  if s < 0 || s >= Array.length t.slot || t.slot.(s) < 0 then
+    invalid_arg (fn ^ ": not a sink node")
+  else snd t.per_sink.(t.slot.(s))
+
+let classify t s = (entry "Stage.classify" t s).cls
 
 let illegal_edges t = t.illegal
 
@@ -77,13 +75,6 @@ let a_value t ~db ~u ~v =
 
 let initial_arrival t s = Liberty.arc_max t.initial_arr.(s)
 
-let near_critical_endpoints t =
-  let period = Clocking.period t.clocking in
-  Array.fold_right
-    (fun s acc ->
-      if Sta.arrival_at_sink t.sta s > period then s :: acc else acc)
-    (sinks t) []
-
 let near_critical_initial t =
   let period = Clocking.period t.clocking in
   Array.fold_right
@@ -91,21 +82,13 @@ let near_critical_initial t =
     (sinks t) []
 
 let window_edges t s =
-  match Hashtbl.find_opt t.window s with
-  | Some edges -> edges
-  | None -> (
-    match classify t s with
-    | Never_ed -> []
-    | Always_ed ->
-      invalid_arg "Stage.window_edges: always-error-detecting sink"
-    | Target _ ->
-      (* Targets are populated eagerly at construction. *)
-      [])
+  let r = entry "Stage.window_edges" t s in
+  match r.cls with
+  | Target _ -> r.win
+  | Never_ed -> []
+  | Always_ed -> invalid_arg "Stage.window_edges: always-error-detecting sink"
 
-let max_path t s =
-  match Hashtbl.find_opt t.max_paths s with
-  | Some p -> p
-  | None -> invalid_arg "Stage.max_path: not a sink node"
+let max_path t s = (entry "Stage.max_path" t s).mp
 
 let fanout_groups t =
   let net = comb t in
@@ -348,9 +331,9 @@ let classify_sinks ~sta_an ~clocking ~latch sinks =
     (fun sc s -> (s, classify_sink ~sta_an ~clocking ~latch ~launchable sc s))
 
 (* Shared back half of {!make} and {!patch}: reject untimeable sinks,
-   merge per-sink classification results sequentially in sink order
-   (so the resulting tables and lists are identical for every pool
-   size — and identical between a cold make and a patch), promote
+   index the per-sink results and merge their illegal edges
+   sequentially in sink order (so the edge list is identical for every
+   pool size — and identical between a cold make and a patch), promote
    illegal-edge sources and compute the initial arrivals. *)
 let finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~latch ~regions
     ~classified =
@@ -369,28 +352,18 @@ let finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~latch ~regions
   | Some s ->
     Error (Error.Untimeable_sink { sink = Netlist.node_name net s; limit })
   | None ->
-    let max_paths = Hashtbl.create 64 in
     let illegal_tbl = Hashtbl.create 64 in
-    let window_tbl = Hashtbl.create 64 in
-    let classes =
-      Array.to_list
-        (Array.map
-           (fun (s, r) ->
-             Hashtbl.replace max_paths s r.mp;
-             List.iter (fun e -> Hashtbl.replace illegal_tbl e ()) r.ill;
-             (match r.cls with
-             | Target _ -> Hashtbl.replace window_tbl s r.win
-             | Never_ed | Always_ed -> ());
-             if r.empty_cut then
-               Log.warn (fun m ->
-                   m "sink %s: retiming-dependent but empty g(t); treating \
-                      as always error-detecting"
-                     (Netlist.node_name net s));
-             (s, r.cls))
-           classified)
-    in
-    let class_tbl = Hashtbl.create (Array.length classified * 2) in
-    List.iter (fun (s, c) -> Hashtbl.replace class_tbl s c) classes;
+    let slot = Array.make (Netlist.node_count net) (-1) in
+    Array.iteri
+      (fun i (s, r) ->
+        slot.(s) <- i;
+        List.iter (fun e -> Hashtbl.replace illegal_tbl e ()) r.ill;
+        if r.empty_cut then
+          Log.warn (fun m ->
+              m "sink %s: retiming-dependent but empty g(t); treating as \
+                 always error-detecting"
+                (Netlist.node_name net s)))
+      classified;
     let illegal = Hashtbl.fold (fun e () acc -> e :: acc) illegal_tbl [] in
     (* A source whose shared initial position covers an illegal edge
        must clear its host latch: promote to V_m. *)
@@ -405,9 +378,8 @@ let finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~latch ~regions
           let u = (Netlist.fanins net v).(pin) in
           Netlist.kind net u = Netlist.Input)
     in
-    Ok { cc; source; lib; clocking; sta = sta_an; annot; regions; classes;
-         class_tbl; initial_arr; max_paths; illegal; window = window_tbl;
-         per_sink = classified }
+    Ok { cc; source; lib; clocking; sta = sta_an; annot; regions;
+         initial_arr; illegal; per_sink = classified; slot }
 
 let make ?(model = Sta.Path_based) ?source ?annot ~lib ~clocking cc =
   let net = cc.Transform.comb in
@@ -477,17 +449,10 @@ let patch t (applied : Transform.Edit.applied) =
            t.per_sink [])
     in
     ignore (Sta.backward_all sta_an : float array);
-    let reclassified = classify_sinks ~sta_an ~clocking ~latch affected in
-    let fresh = Hashtbl.create (Array.length reclassified * 2) in
-    Array.iter (fun (s, r) -> Hashtbl.replace fresh s r) reclassified;
-    let classified =
-      Array.map
-        (fun (s, old) ->
-          match Hashtbl.find_opt fresh s with
-          | Some r -> (s, r)
-          | None -> (s, old))
-        t.per_sink
-    in
+    let classified = Array.copy t.per_sink in
+    Array.iter
+      (fun (s, r) -> classified.(t.slot.(s)) <- (s, r))
+      (classify_sinks ~sta_an ~clocking ~latch affected);
     finish ~cc ~source:t.source ~lib ~clocking ~sta_an ~annot ~latch
       ~regions ~classified
 
@@ -497,13 +462,13 @@ let pp_summary ppf t =
   let n = Netlist.node_count net in
   let ids = Array.init n (fun i -> i) in
   let never, always, target =
-    List.fold_left
-      (fun (nv, aw, tg) (_, c) ->
-        match c with
+    Array.fold_left
+      (fun (nv, aw, tg) (_, r) ->
+        match r.cls with
         | Never_ed -> (nv + 1, aw, tg)
         | Always_ed -> (nv, aw + 1, tg)
         | Target _ -> (nv, aw, tg + 1))
-      (0, 0, 0) t.classes
+      (0, 0, 0) t.per_sink
   in
   Format.fprintf ppf
     "stage %s: |Vm|=%d |Vn|=%d |Vr|=%d sinks: %d never-ed, %d always-ed, %d \

@@ -77,7 +77,8 @@ val region : t -> int -> region
 
 val sinks : t -> int array
 val classify : t -> int -> sink_class
-(** Classification of a sink node. *)
+(** Classification of a sink node; [Invalid_argument] on any other
+    node. *)
 
 val slave_latch : t -> Liberty.seq_cell
 (** The latch cell used for slave timing (the library's normal latch). *)
@@ -102,11 +103,6 @@ val a_value : t -> db:Sta.db -> u:int -> v:int -> float
 val initial_arrival : t -> int -> float
 (** Arrival at a sink with every slave at its initial (source) position
     — the un-retimed two-phase design. *)
-
-val near_critical_endpoints : t -> int list
-(** Sinks whose {e plain} arrival (master launch straight through the
-    logic, i.e. the original flop-based design's timing) exceeds the
-    period. *)
 
 val near_critical_initial : t -> int list
 (** Sinks near-critical in the {e initial} two-phase design (slaves at

@@ -90,10 +90,7 @@ let stage t ~circuit_key ~model (p : Suite.prepared) =
   match Lru.find t.stages key with
   | Some s -> Ok (key, s)
   | None -> (
-    match
-      Stage.make ~model ~source:p.Suite.two_phase ~lib:p.Suite.lib
-        ~clocking:p.Suite.clocking p.Suite.cc
-    with
+    match Engine.stage_of ~model p with
     | Ok s ->
       Lru.put t.stages key s;
       Ok (key, s)

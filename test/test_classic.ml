@@ -419,37 +419,6 @@ let test_sparse_vs_dense_s1423 () =
   let g = Classic.of_netlist ~host_registers:1 ~lib net in
   check_circuit_matches_dense ~lib net "s1423" g
 
-let test_feas_parallel_path_identical () =
-  (* The wave-synchronised pool fan-out (forced through the [par_nodes]
-     testing seam) must return byte-identical retimings to the default
-     sequential drain, at every pool size. *)
-  let spec =
-    { (Option.get (Spec.find "s1196")) with Spec.n_gates = 600; depth = 12 }
-  in
-  let net = Generator.generate spec in
-  let lib = Liberty.default () in
-  let g = Classic.of_netlist ~host_registers:1 ~lib net in
-  let period = Classic.period_of g *. 0.95 in
-  let reference = Classic.feas g ~period in
-  Fun.protect ~finally:(fun () -> Rar_util.Pool.set_jobs 1) @@ fun () ->
-  List.iter
-    (fun jobs ->
-      Rar_util.Pool.set_jobs jobs;
-      let got = Classic.feas ~par_nodes:1 g ~period in
-      match (reference, got) with
-      | Some (r0, a0), Some (r1, a1) ->
-        Alcotest.(check (array int))
-          (Printf.sprintf "r identical at jobs=%d" jobs)
-          r0 r1;
-        Alcotest.(check (float 0.))
-          (Printf.sprintf "achieved identical at jobs=%d" jobs)
-          a0 a1
-      | None, None -> ()
-      | _ ->
-        Alcotest.fail
-          (Printf.sprintf "feasibility verdict differs at jobs=%d" jobs))
-    [ 1; 2; 4 ]
-
 let suite =
   [
     Alcotest.test_case "correlator original period" `Quick test_period_of;
@@ -481,6 +450,4 @@ let suite =
       test_sparse_vs_dense_generated;
     Alcotest.test_case "sparse = dense on full s1423" `Slow
       test_sparse_vs_dense_s1423;
-    Alcotest.test_case "FEAS parallel waves identical across jobs" `Quick
-      test_feas_parallel_path_identical;
   ]

@@ -113,6 +113,29 @@ let strip_json cfg r =
             fields))
   | j -> Json.to_string j
 
+(* Everything a stage analysis exposes, floats as bits, so two
+   analyses compare bitwise. *)
+let stage_fingerprint st =
+  let bits = Int64.bits_of_float in
+  ( Array.init (Netlist.node_count (Stage.comb st)) (Stage.region st),
+    Stage.illegal_edges st,
+    Array.map
+      (fun s ->
+        let cls = Stage.classify st s in
+        ( cls,
+          bits (Stage.max_path st s),
+          bits (Stage.initial_arrival st s),
+          match cls with
+          | Stage.Always_ed -> []
+          | Stage.Never_ed | Stage.Target _ -> Stage.window_edges st s ))
+      (Stage.sinks st) )
+
+let stage_of cfg p =
+  match Engine.stage_of ~model:cfg.Engine.model p with
+  | Ok s -> s
+  | Error e ->
+    Alcotest.failf "stage analysis failed: %s" (Rar_retime.Error.to_string e)
+
 (* Run one edit scenario under the current pool size; returns the
    per-batch transcript (either the stripped JSON of the matching
    results, or a tag recording that both sides failed identically). *)
@@ -120,15 +143,7 @@ let run_scenario seed =
   let p = cached_prepared (seed mod 7) in
   let spec = if seed mod 2 = 0 then Engine.Grar else Engine.Base in
   let cfg = Engine.config spec in
-  let stage0 =
-    match
-      Stage.make ~model:cfg.Engine.model ~source:p.Suite.two_phase
-        ~lib:p.Suite.lib ~clocking:p.Suite.clocking p.Suite.cc
-    with
-    | Ok s -> s
-    | Error e ->
-      Alcotest.failf "stage analysis failed: %s" (Rar_retime.Error.to_string e)
-  in
+  let stage0 = stage_of cfg p in
   let session = Engine.open_session cfg stage0 in
   let rng = Random.State.make [| 0xec0; seed |] in
   let cold_net = ref (Stage.comb stage0) in
@@ -139,7 +154,7 @@ let run_scenario seed =
     let batch = gen_batch rng !cold_net p.Suite.lib in
     let inc = Engine.resolve session batch in
     (* Cold reference: the same edits applied from scratch, full stage
-       re-analysis, fresh engine run. *)
+       re-analysis ([Engine.stage_of ~edits]), fresh engine run. *)
     let cold =
       match
         (try Ok (Edit.apply ?annot:!cold_annot !cold_net batch)
@@ -153,12 +168,7 @@ let run_scenario seed =
           | None -> !cold_cfg
           | Some c -> { !cold_cfg with Engine.c }
         in
-        match
-          Stage.make ~model:cfg'.Engine.model ~source:p.Suite.two_phase
-            ~annot:applied.Edit.annot ~lib:p.Suite.lib
-            ~clocking:p.Suite.clocking
-            { p.Suite.cc with Transform.comb = applied.Edit.net }
-        with
+        match Engine.stage_of ~model:cfg'.Engine.model ~edits:applied p with
         | Error e -> (Error e, None)
         | Ok stage -> (Engine.run cfg' stage, Some (applied, cfg')))
     in
@@ -168,6 +178,10 @@ let run_scenario seed =
         Alcotest.failf "batch %d: outcomes differ" batch_no;
       if not (ri.Engine.extras = rc.Engine.extras) then
         Alcotest.failf "batch %d: extras differ" batch_no;
+      (* the patched analysis (post-sizing, as the engine verified it)
+         is bitwise the from-scratch one *)
+      if stage_fingerprint ri.Engine.stage <> stage_fingerprint rc.Engine.stage
+      then Alcotest.failf "batch %d: stage analyses differ" batch_no;
       let si = strip_json cfg' ri and sc = strip_json cfg' rc in
       if si <> sc then
         Alcotest.failf "batch %d: JSON differs\nincr: %s\ncold: %s" batch_no
@@ -231,61 +245,47 @@ let test_parse_script () =
     | Ok _ -> Alcotest.fail "short resize line should be rejected")
 
 let test_session_rejects_movable () =
-  let p = cached_prepared 0 in
-  match
-    Stage.make ~source:p.Suite.two_phase ~lib:p.Suite.lib
-      ~clocking:p.Suite.clocking p.Suite.cc
-  with
-  | Error e ->
-    Alcotest.failf "stage analysis failed: %s" (Rar_retime.Error.to_string e)
-  | Ok stage -> (
-    match Engine.open_session (Engine.config Engine.Movable) stage with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "open_session should reject the movable engine")
+  let cfg = Engine.config Engine.Movable in
+  match Engine.open_session cfg (stage_of cfg (cached_prepared 0)) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "open_session should reject the movable engine"
 
 let test_resolve_bad_edit_keeps_session () =
   let p = cached_prepared 1 in
   let cfg = Engine.config Engine.Grar in
-  match
-    Stage.make ~model:cfg.Engine.model ~source:p.Suite.two_phase
-      ~lib:p.Suite.lib ~clocking:p.Suite.clocking p.Suite.cc
-  with
+  let session = Engine.open_session cfg (stage_of cfg p) in
+  (match
+     Engine.resolve session [ Edit.Resize { node = "no-such"; drive = 2 } ]
+   with
+  | Error (Rar_retime.Error.Invalid_input _) -> ()
   | Error e ->
-    Alcotest.failf "stage analysis failed: %s" (Rar_retime.Error.to_string e)
-  | Ok stage -> (
-    let session = Engine.open_session cfg stage in
-    (match
-       Engine.resolve session [ Edit.Resize { node = "no-such"; drive = 2 } ]
-     with
-    | Error (Rar_retime.Error.Invalid_input _) -> ()
-    | Error e ->
-      Alcotest.failf "unexpected error: %s" (Rar_retime.Error.to_string e)
-    | Ok _ -> Alcotest.fail "unknown node should be rejected");
-    (* a drive the library lacks must surface as the same typed error,
-       not as an exception from deep inside the incremental STA *)
-    let comb = p.Suite.cc.Transform.comb in
-    let gate =
-      let rec find i =
-        if i >= Netlist.node_count comb then Alcotest.fail "no gate node"
-        else
-          match Netlist.kind comb i with
-          | Netlist.Gate _ -> Netlist.node_name comb i
-          | Netlist.Input | Netlist.Output | Netlist.Seq _ -> find (i + 1)
-      in
-      find 0
+    Alcotest.failf "unexpected error: %s" (Rar_retime.Error.to_string e)
+  | Ok _ -> Alcotest.fail "unknown node should be rejected");
+  (* a drive the library lacks must surface as the same typed error,
+     not as an exception from deep inside the incremental STA *)
+  let comb = p.Suite.cc.Transform.comb in
+  let gate =
+    let rec find i =
+      if i >= Netlist.node_count comb then Alcotest.fail "no gate node"
+      else
+        match Netlist.kind comb i with
+        | Netlist.Gate _ -> Netlist.node_name comb i
+        | Netlist.Input | Netlist.Output | Netlist.Seq _ -> find (i + 1)
     in
-    (match Engine.resolve session [ Edit.Resize { node = gate; drive = 3 } ]
-     with
-    | Error (Rar_retime.Error.Invalid_input _) -> ()
-    | Error e ->
-      Alcotest.failf "unexpected error: %s" (Rar_retime.Error.to_string e)
-    | Ok _ -> Alcotest.fail "unavailable drive should be rejected");
-    (* the failed batch must not have corrupted the session *)
-    match Engine.resolve session [] with
-    | Ok _ -> ()
-    | Error e ->
-      Alcotest.failf "empty resolve after failure: %s"
-        (Rar_retime.Error.to_string e))
+    find 0
+  in
+  (match Engine.resolve session [ Edit.Resize { node = gate; drive = 3 } ]
+   with
+  | Error (Rar_retime.Error.Invalid_input _) -> ()
+  | Error e ->
+    Alcotest.failf "unexpected error: %s" (Rar_retime.Error.to_string e)
+  | Ok _ -> Alcotest.fail "unavailable drive should be rejected");
+  (* the failed batch must not have corrupted the session *)
+  match Engine.resolve session [] with
+  | Ok _ -> ()
+  | Error e ->
+    Alcotest.failf "empty resolve after failure: %s"
+      (Rar_retime.Error.to_string e)
 
 let test_eco_metrics_registered () =
   Rar_obs.Metrics.arm ();
@@ -308,15 +308,7 @@ let test_eco_metrics_registered () =
 let test_concurrent_sessions_match_serial () =
   let p = cached_prepared 4 in
   let cfg = Engine.config Engine.Grar in
-  let stage0 =
-    match
-      Stage.make ~model:cfg.Engine.model ~source:p.Suite.two_phase
-        ~lib:p.Suite.lib ~clocking:p.Suite.clocking p.Suite.cc
-    with
-    | Ok s -> s
-    | Error e ->
-      Alcotest.failf "stage analysis failed: %s" (Rar_retime.Error.to_string e)
-  in
+  let stage0 = stage_of cfg p in
   (* Pre-generate each session's batches against its own evolving
      netlist, so serial and concurrent runs replay identical edits. *)
   let mk_batches seed =

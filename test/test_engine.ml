@@ -172,20 +172,26 @@ let test_config_key_distinguishes () =
     (List.length keys)
     (List.length (List.sort_uniq compare keys))
 
+(* A bare [Stage.make] has no two-phase source, so the movable engine
+   rejects it; [Engine.stage_of] always attaches one. *)
 let test_movable_requires_source () =
   let p = cached_prepared 3 in
-  let st =
-    match
-      Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking p.Suite.cc
-    with
+  let cfg = Engine.config ~movable_moves:1 Engine.Movable in
+  let ok_stage = function
     | Ok st -> st
     | Error e -> Alcotest.fail (Error.to_string e)
   in
-  match Engine.run (Engine.config ~movable_moves:1 Engine.Movable) st with
+  let bare =
+    ok_stage (Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking p.Suite.cc)
+  in
+  (match Engine.run cfg bare with
   | Error (Error.Invalid_input _) -> ()
   | Error e ->
     Alcotest.fail ("expected Invalid_input, got " ^ Error.to_string e)
-  | Ok _ -> Alcotest.fail "movable must reject a stage without its source"
+  | Ok _ -> Alcotest.fail "movable must reject a stage without its source");
+  match Engine.run cfg (ok_stage (Engine.stage_of p)) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("movable on stage_of: " ^ Error.to_string e)
 
 let test_unknown_circuit () =
   match Engine.load_and_run (Engine.config Engine.Base) "nosuch" with
