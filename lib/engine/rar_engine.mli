@@ -169,8 +169,8 @@ type session
 (** Warm state for an edit-and-resolve loop: the incrementally patched
     stage analysis, the current config (updated by [Set_c] edits) and
     an LP solve cache shared across resolves. Single-owner — a session
-    must not be shared between domains (the caches it feeds, the W/D
-    memo and the Difflp cache, are themselves lock-guarded). *)
+    must not be shared between domains (the Difflp cache it feeds is
+    itself lock-guarded). *)
 
 val open_session : config -> Stage.t -> session
 (** Open an ECO session over a prepared stage. Raises

@@ -60,21 +60,34 @@ let check_arity k inputs =
       (Printf.sprintf "Cell_kind.eval: %s cannot take %d inputs" (name k)
          (Array.length inputs))
 
+(* Pin [i] of the gate is [values.(pins.(lo + i))]; nothing allocates. *)
+let rec all_true values pins p hi =
+  p >= hi || (values.(pins.(p)) && all_true values pins (p + 1) hi)
+
+let rec any_true values pins p hi =
+  p < hi && (values.(pins.(p)) || any_true values pins (p + 1) hi)
+
+let rec parity values pins p hi acc =
+  if p >= hi then acc else parity values pins (p + 1) hi (acc <> values.(pins.(p)))
+
+let eval_at k values pins lo hi =
+  match k with
+  | Buf -> values.(pins.(lo))
+  | Inv -> not values.(pins.(lo))
+  | And -> all_true values pins lo hi
+  | Nand -> not (all_true values pins lo hi)
+  | Or -> any_true values pins lo hi
+  | Nor -> not (any_true values pins lo hi)
+  | Xor -> parity values pins lo hi false
+  | Xnor -> parity values pins lo hi true
+  | Aoi21 -> not ((values.(pins.(lo)) && values.(pins.(lo + 1))) || values.(pins.(lo + 2)))
+  | Oai21 -> not ((values.(pins.(lo)) || values.(pins.(lo + 1))) && values.(pins.(lo + 2)))
+  | Mux2 -> if values.(pins.(lo + 2)) then values.(pins.(lo + 1)) else values.(pins.(lo))
+
 let eval k inputs =
   check_arity k inputs;
-  match k with
-  | Buf -> inputs.(0)
-  | Inv -> not inputs.(0)
-  | And -> Array.for_all Fun.id inputs
-  | Nand -> not (Array.for_all Fun.id inputs)
-  | Or -> Array.exists Fun.id inputs
-  | Nor -> not (Array.exists Fun.id inputs)
-  | Xor -> Array.fold_left (fun acc b -> if b then not acc else acc) false inputs
-  | Xnor ->
-    Array.fold_left (fun acc b -> if b then not acc else acc) true inputs
-  | Aoi21 -> not ((inputs.(0) && inputs.(1)) || inputs.(2))
-  | Oai21 -> not ((inputs.(0) || inputs.(1)) && inputs.(2))
-  | Mux2 -> if inputs.(2) then inputs.(1) else inputs.(0)
+  let n = Array.length inputs in
+  eval_at k inputs (Array.init n Fun.id) 0 n
 
 type unateness = Positive | Negative | Non_unate
 

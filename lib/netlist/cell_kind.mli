@@ -43,6 +43,14 @@ val eval : t -> bool array -> bool
 (** [eval k inputs] computes the boolean function. Raises
     [Invalid_argument] on an arity mismatch. *)
 
+val eval_at : t -> bool array -> int array -> int -> int -> bool
+(** [eval_at k values pins lo hi] is [k] applied to the inputs
+    [values.(pins.(lo))], ..., [values.(pins.(hi - 1))] in pin order,
+    without allocating: simulators pass their node values and a flat
+    fanin slice (a [Netlist.Compact] pin range or a node's fanin
+    array). The arity is not checked; {!eval} is this function over
+    [inputs] itself. *)
+
 type unateness = Positive | Negative | Non_unate
 
 val unateness : t -> int -> unateness

@@ -6,7 +6,8 @@
 
     {b Counters} are algorithm-effort totals — [netsimplex_pivots],
     [spfa_relaxations], [ssp_augmentations], [sta_pin_relaxations],
-    [wd_memo_hits]/[wd_memo_misses], [solver_fallbacks]. Kernels
+    [wd_memo_hits]/[wd_memo_misses], [solver_fallbacks], [sim_cycles],
+    [sim_events]. Kernels
     accumulate a local count and publish it once per call, so counter
     totals are deterministic: identical for the same work under any
     [RAR_JOBS] (atomic adds commute, and per-call counts do not depend

@@ -13,7 +13,7 @@
     {!Rar_engine.run} / prepare), [difflp/solve], [solver/*]
     (network-simplex, ssp, spfa, closure), [sta/*] (analyse,
     backward_all), [wd/build], [classic/*] (of_netlist, feas,
-    realize), [pool/batch]. *)
+    realize), [sim/error_rate], [pool/batch]. *)
 
 type phase = Begin | End
 

@@ -8,6 +8,8 @@ module Vl = Rar_vl.Vl
 module Sim = Rar_sim.Sim
 module Sta = Rar_sta.Sta
 module Transform = Rar_netlist.Transform
+module Netlist = Rar_netlist.Netlist
+module Clocking = Rar_sta.Clocking
 module T = Text_table
 module R = Row
 
@@ -28,7 +30,8 @@ type t = {
   prepared_ : (string, Suite.prepared) Hashtbl.t;
   stages : (string, Stage.t) Hashtbl.t;
   results : (string, Engine.result) Hashtbl.t; (* circuit "/" config_key *)
-  rates : (string, Sim.rate) Hashtbl.t;
+  rates : (string, Sim.rate) Hashtbl.t; (* circuit/engine/c *)
+  sims : (string, Sim.rate) Hashtbl.t; (* design key, see [design_key] *)
   rows_ : (int, Row.table) Hashtbl.t;
 }
 
@@ -42,6 +45,7 @@ let create ?(names = Spec.names) ?(sim_cycles = 300) ?solver () =
     stages = Hashtbl.create 32;
     results = Hashtbl.create 256;
     rates = Hashtbl.create 64;
+    sims = Hashtbl.create 64;
     rows_ = Hashtbl.create 16;
   }
 
@@ -122,14 +126,34 @@ let sim_design st (outcome : Outcome.t) =
   in
   { Sim.staged; lib = Stage.lib st; clocking = Stage.clocking st; ed_sinks }
 
+(* Table VIII cells are memoised twice. [rates] is keyed by the cell
+   (circuit/engine/c) and is the cheap hit path. On a miss the cell's
+   design is realised and looked up in [sims], keyed by everything the
+   simulation reads — the seed, the staged netlist's digest, the sorted
+   error-detecting sinks and the clocking (the library and the cycle
+   count are fixed per context) — so cells whose engine returns the same
+   design at every c share one simulation. *)
+let cell_key name spec c = Printf.sprintf "%s/%s/%g" name (Engine.name spec) c
+
+let clocking_key = function
+  | Clocking.Two_phase { phi1; gamma1; phi2; gamma2 } ->
+    Printf.sprintf "2:%h:%h:%h:%h" phi1 gamma1 phi2 gamma2
+  | Clocking.Three_phase { phi; gamma } -> Printf.sprintf "3:%h:%h" phi gamma
+
+let design_key seed (d : Sim.design) =
+  Printf.sprintf "%S %s %s %s" seed
+    (Netlist.digest d.Sim.staged)
+    (String.concat ","
+       (List.map string_of_int (List.sort_uniq compare d.Sim.ed_sinks)))
+    (clocking_key d.Sim.clocking)
+
 let error_rate t name ~spec ~c =
-  let tag = Engine.name spec in
-  memo t t.rates
-    (Printf.sprintf "%s/%s/%g" name tag c)
-    (fun () ->
+  memo t t.rates (cell_key name spec c) (fun () ->
       let r = run t name ~spec ~c in
-      Sim.error_rate ~cycles:t.sim_cycles ~seed:(name ^ "/" ^ tag)
-        (sim_design r.Engine.stage r.Engine.outcome))
+      let seed = name ^ "/" ^ Engine.name spec in
+      let design = sim_design r.Engine.stage r.Engine.outcome in
+      memo t t.sims (design_key seed design) (fun () ->
+          Sim.error_rate ~cycles:t.sim_cycles ~seed design))
 
 (* ------------------------------------------------------------------ *)
 (* Parallel precompute                                                 *)
@@ -167,15 +191,22 @@ let precompute t =
                   Engine.all)
            overheads)
        names);
+  (* Table VIII. A design key starts with its seed (circuit/engine), so
+     only one circuit and engine's cells can share a simulation: one
+     task per pair walks its c values in order, and its first cell of
+     each distinct design simulates it while the others hit [sims]. So
+     each distinct design is simulated once at any job count, and each
+     task holds one realised design at a time. *)
   phase
     (List.concat_map
        (fun name ->
-         List.concat_map
-           (fun (_, c) ->
-             List.map
-               (fun spec () -> ignore (error_rate t name ~spec ~c))
-               Engine.tabulated)
-           overheads)
+         List.map
+           (fun spec () ->
+             List.iter
+               (fun (_, c) ->
+                 try ignore (error_rate t name ~spec ~c) with _ -> ())
+               overheads)
+           Engine.tabulated)
        names)
 
 (* ------------------------------------------------------------------ *)

@@ -76,17 +76,32 @@ val sim_design : Stage.t -> Outcome.t -> Rar_sim.Sim.design
 
 val error_rate :
   t -> string -> spec:Engine.spec -> c:float -> Rar_sim.Sim.rate
-(** Two-phase error-rate simulation of the engine's verified design
-    (seeded by circuit and engine name, so results are stable). *)
+(** Error-rate simulation ({!Rar_sim.Sim.error_rate}, the context's
+    [sim_cycles]) of the engine's verified design, seeded by circuit
+    and engine name, so results are stable.
+
+    Memoised twice. The cell key (circuit, engine, c) is the hit path.
+    On a miss the cell's design is realised ({!sim_design}) and looked
+    up by everything the simulation reads: the seed,
+    {!Rar_netlist.Netlist.digest} of the staged netlist, the sorted
+    error-detecting sinks and the clocking (the library and the cycle
+    count are fixed per context). The seed ignores c, so an engine that
+    returns the same design at every c is simulated once for all three
+    cells. *)
 
 val precompute : t -> unit
 (** Evaluate the whole (circuit x overhead x engine) result grid into
     the context's memo tables through the {!Rar_util.Pool} — phase by
     phase (prepare, stage, engines, error rates) so cells never race to
-    recompute a shared input. {!all_tables} calls this before
-    rendering; results are identical for every pool size, the grid just
-    fills in parallel. Cells that fail are skipped here and re-raise
-    when (and if) a table actually needs them. *)
+    recompute a shared input. Only cells of one circuit and engine can
+    share a design key (the key starts with the seed), so the
+    error-rate phase runs one task per circuit and engine, walking its
+    c values in order: each distinct design is simulated exactly once
+    at any pool size, and a task holds one realised design at a time.
+    {!all_tables} calls this before rendering;
+    results are identical for every pool size, the grid just fills in
+    parallel. Cells that fail are skipped here and re-raise when (and
+    if) a table actually needs them. *)
 
 (** {1 Tables} *)
 

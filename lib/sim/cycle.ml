@@ -29,7 +29,7 @@ let eval_gates net values =
       match Netlist.kind net v with
       | Netlist.Gate { fn; _ } ->
         let fi = Netlist.fanins net v in
-        values.(v) <- Cell_kind.eval fn (Array.map (fun u -> values.(u)) fi)
+        values.(v) <- Cell_kind.eval_at fn values fi 0 (Array.length fi)
       | Netlist.Output -> values.(v) <- values.((Netlist.fanins net v).(0))
       | Netlist.Input | Netlist.Seq _ -> ())
     (Netlist.topo_comb net)
@@ -89,9 +89,7 @@ let run net ~vectors =
               match Netlist.kind net v with
               | Netlist.Gate { fn; _ } ->
                 let fi = Netlist.fanins net v in
-                let x =
-                  Cell_kind.eval fn (Array.map (fun u -> values.(u)) fi)
-                in
+                let x = Cell_kind.eval_at fn values fi 0 (Array.length fi) in
                 if x <> values.(v) then begin
                   values.(v) <- x;
                   changed := true

@@ -4,6 +4,7 @@ module Vec = Rar_util.Vec
 
 type t = {
   design : Sim.design;
+  compiled : Sim.compiled;
   events : (float * int * bool) Vec.t; (* absolute time, node, value *)
   mutable cycles : int;
   initial : (int, bool) Hashtbl.t; (* first-seen value per node *)
@@ -12,6 +13,7 @@ type t = {
 let create design =
   {
     design;
+    compiled = Sim.compile design;
     events = Vec.create ();
     cycles = 0;
     initial = Hashtbl.create 64;
@@ -30,7 +32,7 @@ let record_cycle t ~prev ~next =
       if not (Hashtbl.mem t.initial node) then
         Hashtbl.replace t.initial node (not value);
       Vec.add_last t.events (offset +. time, node, value))
-    t.design ~prev ~next
+    t.compiled ~prev ~next
 
 (* Compact VCD identifier codes: printable ASCII 33..126. *)
 let code_of i =

@@ -10,6 +10,8 @@
 type t
 
 val create : Sim.design -> t
+(** Compiles the design ({!Sim.compile}) once for every cycle the trace
+    records. *)
 
 val record_cycle :
   t -> prev:bool array -> next:bool array -> Sim.cycle_result

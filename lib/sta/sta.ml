@@ -617,9 +617,6 @@ let forward_with_latches t ~clocking ~latch ~latched =
   done;
   Array.init n (fun v -> Liberty.{ rise = arr_r.(v); fall = arr_f.(v) })
 
-let sink_summary t =
-  Array.map (fun s -> (s, arrival_at_sink t s)) (Netlist.outputs t.net)
-
 let near_critical t ~clocking =
   let period = Clocking.period clocking in
   Array.fold_right

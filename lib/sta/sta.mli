@@ -201,9 +201,6 @@ val forward_with_latches :
 
 (** {1 Endpoint reports} *)
 
-val sink_summary : t -> (int * float) array
-(** [(sink node, arrival)] for every [Output] node. *)
-
 val near_critical : t -> clocking:Clocking.t -> int list
 (** Sinks whose arrival falls inside the resiliency window
     [(period, period + phi1]] — the NCE count of Table I. Uses the

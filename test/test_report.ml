@@ -8,6 +8,9 @@ module T = Rar_report.Text_table
 module Json = Rar_util.Json
 module Outcome = Rar_retime.Outcome
 module Engine = Rar_engine
+module Metrics = Rar_obs.Metrics
+module Netlist = Rar_netlist.Netlist
+module Sim = Rar_sim.Sim
 
 let test_text_table () =
   let t = T.create ~headers:[ ("name", T.L); ("x", T.R) ] in
@@ -192,21 +195,44 @@ let test_json_matches_text () =
 let mask_time =
   Row.map_cells (function Row.Time _ -> Row.Time 0. | c -> c)
 
+let grid_names = [ "s1196"; "s1423" ]
+let grid_cycles = 20
+
+(* One context per pool size, precomputed with metrics armed; the
+   counters its precompute published come with it. *)
+let precomputed =
+  let tbl = Hashtbl.create 3 in
+  fun ~jobs ->
+    match Hashtbl.find_opt tbl jobs with
+    | Some v -> v
+    | None ->
+      Rar_util.Pool.set_jobs jobs;
+      let v =
+        Fun.protect
+          ~finally:(fun () ->
+            Metrics.disarm ();
+            Metrics.reset ();
+            Rar_util.Pool.set_jobs 1)
+          (fun () ->
+            let t = Report.create ~names:grid_names ~sim_cycles:grid_cycles () in
+            Metrics.reset ();
+            Metrics.arm ();
+            Report.precompute t;
+            (t, fst (Metrics.snapshot ())))
+      in
+      Hashtbl.replace tbl jobs v;
+      v
+
 let render_all ~jobs =
-  Rar_util.Pool.set_jobs jobs;
-  Fun.protect
-    ~finally:(fun () -> Rar_util.Pool.set_jobs 1)
-    (fun () ->
-      let t = Report.create ~names:[ "s1196"; "s1423" ] ~sim_cycles:20 () in
-      Report.precompute t;
-      List.map
-        (fun n ->
-          match Report.rows t n with
-          | Ok tbl ->
-            let tbl = mask_time tbl in
-            (n, Row.render_text tbl, Row.render_json tbl)
-          | Error e -> (n, e, e))
-        [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ])
+  let t, _ = precomputed ~jobs in
+  List.map
+    (fun n ->
+      match Report.rows t n with
+      | Ok tbl ->
+        let tbl = mask_time tbl in
+        (n, Row.render_text tbl, Row.render_json tbl)
+      | Error e -> (n, e, e))
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
 
 let test_jobs_determinism () =
   let seq = render_all ~jobs:1 and par = render_all ~jobs:4 in
@@ -221,6 +247,46 @@ let test_jobs_determinism () =
         (Printf.sprintf "table %d JSON identical across pool sizes" n)
         js jp)
     seq par
+
+(* Precompute simulates each distinct Table VIII design exactly once at
+   any pool size: [sim_cycles] is the number of distinct designs (seed,
+   realised netlist, ED set) times the context's cycle count. *)
+let test_sim_once_per_design () =
+  let t, _ = precomputed ~jobs:1 in
+  let keys = Hashtbl.create 16 in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (_, c) ->
+          List.iter
+            (fun spec ->
+              match Report.run_result t name ~spec ~c with
+              | Error _ -> ()
+              | Ok r ->
+                let d = Report.sim_design r.Engine.stage r.Engine.outcome in
+                Hashtbl.replace keys
+                  ( name ^ "/" ^ Engine.name spec,
+                    Netlist.digest d.Sim.staged,
+                    List.sort compare d.Sim.ed_sinks )
+                  ())
+            Engine.tabulated)
+        Report.overheads)
+    grid_names;
+  let distinct = Hashtbl.length keys in
+  let counter jobs name =
+    Option.value ~default:0 (List.assoc_opt name (snd (precomputed ~jobs)))
+  in
+  Alcotest.(check bool) "designs found" true (distinct > 0);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check int)
+        (Printf.sprintf "sim_cycles at jobs %d" jobs)
+        (distinct * grid_cycles) (counter jobs "sim_cycles");
+      Alcotest.(check int)
+        (Printf.sprintf "sim_events at jobs %d" jobs)
+        (counter 1 "sim_events") (counter jobs "sim_events"))
+    [ 1; 2; 4 ];
+  Alcotest.(check bool) "events counted" true (counter 1 "sim_events" > 0)
 
 let suite =
   [
@@ -240,4 +306,6 @@ let suite =
       test_json_matches_text;
     Alcotest.test_case "tables identical across pool sizes" `Slow
       test_jobs_determinism;
+    Alcotest.test_case "precompute simulates each design once" `Slow
+      test_sim_once_per_design;
   ]

@@ -203,13 +203,82 @@ let prop_heap_matches_sort =
     QCheck.(list (float_bound_exclusive 1000.))
     (fun input ->
       let h = Heap.create () in
-      List.iter (fun p -> Heap.add h p ()) input;
+      List.iter (fun p -> Heap.add h p 0) input;
       let rec drain acc =
         match Heap.pop_min h with
         | None -> List.rev acc
-        | Some (p, ()) -> drain (p :: acc)
+        | Some (p, _) -> drain (p :: acc)
       in
       drain [] = List.sort compare input)
+
+(* The textbook swap heap: entries are swapped up while strictly
+   smaller than their parent and down into the smaller child, the left
+   one on a tie. [Heap]'s hole-moving sifts must pop equal priorities
+   in exactly this order; the simulator's event order and the SSP
+   Dijkstra's settle order depend on it. *)
+module Swap_heap = struct
+  type t = { mutable a : (float * int) array; mutable n : int }
+
+  let create () = { a = Array.make 4 (0., 0); n = 0 }
+
+  let swap h i j =
+    let x = h.a.(i) in
+    h.a.(i) <- h.a.(j);
+    h.a.(j) <- x
+
+  let rec up h i =
+    let p = (i - 1) / 2 in
+    if i > 0 && fst h.a.(i) < fst h.a.(p) then begin
+      swap h i p;
+      up h p
+    end
+
+  let rec down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 and s = ref i in
+    if l < h.n && fst h.a.(l) < fst h.a.(!s) then s := l;
+    if r < h.n && fst h.a.(r) < fst h.a.(!s) then s := r;
+    if !s <> i then begin
+      swap h i !s;
+      down h !s
+    end
+
+  let add h p x =
+    if h.n = Array.length h.a then h.a <- Array.append h.a h.a;
+    h.a.(h.n) <- (p, x);
+    h.n <- h.n + 1;
+    up h (h.n - 1)
+
+  let pop h =
+    if h.n = 0 then None
+    else begin
+      let top = h.a.(0) in
+      h.n <- h.n - 1;
+      h.a.(0) <- h.a.(h.n);
+      down h 0;
+      Some top
+    end
+end
+
+(* [Some p] adds priority [p] (few values, so many ties) tagged with
+   its position in the script; [None] pops. Every pop, and the final
+   drain, must agree with the swap heap on priority and payload. *)
+let prop_heap_tie_order =
+  QCheck.Test.make ~name:"heap pops ties in swap-heap order" ~count:300
+    QCheck.(list (option (int_bound 3)))
+    (fun script ->
+      let h = Heap.create () and r = Swap_heap.create () in
+      let agree () = Heap.pop_min h = Swap_heap.pop r in
+      List.for_all Fun.id
+        (List.mapi
+           (fun i op ->
+             match op with
+             | Some p ->
+               Heap.add h (float_of_int p) i;
+               Swap_heap.add r (float_of_int p) i;
+               true
+             | None -> agree ())
+           script)
+      && List.for_all (fun _ -> agree ()) (List.init (List.length script + 1) Fun.id))
 
 let prop_rng_int_in_bounds =
   QCheck.Test.make ~name:"rng int stays in bounds" ~count:500
@@ -424,6 +493,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_json_parse_total;
     QCheck_alcotest.to_alcotest prop_heap_matches_sort;
+    QCheck_alcotest.to_alcotest prop_heap_tie_order;
     QCheck_alcotest.to_alcotest prop_rng_int_in_bounds;
     QCheck_alcotest.to_alcotest prop_shuffle_is_permutation;
   ]
