@@ -1,41 +1,30 @@
-(* Benchmark harness: one Bechamel measurement group per paper table,
-   timing the computational kernel that regenerates it, followed by a
-   sequential-vs-parallel wall-clock comparison (written to
-   BENCH_eval.json so the perf trajectory is tracked across PRs; see
-   EXPERIMENTS.md for the schema) and the printed rows of each table
-   on a representative subset of the suite (set RAR_BENCH_FULL=1 for
-   all twelve circuits; EXPERIMENTS.md records a full run).
+(* Benchmark harness: Bechamel kernels for the measurements
+   EXPERIMENTS.md cites (the Table VII LP-engine ablation, Table VIII
+   error-rate simulation and the classic-retiming pipeline), followed
+   by a sequential-vs-parallel wall-clock comparison and the paired
+   instrumentation-overhead ratios (written to BENCH_eval.json so the
+   perf trajectory is tracked across PRs; see EXPERIMENTS.md for the
+   schema) and the printed rows of each table on a representative
+   subset of the suite (set RAR_BENCH_FULL=1 for all twelve circuits;
+   EXPERIMENTS.md records a full run).
 
    Groups:
-     table_i    benchmark preparation (generate + derive clock + STA)
-     table_ii   G-RAR under the gate-based vs path-based delay model
-     table_iii  the three virtual-library variants
-     table_iv_v base retiming vs RVL-RAR vs G-RAR (areas)
-     table_vi   placement decode + verification pass
      table_vii  LP engine ablation: network simplex vs SSP vs closure
      table_viii error-rate simulation
-     table_ix   movable-master local search
-     fig1       clocking arithmetic (diagram rendering)
-     fig4       the worked-example pipeline end to end *)
+     ablation   classic min-period retiming (the bench-smoke gate's
+                kernel on a generated circuit) *)
 
 open Bechamel
 open Toolkit
 
 module Report = Rar_report.Report
 module Suite = Rar_circuits.Suite
-module Fig4 = Rar_circuits.Fig4
-module Stage = Rar_retime.Stage
 module Rgraph = Rar_retime.Rgraph
-module Grar = Rar_retime.Grar
-module Base = Rar_retime.Base_retiming
 module Outcome = Rar_retime.Outcome
-module Vl = Rar_vl.Vl
-module Movable = Rar_vl.Movable
+module Classic = Rar_retime.Classic
 module Sim = Rar_sim.Sim
-module Sta = Rar_sta.Sta
 module Difflp = Rar_flow.Difflp
 module Transform = Rar_netlist.Transform
-module Clocking = Rar_sta.Clocking
 module Engine = Rar_engine
 
 let ok = function
@@ -70,7 +59,6 @@ let circuit = "s1423"
 
 let prepared = lazy (Report.prepared ctx circuit)
 let stage_path = lazy (Report.stage ctx circuit)
-let stage_gate = lazy (Report.stage ctx ~model:Sta.Gate_based circuit)
 
 let grar_result = lazy (Report.run ctx circuit ~spec:Engine.Grar ~c:1.0)
 
@@ -79,17 +67,9 @@ let sim_design =
     (let r = Lazy.force grar_result in
      Report.sim_design r.Engine.stage r.Engine.outcome)
 
-(* Resilience-overhead kernels: the same solve with and without the
-   instrumentation the resilience layer adds. A far-future deadline
-   exercises the strided in-loop checks at full frequency without ever
-   firing; the fallback kernel times the full fail-and-retry path under
-   an injected timeout. *)
-let far_deadline () = Rar_util.Deadline.make ~budget_s:86400.
-
-(* Armed-tracing wrapper for the *_trace kernels and the
-   trace_overhead_ratio measurement (gated in bench/smoke_floor.json
-   like the deadline checks). Buffers are cleared every run so they do
-   not grow across iterations. *)
+(* Armed-tracing wrapper for the trace_overhead_ratio measurement.
+   Buffers are cleared every run so they do not grow across
+   iterations. *)
 let with_tracing f =
   Rar_obs.Trace.clear ();
   Rar_obs.Trace.arm ();
@@ -102,35 +82,23 @@ let with_tracing f =
       Rar_obs.Metrics.reset ())
     f
 
-let chain_lp =
-  lazy
-    (let n = 1500 in
-     let t = Difflp.create ~n in
-     for i = 0 to n - 2 do
-       Difflp.add_constraint t ~u:(i + 1) ~v:i ~bound:1
-     done;
-     Difflp.add_constraint t ~u:0 ~v:(n - 1) ~bound:1;
-     Difflp.add_objective t 0 1.0;
-     Difflp.add_objective t (n - 1) (-1.0);
-     t)
+(* Classic min-period retiming of [graph ()], end to end. *)
+let retime_classic ?deadline graph () =
+  let g = graph () in
+  let pmin = Classic.min_period ?deadline g in
+  ignore (ok (Classic.retime ?deadline g ~period:pmin))
 
 let classic_graph () =
   let p = Lazy.force prepared in
-  Rar_retime.Classic.of_netlist ~host_registers:1 ~lib:p.Suite.lib
-    p.Suite.flop_netlist
+  Classic.of_netlist ~host_registers:1 ~lib:p.Suite.lib p.Suite.flop_netlist
 
-let classic_pipeline () =
-  let g = classic_graph () in
-  let pmin = Rar_retime.Classic.min_period g in
-  ignore (ok (Rar_retime.Classic.retime g ~period:pmin))
-
-(* The armed-span cost is far below host noise, so gating it on the
-   quotient of two independently-measured bechamel estimates flakes:
-   clock-speed drift between the two measurement windows reads as
-   "overhead". The gated ratio instead comes from interleaved paired
-   rounds — plain and traced runs alternate, so drift hits both sides
-   equally and cancels out of the quotient. *)
-let paired_trace_ratio ?(rounds = 4) ?(runs = 3) body =
+(* Wall-time quotient of [armed] over [plain]. The instrumentation
+   cost is far below host noise, so the quotient of two independently
+   measured Bechamel estimates flakes: clock-speed drift between the
+   two measurement windows reads as "overhead". Interleaved paired
+   rounds alternate plain and armed runs instead, so drift hits both
+   sides equally and cancels out of the quotient. *)
+let paired_ratio ?(rounds = 4) ?(runs = 3) ~plain ~armed () =
   let time f =
     let t0 = Rar_util.Clock.now_s () in
     for _ = 1 to runs do
@@ -138,89 +106,46 @@ let paired_trace_ratio ?(rounds = 4) ?(runs = 3) body =
     done;
     Rar_util.Clock.now_s () -. t0
   in
-  let traced () = with_tracing body in
-  body ();
-  traced ();
-  let plain_s = ref 0. and traced_s = ref 0. in
+  plain ();
+  armed ();
+  let plain_s = ref 0. and armed_s = ref 0. in
   for _ = 1 to rounds do
-    plain_s := !plain_s +. time body;
-    traced_s := !traced_s +. time traced
+    plain_s := !plain_s +. time plain;
+    armed_s := !armed_s +. time armed
   done;
-  !traced_s /. Float.max 1e-9 !plain_s
+  !armed_s /. Float.max 1e-9 !plain_s
+
+(* The "resilience" section of BENCH_eval.json: what an armed deadline
+   (strided in-loop checks at full frequency, far enough out never to
+   fire) and armed tracing + metrics add to a classic pipeline. Both
+   are gated at 1.05x in bench/smoke_floor.json. *)
+let resilience_ratios graph =
+  let plain = retime_classic graph in
+  let deadline () =
+    retime_classic
+      ~deadline:(Rar_util.Deadline.make ~budget_s:86400.)
+      graph ()
+  in
+  [
+    ("deadline_overhead_ratio", paired_ratio ~plain ~armed:deadline ());
+    ("trace_overhead_ratio",
+      paired_ratio ~plain ~armed:(fun () -> with_tracing plain) ());
+  ]
+
+let solve_kernel name engine =
+  Test.make ~name (Staged.stage (fun () ->
+      let g = Rgraph.build ~edl_overhead:1.0 (Lazy.force stage_path) in
+      ignore (ok (Rgraph.solve ~engine g))))
 
 let tests =
   [
-    Test.make ~name:"table_i/prepare" (Staged.stage (fun () ->
-        ignore (Suite.load circuit)));
-    Test.make ~name:"table_ii/grar_path" (Staged.stage (fun () ->
-        ignore (ok (Grar.run_on_stage ~c:1.0 (Lazy.force stage_path)))));
-    Test.make ~name:"table_ii/grar_gate" (Staged.stage (fun () ->
-        ignore (ok (Grar.run_on_stage ~c:1.0 (Lazy.force stage_gate)))));
-    Test.make ~name:"table_iii/nvl" (Staged.stage (fun () ->
-        ignore (ok (Vl.run_on_stage ~c:1.0 Vl.Nvl (Lazy.force stage_path)))));
-    Test.make ~name:"table_iii/evl" (Staged.stage (fun () ->
-        ignore (ok (Vl.run_on_stage ~c:1.0 Vl.Evl (Lazy.force stage_path)))));
-    Test.make ~name:"table_iii/rvl" (Staged.stage (fun () ->
-        ignore (ok (Vl.run_on_stage ~c:1.0 Vl.Rvl (Lazy.force stage_path)))));
-    Test.make ~name:"table_iv_v/base" (Staged.stage (fun () ->
-        ignore (ok (Base.run_on_stage ~c:1.0 (Lazy.force stage_path)))));
-    Test.make ~name:"table_vi/decode_verify" (Staged.stage (fun () ->
-        let st = Lazy.force stage_path in
-        let g = Rgraph.build ~edl_overhead:1.0 st in
-        let r = ok (Rgraph.solve g) in
-        let placements = Rgraph.placements_of g r in
-        ignore (Outcome.assemble ~c:1.0 st placements)));
-    Test.make ~name:"table_vii/engine_simplex" (Staged.stage (fun () ->
-        let g = Rgraph.build ~edl_overhead:1.0 (Lazy.force stage_path) in
-        ignore (ok (Rgraph.solve ~engine:Difflp.Network_simplex g))));
-    Test.make ~name:"table_vii/engine_ssp" (Staged.stage (fun () ->
-        let g = Rgraph.build ~edl_overhead:1.0 (Lazy.force stage_path) in
-        ignore (ok (Rgraph.solve ~engine:Difflp.Ssp g))));
-    Test.make ~name:"table_vii/engine_closure" (Staged.stage (fun () ->
-        let g = Rgraph.build ~edl_overhead:1.0 (Lazy.force stage_path) in
-        ignore (ok (Rgraph.solve ~engine:Difflp.Closure g))));
+    solve_kernel "table_vii/engine_simplex" Difflp.Network_simplex;
+    solve_kernel "table_vii/engine_ssp" Difflp.Ssp;
+    solve_kernel "table_vii/engine_closure" Difflp.Closure;
     Test.make ~name:"table_viii/sim_50_cycles" (Staged.stage (fun () ->
         ignore (Sim.error_rate ~cycles:50 ~seed:"bench" (Lazy.force sim_design))));
-    Test.make ~name:"table_ix/movable" (Staged.stage (fun () ->
-        let p = Lazy.force prepared in
-        ignore
-          (ok
-             (Movable.run ~max_moves:2 ~lib:p.Suite.lib
-                ~clocking:p.Suite.clocking ~c:1.0 p.Suite.two_phase))));
-    Test.make ~name:"ablation/edl_cluster" (Staged.stage (fun () ->
-        let r = Lazy.force grar_result in
-        ignore
-          (Rar_retime.Edl_cluster.annotate
-             ~lib:(Lazy.force prepared).Suite.lib r.Engine.outcome)));
-    Test.make ~name:"ablation/period_search" (Staged.stage (fun () ->
-        ignore
-          (Rar_retime.Period_search.min_feasible ~lib:(Fig4.library ())
-             (Fig4.circuit ()))));
     Test.make ~name:"ablation/classic_retiming"
-      (Staged.stage classic_pipeline);
-    Test.make ~name:"resilience/classic_deadline" (Staged.stage (fun () ->
-        let g = classic_graph () in
-        let deadline = far_deadline () in
-        let pmin = Rar_retime.Classic.min_period ~deadline g in
-        ignore (ok (Rar_retime.Classic.retime ~deadline g ~period:pmin))));
-    Test.make ~name:"observability/classic_trace" (Staged.stage (fun () ->
-        with_tracing classic_pipeline));
-    Test.make ~name:"resilience/solve_verify" (Staged.stage (fun () ->
-        ignore (Difflp.solve (Lazy.force chain_lp) ~reference:0)));
-    Test.make ~name:"resilience/fallback_timeout" (Staged.stage (fun () ->
-        Rar_resilience.Faults.configure [ Rar_resilience.Faults.Timeout ];
-        Fun.protect ~finally:Rar_resilience.Faults.use_env (fun () ->
-            ignore (Difflp.solve (Lazy.force chain_lp) ~reference:0))));
-    Test.make ~name:"fig1/clocking" (Staged.stage (fun () ->
-        let c = Clocking.of_p 1.0 in
-        ignore (Format.asprintf "%a" Clocking.pp_diagram c)));
-    Test.make ~name:"fig4/worked_example" (Staged.stage (fun () ->
-        let stage =
-          ok
-            (Stage.make ~lib:(Fig4.library ()) ~clocking:Fig4.clocking
-               (Fig4.circuit ()))
-        in
-        ignore (ok (Grar.run_on_stage ~c:2.0 stage))));
+      (Staged.stage (retime_classic classic_graph));
   ]
 
 (* [~stabilize:false]: Bechamel's default compacts the heap before
@@ -306,16 +231,6 @@ let json_escape s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
-
-(* Overhead ratios derived from kernel pairs, for the "resilience"
-   section of BENCH_eval.json (and the smoke job's <5% deadline gate). *)
-let overhead_ratios kernels pairs =
-  List.filter_map
-    (fun (label, num, den) ->
-      match (List.assoc_opt num kernels, List.assoc_opt den kernels) with
-      | Some a, Some b when b > 0. -> Some (label, a /. b)
-      | _ -> None)
-    pairs
 
 (* ------------------------------------------------------------------ *)
 (* Scaling curve: generated 10^5..10^6-gate circuits                   *)
@@ -419,19 +334,15 @@ let scale_classic_feas ~gates =
   let (res, spans, counters), retime_s =
     time_wall (fun () ->
         span_totals (fun () ->
-            let g =
-              Rar_retime.Classic.of_netlist ~host_registers:1 ~lib net
-            in
-            (Rar_retime.Classic.period_of g,
-             ok (Rar_retime.Classic.retime_feas g))))
+            let g = Classic.of_netlist ~host_registers:1 ~lib net in
+            (Classic.period_of g, ok (Classic.retime_feas g))))
   in
   let p0, o = res in
   Printf.printf
     "  classic_feas %9d gates: gen %6.2fs, retime %6.2fs, %.3f -> %.3f ns, \
      %d -> %d regs\n%!"
-    gates generate_s retime_s p0 o.Rar_retime.Classic.achieved_period
-    o.Rar_retime.Classic.registers_before
-    o.Rar_retime.Classic.registers_after;
+    gates generate_s retime_s p0 o.Classic.achieved_period
+    o.Classic.registers_before o.Classic.registers_after;
   scale_entry ~name:spec.Rar_circuits.Spec.name ~gates ~path:"classic_feas"
     ~phases:[ ("generate_s", generate_s); ("retime_s", retime_s) ]
     ~spans ~counters
@@ -439,9 +350,8 @@ let scale_classic_feas ~gates =
       (Printf.sprintf
          "\"period_before_ns\": %.4f, \"period_after_ns\": %.4f, \
           \"registers_before\": %d, \"registers_after\": %d"
-         p0 o.Rar_retime.Classic.achieved_period
-         o.Rar_retime.Classic.registers_before
-         o.Rar_retime.Classic.registers_after)
+         p0 o.Classic.achieved_period o.Classic.registers_before
+         o.Classic.registers_after)
 
 (* End-to-end G-RAR (prepare + stage + engine) on a generated circuit:
    the paper pipeline's cost at scale, with the sta/wd/solver span
@@ -455,10 +365,11 @@ let scale_grar ~gates =
     time_wall (fun () ->
         span_totals (fun () ->
             let p = Suite.prepare net in
-            (p, ok (Grar.run_on_stage ~c:1.0 (ok (Engine.stage_of p))))))
+            let cfg = Engine.config ~c:1.0 Engine.Grar in
+            (p, ok (Engine.run cfg (ok (Engine.stage_of p))))))
   in
   let p, r = res in
-  let o = r.Grar.outcome in
+  let o = r.Engine.outcome in
   Printf.printf
     "  grar         %9d gates: gen %6.2fs, run    %6.2fs, P %.3f ns, %d \
      slaves, %d EDLs\n%!"
@@ -782,18 +693,7 @@ let run_eval_json ~scaling kernels =
     (String.concat "+" table_names) tables_seq tables_par
     (tables_seq /. Float.max 1e-9 tables_par);
   Rar_util.Pool.set_jobs 1;
-  let resilience =
-    overhead_ratios kernels
-      [
-        ( "deadline_overhead_ratio",
-          "g/resilience/classic_deadline",
-          "g/ablation/classic_retiming" );
-        ( "fallback_overhead_ratio",
-          "g/resilience/fallback_timeout",
-          "g/resilience/solve_verify" );
-      ]
-    @ [ ("trace_overhead_ratio", paired_trace_ratio classic_pipeline) ]
-  in
+  let resilience = resilience_ratios classic_graph in
   List.iter
     (fun (label, r) -> Printf.printf "  %-28s %12.3fx\n%!" label r)
     resilience;
@@ -829,24 +729,12 @@ let smoke_net =
 
 let smoke_graph () =
   let lib = Rar_liberty.Liberty.default () in
-  Rar_retime.Classic.of_netlist ~host_registers:1 ~lib (Lazy.force smoke_net)
-
-let smoke_pipeline () =
-  let g = smoke_graph () in
-  let pmin = Rar_retime.Classic.min_period g in
-  ignore (ok (Rar_retime.Classic.retime g ~period:pmin))
+  Classic.of_netlist ~host_registers:1 ~lib (Lazy.force smoke_net)
 
 let smoke_tests =
   [
     Test.make ~name:"smoke/classic_retiming"
-      (Staged.stage smoke_pipeline);
-    Test.make ~name:"smoke/classic_deadline" (Staged.stage (fun () ->
-        let g = smoke_graph () in
-        let deadline = far_deadline () in
-        let pmin = Rar_retime.Classic.min_period ~deadline g in
-        ignore (ok (Rar_retime.Classic.retime ~deadline g ~period:pmin))));
-    Test.make ~name:"smoke/classic_trace" (Staged.stage (fun () ->
-        with_tracing smoke_pipeline));
+      (Staged.stage (retime_classic smoke_graph));
   ]
 
 let run_smoke () =
@@ -868,15 +756,7 @@ let run_smoke () =
     wall_all_tables ~jobs:par_jobs ~names:table_names ~sim_cycles
   in
   Rar_util.Pool.set_jobs 1;
-  let resilience =
-    overhead_ratios kernels
-      [
-        ( "deadline_overhead_ratio",
-          "g/smoke/classic_deadline",
-          "g/smoke/classic_retiming" );
-      ]
-    @ [ ("trace_overhead_ratio", paired_trace_ratio smoke_pipeline) ]
-  in
+  let resilience = resilience_ratios smoke_graph in
   List.iter
     (fun (label, r) -> Printf.printf "  %-28s %12.3fx\n%!" label r)
     resilience;
@@ -973,16 +853,15 @@ let run_cluster_ablation () =
     circuit;
   Printf.printf "  %-6s %6s %12s %14s %10s\n" "engine" "EDL#" "seq area"
     "seq + OR tree" "tree gates";
-  let show tag (o : Outcome.t) =
-    let o', tree = Rar_retime.Edl_cluster.annotate ~lib o in
-    Printf.printf "  %-6s %6d %12.2f %14.2f %10d\n" tag
-      (Outcome.ed_count o) o.Outcome.seq_area o'.Outcome.seq_area
-      tree.Rar_retime.Edl_cluster.or_gates
-  in
-  show "base" (ok (Base.run_on_stage ~c:1.0 (Lazy.force stage_path))).Base.outcome;
-  show "rvl"
-    (ok (Vl.run_on_stage ~c:1.0 Vl.Rvl (Lazy.force stage_path))).Vl.outcome;
-  show "grar" (Lazy.force grar_result).Engine.outcome
+  List.iter
+    (fun spec ->
+      let cfg = Engine.config ~c:1.0 spec in
+      let o = (ok (Engine.run cfg (Lazy.force stage_path))).Engine.outcome in
+      let o', tree = Rar_retime.Edl_cluster.annotate ~lib o in
+      Printf.printf "  %-6s %6d %12.2f %14.2f %10d\n" (Engine.name spec)
+        (Outcome.ed_count o) o.Outcome.seq_area o'.Outcome.seq_area
+        tree.Rar_retime.Edl_cluster.or_gates)
+    Engine.[ Base; Vl Rvl; Grar ]
 
 (* Ablation: resynthesis (buffer cleanup + timing-driven decomposition
    of wide gates) before retiming — the paper's related-work lever. *)
@@ -1003,16 +882,14 @@ let run_resynth_ablation () =
     match Engine.stage_of p with
     | Error e -> Printf.printf "  %s: %s\n" tag (Rar_retime.Error.to_string e)
     | Ok st -> (
-      match Grar.run_on_stage ~c:1.0 st with
+      match Engine.run (Engine.config ~c:1.0 Engine.Grar) st with
       | Error e ->
         Printf.printf "  %s: %s\n" tag (Rar_retime.Error.to_string e)
-      | Ok r ->
+      | Ok { Engine.outcome = o; _ } ->
         Printf.printf
           "  %-12s P=%.3f slaves=%d edl=%d seq=%.2f comb=%.2f total=%.2f\n"
-          tag p.Suite.p r.Grar.outcome.Outcome.n_slaves
-          (Outcome.ed_count r.Grar.outcome)
-          r.Grar.outcome.Outcome.seq_area r.Grar.outcome.Outcome.comb_area
-          r.Grar.outcome.Outcome.total_area)
+          tag p.Suite.p o.Outcome.n_slaves (Outcome.ed_count o)
+          o.Outcome.seq_area o.Outcome.comb_area o.Outcome.total_area)
   in
   show "original" net;
   show "resynthesised" net'

@@ -115,7 +115,10 @@ let approach_arg =
                 (List.map (fun s -> "$(b," ^ Engine.name s ^ ")") Engine.all))))
 
 let model_conv =
-  Arg.enum [ ("path", Sta.Path_based); ("gate", Sta.Gate_based) ]
+  Arg.enum
+    (List.map
+       (fun m -> (Engine.model_name m, m))
+       Sta.[ Path_based; Gate_based ])
 
 let model_arg =
   Arg.(
@@ -150,13 +153,8 @@ let deadline_arg =
 (* Same names the serve protocol accepts, so a request and a command
    line select solvers identically; [auto] (the default) pins nothing. *)
 let solver_conv =
-  let parse s =
-    Result.map_error (fun e -> `Msg e) (Rar_serve.Protocol.solver_of_name s)
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "auto"
-    | Some e -> Format.pp_print_string ppf (Rar_flow.Difflp.engine_name e)
-  in
+  let parse s = Result.map_error (fun e -> `Msg e) (Engine.solver_of_name s) in
+  let print ppf e = Format.pp_print_string ppf (Engine.solver_name e) in
   Arg.conv (parse, print)
 
 let solver_arg =
@@ -497,28 +495,24 @@ let period_cmd =
     | Ok p -> (
       Printf.printf "%s: derived P = %.3f ns (critical path at 72%%)\n" name
         p.Suite.p;
-      match Rar_retime.Period_search.min_feasible ~lib:p.Suite.lib p.Suite.cc with
+      let module P = Engine.Period_search in
+      match P.min_feasible ~lib:p.Suite.lib p.Suite.cc with
       | Error e -> `Error (false, Error.to_string e)
       | Ok f -> (
         Printf.printf
           "min feasible P (legal slave retiming exists): %.3f ns (%d \
            iterations)\n"
-          f.Rar_retime.Period_search.p f.Rar_retime.Period_search.iterations;
-        match
-          Rar_retime.Period_search.min_detection_free ~lib:p.Suite.lib
-            p.Suite.cc
-        with
+          f.P.p f.P.iterations;
+        match P.min_detection_free ~lib:p.Suite.lib p.Suite.cc with
         | Error e -> `Error (false, Error.to_string e)
         | Ok d ->
           Printf.printf
             "min detection-free P (G-RAR reaches 0 EDL):   %.3f ns (%d \
              iterations)\n"
-            d.Rar_retime.Period_search.p d.Rar_retime.Period_search.iterations;
+            d.P.p d.P.iterations;
           Printf.printf
             "headroom bought by error detection: %.1f%%\n"
-            (100.
-            *. (d.Rar_retime.Period_search.p -. f.Rar_retime.Period_search.p)
-            /. d.Rar_retime.Period_search.p);
+            (100. *. (d.P.p -. f.P.p) /. d.P.p);
           `Ok ()))
   in
   Cmd.v

@@ -5,8 +5,7 @@
    Run with:  dune exec examples/error_rate_demo.exe [circuit] [cycles] *)
 
 module Suite = Rar_circuits.Suite
-module Grar = Rar_retime.Grar
-module Base = Rar_retime.Base_retiming
+module Engine = Rar_engine
 module Outcome = Rar_retime.Outcome
 module Sim = Rar_sim.Sim
 
@@ -17,26 +16,25 @@ let () =
   in
   let p = match Suite.load name with Ok p -> p | Error e -> failwith e in
   let stage =
-    match Rar_engine.stage_of p with
+    match Engine.stage_of p with
     | Ok s -> s
     | Error e -> failwith (Rar_retime.Error.to_string e)
   in
   Printf.printf "%s: %d random vector pairs per design\n\n" name cycles;
-  let show tag stage' o =
-    let d = Rar_report.Report.sim_design stage' o in
-    let r = Sim.error_rate ~cycles ~seed:(name ^ "/" ^ tag) d in
-    Printf.printf
-      "%-6s: error rate %6.2f%%  (%d error cycles, %d flags, %d EDL \
-       masters, silent-failure cycles: %d)\n"
-      tag r.Sim.error_rate r.Sim.error_cycles r.Sim.error_events
-      (Outcome.ed_count o) r.Sim.silent_cycles
+  let show tag spec =
+    match Engine.run (Engine.config ~c:1.0 spec) stage with
+    | Error e -> print_endline (Rar_retime.Error.to_string e)
+    | Ok { Engine.stage = stage'; outcome = o; _ } ->
+      let d = Rar_report.Report.sim_design stage' o in
+      let r = Sim.error_rate ~cycles ~seed:(name ^ "/" ^ tag) d in
+      Printf.printf
+        "%-6s: error rate %6.2f%%  (%d error cycles, %d flags, %d EDL \
+         masters, silent-failure cycles: %d)\n"
+        tag r.Sim.error_rate r.Sim.error_cycles r.Sim.error_events
+        (Outcome.ed_count o) r.Sim.silent_cycles
   in
-  (match Base.run_on_stage ~c:1.0 stage with
-  | Ok r -> show "base" r.Base.stage r.Base.outcome
-  | Error e -> print_endline (Rar_retime.Error.to_string e));
-  (match Grar.run_on_stage ~c:1.0 stage with
-  | Ok r -> show "G-RAR" r.Grar.stage r.Grar.outcome
-  | Error e -> print_endline (Rar_retime.Error.to_string e));
+  show "base" Engine.Base;
+  show "G-RAR" Engine.Grar;
   Printf.printf
     "\nA silent-failure cycle is a non-error-detecting master capturing\n\
      mid-transition. The simulator's worst-pin delays are more pessimistic\n\

@@ -7,10 +7,8 @@ module Netlist = Rar_netlist.Netlist
 module Transform = Rar_netlist.Transform
 module Dot = Rar_netlist.Dot
 module Stage = Rar_retime.Stage
-module Rgraph = Rar_retime.Rgraph
-module Grar = Rar_retime.Grar
-module Base = Rar_retime.Base_retiming
 module Outcome = Rar_retime.Outcome
+module Engine = Rar_engine
 module Sta = Rar_sta.Sta
 module Clocking = Rar_sta.Clocking
 
@@ -58,20 +56,14 @@ let () =
   | _ -> Printf.printf "\nunexpected classification for O9\n");
   (* Cut1 vs Cut2 under the two overhead regimes. *)
   let show tag c =
-    (match Base.run_on_stage ~c stage with
-    | Ok r ->
-      Printf.printf "%s base : %d slaves + %d EDL -> %.1f area units\n" tag
-        r.Base.outcome.Outcome.n_slaves
-        (Outcome.ed_count r.Base.outcome)
-        r.Base.outcome.Outcome.seq_area
-    | Error e -> print_endline (Rar_retime.Error.to_string e));
-    match Grar.run_on_stage ~c stage with
-    | Ok r ->
-      Printf.printf "%s G-RAR: %d slaves + %d EDL -> %.1f area units\n" tag
-        r.Grar.outcome.Outcome.n_slaves
-        (Outcome.ed_count r.Grar.outcome)
-        r.Grar.outcome.Outcome.seq_area
-    | Error e -> print_endline (Rar_retime.Error.to_string e)
+    List.iter
+      (fun (label, spec) ->
+        match Engine.run (Engine.config ~c spec) stage with
+        | Ok { Engine.outcome = o; _ } ->
+          Printf.printf "%s %s: %d slaves + %d EDL -> %.1f area units\n" tag
+            label o.Outcome.n_slaves (Outcome.ed_count o) o.Outcome.seq_area
+        | Error e -> print_endline (Rar_retime.Error.to_string e))
+      [ ("base ", Engine.Base); ("G-RAR", Engine.Grar) ]
   in
   Printf.printf "\n--- c = 2 (the paper's example): Cut2 wins ---\n";
   show "c=2.0" 2.0;

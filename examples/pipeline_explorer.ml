@@ -7,15 +7,19 @@
 
 module Suite = Rar_circuits.Suite
 module Stage = Rar_retime.Stage
-module Grar = Rar_retime.Grar
-module Base = Rar_retime.Base_retiming
 module Outcome = Rar_retime.Outcome
+module Engine = Rar_engine
+
+let outcome spec ~c stage =
+  match Engine.run (Engine.config ~c spec) stage with
+  | Ok r -> r.Engine.outcome
+  | Error e -> failwith (Rar_retime.Error.to_string e)
 
 let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "s5378" in
   let p = match Suite.load name with Ok p -> p | Error e -> failwith e in
   let stage =
-    match Rar_engine.stage_of p with
+    match Engine.stage_of p with
     | Ok s -> s
     | Error e -> failwith (Rar_retime.Error.to_string e)
   in
@@ -25,17 +29,8 @@ let () =
   Printf.printf "%s\n" (String.make 62 '-');
   List.iter
     (fun c ->
-      let g =
-        match Grar.run_on_stage ~c stage with
-        | Ok r -> r
-        | Error e -> failwith (Rar_retime.Error.to_string e)
-      in
-      let b =
-        match Base.run_on_stage ~c stage with
-        | Ok r -> r
-        | Error e -> failwith (Rar_retime.Error.to_string e)
-      in
-      let go = g.Grar.outcome and bo = b.Base.outcome in
+      let go = outcome Engine.Grar ~c stage in
+      let bo = outcome Engine.Base ~c stage in
       Printf.printf "%6.2f | %9d /%6d | %9d /%6d | %8.2f\n" c
         go.Outcome.n_slaves (Outcome.ed_count go) bo.Outcome.n_slaves
         (Outcome.ed_count bo)
@@ -61,12 +56,9 @@ let () =
   Printf.printf "%6s | %16s\n" "c" "fig4 slaves/EDL";
   List.iter
     (fun c ->
-      match Grar.run_on_stage ~c st with
-      | Ok r ->
-        let o = r.Grar.outcome in
-        Printf.printf "%6.2f | %9d /%4d   (%s)\n" c o.Outcome.n_slaves
-          (Outcome.ed_count o)
-          (if Outcome.ed_count o = 0 then "Cut2: EDL bought out"
-           else "Cut1: EDL kept")
-      | Error e -> failwith (Rar_retime.Error.to_string e))
+      let o = outcome Engine.Grar ~c st in
+      Printf.printf "%6.2f | %9d /%4d   (%s)\n" c o.Outcome.n_slaves
+        (Outcome.ed_count o)
+        (if Outcome.ed_count o = 0 then "Cut2: EDL bought out"
+         else "Cut1: EDL kept"))
     [ 0.5; 1.0; 1.5; 2.0 ]

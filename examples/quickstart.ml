@@ -5,7 +5,6 @@
 module Suite = Rar_circuits.Suite
 module Stage = Rar_retime.Stage
 module Outcome = Rar_retime.Outcome
-module Vl = Rar_vl.Vl
 module Clocking = Rar_sta.Clocking
 module Engine = Rar_engine
 
@@ -51,7 +50,7 @@ let () =
   in
   List.iter
     (fun spec -> ignore (show spec))
-    [ Engine.Base; Engine.Vl Vl.Nvl; Engine.Vl Vl.Evl; Engine.Vl Vl.Rvl ];
+    Engine.[ Base; Vl Nvl; Vl Evl; Vl Rvl ];
   match show Engine.Grar with
   | Engine.Retiming { modelled_non_ed; _ } ->
     Printf.printf

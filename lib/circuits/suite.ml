@@ -142,11 +142,3 @@ let load ?lib name =
     match strip ".conv" with
     | Some base -> converted base Rar_netlist.Convert.Two None
     | None -> Result.map (prepare ?lib) (base_netlist name lname))
-
-let load_all ?lib () =
-  List.map
-    (fun name ->
-      match load ?lib name with
-      | Ok p -> p
-      | Error e -> failwith ("Suite.load_all: " ^ e))
-    Spec.names

@@ -55,6 +55,3 @@ val load : ?lib:Liberty.t -> string -> (prepared, string) result
     through {!Rar_netlist.Convert} first — [".conv3"] uses the
     three-phase decomposition and derives a
     {!Clocking.Three_phase} clock. *)
-
-val load_all : ?lib:Liberty.t -> unit -> prepared list
-(** All twelve, in Table I order. *)

@@ -5,18 +5,17 @@ module Sta = Rar_sta.Sta
 module Clocking = Rar_sta.Clocking
 module Difflp = Rar_flow.Difflp
 module Stage = Rar_retime.Stage
+module Rgraph = Rar_retime.Rgraph
 module Outcome = Rar_retime.Outcome
 module Error = Rar_retime.Error
-module Grar = Rar_retime.Grar
-module Base_retiming = Rar_retime.Base_retiming
-module Vl = Rar_vl.Vl
-module Movable = Rar_vl.Movable
 module Suite = Rar_circuits.Suite
 module Json = Rar_util.Json
 module Deadline = Rar_util.Deadline
 module Faults = Rar_resilience.Faults
+module Period_search = Period_search
 
-type spec = Initial | Base | Grar | Vl of Vl.variant | Movable
+type vl = Vl.variant = Nvl | Evl | Rvl
+type spec = Initial | Base | Grar | Vl of vl | Movable
 
 type config = {
   spec : spec;
@@ -27,7 +26,7 @@ type config = {
   movable_moves : int;
 }
 
-type extras =
+type extras = Lp_tail.extras =
   | No_extras
   | Retiming of {
       r : int array;
@@ -55,33 +54,31 @@ type result = {
   wall_s : float;
 }
 
-let all = [ Initial; Base; Vl Vl.Nvl; Vl Vl.Evl; Vl Vl.Rvl; Movable; Grar ]
-let tabulated = [ Base; Vl Vl.Rvl; Grar ]
+let all = [ Initial; Base; Vl Nvl; Vl Evl; Vl Rvl; Movable; Grar ]
+let tabulated = [ Base; Vl Rvl; Grar ]
 
 let name = function
   | Initial -> "initial"
   | Base -> "base"
-  | Vl Vl.Nvl -> "nvl"
-  | Vl Vl.Evl -> "evl"
-  | Vl Vl.Rvl -> "rvl"
+  | Vl Nvl -> "nvl"
+  | Vl Evl -> "evl"
+  | Vl Rvl -> "rvl"
   | Movable -> "movable"
   | Grar -> "grar"
 
 let label = function
   | Initial -> "Init"
   | Base -> "Base"
-  | Vl Vl.Nvl -> "NVL"
-  | Vl Vl.Evl -> "EVL"
-  | Vl Vl.Rvl -> "RVL"
+  | Vl v -> Vl.label v
   | Movable -> "Mov"
   | Grar -> "G"
 
 let describe = function
   | Initial -> "un-retimed two-phase design (slaves at the sources)"
   | Base -> "resilience-blind minimum-area retiming"
-  | Vl Vl.Nvl -> "virtual library, every master seeded non-error-detecting"
-  | Vl Vl.Evl -> "virtual library, every master seeded error-detecting"
-  | Vl Vl.Rvl -> "virtual library, near-critical masters seeded error-detecting"
+  | Vl Nvl -> "virtual library, every master seeded non-error-detecting"
+  | Vl Evl -> "virtual library, every master seeded error-detecting"
+  | Vl Rvl -> "virtual library, near-critical masters seeded error-detecting"
   | Movable -> "RVL with the bounded movable-master local search"
   | Grar -> "G-RAR: coupled retiming and latch typing by min-cost flow"
 
@@ -89,9 +86,9 @@ let of_name s =
   match String.lowercase_ascii s with
   | "initial" -> Some Initial
   | "base" -> Some Base
-  | "nvl" -> Some (Vl Vl.Nvl)
-  | "evl" -> Some (Vl Vl.Evl)
-  | "rvl" -> Some (Vl Vl.Rvl)
+  | "nvl" -> Some (Vl Nvl)
+  | "evl" -> Some (Vl Evl)
+  | "rvl" -> Some (Vl Rvl)
   | "movable" -> Some Movable
   | "grar" -> Some Grar
   | _ -> None
@@ -102,11 +99,23 @@ let config ?(model = Sta.Path_based) ?solver ?(c = 0.5) ?(post_swap = true)
 
 let model_name = function Sta.Path_based -> "path" | Sta.Gate_based -> "gate"
 
+let model_of_name = function
+  | "path" -> Ok Sta.Path_based
+  | "gate" -> Ok Sta.Gate_based
+  | s -> Error (Printf.sprintf "unknown model %S (path|gate)" s)
+
 let solver_name = function
   | None -> "auto"
   | Some Difflp.Network_simplex -> "ns"
   | Some Difflp.Ssp -> "ssp"
   | Some Difflp.Closure -> "closure"
+
+let solver_of_name = function
+  | "network-simplex" | "ns" -> Ok (Some Difflp.Network_simplex)
+  | "ssp" -> Ok (Some Difflp.Ssp)
+  | "closure" -> Ok (Some Difflp.Closure)
+  | "auto" -> Ok None
+  | s -> Error (Printf.sprintf "unknown solver %S" s)
 
 let config_key (cfg : config) =
   Printf.sprintf "%s/%s/%s/c%.6g/swap%b/mov%d" (name cfg.spec)
@@ -160,90 +169,39 @@ let run ?deadline ?solve_cache (cfg : config) stage =
   Rar_obs.Trace.span ("engine/run:" ^ name cfg.spec) @@ fun () ->
   let t0 = Rar_util.Clock.now_s () in
   let deadline = effective_deadline deadline in
-  let engine = cfg.solver in
   let events = ref [] in
-  let on_fallback e = events := e :: !events in
-  let finish spec outcome stage extras =
-    Ok
+  (* Every engine solves through this one closure. The movable search
+     stays off the solve cache: a cached replay skips fault injection,
+     so it would change the fallback events a faulted run reports. *)
+  let solve_with cache g =
+    Rgraph.solve ?deadline
+      ~on_fallback:(fun e -> events := e :: !events)
+      ?engine:cfg.solver ?cache g
+  in
+  let solve = solve_with solve_cache in
+  guard @@ fun () ->
+  let ran =
+    match cfg.spec with
+    | Initial -> Ok (stage, Outcome.of_initial ~c:cfg.c stage, No_extras)
+    | Base -> Lp_tail.base ~solve ~c:cfg.c stage
+    | Grar -> Lp_tail.grar ~solve ~c:cfg.c stage
+    | Vl v ->
+      Vl.run ~deadline ~solve ~post_swap:cfg.post_swap ~c:cfg.c v stage
+    | Movable ->
+      Movable.run ~deadline ~solve:(solve_with None)
+        ~max_moves:cfg.movable_moves ~c:cfg.c stage
+  in
+  Result.map
+    (fun (stage, outcome, extras) ->
       {
-        spec;
+        spec = cfg.spec;
         outcome;
         stage;
         extras;
         events = List.rev !events;
         wall_s = Rar_util.Clock.now_s () -. t0;
-      }
-  in
-  guard @@ fun () ->
-  match cfg.spec with
-  | Initial ->
-    let outcome = Outcome.of_initial ~c:cfg.c stage in
-    finish Initial outcome stage No_extras
-  | Base -> (
-    match
-      Base_retiming.run_on_stage ?deadline ~on_fallback ?engine ?solve_cache
-        ~c:cfg.c stage
-    with
-    | Error _ as e -> e
-    | Ok r ->
-      finish Base r.Base_retiming.outcome r.Base_retiming.stage
-        (Retiming
-           {
-             r = r.Base_retiming.r;
-             lp_latches = r.Base_retiming.lp_latches;
-             modelled_non_ed = [];
-           }))
-  | Grar -> (
-    match
-      Grar.run_on_stage ?deadline ~on_fallback ?engine ?solve_cache ~c:cfg.c
-        stage
-    with
-    | Error _ as e -> e
-    | Ok r ->
-      finish Grar r.Grar.outcome r.Grar.stage
-        (Retiming
-           {
-             r = r.Grar.r;
-             lp_latches = r.Grar.lp_latches;
-             modelled_non_ed = r.Grar.modelled_non_ed;
-           }))
-  | Vl variant -> (
-    match
-      Vl.run_on_stage ?deadline ~on_fallback ?engine ?solve_cache
-        ~post_swap:cfg.post_swap ~c:cfg.c variant stage
-    with
-    | Error _ as e -> e
-    | Ok r ->
-      finish (Vl variant) r.Vl.outcome r.Vl.stage
-        (Retype
-           {
-             initial_ed = r.Vl.initial_ed;
-             forced_to_ed = r.Vl.forced_to_ed;
-             swapped_to_non_ed = r.Vl.swapped_to_non_ed;
-             retype_rounds = r.Vl.retype_rounds;
-           }))
-  | Movable -> (
-    match Stage.source stage with
-    | None ->
-      Error
-        (Error.Invalid_input
-           "movable: stage lacks its two-phase source netlist")
-    | Some two_phase -> (
-      match
-        Movable.run ?deadline ~on_fallback ?engine ~model:(Stage.model stage)
-          ~max_moves:cfg.movable_moves ~lib:(Stage.lib stage)
-          ~clocking:(Stage.clocking stage) ~c:cfg.c two_phase
-      with
-      | Error _ as e -> e
-      | Ok r ->
-        finish Movable r.Movable.movable.Vl.outcome r.Movable.movable.Vl.stage
-          (Moves
-             {
-               moves_tried = r.Movable.moves_tried;
-               moves_kept = r.Movable.moves_kept;
-               fixed_total_area =
-                 r.Movable.fixed.Vl.outcome.Outcome.total_area;
-             })))
+      })
+    ran
 
 let stage_of ?model ?edits (p : Suite.prepared) =
   guard @@ fun () ->

@@ -1,7 +1,8 @@
 (** The unified engine layer: every retiming approach in the repo —
     the un-retimed two-phase baseline, base (resilience-blind)
     retiming, the virtual-library variants, the movable-master search
-    and G-RAR — behind one typed entry point.
+    and G-RAR — behind one typed entry point. The engines themselves
+    are private to this library: {!run} is the only way to run one.
 
     A {!spec} names an engine; a {!config} fixes everything that can
     change a result (engine, STA model, flow solver, EDL overhead [c],
@@ -21,15 +22,20 @@ module Difflp = Rar_flow.Difflp
 module Stage = Rar_retime.Stage
 module Outcome = Rar_retime.Outcome
 module Error = Rar_retime.Error
-module Vl = Rar_vl.Vl
 module Suite = Rar_circuits.Suite
 module Json = Rar_util.Json
+
+(** How a virtual-library run seeds its master types (§V). *)
+type vl = Vl.variant =
+  | Nvl  (** every master in the detecting stage non-error-detecting *)
+  | Evl  (** every master error-detecting *)
+  | Rvl  (** by criticality: EDL on near-critical endpoints only *)
 
 type spec =
   | Initial  (** un-retimed two-phase design (slaves at the sources) *)
   | Base  (** resilience-blind min-area retiming (§VI-C "base") *)
   | Grar  (** the paper's G-RAR min-cost-flow formulation *)
-  | Vl of Vl.variant  (** virtual-library flow: NVL / EVL / RVL *)
+  | Vl of vl  (** virtual-library flow: NVL / EVL / RVL *)
   | Movable  (** RVL plus the bounded movable-master search (§VI-E) *)
 
 type config = {
@@ -42,25 +48,28 @@ type config = {
 }
 
 (** What an engine reports beyond the shared outcome. *)
-type extras =
-  | No_extras
+type extras = Lp_tail.extras =
+  | No_extras  (** [Initial] *)
   | Retiming of {
       r : int array;  (** retiming values per graph vertex *)
       lp_latches : float;  (** modelled (LP) latch count *)
       modelled_non_ed : int list;
           (** sinks the model priced as non-error-detecting (G-RAR) *)
-    }
+    }  (** [Base] and [Grar] *)
   | Retype of {
-      initial_ed : int list;
+      initial_ed : int list;  (** masters seeded error-detecting *)
       forced_to_ed : int list;
+          (** non-ED seeds the retimer could not honour (timing fix,
+              always applied — [17]'s manual violation fixes) *)
       swapped_to_non_ed : int list;
-      retype_rounds : int;
-    }
+          (** EDL masters relaxed by the optional post-retiming swap *)
+      retype_rounds : int;  (** infeasibility retries during retiming *)
+    }  (** [Vl _] *)
   | Moves of {
       moves_tried : int;
       moves_kept : int;
       fixed_total_area : float;  (** verified area before any master moved *)
-    }
+    }  (** [Movable] *)
 
 type result = {
   spec : spec;
@@ -114,6 +123,26 @@ val config :
 val config_key : config -> string
 (** Deterministic key covering every field — safe for memoisation. *)
 
+(** {2 Config names}
+
+    The one spelling table for STA models and flow solvers, shared by
+    the CLI flags, the serve protocol, JSON output and cache keys. *)
+
+val model_name : Sta.model -> string
+(** ["path"] or ["gate"]. *)
+
+val model_of_name : string -> (Sta.model, string) Stdlib.result
+(** Inverse of {!model_name}; anything else is
+    [unknown model "..." (path|gate)]. *)
+
+val solver_name : Difflp.engine option -> string
+(** ["auto"] (no pinned engine: {!Difflp.default_engine}), ["ns"],
+    ["ssp"] or ["closure"]. *)
+
+val solver_of_name : string -> (Difflp.engine option, string) Stdlib.result
+(** Inverse of {!solver_name}, also accepting ["network-simplex"] for
+    ["ns"]; anything else is [unknown solver "..."]. *)
+
 val config_json : config -> Json.t
 
 (** {1 Running} *)
@@ -123,9 +152,16 @@ val run :
   ?solve_cache:Difflp.cache ->
   config -> Stage.t -> (result, Error.t) Stdlib.result
 (** Run the configured engine on a prepared stage. The [Movable]
-    engine perturbs the full two-phase netlist, so its stage must
+    engine runs fixed-master RVL on the stage, then rebuilds each
+    candidate move from the full two-phase netlist, so its stage must
     carry a {!Stage.source}; otherwise it fails with
     [Invalid_input].
+
+    [Vl _] force-checks the deadline at each retype round (phase
+    ["vl-retype"]) and [Movable] before each candidate move (phase
+    ["movable-search"]); a post-sizing timing violation is
+    [Timing_violations] labelled ["Base"], ["G-RAR"], ["NVL"],
+    ["EVL"] or ["RVL"] (a movable run reports its RVL runs' label).
 
     [?deadline] bounds the run cooperatively: the solver inner loops
     check it and an overrun surfaces as [Error (Timeout _)] — the run
@@ -139,7 +175,8 @@ val run :
     [?solve_cache] replays previously solved identical LP instances
     without running a solver (ECO sessions thread their cache here);
     a cache hit skips fault injection and produces no fallback events,
-    but the returned solution is byte-identical. *)
+    but the returned solution is byte-identical. The [Movable] engine
+    never reads the cache. *)
 
 val stage_of :
   ?model:Sta.model ->
@@ -162,6 +199,40 @@ val load_and_run :
   config -> string -> (result, Error.t) Stdlib.result
 (** [load_and_run cfg name] loads the named benchmark and runs;
     unknown names yield [Unknown_circuit]. *)
+
+(** {1 Minimum-period search} *)
+
+(** Binary search over the period [P] — the classic other retiming
+    objective (paper §II-C). With the paper's fixed clock split every
+    timing bound scales with [P], so each probe is one base or G-RAR
+    run at [c = 1] on a fresh stage. *)
+module Period_search : sig
+  type search = Period_search.search = {
+    p : float;  (** found parameter *)
+    iterations : int;
+    lo : float;  (** final bracket *)
+    hi : float;
+  }
+
+  val min_feasible :
+    ?model:Sta.model ->
+    ?tol:float ->
+    lib:Liberty.t ->
+    Transform.comb_circuit ->
+    (search, Error.t) Stdlib.result
+  (** The smallest [P] at which a legal slave retiming exists (base
+      retiming succeeds). [tol] is the relative bracket width to stop
+      at (default 0.01). *)
+
+  val min_detection_free :
+    ?model:Sta.model ->
+    ?tol:float ->
+    lib:Liberty.t ->
+    Transform.comb_circuit ->
+    (search, Error.t) Stdlib.result
+  (** The smallest [P] at which G-RAR leaves every master
+      non-error-detecting. *)
+end
 
 (** {1 ECO sessions} *)
 

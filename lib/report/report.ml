@@ -4,7 +4,6 @@ module Stage = Rar_retime.Stage
 module Outcome = Rar_retime.Outcome
 module Error = Rar_retime.Error
 module Engine = Rar_engine
-module Vl = Rar_vl.Vl
 module Sim = Rar_sim.Sim
 module Sta = Rar_sta.Sta
 module Transform = Rar_netlist.Transform
@@ -80,11 +79,9 @@ let prepared t name =
       | Ok p -> p
       | Error _ -> fail name (Error.Unknown_circuit name))
 
-let model_tag = function Sta.Gate_based -> "gate" | Sta.Path_based -> "path"
-
 let stage t ?(model = Sta.Path_based) name =
   memo t t.stages
-    (Printf.sprintf "%s/%s" name (model_tag model))
+    (Printf.sprintf "%s/%s" name (Engine.model_name model))
     (fun () ->
       ok_or_fail (name ^ " stage") (Engine.stage_of ~model (prepared t name)))
 
@@ -323,13 +320,12 @@ let table_ii t =
   table_of 2 columns (body @ [ R.Rule; footer ])
 
 let table_iii t =
+  let variants = Engine.[ Vl Nvl; Vl Evl; Vl Rvl ] in
   let columns =
     ("Circuit", T.L)
     :: List.concat_map
          (fun (tag, _) ->
-           List.map
-             (fun v -> (tag ^ " " ^ Vl.variant_name v, T.R))
-             Vl.all_variants)
+           List.map (fun spec -> (tag ^ " " ^ Engine.label spec, T.R)) variants)
          overheads
   in
   let push, avg_of = sums () in
@@ -340,13 +336,11 @@ let table_iii t =
           List.concat_map
             (fun (tag, c) ->
               List.map
-                (fun variant ->
-                  let a =
-                    total_area (outcome t name ~spec:(Engine.Vl variant) ~c)
-                  in
-                  push (tag ^ Vl.variant_name variant) a;
+                (fun spec ->
+                  let a = total_area (outcome t name ~spec ~c) in
+                  push (tag ^ Engine.label spec) a;
                   R.float' a)
-                Vl.all_variants)
+                variants)
             overheads
         in
         R.Cells (R.Str name :: cells))
@@ -358,8 +352,8 @@ let table_iii t =
       :: List.concat_map
            (fun (tag, _) ->
              List.map
-               (fun v -> R.float' (avg_of (tag ^ Vl.variant_name v)))
-               Vl.all_variants)
+               (fun spec -> R.float' (avg_of (tag ^ Engine.label spec)))
+               variants)
            overheads)
   in
   table_of 3 columns (body @ [ R.Rule; footer ])

@@ -81,12 +81,10 @@ let prepared t ~libkey ~lib ~circuit ~bench =
         Ok (key, p)))
   | None, None -> Error ("invalid_input", "no circuit or bench text")
 
-let model_name = function Sta.Path_based -> "path" | Sta.Gate_based -> "gate"
-
 (* A [Stage.t] is read-only after [make] (its lazy STA memos are forced
    or lock-guarded), so one cached stage serves concurrent requests. *)
 let stage t ~circuit_key ~model (p : Suite.prepared) =
-  let key = circuit_key ^ "|" ^ model_name model in
+  let key = circuit_key ^ "|" ^ Engine.model_name model in
   match Lru.find t.stages key with
   | Some s -> Ok (key, s)
   | None -> (

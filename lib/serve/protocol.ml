@@ -40,18 +40,6 @@ let config_of (r : run_req) =
 (* Request parsing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let solver_of_name = function
-  | "network-simplex" | "ns" -> Ok (Some Difflp.Network_simplex)
-  | "ssp" -> Ok (Some Difflp.Ssp)
-  | "closure" -> Ok (Some Difflp.Closure)
-  | "auto" -> Ok None
-  | s -> Error (Printf.sprintf "unknown solver %S" s)
-
-let model_of_name = function
-  | "path" -> Ok Sta.Path_based
-  | "gate" -> Ok Sta.Gate_based
-  | s -> Error (Printf.sprintf "unknown model %S (path|gate)" s)
-
 (* Field-typed lookup: a present-but-mistyped field is a request
    error, not a silent default — a client sending ["c": "0.5"] must
    hear about it. *)
@@ -99,10 +87,12 @@ let parse_run j =
       | None -> Error (Printf.sprintf "unknown approach %S" s))
   in
   let* model =
-    match model_s with None -> Ok Sta.Path_based | Some s -> model_of_name s
+    match model_s with
+    | None -> Ok Sta.Path_based
+    | Some s -> Engine.model_of_name s
   in
   let* solver =
-    match solver_s with None -> Ok None | Some s -> solver_of_name s
+    match solver_s with None -> Ok None | Some s -> Engine.solver_of_name s
   in
   let* () =
     match deadline_s with

@@ -35,12 +35,6 @@ type run_req = {
   want_metrics : bool;
 }
 
-val solver_of_name :
-  string -> (Rar_flow.Difflp.engine option, string) result
-(** ["auto"] (no pinned engine: {!Rar_flow.Difflp.default_engine}),
-    ["ns"] / ["network-simplex"], ["ssp"] or ["closure"]. Shared with
-    the CLI's [--solver] flag. *)
-
 type verb = Run of run_req | Ping | Metrics | Shutdown
 
 type request = { id : Rar_util.Json.t; verb : verb }

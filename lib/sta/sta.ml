@@ -617,26 +617,6 @@ let forward_with_latches t ~clocking ~latch ~latched =
   done;
   Array.init n (fun v -> Liberty.{ rise = arr_r.(v); fall = arr_f.(v) })
 
-let near_critical t ~clocking =
-  let period = Clocking.period clocking in
-  Array.fold_right
-    (fun s acc ->
-      if arrival_at_sink t s > period +. 1e-9 then s :: acc else acc)
-    (Netlist.outputs t.net) []
-
-let violations t ~clocking =
-  let limit = Clocking.max_delay clocking in
-  Array.fold_right
-    (fun s acc ->
-      if arrival_at_sink t s > limit +. 1e-9 then s :: acc else acc)
-    (Netlist.outputs t.net) []
-
-let wns t ~clocking =
-  let limit = Clocking.max_delay clocking in
-  Array.fold_left
-    (fun acc s -> Float.min acc (limit -. arrival_at_sink t s))
-    infinity (Netlist.outputs t.net)
-
 (* ------------------------------------------------------------------ *)
 (* Path reports                                                        *)
 (* ------------------------------------------------------------------ *)

@@ -199,20 +199,6 @@ val forward_with_latches :
     arrival of the un-retimed design when all source-driven pins are
     latched). *)
 
-(** {1 Endpoint reports} *)
-
-val near_critical : t -> clocking:Clocking.t -> int list
-(** Sinks whose arrival falls inside the resiliency window
-    [(period, period + phi1]] — the NCE count of Table I. Uses the
-    same [1e-9] tolerance as {!violations} and the path report. *)
-
-val violations : t -> clocking:Clocking.t -> int list
-(** Sinks whose arrival exceeds [max_delay] — illegal even with error
-    detection. *)
-
-val wns : t -> clocking:Clocking.t -> float
-(** Worst negative slack against [max_delay] (positive = met). *)
-
 (** {1 Path reports} *)
 
 type path_step = {

@@ -136,16 +136,14 @@ let test_real_s27 () =
     with
     | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
     | Ok stage ->
-      (match Rar_retime.Grar.run_on_stage ~c:2.0 stage with
-      | Ok r ->
-        Alcotest.(check (list int)) "no violations" []
-          r.Rar_retime.Grar.outcome.Rar_retime.Outcome.violations
-      | Error e -> Alcotest.fail (Rar_retime.Error.to_string e));
-      (match Rar_retime.Base_retiming.run_on_stage ~c:2.0 stage with
-      | Ok r ->
-        Alcotest.(check (list int)) "no violations" []
-          r.Rar_retime.Base_retiming.outcome.Rar_retime.Outcome.violations
-      | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)))
+      List.iter
+        (fun spec ->
+          match Rar_engine.run (Rar_engine.config ~c:2.0 spec) stage with
+          | Ok r ->
+            Alcotest.(check (list int)) "no violations" []
+              r.Rar_engine.outcome.Rar_retime.Outcome.violations
+          | Error e -> Alcotest.fail (Rar_retime.Error.to_string e))
+        [ Rar_engine.Grar; Rar_engine.Base ])
 
 let prop_generated_bench_roundtrip =
   QCheck.Test.make ~name:"generated circuits roundtrip through .bench"

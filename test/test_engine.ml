@@ -18,6 +18,8 @@ module Stage = Rar_retime.Stage
 module Outcome = Rar_retime.Outcome
 module Error = Rar_retime.Error
 module Engine = Rar_engine
+module Json = Rar_util.Json
+module Faults = Rar_resilience.Faults
 
 let small_spec seed =
   {
@@ -255,6 +257,56 @@ let test_closure_jobs_identical () =
       Alcotest.(check string) (Printf.sprintf "rar-run/1 at jobs=%d" j) j1 jj)
     [ 2; 4 ]
 
+(* One MD5 per circuit and engine over its rar-run/1 documents at
+   c = 0.5, 1 and 2 with [wall_s] removed, recorded with faults off
+   while base, G-RAR, VL and movable still had their own entry points
+   and result records: pins each engine's outcome, extras and ED-sink
+   names. *)
+let run_digests =
+  [
+    ("s1196", "initial", "2bba1f63c3f0d61f78b0b4f7377a4659");
+    ("s1196", "base", "94a37e4056cc995e3474410f42dd4906");
+    ("s1196", "nvl", "a0072c3b2dc573bc7cb66142e7d350ba");
+    ("s1196", "evl", "abfe1271d1ae346bf6c08f5958198d31");
+    ("s1196", "rvl", "79c5064dff053e175c70f1528d09b057");
+    ("s1196", "movable", "0d651042dca42faf50936fdcc761259a");
+    ("s1196", "grar", "06966392d3f49889a78ca5c1db4b265a");
+    ("s1423", "initial", "54df6aa7edfab00b53a141d2ae8ba901");
+    ("s1423", "base", "9f249ac22562e50cf19605435ae60d18");
+    ("s1423", "nvl", "b3665784d454f4182120119088dd3946");
+    ("s1423", "evl", "405a8f6d9e2978de2199d27c46f4827c");
+    ("s1423", "rvl", "df87cc17cf1895d571cf8f7af7023761");
+    ("s1423", "movable", "ea3a4e7fb58f67fadd1aec38bb597886");
+    ("s1423", "grar", "f9eb2d40a763ef3ac354bf9179ed134f");
+  ]
+
+let run_digest circuit spec =
+  let p = Result.get_ok (Suite.load circuit) in
+  List.map
+    (fun c ->
+      let cfg = Engine.config ~c spec in
+      match Engine.run_prepared cfg p with
+      | Error e -> Alcotest.fail (Error.to_string e)
+      | Ok r -> (
+        match Engine.result_json ~circuit cfg r with
+        | Json.Obj kvs ->
+          Json.to_string
+            (Json.Obj (List.filter (fun (k, _) -> k <> "wall_s") kvs))
+        | _ -> Alcotest.fail "rar-run/1 is an object"))
+    [ 0.5; 1.0; 2.0 ]
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+let test_run_digests () =
+  Faults.disable ();
+  Fun.protect ~finally:Faults.use_env @@ fun () ->
+  List.iter
+    (fun (circuit, name, want) ->
+      let spec = Option.get (Engine.of_name name) in
+      Alcotest.(check string)
+        (circuit ^ " " ^ name)
+        want (run_digest circuit spec))
+    run_digests
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_registry_legal;
@@ -268,4 +320,6 @@ let suite =
       test_closure_jobs_identical;
     Alcotest.test_case "run JSON has the rar-run/1 shape" `Quick
       test_result_json_shape;
+    Alcotest.test_case "rar-run/1 digests per engine (s1196, s1423)" `Slow
+      test_run_digests;
   ]

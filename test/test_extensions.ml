@@ -9,11 +9,11 @@ module Rng = Rar_util.Rng
 module Liberty = Rar_liberty.Liberty
 module Suite = Rar_circuits.Suite
 module Fig4 = Rar_circuits.Fig4
-module Period_search = Rar_retime.Period_search
+module Period_search = Rar_engine.Period_search
 module Edl_cluster = Rar_retime.Edl_cluster
 module Outcome = Rar_retime.Outcome
 module Stage = Rar_retime.Stage
-module Grar = Rar_retime.Grar
+module Engine = Rar_engine
 module Sim = Rar_sim.Sim
 module Vcd = Rar_sim.Vcd
 module Transform = Rar_netlist.Transform
@@ -140,10 +140,10 @@ let test_annotate () =
     | Ok s -> s
     | Error e -> failwith (Rar_retime.Error.to_string e)
   in
-  match Grar.run_on_stage ~c:0.5 stage with
+  match Engine.run (Engine.config ~c:0.5 Engine.Grar) stage with
   | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
   | Ok r ->
-    let o = r.Grar.outcome in
+    let o = r.Engine.outcome in
     let o', tree = Edl_cluster.annotate ~lib:(Fig4.library ()) o in
     Alcotest.(check int) "signals = edl" (Outcome.ed_count o)
       tree.Edl_cluster.n_signals;
@@ -162,11 +162,13 @@ let test_vcd_trace () =
     | Ok s -> s
     | Error e -> failwith (Rar_retime.Error.to_string e)
   in
-  match Grar.run_on_stage ~c:2.0 stage with
+  match Engine.run (Engine.config ~c:2.0 Engine.Grar) stage with
   | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
   | Ok r ->
-    let cc = Stage.cc r.Grar.stage in
-    let staged = Transform.apply_retiming cc r.Grar.outcome.Outcome.placements in
+    let cc = Stage.cc r.Engine.stage in
+    let staged =
+      Transform.apply_retiming cc r.Engine.outcome.Outcome.placements
+    in
     let d =
       { Sim.staged; lib = Fig4.library (); clocking = Fig4.clocking;
         ed_sinks = [] }
@@ -210,16 +212,19 @@ let test_grar_identical_across_jobs () =
       | Ok s -> s
       | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
     in
-    match Grar.run_on_stage ~c:1.0 stage with
-    | Ok r ->
+    match Engine.run (Engine.config ~c:1.0 Engine.Grar) stage with
+    | Ok
+        {
+          Engine.outcome = o;
+          extras = Engine.Retiming { r; modelled_non_ed; _ };
+          _;
+        } ->
       Digest.to_hex
         (Digest.string
            (Marshal.to_string
-              ( r.Grar.r,
-                r.Grar.modelled_non_ed,
-                r.Grar.outcome.Outcome.placements,
-                r.Grar.outcome.Outcome.ed_sinks )
+              (r, modelled_non_ed, o.Outcome.placements, o.Outcome.ed_sinks)
               []))
+    | Ok _ -> Alcotest.fail "G-RAR reports a retiming"
     | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
   in
   let reference = run () in

@@ -8,9 +8,8 @@
 module Fig4 = Rar_circuits.Fig4
 module Stage = Rar_retime.Stage
 module Rgraph = Rar_retime.Rgraph
-module Grar = Rar_retime.Grar
-module Base = Rar_retime.Base_retiming
 module Outcome = Rar_retime.Outcome
+module Engine = Rar_engine
 module Sta = Rar_sta.Sta
 module Difflp = Rar_flow.Difflp
 module Transform = Rar_netlist.Transform
@@ -77,52 +76,56 @@ let test_g_of_o9 () =
   | Stage.Never_ed -> Alcotest.fail "O9 classified never-ed"
   | Stage.Always_ed -> Alcotest.fail "O9 classified always-ed"
 
-let run_grar ?engine c =
-  match Grar.run_on_stage ?engine ~c (stage ()) with
+let run ?solver spec c =
+  match Engine.run (Engine.config ?solver ~c spec) (stage ()) with
   | Ok r -> r
   | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
 
-let run_base c =
-  match Base.run_on_stage ~c (stage ()) with
-  | Ok r -> r
-  | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
+let run_grar ?solver c = run ?solver Engine.Grar c
+
+(* The retiming extras of a base or G-RAR run: (lp_latches,
+   modelled_non_ed). *)
+let retiming (r : Engine.result) =
+  match r.Engine.extras with
+  | Engine.Retiming { lp_latches; modelled_non_ed; _ } ->
+    (lp_latches, modelled_non_ed)
+  | _ -> Alcotest.fail "a retiming run reports its LP solution"
 
 let test_grar_high_overhead () =
   (* c = 2: Cut2 wins; O9 becomes non-error-detecting. *)
   let r = run_grar 2.0 in
-  let o = r.Grar.outcome in
+  let o = r.Engine.outcome in
   Alcotest.(check int) "slaves" 3 o.Outcome.n_slaves;
   Alcotest.(check int) "edl" 0 (Outcome.ed_count o);
   feq "seq area (4 units)" 4.0 o.Outcome.seq_area;
-  Alcotest.(check int) "non-ed modelled" 1 (List.length r.Grar.modelled_non_ed);
+  Alcotest.(check int) "non-ed modelled" 1 (List.length (snd (retiming r)));
   match o.Outcome.arrivals with
   | [| (_, a) |] -> feq "O9 arrival" 9.0 a
   | _ -> Alcotest.fail "expected exactly one sink"
 
 let test_grar_low_overhead () =
   (* c = 0.5: the EDL is cheap; min-latch Cut1 wins. *)
-  let r = run_grar 0.5 in
-  let o = r.Grar.outcome in
+  let o = (run_grar 0.5).Engine.outcome in
   Alcotest.(check int) "slaves" 2 o.Outcome.n_slaves;
   Alcotest.(check int) "edl" 1 (Outcome.ed_count o);
   feq "seq area" 3.5 o.Outcome.seq_area
 
 let test_base_retiming () =
   (* Base retiming ignores the EDL overhead: Cut1 at any c. *)
-  let r = run_base 2.0 in
-  let o = r.Base.outcome in
+  let r = run Engine.Base 2.0 in
+  let o = r.Engine.outcome in
   Alcotest.(check int) "slaves" 2 o.Outcome.n_slaves;
   Alcotest.(check int) "edl" 1 (Outcome.ed_count o);
   feq "seq area (5 units)" 5.0 o.Outcome.seq_area;
-  feq "lp latch count" 2.0 r.Base.lp_latches
+  feq "lp latch count" 2.0 (fst (retiming r))
 
 let test_engines_agree () =
   List.iter
     (fun engine ->
-      let r = run_grar ~engine 2.0 in
+      let r = run_grar ~solver:engine 2.0 in
       feq
         ("seq area with " ^ Difflp.engine_name engine)
-        4.0 r.Grar.outcome.Outcome.seq_area)
+        4.0 r.Engine.outcome.Outcome.seq_area)
     Difflp.all_engines
 
 let test_initial_design_violates () =

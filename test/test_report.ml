@@ -11,6 +11,7 @@ module Engine = Rar_engine
 module Metrics = Rar_obs.Metrics
 module Netlist = Rar_netlist.Netlist
 module Sim = Rar_sim.Sim
+module Faults = Rar_resilience.Faults
 
 let test_text_table () =
   let t = T.create ~headers:[ ("name", T.L); ("x", T.R) ] in
@@ -288,6 +289,86 @@ let test_sim_once_per_design () =
     [ 1; 2; 4 ];
   Alcotest.(check bool) "events counted" true (counter 1 "sim_events" > 0)
 
+(* Tables II-VI and IX for three circuits, recorded with faults off
+   while base, G-RAR, VL and movable still had their own entry points:
+   every engine result the comparison tables read shows up here. *)
+let tables_golden =
+  [
+    ( 2,
+      {|| Circuit | low gate | low path | low impr% | medium gate | medium path | medium impr% | high gate | high path | high impr% |
+|---------|----------|----------|-----------|-------------|-------------|--------------|-----------|-----------|------------|
+| s1196   |   409.20 |   387.44 |      5.32 |      415.13 |      393.37 |         5.24 |    427.00 |    405.24 |       5.10 |
+| s1423   |   706.43 |   665.88 |      5.74 |      723.24 |      675.77 |         6.56 |    756.87 |    695.55 |       8.10 |
+| s5378   |  1529.56 |  1486.05 |      2.84 |     1582.97 |     1491.98 |         5.75 |   1656.16 |   1503.85 |       9.20 |
+|---------|----------|----------|-----------|-------------|-------------|--------------|-----------|-----------|------------|
+| average |   881.73 |   846.45 |      4.63 |      907.11 |      853.71 |         5.85 |    946.67 |    868.21 |       7.46 |
+|} );
+    ( 3,
+      {|| Circuit | low NVL | low EVL | low RVL | medium NVL | medium EVL | medium RVL | high NVL | high EVL | high RVL |
+|---------|---------|---------|---------|------------|------------|------------|----------|----------|----------|
+| s1196   |  556.56 |  387.44 |  387.44 |     559.52 |     393.37 |     393.37 |   565.46 |   405.24 |   405.24 |
+| s1423   |  851.81 |  693.57 |  693.57 |     861.70 |     745.00 |     745.00 |   881.48 |   847.85 |   847.85 |
+| s5378   | 1907.36 | 1494.95 | 1494.95 |    1913.30 |    1549.34 |    1549.34 |  1925.16 |  1658.13 |  1658.13 |
+|---------|---------|---------|---------|------------|------------|------------|----------|----------|----------|
+| average | 1105.24 |  858.65 |  858.65 |    1111.51 |     895.90 |     895.90 |  1124.03 |   970.41 |   970.41 |
+|} );
+    ( 4,
+      {|| Circuit | low Base | low RVL | low Impr% |   low G | low Impr% | medium Base | medium RVL | medium Impr% | medium G | medium Impr% | high Base | high RVL | high Impr% |  high G | high Impr% |
+|---------|----------|---------|-----------|---------|-----------|-------------|------------|--------------|----------|--------------|-----------|----------|------------|---------|------------|
+| s1196   |   199.78 |  199.78 |      0.00 |  199.78 |      0.00 |      205.71 |     205.71 |         0.00 |   205.71 |         0.00 |    217.58 |   217.58 |       0.00 |  217.58 |       0.00 |
+| s1423   |   464.83 |  464.83 |      0.00 |  437.14 |      5.96 |      516.26 |     516.26 |         0.00 |   447.03 |        13.41 |    619.11 |   619.11 |       0.00 |  466.81 |      24.60 |
+| s5378   |  1009.77 | 1009.77 |      0.00 | 1000.87 |      0.88 |     1064.16 |    1064.16 |         0.00 |  1006.80 |         5.39 |   1172.95 |  1172.95 |       0.00 | 1018.67 |      13.15 |
+|---------|----------|---------|-----------|---------|-----------|-------------|------------|--------------|----------|--------------|-----------|----------|------------|---------|------------|
+| average |   558.13 |  558.13 |      0.00 |  545.93 |      2.28 |      595.38 |     595.38 |         0.00 |   553.18 |         6.27 |    669.88 |   669.88 |       0.00 |  567.69 |      12.58 |
+|} );
+    ( 5,
+      {|| Circuit | low Base | low RVL | low Impr% |   low G | low Impr% | medium Base | medium RVL | medium Impr% | medium G | medium Impr% | high Base | high RVL | high Impr% |  high G | high Impr% |
+|---------|----------|---------|-----------|---------|-----------|-------------|------------|--------------|----------|--------------|-----------|----------|------------|---------|------------|
+| s1196   |   387.44 |  387.44 |      0.00 |  387.44 |      0.00 |      393.37 |     393.37 |         0.00 |   393.37 |         0.00 |    405.24 |   405.24 |       0.00 |  405.24 |       0.00 |
+| s1423   |   693.57 |  693.57 |      0.00 |  665.88 |      3.99 |      745.00 |     745.00 |         0.00 |   675.77 |         9.29 |    847.85 |   847.85 |       0.00 |  695.55 |      17.96 |
+| s5378   |  1494.95 | 1494.95 |      0.00 | 1486.05 |      0.60 |     1549.34 |    1549.34 |         0.00 |  1491.98 |         3.70 |   1658.13 |  1658.13 |       0.00 | 1503.85 |       9.30 |
+|---------|----------|---------|-----------|---------|-----------|-------------|------------|--------------|----------|--------------|-----------|----------|------------|---------|------------|
+| average |   858.65 |  858.65 |      0.00 |  846.45 |      1.53 |      895.90 |     895.90 |         0.00 |   853.71 |         4.33 |    970.41 |   970.41 |       0.00 |  868.21 |       9.09 |
+|} );
+    ( 6,
+      {|| Circuit | Approach | low slave# | low EDL# | medium slave# | medium EDL# | high slave# | high EDL# |
+|---------|----------|------------|----------|---------------|-------------|-------------|-----------|
+| s1196   | Base     |         52 |        6 |            52 |           6 |          52 |         6 |
+| s1196   | RVL      |         52 |        6 |            52 |           6 |          52 |         6 |
+| s1196   | G        |         52 |        6 |            52 |           6 |          52 |         6 |
+|---------|----------|------------|----------|---------------|-------------|-------------|-----------|
+| s1423   | Base     |        113 |       52 |           113 |          52 |         113 |        52 |
+| s1423   | RVL      |        113 |       52 |           113 |          52 |         113 |        52 |
+| s1423   | G        |        120 |       10 |           120 |          10 |         120 |        10 |
+|---------|----------|------------|----------|---------------|-------------|-------------|-----------|
+| s5378   | Base     |        236 |       55 |           236 |          55 |         236 |        55 |
+| s5378   | RVL      |        236 |       55 |           236 |          55 |         236 |        55 |
+| s5378   | G        |        256 |        6 |           256 |           6 |         256 |         6 |
+|---------|----------|------------|----------|---------------|-------------|-------------|-----------|
+|} );
+    ( 9,
+      {|| Circuit | low fixed | low movable | low diff% | medium fixed | medium movable | medium diff% | high fixed | high movable | high diff% |
+|---------|-----------|-------------|-----------|--------------|----------------|--------------|------------|--------------|------------|
+| s1196   |    387.44 |      387.44 |      0.00 |       393.37 |         393.37 |         0.00 |     405.24 |       405.24 |       0.00 |
+| s1423   |    693.57 |      692.58 |      0.14 |       745.00 |         743.02 |         0.27 |     847.85 |       843.90 |       0.47 |
+| s5378   |   1494.95 |     1494.95 |      0.00 |      1549.34 |        1549.34 |         0.00 |    1658.13 |      1658.13 |       0.00 |
+|---------|-----------|-------------|-----------|--------------|----------------|--------------|------------|--------------|------------|
+| average |           |             |      0.05 |              |                |         0.09 |            |              |       0.16 |
+|} );
+  ]
+
+let test_tables_golden () =
+  Faults.disable ();
+  Fun.protect ~finally:Faults.use_env @@ fun () ->
+  let t = Report.create ~names:[ "s1196"; "s1423"; "s5378" ] () in
+  List.iter
+    (fun (n, want) ->
+      match Report.table t n with
+      | Ok got ->
+        Alcotest.(check string) (Printf.sprintf "Table %d text" n) want got
+      | Error e -> Alcotest.fail e)
+    tables_golden
+
 let suite =
   [
     Alcotest.test_case "text table renders aligned" `Quick test_text_table;
@@ -308,4 +389,6 @@ let suite =
       test_jobs_determinism;
     Alcotest.test_case "precompute simulates each design once" `Slow
       test_sim_once_per_design;
+    Alcotest.test_case "Tables II-VI, IX golden (s1196, s1423, s5378)" `Slow
+      test_tables_golden;
   ]

@@ -153,11 +153,11 @@ let test_retiming_still_clean_after_resynth () =
   with
   | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
   | Ok st -> (
-    match Rar_retime.Grar.run_on_stage ~c:1.0 st with
+    match Rar_engine.run (Rar_engine.config ~c:1.0 Rar_engine.Grar) st with
     | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
     | Ok r ->
       Alcotest.(check (list int)) "no violations" []
-        r.Rar_retime.Grar.outcome.Rar_retime.Outcome.violations)
+        r.Rar_engine.outcome.Rar_retime.Outcome.violations)
 
 let suite =
   [

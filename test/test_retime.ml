@@ -13,10 +13,9 @@ module Generator = Rar_circuits.Generator
 module Suite = Rar_circuits.Suite
 module Stage = Rar_retime.Stage
 module Rgraph = Rar_retime.Rgraph
-module Grar = Rar_retime.Grar
-module Base = Rar_retime.Base_retiming
 module Outcome = Rar_retime.Outcome
 module Difflp = Rar_flow.Difflp
+module Engine = Rar_engine
 
 let small_spec seed =
   {
@@ -46,6 +45,8 @@ let cached_stage =
       let st = stage_of_spec (small_spec seed) in
       Hashtbl.replace tbl seed st;
       st
+
+let run spec ~c st = Engine.run (Engine.config ~c spec) st
 
 (* Per-engine legality properties live in Test_engine now, swept over
    the whole registry. *)
@@ -78,13 +79,13 @@ let prop_grar_beats_base_model =
     (fun seed ->
       let st = cached_stage seed in
       let c = 1.0 in
-      match (Grar.run_on_stage ~c st, Base.run_on_stage ~c st) with
+      match (run Engine.Grar ~c st, run Engine.Base ~c st) with
       | Ok g, Ok b ->
         let cost (o : Outcome.t) =
           float_of_int o.Outcome.n_slaves
           +. (c *. float_of_int (Outcome.ed_count o))
         in
-        cost g.Grar.outcome <= cost b.Base.outcome +. 1e-6
+        cost g.Engine.outcome <= cost b.Engine.outcome +. 1e-6
       | _ -> false)
 
 let prop_deterministic =
@@ -92,11 +93,11 @@ let prop_deterministic =
     QCheck.(int_bound 40)
     (fun seed ->
       let st = cached_stage seed in
-      match (Grar.run_on_stage ~c:2.0 st, Grar.run_on_stage ~c:2.0 st) with
-      | Ok a, Ok b ->
-        a.Grar.outcome.Outcome.n_slaves = b.Grar.outcome.Outcome.n_slaves
-        && Outcome.ed_count a.Grar.outcome = Outcome.ed_count b.Grar.outcome
-        && a.Grar.outcome.Outcome.seq_area = b.Grar.outcome.Outcome.seq_area
+      match (run Engine.Grar ~c:2.0 st, run Engine.Grar ~c:2.0 st) with
+      | Ok { Engine.outcome = a; _ }, Ok { Engine.outcome = b; _ } ->
+        a.Outcome.n_slaves = b.Outcome.n_slaves
+        && Outcome.ed_count a = Outcome.ed_count b
+        && a.Outcome.seq_area = b.Outcome.seq_area
       | _ -> false)
 
 let prop_ed_iff_window =
@@ -106,11 +107,11 @@ let prop_ed_iff_window =
     QCheck.(int_bound 40)
     (fun seed ->
       let st = cached_stage seed in
-      match Grar.run_on_stage ~c:1.0 st with
+      match run Engine.Grar ~c:1.0 st with
       | Error _ -> false
       | Ok r ->
-        let o = r.Grar.outcome in
-        let period = Clocking.period (Stage.clocking r.Grar.stage) in
+        let o = r.Engine.outcome in
+        let period = Clocking.period (Stage.clocking r.Engine.stage) in
         Array.for_all
           (fun (s, a) ->
             let ed = List.mem s o.Outcome.ed_sinks in
@@ -135,22 +136,24 @@ let test_regions_exclusive () =
 
 let test_grar_converts_targets () =
   let st = cached_stage 3 in
-  match Grar.run_on_stage ~c:2.0 st with
+  match run Engine.Grar ~c:2.0 st with
   | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
-  | Ok r ->
+  | Ok { Engine.outcome; extras = Engine.Retiming { modelled_non_ed; _ }; _ }
+    ->
     (* at c = 2 every modelled conversion must be verified non-ED *)
     List.iter
       (fun s ->
         Alcotest.(check bool) "converted master is non-ED" true
-          (not (List.mem s r.Grar.outcome.Outcome.ed_sinks)))
-      r.Grar.modelled_non_ed
+          (not (List.mem s outcome.Outcome.ed_sinks)))
+      modelled_non_ed
+  | Ok _ -> Alcotest.fail "G-RAR reports a retiming"
 
 let test_outcome_area_formula () =
   let st = cached_stage 5 in
-  match Base.run_on_stage ~c:1.5 st with
+  match run Engine.Base ~c:1.5 st with
   | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
   | Ok r ->
-    let o = r.Base.outcome in
+    let o = r.Engine.outcome in
     let latch = (Liberty.latch (Stage.lib st)).Liberty.seq_area in
     let expect =
       (float_of_int (o.Outcome.n_slaves + o.Outcome.n_masters) *. latch)
@@ -163,18 +166,18 @@ let test_outcome_area_formula () =
 
 let test_sizing_noop_when_clean () =
   let st = cached_stage 7 in
-  match Base.run_on_stage ~c:1.0 st with
+  match run Engine.Base ~c:1.0 st with
   | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
   | Ok r ->
     (* A second sizing pass over a clean result changes nothing. *)
     let limit = Clocking.max_delay (Stage.clocking st) in
-    let placements = r.Base.outcome.Outcome.placements in
+    let placements = r.Engine.outcome.Outcome.placements in
     (match
-       Rar_retime.Sizing.fix ~deadlines:(fun _ -> limit) r.Base.stage
+       Rar_retime.Sizing.fix ~deadlines:(fun _ -> limit) r.Engine.stage
          placements
      with
     | Ok st' ->
-      Alcotest.(check bool) "same netlist object" true (st' == r.Base.stage)
+      Alcotest.(check bool) "same netlist object" true (st' == r.Engine.stage)
     | Error e -> Alcotest.fail (Rar_retime.Error.to_string e))
 
 (* [Stage.make] against the dense first-written classifier

@@ -7,8 +7,6 @@ module Fig4 = Rar_circuits.Fig4
 module Netlist = Rar_netlist.Netlist
 module Transform = Rar_netlist.Transform
 module Stage = Rar_retime.Stage
-module Grar = Rar_retime.Grar
-module Base = Rar_retime.Base_retiming
 module Outcome = Rar_retime.Outcome
 module Sim = Rar_sim.Sim
 module Clocking = Rar_sta.Clocking
@@ -45,17 +43,14 @@ let design_of (st : Stage.t) (o : Outcome.t) =
         o.Outcome.ed_sinks;
   }
 
-let grar_design =
+let design spec =
   lazy
-    (match Grar.run_on_stage ~c:2.0 (Lazy.force stage) with
-    | Ok r -> (r, design_of r.Grar.stage r.Grar.outcome)
+    (match Engine.run (Engine.config ~c:2.0 spec) (Lazy.force stage) with
+    | Ok r -> (r, design_of r.Engine.stage r.Engine.outcome)
     | Error e -> failwith (Rar_retime.Error.to_string e))
 
-let base_design =
-  lazy
-    (match Base.run_on_stage ~c:2.0 (Lazy.force stage) with
-    | Ok r -> (r, design_of r.Base.stage r.Base.outcome)
-    | Error e -> failwith (Rar_retime.Error.to_string e))
+let grar_design = design Engine.Grar
+let base_design = design Engine.Base
 
 let all_bits v n = Array.make n v
 
@@ -102,7 +97,7 @@ let test_capture_time_matches_sta () =
   let sta_bound =
     Array.fold_left
       (fun acc (_, a) -> Float.max acc a)
-      0. rb.Base.outcome.Outcome.arrivals
+      0. rb.Engine.outcome.Outcome.arrivals
   in
   List.iter
     (fun (_, t) ->

@@ -9,9 +9,7 @@ module Generator = Rar_circuits.Generator
 module Suite = Rar_circuits.Suite
 module Stage = Rar_retime.Stage
 module Outcome = Rar_retime.Outcome
-module Base = Rar_retime.Base_retiming
-module Vl = Rar_vl.Vl
-module Movable = Rar_vl.Movable
+module Engine = Rar_engine
 
 let prepared =
   lazy
@@ -22,36 +20,48 @@ let prepared =
 
 let stage =
   lazy
-    (let p = Lazy.force prepared in
-     match Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking p.Suite.cc with
+    (match Engine.stage_of (Lazy.force prepared) with
      | Ok st -> st
      | Error e -> failwith (Rar_retime.Error.to_string e))
 
-let run ?post_swap variant c =
-  match Vl.run_on_stage ?post_swap ~c variant (Lazy.force stage) with
+let run_engine ?post_swap ?movable_moves spec c =
+  match
+    Engine.run
+      (Engine.config ?post_swap ?movable_moves ~c spec)
+      (Lazy.force stage)
+  with
   | Ok r -> r
   | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
+
+let run ?post_swap variant c = run_engine ?post_swap (Engine.Vl variant) c
+let variants = Engine.[ Nvl; Evl; Rvl ]
+
+let retype (r : Engine.result) =
+  match r.Engine.extras with
+  | Engine.Retype { initial_ed; forced_to_ed; _ } -> (initial_ed, forced_to_ed)
+  | _ -> Alcotest.fail "a VL run reports its retyping"
 
 (* Variant-by-variant timing cleanliness is covered by Test_engine's
    registry-wide legality sweep. *)
 
 let test_rvl_seed_is_nce () =
-  let r = run Vl.Rvl 1.0 in
+  let initial_ed, _ = retype (run Engine.Rvl 1.0) in
   let nce = Stage.near_critical_initial (Lazy.force stage) in
   Alcotest.(check (list int)) "seed = NCE set" (List.sort compare nce)
-    (List.sort compare r.Vl.initial_ed)
+    (List.sort compare initial_ed)
 
 let test_evl_seeds_everything () =
-  let r = run Vl.Evl 1.0 in
+  let initial_ed, _ = retype (run Engine.Evl 1.0) in
   Alcotest.(check int) "all masters seeded"
     (Array.length (Stage.sinks (Lazy.force stage)))
-    (List.length r.Vl.initial_ed)
+    (List.length initial_ed)
 
 let test_nvl_honours_types () =
   (* NVL: every master the retimer could satisfy must be verified
      non-ED; leftovers are exactly the forced fixes. *)
-  let r = run Vl.Nvl 1.0 in
-  let o = r.Vl.outcome in
+  let r = run Engine.Nvl 1.0 in
+  let _, forced_to_ed = retype r in
+  let o = r.Engine.outcome in
   List.iter
     (fun s ->
       let hopeless =
@@ -60,7 +70,7 @@ let test_nvl_honours_types () =
         | _ -> false
       in
       Alcotest.(check bool) "ED master is hopeless or forced" true
-        (hopeless || List.mem s r.Vl.forced_to_ed))
+        (hopeless || List.mem s forced_to_ed))
     o.Outcome.ed_sinks
 
 let test_post_swap_only_shrinks () =
@@ -68,22 +78,22 @@ let test_post_swap_only_shrinks () =
     (fun variant ->
       let with_swap = run ~post_swap:true variant 2.0 in
       let without = run ~post_swap:false variant 2.0 in
+      let label = Engine.label (Engine.Vl variant) in
       Alcotest.(check bool)
-        (Vl.variant_name variant ^ " swap shrinks EDL set")
+        (label ^ " swap shrinks EDL set")
         true
-        (Outcome.ed_count with_swap.Vl.outcome
-        <= Outcome.ed_count without.Vl.outcome);
+        (Outcome.ed_count with_swap.Engine.outcome
+        <= Outcome.ed_count without.Engine.outcome);
       Alcotest.(check bool)
-        (Vl.variant_name variant ^ " swap shrinks area")
+        (label ^ " swap shrinks area")
         true
-        (with_swap.Vl.outcome.Outcome.seq_area
-        <= without.Vl.outcome.Outcome.seq_area +. 1e-9))
-    Vl.all_variants
+        (with_swap.Engine.outcome.Outcome.seq_area
+        <= without.Engine.outcome.Outcome.seq_area +. 1e-9))
+    variants
 
 let test_evl_without_swap_pays_everywhere () =
   (* Without the swap, EVL's area charges c for every master. *)
-  let r = run ~post_swap:false Vl.Evl 2.0 in
-  let o = r.Vl.outcome in
+  let o = (run ~post_swap:false Engine.Evl 2.0).Engine.outcome in
   Alcotest.(check int) "all masters error-detecting" o.Outcome.n_masters
     (Outcome.ed_count o)
 
@@ -91,25 +101,19 @@ let test_nvl_constrained_vs_base () =
   (* NVL's typed setups can only demand more (or equally many) slaves
      than unconstrained base retiming under the same movement-minimal
      objective. *)
-  let nvl = run Vl.Nvl 1.0 in
-  match Base.run_on_stage ~c:1.0 (Lazy.force stage) with
-  | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
-  | Ok b ->
-    Alcotest.(check bool) "nvl slaves >= base slaves" true
-      (nvl.Vl.outcome.Outcome.n_slaves >= b.Base.outcome.Outcome.n_slaves)
+  let nvl = run Engine.Nvl 1.0 in
+  let b = run_engine Engine.Base 1.0 in
+  Alcotest.(check bool) "nvl slaves >= base slaves" true
+    (nvl.Engine.outcome.Outcome.n_slaves >= b.Engine.outcome.Outcome.n_slaves)
 
 let test_movable_never_worse () =
-  let p = Lazy.force prepared in
-  match
-    Movable.run ~max_moves:3 ~lib:p.Suite.lib ~clocking:p.Suite.clocking
-      ~c:1.0 p.Suite.two_phase
-  with
-  | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
-  | Ok m ->
+  let m = run_engine ~movable_moves:3 Engine.Movable 1.0 in
+  match m.Engine.extras with
+  | Engine.Moves { moves_tried; fixed_total_area; _ } ->
     Alcotest.(check bool) "movable <= fixed" true
-      (m.Movable.movable.Vl.outcome.Outcome.total_area
-      <= m.Movable.fixed.Vl.outcome.Outcome.total_area +. 1e-9);
-    Alcotest.(check bool) "tried bounded" true (m.Movable.moves_tried <= 3)
+      (m.Engine.outcome.Outcome.total_area <= fixed_total_area +. 1e-9);
+    Alcotest.(check bool) "tried bounded" true (moves_tried <= 3)
+  | _ -> Alcotest.fail "a movable run reports its moves"
 
 let suite =
   [
