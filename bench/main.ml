@@ -393,7 +393,7 @@ let grar_max_gates = 100_000
 
 (* Every scaling row runs in a child process of this executable
    ([--scale-row PATH GATES]), so each gets a fresh heap that is handed
-   back when the row ends: a 10^5-gate G-RAR row peaks at ~3.5 GB, and
+   back when the row ends: a 10^5-gate G-RAR row peaks at ~1.2 GB, and
    OCaml 5.1's [Gc.compact] cannot return a fragmented heap (compaction
    only came back in 5.2), so rows sharing the bench's heap would carry
    their high-water marks into every later section. The child prints

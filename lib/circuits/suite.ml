@@ -18,13 +18,12 @@ type prepared = {
   runtime_s : float;
 }
 
-let derive_clocking ?(clock = Clocking.of_p) lib cc =
-  let sta = Sta.analyse lib Sta.Path_based cc.Transform.comb in
+let derive_clocking ?(clock = Clocking.of_p) sta =
   let worst =
     Array.fold_left
       (fun acc s -> Float.max acc (Sta.arrival_at_sink sta s))
       0.
-      (Netlist.outputs cc.Transform.comb)
+      (Netlist.outputs (Sta.netlist sta))
   in
   (* The paper sets P so the near-critical endpoint count is
      reasonable: we place the measured critical path at 72% of P, i.e.
@@ -43,8 +42,8 @@ let prepare ?lib ?clock ?flop_base net =
   let base = Option.value flop_base ~default:net in
   let two_phase = Transform.to_two_phase net in
   let cc = Transform.extract_comb two_phase in
-  let clocking, p = derive_clocking ?clock lib cc in
   let sta = Sta.analyse lib Sta.Path_based cc.Transform.comb in
+  let clocking, p = derive_clocking ?clock sta in
   (* NCE of the initial two-phase design: source pins latched, so the
      slave-opening floor delays every path. *)
   let latched ~v ~pin =

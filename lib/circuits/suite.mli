@@ -23,14 +23,13 @@ type prepared = {
 }
 
 val derive_clocking :
-  ?clock:(float -> Clocking.t) ->
-  Liberty.t ->
-  Transform.comb_circuit ->
-  Clocking.t * float
-(** Path-based STA over the stage; [p] is the measured critical arrival
-    plus a latch-delay guard band, split per §VI-A. [clock] maps the
-    derived [p] to the clocking model (default {!Clocking.of_p}; pass
-    {!Clocking.of_p3} for the three-phase scheme). *)
+  ?clock:(float -> Clocking.t) -> Sta.t -> Clocking.t * float
+(** Clock of a stage from its analysis (the path-based STA of the
+    stage's [comb] netlist, as {!prepare} runs it): [p] is the measured
+    critical arrival plus a latch-delay guard band, split per §VI-A.
+    [clock] maps the derived [p] to the clocking model (default
+    {!Clocking.of_p}; pass {!Clocking.of_p3} for the three-phase
+    scheme). *)
 
 val prepare :
   ?lib:Liberty.t ->

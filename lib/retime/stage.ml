@@ -15,15 +15,16 @@ type sink_class =
   | Always_ed
   | Target of { cut : int list }
 
-(* Result of classifying one sink. The per-sink edge lists are
-   returned (not pushed into shared tables) so classification can run
-   on the domain pool; {!make} merges them sequentially after the
-   join. *)
+(* Result of classifying one sink. Its edges are packed as flat arrays
+   of fanin pin positions (position [p] is the edge
+   [(fanin p, owner p)]), ascending — node id, then pin order; the
+   accessors rebuild the public lists. Results are returned (not pushed
+   into shared tables) so classification can run on the domain pool;
+   {!make} merges them sequentially after the join. *)
 type classified = {
   cls : sink_class;
-  mp : float;                  (* longest pure combinational path *)
-  ill : (int * int) list;      (* per-edge Constraint (7) violations *)
-  win : (int * int) list;      (* window edges (Target sinks only) *)
+  ill : int array;             (* per-edge Constraint (7) violations *)
+  win : int array;             (* window edges (Target sinks only) *)
   empty_cut : bool;            (* Always_ed via an empty g(t): warn *)
 }
 
@@ -42,6 +43,7 @@ type t = {
        accessors below and reused by {!patch} for sinks outside an
        edit's affected cone *)
   slot : int array; (* node id -> index into [per_sink], -1 off sinks *)
+  owner : int array; (* fanin pin position -> the node it belongs to *)
 }
 
 let cc t = t.cc
@@ -81,14 +83,22 @@ let near_critical_initial t =
     (fun s acc -> if initial_arrival t s > period then s :: acc else acc)
     (sinks t) []
 
+(* Packed pin positions as [(u, v)] edges, in descending position
+   order: the order {!window_edges} returns. *)
+let edges_desc ~owner net pins =
+  let fin = (Netlist.compact net).Netlist.Compact.fanin in
+  Array.fold_left (fun acc p -> (fin.(p), owner.(p)) :: acc) [] pins
+
 let window_edges t s =
   let r = entry "Stage.window_edges" t s in
   match r.cls with
-  | Target _ -> r.win
+  | Target _ -> edges_desc ~owner:t.owner (comb t) r.win
   | Never_ed -> []
   | Always_ed -> invalid_arg "Stage.window_edges: always-error-detecting sink"
 
-let max_path t s = (entry "Stage.max_path" t s).mp
+let max_path t s =
+  ignore (entry "Stage.max_path" t s : classified);
+  Sta.arrival_at_sink t.sta s
 
 let fanout_groups t =
   let net = comb t in
@@ -148,24 +158,30 @@ let compute_regions ~sta_an ~lib ~clocking net =
 (* Per-sink classification state, owned by one chunk of one {!make} or
    {!patch} call (see [Pool.map_adaptive_with]) and reused for every
    sink of that chunk, so a sink costs O(|cone| + cone pins) rather
-   than O(n). [flags] and [cand] entries are written before they are
-   read for each sink, so nothing is cleared between sinks. *)
+   than O(n). Every entry is written before it is read for each sink,
+   so nothing is cleared between sinks. *)
 type scratch = {
   cone : Sta.cone;
   flags : Bytes.t;  (* per node: the [f_*] bits below *)
   cand : int array; (* nodes feeding the edge and cut lists *)
+  ill_buf : int array; (* pin positions, then copied out per sink *)
+  win_buf : int array;
 }
 
 let new_scratch sta_an =
-  let n = Netlist.node_count (Sta.netlist sta_an) in
+  let cv = Netlist.compact (Sta.netlist sta_an) in
+  let n = Netlist.Compact.n cv in
+  let n_pins = Int.max 1 (Netlist.Compact.fanin_lo cv n) in
   { cone = Sta.cone_scratch sta_an; flags = Bytes.create n;
-    cand = Array.make n 0 }
+    cand = Array.make n 0; ill_buf = Array.make n_pins 0;
+    win_buf = Array.make n_pins 0 }
 
 (* Node flags of the sink being classified. *)
 let f_bad = 1      (* some source-to-node path passes no good position *)
 let f_late_in = 2  (* some fanin pin's A exceeds the period *)
 let f_good_out = 4 (* some cone out-edge is a good position *)
 let f_late_out = 8 (* some cone out-edge's A exceeds the period *)
+let f_ill_in = 16  (* some fanin pin's A exceeds the max delay *)
 
 (* Ascending in-place heapsort of [a.(0 .. len-1)], monomorphic on
    ints (the polymorphic [Array.sort] pays a closure call and a
@@ -197,16 +213,22 @@ let sort_prefix (a : int array) len =
   done
 
 let m_cone_nodes = Rar_obs.Metrics.counter "stage_cone_nodes"
+let m_sinks_pruned = Rar_obs.Metrics.counter "stage_sinks_pruned"
 
-(* Classification of one sink (paper §IV-A). While scanning every
-   latch position in the cone we also record the positions that violate
-   the max-delay bound for this sink (the per-edge form of Constraint
-   7). Reads only the shared read-only [sta_an] (whose [backward_all]
-   cache {!make} forces before fan-out) and writes only [sc], so sinks
-   classify in parallel, one scratch per chunk. [launchable u]: a slave
-   just after [u] meets its own setup against the closing edge
-   (Constraint 6). *)
-let classify_sink ~sta_an ~clocking ~latch ~launchable sc s =
+(* A sink decided by the prune bound: no slave position can be late. *)
+let pruned = { cls = Never_ed; ill = [||]; win = [||]; empty_cut = false }
+
+let prefix buf len = if len = 0 then [||] else Array.sub buf 0 len
+
+(* Classification of one sink by its cone (paper §IV-A). While
+   scanning every latch position in the cone we also record the
+   positions that violate the max-delay bound for this sink (the
+   per-edge form of Constraint 7). Reads only the shared read-only
+   [sta_an] (whose [backward_all] cache {!make} forces before fan-out)
+   and [arcs], and writes only [sc], so sinks classify in parallel, one
+   scratch per chunk. [launchable u]: a slave just after [u] meets its
+   own setup against the closing edge (Constraint 6). *)
+let classify_cone ~sta_an ~clocking ~arcs ~launchable sc s =
   let period = Clocking.period clocking in
   let limit = Clocking.max_delay clocking in
   let cv = Netlist.compact (Sta.netlist sta_an) in
@@ -215,7 +237,7 @@ let classify_sink ~sta_an ~clocking ~latch ~launchable sc s =
   let size = Sta.cone_size c in
   Rar_obs.Metrics.add m_cone_nodes size;
   let nodes = Sta.cone_nodes c in
-  let a = Sta.cone_slave_arrivals sta_an c ~clocking ~latch in
+  let a = Sta.cone_slave_arrivals sta_an c arcs in
   let flags = sc.flags and cand = sc.cand in
   let tags = cv.Netlist.Compact.tags and head = cv.Netlist.Compact.fanin_head
   and fin = cv.Netlist.Compact.fanin in
@@ -234,7 +256,7 @@ let classify_sink ~sta_an ~clocking ~latch ~launchable sc s =
      late fanin pin are collected as candidates: they hold every window
      and illegal edge (max delay >= period) and every gate of g(t). *)
   let a_max_legal = ref neg_infinity in
-  let n_cand = ref 0 in
+  let n_cand = ref 0 and n_ill_nodes = ref 0 in
   for i = size - 1 downto 0 do
     let v = nodes.(i) in
     if tags.(v) = Netlist.Compact.tag_input then set_flag v f_bad
@@ -256,17 +278,18 @@ let classify_sink ~sta_an ~clocking ~latch ~launchable sc s =
         else if fu land f_bad <> 0 then fv := !fv lor f_bad;
         if late then begin
           set_flag u (flag u lor f_late_out);
-          fv := !fv lor f_late_in
+          fv := !fv lor f_late_in;
+          if ap > limit +. eps then fv := !fv lor f_ill_in
         end
       done;
       set_flag v !fv;
       if !fv land f_late_in <> 0 then begin
         cand.(!n_cand) <- v;
-        incr n_cand
+        incr n_cand;
+        if !fv land f_ill_in <> 0 then incr n_ill_nodes
       end
     end
   done;
-  let mp = Sta.cone_max_path sta_an c in
   let always = flag s land f_bad <> 0 in
   let never = (not always) && !a_max_legal <= period +. eps in
   let target = not (always || never) in
@@ -284,19 +307,40 @@ let classify_sink ~sta_an ~clocking ~latch ~launchable sc s =
         cand.(!n_cand) <- v;
         incr n_cand
       end
-    done;
-  (* The lists follow ascending node id, then pin order. *)
+    done
+  else begin
+    (* A Never_ed or Always_ed sink keeps only its illegal edges: narrow
+       the candidates to the nodes holding one (usually none, so
+       nothing is sorted). *)
+    let k = ref 0 in
+    if !n_ill_nodes > 0 then
+      for j = 0 to !n_cand - 1 do
+        let v = cand.(j) in
+        if flag v land f_ill_in <> 0 then begin
+          cand.(!k) <- v;
+          incr k
+        end
+      done;
+    n_cand := !k
+  end;
+  (* The arrays follow ascending node id, then pin order. *)
   sort_prefix cand !n_cand;
-  let illegal = ref [] and window = ref [] and cut = ref [] in
+  let ill_buf = sc.ill_buf and win_buf = sc.win_buf in
+  let n_ill = ref 0 and n_win = ref 0 and cut = ref [] in
   for j = 0 to !n_cand - 1 do
     let v = cand.(j) in
     let tg = tags.(v) in
     if tg = Netlist.Compact.tag_input then cut := v :: !cut
     else begin
       for p = head.(v) to head.(v + 1) - 1 do
-        let u = fin.(p) in
-        if a.(p) > limit +. eps then illegal := (u, v) :: !illegal
-        else if a.(p) > period +. eps then window := (u, v) :: !window
+        if a.(p) > limit +. eps then begin
+          ill_buf.(!n_ill) <- p;
+          incr n_ill
+        end
+        else if a.(p) > period +. eps then begin
+          win_buf.(!n_win) <- p;
+          incr n_win
+        end
       done;
       if
         target && tg = Netlist.Compact.tag_gate
@@ -304,14 +348,24 @@ let classify_sink ~sta_an ~clocking ~latch ~launchable sc s =
       then cut := v :: !cut
     end
   done;
-  let ill = List.rev !illegal in
-  if always then { cls = Always_ed; mp; ill; win = []; empty_cut = false }
-  else if never then { cls = Never_ed; mp; ill; win = []; empty_cut = false }
-  else if !cut = [] then
-    { cls = Always_ed; mp; ill; win = !window; empty_cut = true }
+  let ill = prefix ill_buf !n_ill in
+  let none = { cls = Never_ed; ill; win = [||]; empty_cut = false } in
+  if always then { none with cls = Always_ed }
+  else if never then none
+  else if !cut = [] then { none with cls = Always_ed; empty_cut = true }
   else
-    { cls = Target { cut = List.rev !cut }; mp; ill; win = !window;
-      empty_cut = false }
+    { none with cls = Target { cut = List.rev !cut };
+      win = prefix win_buf !n_win }
+
+(* [never_late s]: the prune bound proves every slave position of [s]
+   early, so [s] is Never_ed with no edges and its cone is never
+   loaded. *)
+let classify_sink ~sta_an ~clocking ~arcs ~launchable ~never_late sc s =
+  if never_late s then begin
+    Rar_obs.Metrics.incr m_sinks_pruned;
+    pruned
+  end
+  else classify_cone ~sta_an ~clocking ~arcs ~launchable sc s
 
 (* Per node: a slave just after it meets its setup against the closing
    edge (Constraint 6) — shared by every sink's classification. *)
@@ -321,14 +375,34 @@ let launchable_nodes ~sta_an ~clocking ~latch =
     (Netlist.node_count (Sta.netlist sta_an))
     (fun u -> Sta.df sta_an u <= close_limit +. eps)
 
+(* The prune test (DESIGN.md §13): a slave anywhere delays a sink by at
+   most [d] ({!Sta.slave_delay_bound}), so a sink with
+   [arrival + d <= period] has no late position — no window or illegal
+   edge, and its worst legal A is inside the period. With every source
+   launchable, each source's out-edges are then good positions, no
+   path is bad, and the sink is Never_ed: exactly what its cone scan
+   would return. *)
+let never_late_test ~sta_an ~clocking ~latch ~launchable =
+  let period = Clocking.period clocking in
+  match Sta.slave_delay_bound sta_an ~clocking ~latch with
+  | Some d
+    when Array.for_all
+           (fun u -> launchable.(u))
+           (Netlist.inputs (Sta.netlist sta_an)) ->
+    fun s -> Sta.arrival_at_sink sta_an s +. d <= period
+  | Some _ | None -> fun _ -> false
+
 (* Classify [sinks] over the domain pool, one scratch per chunk. *)
 let classify_sinks ~sta_an ~clocking ~latch sinks =
   Rar_obs.Trace.span "stage/classify" @@ fun () ->
   let launchable = launchable_nodes ~sta_an ~clocking ~latch in
+  let never_late = never_late_test ~sta_an ~clocking ~latch ~launchable in
+  let arcs = Sta.slave_arcs sta_an ~clocking ~latch in
   Rar_util.Pool.map_adaptive_with
     ~init:(fun () -> new_scratch sta_an)
     sinks
-    (fun sc s -> (s, classify_sink ~sta_an ~clocking ~latch ~launchable sc s))
+    (fun sc s ->
+      (s, classify_sink ~sta_an ~clocking ~arcs ~launchable ~never_late sc s))
 
 (* Shared back half of {!make} and {!patch}: reject untimeable sinks,
    index the per-sink results and merge their illegal edges
@@ -352,12 +426,20 @@ let finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~latch ~regions
   | Some s ->
     Error (Error.Untimeable_sink { sink = Netlist.node_name net s; limit })
   | None ->
+    let cv = Netlist.compact net in
+    let fin = cv.Netlist.Compact.fanin and head = cv.Netlist.Compact.fanin_head in
+    let owner = Array.make (Int.max 1 head.(Netlist.Compact.n cv)) 0 in
+    for v = 0 to Netlist.Compact.n cv - 1 do
+      Array.fill owner head.(v) (head.(v + 1) - head.(v)) v
+    done;
     let illegal_tbl = Hashtbl.create 64 in
     let slot = Array.make (Netlist.node_count net) (-1) in
     Array.iteri
       (fun i (s, r) ->
         slot.(s) <- i;
-        List.iter (fun e -> Hashtbl.replace illegal_tbl e ()) r.ill;
+        Array.iter
+          (fun p -> Hashtbl.replace illegal_tbl (fin.(p), owner.(p)) ())
+          r.ill;
         if r.empty_cut then
           Log.warn (fun m ->
               m "sink %s: retiming-dependent but empty g(t); treating as \
@@ -379,7 +461,7 @@ let finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~latch ~regions
           Netlist.kind net u = Netlist.Input)
     in
     Ok { cc; source; lib; clocking; sta = sta_an; annot; regions;
-         initial_arr; illegal; per_sink = classified; slot }
+         initial_arr; illegal; per_sink = classified; slot; owner }
 
 let make ?(model = Sta.Path_based) ?source ?annot ~lib ~clocking cc =
   let net = cc.Transform.comb in

@@ -9,7 +9,10 @@
       through (Constraint 6), and the free region;
     - per-sink classification: never error-detecting, always
       error-detecting, or a {e target} whose EDL status depends on the
-      retiming, together with its cut set [g(t)] (Eq. 8–9). *)
+      retiming, together with its cut set [g(t)] (Eq. 8–9). A sink
+      whose arrival plus the most any slave can add
+      ({!Sta.slave_delay_bound}) is within the period is never
+      error-detecting outright, without a scan of its cone. *)
 
 module Netlist = Rar_netlist.Netlist
 module Transform = Rar_netlist.Transform
@@ -119,8 +122,10 @@ val window_edges : t -> int -> (int * int) list
     inside the window). *)
 
 val max_path : t -> int -> float
-(** Longest pure combinational path delay into a sink
-    ([max over v of D^f(v) + D^b(v,t)]), polarity-aware. *)
+(** Longest pure combinational path delay into a sink: its forward
+    arrival, {!Sta.arrival_at_sink} (polarity-paired). Defined without
+    the sink's cone, so sinks the classification prunes have it too;
+    [Invalid_argument] on a non-sink. *)
 
 val fanout_groups : t -> (int * (int * int) list) array
 (** For every comb node with at least one fanout: the node paired with

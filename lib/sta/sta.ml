@@ -240,8 +240,6 @@ let patch t ~net ?annot ~dirty_arcs ~seeds () =
     changed )
 
 let arrival_arc t v = Liberty.{ rise = t.arr_rise.(v); fall = t.arr_fall.(v) }
-let arrival_rise t v = t.arr_rise.(v)
-let arrival_fall t v = t.arr_fall.(v)
 let df t v = Float.max t.arr_rise.(v) t.arr_fall.(v)
 let arrival_at_sink t v = df t v
 
@@ -491,65 +489,54 @@ let load_cone t c ~sink =
     relax_back t dbr dbf nodes.(i)
   done
 
-let cone_max_path t c =
-  let dbr = c.cone_db.rise and dbf = c.cone_db.fall in
-  let best = ref neg_infinity in
-  for i = 0 to c.size - 1 do
-    let v = c.nodes.(i) in
-    let thru_rise = t.arr_rise.(v) +. dbr.(v) in
-    let thru_fall = t.arr_fall.(v) +. dbf.(v) in
-    if thru_rise > !best then best := thru_rise;
-    if thru_fall > !best then best := thru_fall
-  done;
-  !best
+(* ------------------------------------------------------------------ *)
+(* Slave arcs, hoisted out of the per-sink kernel                      *)
+(* ------------------------------------------------------------------ *)
 
-(* [arrival_with_slave_after] for every cone pin at once, with the
-   through-pin propagation ([through_rf]) written out inline so nothing
-   is boxed: no tuple or float results cross a call inside the loops. *)
-let cone_slave_arrivals t c ~clocking ~latch =
+type slave_arcs = { out_rise : float array; out_fall : float array }
+
+(* [latch_out u] pushed through the worst of the pins of [v] that [u]
+   drives, for every fanin pin [p] of every gate or sink [v] — the half
+   of Eq. 5 that does not depend on the sink. *)
+let slave_arcs t ~clocking ~latch =
   let cv = t.cv in
-  let head = cv.Compact.fanin_head and fin = cv.Compact.fanin in
-  let tags = cv.Compact.tags in
-  let open_t = Clocking.slave_open clocking +. latch.Liberty.ck_to_q in
-  let d_to_q = latch.Liberty.d_to_q in
+  let n = Compact.n cv in
+  let n_pins = Int.max 1 (Compact.fanin_lo cv n) in
+  let out_rise = Array.make n_pins neg_infinity in
+  let out_fall = Array.make n_pins neg_infinity in
+  for v = 0 to n - 1 do
+    (* analyse rejects sequential nodes: [v] is a gate or a sink *)
+    if Compact.tag cv v <> Compact.tag_input then
+      for p = Compact.fanin_lo cv v to Compact.fanin_hi cv v - 1 do
+        let u = Compact.fanin cv p in
+        let arc = through t ~driver:u ~via:v (latch_out t ~clocking ~latch u) in
+        out_rise.(p) <- arc.Liberty.rise;
+        out_fall.(p) <- arc.Liberty.fall
+      done
+  done;
+  { out_rise; out_fall }
+
+let slave_delay_bound t ~clocking ~latch =
+  let early a = a < t.launch_time in
+  if Array.exists early t.arr_rise || Array.exists early t.arr_fall then None
+  else
+    Some
+      (Float.max
+         (Clocking.slave_open clocking +. latch.Liberty.ck_to_q
+        -. t.launch_time)
+         latch.Liberty.d_to_q)
+
+(* Eq. 5 per cone pin from the hoisted arcs: one add pair and a max. *)
+let cone_slave_arrivals t c arcs =
+  let head = t.cv.Compact.fanin_head and tags = t.cv.Compact.tags in
+  let out_r = arcs.out_rise and out_f = arcs.out_fall in
   let dbr = c.cone_db.rise and dbf = c.cone_db.fall and a_pin = c.a_pin in
   for i = 0 to c.size - 1 do
     let v = c.nodes.(i) in
-    let tg = tags.(v) in
-    if tg <> Compact.tag_input then begin
-      (* analyse rejects sequential nodes: [v] is a gate or the sink *)
-      let gate = tg = Compact.tag_gate in
-      let lo = head.(v) and hi = head.(v + 1) in
-      for p = lo to hi - 1 do
-        let u = fin.(p) in
-        let lo_r = Float.max open_t (t.arr_rise.(u) +. d_to_q) in
-        let lo_f = Float.max open_t (t.arr_fall.(u) +. d_to_q) in
-        let out_r = ref lo_r and out_f = ref lo_f in
-        if gate then begin
-          (* worst over every pin of [v] that [u] drives *)
-          out_r := neg_infinity;
-          out_f := neg_infinity;
-          for q = lo to hi - 1 do
-            if fin.(q) = u then begin
-              let code = t.unate.(q) in
-              let pr = t.pa_rise.(q) and pf = t.pa_fall.(q) in
-              let r =
-                if code = un_pos then lo_r +. pr
-                else if code = un_neg then lo_f +. pr
-                else Float.max lo_r lo_f +. pr
-              in
-              let f =
-                if code = un_pos then lo_f +. pf
-                else if code = un_neg then lo_r +. pf
-                else if code = un_non then Float.max lo_r lo_f +. pf
-                else Float.max lo_r lo_f +. pr
-              in
-              if r > !out_r then out_r := r;
-              if f > !out_f then out_f := f
-            end
-          done
-        end;
-        a_pin.(p) <- Float.max (!out_r +. dbr.(v)) (!out_f +. dbf.(v))
+    if tags.(v) <> Compact.tag_input then begin
+      let r = dbr.(v) and f = dbf.(v) in
+      for p = head.(v) to head.(v + 1) - 1 do
+        a_pin.(p) <- Float.max (out_r.(p) +. r) (out_f.(p) +. f)
       done
     end
   done;

@@ -70,11 +70,6 @@ val launch : t -> float
 val arrival_arc : t -> int -> Liberty.arc
 (** Arrival at node output: [rise] = latest output-rising transition. *)
 
-val arrival_rise : t -> int -> float
-val arrival_fall : t -> int -> float
-(** The components of {!arrival_arc} without materialising a record —
-    the form hot per-sink loops (stage classification) read. *)
-
 val df : t -> int -> float
 (** [D^f(v)]: scalar worst arrival at the output of [v] (Eq. 5's
     forward term). For [Output] sink nodes this is the capture-point
@@ -170,20 +165,45 @@ val cone_db : cone -> db
     [backward_packed t ~sink]; entries of other nodes are stale. The
     arrays are the scratch's own: read-only. *)
 
-val cone_max_path : t -> cone -> float
-(** Longest pure combinational path into the loaded sink,
-    polarity-paired: max over cone nodes [v] of [arrival + D^b(v)]. *)
+(** {1 Slave arcs}
 
-val cone_slave_arrivals :
-  t -> cone -> clocking:Clocking.t -> latch:Liberty.seq_cell -> float array
+    The sink-independent half of Eq. 5, hoisted out of the per-sink
+    kernel: computed once per analysis and clocking, read by every
+    sink's {!cone_slave_arrivals}. *)
+
+type slave_arcs
+(** Per fanin pin position [p] of a gate or sink [v], driven by [u]:
+    the arc at [v]'s output when a slave sits right after [u] —
+    {!latch_out} of [u] pushed through the worst of the pins of [v]
+    that [u] drives (unchanged into a sink). *)
+
+val slave_arcs :
+  t -> clocking:Clocking.t -> latch:Liberty.seq_cell -> slave_arcs
+(** One pass over the fanin pins, with the arithmetic of
+    {!arrival_with_slave_after}. Read-only once built, so pool workers
+    may share it. *)
+
+val slave_delay_bound :
+  t -> clocking:Clocking.t -> latch:Liberty.seq_cell -> float option
+(** [Some d], [d = max (slave_open + ck_to_q - launch) d_to_q]: a slave
+    on any edge makes no sink arrive more than [d] later than its
+    {!arrival_at_sink}: [A(u,v,t) <= arrival_at_sink t + d] up to float
+    rounding (the two sides sum the same delays in another order). The
+    bound needs every arrival to be at least [launch] (then
+    [latch_out u <= arrival u + d] per polarity, and the max-plus
+    propagation to the sink keeps the shift); [None] when some node
+    arrives earlier (a negative library arc, a gate without fanins). *)
+
+val cone_slave_arrivals : t -> cone -> slave_arcs -> float array
 (** Evaluate [A(u,v,t)] (Eq. 5) for the loaded sink at every fanin pin
-    position of every non-input cone node [v], [u] being the pin's
-    driver: entry [p] of the returned per-pin array equals
+    position [p] of every non-input cone node [v], as
+    [max (out_rise p + D^b_rise v) (out_fall p + D^b_fall v)] over the
+    hoisted arcs: entry [p] of the returned per-pin array equals
     [arrival_with_slave_after t ~clocking ~latch ~u ~v ~db] bitwise,
-    with [db] the sink's backward delays. Other entries are stale; the
+    with [arcs = slave_arcs t ~clocking ~latch], [u] the pin's driver
+    and [db] the sink's backward delays. Other entries are stale; the
     array is the scratch's own (read-only, overwritten by the next
-    call). Allocates nothing per pin: at most the one boxed clock edge
-    a call reads. *)
+    call). Allocates nothing. *)
 
 val forward_with_latches :
   t ->

@@ -6,9 +6,10 @@ malformed JSON, a bad netlist, an unknown circuit, a zero-budget
 deadline, and (in a second daemon armed via RAR_FAULTS) an injected
 pool-worker crash — and asserts that every request gets a well-formed
 `rar-serve/1` response, that repeating an identical request is served
-from the cross-request caches (hit counters > 0, >= SPEEDUP_FLOOR x
-faster), and that the daemon drains and exits 0 on `shutdown` and on
-SIGTERM.
+from the cross-request caches (each warm replay is exactly one hit and
+no miss in the circuit, stage and session caches; the cold/warm
+wall-clock ratio is printed, not gated), and that the daemon drains
+and exits 0 on `shutdown` and on SIGTERM.
 
 Run as the serve-smoke step of the build-and-test CI job; the Client class doubles as a minimal
 example of the wire protocol (see README.md, "Running the server").
@@ -24,7 +25,10 @@ import tempfile
 import time
 
 EXE = os.environ.get("RAR_EXE", "_build/default/bin/rar_cli.exe")
-SPEEDUP_FLOOR = float(os.environ.get("RAR_SERVE_SPEEDUP_FLOOR", "10"))
+WARM_REPLAYS = 3
+# Caches a warm replay must hit once each (the library cache is keyed
+# by "builtin" and warm from the first request on, so it is not gated).
+REPLAY_CACHES = ("circuits", "stages", "sessions")
 
 BAD_NETLIST = "# not a netlist\nINPUT(\n"
 
@@ -78,6 +82,12 @@ def expect_error(resp, kind):
     assert resp["error"]["message"], resp
 
 
+def metrics(client):
+    m = client.rpc({"schema": "rar-req/1", "id": "m", "verb": "metrics"})
+    assert m["status"] == "ok", m
+    return m["result"]
+
+
 def run_req(rid, circuit, **extra):
     req = {"schema": "rar-req/1", "id": rid, "circuit": circuit}
     req.update(extra)
@@ -117,37 +127,39 @@ def clean_daemon_pass():
     r = c.rpc(run_req("dl", "s9234", deadline=0.0))
     expect_error(r, "timeout")
 
-    # Cold solve, then identical repeats served from the session cache.
-    # A large circuit: its cold run (~3 s, mostly stage analysis) must
-    # dwarf the replay cost so the ratio measures the cache, not host
-    # noise — small circuits cold-solve in ~0.1 s, near the floor.
+    # Cold solve, then identical repeats served from the caches. The
+    # gate is the cache counters: every warm replay must find its
+    # prepared circuit, stage and warm session (one hit each, no miss).
+    # The wall-clock ratio is printed for the record only; on a 2-core
+    # host it swings with load (a cold s38417 G-RAR run takes about
+    # 1 s, mostly stage analysis).
     t0 = time.time()
     r = c.rpc(run_req("cold", "s38417"))
     cold_s = time.time() - t0
     assert r["status"] == "ok", r
     cold_outcome = r["result"]["outcome"]
 
+    before = metrics(c)["caches"]
     warm_s = float("inf")
-    for i in range(3):
+    for i in range(WARM_REPLAYS):
         t0 = time.time()
         r = c.rpc(run_req(f"warm{i}", "s38417"))
         warm_s = min(warm_s, time.time() - t0)
         assert r["status"] == "ok", r
         assert r["result"]["outcome"] == cold_outcome, (
             "warm replay diverged from the cold solve")
+    stats = metrics(c)
 
-    m = c.rpc({"schema": "rar-req/1", "id": "m", "verb": "metrics"})
-    assert m["status"] == "ok", m
-    stats = m["result"]
-    assert stats["cache_hits_total"] > 0, stats
-    assert stats["caches"]["sessions"]["hits"] >= 1, stats
+    for name in REPLAY_CACHES:
+        gained = {k: stats["caches"][name][k] - before[name][k]
+                  for k in ("hits", "misses")}
+        assert gained == {"hits": WARM_REPLAYS, "misses": 0}, (
+            f"{name} cache over {WARM_REPLAYS} warm replays: {gained}")
     speedup = cold_s / max(warm_s, 1e-9)
     print(f"serve-smoke: cold {cold_s:.3f} s, warm {warm_s:.4f} s "
-          f"-> {speedup:.1f}x (floor {SPEEDUP_FLOOR:.0f}x), "
-          f"cache hits {stats['cache_hits_total']}")
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"warm replay only {speedup:.1f}x faster than cold "
-        f"(need >= {SPEEDUP_FLOOR:.0f}x)")
+          f"-> {speedup:.1f}x, each warm replay one hit in "
+          f"{', '.join(REPLAY_CACHES)} (cache hits "
+          f"{stats['cache_hits_total']})")
 
     r = c.rpc({"schema": "rar-req/1", "id": "bye", "verb": "shutdown"})
     assert r["status"] == "ok", r

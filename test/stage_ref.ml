@@ -2,8 +2,10 @@
    Eq. 5 and 8-9): the classifier as first written — one O(n)
    [Sta.backward_packed] pass per sink, an ascending scan of every node
    filtered to the cone, a [Hashtbl] of good edges, and fanout scans
-   that re-evaluate [A] for the cut set. The retime tests check
-   [Rar_retime.Stage] against it bitwise. *)
+   that re-evaluate [A] for the cut set. It classifies every sink by
+   its cone (no pruning); the longest path is the sink's forward
+   arrival. The retime tests check [Rar_retime.Stage] against it
+   bitwise. *)
 
 module Netlist = Rar_netlist.Netlist
 module Liberty = Rar_liberty.Liberty
@@ -30,14 +32,7 @@ let classify_sink ~sta ~clocking ~latch s =
     db.Sta.rise.(v) > neg_infinity || db.Sta.fall.(v) > neg_infinity
   in
   let cone_asc = List.filter in_cone (List.init n Fun.id) in
-  let max_path = ref neg_infinity in
-  List.iter
-    (fun v ->
-      let thru_rise = Sta.arrival_rise sta v +. db.Sta.rise.(v) in
-      let thru_fall = Sta.arrival_fall sta v +. db.Sta.fall.(v) in
-      if thru_rise > !max_path then max_path := thru_rise;
-      if thru_fall > !max_path then max_path := thru_fall)
-    cone_asc;
+  let max_path = Sta.arrival_at_sink sta s in
   let a_of ~u ~v =
     Sta.arrival_with_slave_after sta ~clocking ~latch ~u ~v ~db
   in
@@ -72,9 +67,9 @@ let classify_sink ~sta ~clocking ~latch s =
                (fun u -> bad.(u) && not (Hashtbl.mem good (u, v)))
                (Netlist.fanins net v))
     (Netlist.topo_comb net);
-  if bad.(s) then { cls = Stage.Always_ed; mp = !max_path; ill; win = [] }
+  if bad.(s) then { cls = Stage.Always_ed; mp = max_path; ill; win = [] }
   else if !a_max_legal <= period +. eps then
-    { cls = Stage.Never_ed; mp = !max_path; ill; win = [] }
+    { cls = Stage.Never_ed; mp = max_path; ill; win = [] }
   else begin
     let cut =
       List.filter
@@ -95,8 +90,8 @@ let classify_sink ~sta ~clocking ~latch s =
               (Netlist.fanins net v))
         cone_asc
     in
-    if cut = [] then { cls = Stage.Always_ed; mp = !max_path; ill; win = [] }
-    else { cls = Stage.Target { cut }; mp = !max_path; ill; win = !window }
+    if cut = [] then { cls = Stage.Always_ed; mp = max_path; ill; win = [] }
+    else { cls = Stage.Target { cut }; mp = max_path; ill; win = !window }
   end
 
 (* Per sink, in [Netlist.outputs] order, plus the stage-wide illegal

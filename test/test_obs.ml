@@ -184,6 +184,16 @@ let test_counters_jobs_invariant () =
       in
       Alcotest.(check bool) "stage cone nodes counted" true
         (v "stage_cone_nodes" > pipe_sinks);
+      (* One stage alone: the prune bound decides some of its sinks,
+         never more than it has. *)
+      Metrics.reset ();
+      let pipe = pipe_prepared () in
+      ignore
+        (Stage.make ~lib:pipe.Suite.lib ~clocking:pipe.Suite.clocking
+           pipe.Suite.cc);
+      let pruned = Metrics.value (Metrics.counter "stage_sinks_pruned") in
+      Alcotest.(check bool) "pruned sinks at most the sink count" true
+        (pruned > 0 && pruned <= pipe_sinks);
       (* the object [rar run --metrics] embeds *)
       Alcotest.(check bool) "stage_cone_nodes in the metrics JSON" true
         (match Json.member "counters" (Metrics.snapshot_json ()) with

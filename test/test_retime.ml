@@ -185,8 +185,13 @@ let test_sizing_noop_when_clean () =
    longest-path bits and window edges in order, and the merged illegal
    edge list in order. Random DAGs and carry-chain pipelines, both
    delay models, both clocking schemes, each at the derived clock and
-   with a looser one (fewer window edges, more never-ED sinks). *)
-let prop_stage_matches_reference =
+   with a looser one (fewer window edges, more never-ED sinks). The
+   [stage_sinks_pruned] counter splits the compared sinks into those
+   the prune bound decided without their cone ([pruned]) and those
+   classified by their cone ([coned]). *)
+let m_sinks_pruned = Rar_obs.Metrics.counter "stage_sinks_pruned"
+
+let prop_stage_matches_reference ~pruned ~coned =
   QCheck.Test.make ~name:"Stage.make = dense reference classifier" ~count:8
     QCheck.(int_bound 40)
     (fun seed ->
@@ -202,14 +207,23 @@ let prop_stage_matches_reference =
       let bits = Int64.bits_of_float in
       List.for_all
         (fun (model, clock) ->
-          let _, p0 = Suite.derive_clocking ~clock lib cc in
+          let _, p0 =
+            Suite.derive_clocking ~clock
+              (Sta.analyse lib Sta.Path_based cc.Transform.comb)
+          in
           let checked =
             List.filter_map
               (fun scale ->
                 let clocking = clock (p0 *. scale) in
+                let before = Rar_obs.Metrics.value m_sinks_pruned in
                 match Stage.make ~model ~lib ~clocking cc with
                 | Error _ -> None
                 | Ok st ->
+                  let n_pruned =
+                    Rar_obs.Metrics.value m_sinks_pruned - before
+                  in
+                  pruned := !pruned + n_pruned;
+                  coned := !coned + Array.length (Stage.sinks st) - n_pruned;
                   let per_sink, illegal =
                     Stage_ref.classify ~sta:(Stage.sta st) ~clocking ~latch
                   in
@@ -231,13 +245,31 @@ let prop_stage_matches_reference =
         [ (Sta.Path_based, Clocking.of_p); (Sta.Gate_based, Clocking.of_p);
           (Sta.Path_based, Clocking.of_p3); (Sta.Gate_based, Clocking.of_p3) ])
 
+(* The property under armed metrics, then the coverage check: across
+   its cases, both pruned and cone-classified sinks were compared. *)
+let test_stage_matches_reference =
+  let pruned = ref 0 and coned = ref 0 in
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest (prop_stage_matches_reference ~pruned ~coned)
+  in
+  Alcotest.test_case name speed (fun () ->
+      pruned := 0;
+      coned := 0;
+      let armed = Rar_obs.Metrics.enabled () in
+      Rar_obs.Metrics.arm ();
+      Fun.protect
+        ~finally:(fun () -> if not armed then Rar_obs.Metrics.disarm ())
+        run;
+      Alcotest.(check bool) "pruned sinks compared" true (!pruned > 0);
+      Alcotest.(check bool) "cone-classified sinks compared" true (!coned > 0))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_engines_agree_on_objective;
     QCheck_alcotest.to_alcotest prop_grar_beats_base_model;
     QCheck_alcotest.to_alcotest prop_deterministic;
     QCheck_alcotest.to_alcotest prop_ed_iff_window;
-    QCheck_alcotest.to_alcotest prop_stage_matches_reference;
+    test_stage_matches_reference;
     Alcotest.test_case "regions exclusive" `Quick test_regions_exclusive;
     Alcotest.test_case "grar conversions verified" `Quick
       test_grar_converts_targets;
