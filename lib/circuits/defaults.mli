@@ -1,6 +1,6 @@
 (** Sizing defaults shared by the [rar generate] CLI and the bench
     scaling specs. Both must derive their numbers from here: the CLI's
-    --help text documents these rules, and a BENCH_eval curve row is
+    --help text documents these rules, and a BENCH_scale.json row is
     only reproducible from the CLI because the two agree. *)
 
 val min_flops : int

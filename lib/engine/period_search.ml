@@ -18,8 +18,9 @@ let worst_arrival ~model ~lib cc =
     (Netlist.outputs cc.Transform.comb)
 
 (* Generic monotone binary search over P: [feasible p] must be monotone
-   (false ... false true ... true). *)
-let search ~model ~lib ~tol ~feasible cc =
+   (false ... false true ... true). It stops at a relative bracket
+   width of 1%. *)
+let search ~model ~lib ~feasible cc =
   let base = worst_arrival ~model ~lib cc in
   if base <= 0. then Error (Error.Search_failed { detail = "empty circuit" })
   else begin
@@ -36,7 +37,7 @@ let search ~model ~lib ~tol ~feasible cc =
     | Some hi0 ->
       let lo = ref (base /. 4.) and hi = ref hi0 in
       let iterations = ref 0 in
-      while (!hi -. !lo) /. !hi > tol do
+      while (!hi -. !lo) /. !hi > 0.01 do
         incr iterations;
         let mid = 0.5 *. (!lo +. !hi) in
         if feasible mid then hi := mid else lo := mid
@@ -53,15 +54,15 @@ let stage_ok ~model ~lib cc p =
    deadline, fallback hook or cache, on the default flow solver. *)
 let solve g = Rgraph.solve g
 
-let min_feasible ?(model = Sta.Path_based) ?(tol = 0.01) ~lib cc =
+let min_feasible ?(model = Sta.Path_based) ~lib cc =
   let feasible p =
     match stage_ok ~model ~lib cc p with
     | None -> false
     | Some st -> Result.is_ok (Lp_tail.base ~solve ~c:1.0 st)
   in
-  search ~model ~lib ~tol ~feasible cc
+  search ~model ~lib ~feasible cc
 
-let min_detection_free ?(model = Sta.Path_based) ?(tol = 0.01) ~lib cc =
+let min_detection_free ?(model = Sta.Path_based) ~lib cc =
   let feasible p =
     match stage_ok ~model ~lib cc p with
     | None -> false
@@ -71,4 +72,4 @@ let min_detection_free ?(model = Sta.Path_based) ?(tol = 0.01) ~lib cc =
       | Ok (_, o, _) -> Outcome.ed_count o = 0
       | Error _ -> false)
   in
-  search ~model ~lib ~tol ~feasible cc
+  search ~model ~lib ~feasible cc

@@ -28,15 +28,13 @@ type search = {
 
 val min_feasible :
   ?model:Sta.model ->
-  ?tol:float ->
   lib:Liberty.t ->
   Transform.comb_circuit ->
   (search, Error.t) result
-(** [tol] is the relative bracket width to stop at (default 0.01). *)
+(** Both searches stop at a relative bracket width of 0.01. *)
 
 val min_detection_free :
   ?model:Sta.model ->
-  ?tol:float ->
   lib:Liberty.t ->
   Transform.comb_circuit ->
   (search, Error.t) result

@@ -117,8 +117,10 @@ let solver_of_name = function
   | "auto" -> Ok None
   | s -> Error (Printf.sprintf "unknown solver %S" s)
 
+(* [c] prints exactly ([%h]): two configs share a key only when every
+   field is equal. *)
 let config_key (cfg : config) =
-  Printf.sprintf "%s/%s/%s/c%.6g/swap%b/mov%d" (name cfg.spec)
+  Printf.sprintf "%s/%s/%s/c%h/swap%b/mov%d" (name cfg.spec)
     (model_name cfg.model) (solver_name cfg.solver) cfg.c cfg.post_swap
     cfg.movable_moves
 
@@ -163,6 +165,12 @@ let effective_deadline deadline =
       else None)
 
 let run ?deadline ?solve_cache (cfg : config) stage =
+  if not (Float.is_finite cfg.c && cfg.c >= 0.) then
+    Error
+      (Error.Invalid_input
+         (Printf.sprintf "Rar_engine.run: c must be finite and >= 0, got %g"
+            cfg.c))
+  else
   (* The span sits inside [guard] below via Fun.protect semantics:
      Trace.span records its End event before the exception reaches the
      guard, so traces stay balanced across Timeout / Worker_crashed. *)

@@ -121,7 +121,8 @@ val config :
     post-swap on, 6 movable moves. *)
 
 val config_key : config -> string
-(** Deterministic key covering every field — safe for memoisation. *)
+(** Deterministic key covering every field exactly (two configs share
+    a key only when they are equal) — safe for memoisation. *)
 
 (** {2 Config names}
 
@@ -151,7 +152,9 @@ val run :
   ?deadline:Rar_util.Deadline.t ->
   ?solve_cache:Difflp.cache ->
   config -> Stage.t -> (result, Error.t) Stdlib.result
-(** Run the configured engine on a prepared stage. The [Movable]
+(** Run the configured engine on a prepared stage. A [c] that is
+    negative or not finite fails with [Invalid_input], the rule a
+    [Set_c] edit already obeys. The [Movable]
     engine runs fixed-master RVL on the stage, then rebuilds each
     candidate move from the full two-phase netlist, so its stage must
     carry a {!Stage.source}; otherwise it fails with
@@ -216,17 +219,14 @@ module Period_search : sig
 
   val min_feasible :
     ?model:Sta.model ->
-    ?tol:float ->
     lib:Liberty.t ->
     Transform.comb_circuit ->
     (search, Error.t) Stdlib.result
   (** The smallest [P] at which a legal slave retiming exists (base
-      retiming succeeds). [tol] is the relative bracket width to stop
-      at (default 0.01). *)
+      retiming succeeds), to a relative bracket width of 0.01. *)
 
   val min_detection_free :
     ?model:Sta.model ->
-    ?tol:float ->
     lib:Liberty.t ->
     Transform.comb_circuit ->
     (search, Error.t) Stdlib.result

@@ -18,25 +18,20 @@ let label net v =
   | Netlist.Seq Netlist.Flop -> Netlist.node_name net v ^ "\\ndff"
   | Netlist.Input | Netlist.Output -> Netlist.node_name net v
 
-let of_netlist ?(highlight = fun _ -> None) net =
+let of_netlist net =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "digraph %S {\n  rankdir=LR;\n" (Netlist.name net));
   for v = 0 to Netlist.node_count net - 1 do
-    let fill =
-      match highlight v with
-      | Some colour -> Printf.sprintf ", style=filled, fillcolor=%S" colour
-      | None -> ""
-    in
     Buffer.add_string buf
-      (Printf.sprintf "  n%d [label=\"%s\", shape=%s%s];\n" v (label net v)
-         (shape net v) fill)
+      (Printf.sprintf "  n%d [label=\"%s\", shape=%s];\n" v (label net v)
+         (shape net v))
   done;
   Netlist.iter_edges net (fun u v ->
       Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" u v));
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let write_file path ?highlight net =
+let write_file path net =
   let oc = open_out path in
-  output_string oc (of_netlist ?highlight net);
+  output_string oc (of_netlist net);
   close_out oc

@@ -1,10 +1,9 @@
 (** Graphviz DOT export, for inspecting small circuits and retiming
     results (the Fig. 4/5 walkthrough renders through this). *)
 
-val of_netlist :
-  ?highlight:(int -> string option) -> Netlist.t -> string
+val of_netlist : Netlist.t -> string
 (** Render nodes shaped by kind (inputs as triangles, outputs as
     inverted triangles, sequential elements as boxes, gates as
-    ellipses). [highlight v] may return a fill colour for node [v]. *)
+    ellipses). *)
 
-val write_file : string -> ?highlight:(int -> string option) -> Netlist.t -> unit
+val write_file : string -> Netlist.t -> unit

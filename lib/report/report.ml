@@ -130,7 +130,7 @@ let sim_design st (outcome : Outcome.t) =
    error-detecting sinks and the clocking (the library and the cycle
    count are fixed per context) — so cells whose engine returns the same
    design at every c share one simulation. *)
-let cell_key name spec c = Printf.sprintf "%s/%s/%g" name (Engine.name spec) c
+let cell_key name spec c = Printf.sprintf "%s/%s/%h" name (Engine.name spec) c
 
 let clocking_key = function
   | Clocking.Two_phase { phi1; gamma1; phi2; gamma2 } ->

@@ -447,7 +447,7 @@ let conn_csr g =
   done;
   (m, esrc, edst, ew, head, eidx)
 
-let feas ?deadline ?init ?max_iters ?(patience = 100) g ~period =
+let feas ?deadline ?init g ~period =
   Rar_obs.Trace.span "classic/feas" @@ fun () ->
   let n = g.n and delays = g.delays in
   let m, esrc, edst, ew, head, eidx = conn_csr g in
@@ -462,7 +462,7 @@ let feas ?deadline ?init ?max_iters ?(patience = 100) g ~period =
   let delta = Array.make n 0. in
   let indeg = Array.make n 0 in
   let queue = Array.make n 0 in
-  let limit = match max_iters with Some k -> k | None -> Int.max 1 (n - 1) in
+  let limit = Int.max 1 (n - 1) in
   (* Clock-period pass: fills [delta], returns the worst arrival. *)
   let cp () =
     Array.fill indeg 0 n 0;
@@ -508,7 +508,7 @@ let feas ?deadline ?init ?max_iters ?(patience = 100) g ~period =
     !worst
   in
   (* [since] counts iterations without improving the best worst-arrival
-     seen: a probe that stalls for [patience] rounds is declared
+     seen: a probe that stalls for 100 rounds is declared
      infeasible without burning the full |V|-1 theory bound. The exit
      is heuristic (a true-feasible period can be given up on) but
      one-sided — every Some is genuinely feasible — so the callers'
@@ -532,7 +532,7 @@ let feas ?deadline ?init ?max_iters ?(patience = 100) g ~period =
       let best, since =
         if worst < best -. 1e-12 then (worst, 0) else (best, since + 1)
       in
-      if since >= patience then None
+      if since >= 100 then None
       else begin
         for v = 0 to n - 1 do
           if delta.(v) > period +. 1e-9 then r.(v) <- r.(v) + 1
@@ -543,20 +543,20 @@ let feas ?deadline ?init ?max_iters ?(patience = 100) g ~period =
   in
   loop 0 infinity 0
 
-let min_period_feas ?deadline ?(probes = 24) ?max_iters ?patience g =
+let min_period_feas ?deadline g =
   let hi = ref (period_of g) in
   (* No retiming beats the heaviest single vertex. *)
   let lo = ref (Array.fold_left (fun a d -> Float.max a d) 0. g.delays) in
   let best_r = ref (Array.make g.n 0) and best_p = ref !hi in
   let k = ref 0 in
-  while !k < probes && !hi -. !lo > 1e-9 *. Float.max 1. !hi do
+  while !k < 24 && !hi -. !lo > 1e-9 *. Float.max 1. !hi do
     incr k;
     let mid = 0.5 *. (!lo +. !hi) in
     (* Warm start: [!best_r] is legal (it is feasible at [!best_p]),
        and FEAS only ever pushes registers backwards from it, so each
        probe pays for the increments beyond the last success instead of
        re-deriving them from r = 0. *)
-    match feas ?deadline ?max_iters ?patience ~init:!best_r g ~period:mid with
+    match feas ?deadline ~init:!best_r g ~period:mid with
     | Some (r, achieved) ->
       best_r := r;
       best_p := achieved;
@@ -566,9 +566,9 @@ let min_period_feas ?deadline ?(probes = 24) ?max_iters ?patience g =
   done;
   (!best_r, !best_p)
 
-let retime_feas ?deadline ?probes ?max_iters ?patience g =
+let retime_feas ?deadline g =
   try
-    let r, _ = min_period_feas ?deadline ?probes ?max_iters ?patience g in
+    let r, _ = min_period_feas ?deadline g in
     let retimed = realize g r in
     let registers_after =
       Array.fold_left

@@ -95,35 +95,29 @@ val retime :
 val feas :
   ?deadline:Rar_util.Deadline.t ->
   ?init:int array ->
-  ?max_iters:int ->
-  ?patience:int ->
   graph -> period:float -> (int array * float) option
 (** Leiserson–Saxe Algorithm FEAS: a legal retiming meeting [period],
     or [None] if none was reached. Each sweep is an O(V + E)
     clock-period pass over the retimed zero-weight subgraph followed
-    by [r(v) <- r(v) + 1] on every over-period vertex; [max_iters]
-    defaults to the |V| - 1 theory bound, but a probe that fails to
-    improve its worst arrival for [patience] consecutive sweeps
-    (default 100) is abandoned early, so [None] is a heuristic — not
-    proven — infeasibility verdict unless [patience] is raised above
-    [max_iters]. Every [Some] is genuinely feasible. [init] warm-starts
-    from a known-legal retiming (non-negative retimed weights; raises
-    [Invalid_argument] on a length mismatch) instead of r = 0.
+    by [r(v) <- r(v) + 1] on every over-period vertex, for at most the
+    |V| - 1 theory bound of sweeps; but a probe that fails to improve
+    its worst arrival for 100 consecutive sweeps is abandoned early,
+    so [None] is a heuristic — not proven — infeasibility verdict on
+    graphs of more than 101 vertices. Every [Some] is genuinely
+    feasible. [init] warm-starts from a known-legal retiming
+    (non-negative retimed weights; raises [Invalid_argument] on a
+    length mismatch) instead of r = 0.
     Returns [(r, achieved)] with [r] normalised to [r(host) = 0] and
     [achieved] the clock period of the retimed graph (can undershoot
     [period]). Needs no W/D matrices — O(V) memory beyond the graph.
     [?deadline] phase is ["feas"]. *)
 
 val min_period_feas :
-  ?deadline:Rar_util.Deadline.t ->
-  ?probes:int ->
-  ?max_iters:int ->
-  ?patience:int ->
-  graph -> int array * float
+  ?deadline:Rar_util.Deadline.t -> graph -> int array * float
 (** Bisect the period between the heaviest single vertex and the
-    current period with {!feas} ([probes] halvings, default 24 —
-    enough to exhaust double precision on any real delay range) and
-    return the best retiming found with its achieved period. Probes
+    current period with {!feas} (24 halvings — enough to exhaust
+    double precision on any real delay range) and return the best
+    retiming found with its achieved period. Probes
     warm-start from the best feasible retiming so far, so successive
     successes pay only for their extra register moves. Because the
     per-probe infeasibility exit is heuristic (see {!feas}), the
@@ -131,11 +125,7 @@ val min_period_feas :
     retiming no worse than the input. *)
 
 val retime_feas :
-  ?deadline:Rar_util.Deadline.t ->
-  ?probes:int ->
-  ?max_iters:int ->
-  ?patience:int ->
-  graph -> (outcome, Error.t) result
+  ?deadline:Rar_util.Deadline.t -> graph -> (outcome, Error.t) result
 (** {!min_period_feas} followed by netlist realisation: the scalable end-to-end
     min-period path (no min-area objective — FEAS moves registers
     wherever feasibility demands). Deadline expiry surfaces as

@@ -39,8 +39,10 @@ let arrivals ~lib net =
     cc.Transform.gate_of;
   arr
 
-let optimize ?(max_arity = 2) ~lib net =
-  if max_arity < 2 then invalid_arg "Resynth.optimize: max_arity < 2";
+(* Decomposed gates become trees of two-input gates. *)
+let max_arity = 2
+
+let optimize ~lib net =
   let n = Netlist.node_count net in
   let arr = arrivals ~lib net in
   (* Substitution through bufs and double inverters. *)

@@ -10,7 +10,7 @@
     - {b redundant pair removal} — [buf] nodes and [inv∘inv] chains are
       short-circuited (pure area/delay win);
     - {b timing-driven decomposition} — associative gates wider than
-      [max_arity] are rebuilt as Huffman trees over their input
+      two inputs are rebuilt as Huffman trees over their input
       arrivals (earliest inputs deepest), so late-arriving pins see a
       single gate delay instead of a wide slow cell. Inverting kinds
       keep one inverting root over a non-inverting tree.
@@ -30,8 +30,7 @@ type stats = {
   gates_added : int;    (** tree internals created *)
 }
 
-val optimize :
-  ?max_arity:int -> lib:Liberty.t -> Netlist.t -> Netlist.t * stats
-(** [max_arity] defaults to 2 (full two-input decomposition). The
-    library supplies the arrival-time ordering via a path-based STA of
-    the netlist's combinational view. *)
+val optimize : lib:Liberty.t -> Netlist.t -> Netlist.t * stats
+(** Decomposition is full: wide gates become trees of two-input gates.
+    The library supplies the arrival-time ordering via a path-based STA
+    of the netlist's combinational view. *)

@@ -46,7 +46,7 @@ let next_drive lib d =
   in
   go (Liberty.drives lib)
 
-let fix ?(max_rounds = 12) ~deadlines stage placements =
+let fix ~deadlines stage placements =
   let rec round stage best best_count k =
     if k = 0 then Ok best
     else begin
@@ -94,4 +94,4 @@ let fix ?(max_rounds = 12) ~deadlines stage placements =
       end
     end
   in
-  round stage stage max_int max_rounds
+  round stage stage max_int 12

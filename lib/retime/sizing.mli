@@ -9,14 +9,13 @@
 module Transform = Rar_netlist.Transform
 
 val fix :
-  ?max_rounds:int ->
   deadlines:(int -> float) ->
   Stage.t ->
   Transform.placement list ->
   (Stage.t, Error.t) result
 (** Returns a stage over the (possibly) resized netlist — the input
     stage unchanged when nothing violates. [deadlines sink] is the
-    latest acceptable verified arrival. [max_rounds] defaults to 12.
+    latest acceptable verified arrival. Sizing stops after 12 rounds.
     Unfixable violations are {e not} an error: the caller decides
     (G-RAR flips the master to error-detecting; base retiming reports
     it). Errors only reflect internal re-analysis failures. *)

@@ -480,10 +480,10 @@ let make ?(model = Sta.Path_based) ?source ?annot ~lib ~clocking cc =
        reused scratch — tens of microseconds on the 24x64 pipeline —
        so anything smaller than a few hundred sinks is cheaper to scan
        in place than to ship through the pool (waking a domain costs
-       milliseconds on a contended host — the BENCH_eval stage_make
-       regression). ISCAS-scale circuits (<= ~250 sinks) therefore
-       stay on the sequential path; larger endpoint sets are cut into
-       a few chunks per worker, each with its own scratch, so mid-size
+       milliseconds on a contended host). ISCAS-scale circuits
+       (<= ~250 sinks) therefore stay on the sequential path; larger
+       endpoint sets are cut into a few chunks per worker, each with
+       its own scratch, so mid-size
        designs fan out instead of tripping the pool's task-ratio
        fallback the old fixed 256-sink grain hit. *)
     let classified =

@@ -17,13 +17,12 @@ type t = {
   solve_cache : Difflp.cache;
 }
 
-let create ?(lib_capacity = 8) ?(circuit_capacity = 16) ?(stage_capacity = 16)
-    ?(session_capacity = 32) () =
+let create () =
   {
-    libs = Lru.create ~name:"libs" ~capacity:lib_capacity;
-    prepared = Lru.create ~name:"circuits" ~capacity:circuit_capacity;
-    stages = Lru.create ~name:"stages" ~capacity:stage_capacity;
-    sessions = Lru.create ~name:"sessions" ~capacity:session_capacity;
+    libs = Lru.create ~name:"libs" ~capacity:8;
+    prepared = Lru.create ~name:"circuits" ~capacity:16;
+    stages = Lru.create ~name:"stages" ~capacity:16;
+    sessions = Lru.create ~name:"sessions" ~capacity:32;
     solve_cache = Difflp.create_cache ();
   }
 

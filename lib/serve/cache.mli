@@ -16,14 +16,8 @@
 
 type t
 
-val create :
-  ?lib_capacity:int ->
-  ?circuit_capacity:int ->
-  ?stage_capacity:int ->
-  ?session_capacity:int ->
-  unit ->
-  t
-(** Defaults: 8 libraries, 16 circuits, 16 stages, 32 sessions. *)
+val create : unit -> t
+(** Capacities: 8 libraries, 16 circuits, 16 stages, 32 sessions. *)
 
 val solve_cache : t -> Rar_flow.Difflp.cache
 

@@ -20,9 +20,9 @@ type t = {
   started_at : float;
 }
 
-let create ?caches () =
+let create () =
   {
-    caches = (match caches with Some c -> c | None -> Cache.create ());
+    caches = Cache.create ();
     stop = Atomic.make false;
     lock = Mutex.create ();
     idle = Condition.create ();

@@ -19,8 +19,8 @@
 
 type t
 
-val create : ?caches:Cache.t -> unit -> t
-(** Fresh server state over (by default) fresh {!Cache.create} caches. *)
+val create : unit -> t
+(** Fresh server state over fresh {!Cache.create} caches. *)
 
 val caches : t -> Cache.t
 val stopping : t -> bool

@@ -254,22 +254,20 @@ let map ?min_chunk xs f = map_with ?min_chunk ~init:ignore xs (fun () x -> f x)
    chunks turn a 1125-sink batch into 5 tasks, which at 4 workers is
    below the 2-tasks-per-domain floor, so the whole batch silently ran
    sequentially — exactly on the multi-thousand-element inputs the
-   pool exists for. Aiming at [chunks_per_worker] tasks per worker
-   keeps the batch above the threshold while leaving enough tasks for
-   the queue to balance uneven chunk costs. *)
-let map_adaptive_with ?(seq_below = 512) ?(floor = 64) ?(chunks_per_worker = 4)
-    ~init xs f =
+   pool exists for. Aiming at 4 tasks per worker keeps the batch above
+   the threshold while leaving enough tasks for the queue to balance
+   uneven chunk costs. Batches under 512 elements run sequentially,
+   and no chunk is smaller than 64 elements. *)
+let map_adaptive_with ~init xs f =
   let n = Array.length xs in
-  if n < seq_below then map_with ~min_chunk:(Int.max 1 n) ~init xs f
+  if n < 512 then map_with ~min_chunk:(Int.max 1 n) ~init xs f
   else begin
-    let target = effective_jobs () * chunks_per_worker in
-    let chunk = Int.max floor ((n + target - 1) / target) in
+    let target = effective_jobs () * 4 in
+    let chunk = Int.max 64 ((n + target - 1) / target) in
     map_with ~min_chunk:chunk ~init xs f
   end
 
-let map_adaptive ?seq_below ?floor ?chunks_per_worker xs f =
-  map_adaptive_with ?seq_below ?floor ?chunks_per_worker ~init:ignore xs
-    (fun () x -> f x)
+let map_adaptive xs f = map_adaptive_with ~init:ignore xs (fun () x -> f x)
 
 let run (thunks : (unit -> 'a) list) : 'a list =
   Array.to_list (map (Array.of_list thunks) (fun f -> f ()))

@@ -58,18 +58,11 @@ val map : ?min_chunk:int -> 'a array -> ('a -> 'b) -> 'b array
     to the plain sequential path without touching the pool — the
     work-size threshold that keeps small fan-outs sequential. *)
 
-val map_adaptive :
-  ?seq_below:int ->
-  ?floor:int ->
-  ?chunks_per_worker:int ->
-  'a array ->
-  ('a -> 'b) ->
-  'b array
+val map_adaptive : 'a array -> ('a -> 'b) -> 'b array
 (** [map_adaptive xs f] is {!map} with the chunk size derived from the
-    batch: inputs shorter than [seq_below] (default 512) run
-    sequentially in place, larger ones are cut into roughly
-    [chunks_per_worker] (default 4) chunks per effective worker, never
-    smaller than [floor] (default 64) elements. Use this instead of a
+    batch: inputs shorter than 512 elements run sequentially in place,
+    larger ones are cut into roughly 4 chunks per effective worker,
+    never smaller than 64 elements. Use this instead of a
     hand-picked [min_chunk] for per-element work in the 0.1–1 ms range:
     a fixed grain either starves the pool on mid-size batches (too few
     tasks trips {!map}'s task-ratio fallback) or drowns it in dispatch
@@ -77,9 +70,6 @@ val map_adaptive :
     at any pool size. *)
 
 val map_adaptive_with :
-  ?seq_below:int ->
-  ?floor:int ->
-  ?chunks_per_worker:int ->
   init:(unit -> 's) ->
   'a array ->
   ('s -> 'a -> 'b) ->

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Gate the rar-bench-eval/1 document of the bench-smoke job.
+"""Gate a rar-bench-eval/2 document (BENCH_eval.json).
 
-Validates the schema, gates the classic-retiming kernel against the
-checked-in floor (a >2x regression fails the build), requires the ECO
-section's identity bit, and holds the armed-deadline and armed-tracing
-instrumentation overheads under their budgets.
+Checks the schema and its field set, gates the classic-retiming
+kernel against the checked-in floor (a >2x regression fails the
+build), holds the armed-deadline and armed-tracing overheads under
+their caps, and checks the all_tables jobs curve at jobs 1, 2 and 4.
+CI runs it on a fresh `bench/main.exe eval` document and, in the lint
+job, on the checked-in one.
 
 Usage: bench_smoke_gate.py BENCH_EVAL_JSON FLOOR_JSON
 """
@@ -12,31 +14,30 @@ Usage: bench_smoke_gate.py BENCH_EVAL_JSON FLOOR_JSON
 import json
 import sys
 
+KERNELS = {
+    "g/table_vii/engine_simplex",
+    "g/table_vii/engine_ssp",
+    "g/table_vii/engine_closure",
+    "g/table_viii/sim_50_cycles",
+    "g/smoke/classic_retiming",
+}
+
 
 def main(argv):
     if len(argv) != 3:
         raise SystemExit(f"usage: {argv[0]} BENCH_EVAL_JSON FLOOR_JSON")
     d = json.load(open(argv[1]))
-    assert d["schema"] == "rar-bench-eval/1", d
+    assert d["schema"] == "rar-bench-eval/2", d["schema"]
+    assert set(d) == {"schema", "host", "kernels", "overhead", "jobs_curve"}, (
+        sorted(d))
     host = d["host"]
+    assert set(host) == {"cores", "jobs_effective", "git_rev"}, host
     assert host["cores"] >= 1 and host["jobs_effective"] >= 1, host
-    assert d["kernels"], "no kernels measured"
-    for k in d["kernels"]:
-        assert k["name"] and k["ns_per_run"] > 0, k
-    for section in ("stage_make", "all_tables"):
-        w = d["wallclock"][section]
-        assert w["circuits"] and w["seq_s"] > 0 and w["par_s"] > 0, w
-        assert w["jobs"] >= 1 and w["speedup"] > 0, w
-    eco = d["eco"]
-    assert eco["cold_solve_s"] > 0 and eco["mean_resolve_s"] > 0, eco
-    assert eco["identical"] is True, eco
-    cold_s, mean_s, sp = (
-        eco["cold_solve_s"], eco["mean_resolve_s"], eco["speedup"])
-    print(f"eco: cold {cold_s:.2f} s, mean resolve "
-          f"{mean_s:.3f} s ({sp:.1f}x)")
+    ns = {k["name"]: k["ns_per_run"] for k in d["kernels"]}
+    assert set(ns) == KERNELS, sorted(ns)
+    assert all(v > 0 for v in ns.values()), ns
     floor = json.load(open(argv[2]))
     assert floor["schema"] == "rar-bench-smoke-floor/1", floor
-    ns = {k["name"]: k["ns_per_run"] for k in d["kernels"]}
     name = floor["kernel"]
     measured = ns[name]
     limit = 2.0 * floor["ns_per_run_floor"]
@@ -44,26 +45,27 @@ def main(argv):
         f"{name} regressed: {measured:.0f} ns/run > "
         f"2x floor ({limit:.0f} ns/run)")
     print(f"{name}: {measured:.0f} ns/run (limit {limit:.0f})")
-    # Overhead section: historically named "resilience"; tolerate a
-    # rename to "observability" but fail with a clear message when
-    # neither is present rather than a bare KeyError.
-    res = d.get("resilience") or d.get("observability")
-    if res is None:
-        raise SystemExit(
-            "BENCH_eval.json has no resilience/observability "
-            f"section; top-level keys: {sorted(d)}")
-
-    def gated(label, cap_key):
-        if label not in res:
-            raise SystemExit(
-                f"overhead section lacks {label!r}; present: {sorted(res)}")
-        ratio, cap = res[label], floor[cap_key]
+    overhead = d["overhead"]
+    caps = {
+        "deadline_overhead_ratio": floor["deadline_overhead_max_ratio"],
+        "trace_overhead_ratio": floor["trace_overhead_max_ratio"],
+    }
+    assert set(overhead) == set(caps), sorted(overhead)
+    for label, cap in caps.items():
+        ratio = overhead[label]
         assert 0 < ratio <= cap, (
             f"{label} {ratio:.3f}x exceeds the {cap:.2f}x budget")
         print(f"{label}: {ratio:.3f}x (cap {cap:.2f}x)")
-
-    gated("deadline_overhead_ratio", "deadline_overhead_max_ratio")
-    gated("trace_overhead_ratio", "trace_overhead_max_ratio")
+    curve = d["jobs_curve"]
+    assert set(curve) == {"circuits", "sim_cycles", "rows"}, sorted(curve)
+    assert curve["circuits"] and curve["sim_cycles"] > 0, curve
+    rows = curve["rows"]
+    assert [r["jobs_requested"] for r in rows] == [1, 2, 4], rows
+    for r in rows:
+        assert 1 <= r["jobs_effective"] <= r["jobs_requested"], r
+        assert r["all_tables_s"] > 0 and r["speedup_vs_first"] > 0, r
+    print("jobs curve: " + ", ".join(
+        f"jobs={r['jobs_requested']} {r['all_tables_s']:.3f} s" for r in rows))
 
 
 if __name__ == "__main__":

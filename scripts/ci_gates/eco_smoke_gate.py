@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Gate the rar-bench-eco/1 document of the eco-smoke job.
+"""Gate a rar-bench-eco/2 document (BENCH_eco.json).
 
-The steady-state edit-and-resolve speedup over a cold re-solve must
-clear the checked-in floor with the session outcome identical to the
-cold run — including under the RAR_FAULTS degradation matrix, where
-solve-cache replays bypass injection and only the cold legs slow down.
+Checks the schema and its field set. The steady-state edit-and-resolve
+speedup over a cold re-solve must clear the checked-in floor with the
+session outcome identical to the cold run — including under the
+RAR_FAULTS degradation matrix, where solve-cache replays bypass
+injection and only the cold legs slow down. CI runs it on a fresh
+`bench/main.exe eco` document and, in the lint job, on the checked-in
+one.
 
 Usage: eco_smoke_gate.py BENCH_ECO_JSON FLOOR_JSON
 """
@@ -12,15 +15,23 @@ Usage: eco_smoke_gate.py BENCH_ECO_JSON FLOOR_JSON
 import json
 import sys
 
+ECO = {"circuit", "gates", "engine", "stage_make_s", "cold_solve_s",
+       "warmup_resolve_s", "resolve_s", "mean_resolve_s",
+       "median_resolve_s", "speedup", "identical", "counters"}
+
 
 def main(argv):
     if len(argv) != 3:
         raise SystemExit(f"usage: {argv[0]} BENCH_ECO_JSON FLOOR_JSON")
     d = json.load(open(argv[1]))
-    assert d["schema"] == "rar-bench-eco/1", d
-    assert d["host"]["cores"] >= 1, d["host"]
+    assert d["schema"] == "rar-bench-eco/2", d["schema"]
+    assert set(d) == {"schema", "host", "total_s", "eco"}, sorted(d)
+    host = d["host"]
+    assert set(host) == {"cores", "jobs_effective", "git_rev"}, host
+    assert host["cores"] >= 1 and host["jobs_effective"] >= 1, host
     floor = json.load(open(argv[2]))
     e = d["eco"]
+    assert set(e) == ECO, sorted(e)
     assert e["gates"] == floor["eco_gates"], e
     assert e["engine"] == "grar", e
     assert e["identical"] is True, (

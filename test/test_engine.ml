@@ -163,6 +163,7 @@ let test_config_key_distinguishes () =
       [
         base;
         Engine.config ~c:2.0 Engine.Grar;
+        Engine.config ~c:1.0000001 Engine.Grar;
         Engine.config ~model:Rar_sta.Sta.Gate_based ~c:1.0 Engine.Grar;
         Engine.config ~solver:Rar_flow.Difflp.Ssp ~c:1.0 Engine.Grar;
         Engine.config ~c:1.0 ~post_swap:false Engine.Grar;
@@ -194,6 +195,21 @@ let test_movable_requires_source () =
   match Engine.run cfg (ok_stage (Engine.stage_of p)) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("movable on stage_of: " ^ Error.to_string e)
+
+(* A negative or non-finite EDL overhead is an input error, not an LP
+   the solver is left to reject (or, for c < 0, to solve with a
+   reward per error-detecting latch). *)
+let test_invalid_c () =
+  let p = cached_prepared 3 in
+  List.iter
+    (fun c ->
+      match Engine.run_prepared (Engine.config ~c Engine.Grar) p with
+      | Error (Error.Invalid_input _) -> ()
+      | Error e ->
+        Alcotest.failf "c = %g: expected Invalid_input, got %s" c
+          (Error.to_string e)
+      | Ok _ -> Alcotest.failf "c = %g: expected Invalid_input" c)
+    [ -0.5; Float.nan; Float.infinity ]
 
 let test_unknown_circuit () =
   match Engine.load_and_run (Engine.config Engine.Base) "nosuch" with
@@ -315,6 +331,8 @@ let suite =
       test_config_key_distinguishes;
     Alcotest.test_case "movable requires the source netlist" `Quick
       test_movable_requires_source;
+    Alcotest.test_case "negative or non-finite c is invalid input" `Quick
+      test_invalid_c;
     Alcotest.test_case "unknown circuit is typed" `Quick test_unknown_circuit;
     Alcotest.test_case "closure answer identical across jobs 1/2/4" `Quick
       test_closure_jobs_identical;

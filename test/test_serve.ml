@@ -393,6 +393,45 @@ let test_server_drain_cancels_inflight () =
       Alcotest.(check string) "cancelled is an error" "error" (status r);
       Alcotest.(check string) "cancelled kind" "cancelled" (error_kind r))
 
+(* Two requests whose c differs only in the seventh decimal are two
+   configs: the second must open its own session and echo its own c. *)
+let test_server_exact_c () =
+  without_faults @@ fun () ->
+  let s = Server.create () in
+  let req id c =
+    Json.to_string
+      (Json.Obj
+         [
+           ("id", Json.String id);
+           ("bench", Json.String bench_text);
+           ("approach", Json.String "grar");
+           ("c", Json.Float c);
+         ])
+  in
+  let session_misses () =
+    let m = by_id (rpc s [ {|{"id":"m","verb":"metrics"}|} ]) "m" in
+    match
+      Json.member_int "misses"
+        (field "sessions" (field "caches" (field "result" m)))
+    with
+    | Some n -> n
+    | None -> Alcotest.fail "no sessions miss counter"
+  in
+  let echoed_c r =
+    Json.member_float "c" (field "config" (field "result" r))
+  in
+  let a = by_id (rpc s [ req "c1" 1.0 ]) "c1" in
+  let misses = session_misses () in
+  let b = by_id (rpc s [ req "c2" 1.0000001 ]) "c2" in
+  Alcotest.(check string) "c = 1 ok" "ok" (status a);
+  Alcotest.(check string) "c = 1.0000001 ok" "ok" (status b);
+  Alcotest.(check (option (float 0.))) "first echoes c = 1" (Some 1.0)
+    (echoed_c a);
+  Alcotest.(check (option (float 0.))) "second echoes its own c"
+    (Some 1.0000001) (echoed_c b);
+  Alcotest.(check int) "second misses the sessions cache" (misses + 1)
+    (session_misses ())
+
 let test_server_shutdown_rejects_new_work () =
   without_faults @@ fun () ->
   let s = Server.create () in
@@ -476,6 +515,7 @@ let suite =
       test_server_survives_poolkill;
     Alcotest.test_case "drain cancels in-flight work" `Slow
       test_server_drain_cancels_inflight;
+    Alcotest.test_case "c keys sessions exactly" `Slow test_server_exact_c;
     Alcotest.test_case "shutdown rejects new work" `Quick
       test_server_shutdown_rejects_new_work;
     Alcotest.test_case "edit scripts and movable limits" `Slow
