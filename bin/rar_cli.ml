@@ -138,7 +138,8 @@ let format_arg =
 
 let c_arg =
   Arg.(
-    value & opt float 1.0
+    value
+    & opt float (Engine.config Engine.Grar).Engine.c
     & info [ "c" ] ~docv:"C" ~doc:"EDL area overhead factor (0.5 .. 2).")
 
 let deadline_arg =

@@ -1,5 +1,6 @@
 module Netlist = Rar_netlist.Netlist
 module Transform = Rar_netlist.Transform
+module Convert = Rar_netlist.Convert
 module Liberty = Rar_liberty.Liberty
 module Sta = Rar_sta.Sta
 module Clocking = Rar_sta.Clocking
@@ -40,7 +41,7 @@ let prepare ?lib ?clock ?flop_base net =
      Convert output — kept as [flop_netlist] so flop-domain consumers
      (classic retiming, Table I baselines) see the original design. *)
   let base = Option.value flop_base ~default:net in
-  let two_phase = Transform.to_two_phase net in
+  let two_phase = Convert.split Convert.Two net in
   let cc = Transform.extract_comb two_phase in
   let sta = Sta.analyse lib Sta.Path_based cc.Transform.comb in
   let clocking, p = derive_clocking ?clock sta in
@@ -129,15 +130,14 @@ let load ?lib name =
     match base_netlist name base with
     | Error _ as e -> e
     | Ok net -> (
-      match Rar_netlist.Convert.run ~phases net with
+      match Convert.run ~phases net with
       | Error e -> Error ("Suite.load: " ^ e)
       | Ok (latch_net, _stats) ->
         Ok (prepare ?lib ?clock ~flop_base:net latch_net))
   in
   match strip ".conv3" with
-  | Some base ->
-    converted base Rar_netlist.Convert.Three (Some Clocking.of_p3)
+  | Some base -> converted base Convert.Three (Some Clocking.of_p3)
   | None -> (
     match strip ".conv" with
-    | Some base -> converted base Rar_netlist.Convert.Two None
+    | Some base -> converted base Convert.Two None
     | None -> Result.map (prepare ?lib) (base_netlist name lname))

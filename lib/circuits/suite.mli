@@ -39,7 +39,8 @@ val prepare :
   prepared
 (** Prepare an arbitrary netlist — flop-based (e.g. a parsed ".bench"
     file) or already latch-based (a {!Rar_netlist.Convert} output,
-    whose master/slave pairs pass through unchanged). [lib] defaults to
+    whose master/slave pairs pass through unchanged). Flops are split
+    by {!Rar_netlist.Convert.split} [Two]. [lib] defaults to
     {!Liberty.default}; [clock] as in {!derive_clocking}. [flop_base]
     supplies the edge-triggered source of a converted netlist: it
     becomes [flop_netlist] and the basis for [n_flops]/[flop_area], so

@@ -3,7 +3,6 @@ module Transform = Rar_netlist.Transform
 module Stage = Rar_retime.Stage
 module Outcome = Rar_retime.Outcome
 module Error = Rar_retime.Error
-module B = Netlist.Builder
 
 (* The slave fed by a master (its only sequential fanout). *)
 let slave_of net m =
@@ -29,44 +28,18 @@ let backward_candidate net m =
     | _ -> None)
   | _ -> None
 
-(* Rebuild the netlist with the master/slave pair moved backward across
-   [g]: x -> m -> s -> g -> (old fanouts of s). *)
+(* Move the master/slave pair backward across [g]:
+   x -> m -> s -> g -> (old readers of s). Every node keeps its id. *)
 let apply_backward net m g s =
   let x = (Netlist.fanins net g).(0) in
-  let n = Netlist.node_count net in
-  let b = B.create ~name:(Netlist.name net) () in
-  let fresh = Array.make n (-1) in
-  let deferred = ref [] in
-  for v = 0 to n - 1 do
-    let name = Netlist.node_name net v in
-    match Netlist.kind net v with
-    | Netlist.Input -> fresh.(v) <- B.add_input b name
-    | Netlist.Output ->
-      let id = B.add_output_deferred b name in
-      deferred := (id, v) :: !deferred
-    | Netlist.Gate { fn; drive } ->
-      let id = B.add_gate_deferred b name ~fn ~drive () in
-      fresh.(v) <- id;
-      deferred := (id, v) :: !deferred
-    | Netlist.Seq role ->
-      let id = B.add_seq_deferred b name ~role in
-      fresh.(v) <- id;
-      deferred := (id, v) :: !deferred
-  done;
-  List.iter
-    (fun (id, v) ->
-      let fanins =
-        if v = m then [ fresh.(x) ]
-        else if v = g then [ fresh.(s) ]
-        else
-          Array.to_list
-            (Array.map
-               (fun u -> if u = s && v <> g then fresh.(g) else fresh.(u))
-               (Netlist.fanins net v))
-      in
-      B.connect b id ~fanins)
-    !deferred;
-  B.freeze b
+  let readers =
+    Array.map
+      (fun v ->
+        (v, Array.map (fun u -> if u = s then g else u) (Netlist.fanins net v)))
+      (Netlist.fanouts net s)
+  in
+  Netlist.with_fanins net
+    (Array.to_list readers @ [ (m, [| x |]); (g, [| s |]) ])
 
 let run ~deadline ~solve ~max_moves ~c stage =
   match Stage.source stage with
@@ -86,48 +59,39 @@ let run ~deadline ~solve ~max_moves ~c stage =
     | Error e -> Error e
     | Ok ((fixed_stage, fixed_outcome, _) as fixed) ->
       (* Candidate masters: the error-detecting ones (a backward move
-         shortens their capture path), identified by name so ids
-         survive the rebuilds. *)
-      let cc = Stage.cc fixed_stage in
-      let master_names =
+         shortens their capture path). A move keeps every node id, so
+         an id names the same master in every moved netlist. *)
+      let orig = (Stage.cc fixed_stage).Transform.orig in
+      let masters =
         List.filter_map
           (fun sink ->
-            let orig =
-              Array.fold_left
-                (fun acc (cs, ov) -> if cs = sink then Some ov else acc)
-                None cc.Transform.sink_of
-            in
-            match orig with
-            | Some ov
-              when Netlist.kind two_phase ov = Netlist.Seq Netlist.Master ->
-              Some (Netlist.node_name two_phase ov)
-            | _ -> None)
+            let ov = orig.(sink) in
+            if Netlist.kind two_phase ov = Netlist.Seq Netlist.Master then
+              Some ov
+            else None)
           fixed_outcome.Outcome.ed_sinks
       in
-      let rec search net best tried kept names =
+      let rec search net best tried kept masters =
         Option.iter
           (fun d -> Rar_util.Deadline.force_check d ~phase:"movable-search")
           deadline;
-        match names with
+        match masters with
         | [] -> (best, tried, kept)
         | _ when tried >= max_moves -> (best, tried, kept)
-        | name :: rest -> (
-          match Netlist.find net name with
+        | m :: rest -> (
+          match backward_candidate net m with
           | None -> search net best tried kept rest
-          | Some m -> (
-            match backward_candidate net m with
-            | None -> search net best tried kept rest
-            | Some (g, s) -> (
-              let net' = apply_backward net m g s in
-              match run_moved net' with
-              | Error _ -> search net best (tried + 1) kept rest
-              | Ok r ->
-                if total_area r < total_area best -. 1e-9 then
-                  search net' r (tried + 1) (kept + 1) rest
-                else search net best (tried + 1) kept rest)))
+          | Some (g, s) -> (
+            let net' = apply_backward net m g s in
+            match run_moved net' with
+            | Error _ -> search net best (tried + 1) kept rest
+            | Ok r ->
+              if total_area r < total_area best -. 1e-9 then
+                search net' r (tried + 1) (kept + 1) rest
+              else search net best (tried + 1) kept rest))
       in
       let (stage', outcome, _), moves_tried, moves_kept =
-        search two_phase fixed 0 0 master_names
+        search two_phase fixed 0 0 masters
       in
       Ok
         ( stage',

@@ -93,7 +93,7 @@ let of_name s =
   | "grar" -> Some Grar
   | _ -> None
 
-let config ?(model = Sta.Path_based) ?solver ?(c = 0.5) ?(post_swap = true)
+let config ?(model = Sta.Path_based) ?solver ?(c = 1.0) ?(post_swap = true)
     ?(movable_moves = 6) spec =
   { spec; model; solver; c; post_swap; movable_moves }
 

@@ -117,8 +117,9 @@ val config :
   ?movable_moves:int ->
   spec ->
   config
-(** Defaults: path-based STA, each engine's default solver, [c = 0.5],
-    post-swap on, 6 movable moves. *)
+(** Defaults: path-based STA, each engine's default solver, [c = 1.0],
+    post-swap on, 6 movable moves. The CLI flags and the serve
+    protocol take their defaults from here. *)
 
 val config_key : config -> string
 (** Deterministic key covering every field exactly (two configs share

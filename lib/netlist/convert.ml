@@ -30,13 +30,43 @@ let pp_stats ppf s =
    drive, name and pin order, so the result freezes into the usual
    compact CSR view and [Transform.extract_comb]/[Stage.make] accept it
    unmodified. *)
+let split phases net =
+  let b = B.create ~name:(Netlist.name net) () in
+  let repr = Array.make (Netlist.node_count net) (-1) in
+  let wire = ref [] in
+  for v = 0 to Netlist.node_count net - 1 do
+    match Netlist.kind net v with
+    | Netlist.Seq Netlist.Flop ->
+      (* Master on phase 1 (transparent low, error-detecting site),
+         then the slave chain the original fanouts read through: one
+         phase-2 latch, plus a phase-3 latch under the three-phase
+         scheme. Only the master's D pin is wired in pass 2 — it takes
+         the flop's original fanin. *)
+      let name = Netlist.node_name net v in
+      let m = B.add_seq_deferred b (name ^ "$m") ~role:Netlist.Master in
+      let s = B.add_seq b (name ^ "$s") ~role:Netlist.Slave ~fanin:m in
+      repr.(v) <-
+        (match phases with
+        | Two -> s
+        | Three -> B.add_seq b (name ^ "$t") ~role:Netlist.Slave ~fanin:s);
+      wire := (m, v) :: !wire
+    | Netlist.Input | Netlist.Output | Netlist.Gate _ | Netlist.Seq _ ->
+      let id = B.copy b net v in
+      repr.(v) <- id;
+      wire := (id, v) :: !wire
+  done;
+  List.iter
+    (fun (id, v) ->
+      B.connect b id
+        ~fanins:
+          (Array.to_list (Array.map (Array.get repr) (Netlist.fanins net v))))
+    !wire;
+  B.freeze b
+
 let run ?(phases = Two) net =
   let already =
     Array.exists
-      (fun v ->
-        match Netlist.kind net v with
-        | Netlist.Seq (Netlist.Master | Netlist.Slave) -> true
-        | _ -> false)
+      (fun v -> Netlist.kind net v <> Netlist.Seq Netlist.Flop)
       (Netlist.seqs net)
   in
   if already then
@@ -45,60 +75,18 @@ let run ?(phases = Two) net =
          "Convert.run: %S already contains master/slave latches; expected an \
           edge-triggered (DFF) design"
          (Netlist.name net))
-  else begin
-    let n = Netlist.node_count net in
-    let b = B.create ~name:(Netlist.name net) () in
-    let repr = Array.make n (-1) in
-    let deferred = ref [] in
-    let flops = ref 0 and gates = ref 0 in
-    for v = 0 to n - 1 do
-      let name = Netlist.node_name net v in
-      match Netlist.kind net v with
-      | Netlist.Input -> repr.(v) <- B.add_input b name
-      | Netlist.Output ->
-        let id = B.add_output_deferred b name in
-        deferred := (id, v) :: !deferred
-      | Netlist.Gate { fn; drive } ->
-        incr gates;
-        let id = B.add_gate_deferred b name ~fn ~drive () in
-        repr.(v) <- id;
-        deferred := (id, v) :: !deferred
-      | Netlist.Seq Netlist.Flop ->
-        incr flops;
-        (* Master on phase 1 (transparent low, error-detecting site),
-           then the slave chain the original fanouts read through: one
-           phase-2 latch, plus a phase-3 latch under the three-phase
-           scheme. Only the master's D pin is deferred — it takes the
-           flop's original fanin in pass 2. *)
-        let m = B.add_seq_deferred b (name ^ "$m") ~role:Netlist.Master in
-        let s = B.add_seq b (name ^ "$s") ~role:Netlist.Slave ~fanin:m in
-        let last =
-          match phases with
-          | Two -> s
-          | Three -> B.add_seq b (name ^ "$t") ~role:Netlist.Slave ~fanin:s
-        in
-        repr.(v) <- last;
-        deferred := (m, v) :: !deferred
-      | Netlist.Seq (Netlist.Master | Netlist.Slave) -> assert false
-    done;
-    List.iter
-      (fun (id, v) ->
-        let fanins =
-          Array.to_list (Array.map (fun u -> repr.(u)) (Netlist.fanins net v))
-        in
-        B.connect b id ~fanins)
-      !deferred;
-    match B.freeze b with
+  else
+    match split phases net with
     | exception Failure msg -> Error ("Convert.run: " ^ msg)
     | out ->
+      let flops = Array.length (Netlist.seqs net) in
       let slaves_per_flop = match phases with Two -> 1 | Three -> 2 in
       Ok
         ( out,
           {
-            flops = !flops;
-            masters = !flops;
-            slaves = slaves_per_flop * !flops;
-            gates = !gates;
+            flops;
+            masters = flops;
+            slaves = slaves_per_flop * flops;
+            gates = Array.length (Netlist.gates net);
             scheme = phases;
           } )
-  end

@@ -33,9 +33,20 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
+val split : phases -> Netlist.t -> Netlist.t
+(** The FF→latch split itself, the only one in the code base: each
+    [Seq Flop] [x] becomes the chain [x$m] (master) → [x$s] (slave)
+    [→ x$t] (slave, three-phase only), whose last latch the flop's
+    readers are rewired to. Every other node — latches already present
+    included — is copied unchanged, so a netlist without flops comes
+    back structurally identical. Raises [Failure] when the result does
+    not freeze (a generated name colliding with an existing one).
+    [Suite.prepare] calls it directly. *)
+
 val run : ?phases:phases -> Netlist.t -> (Netlist.t * stats, string) result
-(** Convert an edge-triggered design. [phases] defaults to [Two].
-    Errors when the input already contains master/slave latches (a
-    converted or hand-written latch design must not be converted
-    twice); a flop-free netlist converts to itself with zero latch
-    counts. *)
+(** The guarded front end of {!split}: convert an edge-triggered
+    design and count what changed. [phases] defaults to [Two]. Errors
+    when the input already contains master/slave latches (a converted
+    or hand-written latch design must not be converted twice) or when
+    {!split} fails; a flop-free netlist converts to itself with zero
+    latch counts. *)

@@ -10,10 +10,10 @@ type kind =
 
 (* Immutable int-packed CSR view of the graph structure, built once at
    freeze time and shared by every [t] derived from the same freeze
-   ([with_drive] / [map_gates] change kinds only, never topology). Kept
-   as a separate record so hot loops in Sta/Stage/Wd touch nothing but
-   flat int arrays. [tag] folds the kind down to the 3 bits those loops
-   ever branch on; fn/drive stay in [kinds]. *)
+   ([with_drive] changes a kind only, never topology). Kept as a
+   separate record so hot loops in Sta/Stage/Wd touch nothing but flat
+   int arrays. [tag] folds the kind down to the 3 bits those loops ever
+   branch on; fn/drive stay in [kinds]. *)
 module Compact = struct
   type t = {
     n : int;
@@ -241,6 +241,7 @@ module Builder = struct
 
   let add_seq_deferred t name ~role = add t (Seq role) name None
   let add_output_deferred t name = add t Output name None
+  let copy t net v = add t net.kinds.(v) net.names.(v) None
 
   let connect t id ~fanins =
     let p = Vec.get t.nodes id in
@@ -365,20 +366,12 @@ let with_drive t v d =
   | Input | Output | Seq _ -> assert false);
   { t with kinds }
 
-let map_gates t f =
-  let kinds =
-    Array.mapi
-      (fun v k ->
-        match k with
-        | Gate _ -> (
-          match f v k with
-          | Gate _ as g -> g
-          | Input | Output | Seq _ ->
-            invalid_arg "Netlist.map_gates: gate rewritten to non-gate")
-        | Input | Output | Seq _ -> k)
-      t.kinds
-  in
-  { t with kinds }
+(* Every node keeps its id, name and kind; only the listed fanins
+   change, so the arrays go straight back through [build_frozen]. *)
+let with_fanins t changes =
+  let fanins = Array.copy t.fanins in
+  List.iter (fun (v, fi) -> fanins.(v) <- Array.copy fi) changes;
+  build_frozen t.name t.kinds t.names fanins
 
 let pp_summary ppf t =
   Format.fprintf ppf "%s: %d pi, %d po, %d gates, %d seq, depth %d" t.name

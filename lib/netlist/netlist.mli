@@ -28,9 +28,9 @@ type t
 
     An immutable int-packed CSR mirror of the graph structure, built
     once at freeze time and shared by every netlist derived from the
-    same freeze ([with_drive]/[map_gates] rewrite kinds only, never
-    topology). Hot loops in STA, stage classification and W/D use it to
-    walk adjacency through flat int arrays instead of per-node boxed
+    same freeze ([with_drive] rewrites a kind only, never topology).
+    Hot loops in STA, stage classification and W/D use it to walk
+    adjacency through flat int arrays instead of per-node boxed
     arrays; node ids are identical to the owning netlist's, so the
     name↔id side table is the netlist itself ({!node_name}/{!find}) and
     is only consulted off the hot path. *)
@@ -115,6 +115,11 @@ module Builder : sig
   val add_seq_deferred : t -> string -> role:seq_role -> int
   val add_output_deferred : t -> string -> int
 
+  val copy : t -> netlist -> int -> int
+  (** [copy b net v] adds a node with [v]'s name and kind whose fanins
+      are supplied later with {!connect} ([[]] for an input): the one
+      way a rebuild carries a node of [net] over. *)
+
   val connect : t -> int -> fanins:int list -> unit
   (** Set the fanins of a deferred node. Raises [Invalid_argument] if
       the node already has fanins. *)
@@ -192,10 +197,13 @@ val with_drive : t -> int -> int -> t
 (** [with_drive t v d] returns a copy where gate [v] has drive [d].
     Raises [Invalid_argument] when [v] is not a gate or [d < 1]. *)
 
-val map_gates : t -> (int -> kind -> kind) -> t
-(** Rebuild with each gate's kind rewritten (topology unchanged);
-    non-gate nodes are passed through unchanged and must be returned
-    unchanged. *)
+val with_fanins : t -> (int * int array) list -> t
+(** [with_fanins t changes] replaces the fanins of each listed node
+    (a later entry for the same node wins). Every node keeps its id,
+    name and kind, so arrays indexed by node id stay valid; fanouts,
+    topological order and the compact view are recomputed. Validated
+    like {!Builder.freeze}: raises [Failure] on a bad arity, a dangling
+    or output fanin, or a combinational cycle. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One-line "name: #pi #po #gate #seq depth" summary. *)

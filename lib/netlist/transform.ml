@@ -1,56 +1,9 @@
 module B = Netlist.Builder
+module Vec = Rar_util.Vec
 
-(* Rebuild [net] node by node. [remap] decides, per original node, what
-   to create; it returns the new id downstream fanouts should use and
-   optionally a (deferred new id, original fanin owner) pair to wire up
-   in a second pass. All flows below share this two-pass skeleton. *)
-
-let to_two_phase net =
-  let n = Netlist.node_count net in
-  let b = B.create ~name:(Netlist.name net) () in
-  let repr = Array.make n (-1) in
-  (* new id that fanouts of original node v reference *)
-  let deferred = ref [] in
-  (* (new deferred id, original id whose fanins it takes) *)
-  for v = 0 to n - 1 do
-    let name = Netlist.node_name net v in
-    match Netlist.kind net v with
-    | Netlist.Input -> repr.(v) <- B.add_input b name
-    | Netlist.Output ->
-      let id = B.add_output_deferred b name in
-      deferred := (id, v) :: !deferred
-    | Netlist.Gate { fn; drive } ->
-      let id = B.add_gate_deferred b name ~fn ~drive () in
-      repr.(v) <- id;
-      deferred := (id, v) :: !deferred
-    | Netlist.Seq Netlist.Flop ->
-      let m = B.add_seq_deferred b (name ^ "$m") ~role:Netlist.Master in
-      let s = B.add_seq b (name ^ "$s") ~role:Netlist.Slave ~fanin:m in
-      repr.(v) <- s;
-      deferred := (m, v) :: !deferred
-    | Netlist.Seq role ->
-      let id = B.add_seq_deferred b name ~role in
-      repr.(v) <- id;
-      deferred := (id, v) :: !deferred
-  done;
-  List.iter
-    (fun (id, v) ->
-      let fanins =
-        Array.to_list (Array.map (fun u -> repr.(u)) (Netlist.fanins net v))
-      in
-      B.connect b id ~fanins)
-    !deferred;
-  B.freeze b
-
-type comb_circuit = {
-  comb : Netlist.t;
-  source_of : (int * int) array;
-  sink_of : (int * int) array;
-  gate_of : int array;
-}
+type comb_circuit = { comb : Netlist.t; orig : int array }
 
 let extract_comb net =
-  let n = Netlist.node_count net in
   (* Resolve the combinational driver seen through slave latches: the
      value feeding downstream logic originates at the slave's
      transitive driver. *)
@@ -60,52 +13,34 @@ let extract_comb net =
     | _ -> v
   in
   let b = B.create ~name:(Netlist.name net ^ "$comb") () in
-  let repr = Array.make n (-1) in
-  let sources = ref [] and sinks = ref [] and gate_pairs = ref [] in
-  let deferred = ref [] in
-  for v = 0 to n - 1 do
-    let name = Netlist.node_name net v in
+  let repr = Array.make (Netlist.node_count net) (-1) in
+  (* [orig] holds the original node of each new id, in id order. *)
+  let orig = Vec.create () and wire = ref [] in
+  let add v id =
+    Vec.add_last orig v;
+    id
+  in
+  for v = 0 to Netlist.node_count net - 1 do
     match Netlist.kind net v with
-    | Netlist.Input ->
-      let id = B.add_input b name in
-      repr.(v) <- id;
-      sources := (id, v) :: !sources
+    | Netlist.Seq Netlist.Slave -> () (* bypassed *)
     | Netlist.Seq (Netlist.Master | Netlist.Flop) ->
       (* Q side: a fresh source. D side: a fresh sink, wired in pass 2. *)
-      let q = B.add_input b (name ^ "$q") in
-      repr.(v) <- q;
-      sources := (q, v) :: !sources;
-      let d = B.add_output_deferred b (name ^ "$d") in
-      sinks := (d, v) :: !sinks;
-      deferred := (d, v) :: !deferred
-    | Netlist.Seq Netlist.Slave -> () (* bypassed *)
-    | Netlist.Gate { fn; drive } ->
-      let id = B.add_gate_deferred b name ~fn ~drive () in
+      let name = Netlist.node_name net v in
+      repr.(v) <- add v (B.add_input b (name ^ "$q"));
+      wire := (add v (B.add_output_deferred b (name ^ "$d")), v) :: !wire
+    | Netlist.Input | Netlist.Gate _ | Netlist.Output ->
+      let id = add v (B.copy b net v) in
       repr.(v) <- id;
-      gate_pairs := (id, v) :: !gate_pairs;
-      deferred := (id, v) :: !deferred
-    | Netlist.Output ->
-      let id = B.add_output_deferred b name in
-      sinks := (id, v) :: !sinks;
-      deferred := (id, v) :: !deferred
+      wire := (id, v) :: !wire
   done;
   List.iter
     (fun (id, v) ->
-      let fanins =
-        Array.to_list
-          (Array.map (fun u -> repr.(driver u)) (Netlist.fanins net v))
-      in
-      B.connect b id ~fanins)
-    !deferred;
-  let comb = B.freeze b in
-  let gate_of = Array.make (Netlist.node_count comb) (-1) in
-  List.iter (fun (id, v) -> gate_of.(id) <- v) !gate_pairs;
-  {
-    comb;
-    source_of = Array.of_list (List.rev !sources);
-    sink_of = Array.of_list (List.rev !sinks);
-    gate_of;
-  }
+      B.connect b id
+        ~fanins:
+          (Array.to_list
+             (Array.map (fun u -> repr.(driver u)) (Netlist.fanins net v))))
+    !wire;
+  { comb = B.freeze b; orig = Vec.to_array orig }
 
 module Edit = struct
   type t =
@@ -129,35 +64,6 @@ module Edit = struct
     | Annotate { node; extra } ->
       Format.fprintf ppf "annotate %s %.17g" node extra
     | Set_c c -> Format.fprintf ppf "c %.17g" c
-
-  (* Replace the driver of pin [pin] of node [v] by [b]. Nodes are
-     recreated in id order, so ids, names and pin layout are identical
-     to [net]'s — downstream index-keyed caches stay valid. *)
-  let rewire net v pin b =
-    let n = Netlist.node_count net in
-    let bld = B.create ~name:(Netlist.name net) () in
-    let deferred = ref [] in
-    for x = 0 to n - 1 do
-      let name = Netlist.node_name net x in
-      match Netlist.kind net x with
-      | Netlist.Input -> ignore (B.add_input bld name)
-      | Netlist.Gate { fn; drive } ->
-        ignore (B.add_gate_deferred bld name ~fn ~drive ());
-        deferred := x :: !deferred
-      | Netlist.Output ->
-        ignore (B.add_output_deferred bld name);
-        deferred := x :: !deferred
-      | Netlist.Seq role ->
-        ignore (B.add_seq_deferred bld name ~role);
-        deferred := x :: !deferred
-    done;
-    List.iter
-      (fun x ->
-        let fi = Array.copy (Netlist.fanins net x) in
-        if x = v then fi.(pin) <- b;
-        B.connect bld x ~fanins:(Array.to_list fi))
-      (List.rev !deferred);
-    B.freeze bld
 
   let apply ?annot net edits =
     let n = Netlist.node_count net in
@@ -236,7 +142,8 @@ module Edit = struct
             if is_gate old then mark dirty old;
             if is_gate b then mark dirty b;
             mark seeds v;
-            net := rewire !net v pin b
+            let fi = Array.mapi (fun i u -> if i = pin then b else u) fi in
+            net := Netlist.with_fanins !net [ (v, fi) ]
           end
         | Annotate { node; extra } ->
           let v = find "gate" node in
@@ -254,7 +161,8 @@ module Edit = struct
             mark dirty v
           end
         | Set_c x ->
-          if x < 0. then invalid_arg "Transform.Edit.apply: c must be >= 0";
+          if not (Float.is_finite x && x >= 0.) then
+            invalid_arg "Transform.Edit.apply: c must be finite and >= 0";
           c := Some x)
       edits;
     let sorted tbl =
@@ -354,49 +262,32 @@ let apply_retiming cc placements =
           Hashtbl.add capture (v, pin) i)
         p.latched)
     placements;
+  (* Every comb node is copied first, so it keeps its id; the slaves,
+     one per placement, come after them. *)
   let b = B.create ~name:(Netlist.name net ^ "$retimed") () in
-  let repr = Array.make n (-1) in
-  let deferred = ref [] in
   for v = 0 to n - 1 do
-    let name = Netlist.node_name net v in
-    match Netlist.kind net v with
-    | Netlist.Input -> repr.(v) <- B.add_input b name
-    | Netlist.Gate { fn; drive } ->
-      let id = B.add_gate_deferred b name ~fn ~drive () in
-      repr.(v) <- id;
-      deferred := (id, v) :: !deferred
-    | Netlist.Output ->
-      let id = B.add_output_deferred b name in
-      deferred := (id, v) :: !deferred
-    | Netlist.Seq _ ->
-      invalid_arg "Transform.apply_retiming: expected a combinational circuit"
+    if Netlist.is_seq net v then
+      invalid_arg "Transform.apply_retiming: expected a combinational circuit";
+    ignore (B.copy b net v)
   done;
-  (* One physical slave per placement, created after its driver exists. *)
-  let slave_id =
+  let slave =
     Array.of_list
       (List.mapi
          (fun i p ->
            let name =
              Printf.sprintf "%s$slv%d" (Netlist.node_name net p.after) i
            in
-           B.add_seq_deferred b name ~role:Netlist.Slave)
+           B.add_seq b name ~role:Netlist.Slave ~fanin:p.after)
          placements)
   in
-  let placement_after = Array.of_list (List.map (fun p -> p.after) placements) in
-  Array.iteri
-    (fun i s -> B.connect b s ~fanins:[ repr.(placement_after.(i)) ])
-    slave_id;
-  List.iter
-    (fun (id, v) ->
-      let fanins =
-        Array.to_list
-          (Array.mapi
-             (fun pin u ->
-               match Hashtbl.find_opt capture (v, pin) with
-               | Some i -> slave_id.(i)
-               | None -> repr.(u))
-             (Netlist.fanins net v))
-      in
-      B.connect b id ~fanins)
-    !deferred;
+  for v = 0 to n - 1 do
+    B.connect b v
+      ~fanins:
+        (List.mapi
+           (fun pin u ->
+             match Hashtbl.find_opt capture (v, pin) with
+             | Some i -> slave.(i)
+             | None -> u)
+           (Array.to_list (Netlist.fanins net v)))
+  done;
   B.freeze b

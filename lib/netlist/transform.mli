@@ -1,35 +1,26 @@
-(** Structural transforms: flip-flop to two-phase conversion, extraction
-    of the combinational retiming view, and re-insertion of retimed
-    slave latches.
+(** Structural transforms: extraction of the combinational retiming
+    view, ECO edits, and re-insertion of retimed slave latches.
 
     The paper's flow (§III): every flip-flop becomes a master+slave
-    latch pair; masters stay fixed, slaves are retimed through the
-    combinational logic. The retiming algorithms work on a
-    {!comb_circuit}: the circuit cut at its master latches, where every
-    launch point (master Q pin or primary input) becomes an [Input]
-    node and every capture point (master D pin or primary output)
-    becomes an [Output] node. Following Fig. 4, primary inputs/outputs
+    latch pair ({!Convert.split}); masters stay fixed, slaves are
+    retimed through the combinational logic. The retiming algorithms
+    work on a {!comb_circuit}: the circuit cut at its master latches,
+    where every launch point (master Q pin or primary input) becomes an
+    [Input] node and every capture point (master D pin or primary
+    output) becomes an [Output] node. Following Fig. 4, primary inputs/outputs
     are treated as virtual master latches of the environment, so every
     source initially carries one retimable slave latch. *)
-
-val to_two_phase : Netlist.t -> Netlist.t
-(** Replace every [Seq Flop] node by a [Seq Master] feeding a
-    [Seq Slave] (names suffixed ["$m"] / ["$s"]). Other nodes are
-    unchanged. Idempotent on netlists without flops. *)
 
 type comb_circuit = {
   comb : Netlist.t;
     (** Purely combinational: [Input], [Gate] and [Output] nodes only.
         Slave latches of the source netlist are bypassed. *)
-  source_of : (int * int) array;
-    (** [(comb_input_id, original_id)] pairs: the original node is the
-        master latch or primary input this source stands for. *)
-  sink_of : (int * int) array;
-    (** [(comb_output_id, original_id)] pairs, original node being the
-        capturing master latch or primary output. *)
-  gate_of : int array;
-    (** [gate_of.(comb_id) = original_id] for gates; [-1] for
-        non-gates. *)
+  orig : int array;
+    (** [orig.(comb_id)] is the source-netlist node that comb node
+        stands for: the gate itself, the master (or flop) or primary
+        input behind a source ({!Netlist.inputs}), the capturing
+        master (or flop) or primary output behind a sink
+        ({!Netlist.outputs}). *)
 }
 
 val extract_comb : Netlist.t -> comb_circuit
@@ -60,8 +51,8 @@ module Edit : sig
     net : Netlist.t;
       (** the edited netlist. Node ids, names and pin positions are
           identical to the input's ([Resize] shares its compact view;
-          [Rewire] rebuilds in id order with unchanged arities), so
-          index-keyed caches remain addressable. *)
+          [Rewire] goes through {!Netlist.with_fanins}), so index-keyed
+          caches remain addressable. *)
     annot : float array;
       (** cumulative per-node extra delay (input annot + edits) *)
     c : float option;  (** last [Set_c], if any *)
@@ -82,9 +73,9 @@ module Edit : sig
       Raises [Invalid_argument] on an ill-formed edit: unknown names,
       non-gate resize/annotate targets, out-of-range pins, drives < 1,
       rewires that create a combinational cycle or use an [Output] as
-      driver, negative cumulative annotations, negative c. Edits that
-      change nothing (same drive, same driver, zero extra) are
-      accepted and dirty nothing. *)
+      driver, negative cumulative annotations, a negative or
+      non-finite c. Edits that change nothing (same drive, same
+      driver, zero extra) are accepted and dirty nothing. *)
 
   val pp : Format.formatter -> t -> unit
   (** Prints in the {!parse_script} grammar. *)
@@ -111,5 +102,7 @@ val apply_retiming : comb_circuit -> placement list -> Netlist.t
     result is a netlist whose inputs stand for master Q pins and whose
     outputs stand for master D pins, with [Seq Slave] nodes at the
     chosen positions — the physical stage used by the error-rate
-    simulator. Raises [Invalid_argument] on a placement referencing a
-    pin twice or a non-existent edge. *)
+    simulator. Every node of [cc.comb] keeps its id, so its sink ids
+    address the result directly; the slaves follow, one per placement
+    in list order. Raises [Invalid_argument] on a placement referencing
+    a pin twice or a non-existent edge. *)

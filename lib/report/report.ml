@@ -113,15 +113,16 @@ let run t ?model name ~spec ~c =
     (name ^ " " ^ Engine.name spec)
     (run_result t ?model name ~spec ~c)
 
+(* Slave insertion keeps every comb id, so the outcome's sink ids
+   address the staged netlist as they are. *)
 let sim_design st (outcome : Outcome.t) =
-  let cc = Stage.cc st in
-  let staged = Transform.apply_retiming cc outcome.Outcome.placements in
-  let ed_sinks =
-    List.map
-      (fun s -> Sim.sink_of_comb ~comb:cc.Transform.comb ~staged s)
-      outcome.Outcome.ed_sinks
-  in
-  { Sim.staged; lib = Stage.lib st; clocking = Stage.clocking st; ed_sinks }
+  {
+    Sim.staged =
+      Transform.apply_retiming (Stage.cc st) outcome.Outcome.placements;
+    lib = Stage.lib st;
+    clocking = Stage.clocking st;
+    ed_sinks = outcome.Outcome.ed_sinks;
+  }
 
 (* Table VIII cells are memoised twice. [rates] is keyed by the cell
    (circuit/engine/c) and is the cheap hit path. On a miss the cell's
@@ -583,7 +584,19 @@ let all_tables ?(format = Text) t =
   precompute t;
   List.map
     (fun n ->
-      match table t ~format n with
-      | Ok s -> (n, title n, s)
-      | Error e -> (n, title n, e))
+      let body =
+        match (table t ~format n, format) with
+        | Ok s, _ -> s
+        | Error e, (Text | Csv) -> e
+        | Error e, Json ->
+          Rar_util.Json.(
+            to_string
+              (Obj
+                 [
+                   ("number", Int n);
+                   ("title", String (title n));
+                   ("error", String e);
+                 ]))
+      in
+      (n, title n, body))
     [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]

@@ -117,6 +117,7 @@ val table : t -> ?format:format -> int -> (string, string) result
 val all_tables : ?format:format -> t -> (int * string * string) list
 (** [(number, title, rendered)] for every table. Runs {!precompute}
     first, so the whole grid evaluates on the domain pool before any
-    table renders. A failed table renders as its diagnostic line. *)
+    table renders. A failed table renders as its diagnostic line, or
+    in JSON as an object holding its [number], [title] and [error]. *)
 
 val title : int -> string

@@ -198,8 +198,6 @@ let wd g =
     g.wd_cache <- Some t;
     t
 
-let wd_matrices g = Wd.to_dense (wd g)
-
 (* The current period is the worst zero-register path delay. When the
    W/D kernel is already memoised, read it straight off the matrices;
    otherwise run the O(V + E) zero-weight DP instead of paying for an
@@ -308,18 +306,12 @@ let realize g r =
   let fresh = Array.make nn (-1) in
   let deferred = ref [] in
   for v = 0 to nn - 1 do
-    let name = Netlist.node_name net v in
-    match Netlist.kind net v with
-    | Netlist.Input -> fresh.(v) <- B.add_input b name
-    | Netlist.Gate { fn; drive } ->
-      let id = B.add_gate_deferred b name ~fn ~drive () in
+    (* old registers disappear *)
+    if not (Netlist.is_seq net v) then begin
+      let id = B.copy b net v in
       fresh.(v) <- id;
       deferred := (id, v) :: !deferred
-    | Netlist.Output ->
-      let id = B.add_output_deferred b name in
-      fresh.(v) <- id;
-      deferred := (id, v) :: !deferred
-    | Netlist.Seq _ -> () (* old registers disappear *)
+    end
   done;
   (* Build the shared chains. *)
   let chains = Hashtbl.create 64 in

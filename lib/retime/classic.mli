@@ -6,9 +6,6 @@
     consumer of the flow engines outside the binary window, so the
     closure shortcut does not apply).
 
-    - {!wd_matrices} — the [W]/[D] matrices of Eq. 1–2 via the sparse
-      per-source kernel of {!Wd} (min registers, then max delay),
-      computed once per graph and memoised;
     - {!min_period} — binary search over the distinct [D] values, each
       feasibility check a Bellman–Ford run over Eq. 3's constraints,
       warm-started from the previous feasible probe's potentials;
@@ -44,13 +41,6 @@ val node_count : graph -> int
 val wd : graph -> Wd.t
 (** The memoised sparse W/D kernel of this graph (computed on first
     use; every later query reuses it). *)
-
-val wd_matrices : graph -> int array array * float array array
-(** [(w, d)] with [w.(u).(v) = W(u,v)] (register-minimal path count,
-    {!Wd.big} if unreachable) and [d.(u).(v) = D(u,v)]. Dense view of
-    the memoised sparse kernel; the first call per graph pays for the
-    all-pairs computation, later calls (and every other query on this
-    page) reuse it. *)
 
 val period_of : graph -> float
 (** Current clock period (longest register-free combinational path). *)

@@ -30,13 +30,13 @@ let internal_kind = function
 
 (* Arrival time of every original node, for the Huffman ordering. *)
 let arrivals ~lib net =
-  let cc = Transform.extract_comb net in
-  let sta = Sta.analyse lib Sta.Path_based cc.Transform.comb in
+  let { Transform.comb; orig } = Transform.extract_comb net in
+  let sta = Sta.analyse lib Sta.Path_based comb in
   let arr = Array.make (Netlist.node_count net) 0. in
   Array.iteri
-    (fun comb_id orig ->
-      if orig >= 0 then arr.(orig) <- Sta.df sta comb_id)
-    cc.Transform.gate_of;
+    (fun comb_id v ->
+      if Netlist.is_comb comb comb_id then arr.(v) <- Sta.df sta comb_id)
+    orig;
   arr
 
 (* Decomposed gates become trees of two-input gates. *)
@@ -100,20 +100,9 @@ let optimize ~lib net =
   let gates_decomposed = ref 0 and gates_added = ref 0 in
   for v = 0 to n - 1 do
     if live.(v) && resolve v = v then begin
-      let name = Netlist.node_name net v in
-      match Netlist.kind net v with
-      | Netlist.Input -> fresh.(v) <- B.add_input b name
-      | Netlist.Output ->
-        let id = B.add_output_deferred b name in
-        deferred := (id, v) :: !deferred
-      | Netlist.Seq role ->
-        let id = B.add_seq_deferred b name ~role in
-        fresh.(v) <- id;
-        deferred := (id, v) :: !deferred
-      | Netlist.Gate { fn; drive } ->
-        let id = B.add_gate_deferred b name ~fn ~drive () in
-        fresh.(v) <- id;
-        deferred := (id, v) :: !deferred
+      let id = B.copy b net v in
+      fresh.(v) <- id;
+      deferred := (id, v) :: !deferred
     end
   done;
   (* Wire pass: wide live gates get Huffman trees; everything else maps

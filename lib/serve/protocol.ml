@@ -1,7 +1,5 @@
 module Json = Rar_util.Json
 module Engine = Rar_engine
-module Sta = Rar_sta.Sta
-module Difflp = Rar_flow.Difflp
 
 let req_schema = "rar-req/1"
 let resp_schema = "rar-serve/1"
@@ -10,12 +8,7 @@ type run_req = {
   circuit : string option;
   bench : string option;
   library : string option;
-  approach : Engine.spec;
-  model : Sta.model;
-  solver : Difflp.engine option;
-  c : float;
-  post_swap : bool;
-  movable_moves : int;
+  config : Engine.config;
   edits : string option;
   deadline_s : float option;
   max_heap_mb : int option;
@@ -25,16 +18,6 @@ type run_req = {
 type verb = Run of run_req | Ping | Metrics | Shutdown
 
 type request = { id : Json.t; verb : verb }
-
-let config_of (r : run_req) =
-  {
-    Engine.spec = r.approach;
-    model = r.model;
-    solver = r.solver;
-    c = r.c;
-    post_swap = r.post_swap;
-    movable_moves = r.movable_moves;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Request parsing                                                     *)
@@ -88,8 +71,8 @@ let parse_run j =
   in
   let* model =
     match model_s with
-    | None -> Ok Sta.Path_based
-    | Some s -> Engine.model_of_name s
+    | None -> Ok None
+    | Some s -> Result.map Option.some (Engine.model_of_name s)
   in
   let* solver =
     match solver_s with None -> Ok None | Some s -> Engine.solver_of_name s
@@ -111,12 +94,8 @@ let parse_run j =
          circuit;
          bench;
          library;
-         approach;
-         model;
-         solver;
-         c = Option.value c ~default:1.0;
-         post_swap = Option.value post_swap ~default:true;
-         movable_moves = Option.value movable_moves ~default:6;
+         config =
+           Engine.config ?model ?solver ?c ?post_swap ?movable_moves approach;
          edits;
          deadline_s;
          max_heap_mb;

@@ -9,8 +9,8 @@
     engine knobs ([approach], [model], [solver], [c], [post_swap],
     [movable_moves]), an optional [edits] script, the per-request
     guard limits ([deadline] seconds, [max_heap_mb]) and a [metrics]
-    flag. Defaults mirror [rar run]: G-RAR, path-based STA, automatic
-    solver, [c = 1.0].
+    flag. Defaults mirror [rar run]: G-RAR, then the
+    {!Rar_engine.config} defaults for every other knob.
 
     The response envelope is [{schema; id; status; result|error;
     wall_s}] with [status] ["ok"] or ["error"]; a run result embeds
@@ -23,12 +23,9 @@ type run_req = {
   circuit : string option;
   bench : string option;
   library : string option;
-  approach : Rar_engine.spec;
-  model : Rar_sta.Sta.model;
-  solver : Rar_flow.Difflp.engine option;
-  c : float;
-  post_swap : bool;
-  movable_moves : int;
+  config : Rar_engine.config;
+      (** the engine knobs; an absent one takes its {!Rar_engine.config}
+          default *)
   edits : string option;
   deadline_s : float option;
   max_heap_mb : int option;
@@ -44,8 +41,6 @@ val req_schema : string
 
 val resp_schema : string
 (** ["rar-serve/1"]. *)
-
-val config_of : run_req -> Rar_engine.config
 
 val parse : Rar_util.Json.t -> (request, string) result
 (** Validate a parsed request object. Unknown [verb], mistyped or

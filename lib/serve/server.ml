@@ -79,7 +79,7 @@ let exec_run t (req : Protocol.run_req) =
   let* circuit_key, prep =
     Cache.prepared caches ~libkey ~lib ~circuit:req.circuit ~bench:req.bench
   in
-  let cfg = Protocol.config_of req in
+  let cfg = req.config in
   let* batches =
     match req.edits with
     | None -> Ok []
@@ -88,7 +88,9 @@ let exec_run t (req : Protocol.run_req) =
       | Ok b -> Ok b
       | Error e -> Error ("invalid_input", e))
   in
-  let* stage_key, stage = Cache.stage caches ~circuit_key ~model:req.model prep in
+  let* stage_key, stage =
+    Cache.stage caches ~circuit_key ~model:cfg.Engine.model prep
+  in
   let token =
     Guard.token
       { deadline_s = req.deadline_s; max_heap_mb = req.max_heap_mb }
@@ -101,9 +103,9 @@ let exec_run t (req : Protocol.run_req) =
     Ok (Engine.result_json ~circuit ?metrics cfg' res)
   in
   let engine_error e = Error (Guard.kind_of_error e, Error.to_string e) in
-  match req.approach with
+  match cfg.Engine.spec with
   | Engine.Movable ->
-    (* The movable engine rebuilds the two-phase netlist per move, so
+    (* The movable engine rewires the two-phase netlist per move, so
        it cannot hold a warm session; it still shares the process-wide
        LP solve cache. *)
     if batches <> [] then

@@ -14,15 +14,6 @@ type design = {
   ed_sinks : int list;
 }
 
-let sink_of_comb ~comb ~staged sink =
-  let name = Netlist.node_name comb sink in
-  match Netlist.find staged name with
-  | Some v -> v
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Sim.sink_of_comb: no sink named %S in staged netlist"
-         name)
-
 type cycle_result = {
   errors : int list;
   silent : int list;

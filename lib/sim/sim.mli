@@ -31,14 +31,10 @@ type design = {
   lib : Liberty.t;
   clocking : Clocking.t;
   ed_sinks : int list;
-    (** names are resolved against [staged]'s [Output] nodes via
-        {!sink_of_comb} when coming from a retiming outcome *)
+    (** error-detecting [Output] nodes of [staged]; a retiming
+        outcome's sink ids serve as they are, since
+        {!Transform.apply_retiming} keeps every comb id *)
 }
-
-val sink_of_comb : comb:Netlist.t -> staged:Netlist.t -> int -> int
-(** Map a sink node id of the pre-retiming combinational circuit to
-    the corresponding [Output] node of the staged netlist (matched by
-    name). *)
 
 type compiled
 (** Everything a cycle reads that does not depend on the vectors:

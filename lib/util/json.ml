@@ -270,7 +270,6 @@ let to_float = function
 let to_string_opt = function String s -> Some s | _ -> None
 let to_int_opt = function Int i -> Some i | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
-let to_list_opt = function List xs -> Some xs | _ -> None
 
 let member_string key j = Option.bind (member key j) to_string_opt
 let member_float key j = Option.bind (member key j) to_float

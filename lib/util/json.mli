@@ -49,7 +49,6 @@ val to_float : t -> float option
 val to_string_opt : t -> string option
 val to_int_opt : t -> int option
 val to_bool_opt : t -> bool option
-val to_list_opt : t -> t list option
 val member_string : string -> t -> string option
 val member_float : string -> t -> float option
 val member_int : string -> t -> int option

@@ -107,10 +107,9 @@ let test_suite_load_unknown () =
 
 let test_fig4_registered () =
   let cc = Rar_circuits.Fig4.circuit () in
-  Alcotest.(check int) "two sources" 2
-    (Array.length cc.Rar_netlist.Transform.source_of);
-  Alcotest.(check int) "one sink" 1
-    (Array.length cc.Rar_netlist.Transform.sink_of)
+  let comb = cc.Rar_netlist.Transform.comb in
+  Alcotest.(check int) "two sources" 2 (Array.length (Netlist.inputs comb));
+  Alcotest.(check int) "one sink" 1 (Array.length (Netlist.outputs comb))
 
 (* The genuine s27 ISCAS89 netlist (also vendored under
    examples/data/s27.bench): the real-data path through parse,

@@ -142,7 +142,7 @@ let stage_of cfg p =
 let run_scenario seed =
   let p = cached_prepared (seed mod 7) in
   let spec = if seed mod 2 = 0 then Engine.Grar else Engine.Base in
-  let cfg = Engine.config spec in
+  let cfg = Engine.config ~c:0.5 spec in
   let stage0 = stage_of cfg p in
   let session = Engine.open_session cfg stage0 in
   let rng = Random.State.make [| 0xec0; seed |] in
@@ -244,15 +244,26 @@ let test_parse_script () =
     | Error _ -> ()
     | Ok _ -> Alcotest.fail "short resize line should be rejected")
 
+let test_set_c_rejects_non_finite () =
+  let comb = (cached_prepared 0).Suite.cc.Transform.comb in
+  List.iter
+    (fun c ->
+      match Edit.apply comb [ Edit.Set_c c ] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "c %g should be rejected" c)
+    [ Float.nan; Float.infinity; Float.neg_infinity; -1. ];
+  Alcotest.(check (option (float 0.))) "finite c accepted" (Some 0.7)
+    (Edit.apply comb [ Edit.Set_c 0.7 ]).Edit.c
+
 let test_session_rejects_movable () =
-  let cfg = Engine.config Engine.Movable in
+  let cfg = Engine.config ~c:0.5 Engine.Movable in
   match Engine.open_session cfg (stage_of cfg (cached_prepared 0)) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "open_session should reject the movable engine"
 
 let test_resolve_bad_edit_keeps_session () =
   let p = cached_prepared 1 in
-  let cfg = Engine.config Engine.Grar in
+  let cfg = Engine.config ~c:0.5 Engine.Grar in
   let session = Engine.open_session cfg (stage_of cfg p) in
   (match
      Engine.resolve session [ Edit.Resize { node = "no-such"; drive = 2 } ]
@@ -307,7 +318,7 @@ let test_eco_metrics_registered () =
    real contention. *)
 let test_concurrent_sessions_match_serial () =
   let p = cached_prepared 4 in
-  let cfg = Engine.config Engine.Grar in
+  let cfg = Engine.config ~c:0.5 Engine.Grar in
   let stage0 = stage_of cfg p in
   (* Pre-generate each session's batches against its own evolving
      netlist, so serial and concurrent runs replay identical edits. *)
@@ -362,6 +373,8 @@ let test_concurrent_sessions_match_serial () =
 let suite =
   [
     Alcotest.test_case "edit-script parsing" `Quick test_parse_script;
+    Alcotest.test_case "set c rejects non-finite values" `Quick
+      test_set_c_rejects_non_finite;
     Alcotest.test_case "session rejects movable" `Quick
       test_session_rejects_movable;
     Alcotest.test_case "failed resolve leaves session intact" `Quick

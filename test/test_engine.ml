@@ -179,7 +179,7 @@ let test_config_key_distinguishes () =
    rejects it; [Engine.stage_of] always attaches one. *)
 let test_movable_requires_source () =
   let p = cached_prepared 3 in
-  let cfg = Engine.config ~movable_moves:1 Engine.Movable in
+  let cfg = Engine.config ~c:0.5 ~movable_moves:1 Engine.Movable in
   let ok_stage = function
     | Ok st -> st
     | Error e -> Alcotest.fail (Error.to_string e)
@@ -212,7 +212,7 @@ let test_invalid_c () =
     [ -0.5; Float.nan; Float.infinity ]
 
 let test_unknown_circuit () =
-  match Engine.load_and_run (Engine.config Engine.Base) "nosuch" with
+  match Engine.load_and_run (Engine.config ~c:0.5 Engine.Base) "nosuch" with
   | Error (Error.Unknown_circuit _) -> ()
   | Error e ->
     Alcotest.fail ("expected Unknown_circuit, got " ^ Error.to_string e)

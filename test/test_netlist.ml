@@ -3,6 +3,7 @@
 module Netlist = Rar_netlist.Netlist
 module Cell_kind = Rar_netlist.Cell_kind
 module Transform = Rar_netlist.Transform
+module Convert = Rar_netlist.Convert
 module Bench_io = Rar_netlist.Bench_io
 module Stats = Rar_netlist.Stats
 module B = Netlist.Builder
@@ -79,8 +80,8 @@ let test_cones () =
   Alcotest.(check bool) "ff in cone" true cone.(ff);
   Alcotest.(check bool) "cone stops at seq" false cone.(g1)
 
-let test_to_two_phase () =
-  let net = Transform.to_two_phase (small_seq ()) in
+let test_split () =
+  let net = Convert.split Convert.Two (small_seq ()) in
   let stats = Stats.compute net in
   Alcotest.(check int) "no flops left" 0 stats.Stats.n_flops;
   Alcotest.(check int) "one master" 1 stats.Stats.n_masters;
@@ -91,27 +92,66 @@ let test_to_two_phase () =
   let s = Option.get (Netlist.find net "ff$s") in
   Alcotest.(check int) "slave fed by master" m (Netlist.fanins net s).(0)
 
+let test_split_passes_latches () =
+  (* a second split finds no flop and copies every node unchanged *)
+  let two = Convert.split Convert.Two (small_seq ()) in
+  Alcotest.(check string) "digest" (Netlist.digest two)
+    (Netlist.digest (Convert.split Convert.Two two))
+
+let test_with_fanins () =
+  let net = small_seq () in
+  let id name = Option.get (Netlist.find net name) in
+  let pi = id "pi" and ff = id "ff" and g2 = id "g2" in
+  let net' = Netlist.with_fanins net [ (g2, [| pi; pi |]) ] in
+  Alcotest.(check string) "ids and names kept" (Netlist.node_name net g2)
+    (Netlist.node_name net' g2);
+  Alcotest.(check (array int)) "new fanins" [| pi; pi |]
+    (Netlist.fanins net' g2);
+  Alcotest.(check (array int)) "old driver loses the fanout" [||]
+    (Netlist.fanouts net' ff);
+  Alcotest.(check int) "compact view rebuilt" 0
+    (let c = Netlist.compact net' in
+     Netlist.Compact.fanout_hi c ff - Netlist.Compact.fanout_lo c ff);
+  Alcotest.(check (array int)) "input untouched" [| pi; ff |]
+    (Netlist.fanins net g2);
+  match Netlist.with_fanins net [ (g2, [| g2; pi |]) ] with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "expected a combinational cycle to be rejected"
+
 let test_extract_comb () =
-  let two = Transform.to_two_phase (small_seq ()) in
+  let two = Convert.split Convert.Two (small_seq ()) in
   let cc = Transform.extract_comb two in
   let comb = cc.Transform.comb in
   Alcotest.(check int) "sources: pi + master" 2
-    (Array.length cc.Transform.source_of);
+    (Array.length (Netlist.inputs comb));
   Alcotest.(check int) "sinks: po + master" 2
-    (Array.length cc.Transform.sink_of);
+    (Array.length (Netlist.outputs comb));
   Alcotest.(check int) "gates preserved" 2 (Array.length (Netlist.gates comb));
+  (* [orig] maps every comb node back: gates to themselves, sources and
+     sinks to the primary input/output or the master they stand for *)
+  let orig_name v = Netlist.node_name two cc.Transform.orig.(v) in
+  let names vs = List.sort compare (Array.to_list (Array.map orig_name vs)) in
+  Alcotest.(check (list string)) "source origins" [ "ff$m"; "pi" ]
+    (names (Netlist.inputs comb));
+  Alcotest.(check (list string)) "sink origins" [ "ff$m"; "po" ]
+    (names (Netlist.outputs comb));
+  Array.iter
+    (fun g ->
+      Alcotest.(check string) "gate origin" (Netlist.node_name comb g)
+        (orig_name g))
+    (Netlist.gates comb);
   Alcotest.(check bool) "comb is valid" true (Netlist.validate comb = Ok ());
   Alcotest.(check int) "no seq nodes" 0 (Array.length (Netlist.seqs comb))
 
 let test_apply_retiming_initial_position () =
-  let two = Transform.to_two_phase (small_seq ()) in
+  let two = Convert.split Convert.Two (small_seq ()) in
   let cc = Transform.extract_comb two in
   let comb = cc.Transform.comb in
   (* Place one slave after every source = the un-retimed design. *)
   let placements =
     Array.to_list
       (Array.map
-         (fun (src, _) ->
+         (fun src ->
            let latched =
              Array.to_list (Netlist.fanouts comb src)
              |> List.map (fun v ->
@@ -123,19 +163,29 @@ let test_apply_retiming_initial_position () =
              |> List.concat
            in
            { Transform.after = src; latched })
-         cc.Transform.source_of)
+         (Netlist.inputs comb))
   in
   let staged = Transform.apply_retiming cc placements in
   let stats = Stats.compute staged in
   Alcotest.(check int) "two slaves" 2 stats.Stats.n_slaves;
-  Alcotest.(check bool) "valid" true (Netlist.validate staged = Ok ())
+  Alcotest.(check bool) "valid" true (Netlist.validate staged = Ok ());
+  (* every comb node keeps its id; the slaves come after them *)
+  for v = 0 to Netlist.node_count comb - 1 do
+    Alcotest.(check string) "comb id kept" (Netlist.node_name comb v)
+      (Netlist.node_name staged v)
+  done;
+  Array.iter
+    (fun s ->
+      Alcotest.(check bool) "slave appended" true
+        (s >= Netlist.node_count comb))
+    (Netlist.seqs staged)
 
 let test_apply_retiming_rejects_bad_pin () =
-  let two = Transform.to_two_phase (small_seq ()) in
+  let two = Convert.split Convert.Two (small_seq ()) in
   let cc = Transform.extract_comb two in
   let comb = cc.Transform.comb in
   let some_gate = (Netlist.gates comb).(0) in
-  let src = (cc.Transform.source_of).(0) |> fst in
+  let src = (Netlist.inputs comb).(0) in
   (match
      Transform.apply_retiming cc
        [ { Transform.after = src; latched = [ (some_gate, 99) ] } ]
@@ -208,7 +258,7 @@ let prop_staged_extract_roundtrip =
           seed = Printf.sprintf "rt2-%d" seed; src_bias_pct = 55 }
       in
       let net = Rar_circuits.Generator.generate spec in
-      let cc = Transform.extract_comb (Transform.to_two_phase net) in
+      let cc = Transform.extract_comb (Convert.split Convert.Two net) in
       let comb = cc.Transform.comb in
       (* initial placement: a slave at every source *)
       let placements =
@@ -263,7 +313,7 @@ let test_verilog_roundtrip_two_phase () =
   match parse_bench s27_text with
   | Error e -> Alcotest.fail e
   | Ok net -> (
-    let two = Transform.to_two_phase net in
+    let two = Convert.split Convert.Two net in
     match parse_verilog (Verilog_io.print two) with
     | Error e -> Alcotest.fail e
     | Ok net2 ->
@@ -332,7 +382,11 @@ let suite =
     Alcotest.test_case "duplicate names rejected" `Quick test_duplicate_names_rejected;
     Alcotest.test_case "arity checked" `Quick test_arity_checked;
     Alcotest.test_case "fanin cone" `Quick test_cones;
-    Alcotest.test_case "two-phase conversion" `Quick test_to_two_phase;
+    Alcotest.test_case "two-phase conversion" `Quick test_split;
+    Alcotest.test_case "split passes latches through" `Quick
+      test_split_passes_latches;
+    Alcotest.test_case "with_fanins keeps ids, validates" `Quick
+      test_with_fanins;
     Alcotest.test_case "comb extraction" `Quick test_extract_comb;
     Alcotest.test_case "apply retiming (initial)" `Quick
       test_apply_retiming_initial_position;

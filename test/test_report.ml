@@ -91,13 +91,29 @@ let test_failed_engine_cell () =
   (* A context over an unknown benchmark: every engine cell fails, and
      the table must surface that as a one-line diagnostic, not raise. *)
   let t = Report.create ~names:[ "nosuch" ] ~sim_cycles:20 () in
-  match Report.table t 4 with
+  (match Report.table t 4 with
   | Ok _ -> Alcotest.fail "expected table 4 to fail on unknown circuit"
   | Error e ->
     Alcotest.(check bool) "one-line diagnostic" true
       (not (String.contains e '\n'));
     Alcotest.(check bool) "names the failing circuit" true
-      (contains e "nosuch")
+      (contains e "nosuch"));
+  (* In JSON a failed table is still a JSON object: its number, title
+     and the diagnostic. *)
+  List.iter
+    (fun (n, title, body) ->
+      match Json.of_string body with
+      | Error e -> Alcotest.failf "table %d: invalid JSON (%s): %s" n e body
+      | Ok j ->
+        Alcotest.(check (option int)) "number" (Some n)
+          (Json.member_int "number" j);
+        Alcotest.(check (option string)) "title" (Some title)
+          (Json.member_string "title" j);
+        Alcotest.(check bool) "error names the circuit" true
+          (match Json.member_string "error" j with
+          | Some e -> contains e "nosuch"
+          | None -> false))
+    (Report.all_tables ~format:Report.Json t)
 
 let test_grar_beats_base_on_suite_circuit () =
   (* The headline comparison on a real benchmark at high overhead. *)

@@ -151,10 +151,11 @@ let test_protocol_defaults () =
   | Error e -> Alcotest.fail e
   | Ok { Protocol.id; verb = Protocol.Run r } ->
     Alcotest.(check bool) "id echoed" true (id = Json.Int 7);
-    Alcotest.(check bool) "grar default" true (r.Protocol.approach = Engine.Grar);
-    Alcotest.(check (float 0.)) "c default" 1.0 r.Protocol.c;
-    Alcotest.(check bool) "post_swap default" true r.Protocol.post_swap;
-    Alcotest.(check int) "movable_moves default" 6 r.Protocol.movable_moves;
+    let cfg = r.Protocol.config in
+    Alcotest.(check bool) "grar default" true (cfg.Engine.spec = Engine.Grar);
+    Alcotest.(check (float 0.)) "c default" 1.0 cfg.Engine.c;
+    Alcotest.(check bool) "post_swap default" true cfg.Engine.post_swap;
+    Alcotest.(check int) "movable_moves default" 6 cfg.Engine.movable_moves;
     Alcotest.(check bool) "no deadline" true (r.Protocol.deadline_s = None)
   | Ok _ -> Alcotest.fail "expected a run request"
 

@@ -31,16 +31,11 @@ let stage =
     | Error e -> failwith (Rar_retime.Error.to_string e))
 
 let design_of (st : Stage.t) (o : Outcome.t) =
-  let cc = Stage.cc st in
-  let staged = Transform.apply_retiming cc o.Outcome.placements in
   {
-    Sim.staged;
+    Sim.staged = Transform.apply_retiming (Stage.cc st) o.Outcome.placements;
     lib = Fig4.library ();
     clocking = Fig4.clocking;
-    ed_sinks =
-      List.map
-        (fun s -> Sim.sink_of_comb ~comb:cc.Transform.comb ~staged s)
-        o.Outcome.ed_sinks;
+    ed_sinks = o.Outcome.ed_sinks;
   }
 
 let design spec =

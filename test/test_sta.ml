@@ -4,6 +4,7 @@
 module Netlist = Rar_netlist.Netlist
 module Cell_kind = Rar_netlist.Cell_kind
 module Transform = Rar_netlist.Transform
+module Convert = Rar_netlist.Convert
 module Liberty = Rar_liberty.Liberty
 module Sta = Rar_sta.Sta
 module Clocking = Rar_sta.Clocking
@@ -77,7 +78,7 @@ let test_forward_with_latches_matches_plain () =
 let gen_stage name =
   let spec = Option.get (Spec.find name) in
   let net = Generator.generate { spec with Spec.n_gates = 300; depth = 10 } in
-  let cc = Transform.extract_comb (Transform.to_two_phase net) in
+  let cc = Transform.extract_comb (Convert.split Convert.Two net) in
   cc.Transform.comb
 
 let test_gate_model_pessimistic () =
@@ -175,7 +176,7 @@ let prop_arrival_recurrence =
       in
       let net = Generator.generate spec in
       let comb =
-        (Transform.extract_comb (Transform.to_two_phase net)).Transform.comb
+        (Transform.extract_comb (Convert.split Convert.Two net)).Transform.comb
       in
       List.for_all
         (fun model ->
@@ -207,7 +208,7 @@ let cone_comb seed =
       Spec.n_gates = 200; depth = 8;
       seed = Printf.sprintf "cone%d" seed }
   in
-  (Transform.extract_comb (Transform.to_two_phase (Generator.generate spec)))
+  (Transform.extract_comb (Convert.split Convert.Two (Generator.generate spec)))
     .Transform.comb
 
 let bits = Int64.bits_of_float
@@ -395,7 +396,7 @@ let prop_latches_only_delay =
       in
       let net = Generator.generate spec in
       let comb =
-        (Transform.extract_comb (Transform.to_two_phase net)).Transform.comb
+        (Transform.extract_comb (Convert.split Convert.Two net)).Transform.comb
       in
       let sta = Sta.analyse lib Sta.Path_based comb in
       let clocking = Clocking.of_p 2.0 in
