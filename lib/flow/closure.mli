@@ -12,10 +12,16 @@ type instance = {
   profit : float array;
     (** profit of selecting node [v]; objective is
         [maximise sum over selected] *)
-  implications : (int * int) list;
-    (** [(v, u)]: selecting [v] requires selecting [u] *)
-  must_select : int list;
-  must_reject : int list;
+  m : int;  (** constraints: entries [0 .. m - 1] of [u], [v], [bound] *)
+  u : int array;
+  v : int array;
+  bound : int array;
+    (** [r(u.(i)) - r(v.(i)) <= bound.(i)], read with selection as
+        [r = -1]: a bound of [1] or more is slack, [0] says selecting
+        [v] requires selecting [u], and [-1] forces [u] selected and [v]
+        rejected. The arrays may be longer than [m] (a growable store
+        is read in place). *)
+  reference : int;  (** the node pinned to [r = 0]: always rejected *)
 }
 
 type outcome = {
@@ -30,6 +36,11 @@ type outcome = {
 
 val solve :
   ?deadline:Rar_util.Deadline.t -> instance -> (outcome, string) result
-(** Errors when a node is both forced selected and rejected (directly
-    or through implications). [?deadline] is sampled in the max-flow
-    loops; expiry raises [Rar_util.Deadline.Expired]. *)
+(** Errors when a bound is below [-1] (outside the binary window) or
+    when a node is both forced selected and rejected (directly or
+    through implications). The network is sized from the instance
+    before any edge is added: profit edges first, then the
+    implications, the forced selections and the forced rejections,
+    each in reverse constraint order, and the reference's rejection
+    last. [?deadline] is sampled in the max-flow loops; expiry raises
+    [Rar_util.Deadline.Expired]. *)

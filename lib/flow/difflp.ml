@@ -1,19 +1,46 @@
-module Vec = Rar_util.Vec
 module Faults = Rar_resilience.Faults
 
-type cons = { u : int; v : int; bound : int }
-
-type t = { n : int; cons : cons Vec.t; coeff : float array }
+(* Constraints [r(u) - r(v) <= bound] live in three growable int
+   arrays, entry [i] of each in emission order; only [0 .. m - 1] is
+   meaningful. Every reader (check, the binary-window scan, the
+   closure network, the flow problem, the cache key) walks them in
+   place. *)
+type t = {
+  n : int;
+  mutable m : int;
+  mutable u : int array;
+  mutable v : int array;
+  mutable bound : int array;
+  coeff : float array;
+}
 
 let create ~n =
   if n <= 0 then invalid_arg "Difflp.create: n <= 0";
-  { n; cons = Vec.create (); coeff = Array.make n 0. }
+  {
+    n;
+    m = 0;
+    u = Array.make 16 0;
+    v = Array.make 16 0;
+    bound = Array.make 16 0;
+    coeff = Array.make n 0.;
+  }
 
 let var_count t = t.n
 
 let check_var t x name =
   if x < 0 || x >= t.n then
     invalid_arg (Printf.sprintf "Difflp.%s: variable %d out of range" name x)
+
+let grow t =
+  let cap = 2 * Array.length t.u in
+  let extend a =
+    let a' = Array.make cap 0 in
+    Array.blit a 0 a' 0 t.m;
+    a'
+  in
+  t.u <- extend t.u;
+  t.v <- extend t.v;
+  t.bound <- extend t.bound
 
 let add_constraint t ~u ~v ~bound =
   check_var t u "add_constraint";
@@ -23,13 +50,29 @@ let add_constraint t ~u ~v ~bound =
       invalid_arg "Difflp.add_constraint: r(u) - r(u) <= negative is infeasible"
     (* trivially true otherwise; drop *)
   end
-  else Vec.add_last t.cons { u; v; bound }
+  else begin
+    if t.m = Array.length t.u then grow t;
+    t.u.(t.m) <- u;
+    t.v.(t.m) <- v;
+    t.bound.(t.m) <- bound;
+    t.m <- t.m + 1
+  end
 
 let add_objective t v a =
   check_var t v "add_objective";
   t.coeff.(v) <- t.coeff.(v) +. a
 
-let iter_constraints t f = Vec.iter (fun c -> f ~u:c.u ~v:c.v ~bound:c.bound) t.cons
+let iter_constraints t f =
+  for i = 0 to t.m - 1 do
+    f ~u:t.u.(i) ~v:t.v.(i) ~bound:t.bound.(i)
+  done
+
+let constraint_count t = t.m
+
+let slack t r i =
+  if i < 0 || i >= t.m then
+    invalid_arg (Printf.sprintf "Difflp.slack: constraint %d out of range" i);
+  t.bound.(i) - r.(t.u.(i)) + r.(t.v.(i))
 
 type engine = Network_simplex | Ssp | Closure
 
@@ -48,16 +91,16 @@ let objective_value t r =
 let check t r =
   if Array.length r <> t.n then Error "solution length mismatch"
   else begin
-    let bad = ref None in
-    Vec.iter
-      (fun c ->
-        if !bad = None && r.(c.u) - r.(c.v) > c.bound then
-          bad :=
-            Some
-              (Printf.sprintf "violated: r(%d) - r(%d) = %d > %d" c.u c.v
-                 (r.(c.u) - r.(c.v)) c.bound))
-      t.cons;
-    match !bad with None -> Ok () | Some msg -> Error msg
+    let i = ref 0 in
+    while !i < t.m && r.(t.u.(!i)) - r.(t.v.(!i)) <= t.bound.(!i) do
+      incr i
+    done;
+    if !i = t.m then Ok ()
+    else
+      let u = t.u.(!i) and v = t.v.(!i) in
+      Error
+        (Printf.sprintf "violated: r(%d) - r(%d) = %d > %d" u v
+           (r.(u) - r.(v)) t.bound.(!i))
   end
 
 let balanced t =
@@ -65,9 +108,9 @@ let balanced t =
 
 let to_problem t =
   let p = Problem.create ~n:t.n in
-  Vec.iter
-    (fun c -> ignore (Problem.add_arc p ~src:c.u ~dst:c.v ~cost:c.bound))
-    t.cons;
+  for i = 0 to t.m - 1 do
+    ignore (Problem.add_arc p ~src:t.u.(i) ~dst:t.v.(i) ~cost:t.bound.(i))
+  done;
   Array.iteri (fun v a -> if a <> 0. then Problem.add_demand p v a) t.coeff;
   p
 
@@ -81,7 +124,7 @@ let m_fallbacks = Rar_obs.Metrics.counter "solver_fallbacks"
 
 (* Stable per-LP fault key: depends only on the LP shape, never on call
    order, so fault firing is reproducible under any domain scheduling. *)
-let fault_key t = (t.n * 1_000_003) + Vec.length t.cons
+let fault_key t = (t.n * 1_000_003) + t.m
 
 (* The binary-window scan behind the default engine choice: every
    non-reference variable [x] carries both [x - ref <= 0] and
@@ -91,14 +134,14 @@ let fault_key t = (t.n * 1_000_003) + Vec.length t.cons
 let binary_window t ~reference =
   let upper = Bytes.make t.n '\000' and lower = Bytes.make t.n '\000' in
   let ok = ref true in
-  Vec.iter
-    (fun c ->
-      if c.bound < -1 then ok := false
-      else begin
-        if c.v = reference && c.bound <= 0 then Bytes.set upper c.u '\001';
-        if c.u = reference && c.bound <= 1 then Bytes.set lower c.v '\001'
-      end)
-    t.cons;
+  for i = 0 to t.m - 1 do
+    let b = t.bound.(i) in
+    if b < -1 then ok := false
+    else begin
+      if t.v.(i) = reference && b <= 0 then Bytes.set upper t.u.(i) '\001';
+      if t.u.(i) = reference && b <= 1 then Bytes.set lower t.v.(i) '\001'
+    end
+  done;
   let v = ref 0 in
   while !ok && !v < t.n do
     if !v <> reference
@@ -107,40 +150,6 @@ let binary_window t ~reference =
     incr v
   done;
   !ok
-
-let closure_instance t ~reference =
-  (* Selection means r = -1; assumes every feasible normalised
-     solution is in {-1, 0}. *)
-  let implications = ref [] in
-  let must_select = ref [] in
-  let must_reject = ref [ reference ] in
-  let infeasible = ref None in
-  Vec.iter
-    (fun c ->
-      if c.bound >= 1 then () (* slack within a binary window *)
-      else if c.bound = 0 then implications := (c.v, c.u) :: !implications
-      else if c.bound = -1 then begin
-        must_select := c.u :: !must_select;
-        must_reject := c.v :: !must_reject
-      end
-      else
-        infeasible :=
-          Some
-            (Printf.sprintf
-               "constraint r(%d) - r(%d) <= %d is outside the binary window"
-               c.u c.v c.bound))
-    t.cons;
-  match !infeasible with
-  | Some msg -> Error msg
-  | None ->
-    Ok
-      {
-        Closure.n = t.n;
-        profit = Array.copy t.coeff;
-        implications = !implications;
-        must_select = !must_select;
-        must_reject = !must_reject;
-      }
 
 (* One engine behind the fallback chain. Faults only ever perturb the
    primary attempt ([faulty] = true); the fallback runs clean, so a
@@ -195,18 +204,28 @@ let attempt ?deadline ~faulty t ~reference ~problem eng =
       | Error e -> Error (e, false))
     | Closure -> (
       Rar_obs.Trace.span "solver/closure" @@ fun () ->
-      match closure_instance t ~reference with
+      (* Selection means r = -1; assumes every feasible normalised
+         solution is in {-1, 0}. *)
+      let inst =
+        {
+          Closure.n = t.n;
+          profit = t.coeff;
+          m = t.m;
+          u = t.u;
+          v = t.v;
+          bound = t.bound;
+          reference;
+        }
+      in
+      match Closure.solve ?deadline inst with
       | Error e -> Error (e, true)
-      | Ok inst -> (
-        match Closure.solve ?deadline inst with
-        | Error e -> Error (e, true)
-        | Ok o ->
-          let cert = o.Closure.certificate in
-          Result.map
-            (fun () ->
-              Array.map (fun s -> if s then -1 else 0) o.Closure.selected)
-            (certify (Result.is_ok cert)
-               (lazy (match cert with Ok () -> "ok" | Error e -> e)))))
+      | Ok o ->
+        let cert = o.Closure.certificate in
+        Result.map
+          (fun () ->
+            Array.map (fun s -> if s then -1 else 0) o.Closure.selected)
+          (certify (Result.is_ok cert)
+             (lazy (match cert with Ok () -> "ok" | Error e -> e))))
 
 (* The alternate engine a failed primary hands over to. *)
 let secondary = function
@@ -241,39 +260,83 @@ let solve_with ?deadline ?on_fallback t ~reference primary =
              reason (engine_name retried) e2))
   end
 
-(* Session-scoped solve cache for ECO delta solves. Keyed by the full
-   structural signature of the instance (variables, every constraint in
-   emission order, objective, reference, engine) — the digest only
-   buckets the table; a hit compares the complete marshalled signature,
-   so a digest collision can never smuggle in a wrong solution. All
-   engines here are deterministic, so an identical instance would
-   re-derive the identical solution; returning the stored one is
-   byte-safe. *)
-type cache = {
-  tbl : (string, string * int array) Hashtbl.t;
-  lock : Mutex.t;
-}
+(* Session-scoped solve cache for ECO delta solves, keyed by one
+   compact byte string of the whole instance: zigzag varints for n, the
+   reference, the engine, m and every (u, v, bound) in emission order,
+   then the raw IEEE bits of every objective coefficient. The counts
+   come first, so the encoding is injective; the table hashes and
+   compares the complete string, so a hit is an identical instance,
+   never just a matching hash. All engines here are deterministic, so
+   an identical instance would re-derive the identical solution;
+   returning the stored one is byte-safe. *)
+module Tbl = Hashtbl.Make (String)
 
-let create_cache () = { tbl = Hashtbl.create 16; lock = Mutex.create () }
+type cache = { tbl : int array Tbl.t; lock : Mutex.t }
+
+let create_cache () = { tbl = Tbl.create 16; lock = Mutex.create () }
 
 let m_cache_hits = Rar_obs.Metrics.counter "difflp_cache_hits"
 
+(* LEB128 of the zigzag of [x]: small magnitudes of either sign take
+   one byte. *)
+let zigzag x = (x lsl 1) lxor (x asr (Sys.int_size - 1))
+
+let varint_len x =
+  let z = ref (zigzag x) and k = ref 1 in
+  while !z lsr 7 <> 0 do
+    z := !z lsr 7;
+    incr k
+  done;
+  !k
+
+let put_varint b pos x =
+  let z = ref (zigzag x) and p = ref pos in
+  while !z lsr 7 <> 0 do
+    Bytes.set b !p (Char.unsafe_chr (!z land 0x7f lor 0x80));
+    z := !z lsr 7;
+    incr p
+  done;
+  Bytes.set b !p (Char.unsafe_chr !z);
+  !p + 1
+
+let engine_code = function Network_simplex -> 0 | Ssp -> 1 | Closure -> 2
+
+(* Sized by a first pass, so the key is allocated once and exactly. *)
 let signature t ~reference ~engine =
-  let cons = ref [] in
-  Vec.iter (fun c -> cons := c :: !cons) t.cons;
-  Marshal.to_string (t.n, !cons, t.coeff, reference, engine) []
+  let head = [| t.n; reference; engine_code engine; t.m |] in
+  let len = ref (8 * t.n) in
+  for k = 0 to 3 do
+    len := !len + varint_len head.(k)
+  done;
+  for i = 0 to t.m - 1 do
+    len :=
+      !len + varint_len t.u.(i) + varint_len t.v.(i) + varint_len t.bound.(i)
+  done;
+  let b = Bytes.create !len in
+  let pos = ref 0 in
+  for k = 0 to 3 do
+    pos := put_varint b !pos head.(k)
+  done;
+  for i = 0 to t.m - 1 do
+    pos := put_varint b !pos t.u.(i);
+    pos := put_varint b !pos t.v.(i);
+    pos := put_varint b !pos t.bound.(i)
+  done;
+  for x = 0 to t.n - 1 do
+    Bytes.set_int64_le b !pos (Int64.bits_of_float t.coeff.(x));
+    pos := !pos + 8
+  done;
+  Bytes.unsafe_to_string b
 
 let cache_find cache key =
   Mutex.lock cache.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock cache.lock) @@ fun () ->
-  match Hashtbl.find_opt cache.tbl (Digest.string key) with
-  | Some (stored, r) when String.equal stored key -> Some (Array.copy r)
-  | Some _ | None -> None
+  Option.map Array.copy (Tbl.find_opt cache.tbl key)
 
 let cache_store cache key r =
   Mutex.lock cache.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock cache.lock) @@ fun () ->
-  Hashtbl.replace cache.tbl (Digest.string key) (key, Array.copy r)
+  Tbl.replace cache.tbl key (Array.copy r)
 
 let default_engine t ~reference =
   if binary_window t ~reference then Closure else Network_simplex
@@ -357,14 +420,11 @@ let to_lp_format t ~name =
     t.coeff;
   if !first then Buffer.add_string buf " 0 r0";
   Buffer.add_string buf "\nSubject To\n";
-  let i = ref 0 in
-  Vec.iter
-    (fun c ->
-      incr i;
-      Buffer.add_string buf
-        (Printf.sprintf " c%d: %s - %s <= %d\n" !i (name c.u) (name c.v)
-           c.bound))
-    t.cons;
+  for i = 0 to t.m - 1 do
+    Buffer.add_string buf
+      (Printf.sprintf " c%d: %s - %s <= %d\n" (i + 1) (name t.u.(i))
+         (name t.v.(i)) t.bound.(i))
+  done;
   Buffer.add_string buf "Bounds\n";
   for v = 0 to t.n - 1 do
     Buffer.add_string buf (Printf.sprintf " %s free\n" (name v))

@@ -28,6 +28,16 @@ val add_objective : t -> int -> float -> unit
 (** Accumulate a coefficient onto variable [v]. *)
 
 val iter_constraints : t -> (u:int -> v:int -> bound:int -> unit) -> unit
+(** In emission order. *)
+
+val constraint_count : t -> int
+(** Constraints kept so far. [add_constraint] drops only a trivially
+    true [u = v] constraint, so every other call adds one. *)
+
+val slack : t -> int array -> int -> int
+(** [slack t r i] is [bound - (r(u) - r(v))] of the [i]-th constraint
+    in emission order; [Invalid_argument] unless
+    [0 <= i < constraint_count t]. *)
 
 type engine = Network_simplex | Ssp | Closure
 
@@ -44,10 +54,11 @@ type fallback_event = { failed : engine; retried : engine; reason : string }
 type cache
 (** A solve cache for ECO sessions: maps complete LP instances
     (variables, constraints in emission order, objective, reference,
-    engine) to their solutions. Hits compare the full structural
-    signature — never just a hash — so collisions cannot produce wrong
-    answers; and because every engine is deterministic, replaying a
-    stored solution is byte-identical to re-solving. Thread-safe. *)
+    engine) to their solutions. The key is one compact byte string of
+    the whole instance, and a hit compares that string in full — never
+    just a hash — so collisions cannot produce wrong answers; and
+    because every engine is deterministic, replaying a stored solution
+    is byte-identical to re-solving. Thread-safe. *)
 
 val create_cache : unit -> cache
 

@@ -145,7 +145,8 @@ val fanins : t -> int -> int array
 (** Fanin ids, in pin order. Do not mutate. *)
 
 val fanouts : t -> int -> int array
-(** Fanout ids (each repeated once per connected pin). Do not mutate. *)
+(** Fanout ids (each repeated once per connected pin), ascending, so
+    the parallel pins of one fanout are adjacent. Do not mutate. *)
 
 val fanout_count : t -> int -> int
 

@@ -8,7 +8,9 @@ type t = {
   host : int;
   var_of : int array;      (* comb node -> variable *)
   p_sinks : (int * int) list;
-  edges : (int * int * int * float) list; (* (xu, xv, w, beta) *)
+  (* The graph edges are the first LP constraints, one each, in
+     emission order; edge [i] has breadth [beta.(i)]. *)
+  beta : float array;
 }
 
 let lp t = t.lp
@@ -18,6 +20,7 @@ let p_vars t = t.p_sinks
 let m_endpoints_pruned = Rar_obs.Metrics.counter "endpoints_pruned"
 
 let build ?edl_overhead ?(forbidden_edges = []) ?(bias_early = false) stage =
+  Rar_obs.Trace.span "rgraph/build" @@ fun () ->
   let net = Stage.comb stage in
   let n = Netlist.node_count net in
   let groups = Stage.fanout_groups stage in
@@ -26,7 +29,7 @@ let build ?edl_overhead ?(forbidden_edges = []) ?(bias_early = false) stage =
   let var_of = Array.init n (fun v -> v + 1) in
   let next = ref (n + 1) in
   let mirror_of = Array.make n (-1) in
-  Array.iter
+  List.iter
     (fun (u, fanouts) ->
       if List.length fanouts > 1 then begin
         mirror_of.(u) <- !next;
@@ -73,24 +76,33 @@ let build ?edl_overhead ?(forbidden_edges = []) ?(bias_early = false) stage =
       Rar_obs.Metrics.add m_endpoints_pruned !pruned;
       (ps, List.rev !canon)
   in
+  (* One edge per source, one per single fanout, two per shared
+     fanout (into the fanout and on into the mirror). *)
+  let n_edges =
+    List.fold_left
+      (fun k (_, fanouts) ->
+        match fanouts with [ _ ] -> k + 1 | _ -> k + (2 * List.length fanouts))
+      (Array.length (Netlist.inputs net))
+      groups
+  in
   let lp = Difflp.create ~n:!next in
-  let edges = ref [] in
+  let betas = Array.make n_edges 0. in
   (* An edge of the retiming graph: from variable [xu] to variable [xv],
-     weight [w], breadth [beta]. *)
+     weight [w], breadth [beta > 0]. Its endpoints differ, so it is LP
+     constraint number [i] exactly. *)
   let edge xu xv w beta =
+    let i = Difflp.constraint_count lp in
     Difflp.add_constraint lp ~u:xu ~v:xv ~bound:w;
-    if beta <> 0. then begin
-      Difflp.add_objective lp xv beta;
-      Difflp.add_objective lp xu (-.beta);
-      edges := (xu, xv, w, beta) :: !edges
-    end
+    Difflp.add_objective lp xv beta;
+    Difflp.add_objective lp xu (-.beta);
+    betas.(i) <- beta
   in
   (* Host edges carry the initial slave of every source. *)
   Array.iter
     (fun src -> edge host var_of.(src) 1 1.)
     (Netlist.inputs net);
   (* Fanout groups: single edge, or the mirror gadget. *)
-  Array.iter
+  List.iter
     (fun (u, fanouts) ->
       match fanouts with
       | [] -> ()
@@ -104,6 +116,7 @@ let build ?edl_overhead ?(forbidden_edges = []) ?(bias_early = false) stage =
             edge var_of.(v) m 0 (1. /. k))
           fanouts)
     groups;
+  assert (Difflp.constraint_count lp = n_edges);
   (* Region bounds as host arcs. *)
   let bound_var ?(lo = -1) ?(hi = 0) x =
     Difflp.add_constraint lp ~u:x ~v:host ~bound:hi;
@@ -115,7 +128,7 @@ let build ?edl_overhead ?(forbidden_edges = []) ?(bias_early = false) stage =
     | Stage.Rn -> bound_var ~lo:0 ~hi:0 var_of.(v)
     | Stage.Rr -> bound_var var_of.(v)
   done;
-  Array.iter (fun (u, _) -> if mirror_of.(u) >= 0 then bound_var mirror_of.(u)) groups;
+  List.iter (fun (u, _) -> if mirror_of.(u) >= 0 then bound_var mirror_of.(u)) groups;
   (* Resilient-aware machinery: P(t) vertices, E2 arcs, EDL reward.
      Bounds and cut constraints are emitted once per canonical P
      vertex; each sink sharing it still contributes its own reward
@@ -159,7 +172,7 @@ let build ?edl_overhead ?(forbidden_edges = []) ?(bias_early = false) stage =
       Difflp.add_objective lp host w
     done
   end;
-  { stage; lp; host; var_of; p_sinks; edges = !edges }
+  { stage; lp; host; var_of; p_sinks; beta = betas }
 
 let solve ?deadline ?on_fallback ?engine ?cache t =
   match
@@ -168,11 +181,14 @@ let solve ?deadline ?on_fallback ?engine ?cache t =
   | Ok r -> Ok r
   | Error detail -> Error (Error.Infeasible_lp { detail })
 
+(* Summed last edge first: float addition does not reassociate, and
+   this is the order every published [lp_latches] value was summed in. *)
 let modelled_latch_count t r =
-  List.fold_left
-    (fun acc (xu, xv, w, beta) ->
-      acc +. (beta *. float_of_int (w + r.(xv) - r.(xu))))
-    0. t.edges
+  let acc = ref 0. in
+  for i = Array.length t.beta - 1 downto 0 do
+    acc := !acc +. (t.beta.(i) *. float_of_int (Difflp.slack t.lp r i))
+  done;
+  !acc
 
 let placements_of t r =
   let net = Stage.comb t.stage in

@@ -7,14 +7,12 @@ module Sta = Rar_sta.Sta
 module Stage = Rar_retime.Stage
 module Error = Rar_retime.Error
 module Engine = Rar_engine
-module Difflp = Rar_flow.Difflp
 
 type t = {
   libs : Liberty.t Lru.t;
   prepared : Suite.prepared Lru.t;
   stages : Stage.t Lru.t;
   sessions : Engine.session Lru.t;
-  solve_cache : Difflp.cache;
 }
 
 let create () =
@@ -23,10 +21,8 @@ let create () =
     prepared = Lru.create ~name:"circuits" ~capacity:16;
     stages = Lru.create ~name:"stages" ~capacity:16;
     sessions = Lru.create ~name:"sessions" ~capacity:32;
-    solve_cache = Difflp.create_cache ();
   }
 
-let solve_cache t = t.solve_cache
 let digest s = Digest.to_hex (Digest.string s)
 
 (* Each loader returns [(key, value)] so downstream cache keys can

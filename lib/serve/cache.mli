@@ -5,8 +5,9 @@
     prepared circuits by suite name or bench-text MD5 plus the library
     key, frozen stage analyses by circuit key plus STA model, and warm
     engine sessions by stage key, {!Rar_engine.config_key} and the
-    edit-script digest — plus one shared {!Rar_flow.Difflp.cache} that
-    replays identical LP solves across every request.
+    edit-script digest. Each session owns its LP solve cache
+    ({!Rar_flow.Difflp.cache}); no solve cache is shared across
+    requests.
 
     Libraries, circuits and stages are immutable after construction
     and are shared between concurrent requests ({!Lru.find}); sessions
@@ -18,8 +19,6 @@ type t
 
 val create : unit -> t
 (** Capacities: 8 libraries, 16 circuits, 16 stages, 32 sessions. *)
-
-val solve_cache : t -> Rar_flow.Difflp.cache
 
 val library :
   t -> string option -> (string * Rar_liberty.Liberty.t, string * string) result

@@ -106,15 +106,12 @@ let exec_run t (req : Protocol.run_req) =
   match cfg.Engine.spec with
   | Engine.Movable ->
     (* The movable engine rewires the two-phase netlist per move, so
-       it cannot hold a warm session; it still shares the process-wide
-       LP solve cache. *)
+       it cannot hold a warm session, and it never reads an LP solve
+       cache: each request solves cold. *)
     if batches <> [] then
       Error ("invalid_input", "the movable engine cannot resolve edit scripts")
     else (
-      match
-        Engine.run ~deadline:token ~solve_cache:(Cache.solve_cache caches) cfg
-          stage
-      with
+      match Engine.run ~deadline:token cfg stage with
       | Ok res -> finish cfg res
       | Error e -> engine_error e)
   | Engine.Initial | Engine.Base | Engine.Grar | Engine.Vl _ ->

@@ -4,7 +4,7 @@
 Validates the metrics object embedded in a rar-run/1 document (counter
 presence and non-zero hot-path counters) and the rar-trace/1 Chrome
 trace: balanced B/E spans per tid, monotonic timestamps, and the
-engine -> solver -> STA nesting on the driving domain.
+engine -> LP build/solver -> STA nesting on the driving domain.
 
 Usage: trace_gate.py RUN_TRACED_JSON TRACE_JSON
 """
@@ -54,12 +54,13 @@ def gate_trace(path):
     names = {e["name"] for e in evs}
     assert any(n.startswith("engine/") for n in names), names
     assert "difflp/solve" in names, names
+    assert "rgraph/build" in names, names
     assert any(n.startswith("solver/") for n in names), names
     assert any(n.startswith("sta/") for n in names), names
-    # Solver spans must always nest inside an engine span; STA also
-    # runs during benchmark preparation (clock-period derivation,
-    # before any engine), so for sta/* we require that at least one
-    # span is engine-nested rather than all.
+    # LP build and solver spans must always nest inside an engine
+    # span; STA also runs during benchmark preparation (clock-period
+    # derivation, before any engine), so for sta/* we require that at
+    # least one span is engine-nested rather than all.
     main_tid = next(e["tid"] for e in evs if e["name"].startswith("engine/"))
     stack = []
     sta_nested = False
@@ -69,7 +70,7 @@ def gate_trace(path):
         if e["ph"] == "B":
             in_engine = any(n.startswith("engine/") for n in stack)
             if (e["name"].startswith("solver/")
-                    or e["name"] == "difflp/solve"):
+                    or e["name"] in ("difflp/solve", "rgraph/build")):
                 assert in_engine, (
                     e["name"] + " opened outside an engine span")
             if e["name"].startswith("sta/") and in_engine:

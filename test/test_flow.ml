@@ -94,34 +94,40 @@ let test_mincut_side () =
 
 (* --- closure ------------------------------------------------------ *)
 
+(* Closure instances are binary difference constraints
+   [r(u) - r(v) <= bound] with selection meaning [r = -1]. *)
+let closure_instance ~profit ~reference cons =
+  let pick f = Array.of_list (List.map f cons) in
+  {
+    Closure.n = Array.length profit;
+    profit;
+    m = List.length cons;
+    u = pick (fun (u, _, _) -> u);
+    v = pick (fun (_, v, _) -> v);
+    bound = pick (fun (_, _, b) -> b);
+    reference;
+  }
+
 let test_closure_simple () =
   (* Selecting 0 (profit 3) requires 1 (profit -1): net +2, do it.
-     Node 2 (profit -5) alone: don't. *)
+     Node 2 (profit -5) alone: don't. Node 3 is the reference. *)
   let inst =
-    {
-      Closure.n = 3;
-      profit = [| 3.; -1.; -5. |];
-      implications = [ (0, 1) ];
-      must_select = [];
-      must_reject = [];
-    }
+    closure_instance ~profit:[| 3.; -1.; -5.; 0. |] ~reference:3
+      [ (1, 0, 0) ]
   in
   match Closure.solve inst with
   | Error e -> Alcotest.fail e
   | Ok o ->
     feq "profit" 2. o.Closure.best_profit;
-    Alcotest.(check (list bool)) "selection" [ true; true; false ]
+    Alcotest.(check (list bool)) "selection" [ true; true; false; false ]
       (Array.to_list o.Closure.selected)
 
 let test_closure_contradiction () =
+  (* Selecting 0 requires 1, but 0 is forced selected and 1, the
+     reference, is rejected. *)
   let inst =
-    {
-      Closure.n = 2;
-      profit = [| 0.; 0. |];
-      implications = [ (0, 1) ];
-      must_select = [ 0 ];
-      must_reject = [ 1 ];
-    }
+    closure_instance ~profit:[| 0.; 0. |] ~reference:1
+      [ (1, 0, 0); (0, 1, -1) ]
   in
   match Closure.solve inst with
   | Error _ -> ()
@@ -175,6 +181,21 @@ let test_difflp_forced () =
            out: obj = 1*r1 + (-1)*r2 = -1 - r2, r2 in {-1}, so 0. *)
         Alcotest.(check int) (Difflp.engine_name engine ^ " r2") (-1) r.(2))
     Difflp.all_engines
+
+let test_difflp_slack () =
+  let lp = Difflp.create ~n:3 in
+  binary_window lp 0 [ 1; 2 ];
+  Difflp.add_constraint lp ~u:1 ~v:0 ~bound:(-1);
+  (* trivially true: dropped *)
+  Difflp.add_constraint lp ~u:2 ~v:2 ~bound:0;
+  Difflp.add_constraint lp ~u:2 ~v:1 ~bound:0;
+  Alcotest.(check int) "count" 6 (Difflp.constraint_count lp);
+  let r = [| 0; -1; -1 |] in
+  Alcotest.(check (list int)) "slacks" [ 1; 0; 1; 0; 0; 0 ]
+    (List.init 6 (Difflp.slack lp r));
+  Alcotest.check_raises "past the end"
+    (Invalid_argument "Difflp.slack: constraint 6 out of range") (fun () ->
+      ignore (Difflp.slack lp r 6))
 
 let test_difflp_infeasible () =
   List.iter
@@ -438,6 +459,127 @@ let prop_auto_is_closure =
       | Error _, Error _, None -> true
       | _ -> false)
 
+(* --- the solve cache key covers the whole instance ------------------ *)
+
+(* A binary-window LP as data, so it can be rebuilt and mutated. Every
+   extra bound is chosen so a random {-1, 0} assignment satisfies it:
+   the instance is feasible and its bounds range over -1 .. 1. *)
+type lp_spec = { n : int; cons : (int * int * int) array; obj : float array }
+
+let random_spec rng =
+  let n = 3 + Rng.int rng 4 in
+  let x = Array.init n (fun v -> if v = 0 then 0 else -Rng.int rng 2) in
+  let window =
+    List.concat_map (fun v -> [ (v, 0, 0); (0, v, 1) ]) (List.init (n - 1) succ)
+  in
+  let extra =
+    List.filter_map
+      (fun _ ->
+        let u = Rng.int rng n and v = Rng.int rng n in
+        if u = v then None
+        else Some (u, v, Int.min 1 (x.(u) - x.(v) + Rng.int rng 2)))
+      (List.init (1 + Rng.int rng (2 * n)) Fun.id)
+  in
+  let obj = Array.make n 0. in
+  for _ = 0 to Rng.int rng (2 * n) do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    let a = [| 0.25; 0.5; 1.0; 2.0 |].(Rng.int rng 4) in
+    obj.(u) <- obj.(u) +. a;
+    obj.(v) <- obj.(v) -. a
+  done;
+  { n; cons = Array.of_list (window @ extra); obj }
+
+let lp_of_spec { n; cons; obj } =
+  let lp = Difflp.create ~n in
+  Array.iter (fun (u, v, bound) -> Difflp.add_constraint lp ~u ~v ~bound) cons;
+  Array.iteri (Difflp.add_objective lp) obj;
+  lp
+
+let prop_cache_key_complete =
+  QCheck.Test.make
+    ~name:"solve cache: a rebuild hits, every single mutation misses"
+    ~count:200 QCheck.small_int (fun seed ->
+      let module Metrics = Rar_obs.Metrics in
+      Rar_resilience.Faults.disable ();
+      Metrics.reset ();
+      Metrics.arm ();
+      Fun.protect
+        ~finally:(fun () ->
+          Metrics.disarm ();
+          Metrics.reset ();
+          Rar_resilience.Faults.use_env ())
+      @@ fun () ->
+      let hits () = Metrics.value (Metrics.counter "difflp_cache_hits") in
+      let rng = Rng.make ((seed + 31) * 2654435761) in
+      let spec = random_spec rng in
+      let m = Array.length spec.cons in
+      (* a cache that has solved [spec] once *)
+      let primed ?engine () =
+        let cache = Difflp.create_cache () in
+        let r = Difflp.solve ?engine ~cache (lp_of_spec spec) ~reference:0 in
+        (cache, r)
+      in
+      let cache, first = primed () in
+      let before = hits () in
+      let again = Difflp.solve ~cache (lp_of_spec spec) ~reference:0 in
+      if not (Result.is_ok first && again = first && hits () = before + 1) then
+        QCheck.Test.fail_report "an identical rebuild missed";
+      let with_cons cons = { spec with cons } in
+      let set i c =
+        let cons = Array.copy spec.cons in
+        cons.(i) <- c;
+        with_cons cons
+      in
+      let i = Rng.int rng m in
+      let u, v, b = spec.cons.(i) in
+      let other = List.find (fun x -> x <> u && x <> v) [ 0; 1; 2 ] in
+      (* a constraint other than [i]'s: the window arcs are distinct *)
+      let j =
+        let rec differing j =
+          if spec.cons.(j) <> spec.cons.(i) then j else differing ((j + 1) mod m)
+        in
+        differing (Rng.int rng m)
+      in
+      let swapped =
+        let cons = Array.copy spec.cons in
+        cons.(i) <- spec.cons.(j);
+        cons.(j) <- spec.cons.(i);
+        with_cons cons
+      in
+      let k = Rng.int rng spec.n in
+      let obj = Array.copy spec.obj in
+      obj.(k) <- Float.succ obj.(k);
+      (* (mutation, instance, reference, priming engine, engine). The
+         default engine of [spec] is closure; the moved reference is
+         primed and solved with network simplex so that it cannot hide
+         behind the default engine switching. *)
+      let ns = Some Difflp.Network_simplex in
+      let mutations =
+        [
+          ("one bound", set i (u, v, b + 1), 0, None, None);
+          ("one endpoint", set i (other, v, b), 0, None, None);
+          ("one coefficient", { spec with obj }, 0, None, None);
+          ( "last constraint dropped",
+            with_cons (Array.sub spec.cons 0 (m - 1)),
+            0,
+            None,
+            None );
+          ("two constraints swapped", swapped, 0, None, None);
+          ("another reference", spec, 1, ns, ns);
+          ("another engine", spec, 0, None, ns);
+        ]
+      in
+      List.iter
+        (fun (what, s, reference, prime, engine) ->
+          let cache, _ = primed ?engine:prime () in
+          let before = hits () in
+          let cached = Difflp.solve ?engine ~cache (lp_of_spec s) ~reference in
+          if hits () <> before then QCheck.Test.fail_reportf "%s hit" what;
+          if cached <> Difflp.solve ?engine (lp_of_spec s) ~reference then
+            QCheck.Test.fail_reportf "%s: cached answer differs" what)
+        mutations;
+      true)
+
 let test_scan_rejects () =
   let window_lp () =
     let lp = Difflp.create ~n:4 in
@@ -540,6 +682,7 @@ let suite =
     Alcotest.test_case "closure contradiction" `Quick test_closure_contradiction;
     Alcotest.test_case "difflp known optimum" `Quick test_difflp_known;
     Alcotest.test_case "difflp forced values" `Quick test_difflp_forced;
+    Alcotest.test_case "difflp slack" `Quick test_difflp_slack;
     Alcotest.test_case "difflp infeasible" `Quick test_difflp_infeasible;
     Alcotest.test_case "simplex pivot cap" `Quick
       test_simplex_pivot_cap_fallback;
@@ -552,6 +695,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_solutions_feasible;
     QCheck_alcotest.to_alcotest prop_block_matches_dantzig;
     QCheck_alcotest.to_alcotest prop_auto_is_closure;
+    QCheck_alcotest.to_alcotest prop_cache_key_complete;
     Alcotest.test_case "scan rejects non-binary LPs" `Quick test_scan_rejects;
     Alcotest.test_case "maxflow 100k chain, iterative DFS" `Quick
       test_maxflow_long_chain;
