@@ -8,8 +8,8 @@
           ablation and the Table VIII simulation on s1423, and for the
           classic-retiming pipeline on a generated 150-gate circuit (the
           kernel bench/smoke_floor.json gates); the paired deadline and
-          tracing overhead ratios on that same pipeline; the all_tables
-          jobs curve. Then it prints two ablations.
+          tracing overhead ratios on that same pipeline. Then it prints
+          two ablations.
    scale  BENCH_scale.json: classic-FEAS and G-RAR rows at 25k and 100k
           gates, each row in its own child process.
    eco    BENCH_eco.json: the 25k-gate edit-and-resolve measurement.
@@ -330,42 +330,6 @@ let overhead () =
   List.iter (fun (k, r) -> Printf.printf "  %-28s %12.3fx\n%!" k r) ratios;
   Json.Obj (List.map (fun (k, r) -> (k, num r)) ratios)
 
-(* Report.all_tables on three circuits at 50 simulated cycles, on a
-   fresh context per job count (requested sizes; the pool clamps each
-   to the host). *)
-let jobs_curve () =
-  let names = [ "s1196"; "s1238"; "s1423" ] and sim_cycles = 50 in
-  Printf.printf "\n== Jobs curve: all_tables on %s ==\n%!"
-    (String.concat "," names);
-  let first_s = ref None in
-  let rows =
-    List.map
-      (fun jobs ->
-        with_jobs jobs @@ fun () ->
-        let t = Report.create ~names ~sim_cycles () in
-        let _, dt = time_wall (fun () -> Report.all_tables t) in
-        let eff = Pool.effective_jobs () in
-        let first = Option.value !first_s ~default:dt in
-        first_s := Some first;
-        let speedup = first /. Float.max 1e-9 dt in
-        Printf.printf "  jobs=%d (effective %d): %.3fs (%.2fx vs jobs=1)\n%!"
-          jobs eff dt speedup;
-        Json.Obj
-          [
-            ("jobs_requested", Json.Int jobs);
-            ("jobs_effective", Json.Int eff);
-            ("all_tables_s", num dt);
-            ("speedup_vs_first", num speedup);
-          ])
-      [ 1; 2; 4 ]
-  in
-  Json.Obj
-    [
-      ("circuits", Json.List (List.map (fun n -> Json.String n) names));
-      ("sim_cycles", Json.Int sim_cycles);
-      ("rows", Json.List rows);
-    ]
-
 (* Ablation: how much of the EDL saving survives once the error-signal
    collection tree (folded into c by the paper) is made explicit. *)
 let run_cluster_ablation () =
@@ -419,15 +383,13 @@ let run_eval () =
   let kernels = measure_kernels () in
   Printf.printf "\n== Overhead: armed vs plain classic pipeline ==\n%!";
   let overhead = with_jobs 1 overhead in
-  let jobs_curve = jobs_curve () in
   write_doc "BENCH_eval.json"
     (Json.Obj
        [
-         ("schema", Json.String "rar-bench-eval/2");
+         ("schema", Json.String "rar-bench-eval/3");
          ("host", host ());
          ("kernels", Json.List kernels);
          ("overhead", overhead);
-         ("jobs_curve", jobs_curve);
        ]);
   run_cluster_ablation ();
   run_resynth_ablation ()

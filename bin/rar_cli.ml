@@ -6,7 +6,17 @@
      rar info          benchmark and clocking overview
      rar run           run one engine on one circuit, verbosely
      rar bench         run the engines on a user ".bench" netlist
-     rar dot           export a benchmark stage as Graphviz *)
+     rar dot           export a benchmark stage as Graphviz
+     rar period        minimum feasible and detection-free stage delays
+     rar trace         simulate a G-RAR design and dump a VCD waveform
+     rar sweep         G-RAR vs base over the EDL overhead factor c
+     rar timing        critical-path timing reports
+     rar lib           dump the built-in cell library as Liberty
+     rar classic       classic min-period / min-area retiming (--feas)
+     rar convert       flip-flop design to two- or three-phase latches
+     rar generate      seeded layered-DAG benchmark netlist
+     rar eco           incremental retiming over an edit script
+     rar serve         rar-req/1 retiming daemon *)
 
 open Cmdliner
 
@@ -94,9 +104,18 @@ let circuits_arg =
           "Comma-separated benchmark names (default: the full Table I \
            suite). Available: $(b,s1196) .. $(b,s38584), $(b,plasma).")
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let sim_cycles_arg =
   Arg.(
-    value & opt int 300
+    value & opt positive_int 300
     & info [ "sim-cycles" ] ~docv:"N"
         ~doc:"Random vector pairs per error-rate measurement (Table VIII).")
 

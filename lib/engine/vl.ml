@@ -106,14 +106,9 @@ let run ~deadline ~solve ~post_swap ~c variant stage =
       List.iter (fun s -> Hashtbl.replace ed_tbl s ()) ed_set;
       let non_ed = List.filter (fun s -> not (Hashtbl.mem ed_tbl s)) sinks in
       (* Per-sink setup-constraint prep reads only the stage's cached
-         window edges, so it fans out over the pool; the merge
-         concatenates in sink order, keeping the constraint emission
-         order identical at any pool size. *)
-      let forbidden =
-        Rar_util.Pool.map_adaptive (Array.of_list non_ed)
-          (forbidden_for stage)
-        |> Array.to_list |> List.concat
-      in
+         window edges; concatenated in sink order, which is the LP's
+         constraint emission order. *)
+      let forbidden = List.concat_map (forbidden_for stage) non_ed in
       let g = Rgraph.build ~forbidden_edges:forbidden ~bias_early:true stage in
       match solve g with
       | Ok r -> finish ed_set rounds g r

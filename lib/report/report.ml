@@ -25,7 +25,6 @@ type t = {
   names_ : string list;
   sim_cycles : int;
   solver : Rar_flow.Difflp.engine option;
-  lock : Mutex.t; (* guards every memo table below *)
   prepared_ : (string, Suite.prepared) Hashtbl.t;
   stages : (string, Stage.t) Hashtbl.t;
   results : (string, Engine.result) Hashtbl.t; (* circuit "/" config_key *)
@@ -35,11 +34,12 @@ type t = {
 }
 
 let create ?(names = Spec.names) ?(sim_cycles = 300) ?solver () =
+  if sim_cycles < 1 then
+    invalid_arg (Printf.sprintf "Report.create: sim_cycles %d < 1" sim_cycles);
   {
     names_ = names;
     sim_cycles;
     solver;
-    lock = Mutex.create ();
     prepared_ = Hashtbl.create 16;
     stages = Hashtbl.create 32;
     results = Hashtbl.create 256;
@@ -50,37 +50,27 @@ let create ?(names = Spec.names) ?(sim_cycles = 300) ?solver () =
 
 let names t = t.names_
 
-(* Double-checked memoisation: the lock is held only around table
-   access, never while [f] runs, so memoised engines can recursively
-   memoise their inputs and independent cells can compute in parallel
-   on the pool. Two domains racing on the same key both compute; the
-   first store wins (engines are deterministic, so both values are
-   equal — the winner just keeps object identity stable). Failures
-   escape as exceptions and are never cached. *)
-let memo t tbl key f =
-  let find () = Mutex.protect t.lock (fun () -> Hashtbl.find_opt tbl key) in
-  match find () with
+(* Compute and store on a miss. Failures escape as exceptions and are
+   never cached. *)
+let memo tbl key f =
+  match Hashtbl.find_opt tbl key with
   | Some v -> v
   | None ->
     let v = f () in
-    Mutex.protect t.lock (fun () ->
-        match Hashtbl.find_opt tbl key with
-        | Some winner -> winner
-        | None ->
-          Hashtbl.replace tbl key v;
-          v)
+    Hashtbl.replace tbl key v;
+    v
 
 let fail what err = raise (Engine_failed { what; err })
 let ok_or_fail what = function Ok v -> v | Error err -> fail what err
 
 let prepared t name =
-  memo t t.prepared_ name (fun () ->
+  memo t.prepared_ name (fun () ->
       match Suite.load name with
       | Ok p -> p
       | Error _ -> fail name (Error.Unknown_circuit name))
 
 let stage t ?(model = Sta.Path_based) name =
-  memo t t.stages
+  memo t.stages
     (Printf.sprintf "%s/%s" name (Engine.model_name model))
     (fun () ->
       ok_or_fail (name ^ " stage") (Engine.stage_of ~model (prepared t name)))
@@ -88,25 +78,19 @@ let stage t ?(model = Sta.Path_based) name =
 let config t ?(model = Sta.Path_based) ~c spec =
   Engine.config ~model ?solver:t.solver ~c ~movable_moves spec
 
+(* Carries a failed run out of [memo], which caches only values. *)
+exception Run_failed of Error.t
+
 let run_result t ?(model = Sta.Path_based) name ~spec ~c =
   let cfg = config t ~model ~c spec in
-  let key = name ^ "/" ^ Engine.config_key cfg in
-  let find () =
-    Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.results key)
-  in
-  match find () with
-  | Some r -> Ok r
-  | None -> (
-    match Engine.run cfg (stage t ~model name) with
-    | Error _ as e -> e
-    | Ok r ->
-      Ok
-        (Mutex.protect t.lock (fun () ->
-             match Hashtbl.find_opt t.results key with
-             | Some winner -> winner
-             | None ->
-               Hashtbl.replace t.results key r;
-               r)))
+  match
+    memo t.results (name ^ "/" ^ Engine.config_key cfg) (fun () ->
+        match Engine.run cfg (stage t ~model name) with
+        | Ok r -> r
+        | Error err -> raise_notrace (Run_failed err))
+  with
+  | r -> Ok r
+  | exception Run_failed err -> Error err
 
 let run t ?model name ~spec ~c =
   ok_or_fail
@@ -146,91 +130,20 @@ let design_key seed (d : Sim.design) =
     (clocking_key d.Sim.clocking)
 
 let error_rate t name ~spec ~c =
-  memo t t.rates (cell_key name spec c) (fun () ->
+  memo t.rates (cell_key name spec c) (fun () ->
       let r = run t name ~spec ~c in
       let seed = name ^ "/" ^ Engine.name spec in
       let design = sim_design r.Engine.stage r.Engine.outcome in
-      memo t t.sims (design_key seed design) (fun () ->
+      memo t.sims (design_key seed design) (fun () ->
           Sim.error_rate ~cycles:t.sim_cycles ~seed design))
 
 (* ------------------------------------------------------------------ *)
-(* Parallel precompute                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Populate the memo tables for the whole (circuit x overhead x
-   engine) result grid through the domain pool, phase by phase so
-   each phase's cells find their inputs already memoised instead of
-   racing to recompute them. Failures are swallowed here: a cell that
-   cannot be computed fails again — deterministically and with its
-   real error — when the table that needs it renders. *)
-let precompute t =
-  let phase thunks =
-    ignore
-      (Rar_util.Pool.run (List.map (fun f () -> try f () with _ -> ()) thunks)
-        : unit list)
-  in
-  let names = t.names_ in
-  phase (List.map (fun name () -> ignore (prepared t name)) names);
-  phase
-    (List.concat_map
-       (fun name ->
-         [ (fun () -> ignore (stage t name));
-           (fun () -> ignore (stage t ~model:Sta.Gate_based name)) ])
-       names);
-  phase
-    (List.concat_map
-       (fun name ->
-         List.concat_map
-           (fun (_, c) ->
-             (fun () ->
-               ignore (run t ~model:Sta.Gate_based name ~spec:Engine.Grar ~c))
-             :: List.map
-                  (fun spec () -> ignore (run t name ~spec ~c))
-                  Engine.all)
-           overheads)
-       names);
-  (* Table VIII. A design key starts with its seed (circuit/engine), so
-     only one circuit and engine's cells can share a simulation: one
-     task per pair walks its c values in order, and its first cell of
-     each distinct design simulates it while the others hit [sims]. So
-     each distinct design is simulated once at any job count, and each
-     task holds one realised design at a time. *)
-  phase
-    (List.concat_map
-       (fun name ->
-         List.map
-           (fun spec () ->
-             List.iter
-               (fun (_, c) ->
-                 try ignore (error_rate t name ~spec ~c) with _ -> ())
-               overheads)
-           Engine.tabulated)
-       names)
-
-(* ------------------------------------------------------------------ *)
-(* Table helpers                                                       *)
+(* Tables                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let impr base x = 100. *. (base -. x) /. base
-
-let avg xs =
-  match xs with
-  | [] -> 0.
-  | _ -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
-let seq_area (o : Outcome.t) = o.Outcome.seq_area
 let total_area (o : Outcome.t) = o.Outcome.total_area
-
 let outcome t ?model name ~spec ~c = (run t ?model name ~spec ~c).Engine.outcome
-
-(* Accumulator for the "average" footer rows. *)
-let sums () =
-  let tbl = Hashtbl.create 16 in
-  let push key x =
-    Hashtbl.replace tbl key (x :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
-  in
-  let avg_of key = avg (Option.value ~default:[] (Hashtbl.find_opt tbl key)) in
-  (push, avg_of)
 
 let title = function
   | 1 -> "Table I: circuit information of original flop-based designs"
@@ -247,179 +160,127 @@ let title = function
 let table_of number columns rows =
   { Row.number; title = title number; columns; rows }
 
-(* ------------------------------------------------------------------ *)
-(* Tables                                                              *)
-(* ------------------------------------------------------------------ *)
+(* Column means of [width] columns over [rows] (one value list per
+   circuit; no rows gives zeros). Each column sums from the last circuit
+   to the first, the order the averages were first published in, so
+   they stay bitwise equal. *)
+let averages width rows =
+  let n = float_of_int (Int.max 1 (List.length rows)) in
+  List.fold_left (List.map2 ( +. ))
+    (List.init width (fun _ -> 0.))
+    (List.rev rows)
+  |> List.map (fun sum -> sum /. n)
+
+(* One column of a per-overhead group: its header after the overhead
+   tag, how a value shows, and whether the average row covers it. *)
+type column = { head : string; show : float -> R.cell; averaged : bool }
+
+let area head = { head; show = (fun v -> R.float' v); averaged = true }
+let pct head = { head; show = (fun v -> R.Pct v); averaged = true }
+
+(* Every per-overhead comparison table: a Circuit column, one group of
+   [columns] per overhead holding [values name c], one row per circuit,
+   and an average row over the averaged columns if there are any. *)
+let grid t number columns values =
+  let headers =
+    List.concat_map
+      (fun (tag, _) ->
+        List.map (fun col -> (tag ^ " " ^ col.head, T.R)) columns)
+      overheads
+  in
+  let cols = List.concat_map (fun _ -> columns) overheads in
+  let data =
+    List.map
+      (fun name -> List.concat_map (fun (_, c) -> values name c) overheads)
+      t.names_
+  in
+  let row first cells = R.Cells (R.Str first :: cells) in
+  let body =
+    List.map2
+      (fun name vs -> row name (List.map2 (fun col -> col.show) cols vs))
+      t.names_ data
+  in
+  let footer =
+    if not (List.exists (fun col -> col.averaged) columns) then []
+    else
+      [ R.Rule;
+        row "average"
+          (List.map2
+             (fun col v -> if col.averaged then col.show v else R.Empty)
+             cols
+             (averages (List.length cols) data)) ]
+  in
+  table_of number (("Circuit", T.L) :: headers) (body @ footer)
 
 let table_i t =
   let columns =
     [ ("Circuit", T.L); ("P (ns)", T.R); ("flop #", T.R); ("NCE #", T.R);
       ("Prep (s)", T.R); ("Area", T.R) ]
   in
-  let push, avg_of = sums () in
+  let circuits = List.map (fun name -> (name, prepared t name)) t.names_ in
   let body =
     List.map
-      (fun name ->
-        let p = prepared t name in
-        push "p" p.Suite.p;
-        push "f" (float_of_int p.Suite.n_flops);
-        push "n" (float_of_int p.Suite.nce);
-        push "r" p.Suite.runtime_s;
-        push "a" p.Suite.flop_area;
+      (fun (name, (p : Suite.prepared)) ->
         R.Cells
-          [ R.Str name; R.Float { v = p.Suite.p; decimals = 3 };
-            R.Int p.Suite.n_flops; R.Int p.Suite.nce;
-            R.Time p.Suite.runtime_s; R.float' p.Suite.flop_area ])
-      t.names_
+          [ R.Str name; R.Float { v = p.p; decimals = 3 }; R.Int p.n_flops;
+            R.Int p.nce; R.Time p.runtime_s; R.float' p.flop_area ])
+      circuits
   in
   let footer =
-    R.Cells
-      [ R.Str "average"; R.Float { v = avg_of "p"; decimals = 3 };
-        R.float' (avg_of "f"); R.float' (avg_of "n"); R.Time (avg_of "r");
-        R.float' (avg_of "a") ]
+    match
+      averages 5
+        (List.map
+           (fun (_, (p : Suite.prepared)) ->
+             [ p.p; float_of_int p.n_flops; float_of_int p.nce; p.runtime_s;
+               p.flop_area ])
+           circuits)
+    with
+    | [ p; f; n; r; a ] ->
+      R.Cells
+        [ R.Str "average"; R.Float { v = p; decimals = 3 }; R.float' f;
+          R.float' n; R.Time r; R.float' a ]
+    | _ -> assert false
   in
   table_of 1 columns (body @ [ R.Rule; footer ])
 
 let table_ii t =
-  let columns =
-    ("Circuit", T.L)
-    :: List.concat_map
-         (fun (tag, _) ->
-           [ (tag ^ " gate", T.R); (tag ^ " path", T.R); (tag ^ " impr%", T.R) ])
-         overheads
-  in
-  let push, avg_of = sums () in
-  let body =
-    List.map
-      (fun name ->
-        let cells =
-          List.concat_map
-            (fun (tag, c) ->
-              let g =
-                total_area
-                  (outcome t ~model:Sta.Gate_based name ~spec:Engine.Grar ~c)
-              in
-              let p = total_area (outcome t name ~spec:Engine.Grar ~c) in
-              push (tag ^ "g") g;
-              push (tag ^ "p") p;
-              push (tag ^ "i") (impr g p);
-              [ R.float' g; R.float' p; R.Pct (impr g p) ])
-            overheads
-        in
-        R.Cells (R.Str name :: cells))
-      t.names_
-  in
-  let footer =
-    R.Cells
-      (R.Str "average"
-      :: List.concat_map
-           (fun (tag, _) ->
-             [ R.float' (avg_of (tag ^ "g")); R.float' (avg_of (tag ^ "p"));
-               R.Pct (avg_of (tag ^ "i")) ])
-           overheads)
-  in
-  table_of 2 columns (body @ [ R.Rule; footer ])
+  grid t 2 [ area "gate"; area "path"; pct "impr%" ] (fun name c ->
+      let g =
+        total_area (outcome t ~model:Sta.Gate_based name ~spec:Engine.Grar ~c)
+      in
+      let p = total_area (outcome t name ~spec:Engine.Grar ~c) in
+      [ g; p; impr g p ])
 
 let table_iii t =
   let variants = Engine.[ Vl Nvl; Vl Evl; Vl Rvl ] in
-  let columns =
-    ("Circuit", T.L)
-    :: List.concat_map
-         (fun (tag, _) ->
-           List.map (fun spec -> (tag ^ " " ^ Engine.label spec, T.R)) variants)
-         overheads
-  in
-  let push, avg_of = sums () in
-  let body =
-    List.map
-      (fun name ->
-        let cells =
-          List.concat_map
-            (fun (tag, c) ->
-              List.map
-                (fun spec ->
-                  let a = total_area (outcome t name ~spec ~c) in
-                  push (tag ^ Engine.label spec) a;
-                  R.float' a)
-                variants)
-            overheads
-        in
-        R.Cells (R.Str name :: cells))
-      t.names_
-  in
-  let footer =
-    R.Cells
-      (R.Str "average"
-      :: List.concat_map
-           (fun (tag, _) ->
-             List.map
-               (fun spec -> R.float' (avg_of (tag ^ Engine.label spec)))
-               variants)
-           overheads)
-  in
-  table_of 3 columns (body @ [ R.Rule; footer ])
+  grid t 3
+    (List.map (fun spec -> area (Engine.label spec)) variants)
+    (fun name c ->
+      List.map (fun spec -> total_area (outcome t name ~spec ~c)) variants)
 
-(* Tables IV and V share their shape: an area extractor selects
-   sequential vs total area. Columns come from the engine registry —
-   the first tabulated engine is the baseline, every other engine gets
-   a value column and an improvement-over-baseline column. *)
-let table_iv_v t number ~area =
+(* Tables IV and V share their shape: [area_of] selects sequential vs
+   total area. Columns come from the engine registry — the first tabulated
+   engine is the baseline, every other engine gets a value column and
+   an improvement-over-baseline column. *)
+let table_iv_v t number area_of =
   let baseline, rest =
     match Engine.tabulated with
     | b :: rest -> (b, rest)
     | [] -> invalid_arg "Report: empty engine registry"
   in
-  let columns =
-    ("Circuit", T.L)
+  grid t number
+    (area (Engine.label baseline)
     :: List.concat_map
-         (fun (tag, _) ->
-           (tag ^ " " ^ Engine.label baseline, T.R)
-           :: List.concat_map
-                (fun spec ->
-                  [ (tag ^ " " ^ Engine.label spec, T.R);
-                    (tag ^ " Impr%", T.R) ])
-                rest)
-         overheads
-  in
-  let push, avg_of = sums () in
-  let body =
-    List.map
-      (fun name ->
-        let cells =
-          List.concat_map
-            (fun (tag, c) ->
-              let b = area (outcome t name ~spec:baseline ~c) in
-              push (tag ^ Engine.name baseline) b;
-              R.float' b
-              :: List.concat_map
-                   (fun spec ->
-                     let x = area (outcome t name ~spec ~c) in
-                     push (tag ^ Engine.name spec) x;
-                     push (tag ^ Engine.name spec ^ "i") (impr b x);
-                     [ R.float' x; R.Pct (impr b x) ])
-                   rest)
-            overheads
-        in
-        R.Cells (R.Str name :: cells))
-      t.names_
-  in
-  let footer =
-    R.Cells
-      (R.Str "average"
+         (fun spec -> [ area (Engine.label spec); pct "Impr%" ])
+         rest)
+    (fun name c ->
+      let b = area_of (outcome t name ~spec:baseline ~c) in
+      b
       :: List.concat_map
-           (fun (tag, _) ->
-             R.float' (avg_of (tag ^ Engine.name baseline))
-             :: List.concat_map
-                  (fun spec ->
-                    [ R.float' (avg_of (tag ^ Engine.name spec));
-                      R.Pct (avg_of (tag ^ Engine.name spec ^ "i")) ])
-                  rest)
-           overheads)
-  in
-  table_of number columns (body @ [ R.Rule; footer ])
-
-let table_iv t = table_iv_v t 4 ~area:seq_area
-let table_v t = table_iv_v t 5 ~area:total_area
+           (fun spec ->
+             let x = area_of (outcome t name ~spec ~c) in
+             [ x; impr b x ])
+           rest)
 
 let table_vi t =
   let columns =
@@ -447,117 +308,39 @@ let table_vi t =
   in
   table_of 6 columns body
 
+(* Tables VII and VIII: one column per tabulated engine in each group. *)
+let per_engine t number column value =
+  grid t number
+    (List.map (fun spec -> column (Engine.label spec)) Engine.tabulated)
+    (fun name c -> List.map (fun spec -> value name spec c) Engine.tabulated)
+
 let table_vii t =
-  let columns =
-    ("Circuit", T.L)
-    :: List.concat_map
-         (fun (tag, _) ->
-           List.map
-             (fun spec -> (tag ^ " " ^ Engine.label spec, T.R))
-             Engine.tabulated)
-         overheads
-  in
-  let body =
-    List.map
-      (fun name ->
-        let cells =
-          List.concat_map
-            (fun (_, c) ->
-              List.map
-                (fun spec -> R.Time (run t name ~spec ~c).Engine.wall_s)
-                Engine.tabulated)
-            overheads
-        in
-        R.Cells (R.Str name :: cells))
-      t.names_
-  in
-  table_of 7 columns body
+  per_engine t 7
+    (fun head -> { head; show = (fun v -> R.Time v); averaged = false })
+    (fun name spec c -> (run t name ~spec ~c).Engine.wall_s)
 
 let table_viii t =
-  let columns =
-    ("Circuit", T.L)
-    :: List.concat_map
-         (fun (tag, _) ->
-           List.map
-             (fun spec -> (tag ^ " " ^ Engine.label spec, T.R))
-             Engine.tabulated)
-         overheads
-  in
-  let push, avg_of = sums () in
-  let body =
-    List.map
-      (fun name ->
-        let cells =
-          List.concat_map
-            (fun (tag, c) ->
-              List.map
-                (fun spec ->
-                  let r = error_rate t name ~spec ~c in
-                  push (tag ^ Engine.name spec) r.Sim.error_rate;
-                  R.Pct r.Sim.error_rate)
-                Engine.tabulated)
-            overheads
-        in
-        R.Cells (R.Str name :: cells))
-      t.names_
-  in
-  let footer =
-    R.Cells
-      (R.Str "average"
-      :: List.concat_map
-           (fun (tag, _) ->
-             List.map
-               (fun spec -> R.Pct (avg_of (tag ^ Engine.name spec)))
-               Engine.tabulated)
-           overheads)
-  in
-  table_of 8 columns (body @ [ R.Rule; footer ])
+  per_engine t 8 pct (fun name spec c ->
+      (error_rate t name ~spec ~c).Sim.error_rate)
 
 let table_ix t =
-  let columns =
-    ("Circuit", T.L)
-    :: List.concat_map
-         (fun (tag, _) ->
-           [ (tag ^ " fixed", T.R); (tag ^ " movable", T.R);
-             (tag ^ " diff%", T.R) ])
-         overheads
-  in
-  let push, avg_of = sums () in
-  let body =
-    List.map
-      (fun name ->
-        let cells =
-          List.concat_map
-            (fun (tag, c) ->
-              let r = run t name ~spec:Engine.Movable ~c in
-              let f =
-                match r.Engine.extras with
-                | Engine.Moves { fixed_total_area; _ } -> fixed_total_area
-                | _ -> total_area r.Engine.outcome
-              in
-              let v = total_area r.Engine.outcome in
-              push (tag ^ "d") (impr f v);
-              [ R.float' f; R.float' v; R.Pct (impr f v) ])
-            overheads
-        in
-        R.Cells (R.Str name :: cells))
-      t.names_
-  in
-  let footer =
-    R.Cells
-      (R.Str "average"
-      :: List.concat_map
-           (fun (tag, _) -> [ R.Empty; R.Empty; R.Pct (avg_of (tag ^ "d")) ])
-           overheads)
-  in
-  table_of 9 columns (body @ [ R.Rule; footer ])
+  let shown head = { (area head) with averaged = false } in
+  grid t 9 [ shown "fixed"; shown "movable"; pct "diff%" ] (fun name c ->
+      let r = run t name ~spec:Engine.Movable ~c in
+      let f =
+        match r.Engine.extras with
+        | Engine.Moves { fixed_total_area; _ } -> fixed_total_area
+        | _ -> total_area r.Engine.outcome
+      in
+      let v = total_area r.Engine.outcome in
+      [ f; v; impr f v ])
 
 let build_rows t = function
   | 1 -> table_i t
   | 2 -> table_ii t
   | 3 -> table_iii t
-  | 4 -> table_iv t
-  | 5 -> table_v t
+  | 4 -> table_iv_v t 4 (fun o -> o.Outcome.seq_area)
+  | 5 -> table_iv_v t 5 total_area
   | 6 -> table_vi t
   | 7 -> table_vii t
   | 8 -> table_viii t
@@ -567,7 +350,7 @@ let build_rows t = function
 let rows t n =
   if n < 1 || n > 9 then Error (Printf.sprintf "no table %d (valid: 1-9)" n)
   else
-    try Ok (memo t t.rows_ n (fun () -> build_rows t n))
+    try Ok (memo t.rows_ n (fun () -> build_rows t n))
     with Engine_failed { what; err } ->
       Error
         (Printf.sprintf "table %d: %s failed: %s" n what (Error.to_string err))
@@ -581,7 +364,6 @@ let render format rows =
 let table t ?(format = Text) n = Result.map (render format) (rows t n)
 
 let all_tables ?(format = Text) t =
-  precompute t;
   List.map
     (fun n ->
       let body =

@@ -5,6 +5,9 @@
     suite; each table is built once as typed {!Row.table} rows and
     rendered from those rows into text, CSV or JSON.
 
+    A context is a plain memo that fills as the tables render and
+    belongs to one domain: do not share it between domains.
+
     Overheads follow §VI-A: low [c = 0.5], medium [c = 1.0], high
     [c = 2.0]. *)
 
@@ -37,7 +40,9 @@ val create :
     [sim_cycles] (default 300) drives Table VIII; Table IX's local
     search tries at most 4 candidate moves; [solver] pins every engine
     run's LP solver (default: each LP's
-    {!Rar_flow.Difflp.default_engine}). *)
+    {!Rar_flow.Difflp.default_engine}).
+
+    @raise Invalid_argument if [sim_cycles < 1]. *)
 
 val names : t -> string list
 
@@ -89,20 +94,6 @@ val error_rate :
     returns the same design at every c is simulated once for all three
     cells. *)
 
-val precompute : t -> unit
-(** Evaluate the whole (circuit x overhead x engine) result grid into
-    the context's memo tables through the {!Rar_util.Pool} — phase by
-    phase (prepare, stage, engines, error rates) so cells never race to
-    recompute a shared input. Only cells of one circuit and engine can
-    share a design key (the key starts with the seed), so the
-    error-rate phase runs one task per circuit and engine, walking its
-    c values in order: each distinct design is simulated exactly once
-    at any pool size, and a task holds one realised design at a time.
-    {!all_tables} calls this before rendering;
-    results are identical for every pool size, the grid just fills in
-    parallel. Cells that fail are skipped here and re-raise when (and
-    if) a table actually needs them. *)
-
 (** {1 Tables} *)
 
 val rows : t -> int -> (Row.table, string) result
@@ -115,9 +106,9 @@ val table : t -> ?format:format -> int -> (string, string) result
     format (default text). *)
 
 val all_tables : ?format:format -> t -> (int * string * string) list
-(** [(number, title, rendered)] for every table. Runs {!precompute}
-    first, so the whole grid evaluates on the domain pool before any
-    table renders. A failed table renders as its diagnostic line, or
-    in JSON as an object holding its [number], [title] and [error]. *)
+(** [(number, title, rendered)] for Tables 1-9 in order. Each cell is
+    computed the first time a table needs it. A failed table renders as
+    its diagnostic line, or in JSON as an object holding its [number],
+    [title] and [error]. *)
 
 val title : int -> string

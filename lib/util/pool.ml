@@ -12,7 +12,7 @@ type pool = {
   mutable domains : unit Domain.t list;
 }
 
-(* Workers flag themselves so nested [map]/[run] calls fall back to
+(* Workers flag themselves so nested [map] calls fall back to
    sequential evaluation instead of deadlocking the fixed pool. *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
@@ -266,11 +266,6 @@ let map_adaptive_with ~init xs f =
     let chunk = Int.max 64 ((n + target - 1) / target) in
     map_with ~min_chunk:chunk ~init xs f
   end
-
-let map_adaptive xs f = map_adaptive_with ~init:ignore xs (fun () x -> f x)
-
-let run (thunks : (unit -> 'a) list) : 'a list =
-  Array.to_list (map (Array.of_list thunks) (fun f -> f ()))
 
 (* Asynchronous single-task submission, for the serve daemon: enqueue
    and return immediately; the task runs on a pool worker (so its own

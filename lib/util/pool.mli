@@ -58,34 +58,29 @@ val map : ?min_chunk:int -> 'a array -> ('a -> 'b) -> 'b array
     to the plain sequential path without touching the pool — the
     work-size threshold that keeps small fan-outs sequential. *)
 
-val map_adaptive : 'a array -> ('a -> 'b) -> 'b array
-(** [map_adaptive xs f] is {!map} with the chunk size derived from the
-    batch: inputs shorter than 512 elements run sequentially in place,
-    larger ones are cut into roughly 4 chunks per effective worker,
-    never smaller than 64 elements. Use this instead of a
-    hand-picked [min_chunk] for per-element work in the 0.1–1 ms range:
-    a fixed grain either starves the pool on mid-size batches (too few
-    tasks trips {!map}'s task-ratio fallback) or drowns it in dispatch
-    overhead on huge ones. Results are identical to [Array.map f xs]
-    at any pool size. *)
-
 val map_adaptive_with :
   init:(unit -> 's) ->
   'a array ->
   ('s -> 'a -> 'b) ->
   'b array
-(** {!map_adaptive} with per-chunk state: every chunk the call runs
-    (the whole array, on the sequential path) first builds its own
-    state with [init], in the domain that evaluates it, and passes it
-    to [f] for each of its elements. For reusable scratch buffers that
-    must stay private to one call and one domain: the state is never
-    shared between chunks, calls or domains. [init] is not called for
-    an empty array; an [init] that raises fails every element of its
-    chunk. *)
+(** [map_adaptive_with ~init xs f] is {!map} with the chunk size
+    derived from the batch and with per-chunk state. Inputs shorter
+    than 512 elements run sequentially in place; larger ones are cut
+    into roughly 4 chunks per effective worker, never smaller than 64
+    elements. Use this instead of a hand-picked [min_chunk] for
+    per-element work in the 0.1–1 ms range: a fixed grain either
+    starves the pool on mid-size batches (too few tasks trips {!map}'s
+    task-ratio fallback) or drowns it in dispatch overhead on huge
+    ones.
 
-val run : (unit -> 'a) list -> 'a list
-(** [run thunks] evaluates the thunks in parallel, returning results
-    in the original order. *)
+    Every chunk the call runs (the whole array, on the sequential
+    path) first builds its own state with [init], in the domain that
+    evaluates it, and passes it to [f] for each of its elements. For
+    reusable scratch buffers that must stay private to one call and
+    one domain: the state is never shared between chunks, calls or
+    domains. [init] is not called for an empty array; an [init] that
+    raises fails every element of its chunk. Results are identical to
+    [Array.map (f (init ())) xs] at any pool size. *)
 
 val submit : (unit -> unit) -> unit
 (** [submit task] enqueues [task] for asynchronous execution on a pool

@@ -192,7 +192,7 @@ let test_vcd_trace () =
 
 let test_grar_identical_across_jobs () =
   (* The pooled per-sink prep (Stage.make's classification fan-out over
-     [Pool.map_adaptive], the rgraph endpoint dedup) and the
+     [Pool.map_adaptive_with], the rgraph endpoint dedup) and the
      block-priced simplex must produce byte-identical results at every
      pool size. The circuit has > 512 sinks so the adaptive fan-out
      takes its parallel branch rather than the sequential floor. *)

@@ -119,11 +119,12 @@ let by_id responses id =
   | Some j -> j
   | None -> Alcotest.failf "no response with id %S" id
 
-let run_req ?(approach = "grar") ?deadline ?max_heap_mb ~id () =
+let run_req ?(approach = "grar") ?model ?deadline ?max_heap_mb ~id () =
   let extra =
-    (match deadline with
-    | Some d -> [ ("deadline", Json.Float d) ]
-    | None -> [])
+    (match model with Some m -> [ ("model", Json.String m) ] | None -> [])
+    @ (match deadline with
+      | Some d -> [ ("deadline", Json.Float d) ]
+      | None -> [])
     @
     match max_heap_mb with
     | Some m -> [ ("max_heap_mb", Json.Int m) ]
@@ -357,18 +358,25 @@ let test_server_survives_poolkill () =
   (* warm the caches clean first *)
   let r0 = by_id (rpc s [ run_req ~id:"w" () ]) "w" in
   Alcotest.(check string) "clean warmup" "ok" (status r0);
-  (* the killed request must run an engine cold: a warm session replay
-     is served from the caches and legitimately skips injection, so use
-     an approach the warmup did not cache *)
+  (* the killed request must reach the pool: a warm replay is served
+     from the caches and legitimately skips injection, so use a delay
+     model the warmup did not cache — its stage analysis classifies
+     sinks through the pool *)
   with_faults ~seed:11 [ Faults.Poolkill ] (fun () ->
       let r =
-        by_id (rpc s [ run_req ~approach:"rvl" ~id:"killed" () ]) "killed"
+        by_id
+          (rpc s [ run_req ~approach:"rvl" ~model:"gate" ~id:"killed" () ])
+          "killed"
       in
       Alcotest.(check string) "injected fault is an error" "error" (status r);
       Alcotest.(check string) "worker_crashed kind" "worker_crashed"
         (error_kind r));
   (* the server and its caches survive the injected crash *)
-  let r1 = by_id (rpc s [ run_req ~approach:"rvl" ~id:"after" () ]) "after" in
+  let r1 =
+    by_id
+      (rpc s [ run_req ~approach:"rvl" ~model:"gate" ~id:"after" () ])
+      "after"
+  in
   Alcotest.(check string) "server survives" "ok" (status r1)
 
 let test_server_drain_cancels_inflight () =

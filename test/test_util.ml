@@ -80,11 +80,7 @@ let test_pool_map_ordering () =
           Alcotest.(check (array int))
             (Printf.sprintf "map order (jobs=%d)" j)
             expect
-            (Pool.map xs (fun x -> (3 * x) + 1));
-          Alcotest.(check (list string))
-            (Printf.sprintf "run order (jobs=%d)" j)
-            [ "a"; "b"; "c" ]
-            (Pool.run [ (fun () -> "a"); (fun () -> "b"); (fun () -> "c") ])))
+            (Pool.map xs (fun x -> (3 * x) + 1))))
     [ 1; 4 ]
 
 let test_pool_self_sizing () =
