@@ -587,6 +587,13 @@ let trace_cmd =
 
 (* --- rar classic ----------------------------------------------------- *)
 
+(* "12.5% faster", or "3.5% slower" when the retimed period [p1] is
+   above the original [p0]. *)
+let period_change p0 p1 =
+  let pct = 100. *. (p0 -. p1) /. p0 in
+  if p1 > p0 then Printf.sprintf "%.1f%% slower" (-.pct)
+  else Printf.sprintf "%.1f%% faster" pct
+
 let classic_cmd =
   let name_arg =
     Arg.value
@@ -627,12 +634,9 @@ let classic_cmd =
           | Error e -> `Error (false, Error.to_string e)
           | Ok o ->
             Printf.printf
-              "%s: original period %.3f ns, FEAS retimed period %.3f ns \
-               (%.1f%% faster)\n"
+              "%s: original period %.3f ns, FEAS retimed period %.3f ns (%s)\n"
               name p0 o.Rar_retime.Classic.achieved_period
-              (100.
-              *. (p0 -. o.Rar_retime.Classic.achieved_period)
-              /. p0);
+              (period_change p0 o.Rar_retime.Classic.achieved_period);
             Printf.printf "FEAS retiming: %d -> %d registers\n"
               o.Rar_retime.Classic.registers_before
               o.Rar_retime.Classic.registers_after;
@@ -640,10 +644,8 @@ let classic_cmd =
         else
           let pmin = Rar_retime.Classic.min_period g in
           Printf.printf
-            "%s: original period %.3f ns, minimum retimed period %.3f ns \
-             (%.1f%% faster)\n"
-            name p0 pmin
-            (100. *. (p0 -. pmin) /. p0);
+            "%s: original period %.3f ns, minimum retimed period %.3f ns (%s)\n"
+            name p0 pmin (period_change p0 pmin);
           match Rar_retime.Classic.retime g ~period:pmin with
           | Error e -> `Error (false, Error.to_string e)
           | Ok o ->

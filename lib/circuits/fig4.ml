@@ -34,16 +34,16 @@ let circuit () =
   let b = B.create ~name:"fig4" () in
   let pi_a = B.add_input b "pi_a" in
   let pi_b = B.add_input b "pi_b" in
-  let i1 = B.add_gate b "I1" ~fn:Cell_kind.Buf ~fanins:[ pi_a ] () in
-  let i2 = B.add_gate b "I2" ~fn:Cell_kind.Buf ~fanins:[ pi_b ] () in
-  let g3 = B.add_gate b "G3" ~fn:Cell_kind.Buf ~fanins:[ i1 ] () in
-  let g5 = B.add_gate b "G5" ~fn:Cell_kind.Buf ~drive:3 ~fanins:[ i2 ] () in
+  let i1 = B.add_gate b "I1" ~fn:Cell_kind.Buf ~fanins:[| pi_a |] () in
+  let i2 = B.add_gate b "I2" ~fn:Cell_kind.Buf ~fanins:[| pi_b |] () in
+  let g3 = B.add_gate b "G3" ~fn:Cell_kind.Buf ~fanins:[| i1 |] () in
+  let g5 = B.add_gate b "G5" ~fn:Cell_kind.Buf ~drive:3 ~fanins:[| i2 |] () in
   let g4 =
-    B.add_gate b "G4" ~fn:Cell_kind.And ~fanins:[ g3; g5; i2 ] ()
+    B.add_gate b "G4" ~fn:Cell_kind.And ~fanins:[| g3; g5; i2 |] ()
   in
-  let g6 = B.add_gate b "G6" ~fn:Cell_kind.Buf ~drive:4 ~fanins:[ g3 ] () in
-  let g7 = B.add_gate b "G7" ~fn:Cell_kind.Nand ~fanins:[ g6; g5; g4 ] () in
-  let g8 = B.add_gate b "G8" ~fn:Cell_kind.Inv ~fanins:[ g7 ] () in
+  let g6 = B.add_gate b "G6" ~fn:Cell_kind.Buf ~drive:4 ~fanins:[| g3 |] () in
+  let g7 = B.add_gate b "G7" ~fn:Cell_kind.Nand ~fanins:[| g6; g5; g4 |] () in
+  let g8 = B.add_gate b "G8" ~fn:Cell_kind.Inv ~fanins:[| g7 |] () in
   let _o9 = B.add_output b "O9" ~fanin:g8 in
   let net = B.freeze b in
   (* Already combinational: extract_comb is the identity modulo the

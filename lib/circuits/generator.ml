@@ -276,9 +276,11 @@ let generate (spec : Spec.t) =
   done;
   Array.iter (fun s -> if fanouts_of s = 0 then absorb s (-1)) sources;
   (* Materialise connections. *)
-  Array.iter (fun g -> B.connect b g.id ~fanins:g.fanins) all_gates;
+  Array.iter
+    (fun g -> B.connect b g.id ~fanins:(Array.of_list g.fanins))
+    all_gates;
   Array.iteri
-    (fun i ff -> B.connect b ff ~fanins:[ flop_driver.(i) ])
+    (fun i ff -> B.connect b ff ~fanins:[| flop_driver.(i) |])
     flops;
   B.freeze b
 
@@ -309,14 +311,14 @@ let pipeline ?(width = 32) ?(seed = "") ~stages () =
     let nm fmt i = Printf.sprintf "s%d_%s%d" s fmt i in
     let x = !cur and y = !aux in
     let sum = Array.make width (-1) in
-    sum.(0) <- gate (nm "sum" 0) Cell_kind.Xor [ x.(0); y.(0) ];
-    let carry = ref (gate (nm "c" 0) Cell_kind.And [ x.(0); y.(0) ]) in
+    sum.(0) <- gate (nm "sum" 0) Cell_kind.Xor [| x.(0); y.(0) |];
+    let carry = ref (gate (nm "c" 0) Cell_kind.And [| x.(0); y.(0) |]) in
     for i = 1 to width - 1 do
-      let p = gate (nm "p" i) Cell_kind.Xor [ x.(i); y.(i) ] in
-      let g = gate (nm "g" i) Cell_kind.And [ x.(i); y.(i) ] in
-      sum.(i) <- gate (nm "sum" i) Cell_kind.Xor [ p; !carry ];
-      let t = gate (nm "t" i) Cell_kind.And [ p; !carry ] in
-      carry := gate (nm "c" i) Cell_kind.Or [ g; t ]
+      let p = gate (nm "p" i) Cell_kind.Xor [| x.(i); y.(i) |] in
+      let g = gate (nm "g" i) Cell_kind.And [| x.(i); y.(i) |] in
+      sum.(i) <- gate (nm "sum" i) Cell_kind.Xor [| p; !carry |];
+      let t = gate (nm "t" i) Cell_kind.And [| p; !carry |] in
+      carry := gate (nm "c" i) Cell_kind.Or [| g; t |]
     done;
     let bank =
       Array.init width (fun i ->

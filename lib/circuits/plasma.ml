@@ -15,12 +15,12 @@ let fresh ctx prefix =
 let gate ctx prefix fn fanins =
   B.add_gate ctx.b (fresh ctx prefix) ~fn ~fanins ()
 
-let inv ctx a = gate ctx "inv" Cell_kind.Inv [ a ]
-let and2 ctx a b = gate ctx "and" Cell_kind.And [ a; b ]
-let or2 ctx a b = gate ctx "or" Cell_kind.Or [ a; b ]
-let xor2 ctx a b = gate ctx "xor" Cell_kind.Xor [ a; b ]
-let nor2 ctx a b = gate ctx "nor" Cell_kind.Nor [ a; b ]
-let mux2 ctx a b s = gate ctx "mux" Cell_kind.Mux2 [ a; b; s ]
+let inv ctx a = gate ctx "inv" Cell_kind.Inv [| a |]
+let and2 ctx a b = gate ctx "and" Cell_kind.And [| a; b |]
+let or2 ctx a b = gate ctx "or" Cell_kind.Or [| a; b |]
+let xor2 ctx a b = gate ctx "xor" Cell_kind.Xor [| a; b |]
+let nor2 ctx a b = gate ctx "nor" Cell_kind.Nor [| a; b |]
+let mux2 ctx a b s = gate ctx "mux" Cell_kind.Mux2 [| a; b; s |]
 
 (* Full adder from 2 xors + aoi-style majority. *)
 let full_adder ctx a b cin =
@@ -119,11 +119,11 @@ let generate () =
     or2 ctx cloud.(0) (and2 ctx cloud.(1) cloud.(2))
   in
   let next_pc = Array.init word (fun i -> mux2 ctx pc_plus4.(i) branch_tgt.(i) take_branch) in
-  Array.iteri (fun i ff -> B.connect b ff ~fanins:[ next_pc.(i) ]) pc;
+  Array.iteri (fun i ff -> B.connect b ff ~fanins:[| next_pc.(i) |]) pc;
   (* Instruction register: memory data muxed with the previous word on
      stall. *)
   Array.iteri
-    (fun i ff -> B.connect b ff ~fanins:[ mux2 ctx mem_rdata.(i) instr.(i) stall ])
+    (fun i ff -> B.connect b ff ~fanins:[| mux2 ctx mem_rdata.(i) instr.(i) stall |])
     instr;
   (* --- decode ----------------------------------------------------- *)
   let rs = Array.sub instr 21 5 in
@@ -141,10 +141,10 @@ let generate () =
     Array.init word (fun i ->
         if i < 16 then instr.(i) else mux2 ctx instr.(15) ctl_cloud.(0) ctl_cloud.(1))
   in
-  Array.iteri (fun i ff -> B.connect b ff ~fanins:[ a_val.(i) ]) ex_a;
-  Array.iteri (fun i ff -> B.connect b ff ~fanins:[ b_val.(i) ]) ex_b;
-  Array.iteri (fun i ff -> B.connect b ff ~fanins:[ imm.(i) ]) ex_imm;
-  Array.iteri (fun i ff -> B.connect b ff ~fanins:[ ctl_cloud.(2 + i) ]) ex_ctl;
+  Array.iteri (fun i ff -> B.connect b ff ~fanins:[| a_val.(i) |]) ex_a;
+  Array.iteri (fun i ff -> B.connect b ff ~fanins:[| b_val.(i) |]) ex_b;
+  Array.iteri (fun i ff -> B.connect b ff ~fanins:[| imm.(i) |]) ex_imm;
+  Array.iteri (fun i ff -> B.connect b ff ~fanins:[| ctl_cloud.(2 + i) |]) ex_ctl;
   (* --- execute ---------------------------------------------------- *)
   let use_imm = ex_ctl.(0) in
   let opnd_b = Array.init word (fun i -> mux2 ctx ex_b.(i) ex_imm.(i) use_imm) in
@@ -164,16 +164,16 @@ let generate () =
         let m4 = mux2 ctx m3 shifted.(i) ex_ctl.(5) in
         if i = 0 then mux2 ctx m4 slt ex_ctl.(4) else m4)
   in
-  Array.iteri (fun i ff -> B.connect b ff ~fanins:[ alu.(i) ]) wb_res;
-  Array.iteri (fun i ff -> B.connect b ff ~fanins:[ sum.(i) ]) mem_addr;
-  Array.iteri (fun i ff -> B.connect b ff ~fanins:[ ex_b.(i) ]) mem_wdata;
+  Array.iteri (fun i ff -> B.connect b ff ~fanins:[| alu.(i) |]) wb_res;
+  Array.iteri (fun i ff -> B.connect b ff ~fanins:[| sum.(i) |]) mem_addr;
+  Array.iteri (fun i ff -> B.connect b ff ~fanins:[| ex_b.(i) |]) mem_wdata;
   (* HI/LO fed by a shifted-accumulate structure (stand-in for the
      serial multiplier). *)
   let acc, _ = adder ctx hi lo ex_ctl.(3) in
-  Array.iteri (fun i ff -> B.connect b ff ~fanins:[ mux2 ctx acc.(i) ex_a.(i) ex_ctl.(2) ]) hi;
+  Array.iteri (fun i ff -> B.connect b ff ~fanins:[| mux2 ctx acc.(i) ex_a.(i) ex_ctl.(2) |]) hi;
   Array.iteri
     (fun i ff ->
-      B.connect b ff ~fanins:[ mux2 ctx lo.(i) sum.(i) ex_ctl.(3) ])
+      B.connect b ff ~fanins:[| mux2 ctx lo.(i) sum.(i) ex_ctl.(3) |])
     lo;
   (* --- writeback --------------------------------------------------- *)
   let wb_val = Array.init word (fun i -> mux2 ctx wb_res.(i) mem_rdata.(i) ex_ctl.(4)) in
@@ -182,7 +182,7 @@ let generate () =
     (fun r bank ->
       Array.iteri
         (fun i ff ->
-          B.connect b ff ~fanins:[ mux2 ctx bank.(i) wb_val.(i) wdec.(r) ])
+          B.connect b ff ~fanins:[| mux2 ctx bank.(i) wb_val.(i) wdec.(r) |])
         bank)
     regfile;
   (* --- outputs ------------------------------------------------------ *)

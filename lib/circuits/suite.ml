@@ -35,6 +35,7 @@ let derive_clocking ?(clock = Clocking.of_p) sta =
   (clock p, p)
 
 let prepare ?lib ?clock ?flop_base net =
+  Rar_obs.Trace.span "suite/prepare" @@ fun () ->
   let t0 = Rar_util.Clock.now_s () in
   let lib = match lib with Some l -> l | None -> Liberty.default () in
   (* [flop_base]: the edge-triggered source when [net] is already a

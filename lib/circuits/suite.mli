@@ -45,7 +45,8 @@ val prepare :
     supplies the edge-triggered source of a converted netlist: it
     becomes [flop_netlist] and the basis for [n_flops]/[flop_area], so
     flop-domain consumers (classic retiming, Table I baselines) keep
-    operating on the original design. *)
+    operating on the original design. Runs under a [suite/prepare]
+    trace span. *)
 
 val load : ?lib:Liberty.t -> string -> (prepared, string) result
 (** Load a named benchmark (case-insensitive): Table I names,

@@ -21,13 +21,25 @@
     feeds logic, and plain where it does not. *)
 
 val parse_diag : ?file:string -> string -> (Netlist.t, Rar_util.Diag.t) result
-(** Parse from a string. The error carries the 1-based line, the
-    column of the offending line's first content character (0 when the
-    error is not attached to a line) and the message. Never raises on
-    malformed input — anything the netlist builder throws on
-    structurally-broken text is converted into a diagnostic. A
-    [truncate] fault profile ({!Rar_resilience.Faults}) cuts the input
-    before parsing. *)
+(** Parse from a string. The text is scanned once by byte offsets:
+    keywords and operators (case-insensitive, ISCAS89 aliases
+    included) are matched in place and signal names are looked up as
+    spans of the text, so the only strings allocated are the node
+    names the netlist keeps. Node ids follow the text: inputs, gates
+    and latches in line order, then one output node per OUTPUT line.
+    Within a line, blanks around names are ignored, and text after
+    the last [')'] is too.
+
+    The error carries the 1-based line, the column of the offending
+    line's first content character (0 when the error is not attached
+    to a line) and the message. Of several errors the last one
+    recorded wins: line errors are recorded in line order, then
+    undefined fanins in reverse line order (the first undefined
+    argument of a line), then undefined OUTPUTs (line 0); a structural
+    failure of the freeze (line 0) is reported only for an otherwise
+    clean text. Never raises on malformed input. A [truncate] fault
+    profile ({!Rar_resilience.Faults}) cuts the input before parsing.
+    Runs under a [bench_io/parse] trace span. *)
 
 val parse_file_diag : string -> (Netlist.t, Rar_util.Diag.t) result
 (** Like {!parse_diag} but reads [path] first; an unreadable file

@@ -26,20 +26,31 @@ let name = function
   | Oai21 -> "oai21"
   | Mux2 -> "mux2"
 
-let of_name s =
-  match String.lowercase_ascii s with
-  | "buf" | "buff" -> Some Buf
-  | "inv" | "not" -> Some Inv
-  | "and" -> Some And
-  | "nand" -> Some Nand
-  | "or" -> Some Or
-  | "nor" -> Some Nor
-  | "xor" -> Some Xor
-  | "xnor" -> Some Xnor
-  | "aoi21" -> Some Aoi21
-  | "oai21" -> Some Oai21
-  | "mux2" | "mux" -> Some Mux2
-  | _ -> None
+(* [s.[pos .. pos+len-1]] spells the lower-case [lit], ignoring ASCII
+   case. Top-level and closure-free: a parser calls it per token. *)
+let rec sub_is_from s pos len lit k =
+  k = len
+  || Char.lowercase_ascii s.[pos + k] = lit.[k]
+     && sub_is_from s pos len lit (k + 1)
+
+let sub_is s pos len lit =
+  len = String.length lit && sub_is_from s pos len lit 0
+
+let of_sub s pos len =
+  if sub_is s pos len "nand" then Some Nand
+  else if sub_is s pos len "nor" then Some Nor
+  else if sub_is s pos len "and" then Some And
+  else if sub_is s pos len "or" then Some Or
+  else if sub_is s pos len "inv" || sub_is s pos len "not" then Some Inv
+  else if sub_is s pos len "buf" || sub_is s pos len "buff" then Some Buf
+  else if sub_is s pos len "xor" then Some Xor
+  else if sub_is s pos len "xnor" then Some Xnor
+  else if sub_is s pos len "aoi21" then Some Aoi21
+  else if sub_is s pos len "oai21" then Some Oai21
+  else if sub_is s pos len "mux2" || sub_is s pos len "mux" then Some Mux2
+  else None
+
+let of_name s = of_sub s 0 (String.length s)
 
 let arity = function
   | Buf | Inv -> Some 1

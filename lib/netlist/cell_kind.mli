@@ -27,7 +27,18 @@ val name : t -> string
 
 val of_name : string -> t option
 (** Inverse of {!name}; case-insensitive. Also accepts the ISCAS89
-    spelling ["not"] for {!Inv} and ["buff"] for {!Buf}. *)
+    spelling ["not"] for {!Inv} and ["buff"] for {!Buf}, and ["mux"]
+    for {!Mux2}. *)
+
+val of_sub : string -> int -> int -> t option
+(** [of_sub s pos len] is [of_name (String.sub s pos len)] without
+    allocating the substring: parsers match an operator in place. *)
+
+val sub_is : string -> int -> int -> string -> bool
+(** [sub_is s pos len word]: the [len] bytes of [s] at [pos] spell the
+    lower-case ASCII [word], ignoring case, without allocating — the
+    matcher behind {!of_sub}, which [Bench_io] also uses for its
+    keywords. *)
 
 val arity : t -> int option
 (** [Some n] when the kind has a fixed arity, [None] for the n-ary

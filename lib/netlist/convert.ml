@@ -31,10 +31,12 @@ let pp_stats ppf s =
    compact CSR view and [Transform.extract_comb]/[Stage.make] accept it
    unmodified. *)
 let split phases net =
+  let n = Netlist.node_count net in
   let b = B.create ~name:(Netlist.name net) () in
-  let repr = Array.make (Netlist.node_count net) (-1) in
-  let wire = ref [] in
-  for v = 0 to Netlist.node_count net - 1 do
+  (* [repr.(v)]: the node reading [v]'s output; [wire.(v)]: the node
+     taking [v]'s fanins. They differ only for a flop (slave, master). *)
+  let repr = Array.make n (-1) and wire = Array.make n (-1) in
+  for v = 0 to n - 1 do
     match Netlist.kind net v with
     | Netlist.Seq Netlist.Flop ->
       (* Master on phase 1 (transparent low, error-detecting site),
@@ -49,18 +51,20 @@ let split phases net =
         (match phases with
         | Two -> s
         | Three -> B.add_seq b (name ^ "$t") ~role:Netlist.Slave ~fanin:s);
-      wire := (m, v) :: !wire
+      wire.(v) <- m
     | Netlist.Input | Netlist.Output | Netlist.Gate _ | Netlist.Seq _ ->
       let id = B.copy b net v in
       repr.(v) <- id;
-      wire := (id, v) :: !wire
+      wire.(v) <- id
   done;
-  List.iter
-    (fun (id, v) ->
-      B.connect b id
-        ~fanins:
-          (Array.to_list (Array.map (Array.get repr) (Netlist.fanins net v))))
-    !wire;
+  for v = 0 to n - 1 do
+    let fi = Netlist.fanins net v in
+    let fanins = Array.make (Array.length fi) 0 in
+    for i = 0 to Array.length fi - 1 do
+      fanins.(i) <- repr.(fi.(i))
+    done;
+    B.connect b wire.(v) ~fanins
+  done;
   B.freeze b
 
 let run ?(phases = Two) net =

@@ -1,5 +1,3 @@
-module Vec = Rar_util.Vec
-
 type seq_role = Flop | Master | Slave
 
 type kind =
@@ -48,23 +46,25 @@ module Compact = struct
   let fanout t i = t.fanout.(i)
   let topo t = t.topo
 
-  let build kinds (fanins : int array array) (fanouts : int array array) topo =
+  (* [fanout_head]/[fanout] arrive already flat (the freeze lays them
+     out for its topological sort); the fanin rows are flattened here
+     into an array of the same length. *)
+  let make kinds (fanins : int array array) ~fanout_head ~fanout topo =
     let n = Array.length kinds in
     let fanin_head = Array.make (n + 1) 0 in
-    let fanout_head = Array.make (n + 1) 0 in
     for v = 0 to n - 1 do
-      fanin_head.(v + 1) <- fanin_head.(v) + Array.length fanins.(v);
-      fanout_head.(v + 1) <- fanout_head.(v) + Array.length fanouts.(v)
+      fanin_head.(v + 1) <- fanin_head.(v) + Array.length fanins.(v)
     done;
-    let m = fanin_head.(n) in
-    let fanin = Array.make (Int.max 1 m) 0 in
-    let fanout = Array.make (Int.max 1 m) 0 in
+    let fanin = Array.make (Array.length fanout) 0 in
+    let tags = Array.make n tag_input in
     for v = 0 to n - 1 do
-      Array.iteri (fun i u -> fanin.(fanin_head.(v) + i) <- u) fanins.(v);
-      Array.iteri (fun i w -> fanout.(fanout_head.(v) + i) <- w) fanouts.(v)
+      let fi = fanins.(v) and base = fanin_head.(v) in
+      for i = 0 to Array.length fi - 1 do
+        fanin.(base + i) <- fi.(i)
+      done;
+      tags.(v) <- tag_of_kind kinds.(v)
     done;
-    { n; tags = Array.map tag_of_kind kinds; fanin_head; fanin; fanout_head;
-      fanout; topo }
+    { n; tags; fanin_head; fanin; fanout_head; fanout; topo }
 end
 
 type t = {
@@ -86,188 +86,268 @@ let is_comb_kind = function
   | Gate _ -> true
   | Input | Output | Seq _ -> false
 
-let expected_arity = function
-  | Input -> Some 0
-  | Output | Seq _ -> Some 1
-  | Gate _ -> None
-
-(* Topological order of the fanin relation with sequential elements and
-   primary inputs treated as sources: a node waits only on its
-   combinational (gate) fanins. Cycles through sequential elements are
-   therefore legal; a purely combinational cycle leaves nodes unplaced,
-   which we report as an error. Also returns the fanout table (built as
-   a by-product). *)
-let topo_sort kinds fanins names =
+(* The first defect of node [v] apart from its name, in the order
+   validation reports them: a fanin out of range, a primary output
+   used as a fanin, then the node's own arity and drive. *)
+let node_defect kinds names fanins v =
   let n = Array.length kinds in
-  let fanout_count = Array.make n 0 in
-  for v = 0 to n - 1 do
-    Array.iter (fun u -> fanout_count.(u) <- fanout_count.(u) + 1) fanins.(v)
+  let fi = fanins.(v) in
+  let arity = Array.length fi in
+  let unknown = ref false and from_output = ref false in
+  for i = 0 to arity - 1 do
+    let u = fi.(i) in
+    if u < 0 || u >= n then unknown := true
+    else match kinds.(u) with Output -> from_output := true | _ -> ()
   done;
-  let fanouts = Array.map (fun c -> Array.make c (-1)) fanout_count in
-  let cursor = Array.make n 0 in
+  let name = names.(v) in
+  let expected =
+    match kinds.(v) with Input -> 0 | Output | Seq _ -> 1 | Gate _ -> arity
+  in
+  if !unknown then
+    Some (Printf.sprintf "node %S references an unknown fanin" name)
+  else if !from_output then
+    Some (Printf.sprintf "node %S uses a primary output as a fanin" name)
+  else if arity <> expected then
+    Some
+      (Printf.sprintf "node %S: expected %d fanins, got %d" name expected arity)
+  else
+    match kinds.(v) with
+    | Input | Output | Seq _ -> None
+    | Gate { fn; drive } ->
+      if drive < 1 then Some (Printf.sprintf "gate %S: drive < 1" name)
+      else if not (Cell_kind.valid_arity fn arity) then
+        Some
+          (Printf.sprintf "gate %S: %s cannot take %d inputs" name
+             (Cell_kind.name fn) arity)
+      else None
+
+(* Check every node in id order; the first defective node wins, and a
+   node's name is checked before the rest of it. With [Some table] the
+   names go into [table] on the way — the one name table a netlist
+   keeps, filled with one [replace] per name: a table that did not
+   grow means the name was already taken. [None] skips the name
+   check, for the names of a netlist already frozen. *)
+let validate_arrays table kinds names fanins =
+  let n = Array.length kinds in
+  let rec go v =
+    if v = n then Ok ()
+    else
+      let taken =
+        match table with
+        | None -> false
+        | Some by_name ->
+          Hashtbl.replace by_name names.(v) v;
+          Hashtbl.length by_name <> v + 1
+      in
+      if taken then Error (Printf.sprintf "duplicate node name %S" names.(v))
+      else
+        match node_defect kinds names fanins v with
+        | Some msg -> Error msg
+        | None -> go (v + 1)
+  in
+  go 0
+
+(* Fanouts as one flat row per node: [head] of length n+1 and the
+   fanout ids, each reader once per connected pin, ascending. *)
+let flat_fanouts fanins =
+  let n = Array.length fanins in
+  let head = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
-    Array.iter
-      (fun u ->
-        fanouts.(u).(cursor.(u)) <- v;
-        cursor.(u) <- cursor.(u) + 1)
-      fanins.(v)
+    let fi = fanins.(v) in
+    for i = 0 to Array.length fi - 1 do
+      head.(fi.(i) + 1) <- head.(fi.(i) + 1) + 1
+    done
   done;
-  let constrains u = is_comb_kind kinds.(u) in
+  for v = 0 to n - 1 do
+    head.(v + 1) <- head.(v + 1) + head.(v)
+  done;
+  let flat = Array.make (Int.max 1 head.(n)) 0 in
+  let cursor = Array.sub head 0 n in
+  for v = 0 to n - 1 do
+    let fi = fanins.(v) in
+    for i = 0 to Array.length fi - 1 do
+      let u = fi.(i) in
+      flat.(cursor.(u)) <- v;
+      cursor.(u) <- cursor.(u) + 1
+    done
+  done;
+  (head, flat)
+
+(* Kahn's order of the fanin relation with sequential elements and
+   primary inputs treated as sources: a node waits only on its
+   combinational (gate) fanins, so cycles through sequential elements
+   are legal. [order] doubles as the FIFO — a node is appended once,
+   when its last gate fanin is placed, and the queue is read in that
+   order. A purely combinational cycle leaves nodes unplaced: the
+   error is the smallest such id. *)
+let topo_order kinds fanins head flat =
+  let n = Array.length kinds in
   let indeg = Array.make n 0 in
   for v = 0 to n - 1 do
-    Array.iter (fun u -> if constrains u then indeg.(v) <- indeg.(v) + 1) fanins.(v)
+    let fi = fanins.(v) in
+    for i = 0 to Array.length fi - 1 do
+      if is_comb_kind kinds.(fi.(i)) then indeg.(v) <- indeg.(v) + 1
+    done
   done;
   let order = Array.make n 0 in
-  let pos = ref 0 in
-  let queue = Queue.create () in
+  let tail = ref 0 in
   for v = 0 to n - 1 do
-    if indeg.(v) = 0 then Queue.add v queue
-  done;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    order.(!pos) <- u;
-    incr pos;
-    if constrains u then
-      Array.iter
-        (fun v ->
-          indeg.(v) <- indeg.(v) - 1;
-          if indeg.(v) = 0 then Queue.add v queue)
-        fanouts.(u)
-  done;
-  if !pos <> n then begin
-    let bad = ref "" in
-    for v = n - 1 downto 0 do
-      if indeg.(v) > 0 then bad := names.(v)
-    done;
-    Error !bad
-  end
-  else Ok (order, fanouts)
-
-let validate_arrays kinds names fanins =
-  let n = Array.length kinds in
-  let seen = Hashtbl.create n in
-  let check v =
-    let name = names.(v) in
-    if Hashtbl.mem seen name then
-      Error (Printf.sprintf "duplicate node name %S" name)
-    else begin
-      Hashtbl.add seen name ();
-      let fi = fanins.(v) in
-      if Array.exists (fun u -> u < 0 || u >= n) fi then
-        Error (Printf.sprintf "node %S references an unknown fanin" name)
-      else if Array.exists (fun u -> kinds.(u) = Output) fi then
-        Error (Printf.sprintf "node %S uses a primary output as a fanin" name)
-      else
-        match (expected_arity kinds.(v), kinds.(v)) with
-        | Some a, _ when Array.length fi <> a ->
-          Error
-            (Printf.sprintf "node %S: expected %d fanins, got %d" name a
-               (Array.length fi))
-        | Some _, _ -> Ok ()
-        | None, Gate { fn; drive } ->
-          if drive < 1 then Error (Printf.sprintf "gate %S: drive < 1" name)
-          else if not (Cell_kind.valid_arity fn (Array.length fi)) then
-            Error
-              (Printf.sprintf "gate %S: %s cannot take %d inputs" name
-                 (Cell_kind.name fn) (Array.length fi))
-          else Ok ()
-        | None, (Input | Output | Seq _) -> assert false
+    if indeg.(v) = 0 then begin
+      order.(!tail) <- v;
+      incr tail
     end
-  in
-  let rec loop v =
-    if v = n then Ok ()
-    else match check v with Ok () -> loop (v + 1) | Error _ as e -> e
-  in
-  loop 0
+  done;
+  let next = ref 0 in
+  while !next < !tail do
+    let u = order.(!next) in
+    incr next;
+    if is_comb_kind kinds.(u) then
+      for p = head.(u) to head.(u + 1) - 1 do
+        let v = flat.(p) in
+        indeg.(v) <- indeg.(v) - 1;
+        if indeg.(v) = 0 then begin
+          order.(!tail) <- v;
+          incr tail
+        end
+      done
+  done;
+  if !tail = n then Ok order
+  else begin
+    let v = ref 0 in
+    while indeg.(!v) = 0 do
+      incr v
+    done;
+    Error !v
+  end
 
-let build_frozen net_name kinds names fanins =
-  (match validate_arrays kinds names fanins with
+(* The ids whose tag is [tag], ascending, or in the order of [order]
+   (a permutation of the ids). *)
+let with_tag ?order tags tag =
+  let n = Array.length tags in
+  let count = ref 0 in
+  for v = 0 to n - 1 do
+    if tags.(v) = tag then incr count
+  done;
+  let out = Array.make !count 0 and k = ref 0 in
+  for i = 0 to n - 1 do
+    let v = match order with Some o -> o.(i) | None -> i in
+    if tags.(v) = tag then begin
+      out.(!k) <- v;
+      incr k
+    end
+  done;
+  out
+
+(* [by_name]: the name table of a frozen netlist with these same
+   names; without it the names are validated into a fresh one. *)
+let build_frozen ?by_name net_name kinds names fanins =
+  let n = Array.length kinds in
+  let by_name, fresh =
+    match by_name with
+    | Some table -> (table, None)
+    | None ->
+      let table = Hashtbl.create n in
+      (table, Some table)
+  in
+  (match validate_arrays fresh kinds names fanins with
   | Ok () -> ()
   | Error msg -> failwith ("Netlist: " ^ msg));
-  match topo_sort kinds fanins names with
-  | Error node ->
-    failwith (Printf.sprintf "Netlist: combinational cycle through %S" node)
-  | Ok (topo, fanouts) ->
-    let n = Array.length kinds in
-    let by_name = Hashtbl.create n in
-    Array.iteri (fun v name -> Hashtbl.replace by_name name v) names;
-    let collect pred =
-      let acc = ref [] in
-      for v = n - 1 downto 0 do
-        if pred kinds.(v) then acc := v :: !acc
-      done;
-      Array.of_list !acc
-    in
-    let inputs = collect (fun k -> k = Input) in
-    let outputs = collect (fun k -> k = Output) in
-    let seqs = collect (fun k -> match k with Seq _ -> true | _ -> false) in
-    let gates =
-      Array.of_seq
-        (Seq.filter (fun v -> is_comb_kind kinds.(v)) (Array.to_seq topo))
-    in
-    { name = net_name; kinds; names; fanins; fanouts; by_name; topo; inputs;
-      outputs; seqs; gates; compact = Compact.build kinds fanins fanouts topo }
+  let fanout_head, fanout = flat_fanouts fanins in
+  match topo_order kinds fanins fanout_head fanout with
+  | Error v ->
+    failwith
+      (Printf.sprintf "Netlist: combinational cycle through %S" names.(v))
+  | Ok topo ->
+    let fanouts = Array.make n [||] in
+    for v = 0 to n - 1 do
+      let lo = fanout_head.(v) in
+      fanouts.(v) <- Array.sub fanout lo (fanout_head.(v + 1) - lo)
+    done;
+    let compact = Compact.make kinds fanins ~fanout_head ~fanout topo in
+    let tags = compact.Compact.tags in
+    { name = net_name; kinds; names; fanins; fanouts; by_name; topo;
+      inputs = with_tag tags Compact.tag_input;
+      outputs = with_tag tags Compact.tag_output;
+      seqs = with_tag tags Compact.tag_seq;
+      gates = with_tag ~order:topo tags Compact.tag_gate; compact }
 
 (* ------------------------------------------------------------------ *)
 (* Builder                                                             *)
 (* ------------------------------------------------------------------ *)
 
 module Builder = struct
-  type pending = {
-    b_kind : kind;
-    b_name : string;
-    mutable b_fanins : int list option;
+  (* Node [v] is entry [v] of each array, for [v < count]; the arrays
+     grow by doubling. *)
+  type builder = {
+    net_name : string;
+    mutable count : int;
+    mutable kinds : kind array;
+    mutable names : string array;
+    mutable fanins : int array array; (* [unset] until connected *)
   }
 
-  type builder = { net_name : string; nodes : pending Vec.t }
+  (* The fanins of a deferred node: private, so no caller can pass it
+     to [connect]. *)
+  let unset = [| -1 |]
 
-  let create ?(name = "netlist") () = { net_name = name; nodes = Vec.create () }
+  let create ?(name = "netlist") () =
+    { net_name = name; count = 0; kinds = [||]; names = [||]; fanins = [||] }
+
+  let grow t =
+    let cap = Int.max 16 (2 * t.count) in
+    let extend a fill =
+      let a' = Array.make cap fill in
+      Array.blit a 0 a' 0 t.count;
+      a'
+    in
+    t.kinds <- extend t.kinds Input;
+    t.names <- extend t.names "";
+    t.fanins <- extend t.fanins unset
 
   let add t kind name fanins =
-    let id = Vec.length t.nodes in
-    Vec.add_last t.nodes { b_kind = kind; b_name = name; b_fanins = fanins };
+    let id = t.count in
+    if id = Array.length t.kinds then grow t;
+    t.kinds.(id) <- kind;
+    t.names.(id) <- name;
+    t.fanins.(id) <- fanins;
+    t.count <- id + 1;
     id
 
-  let add_input t name = add t Input name (Some [])
-  let add_output t name ~fanin = add t Output name (Some [ fanin ])
+  let add_input t name = add t Input name [||]
+  let add_output t name ~fanin = add t Output name [| fanin |]
 
   let add_gate t name ~fn ?(drive = 1) ~fanins () =
-    add t (Gate { fn; drive }) name (Some fanins)
+    add t (Gate { fn; drive }) name fanins
 
-  let add_seq t name ~role ~fanin = add t (Seq role) name (Some [ fanin ])
+  let add_seq t name ~role ~fanin = add t (Seq role) name [| fanin |]
 
   let add_gate_deferred t name ~fn ?(drive = 1) () =
-    add t (Gate { fn; drive }) name None
+    add t (Gate { fn; drive }) name unset
 
-  let add_seq_deferred t name ~role = add t (Seq role) name None
-  let add_output_deferred t name = add t Output name None
-  let copy t net v = add t net.kinds.(v) net.names.(v) None
+  let add_seq_deferred t name ~role = add t (Seq role) name unset
+  let add_output_deferred t name = add t Output name unset
+  let copy b (net : t) v = add b net.kinds.(v) net.names.(v) unset
 
   let connect t id ~fanins =
-    let p = Vec.get t.nodes id in
-    match p.b_fanins with
-    | Some _ -> invalid_arg "Netlist.Builder.connect: node already connected"
-    | None -> p.b_fanins <- Some fanins
+    if id < 0 || id >= t.count then
+      invalid_arg "Netlist.Builder.connect: unknown node";
+    if t.fanins.(id) != unset then
+      invalid_arg "Netlist.Builder.connect: node already connected";
+    t.fanins.(id) <- fanins
 
-  let node_count t = Vec.length t.nodes
+  let node_count t = t.count
 
   let freeze t =
-    let n = Vec.length t.nodes in
-    let kinds = Array.make n Input in
-    let names = Array.make n "" in
-    let fanins = Array.make n [||] in
+    let n = t.count in
+    let fanins = Array.sub t.fanins 0 n in
     for v = 0 to n - 1 do
-      let p = Vec.get t.nodes v in
-      kinds.(v) <- p.b_kind;
-      names.(v) <- p.b_name;
-      match p.b_fanins with
-      | None ->
+      if fanins.(v) == unset then
         failwith
           (Printf.sprintf "Netlist: deferred node %S was never connected"
-             p.b_name)
-      | Some fi -> fanins.(v) <- Array.of_list fi
+             t.names.(v))
     done;
-    build_frozen t.net_name kinds names fanins
+    build_frozen t.net_name (Array.sub t.kinds 0 n) (Array.sub t.names 0 n)
+      fanins
 
   type t = builder
 end
@@ -344,11 +424,16 @@ let comb_depth t =
   !best
 
 let validate t =
-  match validate_arrays t.kinds t.names t.fanins with
+  match
+    validate_arrays
+      (Some (Hashtbl.create (node_count t)))
+      t.kinds t.names t.fanins
+  with
   | Error _ as e -> e
   | Ok () -> (
-    match topo_sort t.kinds t.fanins t.names with
-    | Error node -> Error (Printf.sprintf "combinational cycle through %S" node)
+    let head, flat = flat_fanouts t.fanins in
+    match topo_order t.kinds t.fanins head flat with
+    | Error v -> Error (Printf.sprintf "combinational cycle through %S" t.names.(v))
     | Ok _ -> Ok ())
 
 (* ------------------------------------------------------------------ *)
@@ -367,11 +452,12 @@ let with_drive t v d =
   { t with kinds }
 
 (* Every node keeps its id, name and kind; only the listed fanins
-   change, so the arrays go straight back through [build_frozen]. *)
+   change, so the arrays go straight back through [build_frozen] and
+   the name table is shared. *)
 let with_fanins t changes =
   let fanins = Array.copy t.fanins in
   List.iter (fun (v, fi) -> fanins.(v) <- Array.copy fi) changes;
-  build_frozen t.name t.kinds t.names fanins
+  build_frozen ~by_name:t.by_name t.name t.kinds t.names fanins
 
 let pp_summary ppf t =
   Format.fprintf ppf "%s: %d pi, %d po, %d gates, %d seq, depth %d" t.name

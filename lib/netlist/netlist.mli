@@ -82,10 +82,6 @@ module Compact : sig
 
   val topo : t -> int array
   (** The owning netlist's {!topo_comb}, shared (do not mutate). *)
-
-  val build :
-    kind array -> int array array -> int array array -> int array -> t
-  (** Exposed for tests; normal code gets the view via [compact]. *)
 end
 
 val compact : t -> Compact.t
@@ -93,6 +89,11 @@ val compact : t -> Compact.t
 
 (** {1 Construction} *)
 
+(** Nodes are added with their fanins as [int array]s in pin order.
+    The builder keeps each array as it is handed over (it is not
+    copied), and the frozen netlist returns it from {!fanins}: do not
+    mutate an array once it is passed in. A rebuild may hand over
+    [fanins net v] itself when a node keeps its wiring. *)
 module Builder : sig
   type netlist := t
   type t
@@ -104,7 +105,7 @@ module Builder : sig
 
   val add_output : t -> string -> fanin:int -> int
   val add_gate :
-    t -> string -> fn:Cell_kind.t -> ?drive:int -> fanins:int list -> unit -> int
+    t -> string -> fn:Cell_kind.t -> ?drive:int -> fanins:int array -> unit -> int
   val add_seq : t -> string -> role:seq_role -> fanin:int -> int
 
   val add_gate_deferred :
@@ -117,10 +118,10 @@ module Builder : sig
 
   val copy : t -> netlist -> int -> int
   (** [copy b net v] adds a node with [v]'s name and kind whose fanins
-      are supplied later with {!connect} ([[]] for an input): the one
+      are supplied later with {!connect} ([[||]] for an input): the one
       way a rebuild carries a node of [net] over. *)
 
-  val connect : t -> int -> fanins:int list -> unit
+  val connect : t -> int -> fanins:int array -> unit
   (** Set the fanins of a deferred node. Raises [Invalid_argument] if
       the node already has fanins. *)
 
@@ -128,8 +129,10 @@ module Builder : sig
 
   val freeze : t -> netlist
   (** Validate and seal. Raises [Failure] describing the defect when
-      the netlist is malformed: dangling deferred fanins, bad arities,
-      combinational cycles, outputs/seqs without a driver. *)
+      the netlist is malformed: dangling deferred fanins, duplicate
+      names, bad arities, combinational cycles, outputs/seqs without a
+      driver. Each name is hashed once, into the table {!find} reads;
+      the first defective node in id order is the one reported. *)
 end
 
 (** {1 Accessors} *)
@@ -204,7 +207,8 @@ val with_fanins : t -> (int * int array) list -> t
     name and kind, so arrays indexed by node id stay valid; fanouts,
     topological order and the compact view are recomputed. Validated
     like {!Builder.freeze}: raises [Failure] on a bad arity, a dangling
-    or output fanin, or a combinational cycle. *)
+    or output fanin, or a combinational cycle. The names are unchanged,
+    so the name table is shared, not rebuilt. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One-line "name: #pi #po #gate #seq depth" summary. *)

@@ -12,34 +12,41 @@ let extract_comb net =
     | Netlist.Seq Netlist.Slave -> driver (Netlist.fanins net v).(0)
     | _ -> v
   in
+  let n = Netlist.node_count net in
   let b = B.create ~name:(Netlist.name net ^ "$comb") () in
-  let repr = Array.make (Netlist.node_count net) (-1) in
+  (* [repr.(v)]: the node reading [v]'s output; [wire.(v)]: the node
+     taking [v]'s fanins (a latch's D-side sink), -1 for a bypassed
+     slave. *)
+  let repr = Array.make n (-1) and wire = Array.make n (-1) in
   (* [orig] holds the original node of each new id, in id order. *)
-  let orig = Vec.create () and wire = ref [] in
+  let orig = Vec.create () in
   let add v id =
     Vec.add_last orig v;
     id
   in
-  for v = 0 to Netlist.node_count net - 1 do
+  for v = 0 to n - 1 do
     match Netlist.kind net v with
     | Netlist.Seq Netlist.Slave -> () (* bypassed *)
     | Netlist.Seq (Netlist.Master | Netlist.Flop) ->
       (* Q side: a fresh source. D side: a fresh sink, wired in pass 2. *)
       let name = Netlist.node_name net v in
       repr.(v) <- add v (B.add_input b (name ^ "$q"));
-      wire := (add v (B.add_output_deferred b (name ^ "$d")), v) :: !wire
+      wire.(v) <- add v (B.add_output_deferred b (name ^ "$d"))
     | Netlist.Input | Netlist.Gate _ | Netlist.Output ->
       let id = add v (B.copy b net v) in
       repr.(v) <- id;
-      wire := (id, v) :: !wire
+      wire.(v) <- id
   done;
-  List.iter
-    (fun (id, v) ->
-      B.connect b id
-        ~fanins:
-          (Array.to_list
-             (Array.map (fun u -> repr.(driver u)) (Netlist.fanins net v))))
-    !wire;
+  for v = 0 to n - 1 do
+    if wire.(v) >= 0 then begin
+      let fi = Netlist.fanins net v in
+      let fanins = Array.make (Array.length fi) 0 in
+      for i = 0 to Array.length fi - 1 do
+        fanins.(i) <- repr.(driver fi.(i))
+      done;
+      B.connect b wire.(v) ~fanins
+    end
+  done;
   { comb = B.freeze b; orig = Vec.to_array orig }
 
 module Edit = struct
@@ -242,8 +249,10 @@ type placement = { after : int; latched : (int * int) list }
 let apply_retiming cc placements =
   let net = cc.comb in
   let n = Netlist.node_count net in
-  (* For each (node, pin), the placement index that captures it, if any. *)
-  let capture = Hashtbl.create 64 in
+  let c = Netlist.compact net in
+  (* For each flat pin position, the placement index that captures it,
+     or -1. *)
+  let capture = Array.make (Int.max 1 c.Netlist.Compact.fanin_head.(n)) (-1) in
   List.iteri
     (fun i p ->
       List.iter
@@ -257,9 +266,10 @@ let apply_retiming cc placements =
                  "Transform.apply_retiming: pin %d of %s is not driven by %s"
                  pin (Netlist.node_name net v)
                  (Netlist.node_name net p.after));
-          if Hashtbl.mem capture (v, pin) then
+          let at = Netlist.Compact.fanin_lo c v + pin in
+          if capture.(at) >= 0 then
             invalid_arg "Transform.apply_retiming: pin latched twice";
-          Hashtbl.add capture (v, pin) i)
+          capture.(at) <- i)
         p.latched)
     placements;
   (* Every comb node is copied first, so it keeps its id; the slaves,
@@ -280,14 +290,22 @@ let apply_retiming cc placements =
            B.add_seq b name ~role:Netlist.Slave ~fanin:p.after)
          placements)
   in
+  (* A node with no latched pin keeps its fanin array as it is. *)
   for v = 0 to n - 1 do
-    B.connect b v
-      ~fanins:
-        (List.mapi
-           (fun pin u ->
-             match Hashtbl.find_opt capture (v, pin) with
-             | Some i -> slave.(i)
-             | None -> u)
-           (Array.to_list (Netlist.fanins net v)))
+    let fi = Netlist.fanins net v and lo = Netlist.Compact.fanin_lo c v in
+    let latched = ref false in
+    for pin = 0 to Array.length fi - 1 do
+      if capture.(lo + pin) >= 0 then latched := true
+    done;
+    let fanins =
+      if not !latched then fi
+      else
+        Array.mapi
+          (fun pin u ->
+            let i = capture.(lo + pin) in
+            if i >= 0 then slave.(i) else u)
+          fi
+    in
+    B.connect b v ~fanins
   done;
   B.freeze b

@@ -373,25 +373,13 @@ let parse_text text =
                 (List.rev !instances);
               List.iter
                 (fun (target, ins) ->
-                  let resolved =
-                    List.map
-                      (fun s ->
-                        match Hashtbl.find_opt ids s with
-                        | Some id -> Ok id
-                        | None -> Error (Printf.sprintf "undriven signal %S" s))
-                      ins
-                  in
-                  let rec seq = function
-                    | [] -> Ok []
-                    | Ok x :: rest -> Result.map (fun l -> x :: l) (seq rest)
-                    | Error e :: _ -> Error e
-                  in
-                  match seq resolved with
-                  | Error e -> errors := e :: !errors
-                  | Ok fanins -> (
+                  match List.find_opt (fun s -> not (Hashtbl.mem ids s)) ins with
+                  | Some s ->
+                    errors := Printf.sprintf "undriven signal %S" s :: !errors
+                  | None -> (
+                    let fanins = Array.of_list (List.map (Hashtbl.find ids) ins) in
                     match target with
-                    | `Node id -> B.connect b id ~fanins
-                    | `Out id -> B.connect b id ~fanins))
+                    | `Node id | `Out id -> B.connect b id ~fanins))
                 (List.rev !pending);
               match !errors with
               | e :: _ -> Error (Diag.make e)

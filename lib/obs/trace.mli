@@ -9,11 +9,12 @@
     the solver kernels permanently (the bench smoke job bounds the
     armed cost at [trace_overhead_max_ratio]).
 
-    Span taxonomy (DESIGN.md §10): [engine/*] (one per
-    {!Rar_engine.run} / prepare), [difflp/solve], [solver/*]
-    (network-simplex, ssp, spfa, closure), [sta/*] (analyse,
-    backward_all), [wd/build], [classic/*] (of_netlist, feas,
-    realize), [sim/error_rate], [pool/batch]. *)
+    Span taxonomy (DESIGN.md §10): [bench_io/parse] (one
+    [Bench_io.parse_diag]), [suite/prepare] (one [Suite.prepare]),
+    [engine/*] (one per {!Rar_engine.run} / prepare), [difflp/solve],
+    [solver/*] (network-simplex, ssp, spfa, closure), [sta/*]
+    (analyse, backward_all), [wd/build], [classic/*] (of_netlist,
+    feas, realize), [sim/error_rate], [pool/batch]. *)
 
 type phase = Begin | End
 

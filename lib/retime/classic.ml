@@ -330,7 +330,7 @@ let realize g r =
   Hashtbl.iter
     (fun phys (nodes : int array) ->
       for k = 1 to Array.length nodes - 1 do
-        B.connect b nodes.(k) ~fanins:[ nodes.(k - 1) ]
+        B.connect b nodes.(k) ~fanins:[| nodes.(k - 1) |]
       done;
       ignore phys)
     chains;
@@ -348,38 +348,37 @@ let realize g r =
   List.iter
     (fun (id, v) ->
       let fanins =
-        Array.to_list
-          (Array.mapi
-             (fun pin orig ->
-               match Hashtbl.find_opt pin_driver (v, pin) with
-               | Some d -> d
-               | None ->
-                 (* Self-loop connection (v feeds itself through
-                    registers): retiming never changes a cycle's
-                    register count, so rebuild the original chain
-                    privately. *)
-                 let rec depth x acc =
-                   match Netlist.kind net x with
-                   | Netlist.Seq Netlist.Flop ->
-                     depth (Netlist.fanins net x).(0) (acc + 1)
-                   | _ -> acc
-                 in
-                 let k = depth orig 0 in
-                 if k = 0 then fresh.(orig)
-                 else begin
-                   let rec chain_from node i =
-                     if i = 0 then node
-                     else
-                       chain_from
-                         (B.add_seq b
-                            (Printf.sprintf "%s$sl%d_%d"
-                               (Netlist.node_name net v) pin i)
-                            ~role:Netlist.Flop ~fanin:node)
-                         (i - 1)
-                   in
-                   chain_from fresh.(v) k
-                 end)
-             (Netlist.fanins net v))
+        Array.mapi
+          (fun pin orig ->
+            match Hashtbl.find_opt pin_driver (v, pin) with
+            | Some d -> d
+            | None ->
+              (* Self-loop connection (v feeds itself through
+                 registers): retiming never changes a cycle's
+                 register count, so rebuild the original chain
+                 privately. *)
+              let rec depth x acc =
+                match Netlist.kind net x with
+                | Netlist.Seq Netlist.Flop ->
+                  depth (Netlist.fanins net x).(0) (acc + 1)
+                | _ -> acc
+              in
+              let k = depth orig 0 in
+              if k = 0 then fresh.(orig)
+              else begin
+                let rec chain_from node i =
+                  if i = 0 then node
+                  else
+                    chain_from
+                      (B.add_seq b
+                         (Printf.sprintf "%s$sl%d_%d"
+                            (Netlist.node_name net v) pin i)
+                         ~role:Netlist.Flop ~fanin:node)
+                      (i - 1)
+                in
+                chain_from fresh.(v) k
+              end)
+          (Netlist.fanins net v)
       in
       B.connect b id ~fanins)
     !deferred;

@@ -137,7 +137,7 @@ let optimize ~lib net =
               B.add_gate b
                 (Printf.sprintf "%s$t%d" (Netlist.node_name net v) !counter)
                 ~fn:(internal_kind fn) ~drive
-                ~fanins:(List.rev !picked) ()
+                ~fanins:(Array.of_list (List.rev !picked)) ()
             in
             Heap.add heap (!worst +. merge_delay) g;
             reduce ()
@@ -153,10 +153,9 @@ let optimize ~lib net =
           | None -> ()
         in
         drain ();
-        B.connect b id ~fanins:(List.rev !rest)
+        B.connect b id ~fanins:(Array.of_list (List.rev !rest))
       | Netlist.Gate _ | Netlist.Input | Netlist.Output | Netlist.Seq _ ->
-        B.connect b id
-          ~fanins:(Array.to_list (Array.map (fun u -> fresh.(u)) fanins)))
+        B.connect b id ~fanins:(Array.map (fun u -> fresh.(u)) fanins))
     !deferred;
   ( B.freeze b,
     {

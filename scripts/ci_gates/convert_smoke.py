@@ -19,6 +19,11 @@ For each circuit in CIRCUITS:
 One circuit additionally runs the --phases 3 decomposition and retimes
 the .conv3 form under the three-phase resiliency clocking.
 
+One leg feeds a large text through the ".bench" parser: `rar generate
+-g 20000` writes a file, `rar convert --bench FILE` converts it under
+--jobs 1/2/4 (with a LARGE_CHECK-cycle equivalence check at one job),
+and the three outputs must be byte-identical.
+
 Run as the convert-smoke step of the build-and-test CI job. Requires bin/rar_cli.exe to be built
 (RAR_EXE overrides the path).
 """
@@ -33,6 +38,8 @@ EXE = os.environ.get("RAR_EXE", "_build/default/bin/rar_cli.exe")
 CIRCUITS = ["s1196", "s1423", "s5378"]
 CHECK_VECTORS = int(os.environ.get("RAR_CONVERT_CHECK", "256"))
 THREE_PHASE_CIRCUIT = "s1196"
+LARGE_GATES = 20000
+LARGE_CHECK = 64
 
 
 def run(*args, check=True):
@@ -77,6 +84,27 @@ def convert_deterministic(tmp, circuit, phases):
     return blobs[1]
 
 
+def convert_bench_file(tmp):
+    """Generate a large .bench file and convert it from text under
+    several pool sizes; return the identical bytes."""
+    src = os.path.join(tmp, f"gen{LARGE_GATES}.bench")
+    run("generate", "-g", str(LARGE_GATES), src)
+    blobs = {}
+    for jobs in (1, 2, 4):
+        out = os.path.join(tmp, f"gen{LARGE_GATES}.j{jobs}.bench")
+        args = ["convert", "--bench", src, "--jobs", str(jobs), "-o", out]
+        if jobs == 1:
+            args += ["--check", str(LARGE_CHECK)]
+        r = run(*args)
+        if jobs == 1:
+            assert f"equivalence: {LARGE_CHECK} cycles" in r.stdout, r.stdout
+        blobs[jobs] = open(out, "rb").read()
+    assert blobs[1] == blobs[2] == blobs[4], (
+        f"gen{LARGE_GATES}: conversion bytes differ across --jobs 1/2/4")
+    assert blobs[1], f"gen{LARGE_GATES}: empty conversion output"
+    return blobs[1]
+
+
 def main():
     if not os.path.exists(EXE):
         raise SystemExit(f"{EXE} not built; run `dune build bin/rar_cli.exe`")
@@ -107,6 +135,10 @@ def main():
         o = gate_outcome(json.loads(r.stdout), f"{circuit}.conv3", "grar")
         print(f"{circuit}.conv3: grar slaves={o['n_slaves']} "
               f"masters={o['n_masters']} edl={o['ed_count']}")
+
+        blob = convert_bench_file(tmp)
+        print(f"gen{LARGE_GATES}.bench: {len(blob)} bytes, identical across "
+              f"--jobs 1/2/4, {LARGE_CHECK}-cycle equivalence")
     print("convert smoke: all gates passed")
 
 

@@ -3,8 +3,9 @@
 
 Validates the metrics object embedded in a rar-run/1 document (counter
 presence and non-zero hot-path counters) and the rar-trace/1 Chrome
-trace: balanced B/E spans per tid, monotonic timestamps, and the
-engine -> LP build/solver -> STA nesting on the driving domain.
+trace: balanced B/E spans per tid, monotonic timestamps, a
+suite/prepare span, and the engine -> LP build/solver -> STA nesting
+on the driving domain.
 
 Usage: trace_gate.py RUN_TRACED_JSON TRACE_JSON
 """
@@ -55,6 +56,9 @@ def gate_trace(path):
     assert any(n.startswith("engine/") for n in names), names
     assert "difflp/solve" in names, names
     assert "rgraph/build" in names, names
+    # the front end: benchmark preparation (split, comb extraction,
+    # clock derivation) runs under its own span
+    assert "suite/prepare" in names, names
     assert any(n.startswith("solver/") for n in names), names
     assert any(n.startswith("sta/") for n in names), names
     # LP build and solver spans must always nest inside an engine

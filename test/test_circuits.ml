@@ -203,6 +203,91 @@ let test_suite_digests_small () =
 let test_suite_digests_large () =
   check_digests [ ("s5378", "b474786924a1e211f18de0fe0bf8eeeb") ]
 
+(* MD5 over what [Netlist.digest] leaves out but STA, stage
+   classification and the simulator iterate: the combinational order,
+   fanout order, the kind-sorted id arrays and the compact view. *)
+let arrays_digest net =
+  let b = Buffer.create 4096 in
+  let ints tag a =
+    Buffer.add_string b tag;
+    Array.iter
+      (fun x ->
+        Buffer.add_string b (string_of_int x);
+        Buffer.add_char b ',')
+      a;
+    Buffer.add_char b ';'
+  in
+  ints "topo" (Netlist.topo_comb net);
+  for v = 0 to Netlist.node_count net - 1 do
+    ints "fo" (Netlist.fanouts net v)
+  done;
+  ints "in" (Netlist.inputs net);
+  ints "out" (Netlist.outputs net);
+  ints "seq" (Netlist.seqs net);
+  ints "gate" (Netlist.gates net);
+  let c = Netlist.compact net in
+  ints "tags" c.Netlist.Compact.tags;
+  ints "fih" c.Netlist.Compact.fanin_head;
+  ints "fi" c.Netlist.Compact.fanin;
+  ints "foh" c.Netlist.Compact.fanout_head;
+  ints "fout" c.Netlist.Compact.fanout;
+  ints "ctopo" c.Netlist.Compact.topo;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_suite_arrays_pinned () =
+  List.iter
+    (fun (name, flop_hex, two_hex, comb_hex) ->
+      let flop =
+        if name = "plasma" then Plasma.generate ()
+        else Generator.generate (Option.get (Spec.find name))
+      in
+      let two = Rar_netlist.Convert.split Rar_netlist.Convert.Two flop in
+      let comb = (Rar_netlist.Transform.extract_comb two).Rar_netlist.Transform.comb in
+      Alcotest.(check string) (name ^ " flop arrays") flop_hex (arrays_digest flop);
+      Alcotest.(check string) (name ^ " two-phase arrays") two_hex
+        (arrays_digest two);
+      Alcotest.(check string) (name ^ " comb arrays") comb_hex
+        (arrays_digest comb))
+    [
+      ("s1196", "44ab21e8f774946d0821071d1ae22f82",
+       "c3ea89c3d9c88e5a55b23c63b99854e6", "a36700b005e13b9cec6429de77856cfb");
+      ("s1238", "2d5e13154aad881723fef50fb6905674",
+       "549c6d020df42fe9825bf22fdc741dd2", "cb48cd7431d80bb31b7c9b084661e9d1");
+      ("s1423", "513673e52716b618d15b9b714fa3fb65",
+       "b6585b17ee12a3d748e2a91310748280", "2d78a0b8ebdf724412b5688133453742");
+      ("s1488", "7d3f2ed0a069246ee4e3bcf7ba8bd1c3",
+       "adc8bb0ec8621271a3a388f3839a8923", "e997a237be18256729c5813cb9b5e29c");
+      ("s5378", "95f596fe86a64a58f2cd0c07383f0a68",
+       "7166cd3f51e8125b390b4cc9c76f16d2", "f9d0714e3b4c94286b33f129a45be8c5");
+      ("s9234", "040ff5fd4fb76e6526151c32ecbb2c8c",
+       "2341867a3ce80545502ba43bce141b43", "bb2a66647bc04bc368ae5941dd7b2307");
+      ("s13207", "4aa2dba3597a0b9e1ade7b6eb24b3099",
+       "b60632b1387d06d41484283919fe31c6", "f7ecebf3822320639b9a66ac3598e29a");
+      ("s15850", "079dd1273bd08bea552d9db56cd2295d",
+       "5f06a22db83ce9586aa9dd1c73d15ccf", "b16bb38f5d0e7c7309b127b11a1be099");
+      ("s35932", "0d4b7238d8c48d16df3aa3e764052d37",
+       "b17b0a856dfa263f5ae41e0fa0efd5cb", "4e7f061af339c7669c51d5e52ed2df1e");
+      ("s38417", "110f2ff720349ba667291604c4277de8",
+       "0cddfa26915e7c89daa3ec3ac6f41942", "f8d59a40df0c3785a34c08cf8b05e7e6");
+      ("s38584", "b0562a17d608f1a905c9dc484cba08a6",
+       "e6144db3da63bf5c042df7e83c41be71", "9d1c4506d794148752b309c82592033a");
+      ("plasma", "51f59a9a14e62a190dc169d381ffb2d0",
+       "da22a6069ff4bdcdb8e0e8d6ec87f953", "176f22a8b7202bf9298246c1b13bd0f2");
+    ];
+  (* A retimed stage: G-RAR's slaves appended after the comb ids. *)
+  match Rar_engine.load_and_run (Rar_engine.config ~c:1.0 Rar_engine.Grar) "s1196" with
+  | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
+  | Ok r ->
+    let staged =
+      Rar_netlist.Transform.apply_retiming
+        (Rar_retime.Stage.cc r.Rar_engine.stage)
+        r.Rar_engine.outcome.Rar_retime.Outcome.placements
+    in
+    Alcotest.(check string) "retimed s1196 digest"
+      "13054fff67f0fc5df1f41f9630addfc5" (Netlist.digest staged);
+    Alcotest.(check string) "retimed s1196 arrays"
+      "c682a69d236a141566d5ff4b809c8a2f" (arrays_digest staged)
+
 let suite =
   [
     Alcotest.test_case "specs well-formed" `Quick test_specs_well_formed;
@@ -223,4 +308,6 @@ let suite =
       test_suite_digests_small;
     Alcotest.test_case "suite digests pinned (s5378)" `Quick
       test_suite_digests_large;
+    Alcotest.test_case "suite netlist arrays pinned" `Quick
+      test_suite_arrays_pinned;
   ]

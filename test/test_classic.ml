@@ -24,14 +24,14 @@ let correlator () =
   let b = B.create ~name:"correlator" () in
   let pi = B.add_input b "x" in
   let f0 = B.add_seq b "f0" ~role:Netlist.Flop ~fanin:pi in
-  let d1 = B.add_gate b "d1" ~fn:Cell_kind.Buf ~fanins:[ f0 ] () in
+  let d1 = B.add_gate b "d1" ~fn:Cell_kind.Buf ~fanins:[| f0 |] () in
   let f1 = B.add_seq b "f1" ~role:Netlist.Flop ~fanin:d1 in
-  let d2 = B.add_gate b "d2" ~fn:Cell_kind.Buf ~fanins:[ f1 ] () in
+  let d2 = B.add_gate b "d2" ~fn:Cell_kind.Buf ~fanins:[| f1 |] () in
   let f2 = B.add_seq b "f2" ~role:Netlist.Flop ~fanin:d2 in
-  let d3 = B.add_gate b "d3" ~fn:Cell_kind.Buf ~fanins:[ f2 ] () in
-  let a3 = B.add_gate b "a3" ~fn:Cell_kind.And ~fanins:[ d3; d3 ] () in
-  let a2 = B.add_gate b "a2" ~fn:Cell_kind.And ~fanins:[ d2; a3 ] () in
-  let a1 = B.add_gate b "a1" ~fn:Cell_kind.And ~fanins:[ d1; a2 ] () in
+  let d3 = B.add_gate b "d3" ~fn:Cell_kind.Buf ~fanins:[| f2 |] () in
+  let a3 = B.add_gate b "a3" ~fn:Cell_kind.And ~fanins:[| d3; d3 |] () in
+  let a2 = B.add_gate b "a2" ~fn:Cell_kind.And ~fanins:[| d2; a3 |] () in
+  let a1 = B.add_gate b "a1" ~fn:Cell_kind.And ~fanins:[| d1; a2 |] () in
   let _ = B.add_output b "y" ~fanin:a1 in
   B.freeze b
 
@@ -80,7 +80,7 @@ let test_zero_cycle_rejected () =
      environment registers *)
   let b = B.create ~name:"comb" () in
   let pi = B.add_input b "a" in
-  let g = B.add_gate b "g" ~fn:Cell_kind.Buf ~fanins:[ pi ] () in
+  let g = B.add_gate b "g" ~fn:Cell_kind.Buf ~fanins:[| pi |] () in
   let _ = B.add_output b "y" ~fanin:g in
   let net = B.freeze b in
   (match Classic.of_netlist ~lib net with

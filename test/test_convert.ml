@@ -158,8 +158,8 @@ let test_detects_mismatch () =
     let a = B.add_input b "a" in
     let g = B.add_gate_deferred b "g" ~fn () in
     let o = B.add_output_deferred b "o" in
-    B.connect b g ~fanins:[ a ];
-    B.connect b o ~fanins:[ g ];
+    B.connect b g ~fanins:[| a |];
+    B.connect b o ~fanins:[| g |];
     B.freeze b
   in
   match
@@ -178,8 +178,8 @@ let test_cycle_semantics () =
   let a = B.add_input b "a" in
   let f = B.add_seq_deferred b "f" ~role:Netlist.Flop in
   let o = B.add_output_deferred b "o" in
-  B.connect b f ~fanins:[ a ];
-  B.connect b o ~fanins:[ f ];
+  B.connect b f ~fanins:[| a |];
+  B.connect b o ~fanins:[| f |];
   let net = B.freeze b in
   let vectors = [| [| true |]; [| false |]; [| true |]; [| true |] |] in
   let rows = Cycle.run net ~vectors in

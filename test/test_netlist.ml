@@ -13,9 +13,9 @@ module B = Netlist.Builder
 let small_seq () =
   let b = B.create ~name:"small" () in
   let pi = B.add_input b "pi" in
-  let g1 = B.add_gate b "g1" ~fn:Cell_kind.Inv ~fanins:[ pi ] () in
+  let g1 = B.add_gate b "g1" ~fn:Cell_kind.Inv ~fanins:[| pi |] () in
   let ff = B.add_seq b "ff" ~role:Netlist.Flop ~fanin:g1 in
-  let g2 = B.add_gate b "g2" ~fn:Cell_kind.Nand ~fanins:[ pi; ff ] () in
+  let g2 = B.add_gate b "g2" ~fn:Cell_kind.Nand ~fanins:[| pi; ff |] () in
   let _po = B.add_output b "po" ~fanin:g2 in
   B.freeze b
 
@@ -34,8 +34,8 @@ let test_builder_basic () =
 let test_comb_cycle_rejected () =
   let b = B.create () in
   let g1 = B.add_gate_deferred b "g1" ~fn:Cell_kind.Inv () in
-  let g2 = B.add_gate b "g2" ~fn:Cell_kind.Inv ~fanins:[ g1 ] () in
-  B.connect b g1 ~fanins:[ g2 ];
+  let g2 = B.add_gate b "g2" ~fn:Cell_kind.Inv ~fanins:[| g1 |] () in
+  B.connect b g1 ~fanins:[| g2 |];
   match B.freeze b with
   | exception Failure msg ->
     Alcotest.(check bool) "mentions cycle" true
@@ -49,7 +49,7 @@ let test_seq_cycle_accepted () =
   let b = B.create () in
   let g1 = B.add_gate_deferred b "g1" ~fn:Cell_kind.Inv () in
   let ff = B.add_seq b "ff" ~role:Netlist.Flop ~fanin:g1 in
-  B.connect b g1 ~fanins:[ ff ];
+  B.connect b g1 ~fanins:[| ff |];
   let net = B.freeze b in
   Alcotest.(check int) "nodes" 2 (Netlist.node_count net)
 
@@ -64,7 +64,7 @@ let test_duplicate_names_rejected () =
 let test_arity_checked () =
   let b = B.create () in
   let pi = B.add_input b "pi" in
-  let _ = B.add_gate b "bad" ~fn:Cell_kind.Mux2 ~fanins:[ pi ] () in
+  let _ = B.add_gate b "bad" ~fn:Cell_kind.Mux2 ~fanins:[| pi |] () in
   match B.freeze b with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected arity rejection"
@@ -235,16 +235,187 @@ let test_bench_roundtrip () =
       Alcotest.(check int) "inputs" s1.Stats.n_inputs s2.Stats.n_inputs;
       Alcotest.(check int) "depth" s1.Stats.depth s2.Stats.depth)
 
+(* The exact diagnostic (line, column, message) of each malformed text.
+   Line errors are recorded in line order, wiring errors in reverse line
+   order, undefined OUTPUTs last (line 0), and the last one recorded
+   wins; freeze failures (line 0) come only from an otherwise clean
+   text. *)
+let bench_diagnostics =
+  [
+    ("unknown directive", "INPUT(a)\nFOO(a)\n", 2, 1, "unknown directive \"FOO\"");
+    ("lower-case unknown directive", "INPUT(a)\n  foo ( a )\n", 2, 3,
+     "unknown directive \"foo\"");
+    ("missing parentheses", "INPUT a\n", 1, 1,
+     "expected INPUT(..), OUTPUT(..) or an assignment");
+    ("reversed parentheses", "INPUT)a(\n", 1, 1,
+     "expected INPUT(..), OUTPUT(..) or an assignment");
+    ("assignment without parentheses", "INPUT(a)\nn1 = NOT a\n", 2, 1,
+     "right-hand side must be OP(args)");
+    ("assignment with reversed parentheses", "INPUT(a)\nn1 = NOT)a(\n", 2, 1,
+     "right-hand side must be OP(args)");
+    ("equals inside a directive", "INPUT(a=b)\n", 1, 1,
+     "right-hand side must be OP(args)");
+    ("unknown operator", "INPUT(a)\n  n1 = FROB(a)\n", 2, 3,
+     "unknown operator \"FROB\"");
+    ("empty operator", "INPUT(a)\nn1 = (a)\n", 2, 1, "unknown operator \"\"");
+    ("duplicate input", "INPUT(a)\nINPUT(a)\n", 2, 1, "signal \"a\" defined twice");
+    ("duplicate gate", "INPUT(a)\nn1 = NOT(a)\n\tn1 = BUF(a)\n", 3, 2,
+     "signal \"n1\" defined twice");
+    ("undefined fanin", "INPUT(a)\nn1 = NAND(a, ghost)\n", 2, 1,
+     "undefined signal \"ghost\"");
+    ("empty fanin in a list", "INPUT(a)\nn1 = AND(a, , a)\n", 2, 1,
+     "undefined signal \"\"");
+    ("undefined fanins, reverse line order",
+     "INPUT(a)\nn1 = NOT(g1)\n n2 = NAND(g2, g3)\n", 2, 1,
+     "undefined signal \"g1\"");
+    ("undefined OUTPUT", "INPUT(a)\nOUTPUT(zz)\n", 0, 0, "undefined signal \"zz\"");
+    ("OUTPUT listed twice", "INPUT(a)\nOUTPUT(a)\nOUTPUT(a)\n", 0, 0,
+     "Netlist: duplicate node name \"a$po\"");
+    ("wrong gate arity", "INPUT(a)\nn1 = NOT(a, a)\n", 0, 0,
+     "Netlist: gate \"n1\": inv cannot take 2 inputs");
+    ("wrong DFF arity", "INPUT(a)\nf = DFF(a, a)\n", 0, 0,
+     "Netlist: node \"f\": expected 1 fanins, got 2");
+    ("empty argument list", "INPUT(a)\nn1 = AND()\n", 0, 0,
+     "Netlist: gate \"n1\": and cannot take 0 inputs");
+    ("blank argument list", "INPUT(a)\nn1 = AND( \t )\n", 0, 0,
+     "Netlist: gate \"n1\": and cannot take 0 inputs");
+    ("combinational cycle", "INPUT(a)\nx = AND(a, y)\ny = NOT(x)\nOUTPUT(y)\n",
+     0, 0, "Netlist: combinational cycle through \"x\"");
+    ("several line errors", "INPUT(a)\nBAR(b)\nn1 = FROB(a)\nINPUT(a)\n", 4, 1,
+     "signal \"a\" defined twice");
+    ("line and wiring errors",
+     "INPUT(a)\nBAR(b)\nn2 = NAND(a, ghost2)\nn3 = NOT(ghost3)\nINPUT(a)\n", 3,
+     1, "undefined signal \"ghost2\"");
+    ("line, wiring and OUTPUT errors",
+     "INPUT(a)\nOUTPUT(nowhere)\nBAR(b)\nn2 = NAND(a, ghost2)\nOUTPUT(gone)\n\
+      INPUT(a)\n",
+     0, 0, "undefined signal \"gone\"");
+    ("CRLF column", "INPUT(a)\r\n  FOO(a)\r\n", 2, 3, "unknown directive \"FOO\"");
+    ("form feed column", "INPUT(a)\n\012FOO(a)\n", 2, 1,
+     "unknown directive \"FOO\"");
+  ]
+
 let test_bench_errors () =
-  (match parse_bench "n1 = FROB(a)\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown op should fail");
-  (match parse_bench "INPUT(a)\nn1 = NAND(a, ghost)\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "undefined signal should fail");
-  match parse_bench "INPUT(a)\nINPUT(a)\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "duplicate signal should fail"
+  List.iter
+    (fun (what, text, line, col, msg) ->
+      match Bench_io.parse_diag text with
+      | Ok _ -> Alcotest.failf "%s: parsed" what
+      | Error d ->
+        Alcotest.(check (triple int int string))
+          what (line, col, msg)
+          (d.Rar_util.Diag.line, d.Rar_util.Diag.col, d.Rar_util.Diag.msg);
+        Alcotest.(check (option string)) (what ^ ": no file") None
+          d.Rar_util.Diag.file)
+    bench_diagnostics;
+  match Bench_io.parse_diag ~file:"x.bench" "FOO(a)\n" with
+  | Error d ->
+    Alcotest.(check string) "file attached" "x.bench:1:1: unknown directive \"FOO\""
+      (Rar_util.Diag.to_string d)
+  | Ok _ -> Alcotest.fail "FOO parsed"
+
+let canonical_bench =
+  "# canonical\n\
+   INPUT(a)\n\
+   INPUT(b)\n\
+   INPUT(s)\n\
+   OUTPUT(y)\n\
+   OUTPUT(q)\n\
+   f = DFF(y)\n\
+   m = MLATCH(f)\n\
+   l = SLATCH(m)\n\
+   n1 = NAND(a, b)\n\
+   n2 = INV(n1)\n\
+   n3 = BUF(n2)\n\
+   n4 = MUX2(a, b, s)\n\
+   y = AND(n3, n4, l)\n\
+   q = NOR(a, f)\n"
+
+(* Each variant spells [canonical_bench] differently; every one must
+   parse to the same netlist, node for node. *)
+let bench_variants =
+  [
+    ( "lower-case keywords and operators",
+      "input(a)\nInput(b)\nINPUT(s)\noutput(y)\nOutput(q)\nf = dff(y)\n\
+       m = mlatch(f)\nl = Slatch(m)\nn1 = nand(a, b)\nn2 = inv(n1)\n\
+       n3 = buf(n2)\nn4 = Mux2(a, b, s)\ny = and(n3, n4, l)\nq = nOR(a, f)\n" );
+    ( "buff/not/mux aliases",
+      "INPUT(a)\nINPUT(b)\nINPUT(s)\nOUTPUT(y)\nOUTPUT(q)\nf = DFF(y)\n\
+       m = MLATCH(f)\nl = SLATCH(m)\nn1 = NAND(a, b)\nn2 = NOT(n1)\n\
+       n3 = BUFF(n2)\nn4 = mux(a, b, s)\ny = AND(n3, n4, l)\nq = NOR(a, f)\n" );
+    ( "spaces and tabs",
+      " INPUT( a )\nINPUT\t(b)\n\tINPUT(s\t)\nOUTPUT ( y )\nOUTPUT(q)  \n\
+       f=DFF(y)\nm =MLATCH( f)\nl= SLATCH(m )\nn1 = NAND(a,b)\n\
+       n2 = INV (\tn1\t)\nn3\t=\tBUF(n2)\nn4 = MUX2( a ,b,  s )\n\
+       y = AND(n3 ,\tn4, l)\nq = NOR(a,f)\n" );
+    ( "CRLF line endings",
+      String.concat "\r\n" (String.split_on_char '\n' canonical_bench) );
+    ( "comments and blank lines",
+      "\n# header\nINPUT(a)\n\n   \nINPUT(b)\n\t# indented comment\nINPUT(s)\n\
+       OUTPUT(y)\r\n\nOUTPUT(q)\nf = DFF(y)\nm = MLATCH(f)\nl = SLATCH(m)\n\
+       n1 = NAND(a, b)\nn2 = INV(n1)\nn3 = BUF(n2)\nn4 = MUX2(a, b, s)\n\
+       y = AND(n3, n4, l)\nq = NOR(a, f)\n#" );
+    ( "text after the closing parenthesis",
+      "INPUT(a) x\nINPUT(b)\nINPUT(s)\nOUTPUT(y)\nOUTPUT(q)\nf = DFF(y)\n\
+       m = MLATCH(f)\nl = SLATCH(m)\nn1 = NAND(a, b)x\nn2 = INV(n1) # c\n\
+       n3 = BUF(n2)\nn4 = MUX2(a, b, s)\ny = AND(n3, n4, l)\nq = NOR(a, f)" );
+  ]
+
+let bench_digest what text =
+  match Bench_io.parse_diag text with
+  | Ok net -> Netlist.digest net
+  | Error d -> Alcotest.failf "%s: %s" what (Rar_util.Diag.to_string d)
+
+let test_bench_variants () =
+  let want = bench_digest "canonical" canonical_bench in
+  List.iter
+    (fun (what, text) ->
+      Alcotest.(check string) what want (bench_digest what text))
+    bench_variants;
+  (* An empty argument list is a blank one: here an input with an
+     empty name. *)
+  Alcotest.(check string) "empty argument list"
+    (bench_digest "INPUT()" "INPUT()\n")
+    (bench_digest "INPUT( )" "input( \t )\r\n")
+
+(* [print] then [parse] rebuilds the same text: every node keeps its
+   name, kind and pin order (ids follow the text, OUTPUT nodes become
+   "<driver>$po"), so a second trip is a fixpoint. *)
+let prop_bench_print_parse =
+  let strip_header s =
+    match String.index_opt s '\n' with
+    | Some i -> String.sub s (i + 1) (String.length s - i - 1)
+    | None -> s
+  in
+  QCheck.Test.make ~name:"bench print/parse round trip" ~count:12
+    QCheck.(pair (int_bound 30) (int_bound 2))
+    (fun (seed, family) ->
+      let spec =
+        { Rar_circuits.Spec.name = "rt3"; n_flops = 4 + seed; n_pi = 3;
+          n_po = 2; n_gates = 50 + (5 * seed); depth = 6; nce_target = 2;
+          seed = Printf.sprintf "rt3-%d" seed; src_bias_pct = 55 }
+      in
+      let net =
+        match family with
+        | 0 -> Rar_circuits.Generator.generate spec
+        | 1 ->
+          Rar_circuits.Generator.pipeline ~stages:(1 + (seed mod 4))
+            ~width:(2 + (seed mod 5)) ~seed:spec.Rar_circuits.Spec.seed ()
+        | _ ->
+          Convert.split
+            (if seed mod 2 = 0 then Convert.Two else Convert.Three)
+            (Rar_circuits.Generator.generate spec)
+      in
+      let text = Bench_io.print net in
+      match Bench_io.parse_diag text with
+      | Error d -> QCheck.Test.fail_report (Rar_util.Diag.to_string d)
+      | Ok net2 -> (
+        let text2 = Bench_io.print net2 in
+        match Bench_io.parse_diag text2 with
+        | Error d -> QCheck.Test.fail_report (Rar_util.Diag.to_string d)
+        | Ok net3 ->
+          Netlist.node_count net2 = Netlist.node_count net
+          && strip_header text2 = strip_header text
+          && Netlist.digest net3 = Netlist.digest net2))
 
 let prop_staged_extract_roundtrip =
   (* Materialising a slave placement and re-cutting the result yields
@@ -326,7 +497,7 @@ let test_verilog_drive_attr () =
   let pi = Netlist.Builder.add_input b "a" in
   let g =
     Netlist.Builder.add_gate b "g" ~fn:Cell_kind.Nand ~drive:4
-      ~fanins:[ pi; pi ] ()
+      ~fanins:[| pi; pi |] ()
   in
   let _ = Netlist.Builder.add_output b "y" ~fanin:g in
   let net = Netlist.Builder.freeze b in
@@ -395,6 +566,8 @@ let suite =
     Alcotest.test_case "bench parse" `Quick test_bench_parse;
     Alcotest.test_case "bench roundtrip" `Quick test_bench_roundtrip;
     Alcotest.test_case "bench errors" `Quick test_bench_errors;
+    Alcotest.test_case "bench formatting variants" `Quick test_bench_variants;
+    QCheck_alcotest.to_alcotest prop_bench_print_parse;
     Alcotest.test_case "verilog roundtrip" `Quick test_verilog_roundtrip;
     Alcotest.test_case "verilog two-phase roundtrip" `Quick
       test_verilog_roundtrip_two_phase;

@@ -92,10 +92,10 @@ let prop_equivalent =
 let test_removes_buffers () =
   let b = B.create ~name:"bufchain" () in
   let pi = B.add_input b "a" in
-  let b1 = B.add_gate b "b1" ~fn:Cell_kind.Buf ~fanins:[ pi ] () in
-  let i1 = B.add_gate b "i1" ~fn:Cell_kind.Inv ~fanins:[ b1 ] () in
-  let i2 = B.add_gate b "i2" ~fn:Cell_kind.Inv ~fanins:[ i1 ] () in
-  let g = B.add_gate b "g" ~fn:Cell_kind.Nand ~fanins:[ i2; pi ] () in
+  let b1 = B.add_gate b "b1" ~fn:Cell_kind.Buf ~fanins:[| pi |] () in
+  let i1 = B.add_gate b "i1" ~fn:Cell_kind.Inv ~fanins:[| b1 |] () in
+  let i2 = B.add_gate b "i2" ~fn:Cell_kind.Inv ~fanins:[| i1 |] () in
+  let g = B.add_gate b "g" ~fn:Cell_kind.Nand ~fanins:[| i2; pi |] () in
   let _ = B.add_output b "y" ~fanin:g in
   let net = B.freeze b in
   let net', stats = Resynth.optimize ~lib:(Liberty.default ()) net in
@@ -108,7 +108,7 @@ let test_removes_buffers () =
 
 let test_decomposes_wide_gate () =
   let b = B.create ~name:"wide" () in
-  let pis = List.init 6 (fun i -> B.add_input b (Printf.sprintf "a%d" i)) in
+  let pis = Array.init 6 (fun i -> B.add_input b (Printf.sprintf "a%d" i)) in
   let g = B.add_gate b "g" ~fn:Cell_kind.Nand ~fanins:pis () in
   let _ = B.add_output b "y" ~fanin:g in
   let net = B.freeze b in
@@ -123,7 +123,7 @@ let test_decomposes_wide_gate () =
     (Netlist.gates net');
   (* and the function is still a 6-input nand *)
   let assign = Hashtbl.create 8 in
-  List.iteri (fun i _ -> Hashtbl.replace assign (Printf.sprintf "a%d" i) true) pis;
+  Array.iteri (fun i _ -> Hashtbl.replace assign (Printf.sprintf "a%d" i) true) pis;
   let r = eval net' assign in
   Alcotest.(check bool) "all ones -> 0" true (Hashtbl.find r "y" = false);
   Hashtbl.replace assign "a3" false;

@@ -268,7 +268,7 @@ let test_latch_cycle_rejected () =
   let a = B.add_input b "a" in
   let g = B.add_gate_deferred b "g" ~fn:Rar_netlist.Cell_kind.And () in
   let l = B.add_seq b "l" ~role:Netlist.Slave ~fanin:g in
-  B.connect b g ~fanins:[ a; l ];
+  B.connect b g ~fanins:[| a; l |];
   ignore (B.add_output b "o" ~fanin:l);
   let d =
     { Sim.staged = B.freeze b; lib = Fig4.library (); clocking = Fig4.clocking;

@@ -26,9 +26,9 @@ let chain_lib =
 let chain () =
   let b = B.create ~name:"chain" () in
   let pi = B.add_input b "pi" in
-  let g1 = B.add_gate b "g1" ~fn:Cell_kind.Inv ~fanins:[ pi ] () in
-  let g2 = B.add_gate b "g2" ~fn:Cell_kind.Inv ~fanins:[ g1 ] () in
-  let g3 = B.add_gate b "g3" ~fn:Cell_kind.Inv ~fanins:[ g2 ] () in
+  let g1 = B.add_gate b "g1" ~fn:Cell_kind.Inv ~fanins:[| pi |] () in
+  let g2 = B.add_gate b "g2" ~fn:Cell_kind.Inv ~fanins:[| g1 |] () in
+  let g3 = B.add_gate b "g3" ~fn:Cell_kind.Inv ~fanins:[| g2 |] () in
   let _ = B.add_output b "po" ~fanin:g3 in
   B.freeze b
 
