@@ -46,21 +46,18 @@ let prepare ?lib ?clock ?flop_base net =
   let cc = Transform.extract_comb two_phase in
   let sta = Sta.analyse lib Sta.Path_based cc.Transform.comb in
   let clocking, p = derive_clocking ?clock sta in
-  (* NCE of the initial two-phase design: source pins latched, so the
-     slave-opening floor delays every path. *)
-  let latched ~v ~pin =
-    let u = (Netlist.fanins cc.Transform.comb v).(pin) in
-    Netlist.kind cc.Transform.comb u = Netlist.Input
-  in
+  (* NCE of the initial two-phase design: a slave at every source, so
+     the slave-opening floor delays every path. *)
+  let comb = cc.Transform.comb in
   let arr =
-    Sta.forward_with_latches sta ~clocking ~latch:(Liberty.latch lib) ~latched
+    Sta.forward_with_latches sta ~clocking ~latch:(Liberty.latch lib)
+      (Transform.pin_index comb (Transform.initial_placements comb))
   in
   let period = Clocking.period clocking in
   let nce =
     Array.fold_left
-      (fun acc s -> if Liberty.arc_max arr.(s) > period then acc + 1 else acc)
-      0
-      (Netlist.outputs cc.Transform.comb)
+      (fun acc s -> if arr.(s) > period then acc + 1 else acc)
+      0 (Netlist.outputs comb)
   in
   (* Counted on [base]; a master latch counts as one original flop so
      a directly prepared Convert output (no [flop_base]) still reports

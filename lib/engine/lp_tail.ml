@@ -38,10 +38,10 @@ let finish ~approach ~meets_period ~assemble stage g r =
     let period = Clocking.period clocking in
     let limit = Clocking.max_delay clocking in
     let deadlines s = if meets_period s then period else limit in
-    match Sizing.fix ~deadlines stage placements with
+    match Sizing.fix_timed ~deadlines stage placements with
     | Error e -> Error e
-    | Ok stage' -> (
-      let outcome, extras = assemble stage' placements in
+    | Ok (stage', arr) -> (
+      let outcome, extras = assemble stage' placements arr in
       match outcome.Outcome.violations with
       | [] -> Ok (stage', outcome, extras)
       | vs ->
@@ -62,8 +62,8 @@ let retiming ~approach ~solve ~c g stage =
     let non_ed = Hashtbl.create (1 + List.length modelled_non_ed) in
     List.iter (fun s -> Hashtbl.replace non_ed s ()) modelled_non_ed;
     finish ~approach ~meets_period:(Hashtbl.mem non_ed)
-      ~assemble:(fun stage' placements ->
-        ( Outcome.assemble ~c stage' placements,
+      ~assemble:(fun stage' placements arr ->
+        ( Outcome.account ~c stage' placements arr,
           Retiming { r; lp_latches; modelled_non_ed } ))
       stage g r
 

@@ -57,7 +57,11 @@ type run = (Stage.t * Outcome.t * extras, Error.t) result
 val finish :
   approach:string ->
   meets_period:(int -> bool) ->
-  assemble:(Stage.t -> Transform.placement list -> Outcome.t * extras) ->
+  assemble:
+    (Stage.t ->
+    Transform.placement list ->
+    float array ->
+    Outcome.t * extras) ->
   Stage.t ->
   Rgraph.t ->
   int array ->
@@ -65,7 +69,11 @@ val finish :
 (** [finish ~approach ~meets_period ~assemble stage g r] decodes the
     solution [r] of [g], checks it, size-fixes [stage] to the period
     on the sinks [meets_period] selects and to the max-delay bound on
-    the rest, and assembles on the sized stage. Any violation left is
+    the rest, and assembles on the sized stage: [assemble] gets the
+    sized stage, the placements and their verified arrivals from the
+    sizing round that chose the stage
+    ({!Rar_retime.Sizing.fix_timed}), so the tail runs no arrival pass
+    of its own. Any violation left is
     [Timing_violations { approach; _ }]. *)
 
 val base : solve:solve -> c:float -> Stage.t -> run

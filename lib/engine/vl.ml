@@ -55,21 +55,13 @@ let run ~deadline ~solve ~post_swap ~c variant stage =
     List.iter (fun s -> Hashtbl.replace typed_tbl s ()) typed_ed;
     Lp_tail.finish ~approach:(label variant)
       ~meets_period:(fun s -> not (Hashtbl.mem typed_tbl s))
-      ~assemble:(fun stage' placements ->
-        (* Mandatory fixes: non-ED masters still inside the window
-           become error-detecting. *)
-        let tmp = Outcome.assemble ~ed:typed_ed ~c stage' placements in
-        let arrival_tbl = Hashtbl.create (Array.length tmp.Outcome.arrivals) in
-        Array.iter
-          (fun (s, a) -> Hashtbl.replace arrival_tbl s a)
-          tmp.Outcome.arrivals;
-        let arrival s =
-          Option.value ~default:0. (Hashtbl.find_opt arrival_tbl s)
-        in
+      ~assemble:(fun stage' placements arr ->
+        (* Mandatory fixes, on the verified arrivals: non-ED masters
+           still inside the window become error-detecting. *)
         let forced_to_ed =
           List.filter
             (fun s ->
-              (not (Hashtbl.mem typed_tbl s)) && arrival s > period +. eps)
+              (not (Hashtbl.mem typed_tbl s)) && arr.(s) > period +. eps)
             sinks
         in
         let ed_fixed = List.sort_uniq compare (typed_ed @ forced_to_ed) in
@@ -77,7 +69,7 @@ let run ~deadline ~solve ~post_swap ~c variant stage =
            go back to normal latches. *)
         let swapped_to_non_ed =
           if post_swap then
-            List.filter (fun s -> arrival s <= period +. eps) ed_fixed
+            List.filter (fun s -> arr.(s) <= period +. eps) ed_fixed
           else []
         in
         let swapped_tbl = Hashtbl.create (1 + List.length swapped_to_non_ed) in
@@ -85,7 +77,7 @@ let run ~deadline ~solve ~post_swap ~c variant stage =
         let ed_final =
           List.filter (fun s -> not (Hashtbl.mem swapped_tbl s)) ed_fixed
         in
-        ( Outcome.assemble ~ed:ed_final ~c stage' placements,
+        ( Outcome.account ~ed:ed_final ~c stage' placements arr,
           Lp_tail.Retype
             {
               initial_ed;

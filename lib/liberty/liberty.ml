@@ -4,7 +4,6 @@ module Netlist = Rar_netlist.Netlist
 type arc = { rise : float; fall : float }
 
 let arc_max a = Float.max a.rise a.fall
-let arc_map2 f a b = { rise = f a.rise b.rise; fall = f a.fall b.fall }
 
 type comb_cell = {
   fn : Cell_kind.t;
@@ -45,10 +44,6 @@ let comb_cell t fn ~drive =
     invalid_arg
       (Printf.sprintf "Liberty.comb_cell: no %s with drive %d"
          (Cell_kind.name fn) drive)
-
-let ed_latch t ~c =
-  if c < 0. then invalid_arg "Liberty.ed_latch: negative overhead";
-  { t.lib_latch with seq_area = (1. +. c) *. t.lib_latch.seq_area }
 
 let wire_cap t ~fanouts = t.wire_cap_per_fanout *. float_of_int fanouts
 
@@ -211,20 +206,3 @@ let comb_area t net =
   Array.fold_left
     (fun acc v -> acc +. gate_area t net v)
     0. (Netlist.gates net)
-
-(* ------------------------------------------------------------------ *)
-(* Virtual library                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type virtual_groups = {
-  vl_normal : seq_cell;
-  vl_non_ed : seq_cell;
-  vl_ed : seq_cell;
-}
-
-let virtual_groups t ~c ~resiliency_window =
-  {
-    vl_normal = t.lib_latch;
-    vl_non_ed = { t.lib_latch with setup = t.lib_latch.setup +. resiliency_window };
-    vl_ed = ed_latch t ~c;
-  }

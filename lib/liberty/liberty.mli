@@ -11,7 +11,10 @@
     - a latch area that is 43% of the flip-flop area (§VI-D);
     - error-detecting latches parameterised by overhead [c] in 0.5..2,
       with area [(1 + c) x] the normal latch (§II-B: Fig. 4's example
-      has c = 2, i.e. a 3-unit EDL vs 1-unit latch). *)
+      has c = 2, i.e. a 3-unit EDL vs 1-unit latch). The engines price
+      that overhead from {!latch}'s area ([Rar_retime.Outcome]) and the
+      virtual library (§V) as LP constraints; neither needs a cell of
+      its own here. *)
 
 module Cell_kind = Rar_netlist.Cell_kind
 module Netlist = Rar_netlist.Netlist
@@ -20,7 +23,6 @@ type arc = { rise : float; fall : float }
 (** A pair of delays (ns) or of any rise/fall-indexed quantity. *)
 
 val arc_max : arc -> float
-val arc_map2 : (float -> float -> float) -> arc -> arc -> arc
 
 type comb_cell = {
   fn : Cell_kind.t;
@@ -87,10 +89,6 @@ val latch : t -> seq_cell
 val flop : t -> seq_cell
 (** The original flip-flop the benchmarks are written with. *)
 
-val ed_latch : t -> c:float -> seq_cell
-(** Error-detecting latch with amortised overhead [c]: area is
-    [(1 + c) * (latch t).seq_area]; timing as the normal latch. *)
-
 val wire_cap : t -> fanouts:int -> float
 (** Estimated wire load as a function of fanout count. *)
 
@@ -119,13 +117,3 @@ val gate_area : t -> Netlist.t -> int -> float
 
 val comb_area : t -> Netlist.t -> float
 (** Total area of the combinational gates only. *)
-
-(** {1 Virtual library (§V)} *)
-
-type virtual_groups = {
-  vl_normal : seq_cell;  (** group 3: untouched latches *)
-  vl_non_ed : seq_cell;  (** group 1: setup extended by the resiliency window *)
-  vl_ed : seq_cell;      (** group 2: area scaled by [1 + c] *)
-}
-
-val virtual_groups : t -> c:float -> resiliency_window:float -> virtual_groups

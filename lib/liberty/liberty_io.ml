@@ -85,11 +85,6 @@ let print lib =
   p "}\n";
   Buffer.contents buf
 
-let write_file path lib =
-  let oc = open_out path in
-  output_string oc (print lib);
-  close_out oc
-
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                               *)
 (* ------------------------------------------------------------------ *)

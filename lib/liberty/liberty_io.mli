@@ -29,7 +29,6 @@
     linear-model information intact. *)
 
 val print : Liberty.t -> string
-val write_file : string -> Liberty.t -> unit
 
 val parse_diag : ?file:string -> string -> (Liberty.t, Rar_util.Diag.t) result
 (** Parse from a string. The error carries the 1-based line and, for

@@ -90,6 +90,20 @@ end
 let undefined text p l =
   Printf.sprintf "undefined signal %S" (String.sub text p l)
 
+(* The ')' closing the '(' at [op] within [op, hi), or -1 when the
+   parentheses after [op] do not balance; a name may hold balanced
+   ones. *)
+let closing text op hi =
+  let rec go i depth =
+    if i >= hi then -1
+    else
+      match text.[i] with
+      | '(' -> go (i + 1) (depth + 1)
+      | ')' -> if depth = 1 then i else go (i + 1) (depth - 1)
+      | _ -> go (i + 1) depth
+  in
+  go op 0
+
 (* One pass over the text by byte offsets. Nodes are created in line
    order (inputs, gates and latches as they come, then one output per
    OUTPUT line), exactly the ids the netlist keeps; only the names it
@@ -122,8 +136,9 @@ let parse_text text =
   let arg_pos = Array.make (lines + !commas) 0 in
   let arg_len = Array.make (lines + !commas) 0 in
   let n_pending = ref 0 and n_args = ref 0 in
-  (* OUTPUT spans, last first. *)
-  let outputs = ref [] in
+  (* OUTPUT spans, last first, and the names they list. *)
+  let outputs = ref [] and n_outputs = ref 0 in
+  let listed = Names.create text ~lines in
   let line_err = ref None in
   let fail lineno start msg =
     line_err := Some (Diag.make ~line:lineno ~col:(content_col text start) msg)
@@ -132,30 +147,43 @@ let parse_text text =
   while !ls <= len do
     incr lineno;
     let start = !ls in
-    (* End of the line, its first '=', its first '(' (overall and
-       after that '=') and its last ')'. *)
+    (* End of the line, its first '=' and its first '(' (overall and
+       after that '='). *)
     let le = ref start and eq = ref (-1) and lp = ref (-1) in
-    let lp_eq = ref (-1) and rp = ref (-1) in
+    let lp_eq = ref (-1) in
     while !le < len && text.[!le] <> '\n' do
       (match text.[!le] with
       | '=' -> if !eq < 0 then eq := !le
       | '(' ->
         if !lp < 0 then lp := !le;
         if !eq >= 0 && !lp_eq < 0 then lp_eq := !le
-      | ')' -> rp := !le
       | _ -> ());
       incr le
     done;
     ls := !le + 1;
     let line = !lineno in
     let a = trim_left text start !le in
+    (* The argument list runs from a directive's first '(', or an
+       assignment's first '(' after its '=', to the matching ')'; only
+       blanks or a '#' comment may follow. *)
+    let rp =
+      let op = if !eq < 0 then !lp else !lp_eq in
+      if op < 0 then -1 else closing text op !le
+    in
+    let after = if rp < 0 then !le else trim_left text (rp + 1) !le in
     if a = !le || text.[a] = '#' then ()
+    else if after < !le && text.[after] <> '#' then
+      line_err :=
+        Some
+          (Diag.make ~line ~col:(after - start + 1)
+             (Printf.sprintf "unexpected %S after the argument list"
+                (String.sub text after (trim_right text after !le - after))))
     else if !eq < 0 then begin
       (* KW(arg): a directive *)
-      if !lp >= 0 && !rp > !lp then begin
+      if rp >= 0 then begin
         let kw_end = trim_right text a !lp in
-        let arg = trim_left text (!lp + 1) !rp in
-        let arg_end = trim_right text arg !rp in
+        let arg = trim_left text (!lp + 1) rp in
+        let arg_end = trim_right text arg rp in
         if Cell_kind.sub_is text a (kw_end - a) "input" then begin
           let id = B.node_count b in
           if Names.add names arg (arg_end - arg) id then
@@ -166,7 +194,14 @@ let parse_text text =
                  (String.sub text arg (arg_end - arg)))
         end
         else if Cell_kind.sub_is text a (kw_end - a) "output" then begin
-          outputs := (arg, arg_end - arg) :: !outputs
+          if Names.add listed arg (arg_end - arg) !n_outputs then begin
+            outputs := (arg, arg_end - arg) :: !outputs;
+            incr n_outputs
+          end
+          else
+            fail line start
+              (Printf.sprintf "OUTPUT %S listed twice"
+                 (String.sub text arg (arg_end - arg)))
         end
         else
           fail line start
@@ -174,7 +209,7 @@ let parse_text text =
       end
       else fail line start "expected INPUT(..), OUTPUT(..) or an assignment"
     end
-    else if !lp_eq >= 0 && !rp > !lp_eq then begin
+    else if rp >= 0 then begin
       (* LHS = OP(args): a gate or latch *)
       let lhs_end = trim_right text a !eq in
       let op = trim_left text (!eq + 1) !lp_eq in
@@ -206,7 +241,7 @@ let parse_text text =
           p_arg.(!n_pending) <- !n_args;
           incr n_pending;
           (* Comma-separated, each trimmed; a blank list is empty. *)
-          let lo = !lp_eq + 1 and hi = !rp in
+          let lo = !lp_eq + 1 and hi = rp in
           if trim_left text lo hi < hi then begin
             let piece = ref lo in
             for i = lo to hi do

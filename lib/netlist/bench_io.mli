@@ -27,12 +27,17 @@ val parse_diag : ?file:string -> string -> (Netlist.t, Rar_util.Diag.t) result
     spans of the text, so the only strings allocated are the node
     names the netlist keeps. Node ids follow the text: inputs, gates
     and latches in line order, then one output node per OUTPUT line.
-    Within a line, blanks around names are ignored, and text after
-    the last [')'] is too.
+    Within a line, blanks around names are ignored. The argument list
+    runs from a directive's first ['('] (an assignment's first ['(']
+    after its ['=']) to the [')'] that matches it, so a name may hold
+    balanced parentheses ([INPUT((a))] names ["(a)"]); only blanks or
+    a ['#'] comment may follow it. A signal listed by two OUTPUT lines
+    is an error at the second.
 
     The error carries the 1-based line, the column of the offending
-    line's first content character (0 when the error is not attached
-    to a line) and the message. Of several errors the last one
+    line's first content character (of the stray text, for text after
+    the argument list; 0 when the error is not attached to a line) and
+    the message. Of several errors the last one
     recorded wins: line errors are recorded in line order, then
     undefined fanins in reverse line order (the first undefined
     argument of a line), then undefined OUTPUTs (line 0); a structural

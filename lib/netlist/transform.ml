@@ -246,32 +246,62 @@ end
 
 type placement = { after : int; latched : (int * int) list }
 
-let apply_retiming cc placements =
-  let net = cc.comb in
-  let n = Netlist.node_count net in
+(* Fanouts ascending, the pins of one fanout in descending pin order:
+   the order every placement has been listed in. A fanout row repeats
+   a fanout once per pin, adjacently ({!Netlist.fanouts}), so walking
+   it right to left and prepending builds that order directly. *)
+let slave_after net u ~keep =
+  let fo = Netlist.fanouts net u in
+  let latched = ref [] in
+  for i = Array.length fo - 1 downto 0 do
+    let v = fo.(i) in
+    if (i = 0 || fo.(i - 1) <> v) && keep v then begin
+      let fi = Netlist.fanins net v in
+      for pin = 0 to Array.length fi - 1 do
+        if fi.(pin) = u then latched := (v, pin) :: !latched
+      done
+    end
+  done;
+  if !latched = [] then None else Some { after = u; latched = !latched }
+
+let initial_placements net =
+  Array.fold_right
+    (fun src acc ->
+      match slave_after net src ~keep:(fun _ -> true) with
+      | Some p -> p :: acc
+      | None -> acc)
+    (Netlist.inputs net) []
+
+let pin_index net placements =
   let c = Netlist.compact net in
-  (* For each flat pin position, the placement index that captures it,
-     or -1. *)
-  let capture = Array.make (Int.max 1 c.Netlist.Compact.fanin_head.(n)) (-1) in
+  let pins = Netlist.Compact.fanin_lo c (Netlist.Compact.n c) in
+  let index = Array.make (Int.max 1 pins) (-1) in
   List.iteri
     (fun i p ->
       List.iter
         (fun (v, pin) ->
           let fi = Netlist.fanins net v in
           if pin < 0 || pin >= Array.length fi then
-            invalid_arg "Transform.apply_retiming: pin out of range";
+            invalid_arg "Transform.pin_index: pin out of range";
           if fi.(pin) <> p.after then
             invalid_arg
               (Printf.sprintf
-                 "Transform.apply_retiming: pin %d of %s is not driven by %s"
+                 "Transform.pin_index: pin %d of %s is not driven by %s"
                  pin (Netlist.node_name net v)
                  (Netlist.node_name net p.after));
           let at = Netlist.Compact.fanin_lo c v + pin in
-          if capture.(at) >= 0 then
-            invalid_arg "Transform.apply_retiming: pin latched twice";
-          capture.(at) <- i)
+          if index.(at) >= 0 then
+            invalid_arg "Transform.pin_index: pin latched twice";
+          index.(at) <- i)
         p.latched)
     placements;
+  index
+
+let apply_retiming cc placements =
+  let net = cc.comb in
+  let n = Netlist.node_count net in
+  let c = Netlist.compact net in
+  let capture = pin_index net placements in
   (* Every comb node is copied first, so it keeps its id; the slaves,
      one per placement, come after them. *)
   let b = B.create ~name:(Netlist.name net ^ "$retimed") () in

@@ -95,7 +95,34 @@ type placement = {
 (** One shared slave latch per driver, feeding the given subset of its
     fanout pins; remaining pins stay directly connected (this is the
     fanout-sharing realisation of the β=1/k cost model). Placing a
-    slave after an [Input] node reproduces the un-retimed position. *)
+    slave after an [Input] node reproduces the un-retimed position.
+
+    This is the one slave-placement format of the flow: the LP decoder
+    ({!Rar_retime.Rgraph.placements_of}) and {!initial_placements}
+    write it, and every reader — the legality check, the size-only fix,
+    the latch-aware timing sweep ({!Rar_sta.Sta.forward_with_latches}),
+    outcome assembly and {!apply_retiming} — looks pins up through one
+    {!pin_index}. *)
+
+val slave_after : Netlist.t -> int -> keep:(int -> bool) -> placement option
+(** [slave_after net u ~keep]: one slave after [u] feeding every pin
+    that [u] drives on each fanout [v] with [keep v] — fanouts
+    ascending, the pins of one fanout in descending pin order. [None]
+    when that is no pin. *)
+
+val initial_placements : Netlist.t -> placement list
+(** The un-retimed two-phase design: one slave after every source
+    ([Input]) with a fanout, feeding all of its fanout pins, in source
+    order. *)
+
+val pin_index : Netlist.t -> placement list -> int array
+(** The flat per-pin index of a placement list: entry [p] is the list
+    position of the placement whose slave feeds flat pin position [p]
+    of [Netlist.compact net] ({!Netlist.Compact.fanin_lo} [v + pin]),
+    or [-1] for a directly connected pin. Length
+    [max 1 (pin count)]. Raises [Invalid_argument] on a pin out of
+    range, a pin its placement's [after] does not drive, or a pin
+    latched twice. *)
 
 val apply_retiming : comb_circuit -> placement list -> Netlist.t
 (** Materialise slave latches inside the combinational circuit. The
@@ -104,5 +131,5 @@ val apply_retiming : comb_circuit -> placement list -> Netlist.t
     chosen positions — the physical stage used by the error-rate
     simulator. Every node of [cc.comb] keeps its id, so its sink ids
     address the result directly; the slaves follow, one per placement
-    in list order. Raises [Invalid_argument] on a placement referencing
-    a pin twice or a non-existent edge. *)
+    in list order. Raises [Invalid_argument] on a placement
+    {!pin_index} rejects. *)

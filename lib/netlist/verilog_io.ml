@@ -101,11 +101,6 @@ let print net =
   Buffer.add_string buf "endmodule\n";
   Buffer.contents buf
 
-let write_file path net =
-  let oc = open_out path in
-  output_string oc (print net);
-  close_out oc
-
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
 (* ------------------------------------------------------------------ *)

@@ -13,7 +13,6 @@
     to import gate-level netlists written in the same style. *)
 
 val print : Netlist.t -> string
-val write_file : string -> Netlist.t -> unit
 
 val parse_diag : ?file:string -> string -> (Netlist.t, Rar_util.Diag.t) result
 (** Parse from a string. The error carries the 1-based line and, for

@@ -1,7 +1,5 @@
-module Netlist = Rar_netlist.Netlist
 module Transform = Rar_netlist.Transform
 module Liberty = Rar_liberty.Liberty
-module Sta = Rar_sta.Sta
 module Clocking = Rar_sta.Clocking
 
 type t = {
@@ -19,25 +17,14 @@ type t = {
 
 let eps = 1e-9
 
-let assemble ?ed ~c stage placements =
+let account ?ed ~c stage placements arr =
+  Rar_obs.Trace.span "outcome/assemble" @@ fun () ->
   let net = Stage.comb stage in
   let clocking = Stage.clocking stage in
-  let latched = Hashtbl.create 64 in
-  List.iter
-    (fun p ->
-      List.iter (fun pin -> Hashtbl.replace latched pin ()) p.Transform.latched)
-    placements;
-  let arr =
-    Sta.forward_with_latches (Stage.sta stage) ~clocking
-      ~latch:(Stage.slave_latch stage)
-      ~latched:(fun ~v ~pin -> Hashtbl.mem latched (v, pin))
-  in
   let period = Clocking.period clocking in
   let limit = Clocking.max_delay clocking in
   let sinks = Stage.sinks stage in
-  let arrivals =
-    Array.map (fun s -> (s, Liberty.arc_max arr.(s))) sinks
-  in
+  let arrivals = Array.map (fun s -> (s, arr.(s))) sinks in
   let needs_ed =
     Array.to_list arrivals
     |> List.filter_map (fun (s, a) -> if a > period +. eps then Some s else None)
@@ -73,24 +60,15 @@ let assemble ?ed ~c stage placements =
     total_area = seq_area +. comb_area;
   }
 
-let initial_placements stage =
-  let net = Stage.comb stage in
-  Array.to_list (Netlist.inputs net)
-  |> List.filter_map (fun src ->
-         let latched =
-           Array.to_list (Netlist.fanouts net src)
-           |> List.sort_uniq compare
-           |> List.concat_map (fun v ->
-                  let pins = ref [] in
-                  Array.iteri
-                    (fun pin u -> if u = src then pins := (v, pin) :: !pins)
-                    (Netlist.fanins net v);
-                  !pins)
-         in
-         if latched = [] then None
-         else Some { Transform.after = src; latched })
+let assemble ?ed ~c stage placements =
+  account ?ed ~c stage placements
+    (Stage.latched_arrivals stage
+       (Transform.pin_index (Stage.comb stage) placements))
 
-let of_initial ~c stage = assemble ~c stage (initial_placements stage)
+let of_initial ~c stage =
+  account ~c stage
+    (Transform.initial_placements (Stage.comb stage))
+    (Stage.initial_arrivals stage)
 
 let ed_count t = List.length t.ed_sinks
 

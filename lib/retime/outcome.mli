@@ -28,16 +28,33 @@ type t = {
 
 val assemble :
   ?ed:int list -> c:float -> Stage.t -> Transform.placement list -> t
-(** Verify a placement on a stage and account its area. [ed] overrides
-    the error-detecting set (used by the virtual-library engine before
-    its post-retiming swap); by default it is derived from the verified
-    arrivals: a master is error-detecting iff its arrival exceeds the
-    period. Masters whose arrival exceeds the period but that are not
-    in an overridden [ed] set are reported in [violations] as well —
-    they would silently corrupt data. *)
+(** Verify a placement on a stage and account its area: one
+    latch-aware sweep ({!Stage.latched_arrivals} of the placement's
+    {!Transform.pin_index}), then {!account}. *)
+
+val account :
+  ?ed:int list ->
+  c:float ->
+  Stage.t ->
+  Transform.placement list ->
+  float array ->
+  t
+(** [account ?ed ~c stage placements arr]: the ED and area accounting
+    of {!assemble} on an arrival pass already run — [arr] must be
+    {!Stage.latched_arrivals} of [stage] under [placements] (per node;
+    only sinks are read), as {!Sizing.fix_timed} returns it. [ed]
+    overrides the error-detecting set (used by the virtual-library
+    engine, which re-types its masters from the same pass); by default
+    it is derived from the verified arrivals: a master is
+    error-detecting iff its arrival exceeds the period. Masters whose
+    arrival exceeds the period but that are not in an overridden [ed]
+    set are reported in [violations] as well — they would silently
+    corrupt data. Runs under an [outcome/assemble] trace span. *)
 
 val of_initial : c:float -> Stage.t -> t
-(** The un-retimed two-phase design: every source keeps its slave. *)
+(** The un-retimed two-phase design ({!Transform.initial_placements}),
+    accounted on the arrivals the stage computed when it was built
+    ({!Stage.initial_arrivals}). *)
 
 val ed_count : t -> int
 

@@ -191,87 +191,71 @@ let modelled_latch_count t r =
   !acc
 
 let placements_of t r =
+  Rar_obs.Trace.span "rgraph/decode" @@ fun () ->
   let net = Stage.comb t.stage in
   let rv v = r.(t.var_of.(v)) in
-  let pins_to u v =
-    (* all pins of v driven by u *)
-    let acc = ref [] in
-    Array.iteri
-      (fun pin w -> if w = u then acc := (v, pin) :: !acc)
-      (Netlist.fanins net v);
-    !acc
-  in
   let placements = ref [] in
+  let add = function Some p -> placements := p :: !placements | None -> () in
   for u = Netlist.node_count net - 1 downto 0 do
     match Netlist.kind net u with
-    | Netlist.Output -> ()
+    | Netlist.Output | Netlist.Seq _ -> ()
     | Netlist.Input when rv u = 0 ->
       (* initial slave kept at the source, covering every fanout pin *)
-      let latched =
-        Array.to_list (Netlist.fanouts net u)
-        |> List.sort_uniq compare
-        |> List.concat_map (fun v -> pins_to u v)
-      in
-      if latched <> [] then
-        placements := { Transform.after = u; latched } :: !placements
+      add (Transform.slave_after net u ~keep:(fun _ -> true))
     | Netlist.Input | Netlist.Gate _ ->
-      if rv u = -1 then begin
-        let latched =
-          Array.to_list (Netlist.fanouts net u)
-          |> List.sort_uniq compare
-          |> List.filter (fun v -> rv v = 0)
-          |> List.concat_map (fun v -> pins_to u v)
-        in
-        if latched <> [] then
-          placements := { Transform.after = u; latched } :: !placements
-      end
-    | Netlist.Seq _ -> ()
+      if rv u = -1 then
+        add (Transform.slave_after net u ~keep:(fun v -> rv v = 0))
   done;
   !placements
 
 let check_legal t placements =
+  Rar_obs.Trace.span "rgraph/legal" @@ fun () ->
   let net = Stage.comb t.stage in
-  let n = Netlist.node_count net in
-  let latched = Hashtbl.create 64 in
-  List.iter
-    (fun p ->
-      List.iter (fun pin -> Hashtbl.replace latched pin ()) p.Transform.latched)
-    placements;
-  (* DP: min / max latch count along any source-to-node path. *)
-  let lo = Array.make n max_int and hi = Array.make n min_int in
-  let bad = ref None in
-  Array.iter
-    (fun v ->
-      match Netlist.kind net v with
-      | Netlist.Input ->
-        lo.(v) <- 0;
-        hi.(v) <- 0
-      | Netlist.Gate _ | Netlist.Output ->
-        Array.iteri
-          (fun pin u ->
+  match Transform.pin_index net placements with
+  | exception Invalid_argument detail ->
+    Error (Error.Illegal_placement { detail })
+  | index ->
+    let cv = Netlist.compact net in
+    let fin = cv.Netlist.Compact.fanin in
+    let head = cv.Netlist.Compact.fanin_head in
+    let tags = cv.Netlist.Compact.tags in
+    let n = Netlist.Compact.n cv in
+    (* DP: min / max latch count along any source-to-node path. *)
+    let lo = Array.make n max_int and hi = Array.make n min_int in
+    let bad = ref None in
+    Array.iter
+      (fun v ->
+        let tg = tags.(v) in
+        if tg = Netlist.Compact.tag_input then begin
+          lo.(v) <- 0;
+          hi.(v) <- 0
+        end
+        else if tg <> Netlist.Compact.tag_seq then begin
+          for p = head.(v) to head.(v + 1) - 1 do
+            let u = fin.(p) in
             if lo.(u) <> max_int then begin
-              let step = if Hashtbl.mem latched (v, pin) then 1 else 0 in
+              let step = if index.(p) >= 0 then 1 else 0 in
               if lo.(u) + step < lo.(v) then lo.(v) <- lo.(u) + step;
               if hi.(u) + step > hi.(v) then hi.(v) <- hi.(u) + step
-            end)
-          (Netlist.fanins net v);
-        if
-          Netlist.kind net v = Netlist.Output
-          && !bad = None
-          && not (lo.(v) = 1 && hi.(v) = 1)
-        then bad := Some v
-      | Netlist.Seq _ -> ())
-    (Netlist.topo_comb net);
-  match !bad with
-  | None -> Ok ()
-  | Some v ->
-    Error
-      (Error.Illegal_placement
-         {
-           detail =
-             Printf.sprintf
-               "sink %S sees between %d and %d slaves on its paths"
-               (Netlist.node_name net v)
-               (if lo.(v) = max_int then -1 else lo.(v))
-               (if hi.(v) = min_int then -1 else hi.(v));
-         })
+            end
+          done;
+          if
+            tg = Netlist.Compact.tag_output
+            && !bad = None
+            && not (lo.(v) = 1 && hi.(v) = 1)
+          then bad := Some v
+        end)
+      (Netlist.Compact.topo cv);
+    match !bad with
+    | None -> Ok ()
+    | Some v ->
+      Error
+        (Error.Illegal_placement
+           {
+             detail =
+               Printf.sprintf
+                 "sink %S sees between %d and %d slaves on its paths"
+                 (Netlist.node_name net v)
+                 (if lo.(v) = max_int then -1 else lo.(v))
+                 (if hi.(v) = min_int then -1 else hi.(v));
+           })

@@ -73,12 +73,15 @@ val solve :
     instances replay their stored solution without touching a solver. *)
 
 val placements_of : t -> int array -> Transform.placement list
-(** Decode a solution into physical slave placements: a source with
-    [r = 0] keeps its initial slave; any node with [r = -1] grows one
-    shared slave covering exactly the fanout pins whose head has
-    [r = 0]. *)
+(** Decode a solution into physical slave placements
+    ({!Transform.slave_after}), in node order: a source with [r = 0]
+    keeps its initial slave; any node with [r = -1] grows one shared
+    slave covering exactly the fanout pins whose head has [r = 0].
+    Runs under an [rgraph/decode] trace span. *)
 
 val check_legal :
   t -> Transform.placement list -> (unit, Error.t) result
-(** Verify the single-latch-per-path invariant: every source-to-sink
-    path crosses exactly one slave. *)
+(** Verify the single-latch-per-path invariant on the placement's
+    {!Transform.pin_index}: every source-to-sink path crosses exactly
+    one slave. A placement the index rejects is [Illegal_placement]
+    too. Runs under an [rgraph/legal] trace span. *)

@@ -5,20 +5,9 @@ module Sta = Rar_sta.Sta
 
 let eps = 1e-9
 
-let arrivals stage placements =
-  let latched = Hashtbl.create 64 in
-  List.iter
-    (fun p ->
-      List.iter (fun pin -> Hashtbl.replace latched pin ()) p.Transform.latched)
-    placements;
-  Sta.forward_with_latches (Stage.sta stage) ~clocking:(Stage.clocking stage)
-    ~latch:(Stage.slave_latch stage)
-    ~latched:(fun ~v ~pin -> Hashtbl.mem latched (v, pin))
-
-let violating ~deadlines stage placements =
-  let arr = arrivals stage placements in
+let violating ~deadlines stage arr =
   Array.to_list (Stage.sinks stage)
-  |> List.filter (fun s -> Liberty.arc_max arr.(s) > deadlines s +. eps)
+  |> List.filter (fun s -> arr.(s) > deadlines s +. eps)
 
 (* Rank the gates of a violating sink's cone by criticality
    (D^f + D^b), and return those not yet at the maximum drive. *)
@@ -46,16 +35,21 @@ let next_drive lib d =
   in
   go (Liberty.drives lib)
 
-let fix ~deadlines stage placements =
+let fix_timed ~deadlines stage placements =
+  Rar_obs.Trace.span "sizing/fix" @@ fun () ->
+  (* Resizing keeps node ids and pin positions, so one index serves
+     every round. *)
+  let index = Transform.pin_index (Stage.comb stage) placements in
   let rec round stage best best_count k =
     if k = 0 then Ok best
     else begin
-      let bad = violating ~deadlines stage placements in
+      let arr = Stage.latched_arrivals stage index in
+      let bad = violating ~deadlines stage arr in
       let count = List.length bad in
       let best, best_count =
-        if count < best_count then (stage, count) else (best, best_count)
+        if count < best_count then ((stage, arr), count) else (best, best_count)
       in
-      if count = 0 then Ok stage
+      if count = 0 then Ok (stage, arr)
       else begin
         (* Upsize up to 8 critical gates drawn from the worst sinks. *)
         let lib = Stage.lib stage in
@@ -94,4 +88,9 @@ let fix ~deadlines stage placements =
       end
     end
   in
-  round stage stage max_int 12
+  (* The first round always beats [max_int], so the placeholder best
+     is never returned. *)
+  round stage (stage, [||]) max_int 12
+
+let fix ~deadlines stage placements =
+  Result.map fst (fix_timed ~deadlines stage placements)

@@ -36,7 +36,7 @@ type t = {
   sta : Sta.t;
   annot : float array option; (* ECO delay annotations baked into sta *)
   regions : region array;
-  initial_arr : Liberty.arc array;   (* un-retimed arrivals *)
+  initial_arr : float array;   (* un-retimed arrivals *)
   illegal : (int * int) list;        (* edges that can never hold a slave *)
   per_sink : (int * classified) array;
     (* every sink's classification, in sink order — read by the
@@ -75,7 +75,12 @@ let a_value t ~db ~u ~v =
   Sta.arrival_with_slave_after t.sta ~clocking:t.clocking
     ~latch:(slave_latch t) ~u ~v ~db
 
-let initial_arrival t s = Liberty.arc_max t.initial_arr.(s)
+let initial_arrivals t = t.initial_arr
+let initial_arrival t s = t.initial_arr.(s)
+
+let latched_arrivals t index =
+  Sta.forward_with_latches t.sta ~clocking:t.clocking ~latch:(slave_latch t)
+    index
 
 let near_critical_initial t =
   let period = Clocking.period t.clocking in
@@ -461,9 +466,7 @@ let finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~latch ~regions
       illegal;
     let initial_arr =
       Sta.forward_with_latches sta_an ~clocking ~latch
-        ~latched:(fun ~v ~pin ->
-          let u = (Netlist.fanins net v).(pin) in
-          Netlist.kind net u = Netlist.Input)
+        (Transform.pin_index net (Transform.initial_placements net))
     in
     Ok { cc; source; lib; clocking; sta = sta_an; annot; regions;
          initial_arr; illegal; per_sink = classified; slot; owner }

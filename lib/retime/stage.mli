@@ -103,9 +103,20 @@ val a_value : t -> db:Sta.db -> u:int -> v:int -> float
     position (slave at the source output) is the [u]=source case
     itself. *)
 
+val latched_arrivals : t -> int array -> float array
+(** [latched_arrivals t index]: the stage's latch-aware arrival sweep
+    ({!Sta.forward_with_latches} under the stage's clocking and slave
+    latch) for the slave placement whose {!Transform.pin_index} is
+    [index]: the worst verified arrival at every node. *)
+
+val initial_arrivals : t -> float array
+(** {!latched_arrivals} of {!Transform.initial_placements} — the
+    un-retimed two-phase design — computed once when the stage is
+    built. Shared: do not mutate. *)
+
 val initial_arrival : t -> int -> float
-(** Arrival at a sink with every slave at its initial (source) position
-    — the un-retimed two-phase design. *)
+(** [initial_arrival t s = (initial_arrivals t).(s)]: the arrival at a
+    sink with every slave at its initial (source) position. *)
 
 val near_critical_initial : t -> int list
 (** Sinks near-critical in the {e initial} two-phase design (slaves at

@@ -34,8 +34,6 @@ type t = {
   d : float array array; (* parallel to [reach.(u)] *)
 }
 
-let node_count t = t.n
-
 (* Deduplicated CSR adjacency, out-edges sorted by destination.
 
    Each edge is packed as [(u << 42) | (v << 21) | w] into one int, the

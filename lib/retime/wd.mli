@@ -25,8 +25,6 @@ val build : n:int -> delays:float array -> edges:(int * int * int) list -> t
     the million-gate target, and weights are register counts bounded by
     the node count). *)
 
-val node_count : t -> int
-
 val big : int
 (** Unreachable sentinel in the dense view, [max_int / 4] (the same
     value the dense kernel used). *)

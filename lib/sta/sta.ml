@@ -41,9 +41,7 @@ type t = {
 let neg_inf_arc = Liberty.{ rise = neg_infinity; fall = neg_infinity }
 
 let netlist t = t.net
-let library t = t.lib
 let model t = t.mdl
-let launch t = t.launch_time
 
 (* One pin propagation of the forward pass = one "relaxation" of the
    timing DP: the per-analysis total is structural (pins in the
@@ -84,33 +82,91 @@ let fill_gate_arcs lib mdl net cv extra pa_rise pa_fall unate v =
     done
   | Netlist.Input | Netlist.Output | Netlist.Seq _ -> ()
 
-(* Worst (rise, fall) at the output of gate [v] given current arrivals;
-   counts one relaxation per pin into [pins]. *)
-let gate_arrival cv unate pa_rise pa_fall arr_rise arr_fall pins v =
+(* The forward unateness rule of pin [p]: the output-rising
+   ([pin_rise]) and output-falling ([pin_fall]) arrival when the pin's
+   input rises at [in_r] and falls at [in_f]. Non-unate and gate-based
+   pins take the worse input edge; a gate-based pin holds its one delay
+   in both arc arrays, so the two codes share a branch. Inlined into
+   every caller, so the float arguments are never boxed. *)
+let[@inline] pin_rise t p in_r in_f =
+  let code = t.unate.(p) in
+  if code = un_pos then in_r +. t.pa_rise.(p)
+  else if code = un_neg then in_f +. t.pa_rise.(p)
+  else Float.max in_r in_f +. t.pa_rise.(p)
+
+let[@inline] pin_fall t p in_r in_f =
+  let code = t.unate.(p) in
+  if code = un_pos then in_f +. t.pa_fall.(p)
+  else if code = un_neg then in_r +. t.pa_fall.(p)
+  else Float.max in_r in_f +. t.pa_fall.(p)
+
+(* A pin fed through a slave sees [max open (a + d_to_q)] per edge;
+   [slave_timing] holds [open] (the slave's opening edge plus its
+   clock-to-Q) and [d_to_q], the only two numbers a slave adds. *)
+let slave_timing clocking latch =
+  [| Clocking.slave_open clocking +. latch.Liberty.ck_to_q;
+     latch.Liberty.d_to_q |]
+
+let[@inline] through_slave slave a = Float.max slave.(0) (a +. slave.(1))
+
+(* The per-gate forward kernel every sweep shares: the worst (rise,
+   fall) at the output of gate [v] from its fanins' entries in
+   [arr_r]/[arr_f], written back at [v]. A non-empty [index]
+   ({!Transform.pin_index}) latches pin [p] when [index.(p) >= 0].
+   Node and pin indices and arenas only: a float argument of a call
+   that is not inlined would be boxed. *)
+let relax_gate t index slave arr_r arr_f v =
+  let fin = t.cv.Compact.fanin and head = t.cv.Compact.fanin_head in
+  let latching = Array.length index > 0 in
   let best_r = ref neg_infinity and best_f = ref neg_infinity in
-  let hi = Compact.fanin_hi cv v in
-  for p = Compact.fanin_lo cv v to hi - 1 do
-    incr pins;
-    let u = Compact.fanin cv p in
-    let in_r = arr_rise.(u) and in_f = arr_fall.(u) in
-    let code = unate.(p) in
-    let out_r, out_f =
-      if code = un_pos then (in_r +. pa_rise.(p), in_f +. pa_fall.(p))
-      else if code = un_neg then (in_f +. pa_rise.(p), in_r +. pa_fall.(p))
-      else if code = un_non then begin
-        let worst = Float.max in_r in_f in
-        (worst +. pa_rise.(p), worst +. pa_fall.(p))
-      end
-      else begin
-        let worst = Float.max in_r in_f in
-        let d = pa_rise.(p) in
-        (worst +. d, worst +. d)
-      end
-    in
+  for p = head.(v) to head.(v + 1) - 1 do
+    let u = fin.(p) in
+    let latched = latching && index.(p) >= 0 in
+    let in_r = if latched then through_slave slave arr_r.(u) else arr_r.(u) in
+    let in_f = if latched then through_slave slave arr_f.(u) else arr_f.(u) in
+    let out_r = pin_rise t p in_r in_f and out_f = pin_fall t p in_r in_f in
     if out_r > !best_r then best_r := out_r;
     if out_f > !best_f then best_f := out_f
   done;
-  (!best_r, !best_f)
+  arr_r.(v) <- !best_r;
+  arr_f.(v) <- !best_f
+
+(* The one full forward sweep, in topological order: a source launches
+   at [t.launch_time], a sink takes its driver's arrival (through a
+   slave when its pin is latched), a gate runs [relax_gate]. Returns
+   the gate pins relaxed. *)
+let sweep t index slave arr_r arr_f =
+  let cv = t.cv in
+  let tags = cv.Compact.tags and head = cv.Compact.fanin_head in
+  let topo = Compact.topo cv in
+  let latching = Array.length index > 0 in
+  let pins = ref 0 in
+  for i = 0 to Compact.n cv - 1 do
+    let v = topo.(i) in
+    let tg = tags.(v) in
+    if tg = Compact.tag_input then begin
+      arr_r.(v) <- t.launch_time;
+      arr_f.(v) <- t.launch_time
+    end
+    else if tg = Compact.tag_output then begin
+      let p = head.(v) in
+      let u = cv.Compact.fanin.(p) in
+      if latching && index.(p) >= 0 then begin
+        arr_r.(v) <- through_slave slave arr_r.(u);
+        arr_f.(v) <- through_slave slave arr_f.(u)
+      end
+      else begin
+        arr_r.(v) <- arr_r.(u);
+        arr_f.(v) <- arr_f.(u)
+      end
+    end
+    else begin
+      (* a gate: [analyse] rejects sequential nodes *)
+      relax_gate t index slave arr_r arr_f v;
+      pins := !pins + (head.(v + 1) - head.(v))
+    end
+  done;
+  !pins
 
 let check_annot fn_name net = function
   | None -> fun (_ : int) -> 0.
@@ -139,32 +195,13 @@ let analyse ?launch ?annot lib mdl net =
   for v = 0 to n - 1 do
     fill_gate_arcs lib mdl net cv (extra_of v) pa_rise pa_fall unate v
   done;
-  let arr_rise = Array.make n neg_infinity in
-  let arr_fall = Array.make n neg_infinity in
-  let topo = Compact.topo cv in
-  let pins = ref 0 in
-  for i = 0 to n - 1 do
-    let v = topo.(i) in
-    let tg = Compact.tag cv v in
-    if tg = Compact.tag_input then begin
-      arr_rise.(v) <- launch_time;
-      arr_fall.(v) <- launch_time
-    end
-    else if tg = Compact.tag_output then begin
-      let u = Compact.fanin cv (Compact.fanin_lo cv v) in
-      arr_rise.(v) <- arr_rise.(u);
-      arr_fall.(v) <- arr_fall.(u)
-    end
-    else begin
-      (* gate: sequential nodes were rejected above *)
-      let r, f = gate_arrival cv unate pa_rise pa_fall arr_rise arr_fall pins v in
-      arr_rise.(v) <- r;
-      arr_fall.(v) <- f
-    end
-  done;
-  Rar_obs.Metrics.add m_pin_relax !pins;
-  { net; cv; lib; mdl; launch_time; pa_rise; pa_fall; unate; arr_rise;
-    arr_fall; back_all_cache = None }
+  let t =
+    { net; cv; lib; mdl; launch_time; pa_rise; pa_fall; unate;
+      arr_rise = Array.make n neg_infinity;
+      arr_fall = Array.make n neg_infinity; back_all_cache = None }
+  in
+  Rar_obs.Metrics.add m_pin_relax (sweep t [||] [||] t.arr_rise t.arr_fall);
+  t
 
 let patch t ~net ?annot ~dirty_arcs ~seeds () =
   Rar_obs.Trace.span "sta/patch" @@ fun () ->
@@ -189,8 +226,12 @@ let patch t ~net ?annot ~dirty_arcs ~seeds () =
   let changed = Array.make n false in
   List.iter (fun v -> need.(v) <- true) dirty_arcs;
   List.iter (fun v -> need.(v) <- true) seeds;
-  let arr_rise = Array.copy t.arr_rise in
-  let arr_fall = Array.copy t.arr_fall in
+  let t' =
+    { t with net; cv; pa_rise; pa_fall; unate;
+      arr_rise = Array.copy t.arr_rise; arr_fall = Array.copy t.arr_fall;
+      back_all_cache = None }
+  in
+  let arr_rise = t'.arr_rise and arr_fall = t'.arr_fall in
   let topo = Compact.topo cv in
   for i = 0 to n - 1 do
     let v = topo.(i) in
@@ -206,25 +247,24 @@ let patch t ~net ?annot ~dirty_arcs ~seeds () =
         incr p
       done;
       if !touched then begin
-        let r, f =
-          if tg = Compact.tag_output then begin
-            let u = Compact.fanin cv lo in
-            incr pins;
-            (arr_rise.(u), arr_fall.(u))
-          end
-          else gate_arrival cv unate pa_rise pa_fall arr_rise arr_fall pins v
-        in
+        let old_r = arr_rise.(v) and old_f = arr_fall.(v) in
+        if tg = Compact.tag_output then begin
+          let u = Compact.fanin cv lo in
+          incr pins;
+          arr_rise.(v) <- arr_rise.(u);
+          arr_fall.(v) <- arr_fall.(u)
+        end
+        else begin
+          relax_gate t' [||] [||] arr_rise arr_fall v;
+          pins := !pins + (hi - lo)
+        end;
         (* Bitwise-equal cutoff: propagation stops where the recomputed
            arrival is exactly the old one (identical float expressions
            over identical inputs downstream stay identical too). *)
         if
-          Int64.bits_of_float r <> Int64.bits_of_float arr_rise.(v)
-          || Int64.bits_of_float f <> Int64.bits_of_float arr_fall.(v)
-        then begin
-          arr_rise.(v) <- r;
-          arr_fall.(v) <- f;
-          changed.(v) <- true
-        end
+          Int64.bits_of_float old_r <> Int64.bits_of_float arr_rise.(v)
+          || Int64.bits_of_float old_f <> Int64.bits_of_float arr_fall.(v)
+        then changed.(v) <- true
       end
     end
   done;
@@ -235,9 +275,7 @@ let patch t ~net ?annot ~dirty_arcs ~seeds () =
      cone invalidation reclassifies through them. *)
   List.iter (fun v -> changed.(v) <- true) dirty_arcs;
   List.iter (fun v -> changed.(v) <- true) seeds;
-  ( { t with net; cv; pa_rise; pa_fall; unate; arr_rise; arr_fall;
-      back_all_cache = None },
-    changed )
+  (t', changed)
 
 let arrival_arc t v = Liberty.{ rise = t.arr_rise.(v); fall = t.arr_fall.(v) }
 let df t v = Float.max t.arr_rise.(v) t.arr_fall.(v)
@@ -353,21 +391,7 @@ let through_rf t ~driver ~via in_r in_f =
     let hi = Compact.fanin_hi cv via in
     for p = Compact.fanin_lo cv via to hi - 1 do
       if Compact.fanin cv p = driver then begin
-        let code = t.unate.(p) in
-        let out_r, out_f =
-          if code = un_pos then (in_r +. t.pa_rise.(p), in_f +. t.pa_fall.(p))
-          else if code = un_neg then
-            (in_f +. t.pa_rise.(p), in_r +. t.pa_fall.(p))
-          else if code = un_non then begin
-            let worst = Float.max in_r in_f in
-            (worst +. t.pa_rise.(p), worst +. t.pa_fall.(p))
-          end
-          else begin
-            let worst = Float.max in_r in_f in
-            let d = t.pa_rise.(p) in
-            (worst +. d, worst +. d)
-          end
-        in
+        let out_r = pin_rise t p in_r in_f and out_f = pin_fall t p in_r in_f in
         if out_r > !best_r then best_r := out_r;
         if out_f > !best_f then best_f := out_f
       end
@@ -383,19 +407,20 @@ let through t ~driver ~via arc =
   Liberty.{ rise = r; fall = f }
 
 let latch_out t ~clocking ~latch u =
-  let open_t = Clocking.slave_open clocking +. latch.Liberty.ck_to_q in
-  let d_to_q = latch.Liberty.d_to_q in
+  let slave = slave_timing clocking latch in
   {
-    Liberty.rise = Float.max open_t (t.arr_rise.(u) +. d_to_q);
-    fall = Float.max open_t (t.arr_fall.(u) +. d_to_q);
+    Liberty.rise = through_slave slave t.arr_rise.(u);
+    fall = through_slave slave t.arr_fall.(u);
   }
 
+(* The arc at [v]'s output with a slave right after its fanin [u]. *)
+let slave_through t slave ~u ~v =
+  through_rf t ~driver:u ~via:v
+    (through_slave slave t.arr_rise.(u))
+    (through_slave slave t.arr_fall.(u))
+
 let arrival_with_slave_after t ~clocking ~latch ~u ~v ~db =
-  let open_t = Clocking.slave_open clocking +. latch.Liberty.ck_to_q in
-  let d_to_q = latch.Liberty.d_to_q in
-  let lo_r = Float.max open_t (t.arr_rise.(u) +. d_to_q) in
-  let lo_f = Float.max open_t (t.arr_fall.(u) +. d_to_q) in
-  let out_r, out_f = through_rf t ~driver:u ~via:v lo_r lo_f in
+  let out_r, out_f = slave_through t (slave_timing clocking latch) ~u ~v in
   Float.max (out_r +. db.rise.(v)) (out_f +. db.fall.(v))
 
 (* ------------------------------------------------------------------ *)
@@ -504,14 +529,14 @@ let slave_arcs t ~clocking ~latch =
   let n_pins = Int.max 1 (Compact.fanin_lo cv n) in
   let out_rise = Array.make n_pins neg_infinity in
   let out_fall = Array.make n_pins neg_infinity in
+  let slave = slave_timing clocking latch in
   for v = 0 to n - 1 do
     (* analyse rejects sequential nodes: [v] is a gate or a sink *)
     if Compact.tag cv v <> Compact.tag_input then
       for p = Compact.fanin_lo cv v to Compact.fanin_hi cv v - 1 do
-        let u = Compact.fanin cv p in
-        let arc = through t ~driver:u ~via:v (latch_out t ~clocking ~latch u) in
-        out_rise.(p) <- arc.Liberty.rise;
-        out_fall.(p) <- arc.Liberty.fall
+        let r, f = slave_through t slave ~u:(Compact.fanin cv p) ~v in
+        out_rise.(p) <- r;
+        out_fall.(p) <- f
       done
   done;
   { out_rise; out_fall }
@@ -520,11 +545,8 @@ let slave_delay_bound t ~clocking ~latch =
   let early a = a < t.launch_time in
   if Array.exists early t.arr_rise || Array.exists early t.arr_fall then None
   else
-    Some
-      (Float.max
-         (Clocking.slave_open clocking +. latch.Liberty.ck_to_q
-        -. t.launch_time)
-         latch.Liberty.d_to_q)
+    let slave = slave_timing clocking latch in
+    Some (Float.max (slave.(0) -. t.launch_time) slave.(1))
 
 (* Eq. 5 per cone pin from the hoisted arcs: one add pair and a max. *)
 let cone_slave_arrivals t c arcs =
@@ -542,67 +564,19 @@ let cone_slave_arrivals t c arcs =
   done;
   a_pin
 
-let forward_with_latches t ~clocking ~latch ~latched =
-  let open_t = Clocking.slave_open clocking +. latch.Liberty.ck_to_q in
-  let d_to_q = latch.Liberty.d_to_q in
+let forward_with_latches t ~clocking ~latch index =
   let cv = t.cv in
   let n = Compact.n cv in
+  if Array.length index <> Int.max 1 (Compact.fanin_lo cv n) then
+    invalid_arg "Sta.forward_with_latches: index of another pin layout";
+  let slave = slave_timing clocking latch in
   let arr_r = Array.make n neg_infinity in
   let arr_f = Array.make n neg_infinity in
-  let topo = Compact.topo cv in
-  for i = 0 to n - 1 do
-    let v = topo.(i) in
-    let tg = Compact.tag cv v in
-    if tg = Compact.tag_input then begin
-      arr_r.(v) <- t.launch_time;
-      arr_f.(v) <- t.launch_time
-    end
-    else if tg = Compact.tag_output then begin
-      let u = Compact.fanin cv (Compact.fanin_lo cv v) in
-      if latched ~v ~pin:0 then begin
-        arr_r.(v) <- Float.max open_t (arr_r.(u) +. d_to_q);
-        arr_f.(v) <- Float.max open_t (arr_f.(u) +. d_to_q)
-      end
-      else begin
-        arr_r.(v) <- arr_r.(u);
-        arr_f.(v) <- arr_f.(u)
-      end
-    end
-    else begin
-      let best_r = ref neg_infinity and best_f = ref neg_infinity in
-      let lo = Compact.fanin_lo cv v in
-      let hi = Compact.fanin_hi cv v in
-      for p = lo to hi - 1 do
-        let u = Compact.fanin cv p in
-        let in_r, in_f =
-          if latched ~v ~pin:(p - lo) then
-            ( Float.max open_t (arr_r.(u) +. d_to_q),
-              Float.max open_t (arr_f.(u) +. d_to_q) )
-          else (arr_r.(u), arr_f.(u))
-        in
-        let code = t.unate.(p) in
-        let out_r, out_f =
-          if code = un_pos then (in_r +. t.pa_rise.(p), in_f +. t.pa_fall.(p))
-          else if code = un_neg then
-            (in_f +. t.pa_rise.(p), in_r +. t.pa_fall.(p))
-          else if code = un_non then begin
-            let worst = Float.max in_r in_f in
-            (worst +. t.pa_rise.(p), worst +. t.pa_fall.(p))
-          end
-          else begin
-            let worst = Float.max in_r in_f in
-            let d = t.pa_rise.(p) in
-            (worst +. d, worst +. d)
-          end
-        in
-        if out_r > !best_r then best_r := out_r;
-        if out_f > !best_f then best_f := out_f
-      done;
-      arr_r.(v) <- !best_r;
-      arr_f.(v) <- !best_f
-    end
+  ignore (sweep t index slave arr_r arr_f : int);
+  for v = 0 to n - 1 do
+    arr_r.(v) <- Float.max arr_r.(v) arr_f.(v)
   done;
-  Array.init n (fun v -> Liberty.{ rise = arr_r.(v); fall = arr_f.(v) })
+  arr_r
 
 (* ------------------------------------------------------------------ *)
 (* Path reports                                                        *)
@@ -639,22 +613,11 @@ let critical_path t ~sink =
       for p = lo to hi - 1 do
         let u = Compact.fanin cv p in
         let in_r = t.arr_rise.(u) and in_f = t.arr_fall.(u) in
-        let code = t.unate.(p) in
-        let out_r, out_f =
-          if code = un_pos then (in_r +. t.pa_rise.(p), in_f +. t.pa_fall.(p))
-          else if code = un_neg then
-            (in_f +. t.pa_rise.(p), in_r +. t.pa_fall.(p))
-          else if code = un_non then begin
-            let worst = Float.max in_r in_f in
-            (worst +. t.pa_rise.(p), worst +. t.pa_fall.(p))
-          end
-          else begin
-            let worst = Float.max in_r in_f in
-            let d = t.pa_rise.(p) in
-            (worst +. d, worst +. d)
-          end
+        let v_arr =
+          match edge with
+          | `Rise -> pin_rise t p in_r in_f
+          | `Fall -> pin_fall t p in_r in_f
         in
-        let v_arr = match edge with `Rise -> out_r | `Fall -> out_f in
         if Float.abs (v_arr -. arrival) < 1e-9 && !best = None then begin
           (* reconstruct which input edge produced it *)
           let in_edge =

@@ -61,9 +61,7 @@ val patch :
     counted in the [sta_incremental_pins] metric. *)
 
 val netlist : t -> Netlist.t
-val library : t -> Liberty.t
 val model : t -> model
-val launch : t -> float
 
 (** {1 Forward times} *)
 
@@ -206,18 +204,18 @@ val cone_slave_arrivals : t -> cone -> slave_arcs -> float array
     call). Allocates nothing. *)
 
 val forward_with_latches :
-  t ->
-  clocking:Clocking.t ->
-  latch:Liberty.seq_cell ->
-  latched:(v:int -> pin:int -> bool) ->
-  Liberty.arc array
-(** Arrival at every node when selected input pins are fed through a
-    slave latch: a latched pin sees
-    [max (slave_open + ck_to_q) (arrival + d_to_q)] per polarity before
-    the cell arc. This is the verification pass run after retiming: it
-    yields the true capture arrivals for any slave placement (and the
-    arrival of the un-retimed design when all source-driven pins are
-    latched). *)
+  t -> clocking:Clocking.t -> latch:Liberty.seq_cell -> int array -> float array
+(** [forward_with_latches t ~clocking ~latch index]: the latch-aware
+    arrival sweep, the verification run after retiming. [index] is a
+    slave placement's {!Transform.pin_index} over [t]'s netlist; a pin
+    it latches sees [max (slave_open + ck_to_q) (arrival + d_to_q)] per
+    polarity before the cell arc. Returns the worst (max of rise and
+    fall) arrival at every node: the true capture arrivals for any
+    slave placement, and for {!Transform.initial_placements} those of
+    the un-retimed design. The sweep is {!analyse}'s own, with the same
+    per-gate kernel (so an index latching nothing reproduces {!df}
+    bitwise), and adds nothing to the [sta_pin_relaxations] counter.
+    Raises [Invalid_argument] when [index] has another pin count. *)
 
 (** {1 Path reports} *)
 

@@ -13,7 +13,6 @@ type t
 
 val create : unit -> t
 val length : t -> int
-val is_empty : t -> bool
 val add : t -> float -> int -> unit
 
 val pop_min : t -> (float * int) option

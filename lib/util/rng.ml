@@ -23,17 +23,11 @@ let next t =
   t.state <- Int64.add t.state golden;
   mix t.state
 
-let split t = { state = next t }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
   (* Shift by 2 so the value fits OCaml's 63-bit int non-negatively. *)
   let r = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   r mod bound
-
-let float t x =
-  let r = Int64.to_float (Int64.shift_right_logical (next t) 11) in
-  x *. (r /. 9007199254740992.0 (* 2^53 *))
 
 let bool t = Int64.logand (next t) 1L = 1L
 

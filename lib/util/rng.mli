@@ -14,14 +14,8 @@ val of_string : string -> t
 (** Seed derived from a name, so each benchmark circuit has a stable
     identity across runs. *)
 
-val split : t -> t
-(** Independent child stream; the parent advances. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound); [bound > 0]. *)
-
-val float : t -> float -> float
-(** [float t x] is uniform in [0, x). *)
 
 val bool : t -> bool
 

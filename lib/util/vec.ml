@@ -2,8 +2,6 @@ type 'a t = { mutable data : 'a array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
 
-let make n x = { data = Array.make (max n 1) x; len = n }
-
 let length t = t.len
 
 let check t i op =
@@ -47,13 +45,6 @@ let iteri f t =
   for i = 0 to t.len - 1 do
     f i t.data.(i)
   done
-
-let fold_left f acc t =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
 
 let to_array t = Array.sub t.data 0 t.len
 

@@ -3,8 +3,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val make : int -> 'a -> 'a t
-(** [make n x] is a vector holding [n] copies of [x]. *)
 
 val length : 'a t -> int
 val get : 'a t -> int -> 'a
@@ -17,7 +15,6 @@ val clear : 'a t -> unit
 val is_empty : 'a t -> bool
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
 val of_list : 'a list -> 'a t

@@ -4,14 +4,18 @@
 Validates the metrics object embedded in a rar-run/1 document (counter
 presence and non-zero hot-path counters) and the rar-trace/1 Chrome
 trace: balanced B/E spans per tid, monotonic timestamps, a
-suite/prepare span, and the engine -> LP build/solver -> STA nesting
-on the driving domain.
+suite/prepare span, and the engine -> LP build/solver/LP tail -> STA
+nesting on the driving domain.
 
 Usage: trace_gate.py RUN_TRACED_JSON TRACE_JSON
 """
 
 import json
 import sys
+
+# One span per layer of the LP tail every engine ends with.
+TAIL_SPANS = ("rgraph/decode", "rgraph/legal", "sizing/fix",
+              "outcome/assemble")
 
 
 def gate_metrics(path):
@@ -56,13 +60,16 @@ def gate_trace(path):
     assert any(n.startswith("engine/") for n in names), names
     assert "difflp/solve" in names, names
     assert "rgraph/build" in names, names
+    # the LP tail: decode, legality, size-only fix, outcome assembly
+    for tail in TAIL_SPANS:
+        assert tail in names, (tail, names)
     # the front end: benchmark preparation (split, comb extraction,
     # clock derivation) runs under its own span
     assert "suite/prepare" in names, names
     assert any(n.startswith("solver/") for n in names), names
     assert any(n.startswith("sta/") for n in names), names
-    # LP build and solver spans must always nest inside an engine
-    # span; STA also runs during benchmark preparation (clock-period
+    # LP build, solver and LP-tail spans must always nest inside an
+    # engine span; STA also runs during benchmark preparation (clock-period
     # derivation, before any engine), so for sta/* we require that at
     # least one span is engine-nested rather than all.
     main_tid = next(e["tid"] for e in evs if e["name"].startswith("engine/"))
@@ -74,7 +81,8 @@ def gate_trace(path):
         if e["ph"] == "B":
             in_engine = any(n.startswith("engine/") for n in stack)
             if (e["name"].startswith("solver/")
-                    or e["name"] in ("difflp/solve", "rgraph/build")):
+                    or e["name"] in ("difflp/solve", "rgraph/build")
+                    or e["name"] in TAIL_SPANS):
                 assert in_engine, (
                     e["name"] + " opened outside an engine span")
             if e["name"].startswith("sta/") and in_engine:

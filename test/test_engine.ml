@@ -323,6 +323,118 @@ let test_run_digests () =
         want (run_digest circuit spec))
     run_digests
 
+(* The latch-aware timing every engine ends with, pinned bit for bit:
+   per circuit and engine at c = 1, an MD5 over the bit patterns of
+   the verified sink arrivals, the sorted error-detecting sinks and the
+   slave count; per circuit, the bits of the un-retimed arrival at
+   every sink; per suite circuit, the Table I NCE count. Recorded with
+   faults off. *)
+let arrival_digests =
+  [
+    ("s1196", "initial", "988f808a1422d2aabf837fdbf16d2809");
+    ("s1196", "base", "9b753d429289876c2d99fb6e8ddabb67");
+    ("s1196", "nvl", "d211f9a47cb1799d3f1a0872c944c1cd");
+    ("s1196", "evl", "9b753d429289876c2d99fb6e8ddabb67");
+    ("s1196", "rvl", "9b753d429289876c2d99fb6e8ddabb67");
+    ("s1196", "movable", "9b753d429289876c2d99fb6e8ddabb67");
+    ("s1196", "grar", "9b753d429289876c2d99fb6e8ddabb67");
+    ("s1423", "initial", "b4c77b33c3844017ce7ab4d8b323e72d");
+    ("s1423", "base", "0320f383c7cdf4499d651ffaf383a485");
+    ("s1423", "nvl", "813c11269112efe3560684271a20467f");
+    ("s1423", "evl", "0320f383c7cdf4499d651ffaf383a485");
+    ("s1423", "rvl", "0320f383c7cdf4499d651ffaf383a485");
+    ("s1423", "movable", "5215949e1151b7fff3112301da336024");
+    ("s1423", "grar", "b039b00479e62f52cf5435a3e945706f");
+    ("s5378", "initial", "779775ad0c7c7352a474efd096c07b21");
+    ("s5378", "base", "9cd63b3514c4d9dc1cbd96124e2eb567");
+    ("s5378", "nvl", "7c6d552128a5da10bc73fb9c696a5c69");
+    ("s5378", "evl", "9cd63b3514c4d9dc1cbd96124e2eb567");
+    ("s5378", "rvl", "9cd63b3514c4d9dc1cbd96124e2eb567");
+    ("s5378", "movable", "9cd63b3514c4d9dc1cbd96124e2eb567");
+    ("s5378", "grar", "f83133f307cb4eb78b1650df4b8c28ff");
+    ("s9234", "initial", "a7ed0b6af593513a4c049d468042b93e");
+    ("s9234", "base", "87ce74a3d0ccbf4a439486c2abbedf2f");
+    ("s9234", "nvl", "000522f803daeb2e581e9434b2262505");
+    ("s9234", "evl", "87ce74a3d0ccbf4a439486c2abbedf2f");
+    ("s9234", "rvl", "87ce74a3d0ccbf4a439486c2abbedf2f");
+    ("s9234", "movable", "87ce74a3d0ccbf4a439486c2abbedf2f");
+    ("s9234", "grar", "87ce74a3d0ccbf4a439486c2abbedf2f");
+  ]
+
+let initial_arrival_digests =
+  [
+    ("s1196", "73f89d2a37dd1ebb9b41e6506a225f63");
+    ("s1423", "0a6f88d01416669442344f4235fb11f2");
+    ("s5378", "923078f77918c337fb2dee299dea0a48");
+    ("s9234", "4264bdd3d62eb6f796ecaa0607a31c2a");
+  ]
+
+let suite_nce =
+  [
+    ("s1196", 6); ("s1238", 5); ("s1423", 52); ("s1488", 6); ("s5378", 55);
+    ("s9234", 61); ("s13207", 191); ("s15850", 174); ("s35932", 288);
+    ("s38417", 215); ("s38584", 606); ("plasma", 78);
+  ]
+
+let bits_digest f =
+  let b = Buffer.create 4096 in
+  f (fun x -> Printf.bprintf b "%Lx;" (Int64.bits_of_float x)) b;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let outcome_digest (o : Outcome.t) =
+  bits_digest (fun add b ->
+      Array.iter
+        (fun (s, a) ->
+          Printf.bprintf b "%d=" s;
+          add a)
+        o.Outcome.arrivals;
+      Buffer.add_string b "ed";
+      List.iter (Printf.bprintf b " %d") (List.sort compare o.Outcome.ed_sinks);
+      Printf.bprintf b " slaves %d" o.Outcome.n_slaves)
+
+let test_arrival_digests () =
+  Faults.disable ();
+  Fun.protect ~finally:Faults.use_env @@ fun () ->
+  let prepared = Hashtbl.create 4 in
+  let load circuit =
+    match Hashtbl.find_opt prepared circuit with
+    | Some p -> p
+    | None ->
+      let p = Result.get_ok (Suite.load circuit) in
+      Hashtbl.replace prepared circuit p;
+      p
+  in
+  List.iter
+    (fun (circuit, name, want) ->
+      let spec = Option.get (Engine.of_name name) in
+      match Engine.run_prepared (Engine.config ~c:1.0 spec) (load circuit) with
+      | Error e -> Alcotest.fail (Error.to_string e)
+      | Ok r ->
+        Alcotest.(check string)
+          (circuit ^ " " ^ name ^ " arrivals")
+          want
+          (outcome_digest r.Engine.outcome))
+    arrival_digests;
+  List.iter
+    (fun (circuit, want) ->
+      let stage = Result.get_ok (Engine.stage_of (load circuit)) in
+      Alcotest.(check string)
+        (circuit ^ " initial arrivals")
+        want
+        (bits_digest (fun add _ ->
+             Array.iter (fun s -> add (Stage.initial_arrival stage s))
+               (Stage.sinks stage))))
+    initial_arrival_digests;
+  List.iter
+    (fun (circuit, want) ->
+      let nce =
+        match Hashtbl.find_opt prepared circuit with
+        | Some p -> p.Suite.nce
+        | None -> (Result.get_ok (Suite.load circuit)).Suite.nce
+      in
+      Alcotest.(check int) (circuit ^ " NCE") want nce)
+    suite_nce
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_registry_legal;
@@ -340,4 +452,6 @@ let suite =
       test_result_json_shape;
     Alcotest.test_case "rar-run/1 digests per engine (s1196, s1423)" `Slow
       test_run_digests;
+    Alcotest.test_case "verified arrivals pinned per engine" `Slow
+      test_arrival_digests;
   ]

@@ -146,6 +146,11 @@ let test_placement_legality () =
   | Ok r ->
     let p = Rgraph.placements_of g r in
     Alcotest.(check bool) "legal" true (Rgraph.check_legal g p = Ok ());
+    (* a placement the pin index rejects is an illegal placement, not
+       an exception *)
+    (match Rgraph.check_legal g (p @ p) with
+    | Error (Rar_retime.Error.Illegal_placement _) -> ()
+    | Ok () | Error _ -> Alcotest.fail "pins latched twice accepted");
     (* physical realisation round-trips through the netlist builder *)
     let staged = Transform.apply_retiming (Stage.cc st) p in
     Alcotest.(check bool) "physical netlist valid" true

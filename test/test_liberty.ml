@@ -28,20 +28,6 @@ let test_ckq_dq_spread () =
   Alcotest.(check (float 1e-6)) "40% spread" 1.4
     (l.Liberty.ck_to_q /. l.Liberty.d_to_q)
 
-let test_ed_latch_scaling () =
-  let latch = Liberty.latch lib in
-  List.iter
-    (fun c ->
-      let ed = Liberty.ed_latch lib ~c in
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "area at c=%.1f" c)
-        ((1. +. c) *. latch.Liberty.seq_area)
-        ed.Liberty.seq_area)
-    [ 0.5; 1.0; 2.0 ];
-  Alcotest.check_raises "negative overhead"
-    (Invalid_argument "Liberty.ed_latch: negative overhead") (fun () ->
-      ignore (Liberty.ed_latch lib ~c:(-0.1)))
-
 let test_delay_monotone_in_load () =
   List.iter
     (fun fn ->
@@ -73,17 +59,6 @@ let test_cell_delay_max_dominates () =
     let a = Liberty.pin_arc cell ~pin ~load:3.0 in
     Alcotest.(check bool) "dominates" true (worst >= Liberty.arc_max a)
   done
-
-let test_virtual_groups () =
-  let g = Liberty.virtual_groups lib ~c:2.0 ~resiliency_window:0.3 in
-  let latch = Liberty.latch lib in
-  Alcotest.(check (float 1e-9)) "normal unchanged" latch.Liberty.setup
-    g.Liberty.vl_normal.Liberty.setup;
-  Alcotest.(check (float 1e-9)) "non-ed setup extended"
-    (latch.Liberty.setup +. 0.3)
-    g.Liberty.vl_non_ed.Liberty.setup;
-  Alcotest.(check (float 1e-9)) "ed area" (3. *. latch.Liberty.seq_area)
-    g.Liberty.vl_ed.Liberty.seq_area
 
 let test_synthetic_constant_delay () =
   let latch =
@@ -202,13 +177,11 @@ let suite =
     Alcotest.test_case "all cells present" `Quick test_all_cells_present;
     Alcotest.test_case "latch = 43% of flop" `Quick test_latch_flop_ratio;
     Alcotest.test_case "ck_to_q/d_to_q = 1.4" `Quick test_ckq_dq_spread;
-    Alcotest.test_case "ED latch area scaling" `Quick test_ed_latch_scaling;
     Alcotest.test_case "delay monotone in load" `Quick test_delay_monotone_in_load;
     Alcotest.test_case "drive strength trade-off" `Quick
       test_higher_drive_faster_under_load;
     Alcotest.test_case "cell_delay_max dominates" `Quick
       test_cell_delay_max_dominates;
-    Alcotest.test_case "virtual library groups" `Quick test_virtual_groups;
     Alcotest.test_case "synthetic library" `Quick test_synthetic_constant_delay;
     Alcotest.test_case ".lib roundtrip" `Quick test_lib_roundtrip;
     Alcotest.test_case ".lib vendor style" `Quick test_lib_parse_vendor_style;

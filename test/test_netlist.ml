@@ -148,23 +148,10 @@ let test_apply_retiming_initial_position () =
   let cc = Transform.extract_comb two in
   let comb = cc.Transform.comb in
   (* Place one slave after every source = the un-retimed design. *)
-  let placements =
-    Array.to_list
-      (Array.map
-         (fun src ->
-           let latched =
-             Array.to_list (Netlist.fanouts comb src)
-             |> List.map (fun v ->
-                    let pins = ref [] in
-                    Array.iteri
-                      (fun pin u -> if u = src then pins := (v, pin) :: !pins)
-                      (Netlist.fanins comb v);
-                    !pins)
-             |> List.concat
-           in
-           { Transform.after = src; latched })
-         (Netlist.inputs comb))
-  in
+  let placements = Transform.initial_placements comb in
+  Alcotest.(check int) "one slave per source"
+    (Array.length (Netlist.inputs comb))
+    (List.length placements);
   let staged = Transform.apply_retiming cc placements in
   let stats = Stats.compute staged in
   Alcotest.(check int) "two slaves" 2 stats.Stats.n_slaves;
@@ -269,8 +256,8 @@ let bench_diagnostics =
      "INPUT(a)\nn1 = NOT(g1)\n n2 = NAND(g2, g3)\n", 2, 1,
      "undefined signal \"g1\"");
     ("undefined OUTPUT", "INPUT(a)\nOUTPUT(zz)\n", 0, 0, "undefined signal \"zz\"");
-    ("OUTPUT listed twice", "INPUT(a)\nOUTPUT(a)\nOUTPUT(a)\n", 0, 0,
-     "Netlist: duplicate node name \"a$po\"");
+    ("OUTPUT listed twice", "INPUT(a)\nOUTPUT(a)\nOUTPUT(a)\n", 3, 1,
+     "OUTPUT \"a\" listed twice");
     ("wrong gate arity", "INPUT(a)\nn1 = NOT(a, a)\n", 0, 0,
      "Netlist: gate \"n1\": inv cannot take 2 inputs");
     ("wrong DFF arity", "INPUT(a)\nf = DFF(a, a)\n", 0, 0,
@@ -290,6 +277,16 @@ let bench_diagnostics =
      "INPUT(a)\nOUTPUT(nowhere)\nBAR(b)\nn2 = NAND(a, ghost2)\nOUTPUT(gone)\n\
       INPUT(a)\n",
      0, 0, "undefined signal \"gone\"");
+    ("text after a directive", "INPUT(a) x\n", 1, 10,
+     "unexpected \"x\" after the argument list");
+    ("text glued to an argument list",
+     "INPUT(a)\nINPUT(b)\nn1 = NAND(a, b)x\n", 3, 16,
+     "unexpected \"x\" after the argument list");
+    ("unbalanced closing parenthesis",
+     "INPUT(a)\nINPUT(b)\nn1 = NAND(a, b))\n", 3, 16,
+     "unexpected \")\" after the argument list");
+    ("unbalanced opening parenthesis", "INPUT((a)\n", 1, 1,
+     "expected INPUT(..), OUTPUT(..) or an assignment");
     ("CRLF column", "INPUT(a)\r\n  FOO(a)\r\n", 2, 3, "unknown directive \"FOO\"");
     ("form feed column", "INPUT(a)\n\012FOO(a)\n", 2, 1,
      "unknown directive \"FOO\"");
@@ -354,10 +351,11 @@ let bench_variants =
        OUTPUT(y)\r\n\nOUTPUT(q)\nf = DFF(y)\nm = MLATCH(f)\nl = SLATCH(m)\n\
        n1 = NAND(a, b)\nn2 = INV(n1)\nn3 = BUF(n2)\nn4 = MUX2(a, b, s)\n\
        y = AND(n3, n4, l)\nq = NOR(a, f)\n#" );
-    ( "text after the closing parenthesis",
-      "INPUT(a) x\nINPUT(b)\nINPUT(s)\nOUTPUT(y)\nOUTPUT(q)\nf = DFF(y)\n\
-       m = MLATCH(f)\nl = SLATCH(m)\nn1 = NAND(a, b)x\nn2 = INV(n1) # c\n\
-       n3 = BUF(n2)\nn4 = MUX2(a, b, s)\ny = AND(n3, n4, l)\nq = NOR(a, f)" );
+    ( "a comment after the closing parenthesis",
+      "INPUT(a) # x\nINPUT(b)\nINPUT(s)\nOUTPUT(y)\nOUTPUT(q)\nf = DFF(y)\n\
+       m = MLATCH(f)\nl = SLATCH(m)\nn1 = NAND(a, b)# see f(x)\n\
+       n2 = INV(n1) # c\nn3 = BUF(n2)\nn4 = MUX2(a, b, s)\n\
+       y = AND(n3, n4, l)\t# (\nq = NOR(a, f)" );
   ]
 
 let bench_digest what text =
@@ -375,7 +373,21 @@ let test_bench_variants () =
      empty name. *)
   Alcotest.(check string) "empty argument list"
     (bench_digest "INPUT()" "INPUT()\n")
-    (bench_digest "INPUT( )" "input( \t )\r\n")
+    (bench_digest "INPUT( )" "input( \t )\r\n");
+  (* Balanced parentheses inside a name are part of it (an escaped
+     Verilog identifier may hold them), and such names print back to
+     the same text. *)
+  let text = "INPUT((a))\nOUTPUT(g(1))\ng(1) = NOT((a))\n" in
+  match Bench_io.parse_diag text with
+  | Error d ->
+    Alcotest.failf "nested parentheses: %s" (Rar_util.Diag.to_string d)
+  | Ok net ->
+    Alcotest.(check (option int)) "\"(a)\" is the input"
+      (Some (Netlist.inputs net).(0))
+      (Netlist.find net "(a)");
+    Alcotest.(check string) "printed names parse back"
+      (Netlist.digest net)
+      (bench_digest "reprinted" (Bench_io.print net))
 
 (* [print] then [parse] rebuilds the same text: every node keeps its
    name, kind and pin order (ids follow the text, OUTPUT nodes become
@@ -432,23 +444,7 @@ let prop_staged_extract_roundtrip =
       let cc = Transform.extract_comb (Convert.split Convert.Two net) in
       let comb = cc.Transform.comb in
       (* initial placement: a slave at every source *)
-      let placements =
-        Array.to_list (Netlist.inputs comb)
-        |> List.filter_map (fun src ->
-               let latched =
-                 Array.to_list (Netlist.fanouts comb src)
-                 |> List.sort_uniq compare
-                 |> List.concat_map (fun v ->
-                        let pins = ref [] in
-                        Array.iteri
-                          (fun pin u ->
-                            if u = src then pins := (v, pin) :: !pins)
-                          (Netlist.fanins comb v);
-                        !pins)
-               in
-               if latched = [] then None
-               else Some { Transform.after = src; latched })
-      in
+      let placements = Transform.initial_placements comb in
       let staged = Transform.apply_retiming cc placements in
       let cc2 = Transform.extract_comb staged in
       let s1 = Stats.compute comb and s2 = Stats.compute cc2.Transform.comb in

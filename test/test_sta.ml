@@ -10,6 +10,9 @@ module Sta = Rar_sta.Sta
 module Clocking = Rar_sta.Clocking
 module Spec = Rar_circuits.Spec
 module Generator = Rar_circuits.Generator
+module Suite = Rar_circuits.Suite
+module Stage = Rar_retime.Stage
+module Rgraph = Rar_retime.Rgraph
 module B = Netlist.Builder
 
 let feq = Alcotest.(check (float 1e-9))
@@ -69,10 +72,12 @@ let test_forward_with_latches_matches_plain () =
   let clocking = Clocking.v ~phi1:1. ~gamma1:0. ~phi2:1. ~gamma2:0.5 in
   let arr =
     Sta.forward_with_latches sta ~clocking ~latch:(Liberty.latch chain_lib)
-      ~latched:(fun ~v:_ ~pin:_ -> false)
+      (Transform.pin_index net [])
   in
   for v = 0 to Netlist.node_count net - 1 do
-    feq "no latches = plain" (Sta.df sta v) (Liberty.arc_max arr.(v))
+    Alcotest.(check int64) "no latches = plain, bitwise"
+      (Int64.bits_of_float (Sta.df sta v))
+      (Int64.bits_of_float arr.(v))
   done
 
 let gen_stage name =
@@ -149,7 +154,11 @@ let test_through_matches_arrival () =
           (fun u ->
             let out = Sta.through sta ~driver:u ~via:v (Sta.arrival_arc sta u) in
             best :=
-              Liberty.arc_map2 Float.max !best out)
+              Liberty.
+                {
+                  rise = Float.max !best.rise out.rise;
+                  fall = Float.max !best.fall out.fall;
+                })
           (Netlist.fanins comb v);
         feq "through = arrival (rise)" (Sta.arrival_arc sta v).Liberty.rise
           !best.Liberty.rise;
@@ -190,10 +199,15 @@ let prop_arrival_recurrence =
                 in
                 Array.iter
                   (fun u ->
+                    let out =
+                      Sta.through sta ~driver:u ~via:v (Sta.arrival_arc sta u)
+                    in
                     best :=
-                      Liberty.arc_map2 Float.max !best
-                        (Sta.through sta ~driver:u ~via:v
-                           (Sta.arrival_arc sta u)))
+                      Liberty.
+                        {
+                          rise = Float.max !best.rise out.rise;
+                          fall = Float.max !best.fall out.fall;
+                        })
                   (Netlist.fanins comb v);
                 let a = Sta.arrival_arc sta v in
                 Float.abs (a.Liberty.rise -. !best.Liberty.rise) < 1e-9
@@ -384,48 +398,51 @@ let test_cone_slave_arrivals_allocation_free () =
   Alcotest.(check (float 0.)) "no words per pin" w_small w_large;
   Alcotest.(check (float 0.)) "nothing allocated per call" 0. w_large
 
+(* Latch-aware arrivals against plain ones, over three kinds of slave
+   placement: random slaves (each driver latches a random subset of its
+   fanouts), the un-retimed placement, and the decoded G-RAR solution
+   of the circuit's stage. *)
 let prop_latches_only_delay =
   QCheck.Test.make ~name:"inserting slaves never speeds a path up" ~count:10
     QCheck.(int_bound 20)
     (fun seed ->
-      let lib = Liberty.default () in
       let spec =
         { (Option.get (Spec.find "s1196")) with
           Spec.n_gates = 200; depth = 8;
           seed = Printf.sprintf "mono%d" seed }
       in
-      let net = Generator.generate spec in
-      let comb =
-        (Transform.extract_comb (Convert.split Convert.Two net)).Transform.comb
-      in
+      let p = Suite.prepare (Generator.generate spec) in
+      let lib = p.Suite.lib and clocking = p.Suite.clocking in
+      let comb = p.Suite.cc.Transform.comb in
       let sta = Sta.analyse lib Sta.Path_based comb in
-      let clocking = Clocking.of_p 2.0 in
-      let latch = Liberty.latch lib in
-      let plain =
-        Sta.forward_with_latches sta ~clocking ~latch
-          ~latched:(fun ~v:_ ~pin:_ -> false)
-      in
       let rng = Rar_util.Rng.make (seed + 99) in
-      let latched_set = Hashtbl.create 16 in
-      for v = 0 to Netlist.node_count comb - 1 do
-        Array.iteri
-          (fun pin _ ->
-            if Rar_util.Rng.int rng 4 = 0 then
-              Hashtbl.replace latched_set (v, pin) ())
-          (Netlist.fanins comb v)
-      done;
-      let with_latches =
-        Sta.forward_with_latches sta ~clocking ~latch
-          ~latched:(fun ~v ~pin -> Hashtbl.mem latched_set (v, pin))
+      let random =
+        List.filter_map
+          (fun u ->
+            match Netlist.kind comb u with
+            | Netlist.Output -> None
+            | Netlist.Input | Netlist.Gate _ | Netlist.Seq _ ->
+              Transform.slave_after comb u ~keep:(fun _ ->
+                  Rar_util.Rng.int rng 4 = 0))
+          (List.init (Netlist.node_count comb) Fun.id)
       in
-      let ok = ref true in
-      for v = 0 to Netlist.node_count comb - 1 do
-        if
-          Liberty.arc_max with_latches.(v)
-          < Liberty.arc_max plain.(v) -. 1e-9
-        then ok := false
-      done;
-      !ok)
+      let grar =
+        let stage = Result.get_ok (Stage.make ~lib ~clocking p.Suite.cc) in
+        let g = Rgraph.build ~edl_overhead:1.0 stage in
+        Rgraph.placements_of g (Result.get_ok (Rgraph.solve g))
+      in
+      List.for_all
+        (fun placements ->
+          let arr =
+            Sta.forward_with_latches sta ~clocking ~latch:(Liberty.latch lib)
+              (Transform.pin_index comb placements)
+          in
+          let ok = ref true in
+          for v = 0 to Netlist.node_count comb - 1 do
+            if arr.(v) < Sta.df sta v -. 1e-9 then ok := false
+          done;
+          !ok)
+        [ random; Transform.initial_placements comb; grar ])
 
 let test_critical_path_report () =
   let net = chain () in
