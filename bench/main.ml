@@ -4,14 +4,14 @@
 
      dune exec bench/main.exe [eval|scale|eco|all]      (default: all)
 
-   eval   BENCH_eval.json: Bechamel kernels for the Table VII LP-engine
-          ablation and the Table VIII simulation on s1423, and for the
-          classic-retiming pipeline on a generated 150-gate circuit (the
-          kernel bench/smoke_floor.json gates); the paired deadline and
-          tracing overhead ratios on that same pipeline. Then it prints
-          two ablations.
-   scale  BENCH_scale.json: classic-FEAS and G-RAR rows at 25k and 100k
-          gates, each row in its own child process.
+   eval   BENCH_eval.json: Bechamel kernels on s1423 for the Table VII
+          LP-engine ablation, the Table VIII simulation and the G-RAR
+          pipeline (stage analysis and engine run on the prepared
+          circuit, the kernel bench/smoke_floor.json gates); the paired
+          deadline and tracing overhead ratios on that same pipeline.
+          Then it prints two ablations.
+   scale  BENCH_scale.json: G-RAR rows at 25k and 100k gates, each row
+          in its own child process.
    eco    BENCH_eco.json: the 25k-gate edit-and-resolve measurement.
 
    EXPERIMENTS.md documents the schemas; scripts/ci_gates holds one
@@ -26,7 +26,6 @@ module Report = Rar_report.Report
 module Suite = Rar_circuits.Suite
 module Rgraph = Rar_retime.Rgraph
 module Outcome = Rar_retime.Outcome
-module Classic = Rar_retime.Classic
 module Sim = Rar_sim.Sim
 module Difflp = Rar_flow.Difflp
 module Transform = Rar_netlist.Transform
@@ -213,22 +212,13 @@ let sim_design =
     (let r = Report.run ctx circuit ~spec:Engine.Grar ~c:1.0 in
      Report.sim_design r.Engine.stage r.Engine.outcome)
 
-(* The pipeline bench/smoke_floor.json gates: classic min-period
-   retiming of a generated 150-gate circuit, end to end. *)
-let classic_net =
-  lazy
-    (Rar_circuits.Generator.generate
-       {
-         (Option.get (Rar_circuits.Spec.find "s1196")) with
-         Rar_circuits.Spec.n_gates = 150;
-         depth = 8;
-       })
-
-let retime_classic ?deadline () =
-  let lib = Rar_liberty.Liberty.default () in
-  let g = Classic.of_netlist ~host_registers:1 ~lib (Lazy.force classic_net) in
-  let pmin = Classic.min_period ?deadline g in
-  ignore (ok (Classic.retime ?deadline g ~period:pmin))
+(* The pipeline bench/smoke_floor.json gates: G-RAR at c = 1 on the
+   prepared circuit — stage analysis, LP build, the closure solve and
+   the LP tail. Preparation (conversion, STA, clocking) stays outside
+   the timed loop. *)
+let grar_pipeline ?deadline () =
+  let cfg = Engine.config ~c:1.0 Engine.Grar in
+  ignore (ok (Engine.run_prepared ?deadline cfg (Report.prepared ctx circuit)))
 
 let solve_kernel name engine =
   Test.make ~name (Staged.stage (fun () ->
@@ -238,12 +228,11 @@ let solve_kernel name engine =
 let kernels =
   [
     solve_kernel "table_vii/engine_simplex" Difflp.Network_simplex;
-    solve_kernel "table_vii/engine_ssp" Difflp.Ssp;
     solve_kernel "table_vii/engine_closure" Difflp.Closure;
     Test.make ~name:"table_viii/sim_50_cycles" (Staged.stage (fun () ->
         ignore (Sim.error_rate ~cycles:50 ~seed:"bench" (Lazy.force sim_design))));
-    Test.make ~name:"smoke/classic_retiming"
-      (Staged.stage (fun () -> retime_classic ()));
+    Test.make ~name:"smoke/grar_pipeline"
+      (Staged.stage (fun () -> grar_pipeline ()));
   ]
 
 (* [~stabilize:false]: Bechamel's default compacts the heap before
@@ -286,28 +275,33 @@ let measure_kernels () =
    cost is far below host noise, so the quotient of two independently
    measured Bechamel estimates flakes: clock-speed drift between the
    two measurement windows reads as "overhead". Interleaved paired
-   rounds alternate plain and armed runs instead (four rounds of three
-   runs each), so drift hits both sides equally and cancels out of the
-   quotient. *)
+   rounds alternate plain and armed runs instead (eight rounds a side),
+   so drift hits both sides equally and cancels out of the quotient.
+   A round repeats the run until it lasts about a quarter second (the
+   count is sized from the warm-up run), so a millisecond pipeline is
+   timed over windows long enough for scheduler noise to average
+   out. *)
 let paired_ratio ~plain ~armed =
-  let time f = snd (time_wall (fun () -> for _ = 1 to 3 do f () done)) in
-  plain ();
+  let time k f = snd (time_wall (fun () -> for _ = 1 to k do f () done)) in
+  let once = time 1 plain in
   armed ();
+  let k = Int.max 3 (int_of_float (Float.ceil (0.25 /. Float.max 1e-6 once)))
+  in
   let plain_s = ref 0. and armed_s = ref 0. in
-  for _ = 1 to 4 do
-    plain_s := !plain_s +. time plain;
-    armed_s := !armed_s +. time armed
+  for _ = 1 to 8 do
+    plain_s := !plain_s +. time k plain;
+    armed_s := !armed_s +. time k armed
   done;
   !armed_s /. Float.max 1e-9 !plain_s
 
 (* What an armed deadline (strided in-loop checks at full frequency,
    far enough out never to fire) and armed tracing + metrics add to the
-   gated classic pipeline. Both are capped at 1.05x in
+   gated G-RAR pipeline. Both are capped at 1.05x in
    bench/smoke_floor.json. *)
 let overhead () =
-  let plain () = retime_classic () in
+  let plain () = grar_pipeline () in
   let deadline () =
-    retime_classic ~deadline:(Rar_util.Deadline.make ~budget_s:86400.) ()
+    grar_pipeline ~deadline:(Rar_util.Deadline.make ~budget_s:86400.) ()
   in
   let traced () =
     Rar_obs.Trace.clear ();
@@ -381,7 +375,7 @@ let run_resynth_ablation () =
 
 let run_eval () =
   let kernels = measure_kernels () in
-  Printf.printf "\n== Overhead: armed vs plain classic pipeline ==\n%!";
+  Printf.printf "\n== Overhead: armed vs plain G-RAR pipeline ==\n%!";
   let overhead = with_jobs 1 overhead in
   write_doc "BENCH_eval.json"
     (Json.Obj
@@ -413,93 +407,56 @@ let peak_rss_mb () =
 
 (* One row on a generated [gates]-gate circuit (sizing shared with
    `rar generate` through Rar_circuits.Defaults, so a row reproduces
-   from the CLI), with its span split, effort counters and peak RSS.
-   [classic_feas] is classic min-period retiming through the
-   matrix-free FEAS route, the only classic path that fits 10^6 gates;
-   [grar] is prepare + stage + the G-RAR engine. *)
-let scale_row ~path ~gates =
+   from the CLI): prepare + stage + the G-RAR engine, with its span
+   split, effort counters and peak RSS. *)
+let scale_row ~gates =
   let spec = Rar_circuits.Defaults.scale_spec ~gates in
   let net, generate_s =
     time_wall (fun () -> Rar_circuits.Generator.generate spec)
   in
-  let measure f = time_wall (fun () -> span_totals f) in
-  let phase, dt, spans, counters, stats =
-    match path with
-    | "classic_feas" ->
-      let lib = Rar_liberty.Liberty.default () in
-      let ((p0, o), spans, counters), dt =
-        measure (fun () ->
-            let g = Classic.of_netlist ~host_registers:1 ~lib net in
-            (Classic.period_of g, ok (Classic.retime_feas g)))
-      in
-      Printf.printf
-        "  classic_feas %7d gates: gen %6.2fs, retime %6.2fs, %.3f -> %.3f \
-         ns, %d -> %d regs\n%!"
-        gates generate_s dt p0 o.Classic.achieved_period
-        o.Classic.registers_before o.Classic.registers_after;
-      ( "retime_s",
-        dt,
-        spans,
-        counters,
-        [
-          ("period_before_ns", num p0);
-          ("period_after_ns", num o.Classic.achieved_period);
-          ("registers_before", Json.Int o.Classic.registers_before);
-          ("registers_after", Json.Int o.Classic.registers_after);
-        ] )
-    | "grar" ->
-      let ((p, r), spans, counters), dt =
-        measure (fun () ->
+  let ((p, r), spans, counters), dt =
+    time_wall (fun () ->
+        span_totals (fun () ->
             let p = Suite.prepare net in
             let cfg = Engine.config ~c:1.0 Engine.Grar in
-            (p, ok (Engine.run cfg (ok (Engine.stage_of p)))))
-      in
-      let o = r.Engine.outcome in
-      Printf.printf
-        "  grar         %7d gates: gen %6.2fs, run    %6.2fs, P %.3f ns, %d \
-         slaves, %d EDLs\n%!"
-        gates generate_s dt p.Suite.p o.Outcome.n_slaves (Outcome.ed_count o);
-      ( "run_s",
-        dt,
-        spans,
-        counters,
-        [
-          ("p_ns", num p.Suite.p);
-          ("n_slaves", Json.Int o.Outcome.n_slaves);
-          ("edl_count", Json.Int (Outcome.ed_count o));
-          ("total_area", num o.Outcome.total_area);
-        ] )
-    | _ -> invalid_arg ("unknown scale path " ^ path)
+            (p, ok (Engine.run cfg (ok (Engine.stage_of p))))))
   in
+  let o = r.Engine.outcome in
+  Printf.printf
+    "  grar %7d gates: gen %6.2fs, run %6.2fs, P %.3f ns, %d slaves, %d \
+     EDLs\n%!"
+    gates generate_s dt p.Suite.p o.Outcome.n_slaves (Outcome.ed_count o);
   Json.Obj
-    ([
-       ("circuit", Json.String spec.Rar_circuits.Spec.name);
-       ("gates", Json.Int gates);
-       ("path", Json.String path);
-       ("phases", Json.Obj [ ("generate_s", num generate_s); (phase, num dt) ]);
-       ("spans", spans);
-       ("counters", counters_json counters);
-     ]
-    @ stats
-    @ [ ("peak_rss_mb", peak_rss_mb ()) ])
+    [
+      ("circuit", Json.String spec.Rar_circuits.Spec.name);
+      ("gates", Json.Int gates);
+      ( "phases",
+        Json.Obj [ ("generate_s", num generate_s); ("run_s", num dt) ] );
+      ("spans", spans);
+      ("counters", counters_json counters);
+      ("p_ns", num p.Suite.p);
+      ("n_slaves", Json.Int o.Outcome.n_slaves);
+      ("edl_count", Json.Int (Outcome.ed_count o));
+      ("total_area", num o.Outcome.total_area);
+      ("peak_rss_mb", peak_rss_mb ());
+    ]
 
 (* Every row runs in a child process of this executable
-   ([--scale-row PATH GATES]), so each gets a fresh heap and its own
+   ([--scale-row GATES]), so each gets a fresh heap and its own
    peak RSS: a 10^5-gate G-RAR row peaks at ~1.2 GB, and OCaml 5.1's
    [Gc.compact] cannot return a fragmented heap, so rows sharing one
    heap would carry their high-water marks into every later row. The
    child prints its progress line, then the row as its last line. *)
-let scale_row_in_child ~path ~gates =
+let scale_row_in_child ~gates =
   let exe = Sys.executable_name in
   let ic =
-    Unix.open_process_args_in exe
-      [| exe; "--scale-row"; path; string_of_int gates |]
+    Unix.open_process_args_in exe [| exe; "--scale-row"; string_of_int gates |]
   in
   let lines =
     In_channel.input_all ic |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "")
   in
-  let fail why = failwith (Printf.sprintf "scale row %s/%d %s" path gates why) in
+  let fail why = failwith (Printf.sprintf "scale row %d %s" gates why) in
   (match Unix.close_process_in ic with
   | Unix.WEXITED 0 -> ()
   | _ -> fail "failed");
@@ -514,17 +471,12 @@ let scale_row_in_child ~path ~gates =
 let run_scale () =
   Printf.printf "\n== Scale rows (generated circuits, one child each) ==\n%!";
   let rows =
-    List.concat_map
-      (fun gates ->
-        List.map
-          (fun path -> scale_row_in_child ~path ~gates)
-          [ "classic_feas"; "grar" ])
-      [ 25_000; 100_000 ]
+    List.map (fun gates -> scale_row_in_child ~gates) [ 25_000; 100_000 ]
   in
   write_doc "BENCH_scale.json"
     (Json.Obj
        [
-         ("schema", Json.String "rar-bench-scale/3");
+         ("schema", Json.String "rar-bench-scale/4");
          ("host", host ());
          ("curve", Json.List rows);
        ])
@@ -656,8 +608,8 @@ let run_mode_in_child mode =
 
 let () =
   match List.tl (Array.to_list Sys.argv) with
-  | [ "--scale-row"; path; gates ] ->
-    print_endline (Json.to_string (scale_row ~path ~gates:(int_of_string gates)))
+  | [ "--scale-row"; gates ] ->
+    print_endline (Json.to_string (scale_row ~gates:(int_of_string gates)))
   | [] | [ "all" ] -> List.iter run_mode_in_child [ "eval"; "scale"; "eco" ]
   | [ "eval" ] -> run_eval ()
   | [ "scale" ] -> run_scale ()

@@ -12,7 +12,6 @@
      rar sweep         G-RAR vs base over the EDL overhead factor c
      rar timing        critical-path timing reports
      rar lib           dump the built-in cell library as Liberty
-     rar classic       classic min-period / min-area retiming (--feas)
      rar convert       flip-flop design to two- or three-phase latches
      rar generate      seeded layered-DAG benchmark netlist
      rar eco           incremental retiming over an edit script
@@ -185,8 +184,8 @@ let solver_arg =
           "LP solver: $(b,auto) (default; the min-cut closure engine \
            whenever the LP confines every retiming value to {-1, 0}, as \
            every retiming LP here does, else network simplex), $(b,ns) \
-           (network simplex, the paper's solver and the reference), \
-           $(b,ssp) or $(b,closure).")
+           (network simplex, the paper's solver and the reference) or \
+           $(b,closure).")
 
 let make_deadline =
   Option.map (fun budget_s -> Rar_util.Deadline.make ~budget_s)
@@ -350,9 +349,8 @@ let run_cmd =
       & info [ "metrics" ]
           ~doc:
             "Collect solver/kernel counters (network-simplex pivots, \
-             max-flow phases and augmentations, SPFA relaxations, SSP \
-             augmentations, STA pin relaxations, W/D memo \
-             hits, solver fallbacks) and pool gauges; with \
+             max-flow phases and augmentations, STA pin relaxations, \
+             stage cone nodes, solver fallbacks) and pool gauges; with \
              $(b,--format json) they are embedded as a $(b,metrics) object \
              in the rar-run/1 document, otherwise printed after the \
              summary line.")
@@ -584,87 +582,6 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Simulate the G-RAR-retimed benchmark and dump a VCD waveform.")
     Term.(ret (const run $ verbose_arg $ jobs_arg $ name_arg $ out $ cycles))
-
-(* --- rar classic ----------------------------------------------------- *)
-
-(* "12.5% faster", or "3.5% slower" when the retimed period [p1] is
-   above the original [p0]. *)
-let period_change p0 p1 =
-  let pct = 100. *. (p0 -. p1) /. p0 in
-  if p1 > p0 then Printf.sprintf "%.1f%% slower" (-.pct)
-  else Printf.sprintf "%.1f%% faster" pct
-
-let classic_cmd =
-  let name_arg =
-    Arg.value
-      (circuit_arg ~doc:"Benchmark name (omit when $(b,--bench) is given)." ())
-  in
-  let bench_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "bench" ] ~docv:"FILE"
-          ~doc:
-            "Retime a \".bench\" netlist read from FILE (timed with the \
-             built-in library) instead of a suite benchmark.")
-  in
-  let feas_arg =
-    Arg.(
-      value & flag
-      & info [ "feas" ]
-          ~doc:
-            "Use the matrix-free FEAS route (binary search over clock-period \
-             feasibility passes) instead of the O(V^2) W/D matrices. Same \
-             minimum period; required for 10^5-gate-plus netlists.")
-  in
-  let run verbose name bench feas =
-    setup_logs verbose;
-    match load_circuit name bench with
-    | Error e -> `Error (false, e)
-    | Ok (name, circuit) -> (
-      let net, lib =
-        match circuit with
-        | Bench_file net -> (net, Rar_liberty.Liberty.default ())
-        | Suite_circuit p -> (p.Suite.flop_netlist, p.Suite.lib)
-      in
-      try
-        let g = Rar_retime.Classic.of_netlist ~host_registers:1 ~lib net in
-        let p0 = Rar_retime.Classic.period_of g in
-        if feas then
-          match Rar_retime.Classic.retime_feas g with
-          | Error e -> `Error (false, Error.to_string e)
-          | Ok o ->
-            Printf.printf
-              "%s: original period %.3f ns, FEAS retimed period %.3f ns (%s)\n"
-              name p0 o.Rar_retime.Classic.achieved_period
-              (period_change p0 o.Rar_retime.Classic.achieved_period);
-            Printf.printf "FEAS retiming: %d -> %d registers\n"
-              o.Rar_retime.Classic.registers_before
-              o.Rar_retime.Classic.registers_after;
-            `Ok ()
-        else
-          let pmin = Rar_retime.Classic.min_period g in
-          Printf.printf
-            "%s: original period %.3f ns, minimum retimed period %.3f ns (%s)\n"
-            name p0 pmin (period_change p0 pmin);
-          match Rar_retime.Classic.retime g ~period:pmin with
-          | Error e -> `Error (false, Error.to_string e)
-          | Ok o ->
-            Printf.printf
-              "min-area retiming at %.3f ns: %d -> %d registers (achieved \
-               %.3f ns)\n"
-              pmin o.Rar_retime.Classic.registers_before
-              o.Rar_retime.Classic.registers_after
-              o.Rar_retime.Classic.achieved_period;
-            `Ok ()
-      with Invalid_argument e -> `Error (false, e))
-  in
-  Cmd.v
-    (Cmd.info "classic"
-       ~doc:
-         "Classic Leiserson–Saxe min-period / min-area retiming of the \
-          flop-based benchmark (the paper's §II-C background algorithm). \
-          With $(b,--feas), the matrix-free million-gate route.")
-    Term.(ret (const run $ verbose_arg $ name_arg $ bench_arg $ feas_arg))
 
 (* --- rar eco --------------------------------------------------------- *)
 
@@ -1207,8 +1124,8 @@ let generate_cmd =
        ~doc:
          "Generate a seeded layered-DAG benchmark netlist of a chosen size \
           (up to millions of gates) and write it as \".bench\" text, for \
-          scaling studies with 'rar classic --bench --feas' and 'rar \
-          bench'.")
+          scaling studies with 'rar bench', 'rar convert --bench' and \
+          'rar eco --bench'.")
     Term.(
       ret
         (const run $ verbose_arg $ gates_arg $ depth_arg $ flops_arg $ pi_arg
@@ -1347,7 +1264,7 @@ let main =
          "Retiming of two-phase latch-based resilient circuits — \
           reproduction of Cheng et al. (DAC 2017 / journal extension).")
     [ table_cmd; all_cmd; info_cmd; run_cmd; bench_cmd; dot_cmd; period_cmd;
-      trace_cmd; sweep_cmd; timing_cmd; lib_cmd; classic_cmd; convert_cmd;
+      trace_cmd; sweep_cmd; timing_cmd; lib_cmd; convert_cmd;
       generate_cmd; eco_cmd; serve_cmd ]
 
 let () = exit (Cmd.eval main)

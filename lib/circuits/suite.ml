@@ -39,8 +39,9 @@ let prepare ?lib ?clock ?flop_base net =
   let t0 = Rar_util.Clock.now_s () in
   let lib = match lib with Some l -> l | None -> Liberty.default () in
   (* [flop_base]: the edge-triggered source when [net] is already a
-     Convert output — kept as [flop_netlist] so flop-domain consumers
-     (classic retiming, Table I baselines) see the original design. *)
+     Convert output — kept as [flop_netlist] so the flop-domain
+     figures (Table I's flop count and area, [rar info]) describe the
+     original design. *)
   let base = Option.value flop_base ~default:net in
   let two_phase = Convert.split Convert.Two net in
   let cc = Transform.extract_comb two_phase in

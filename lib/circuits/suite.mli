@@ -44,9 +44,9 @@ val prepare :
     {!Liberty.default}; [clock] as in {!derive_clocking}. [flop_base]
     supplies the edge-triggered source of a converted netlist: it
     becomes [flop_netlist] and the basis for [n_flops]/[flop_area], so
-    flop-domain consumers (classic retiming, Table I baselines) keep
-    operating on the original design. Runs under a [suite/prepare]
-    trace span. *)
+    the flop-domain figures (Table I's flop count and area, [rar info])
+    describe the original design. Runs under a [suite/prepare] trace
+    span. *)
 
 val load : ?lib:Liberty.t -> string -> (prepared, string) result
 (** Load a named benchmark (case-insensitive): Table I names,

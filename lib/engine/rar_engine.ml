@@ -107,12 +107,10 @@ let model_of_name = function
 let solver_name = function
   | None -> "auto"
   | Some Difflp.Network_simplex -> "ns"
-  | Some Difflp.Ssp -> "ssp"
   | Some Difflp.Closure -> "closure"
 
 let solver_of_name = function
   | "network-simplex" | "ns" -> Ok (Some Difflp.Network_simplex)
-  | "ssp" -> Ok (Some Difflp.Ssp)
   | "closure" -> Ok (Some Difflp.Closure)
   | "auto" -> Ok None
   | s -> Error (Printf.sprintf "unknown solver %S" s)

@@ -138,8 +138,8 @@ val model_of_name : string -> (Sta.model, string) Stdlib.result
     [unknown model "..." (path|gate)]. *)
 
 val solver_name : Difflp.engine option -> string
-(** ["auto"] (no pinned engine: {!Difflp.default_engine}), ["ns"],
-    ["ssp"] or ["closure"]. *)
+(** ["auto"] (no pinned engine: {!Difflp.default_engine}), ["ns"] or
+    ["closure"]. *)
 
 val solver_of_name : string -> (Difflp.engine option, string) Stdlib.result
 (** Inverse of {!solver_name}, also accepting ["network-simplex"] for

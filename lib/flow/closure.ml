@@ -14,20 +14,35 @@ type outcome = {
   certificate : (unit, string) result;
 }
 
-let solve ?deadline inst =
+(* One pass over the bounds: counts the implications (bound 0) and
+   forced selections (bound -1) that size the network, and checks the
+   binary window. A bound below -1 is outside it, and so is a node
+   other than the reference that lacks [x - reference <= b] for some
+   [b <= 0] or [reference - x <= b] for some [b <= 1]: only with both
+   is every feasible normalised solution in {-1, 0}, which is what
+   makes every bound of 1 or more vacuous. *)
+let scan inst =
   if Array.length inst.profit <> inst.n then
     invalid_arg "Closure.solve: profit length mismatch";
-  let { m; u; v; bound; _ } = inst in
+  let { n; m; u; v; bound; reference; _ } = inst in
   if m < 0 || m > Array.length u || m > Array.length v || m > Array.length bound
   then invalid_arg "Closure.solve: constraint count mismatch";
-  (* One pass sizes the network and finds the last constraint outside
-     the window, if any. *)
+  let upper = Bytes.make n '\000' and lower = Bytes.make n '\000' in
   let implications = ref 0 and forced = ref 0 and outside = ref (-1) in
   for i = 0 to m - 1 do
     let b = bound.(i) in
     if b = 0 then incr implications
     else if b = -1 then incr forced
-    else if b < -1 then outside := i
+    else if b < -1 then outside := i;
+    if v.(i) = reference && b <= 0 then Bytes.set upper u.(i) '\001';
+    if u.(i) = reference && b <= 1 then Bytes.set lower v.(i) '\001'
+  done;
+  let unbounded = ref (-1) and x = ref 0 in
+  while !unbounded < 0 && !x < n do
+    if !x <> reference
+       && (Bytes.get upper !x = '\000' || Bytes.get lower !x = '\000')
+    then unbounded := !x;
+    incr x
   done;
   if !outside >= 0 then
     let i = !outside in
@@ -35,11 +50,24 @@ let solve ?deadline inst =
       (Printf.sprintf
          "constraint r(%d) - r(%d) <= %d is outside the binary window" u.(i)
          v.(i) bound.(i))
-  else begin
+  else if !unbounded >= 0 then
+    Error
+      (Printf.sprintf
+         "r(%d) is not confined to {-1, 0} against the reference r(%d)"
+         !unbounded reference)
+  else Ok (!implications, !forced)
+
+let in_window inst = Result.is_ok (scan inst)
+
+let solve ?deadline inst =
+  let { m; u; v; bound; _ } = inst in
+  match scan inst with
+  | Error _ as e -> e
+  | Ok (implications, forced) ->
     let source = inst.n and sink = inst.n + 1 in
     let edges =
       Array.fold_left (fun k p -> if p <> 0. then k + 1 else k) 0 inst.profit
-      + !implications + (2 * !forced) + 1
+      + implications + (2 * forced) + 1
     in
     let mf = Maxflow.create ~edges ~n:(inst.n + 2) () in
     (* "Infinite" capacity: larger than any finite cut. *)
@@ -77,4 +105,3 @@ let solve ?deadline inst =
         selected;
       Ok { selected; best_profit = !best_profit; certificate }
     end
-  end

@@ -5,7 +5,7 @@
     [Y = { v | r(v) = -1 }] under monotone implication constraints is a
     max-profit closure problem, solved exactly by one max-flow. It is
     {!Difflp.solve}'s default engine whenever the LP's bounds confine
-    every variable to that window. *)
+    every variable to that window, and network simplex's fallback. *)
 
 type instance = {
   n : int;
@@ -34,9 +34,16 @@ type outcome = {
           whose value equals the capacity of the returned cut *)
 }
 
+val in_window : instance -> bool
+(** The binary window {!solve} requires: no bound below [-1], and every
+    node [x <> reference] has both [r(x) - r(reference) <= b] for some
+    [b <= 0] and [r(reference) - r(x) <= b] for some [b <= 1], so every
+    feasible normalised solution lies in [{-1, 0}]. One linear pass. *)
+
 val solve :
   ?deadline:Rar_util.Deadline.t -> instance -> (outcome, string) result
-(** Errors when a bound is below [-1] (outside the binary window) or
+(** Errors when the instance is outside the binary window
+    ({!in_window}; the same pass that sizes the network checks it), or
     when a node is both forced selected and rejected (directly or
     through implications). The network is sized from the instance
     before any edge is added: profit edges first, then the

@@ -2,9 +2,8 @@ module Faults = Rar_resilience.Faults
 
 (* Constraints [r(u) - r(v) <= bound] live in three growable int
    arrays, entry [i] of each in emission order; only [0 .. m - 1] is
-   meaningful. Every reader (check, the binary-window scan, the
-   closure network, the flow problem, the cache key) walks them in
-   place. *)
+   meaningful. Every reader (check, the closure instance, the flow
+   problem, the cache key) walks them in place. *)
 type t = {
   n : int;
   mutable m : int;
@@ -74,14 +73,13 @@ let slack t r i =
     invalid_arg (Printf.sprintf "Difflp.slack: constraint %d out of range" i);
   t.bound.(i) - r.(t.u.(i)) + r.(t.v.(i))
 
-type engine = Network_simplex | Ssp | Closure
+type engine = Network_simplex | Closure
 
 let engine_name = function
   | Network_simplex -> "network-simplex"
-  | Ssp -> "ssp"
   | Closure -> "closure"
 
-let all_engines = [ Network_simplex; Ssp; Closure ]
+let all_engines = [ Network_simplex; Closure ]
 
 let objective_value t r =
   let acc = ref 0. in
@@ -126,30 +124,17 @@ let m_fallbacks = Rar_obs.Metrics.counter "solver_fallbacks"
    order, so fault firing is reproducible under any domain scheduling. *)
 let fault_key t = (t.n * 1_000_003) + t.m
 
-(* The binary-window scan behind the default engine choice: every
-   non-reference variable [x] carries both [x - ref <= 0] and
-   [ref - x <= 1] (or tighter), and no bound is below -1. Then every
-   feasible normalised solution lies in {-1, 0}, which is exactly the
-   precondition of the closure reduction. One linear pass. *)
-let binary_window t ~reference =
-  let upper = Bytes.make t.n '\000' and lower = Bytes.make t.n '\000' in
-  let ok = ref true in
-  for i = 0 to t.m - 1 do
-    let b = t.bound.(i) in
-    if b < -1 then ok := false
-    else begin
-      if t.v.(i) = reference && b <= 0 then Bytes.set upper t.u.(i) '\001';
-      if t.u.(i) = reference && b <= 1 then Bytes.set lower t.v.(i) '\001'
-    end
-  done;
-  let v = ref 0 in
-  while !ok && !v < t.n do
-    if !v <> reference
-       && (Bytes.get upper !v = '\000' || Bytes.get lower !v = '\000')
-    then ok := false;
-    incr v
-  done;
-  !ok
+(* The LP as a closure instance, read in place. *)
+let closure_instance t ~reference =
+  {
+    Closure.n = t.n;
+    profit = t.coeff;
+    m = t.m;
+    u = t.u;
+    v = t.v;
+    bound = t.bound;
+    reference;
+  }
 
 (* One engine behind the fallback chain. Faults only ever perturb the
    primary attempt ([faulty] = true); the fallback runs clean, so a
@@ -160,7 +145,7 @@ let binary_window t ~reference =
    doomed fallback solve. Retryable failures (pivot cap, certificate
    rejection, injected faults) keep the engine-swap behaviour. Every
    accepted solution is gated on its engine's certificate (LP duality
-   for the flow engines, flow value = cut capacity for closure); a
+   for network simplex, flow value = cut capacity for closure); a
    solver bug or an injected [badcert] fault is caught there and
    routed to the alternate engine instead of reaching the caller. *)
 let attempt ?deadline ~faulty t ~reference ~problem eng =
@@ -198,26 +183,11 @@ let attempt ?deadline ~faulty t ~reference ~problem eng =
           | Netsimplex.Pivot_limit _ -> false
         in
         Error (Netsimplex.error_to_string err, definitive))
-    | Ssp -> (
-      match Ssp.solve ?deadline (Lazy.force problem) with
-      | Ok s -> flow_result ~flow:s.Ssp.flow ~potentials:s.Ssp.potentials
-      | Error e -> Error (e, false))
     | Closure -> (
       Rar_obs.Trace.span "solver/closure" @@ fun () ->
-      (* Selection means r = -1; assumes every feasible normalised
-         solution is in {-1, 0}. *)
-      let inst =
-        {
-          Closure.n = t.n;
-          profit = t.coeff;
-          m = t.m;
-          u = t.u;
-          v = t.v;
-          bound = t.bound;
-          reference;
-        }
-      in
-      match Closure.solve ?deadline inst with
+      (* Selection means r = -1. Outside the {-1, 0} window closure
+         fails definitively, whether it runs first or as the fallback. *)
+      match Closure.solve ?deadline (closure_instance t ~reference) with
       | Error e -> Error (e, true)
       | Ok o ->
         let cert = o.Closure.certificate in
@@ -229,8 +199,8 @@ let attempt ?deadline ~faulty t ~reference ~problem eng =
 
 (* The alternate engine a failed primary hands over to. *)
 let secondary = function
-  | Network_simplex -> Ssp
-  | Ssp | Closure -> Network_simplex
+  | Network_simplex -> Closure
+  | Closure -> Network_simplex
 
 let solve_with ?deadline ?on_fallback t ~reference primary =
   if not (balanced t) then
@@ -299,7 +269,7 @@ let put_varint b pos x =
   Bytes.set b !p (Char.unsafe_chr !z);
   !p + 1
 
-let engine_code = function Network_simplex -> 0 | Ssp -> 1 | Closure -> 2
+let engine_code = function Network_simplex -> 0 | Closure -> 1
 
 (* Sized by a first pass, so the key is allocated once and exactly. *)
 let signature t ~reference ~engine =
@@ -339,7 +309,8 @@ let cache_store cache key r =
   Tbl.replace cache.tbl key (Array.copy r)
 
 let default_engine t ~reference =
-  if binary_window t ~reference then Closure else Network_simplex
+  if Closure.in_window (closure_instance t ~reference) then Closure
+  else Network_simplex
 
 let solve ?deadline ?on_fallback ?engine ?cache t ~reference =
   Rar_obs.Trace.span "difflp/solve" @@ fun () ->
@@ -403,31 +374,3 @@ let solve_brute t ~lo ~hi ~reference =
   in
   go 0;
   !best
-
-let to_lp_format t ~name =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "Minimize\n obj:";
-  let first = ref true in
-  Array.iteri
-    (fun v a ->
-      if a <> 0. then begin
-        Buffer.add_string buf
-          (Printf.sprintf " %s%g %s"
-             (if a >= 0. then (if !first then "" else "+ ") else "- ")
-             (Float.abs a) (name v));
-        first := false
-      end)
-    t.coeff;
-  if !first then Buffer.add_string buf " 0 r0";
-  Buffer.add_string buf "\nSubject To\n";
-  for i = 0 to t.m - 1 do
-    Buffer.add_string buf
-      (Printf.sprintf " c%d: %s - %s <= %d\n" (i + 1) (name t.u.(i))
-         (name t.v.(i)) t.bound.(i))
-  done;
-  Buffer.add_string buf "Bounds\n";
-  for v = 0 to t.n - 1 do
-    Buffer.add_string buf (Printf.sprintf " %s free\n" (name v))
-  done;
-  Buffer.add_string buf "End\n";
-  Buffer.contents buf

@@ -9,11 +9,11 @@
     once positively and once negatively) — the LP is shift-invariant
     and solutions are normalised to [r(reference) = 0].
 
-    Three exact engines (DESIGN.md §5): a max-flow closure reduction
-    (the default whenever every variable is confined to [{-1, 0}], as
-    in every retiming LP here), the paper's network simplex (the
-    reference, and the default otherwise) and successive shortest paths
-    on the same flow dual. A brute-force enumerator backs property
+    Two exact engines (DESIGN.md §5), each the other's fallback: a
+    max-flow closure reduction (the default whenever every variable is
+    confined to [{-1, 0}], as in every retiming LP here) and the
+    paper's network simplex on the flow dual (the reference, and the
+    default otherwise). A brute-force enumerator backs property
     tests. *)
 
 type t
@@ -39,7 +39,7 @@ val slack : t -> int array -> int -> int
     in emission order; [Invalid_argument] unless
     [0 <= i < constraint_count t]. *)
 
-type engine = Network_simplex | Ssp | Closure
+type engine = Network_simplex | Closure
 
 val engine_name : engine -> string
 val all_engines : engine list
@@ -64,10 +64,11 @@ val create_cache : unit -> cache
 
 val default_engine : t -> reference:int -> engine
 (** The engine {!solve} runs when given none, chosen by one linear
-    scan: [Closure] when no bound is below [-1] and every variable
-    [x <> reference] has both [x - reference <= b] for some [b <= 0]
-    and [reference - x <= b] for some [b <= 1] — so every feasible
-    normalised solution lies in [{-1, 0}] — else [Network_simplex]. *)
+    scan ({!Closure.in_window}): [Closure] when no bound is below [-1]
+    and every variable [x <> reference] has both [x - reference <= b]
+    for some [b <= 0] and [reference - x <= b] for some [b <= 1] — so
+    every feasible normalised solution lies in [{-1, 0}] — else
+    [Network_simplex]. *)
 
 val solve :
   ?deadline:Rar_util.Deadline.t ->
@@ -76,25 +77,26 @@ val solve :
   ?cache:cache -> t -> reference:int -> (int array, string) result
 (** Optimal [r] with [r(reference) = 0]. An explicit [?engine] is
     always honoured; without one the engine is {!default_engine}. The
-    [Closure] engine requires that every feasible normalised solution
-    lies in [{-1, 0}] — the caller's bound constraints must enforce
-    this, as retiming's region bounds do — and returns the minimal
-    optimal set of [r = -1] variables (the residual source side of the
-    max flow), which does not depend on the max-flow algorithm.
+    [Closure] engine runs only inside the binary window that
+    {!default_engine} tests — the caller's bound constraints must put
+    the LP there, as retiming's region bounds do — and fails
+    definitively outside it, whether it runs first or as the fallback.
+    It returns the minimal optimal set of [r = -1] variables (the
+    residual source side of the max flow), which does not depend on
+    the max-flow algorithm.
 
     Every accepted solution is checked against its engine's
-    certificate: LP duality
-    ({!Certificate.is_optimal}) for the flow engines, a feasible flow
-    whose value equals the returned cut's capacity
-    ({!Maxflow.certify}) for closure. On a retryable solver error or a
-    certificate failure the alternate engine is tried before an error
-    is reported ([Network_simplex] -> [Ssp], [Ssp] and [Closure] ->
-    [Network_simplex]), and a successful retry is announced via
-    [?on_fallback]. Fault injection ({!Rar_resilience.Faults}) only
-    perturbs the first attempt. [?deadline] is threaded into every
-    solver and expiry raises [Rar_util.Deadline.Expired] (it is {e not}
-    caught by the fallback chain — a budget overrun aborts the whole
-    solve). The objective must be balanced for every engine.
+    certificate: LP duality ({!Certificate.is_optimal}) for network
+    simplex, a feasible flow whose value equals the returned cut's
+    capacity ({!Maxflow.certify}) for closure. On a retryable solver
+    error or a certificate failure the other engine is tried before an
+    error is reported (each engine is the other's fallback), and a
+    successful retry is announced via [?on_fallback]. Fault injection
+    ({!Rar_resilience.Faults}) only perturbs the first attempt.
+    [?deadline] is threaded into every solver and expiry raises
+    [Rar_util.Deadline.Expired] (it is {e not} caught by the fallback
+    chain — a budget overrun aborts the whole solve). The objective
+    must be balanced for every engine.
 
     With [?cache], an instance identical to a previously solved one
     (same resolved engine) returns the stored solution without running
@@ -106,12 +108,6 @@ val solve_brute :
   t -> lo:int -> hi:int -> reference:int -> (int array * float) option
 (** Exhaustive search over [r(v) in [lo, hi]] with [r(reference) = 0];
     [None] when infeasible. Exponential — property tests only. *)
-
-val to_lp_format : t -> name:(int -> string) -> string
-(** Render the LP in CPLEX "LP file" syntax (minimise, subject-to,
-    bounds free), so an instance can be cross-checked with an external
-    solver — the paper solved the same formulation with Gurobi.
-    [name] supplies variable names. *)
 
 val check : t -> int array -> (unit, string) result
 (** Verify every constraint against a candidate solution. *)

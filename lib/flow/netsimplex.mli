@@ -13,8 +13,8 @@
     dry block triggers a sequential full sweep under the same rule, so
     the pivot sequence (and hence the returned basis) is a pure
     function of the input. A generous pivot cap guards against (never
-    yet observed) cycling, and {!Difflp} falls back to {!Ssp} if the
-    cap is hit. *)
+    yet observed) cycling, and {!Difflp} falls back to {!Closure} if the
+    cap is hit (on LPs inside closure's binary window). *)
 
 type solution = {
   flow : float array;      (** per problem arc id *)

@@ -27,7 +27,6 @@ let add_arc t ~src ~dst ~cost =
   Vec.add_last t.arcs { src; dst; cost };
   id
 
-let arc t i = Vec.get t.arcs i
 let iter_arcs t f = Vec.iteri f t.arcs
 
 let add_demand t v d =

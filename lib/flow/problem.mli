@@ -23,7 +23,6 @@ val arc_count : t -> int
 val add_arc : t -> src:int -> dst:int -> cost:int -> int
 (** Returns the arc id. Self-loops are rejected. *)
 
-val arc : t -> int -> arc
 val iter_arcs : t -> (int -> arc -> unit) -> unit
 
 val add_demand : t -> int -> float -> unit

@@ -173,14 +173,6 @@ let pin_arc cell ~pin ~load =
     fall = derate *. (cell.intrinsic.fall +. (cell.load_slope.fall *. load));
   }
 
-let cell_delay_max cell ~n_pins ~load =
-  let worst = ref 0. in
-  for pin = 0 to n_pins - 1 do
-    let a = pin_arc cell ~pin ~load in
-    worst := Float.max !worst (arc_max a)
-  done;
-  !worst
-
 let node_input_cap t net v ~pin =
   match Netlist.kind net v with
   | Netlist.Gate { fn; drive } -> (comb_cell t fn ~drive).input_cap

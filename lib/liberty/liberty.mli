@@ -101,11 +101,6 @@ val pin_arc : comb_cell -> pin:int -> load:float -> arc
 (** Pin-to-pin delay of input [pin] to output, rise/fall of the
     {e output} transition. *)
 
-val cell_delay_max : comb_cell -> n_pins:int -> load:float -> float
-(** The gate-based model's single number: worst pin, worst transition.
-    This is deliberately pessimistic — it is what the paper's Table II
-    compares the path-based model against. *)
-
 val gate_load : t -> Netlist.t -> int -> float
 (** Output load of node [v] in a netlist: fanout pins + wire. *)
 

@@ -9,7 +9,7 @@ type kind =
 (* Immutable int-packed CSR view of the graph structure, built once at
    freeze time and shared by every [t] derived from the same freeze
    ([with_drive] changes a kind only, never topology). Kept as a
-   separate record so hot loops in Sta/Stage/Wd touch nothing but flat
+   separate record so hot loops in Sta/Stage/Sim touch nothing but flat
    int arrays. [tag] folds the kind down to the 3 bits those loops ever
    branch on; fn/drive stay in [kinds]. *)
 module Compact = struct

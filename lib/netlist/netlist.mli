@@ -29,7 +29,7 @@ type t
     An immutable int-packed CSR mirror of the graph structure, built
     once at freeze time and shared by every netlist derived from the
     same freeze ([with_drive] rewrites a kind only, never topology).
-    Hot loops in STA, stage classification and W/D use it to walk
+    Hot loops in STA, stage classification and simulation use it to walk
     adjacency through flat int arrays instead of per-node boxed
     arrays; node ids are identical to the owning netlist's, so the
     name↔id side table is the netlist itself ({!node_name}/{!find}) and

@@ -5,8 +5,8 @@
     default) every update is a single atomic load and a no-op.
 
     {b Counters} are algorithm-effort totals — [netsimplex_pivots],
-    [spfa_relaxations], [ssp_augmentations], [sta_pin_relaxations],
-    [wd_memo_hits]/[wd_memo_misses], [solver_fallbacks], [sim_cycles],
+    [maxflow_phases], [maxflow_augmentations], [sta_pin_relaxations],
+    [stage_cone_nodes], [solver_fallbacks], [sim_cycles],
     [sim_events]. Kernels
     accumulate a local count and publish it once per call, so counter
     totals are deterministic: identical for the same work under any

@@ -12,13 +12,12 @@
     Span taxonomy (DESIGN.md §10): [bench_io/parse] (one
     [Bench_io.parse_diag]), [suite/prepare] (one [Suite.prepare]),
     [engine/*] (one per {!Rar_engine.run} / prepare), [rgraph/build],
-    [difflp/solve], [solver/*] (network-simplex, ssp, spfa, closure),
+    [difflp/solve], [solver/*] (network-simplex, closure),
     the LP tail — [rgraph/decode] (one [Rgraph.placements_of]),
     [rgraph/legal] (one [Rgraph.check_legal]), [sizing/fix] (one
     size-only fix, its arrival sweeps included) and [outcome/assemble]
     (one [Outcome.account], the ED and area accounting) — [sta/*]
     (analyse, patch, backward_all), [stage/*] (classify, patch),
-    [wd/build], [classic/*] (of_netlist, feas, realize),
     [sim/error_rate], [pool/batch]. *)
 
 type phase = Begin | End

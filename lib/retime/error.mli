@@ -33,7 +33,7 @@ type t =
   | Timeout of { elapsed : float; phase : string }
       (** a cooperative deadline ({!Rar_util.Deadline}) expired;
           [phase] names the solver loop that noticed (["netsimplex"],
-          ["spfa"], ["ssp"], ["vl-retype"], ["movable-search"]) *)
+          ["maxflow"], ["vl-retype"], ["movable-search"]) *)
   | Worker_crashed of { detail : string }
       (** a parallel pool task died with an unexpected exception (or
           an injected [poolkill] fault) *)

@@ -20,9 +20,9 @@ type t
 
 exception Expired of { elapsed : float; phase : string }
 (** Raised by a check once the budget is exhausted. [phase] names the
-    loop that noticed (["netsimplex"], ["spfa"], ["ssp"],
-    ["vl-retype"], ["movable-search"], …); [elapsed] is the wall time
-    since {!make}. *)
+    loop that noticed (["netsimplex"], ["maxflow"], ["vl-retype"],
+    ["movable-search"], …); [elapsed] is the wall time since
+    {!make}. *)
 
 val make : budget_s:float -> t
 (** Start the budget now. A zero budget expires at the first check; an

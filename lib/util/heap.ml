@@ -12,7 +12,6 @@ type t = {
 
 let create () = { prio = [||]; items = [||]; size = 0 }
 let length t = t.size
-let clear t = t.size <- 0
 
 let grow t =
   let cap = Int.max 16 (2 * t.size) in

@@ -246,7 +246,7 @@ let map_with ?(min_chunk = 1) ~(init : unit -> 's) (xs : 'a array)
       results
   end
 
-let map ?min_chunk xs f = map_with ?min_chunk ~init:ignore xs (fun () x -> f x)
+let map xs f = map_with ~init:ignore xs (fun () x -> f x)
 
 (* Adaptive chunking: pick the chunk size from the batch size and the
    effective worker count instead of a fixed grain. A fixed [min_chunk]

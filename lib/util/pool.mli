@@ -45,18 +45,12 @@ val set_jobs : int -> unit
     a different size is already running it is drained, joined and
     re-spawned lazily at the next parallel call. *)
 
-val map : ?min_chunk:int -> 'a array -> ('a -> 'b) -> 'b array
+val map : 'a array -> ('a -> 'b) -> 'b array
 (** [map xs f] applies [f] to every element, in parallel across the
-    pool, preserving order. Equivalent to [Array.map f xs] (including
-    exception behaviour, up to which of several raising tasks wins:
-    the lowest-index exception is re-raised).
-
-    [min_chunk] (default 1, i.e. one task per element) dispatches
-    contiguous chunks of that many elements as single pool tasks:
-    cheap per-element work should batch so the queue/lock traffic does
-    not dominate. When the input fits in one chunk the call degrades
-    to the plain sequential path without touching the pool — the
-    work-size threshold that keeps small fan-outs sequential. *)
+    pool, preserving order, one pool task per element. Equivalent to
+    [Array.map f xs] (including exception behaviour, up to which of
+    several raising tasks wins: the lowest-index exception is
+    re-raised). *)
 
 val map_adaptive_with :
   init:(unit -> 's) ->
@@ -67,11 +61,10 @@ val map_adaptive_with :
     derived from the batch and with per-chunk state. Inputs shorter
     than 512 elements run sequentially in place; larger ones are cut
     into roughly 4 chunks per effective worker, never smaller than 64
-    elements. Use this instead of a hand-picked [min_chunk] for
-    per-element work in the 0.1–1 ms range: a fixed grain either
-    starves the pool on mid-size batches (too few tasks trips {!map}'s
-    task-ratio fallback) or drowns it in dispatch overhead on huge
-    ones.
+    elements. The grain adapts because a fixed one, on per-element
+    work in the 0.1–1 ms range, either starves the pool on mid-size
+    batches (too few tasks trips the task-ratio fallback) or drowns it
+    in dispatch overhead on huge ones.
 
     Every chunk the call runs (the whole array, on the sequential
     path) first builds its own state with [init], in the domain that

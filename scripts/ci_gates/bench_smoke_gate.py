@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Gate a rar-bench-eval/3 document (BENCH_eval.json).
 
-Checks the schema and its field set, gates the classic-retiming
-kernel against the checked-in floor (a >2x regression fails the
-build) and holds the armed-deadline and armed-tracing overheads under
-their caps.
+Checks the schema and its field set, gates the G-RAR pipeline kernel
+against the checked-in floor (a >2x regression fails the build) and
+holds the armed-deadline and armed-tracing overheads under their
+caps.
 CI runs it on a fresh `bench/main.exe eval` document and, in the lint
 job, on the checked-in one.
 
@@ -16,10 +16,9 @@ import sys
 
 KERNELS = {
     "g/table_vii/engine_simplex",
-    "g/table_vii/engine_ssp",
     "g/table_vii/engine_closure",
     "g/table_viii/sim_50_cycles",
-    "g/smoke/classic_retiming",
+    "g/smoke/grar_pipeline",
 }
 
 

@@ -13,8 +13,10 @@ For each circuit in CIRCUITS:
      converted circuit end to end, gated on the rar-run/1 outcome
      schema (slaves/masters placed, positive area and period, no
      resiliency violations);
-  4. `rar classic C.conv` — classic min-period/min-area retiming of the
-     converted circuit's register graph.
+  4. `rar run C.conv --approach grar --solver ns --format json` — the
+     same G-RAR run under network simplex, the paper's solver, gated
+     on the same outcome schema and on a clean solve (no solver
+     fallback events).
 
 One circuit additionally runs the --phases 3 decomposition and retimes
 the .conv3 form under the three-phase resiliency clocking.
@@ -121,10 +123,13 @@ def main():
                   f"masters={o['n_masters']} edl={o['ed_count']} "
                   f"area={o['total_area']:.1f}")
 
-            r = run("classic", f"{circuit}.conv")
-            assert "registers" in r.stdout, r.stdout
-            print(f"{circuit}.conv: classic ok "
-                  f"({r.stdout.splitlines()[-1].strip()})")
+            r = run("run", f"{circuit}.conv", "--approach", "grar",
+                    "--solver", "ns", "--format", "json")
+            doc = json.loads(r.stdout)
+            o = gate_outcome(doc, f"{circuit}.conv", "grar")
+            assert "solver_events" not in doc, doc["solver_events"]
+            print(f"{circuit}.conv: grar --solver ns slaves={o['n_slaves']} "
+                  f"edl={o['ed_count']} area={o['total_area']:.1f}")
 
         # one three-phase leg: decomposition + G-RAR under the
         # three-phase resiliency-window rule

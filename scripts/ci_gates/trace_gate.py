@@ -24,9 +24,8 @@ def gate_metrics(path):
     m = d["metrics"]
     c = m["counters"]
     for key in ("netsimplex_pivots", "maxflow_phases",
-                "maxflow_augmentations", "spfa_relaxations",
-                "ssp_augmentations", "sta_pin_relaxations",
-                "wd_memo_hits", "wd_memo_misses", "solver_fallbacks"):
+                "maxflow_augmentations", "sta_pin_relaxations",
+                "solver_fallbacks"):
         assert key in c, f"missing counter {key}: {sorted(c)}"
     # the default G-RAR solve is the max-flow closure engine
     assert c["maxflow_augmentations"] > 0, c

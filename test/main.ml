@@ -16,7 +16,6 @@ let () =
       ("report", Test_report.suite);
       ("extensions", Test_extensions.suite);
       ("resynth", Test_resynth.suite);
-      ("classic", Test_classic.suite);
       ("resilience", Test_resilience.suite);
       ("obs", Test_obs.suite);
       ("eco", Test_eco.suite);

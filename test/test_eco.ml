@@ -313,9 +313,8 @@ let test_eco_metrics_registered () =
 (* Two sessions over the *same* shared stage, resolving interleaved
    from different pool tasks, must produce transcripts bitwise equal
    to the same sessions resolved serially. This exercises the shared
-   read-only [Stage.t] (forced STA memos), the [wd_lock]-guarded W/D
-   memo in [Classic.graph] and the thread-safe [Difflp] caches under
-   real contention. *)
+   read-only [Stage.t] (forced STA memos) and the thread-safe [Difflp]
+   caches under real contention. *)
 let test_concurrent_sessions_match_serial () =
   let p = cached_prepared 4 in
   let cfg = Engine.config ~c:0.5 Engine.Grar in

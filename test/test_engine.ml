@@ -165,7 +165,9 @@ let test_config_key_distinguishes () =
         Engine.config ~c:2.0 Engine.Grar;
         Engine.config ~c:1.0000001 Engine.Grar;
         Engine.config ~model:Rar_sta.Sta.Gate_based ~c:1.0 Engine.Grar;
-        Engine.config ~solver:Rar_flow.Difflp.Ssp ~c:1.0 Engine.Grar;
+        Engine.config ~solver:Rar_flow.Difflp.Network_simplex ~c:1.0
+          Engine.Grar;
+        Engine.config ~solver:Rar_flow.Difflp.Closure ~c:1.0 Engine.Grar;
         Engine.config ~c:1.0 ~post_swap:false Engine.Grar;
         Engine.config ~c:1.0 ~movable_moves:3 Engine.Grar;
         Engine.config ~c:1.0 Engine.Base;
@@ -435,6 +437,46 @@ let test_arrival_digests () =
       Alcotest.(check int) (circuit ^ " NCE") want nce)
     suite_nce
 
+(* Rgraph.build bounds every LP variable into closure's {-1, 0}
+   window, so under the default solver every LP an engine solves is
+   one max-flow closure: no simplex pivot and no fallback. Network
+   simplex is then only closure's fallback and the paper's reference
+   (--solver ns). Recorded with faults off and metrics armed. *)
+let test_lp_engines_take_closure () =
+  let module Metrics = Rar_obs.Metrics in
+  Faults.disable ();
+  Metrics.reset ();
+  Metrics.arm ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.disarm ();
+      Metrics.reset ();
+      Faults.use_env ())
+  @@ fun () ->
+  let value k = Metrics.value (Metrics.counter k) in
+  List.iter
+    (fun circuit ->
+      let p = Result.get_ok (Suite.load circuit) in
+      List.iter
+        (fun name ->
+          let spec = Option.get (Engine.of_name name) in
+          List.iter
+            (fun c ->
+              let what = Printf.sprintf "%s %s c=%g" circuit name c in
+              let phases = value "maxflow_phases" in
+              match Engine.run_prepared (Engine.config ~c spec) p with
+              | Error e -> Alcotest.fail (what ^ ": " ^ Error.to_string e)
+              | Ok r ->
+                Alcotest.(check int) (what ^ ": simplex pivots") 0
+                  (value "netsimplex_pivots");
+                Alcotest.(check bool) (what ^ ": max-flow phases") true
+                  (value "maxflow_phases" > phases);
+                Alcotest.(check int) (what ^ ": solver events") 0
+                  (List.length r.Engine.events))
+            [ 0.5; 1.0; 2.0 ])
+        [ "base"; "nvl"; "evl"; "rvl"; "movable"; "grar" ])
+    [ "s1196"; "s1423"; "s5378" ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_registry_legal;
@@ -452,6 +494,8 @@ let suite =
       test_result_json_shape;
     Alcotest.test_case "rar-run/1 digests per engine (s1196, s1423)" `Slow
       test_run_digests;
+    Alcotest.test_case "every retiming LP takes closure" `Slow
+      test_lp_engines_take_closure;
     Alcotest.test_case "verified arrivals pinned per engine" `Slow
       test_arrival_digests;
   ]

@@ -2,8 +2,8 @@
    search, EDL clustering trees, VCD tracing. *)
 
 module Problem = Rar_flow.Problem
-module Ssp = Rar_flow.Ssp
 module Netsimplex = Rar_flow.Netsimplex
+module Closure = Rar_flow.Closure
 module Certificate = Rar_flow.Certificate
 module Rng = Rar_util.Rng
 module Liberty = Rar_liberty.Liberty
@@ -44,25 +44,51 @@ let random_problem rng =
   Problem.add_demand p (n - 1) (-. !total);
   p
 
+(* A closure instance inside the binary window: every node but the
+   reference 0 carries both window bounds, the extra bounds are in
+   -1 .. 1 and the profits sum to zero. *)
+let random_closure rng =
+  let n = 3 + Rng.int rng 6 in
+  let cons =
+    List.concat_map (fun x -> [ (x, 0, 0); (0, x, 1) ]) (List.init (n - 1) succ)
+    @ List.init (Rng.int rng (2 * n)) (fun _ ->
+          (Rng.int rng n, Rng.int rng n, Rng.range rng (-1) 1))
+  in
+  let profit = Array.make n 0. in
+  for _ = 0 to Rng.int rng (2 * n) do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    let a = float_of_int (1 + Rng.int rng 4) in
+    profit.(u) <- profit.(u) +. a;
+    profit.(v) <- profit.(v) -. a
+  done;
+  let pick f = Array.of_list (List.map f cons) in
+  {
+    Closure.n;
+    profit;
+    m = List.length cons;
+    u = pick (fun (u, _, _) -> u);
+    v = pick (fun (_, v, _) -> v);
+    bound = pick (fun (_, _, b) -> b);
+    reference = 0;
+  }
+
 let prop_solvers_certified =
-  QCheck.Test.make ~name:"ssp and simplex solutions carry certificates"
+  QCheck.Test.make ~name:"simplex and closure solutions carry certificates"
     ~count:100
     QCheck.(int_bound 1000)
     (fun seed ->
-      let p = random_problem (Rng.make (seed * 37 + 11)) in
-      let check_one = function
-        | Error _ -> true (* infeasible is fine for random instances *)
-        | Ok (flow, potentials) ->
-          Certificate.is_optimal (Certificate.check p ~flow ~potentials)
-      in
-      check_one
-        (Result.map (fun (s : Ssp.solution) -> (s.Ssp.flow, s.Ssp.potentials))
-           (Ssp.solve p))
-      && check_one
-           (Result.map
-              (fun (s : Netsimplex.solution) ->
-                (s.Netsimplex.flow, s.Netsimplex.potentials))
-              (Netsimplex.solve p)))
+      let rng = Rng.make (seed * 37 + 11) in
+      let p = random_problem rng in
+      (match Netsimplex.solve p with
+      | Error _ -> true (* infeasible is fine for random instances *)
+      | Ok s ->
+        Certificate.is_optimal
+          (Certificate.check p ~flow:s.Netsimplex.flow
+             ~potentials:s.Netsimplex.potentials))
+      &&
+      match Closure.solve (random_closure rng) with
+      | Error _ -> true (* contradictory forced selections *)
+      | Ok o -> o.Closure.certificate = Ok ())
 
 let test_certificate_rejects_bogus () =
   let p = Problem.create ~n:2 in

@@ -52,14 +52,6 @@ let test_higher_drive_faster_under_load () =
     < Liberty.arc_max (Liberty.pin_arc d1 ~pin:0 ~load));
   Alcotest.(check bool) "drive 4 larger" true (d4.Liberty.area > d1.Liberty.area)
 
-let test_cell_delay_max_dominates () =
-  let cell = Liberty.comb_cell lib Cell_kind.Aoi21 ~drive:2 in
-  let worst = Liberty.cell_delay_max cell ~n_pins:3 ~load:3.0 in
-  for pin = 0 to 2 do
-    let a = Liberty.pin_arc cell ~pin ~load:3.0 in
-    Alcotest.(check bool) "dominates" true (worst >= Liberty.arc_max a)
-  done
-
 let test_synthetic_constant_delay () =
   let latch =
     { Liberty.seq_area = 1.; d_to_q = 0.; ck_to_q = 0.; setup = 0.;
@@ -180,8 +172,6 @@ let suite =
     Alcotest.test_case "delay monotone in load" `Quick test_delay_monotone_in_load;
     Alcotest.test_case "drive strength trade-off" `Quick
       test_higher_drive_faster_under_load;
-    Alcotest.test_case "cell_delay_max dominates" `Quick
-      test_cell_delay_max_dominates;
     Alcotest.test_case "synthetic library" `Quick test_synthetic_constant_delay;
     Alcotest.test_case ".lib roundtrip" `Quick test_lib_roundtrip;
     Alcotest.test_case ".lib vendor style" `Quick test_lib_parse_vendor_style;

@@ -15,7 +15,6 @@ module Spec = Rar_circuits.Spec
 module Generator = Rar_circuits.Generator
 module Suite = Rar_circuits.Suite
 module Error = Rar_retime.Error
-module Classic = Rar_retime.Classic
 module Stage = Rar_retime.Stage
 module Netlist = Rar_netlist.Netlist
 module Transform = Rar_netlist.Transform
@@ -134,12 +133,6 @@ let counters_at_jobs jobs =
   (match Engine.run_prepared cfg p with
   | Ok _ -> ()
   | Error e -> Alcotest.fail (Error.to_string e));
-  (* Classic min-period exercises the SPFA and W/D-memo counters the
-     G-RAR path does not touch. *)
-  let g =
-    Classic.of_netlist ~host_registers:1 ~lib:p.Suite.lib p.Suite.flop_netlist
-  in
-  ignore (Classic.min_period g);
   (* A stage with more sinks than the pool's sequential threshold, so
      jobs 2/4 really classify in chunks, one cone scratch each. *)
   let pipe = pipe_prepared () in
@@ -172,12 +165,8 @@ let test_counters_jobs_invariant () =
       let v k = List.assoc k c1 in
       Alcotest.(check bool) "pivots counted" true
         (v "netsimplex_pivots" > 0 || v "maxflow_augmentations" > 0);
-      Alcotest.(check bool) "spfa relaxations counted" true
-        (v "spfa_relaxations" > 0);
       Alcotest.(check bool) "sta pin relaxations counted" true
         (v "sta_pin_relaxations" > 0);
-      Alcotest.(check bool) "wd memo counted" true
-        (v "wd_memo_misses" > 0 && v "wd_memo_hits" > 0);
       let pipe_sinks =
         Array.length
           (Netlist.outputs (pipe_prepared ()).Suite.cc.Transform.comb)

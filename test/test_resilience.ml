@@ -14,7 +14,6 @@ module Json = Rar_util.Json
 module Faults = Rar_resilience.Faults
 module Problem = Rar_flow.Problem
 module Netsimplex = Rar_flow.Netsimplex
-module Ssp = Rar_flow.Ssp
 module Difflp = Rar_flow.Difflp
 module Bench_io = Rar_netlist.Bench_io
 module Verilog_io = Rar_netlist.Verilog_io
@@ -93,16 +92,6 @@ let test_netsimplex_deadline () =
     Alcotest.(check string) "phase" "netsimplex" phase
   | Ok _ | Error _ -> Alcotest.fail "netsimplex must hit the deadline"
 
-let test_ssp_deadline () =
-  let p = chain_problem 50 in
-  (match Ssp.solve p with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("chain problem must be solvable: " ^ e));
-  let d = Deadline.make ~budget_s:0. in
-  match Ssp.solve ~deadline:d p with
-  | exception Deadline.Expired _ -> ()
-  | Ok _ | Error _ -> Alcotest.fail "ssp must hit the deadline"
-
 (* --- Difflp fallback chain ----------------------------------------- *)
 
 let small_lp () =
@@ -117,13 +106,28 @@ let small_lp () =
   Difflp.add_objective t 3 (-2.0);
   t
 
+(* A binary-window LP: [Difflp.solve] without an engine picks closure,
+   and closure can take over from a failed network simplex. *)
+let window_lp () =
+  let t = Difflp.create ~n:4 in
+  List.iter
+    (fun v ->
+      Difflp.add_constraint t ~u:v ~v:0 ~bound:0;
+      Difflp.add_constraint t ~u:0 ~v ~bound:1)
+    [ 1; 2; 3 ];
+  Difflp.add_constraint t ~u:2 ~v:1 ~bound:0;
+  Difflp.add_objective t 1 1.0;
+  Difflp.add_objective t 2 (-2.0);
+  Difflp.add_objective t 3 1.0;
+  t
+
 let check_fallback profile =
-  let t = small_lp () in
+  let t = window_lp () in
   let clean =
     without_faults (fun () ->
-        match Difflp.solve ~engine:Difflp.Ssp t ~reference:0 with
+        match Difflp.solve ~engine:Difflp.Closure t ~reference:0 with
         | Ok r -> r
-        | Error e -> Alcotest.fail ("clean ssp solve failed: " ^ e))
+        | Error e -> Alcotest.fail ("clean closure solve failed: " ^ e))
   in
   with_faults [ profile ] (fun () ->
       let events = ref [] in
@@ -140,8 +144,8 @@ let check_fallback profile =
         | [ e ] ->
           Alcotest.(check bool) "primary was netsimplex" true
             (e.Difflp.failed = Difflp.Network_simplex);
-          Alcotest.(check bool) "retry was ssp" true
-            (e.Difflp.retried = Difflp.Ssp);
+          Alcotest.(check bool) "retry was closure" true
+            (e.Difflp.retried = Difflp.Closure);
           Alcotest.(check bool) "reason non-empty" true (e.Difflp.reason <> "")
         | es ->
           Alcotest.failf "expected exactly one fallback event, got %d"
@@ -149,6 +153,30 @@ let check_fallback profile =
 
 let test_fallback_on_timeout () = check_fallback Faults.Timeout
 let test_fallback_on_badcert () = check_fallback Faults.Badcert
+
+(* Outside closure's window the fallback is no rescue: with bounds of 5
+   the optimum of r1 - r0 is -5, and a closure that read the bounds as
+   slack would answer -1. The faulted simplex must end in an error that
+   names both engines. *)
+let test_fallback_outside_window () =
+  let t = Difflp.create ~n:2 in
+  Difflp.add_constraint t ~u:1 ~v:0 ~bound:5;
+  Difflp.add_constraint t ~u:0 ~v:1 ~bound:5;
+  Difflp.add_objective t 1 1.0;
+  Difflp.add_objective t 0 (-1.0);
+  with_faults [ Faults.Timeout ] (fun () ->
+      match
+        Difflp.solve ~engine:Difflp.Network_simplex t ~reference:0
+      with
+      | Ok r ->
+        Alcotest.failf "expected an error, got objective %g"
+          (Difflp.objective_value t r)
+      | Error e ->
+        List.iter
+          (fun eng ->
+            Alcotest.(check bool) ("error names " ^ Difflp.engine_name eng)
+              true (contains e (Difflp.engine_name eng)))
+          Difflp.all_engines)
 
 let test_clean_path_has_no_events () =
   without_faults (fun () ->
@@ -194,7 +222,7 @@ let test_engine_deadline () =
           | Error e ->
             Alcotest.fail ("expected Timeout, got " ^ Error.to_string e)
           | Ok _ -> Alcotest.fail "expected Timeout")
-        [ Difflp.Network_simplex; Difflp.Ssp ])
+        Difflp.all_engines)
 
 let test_fault_profile_arms_deadline () =
   let p = prepared () in
@@ -210,7 +238,7 @@ let test_engine_fallback_identical_outcome () =
     without_faults (fun () ->
         match
           Engine.run_prepared
-            (Engine.config ~solver:Difflp.Ssp ~c:1.0 Engine.Grar)
+            (Engine.config ~solver:Difflp.Closure ~c:1.0 Engine.Grar)
             p
         with
         | Ok r -> r
@@ -232,8 +260,8 @@ let test_engine_fallback_identical_outcome () =
           (fun (e : Difflp.fallback_event) ->
             Alcotest.(check bool) "primary was netsimplex" true
               (e.Difflp.failed = Difflp.Network_simplex);
-            Alcotest.(check bool) "retry was ssp" true
-              (e.Difflp.retried = Difflp.Ssp))
+            Alcotest.(check bool) "retry was closure" true
+              (e.Difflp.retried = Difflp.Closure))
           r.Engine.events;
         let co = clean.Engine.outcome and fo = r.Engine.outcome in
         Alcotest.(check int) "same slave count" co.Outcome.n_slaves
@@ -275,20 +303,6 @@ let test_solver_events_json () =
           (contains j (Difflp.engine_name Difflp.Network_simplex)))
 
 (* --- Closure, the default engine, in the fault matrix -------------- *)
-
-(* A binary-window LP: [Difflp.solve] without an engine picks closure. *)
-let window_lp () =
-  let t = Difflp.create ~n:4 in
-  List.iter
-    (fun v ->
-      Difflp.add_constraint t ~u:v ~v:0 ~bound:0;
-      Difflp.add_constraint t ~u:0 ~v ~bound:1)
-    [ 1; 2; 3 ];
-  Difflp.add_constraint t ~u:2 ~v:1 ~bound:0;
-  Difflp.add_objective t 1 1.0;
-  Difflp.add_objective t 2 (-2.0);
-  Difflp.add_objective t 3 1.0;
-  t
 
 let check_closure_fallback profile =
   let t = window_lp () in
@@ -516,11 +530,12 @@ let suite =
     Alcotest.test_case "deadline strided check" `Quick test_deadline_stride;
     Alcotest.test_case "netsimplex honours the deadline" `Quick
       test_netsimplex_deadline;
-    Alcotest.test_case "ssp honours the deadline" `Quick test_ssp_deadline;
     Alcotest.test_case "fallback on injected timeout" `Quick
       test_fallback_on_timeout;
     Alcotest.test_case "fallback on flipped certificate" `Quick
       test_fallback_on_badcert;
+    Alcotest.test_case "fallback outside closure's window is an error" `Quick
+      test_fallback_outside_window;
     Alcotest.test_case "clean path reports no fallback" `Quick
       test_clean_path_has_no_events;
     Alcotest.test_case "engine surfaces Timeout for both solvers" `Quick

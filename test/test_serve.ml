@@ -171,6 +171,7 @@ let test_protocol_rejects () =
   expect_req_error "neither circuit nor bench" {|{"verb":"run"}|};
   expect_req_error "unknown verb" {|{"verb":"nope"}|};
   expect_req_error "unknown approach" {|{"circuit":"x","approach":"magic"}|};
+  expect_req_error "unknown solver" {|{"circuit":"x","solver":"ssp"}|};
   expect_req_error "negative deadline" {|{"circuit":"x","deadline":-1}|};
   expect_req_error "bad schema" {|{"schema":"rar-req/9","verb":"ping"}|};
   expect_req_error "non-object" {|[1,2]|};

@@ -210,8 +210,8 @@ let prop_heap_matches_sort =
 (* The textbook swap heap: entries are swapped up while strictly
    smaller than their parent and down into the smaller child, the left
    one on a tie. [Heap]'s hole-moving sifts must pop equal priorities
-   in exactly this order; the simulator's event order and the SSP
-   Dijkstra's settle order depend on it. *)
+   in exactly this order; the simulator's event order depends on
+   it. *)
 module Swap_heap = struct
   type t = { mutable a : (float * int) array; mutable n : int }
 
