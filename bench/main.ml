@@ -9,7 +9,6 @@
           pipeline (stage analysis and engine run on the prepared
           circuit, the kernel bench/smoke_floor.json gates); the paired
           deadline and tracing overhead ratios on that same pipeline.
-          Then it prints two ablations.
    scale  BENCH_scale.json: G-RAR rows at 25k and 100k gates, each row
           in its own child process.
    eco    BENCH_eco.json: the 25k-gate edit-and-resolve measurement.
@@ -324,55 +323,6 @@ let overhead () =
   List.iter (fun (k, r) -> Printf.printf "  %-28s %12.3fx\n%!" k r) ratios;
   Json.Obj (List.map (fun (k, r) -> (k, num r)) ratios)
 
-(* Ablation: how much of the EDL saving survives once the error-signal
-   collection tree (folded into c by the paper) is made explicit. *)
-let run_cluster_ablation () =
-  let lib = (Report.prepared ctx circuit).Suite.lib in
-  Printf.printf "\n== Ablation: error-collection tree (circuit %s, c = 1) ==\n"
-    circuit;
-  Printf.printf "  %-6s %6s %12s %14s %10s\n" "engine" "EDL#" "seq area"
-    "seq + OR tree" "tree gates";
-  List.iter
-    (fun spec ->
-      let cfg = Engine.config ~c:1.0 spec in
-      let o = (ok (Engine.run cfg (Lazy.force stage_path))).Engine.outcome in
-      let o', tree = Rar_retime.Edl_cluster.annotate ~lib o in
-      Printf.printf "  %-6s %6d %12.2f %14.2f %10d\n" (Engine.name spec)
-        (Outcome.ed_count o) o.Outcome.seq_area o'.Outcome.seq_area
-        tree.Rar_retime.Edl_cluster.or_gates)
-    Engine.[ Base; Vl Rvl; Grar ]
-
-(* Ablation: resynthesis (buffer cleanup + timing-driven decomposition
-   of wide gates) before retiming — the paper's related-work lever. *)
-let run_resynth_ablation () =
-  let lib = Rar_liberty.Liberty.default () in
-  Printf.printf "\n== Ablation: resynthesis before retiming (circuit %s, c = 1) ==\n"
-    circuit;
-  let spec = Option.get (Rar_circuits.Spec.find circuit) in
-  let net = Rar_circuits.Generator.generate spec in
-  let net', rs = Rar_retime.Resynth.optimize ~lib net in
-  Printf.printf
-    "  rewrites: %d bufs removed, %d inv pairs removed, %d gates decomposed \
-     (+%d internals)\n"
-    rs.Rar_retime.Resynth.bufs_removed rs.Rar_retime.Resynth.inv_pairs_removed
-    rs.Rar_retime.Resynth.gates_decomposed rs.Rar_retime.Resynth.gates_added;
-  let show tag n =
-    let p = Suite.prepare ~lib n in
-    match Engine.stage_of p with
-    | Error e -> Printf.printf "  %s: %s\n" tag (Rar_retime.Error.to_string e)
-    | Ok st -> (
-      match Engine.run (Engine.config ~c:1.0 Engine.Grar) st with
-      | Error e ->
-        Printf.printf "  %s: %s\n" tag (Rar_retime.Error.to_string e)
-      | Ok { Engine.outcome = o; _ } ->
-        Printf.printf
-          "  %-12s P=%.3f slaves=%d edl=%d seq=%.2f comb=%.2f total=%.2f\n"
-          tag p.Suite.p o.Outcome.n_slaves (Outcome.ed_count o)
-          o.Outcome.seq_area o.Outcome.comb_area o.Outcome.total_area)
-  in
-  show "original" net;
-  show "resynthesised" net'
-
 let run_eval () =
   let kernels = measure_kernels () in
   Printf.printf "\n== Overhead: armed vs plain G-RAR pipeline ==\n%!";
@@ -384,9 +334,7 @@ let run_eval () =
          ("host", host ());
          ("kernels", Json.List kernels);
          ("overhead", overhead);
-       ]);
-  run_cluster_ablation ();
-  run_resynth_ablation ()
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* scale: BENCH_scale.json                                             *)

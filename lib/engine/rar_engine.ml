@@ -145,12 +145,11 @@ let guard f =
 (* An explicit [?deadline] wins; otherwise a [deadline=<ms>] fault
    profile arms one, so the whole tier-1 suite can run deadline-bound
    from the environment. When a cooperative-cancellation source exists
-   (the CLI installed signal handlers, or the serve daemon is
-   draining) an unbounded token is threaded instead of none at all:
-   it costs one strided clock sample per 256 inner-loop iterations and
-   gives [Deadline.request_cancel] check sites to fire from, so a
-   SIGINT lands as [Error.Timeout] instead of killing the process
-   before the [at_exit] trace export. *)
+   (the CLI installed signal handlers) an unbounded token is threaded
+   instead of none at all: it costs one strided clock sample per 256
+   inner-loop iterations and gives [Deadline.request_cancel] check
+   sites to fire from, so a SIGINT lands as [Error.Timeout] instead of
+   killing the process before the [at_exit] trace export. *)
 let effective_deadline deadline =
   match deadline with
   | Some _ -> deadline

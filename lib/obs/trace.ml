@@ -93,12 +93,6 @@ let events () =
         if c <> 0 then c else compare a.seq b.seq)
     all
 
-let event_count () =
-  Mutex.lock bufs_lock;
-  let n = List.fold_left (fun acc b -> acc + Vec.length b.events) 0 !bufs in
-  Mutex.unlock bufs_lock;
-  n
-
 let check_balanced () =
   let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
   let bad = ref None in

@@ -53,8 +53,6 @@ val events : unit -> event list
     [(ts_s, dom, seq)] — deterministic for a given set of recorded
     events regardless of domain scheduling. *)
 
-val event_count : unit -> int
-
 val check_balanced : unit -> (unit, string) result
 (** Per-domain well-nestedness: every Begin has a matching End in LIFO
     order. *)

@@ -11,11 +11,11 @@
     Profiles: [timeout] (every primary {!Rar_flow.Difflp} flow solve
     reports an injected timeout), [badcert] (the primary solve's
     certificate verdict is flipped), [poolkill] (every
-    [Rar_util.Pool.map] element raises {!Injected}), [truncate]
-    (parser input is cut at a seed-determined offset), [chaos]
-    (timeout and badcert each fire on ~1/4 of the solve keys, chosen
-    by the seed), and [deadline=<ms>] (engine runs that were given no
-    explicit deadline get one with this budget).
+    [Rar_util.Pool.map_adaptive_with] element raises {!Injected}),
+    [truncate] (parser input is cut at a seed-determined offset),
+    [chaos] (timeout and badcert each fire on ~1/4 of the solve keys,
+    chosen by the seed), and [deadline=<ms>] (engine runs that were
+    given no explicit deadline get one with this budget).
 
     All firing decisions hash [(seed, site, key)] where [key] is a
     stable property of the work item (e.g. the LP shape) — never a

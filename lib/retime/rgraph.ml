@@ -14,7 +14,6 @@ type t = {
 }
 
 let lp t = t.lp
-let host t = t.host
 let p_vars t = t.p_sinks
 
 let m_endpoints_pruned = Rar_obs.Metrics.counter "endpoints_pruned"

@@ -45,7 +45,6 @@ val build :
     global count + EDL objective. *)
 
 val lp : t -> Difflp.t
-val host : t -> int
 val p_vars : t -> (int * int) list
 (** [(sink, var)] pairs for the resilient pseudo vertices, in sink
     order. Target sinks with identical cut sets share one canonical

@@ -76,7 +76,6 @@ let a_value t ~db ~u ~v =
     ~latch:(slave_latch t) ~u ~v ~db
 
 let initial_arrivals t = t.initial_arr
-let initial_arrival t s = t.initial_arr.(s)
 
 let latched_arrivals t index =
   Sta.forward_with_latches t.sta ~clocking:t.clocking ~latch:(slave_latch t)
@@ -85,7 +84,7 @@ let latched_arrivals t index =
 let near_critical_initial t =
   let period = Clocking.period t.clocking in
   Array.fold_right
-    (fun s acc -> if initial_arrival t s > period then s :: acc else acc)
+    (fun s acc -> if t.initial_arr.(s) > period then s :: acc else acc)
     (sinks t) []
 
 (* Packed pin positions as [(u, v)] edges, in descending position

@@ -114,10 +114,6 @@ val initial_arrivals : t -> float array
     un-retimed two-phase design — computed once when the stage is
     built. Shared: do not mutate. *)
 
-val initial_arrival : t -> int -> float
-(** [initial_arrival t s = (initial_arrivals t).(s)]: the arrival at a
-    sink with every slave at its initial (source) position. *)
-
 val near_critical_initial : t -> int list
 (** Sinks near-critical in the {e initial} two-phase design (slaves at
     the sources, so the slave-opening floor delays every path): the NCE

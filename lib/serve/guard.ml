@@ -13,9 +13,9 @@ let heap_mb () =
 
 (* The request token: a cooperative deadline whose strided clock
    samples double as the heap-ceiling checkpoints. With no budget the
-   token is unbounded but still carries check sites, so drain-time
-   cancellation and the heap guard fire even for requests that asked
-   for no deadline. *)
+   token is unbounded but still carries check sites, so a signal's
+   process-wide cancel and the heap guard fire even for requests that
+   asked for no deadline. *)
 let token { deadline_s; max_heap_mb } =
   let budget_s = Option.value deadline_s ~default:Float.infinity in
   let d = Deadline.make ~budget_s in

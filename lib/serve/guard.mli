@@ -21,17 +21,20 @@ val token : limits -> Rar_util.Deadline.t
 (** Build the request's budget token. The heap ceiling is checked at
     the token's strided clock samples — the same sites as the
     deadline — via {!Rar_util.Deadline.set_on_sample}. Unbudgeted
-    requests get an [infinity] deadline rather than none, so
-    drain-time cancellation and the heap guard still have check
-    sites. *)
+    requests get an [infinity] deadline rather than none, so a
+    signal's process-wide cancel ({!Rar_util.Deadline.request_cancel})
+    and the heap guard still have check sites. *)
 
 val heap_mb : unit -> int
-(** Current major-heap size in MB ([Gc.quick_stat], cheap). *)
+(** Major-heap size in MB ([Gc.quick_stat], cheap). Its [heap_words]
+    moves only when a major cycle ends, so the reading is the heap as
+    of the last completed cycle: data allocated since (a request's
+    burst, say) shows up after the next one. *)
 
 val kind_of_error : Rar_retime.Error.t -> string
 (** Machine tag for a typed engine error, distinguishing a cancel
-    (["cancelled"], from drain or signals) from a genuine
-    ["timeout"]. *)
+    (["cancelled"], from a SIGINT/SIGTERM's process-wide cancel) from
+    a genuine ["timeout"]. *)
 
 val classify : exn -> string * string
 (** [(kind, message)] for anything a request can raise: ["timeout"],

@@ -11,11 +11,13 @@
     alone: the server and every other in-flight request continue.
 
     Drain lifecycle: a [shutdown] verb (or EOF on stdio) stops intake
-    and lets in-flight requests finish; SIGINT/SIGTERM (wired by the
-    CLI to {!Rar_util.Deadline.request_cancel} + {!initiate_shutdown})
-    additionally cancels in-flight tokens so long solves unwind
-    promptly as ["cancelled"] errors. Either way every scheduled
-    request gets exactly one response before the transport returns. *)
+    and lets in-flight requests finish, cancelling nothing;
+    SIGINT/SIGTERM (wired by the CLI to
+    {!Rar_util.Deadline.request_cancel} + {!signal_stop}) additionally
+    raise the process-wide cancel that every in-flight token samples,
+    so long solves unwind promptly as ["cancelled"] errors. Either way
+    every scheduled request gets exactly one response before the
+    transport returns. *)
 
 type t
 

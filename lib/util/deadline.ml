@@ -4,8 +4,6 @@ type t = {
   mutable countdown : int;
       (* checks remaining until the next clock sample; a benign data
          race under parallel use only delays a sample by a stride *)
-  mutable cancelled : string option;
-      (* cooperative per-token cancel; the next sample raises *)
   mutable on_sample : (phase:string -> unit) option;
       (* per-sample hook (resource guards); may raise *)
 }
@@ -17,10 +15,10 @@ let stride = 256
 (* Process-wide cooperative cancellation, for signal handlers: a
    handler may only set a flag, so SIGINT/SIGTERM park a reason here
    and every live token notices at its next strided sample. [armed]
-   records that a cancellation source (the CLI's signal handlers, the
-   server's drain path) exists at all — the engine layer uses it to
-   thread an unbounded token through runs that were given no explicit
-   deadline, so the cancel has check sites to fire from. *)
+   records that a cancellation source (the CLI's signal handlers)
+   exists at all — the engine layer uses it to thread an unbounded
+   token through runs that were given no explicit deadline, so the
+   cancel has check sites to fire from. *)
 let global_cancel : string option Atomic.t = Atomic.make None
 let armed = Atomic.make false
 
@@ -37,25 +35,15 @@ let make ~budget_s =
     start = Clock.monotonic_s ();
     budget_s;
     countdown = 0;
-    cancelled = None;
     on_sample = None;
   }
 
 let set_on_sample t f = t.on_sample <- Some f
 
-let budget_s t = t.budget_s
 let elapsed_s t = Clock.monotonic_s () -. t.start
-let remaining_s t = t.budget_s -. elapsed_s t
-
-let cancel t ~reason = t.cancelled <- Some reason
-
-let cancel_reason t =
-  match t.cancelled with Some _ as r -> r | None -> Atomic.get global_cancel
-
-let expired t = cancel_reason t <> None || elapsed_s t >= t.budget_s
 
 let force_check t ~phase =
-  (match cancel_reason t with
+  (match Atomic.get global_cancel with
   | Some reason ->
     raise (Expired { elapsed = elapsed_s t; phase = "cancel:" ^ reason })
   | None -> ());

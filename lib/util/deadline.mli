@@ -27,30 +27,27 @@ exception Expired of { elapsed : float; phase : string }
 val make : budget_s:float -> t
 (** Start the budget now. A zero budget expires at the first check; an
     [infinity] budget never expires on its own and exists purely as a
-    carrier of check sites for {!cancel} / {!request_cancel} and the
+    carrier of check sites for {!request_cancel} and the
     {!set_on_sample} resource guards.
     @raise Invalid_argument on a negative (or NaN) budget. *)
 
 val set_on_sample : t -> (phase:string -> unit) -> unit
 (** Install a hook run at every clock sample — the same stride-256
-    sites as the budget test, after the cancellation tests and before
+    sites as the budget test, after the cancellation test and before
     the expiry test. The hook may raise (the serve layer's heap guard
     raises its ceiling error from here); whatever it raises propagates
     out of the check exactly like {!Expired}. *)
 
 (** {1 Cooperative cancellation}
 
-    Two layers: {!cancel} marks one token (the serve daemon cancels
-    each in-flight request's token when draining), while
     {!request_cancel} sets a process-wide flag that every token
-    notices (the CLI's SIGINT/SIGTERM handlers, which may only set a
-    flag, park the signal name here). Either way the next strided
-    sample raises {!Expired} with [phase = "cancel:<reason>"], so a
+    notices: the CLI's SIGINT/SIGTERM handlers, which may only set a
+    flag, park the signal name here (so do [rar serve]'s, which also
+    stop request intake; its [shutdown] verb and end of input drain
+    without cancelling). The next strided sample of every live token
+    then raises {!Expired} with [phase = "cancel:<reason>"], so a
     cancelled run unwinds through the same typed-error path as a
     budget overrun and [at_exit] work (trace export) still runs. *)
-
-val cancel : t -> reason:string -> unit
-(** Cancel this token: its next sample raises. *)
 
 val arm_cancel : unit -> unit
 (** Declare that a cancellation source exists (signal handlers were
@@ -66,7 +63,8 @@ val request_cancel : reason:string -> unit
 
 val cancel_pending : unit -> string option
 val clear_cancel : unit -> unit
-(** Reset the process-wide flag (tests; the CLI between evaluations). *)
+(** Reset the process-wide flag (the tests, after a
+    {!request_cancel}). *)
 
 val check : t -> phase:string -> unit
 (** Strided check for inner loops: decrements the countdown and, every
@@ -74,15 +72,8 @@ val check : t -> phase:string -> unit
     budget is spent. *)
 
 val force_check : t -> phase:string -> unit
-(** Sample the clock unconditionally; raise {!Expired} if spent. *)
-
-val expired : t -> bool
-(** Non-raising probe: budget spent, or a cancel (token or process)
-    pending. *)
-
-val elapsed_s : t -> float
-val remaining_s : t -> float
-val budget_s : t -> float
+(** Sample the clock unconditionally; raise {!Expired} if spent or if
+    a cancel is pending. *)
 
 val stride : int
 (** Number of {!check} calls between clock samples (256). *)

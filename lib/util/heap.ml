@@ -11,7 +11,6 @@ type t = {
 }
 
 let create () = { prio = [||]; items = [||]; size = 0 }
-let length t = t.size
 
 let grow t =
   let cap = Int.max 16 (2 * t.size) in
@@ -35,10 +34,8 @@ let add t p x =
   prio.(!i) <- p;
   items.(!i) <- x
 
-let peek_min t = if t.size = 0 then None else Some (t.prio.(0), t.items.(0))
-
 let pop_min t =
-  let top = peek_min t in
+  let top = if t.size = 0 then None else Some (t.prio.(0), t.items.(0)) in
   if t.size > 0 then begin
     let last = t.size - 1 in
     t.size <- last;

@@ -1,6 +1,6 @@
 (** Binary min-heap of int payloads (node ids, event codes) keyed by
-    floats, used by the event-driven simulator and by resynthesis's
-    arrival-ordered gate decomposition. Duplicates are allowed.
+    floats, used by the event-driven simulator. Duplicates are
+    allowed.
 
     Equal priorities pop in an order fixed by the push order alone
     (sift-up moves an entry above its parent only when strictly
@@ -12,8 +12,6 @@
 type t
 
 val create : unit -> t
-val length : t -> int
 val add : t -> float -> int -> unit
 
 val pop_min : t -> (float * int) option
-val peek_min : t -> (float * int) option

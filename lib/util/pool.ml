@@ -12,8 +12,9 @@ type pool = {
   mutable domains : unit Domain.t list;
 }
 
-(* Workers flag themselves so nested [map] calls fall back to
-   sequential evaluation instead of deadlocking the fixed pool. *)
+(* Workers flag themselves so nested [map_adaptive_with] calls fall
+   back to sequential evaluation instead of deadlocking the fixed
+   pool. *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 let host_cores () = Domain.recommended_domain_count ()
@@ -41,9 +42,10 @@ let min_tasks_per_domain = 2
 let effective_jobs () = Int.min (jobs ()) (host_cores ())
 
 (* Optional per-dispatch decision hook (installed by the observability
-   layer, which lives above this module): fired once per [map] call
-   with the sizing decision, [reason] one of "parallel", "requested",
-   "nested", "single_chunk", "host_clamp", "task_ratio". *)
+   layer, which lives above this module): fired once per
+   [map_adaptive_with] call with the sizing decision, [reason] one of
+   "parallel", "requested", "nested", "single_chunk", "host_clamp",
+   "task_ratio". *)
 let decision_hook :
     (requested:int -> effective:int -> n_tasks:int -> reason:string -> unit)
     option
@@ -74,10 +76,10 @@ let worker p () =
     else begin
       let task = Queue.pop p.queue in
       Mutex.unlock p.lock;
-      (* A raising task must not kill its domain: [map]'s task bodies
-         capture exceptions for the submitter, so anything escaping
-         here has no one left to report to — swallow it and keep the
-         worker alive for the next batch. *)
+      (* A raising task must not kill its domain: [map_adaptive_with]'s
+         task bodies capture exceptions for the submitter, so anything
+         escaping here has no one left to report to — swallow it and
+         keep the worker alive for the next batch. *)
       (try task () with _ -> ());
       loop ()
     end
@@ -142,22 +144,33 @@ let set_jobs j =
 let task_hook : (unit -> unit) option ref = ref None
 let set_task_hook h = task_hook := h
 
-(* Optional per-batch hook, fired once per pooled [map] dispatch (never
-   on the sequential path) with the batch size and the queue occupancy
-   just after enqueueing. It returns a completion callback invoked when
-   the batch joins — even if the join re-raises a task's exception.
-   Installed by the observability layer, which lives above this module
-   and so cannot be named from here. *)
+(* Optional per-batch hook, fired once per pooled [map_adaptive_with]
+   dispatch (never on the sequential path) with the batch size and the
+   queue occupancy just after enqueueing. It returns a completion
+   callback invoked when the batch joins — even if the join re-raises a
+   task's exception. Installed by the observability layer, which lives
+   above this module and so cannot be named from here. *)
 let batch_hook :
     (n_tasks:int -> occupancy:int -> (unit -> unit)) option ref =
   ref None
 
 let set_batch_hook h = batch_hook := h
 
-(* The one dispatch kernel: [init] builds per-chunk state once, in the
-   domain that runs the chunk, and [f] receives it with every element
-   of that chunk. [map] is the stateless special case. *)
-let map_with ?(min_chunk = 1) ~(init : unit -> 's) (xs : 'a array)
+(* The one dispatch kernel, one pool task per chunk: [init] builds
+   per-chunk state once, in the domain that runs the chunk, and [f]
+   receives it with every element of that chunk.
+
+   Adaptive chunking: the chunk size follows the batch size and the
+   effective worker count instead of a fixed grain. A fixed chunk
+   interacts badly with the task-ratio threshold in [decide]: 256-sink
+   chunks turn a 1125-sink batch into 5 tasks, which at 4 workers is
+   below the 2-tasks-per-domain floor, so the whole batch silently ran
+   sequentially — exactly on the multi-thousand-element inputs the
+   pool exists for. Aiming at 4 tasks per worker keeps the batch above
+   the threshold while leaving enough tasks for the queue to balance
+   uneven chunk costs. Batches under 512 elements run sequentially,
+   and no chunk is smaller than 64 elements. *)
+let map_adaptive_with ~(init : unit -> 's) (xs : 'a array)
     (f : 's -> 'a -> 'b) : 'b array =
   let f =
     match !task_hook with
@@ -168,7 +181,12 @@ let map_with ?(min_chunk = 1) ~(init : unit -> 's) (xs : 'a array)
         f s x
   in
   let n = Array.length xs in
-  let chunk = Int.max 1 min_chunk in
+  let chunk =
+    if n < 512 then Int.max 1 n
+    else
+      let target = effective_jobs () * 4 in
+      Int.max 64 ((n + target - 1) / target)
+  in
   let n_tasks = (n + chunk - 1) / chunk in
   (* A single chunk means the pool could only serialise the work with
      extra dispatch overhead; likewise a sub-threshold task-per-domain
@@ -242,38 +260,20 @@ let map_with ?(min_chunk = 1) ~(init : unit -> 's) (xs : 'a array)
       (function
         | Some (Ok v) -> v
         | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-        | None -> failwith "Rar_util.Pool.map: task finished without a result")
+        | None ->
+          failwith
+            "Rar_util.Pool.map_adaptive_with: task finished without a result")
       results
-  end
-
-let map xs f = map_with ~init:ignore xs (fun () x -> f x)
-
-(* Adaptive chunking: pick the chunk size from the batch size and the
-   effective worker count instead of a fixed grain. A fixed [min_chunk]
-   interacts badly with the task-ratio threshold in [decide]: 256-sink
-   chunks turn a 1125-sink batch into 5 tasks, which at 4 workers is
-   below the 2-tasks-per-domain floor, so the whole batch silently ran
-   sequentially — exactly on the multi-thousand-element inputs the
-   pool exists for. Aiming at 4 tasks per worker keeps the batch above
-   the threshold while leaving enough tasks for the queue to balance
-   uneven chunk costs. Batches under 512 elements run sequentially,
-   and no chunk is smaller than 64 elements. *)
-let map_adaptive_with ~init xs f =
-  let n = Array.length xs in
-  if n < 512 then map_with ~min_chunk:(Int.max 1 n) ~init xs f
-  else begin
-    let target = effective_jobs () * 4 in
-    let chunk = Int.max 64 ((n + target - 1) / target) in
-    map_with ~min_chunk:chunk ~init xs f
   end
 
 (* Asynchronous single-task submission, for the serve daemon: enqueue
    and return immediately; the task runs on a pool worker (so its own
-   nested [map] calls take the sequential path) and delivers its
-   result through whatever channel it captured. Unlike [map] there is
-   no join, so the submitter must do its own completion bookkeeping.
-   A pool is always materialised — even at an effective size of 1 —
-   because an async task needs a worker to run on. *)
+   nested [map_adaptive_with] calls take the sequential path) and
+   delivers its result through whatever channel it captured. Unlike
+   [map_adaptive_with] there is no join, so the submitter must do its
+   own completion bookkeeping. A pool is always materialised — even at
+   an effective size of 1 — because an async task needs a worker to
+   run on. *)
 let submit (task : unit -> unit) : unit =
   let size = Int.max 1 (effective_jobs ()) in
   let p = get_pool size in

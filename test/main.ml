@@ -15,7 +15,6 @@ let () =
       ("engine", Test_engine.suite);
       ("report", Test_report.suite);
       ("extensions", Test_extensions.suite);
-      ("resynth", Test_resynth.suite);
       ("resilience", Test_resilience.suite);
       ("obs", Test_obs.suite);
       ("eco", Test_eco.suite);

@@ -124,7 +124,7 @@ let stage_fingerprint st =
         let cls = Stage.classify st s in
         ( cls,
           bits (Stage.max_path st s),
-          bits (Stage.initial_arrival st s),
+          bits (Stage.initial_arrivals st).(s),
           match cls with
           | Stage.Always_ed -> []
           | Stage.Never_ed | Stage.Target _ -> Stage.window_edges st s ))

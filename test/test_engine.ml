@@ -424,7 +424,7 @@ let test_arrival_digests () =
         (circuit ^ " initial arrivals")
         want
         (bits_digest (fun add _ ->
-             Array.iter (fun s -> add (Stage.initial_arrival stage s))
+             Array.iter (fun s -> add (Stage.initial_arrivals stage).(s))
                (Stage.sinks stage))))
     initial_arrival_digests;
   List.iter

@@ -1,16 +1,14 @@
 (* Tests for the extension modules: optimality certificates, min-period
-   search, EDL clustering trees, VCD tracing. *)
+   search, VCD tracing. *)
 
 module Problem = Rar_flow.Problem
 module Netsimplex = Rar_flow.Netsimplex
 module Closure = Rar_flow.Closure
 module Certificate = Rar_flow.Certificate
 module Rng = Rar_util.Rng
-module Liberty = Rar_liberty.Liberty
 module Suite = Rar_circuits.Suite
 module Fig4 = Rar_circuits.Fig4
 module Period_search = Rar_engine.Period_search
-module Edl_cluster = Rar_retime.Edl_cluster
 module Outcome = Rar_retime.Outcome
 module Stage = Rar_retime.Stage
 module Engine = Rar_engine
@@ -130,53 +128,6 @@ let test_fig4_detection_free_above_feasible () =
       (d.Period_search.p >= f.Period_search.p -. 1e-6)
   | Error e, _ | _, Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
 
-(* --- EDL clustering ------------------------------------------------- *)
-
-let test_cluster_empty () =
-  let t = Edl_cluster.build ~lib:(Liberty.default ()) 0 in
-  Alcotest.(check int) "no gates" 0 t.Edl_cluster.or_gates;
-  Alcotest.(check (float 0.)) "no area" 0. t.Edl_cluster.area
-
-let test_cluster_counts () =
-  let lib = Liberty.default () in
-  let t = Edl_cluster.build ~max_cluster:16 ~or_arity:4 ~lib 40 in
-  Alcotest.(check int) "clusters" 3 t.Edl_cluster.clusters;
-  (* 40 signals in clusters of 14/13/13: trees need 5+5+5 gates = 15?
-     compute: ceil(14/4)=4 then ceil(4/4)=1 -> 5 gates, depth 2; same
-     for 13 -> 5; top tree over 3 -> 1 gate. *)
-  Alcotest.(check int) "or gates" 16 t.Edl_cluster.or_gates;
-  Alcotest.(check int) "depth" 3 t.Edl_cluster.depth;
-  Alcotest.(check bool) "area positive" true (t.Edl_cluster.area > 0.)
-
-let test_cluster_monotone =
-  QCheck.Test.make ~name:"collection tree grows with EDL count" ~count:50
-    QCheck.(pair (int_bound 200) (int_bound 200))
-    (fun (a, b) ->
-      let lib = Liberty.default () in
-      let lo = min a b and hi = max a b in
-      let ta = Edl_cluster.build ~lib lo and tb = Edl_cluster.build ~lib hi in
-      ta.Edl_cluster.area <= tb.Edl_cluster.area +. 1e-9)
-
-let test_annotate () =
-  let stage =
-    match
-      Stage.make ~lib:(Fig4.library ()) ~clocking:Fig4.clocking
-        (Fig4.circuit ())
-    with
-    | Ok s -> s
-    | Error e -> failwith (Rar_retime.Error.to_string e)
-  in
-  match Engine.run (Engine.config ~c:0.5 Engine.Grar) stage with
-  | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
-  | Ok r ->
-    let o = r.Engine.outcome in
-    let o', tree = Edl_cluster.annotate ~lib:(Fig4.library ()) o in
-    Alcotest.(check int) "signals = edl" (Outcome.ed_count o)
-      tree.Edl_cluster.n_signals;
-    Alcotest.(check (float 1e-9)) "area added"
-      (o.Outcome.total_area +. tree.Edl_cluster.area)
-      o'.Outcome.total_area
-
 (* --- VCD -------------------------------------------------------------- *)
 
 let test_vcd_trace () =
@@ -272,10 +223,6 @@ let suite =
       test_fig4_min_feasible;
     Alcotest.test_case "detection-free period dominates" `Quick
       test_fig4_detection_free_above_feasible;
-    Alcotest.test_case "cluster empty" `Quick test_cluster_empty;
-    Alcotest.test_case "cluster counts" `Quick test_cluster_counts;
-    QCheck_alcotest.to_alcotest test_cluster_monotone;
-    Alcotest.test_case "cluster annotate" `Quick test_annotate;
     Alcotest.test_case "vcd trace" `Quick test_vcd_trace;
     Alcotest.test_case "G-RAR identical across pool sizes" `Quick
       test_grar_identical_across_jobs;

@@ -241,7 +241,10 @@ let test_guard_classify () =
 
 let test_guard_heap_ceiling () =
   (* Pin enough live data that the major heap is certainly above 1 MB,
-     then sample the token: the heap hook must trip. *)
+     then sample the token: the heap hook must trip. [keep] is used
+     after the check through [Sys.opaque_identity], so it is still live
+     at the [Gc.full_major]: a pure use such as [Array.length] would
+     let the compiler end its life before the collection. *)
   let keep = Array.init 512 (fun _ -> Array.make 1024 0.0) in
   Gc.full_major ();
   let token = Guard.token { deadline_s = None; max_heap_mb = Some 1 } in
@@ -250,7 +253,7 @@ let test_guard_heap_ceiling () =
     Alcotest.(check int) "limit echoed" 1 limit_mb;
     Alcotest.(check bool) "measured above limit" true (heap_mb > 1)
   | () -> Alcotest.fail "heap ceiling must trip");
-  ignore (Array.length keep);
+  ignore (Sys.opaque_identity keep);
   (* without a ceiling the same token never trips *)
   let free = Guard.token { deadline_s = None; max_heap_mb = None } in
   Deadline.force_check free ~phase:"test"
