@@ -391,7 +391,7 @@ let scale_row ~gates =
 
 (* Every row runs in a child process of this executable
    ([--scale-row GATES]), so each gets a fresh heap and its own
-   peak RSS: a 10^5-gate G-RAR row peaks at ~1.2 GB, and OCaml 5.1's
+   peak RSS: a 10^5-gate G-RAR row peaks at ~0.8 GB, and OCaml 5.1's
    [Gc.compact] cannot return a fragmented heap, so rows sharing one
    heap would carry their high-water marks into every later row. The
    child prints its progress line, then the row as its last line. *)

@@ -49,5 +49,8 @@ val solve :
     before any edge is added: profit edges first, then the
     implications, the forced selections and the forced rejections,
     each in reverse constraint order, and the reference's rejection
-    last. [?deadline] is sampled in the max-flow loops; expiry raises
+    last. No implication or forced rejection leaves the reference: it
+    is always on the sink side, so such an arc never crosses a cut, and
+    the minimal cut and its certificate are the same without it.
+    [?deadline] is sampled in the max-flow loops; expiry raises
     [Rar_util.Deadline.Expired]. *)

@@ -1,9 +1,10 @@
 module Faults = Rar_resilience.Faults
 
-(* Constraints [r(u) - r(v) <= bound] live in three growable int
-   arrays, entry [i] of each in emission order; only [0 .. m - 1] is
-   meaningful. Every reader (check, the closure instance, the flow
-   problem, the cache key) walks them in place. *)
+(* Constraints [r(u) - r(v) <= bound] live in three int arrays, entry
+   [i] of each in emission order; only [0 .. m - 1] is meaningful. A
+   builder that knows its count sizes them exactly with [reserve];
+   otherwise they grow by doubling. Every reader (check, the closure
+   instance, the flow problem, the cache key) walks them in place. *)
 type t = {
   n : int;
   mutable m : int;
@@ -15,14 +16,7 @@ type t = {
 
 let create ~n =
   if n <= 0 then invalid_arg "Difflp.create: n <= 0";
-  {
-    n;
-    m = 0;
-    u = Array.make 16 0;
-    v = Array.make 16 0;
-    bound = Array.make 16 0;
-    coeff = Array.make n 0.;
-  }
+  { n; m = 0; u = [||]; v = [||]; bound = [||]; coeff = Array.make n 0. }
 
 let var_count t = t.n
 
@@ -30,8 +24,8 @@ let check_var t x name =
   if x < 0 || x >= t.n then
     invalid_arg (Printf.sprintf "Difflp.%s: variable %d out of range" name x)
 
-let grow t =
-  let cap = 2 * Array.length t.u in
+(* The three arrays at [cap] entries, keeping the first [m]. *)
+let resize t cap =
   let extend a =
     let a' = Array.make cap 0 in
     Array.blit a 0 a' 0 t.m;
@@ -40,6 +34,8 @@ let grow t =
   t.u <- extend t.u;
   t.v <- extend t.v;
   t.bound <- extend t.bound
+
+let reserve t m = if m > Array.length t.u then resize t m
 
 let add_constraint t ~u ~v ~bound =
   check_var t u "add_constraint";
@@ -50,7 +46,7 @@ let add_constraint t ~u ~v ~bound =
     (* trivially true otherwise; drop *)
   end
   else begin
-    if t.m = Array.length t.u then grow t;
+    if t.m = Array.length t.u then resize t (Int.max 16 (2 * t.m));
     t.u.(t.m) <- u;
     t.v.(t.m) <- v;
     t.bound.(t.m) <- bound;
@@ -60,6 +56,13 @@ let add_constraint t ~u ~v ~bound =
 let add_objective t v a =
   check_var t v "add_objective";
   t.coeff.(v) <- t.coeff.(v) +. a
+
+let add_objectives t a =
+  if Array.length a <> t.n then
+    invalid_arg "Difflp.add_objectives: length mismatch";
+  for v = 0 to t.n - 1 do
+    t.coeff.(v) <- t.coeff.(v) +. a.(v)
+  done
 
 let iter_constraints t f =
   for i = 0 to t.m - 1 do

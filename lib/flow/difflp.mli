@@ -24,8 +24,19 @@ val var_count : t -> int
 val add_constraint : t -> u:int -> v:int -> bound:int -> unit
 (** [r(u) - r(v) <= bound]. *)
 
+val reserve : t -> int -> unit
+(** [reserve t m] sizes the constraint store for [m] constraints in
+    all, so a builder that counts its constraints first fills arrays
+    of exactly that length. The store doubles past it. *)
+
 val add_objective : t -> int -> float -> unit
 (** Accumulate a coefficient onto variable [v]. *)
+
+val add_objectives : t -> float array -> unit
+(** [add_objectives t a] accumulates [a.(v)] onto every variable [v]:
+    a whole objective summed by the caller in one call, with no float
+    boxed per term. [Invalid_argument] unless [a] has {!var_count}
+    entries. *)
 
 val iter_constraints : t -> (u:int -> v:int -> bound:int -> unit) -> unit
 (** In emission order. *)

@@ -110,12 +110,15 @@ let run ?deadline t ~source ~sink =
     | None -> ()
     | Some d -> Rar_util.Deadline.check d ~phase:"maxflow"
   in
+  (* Levels by BFS from the source. Once the sink is labelled every
+     shorter level is complete, and no node past the sink's level can
+     lie on a shortest augmenting path, so the search stops there. *)
   let bfs () =
     Array.fill level 0 n (-1);
     level.(source) <- 0;
     queue.(0) <- source;
     let hd = ref 0 and tl = ref 1 in
-    while !hd < !tl do
+    while !hd < !tl && level.(sink) < 0 do
       tick ();
       let u = queue.(!hd) in
       incr hd;
@@ -133,13 +136,15 @@ let run ?deadline t ~source ~sink =
     level.(sink) >= 0
   in
   (* One blocking flow, iteratively: advance along admissible edges
-     (residual > eps, level + 1), augment on reaching the sink and
-     retreat to the tail of the first saturated edge, or retreat one
-     edge from a dead end. Current-arc pointers make every edge
-     inspected O(1) times per retreat, as in the recursive textbook
-     version, without using the OCaml stack. *)
+     (residual > eps, level + 1, and into the sink's level only at the
+     sink itself), augment on reaching the sink and retreat to the tail
+     of the first saturated edge, or retreat one edge from a dead end.
+     Current-arc pointers make every edge inspected O(1) times per
+     retreat, as in the recursive textbook version, without using the
+     OCaml stack. *)
   let blocking () =
     Array.blit first 0 it 0 n;
+    let last = level.(sink) in
     let total = ref 0. in
     let depth = ref 0 and u = ref source and stop = ref false in
     while not !stop do
@@ -172,7 +177,9 @@ let run ?deadline t ~source ~sink =
         let p = ref it.(x) and next = ref (-1) in
         while !next < 0 && !p < stop_at do
           let e = adj.(!p) in
-          if res.(e) > eps && level.(head.(e)) = lx then next := e
+          let y = head.(e) in
+          if res.(e) > eps && level.(y) = lx && (lx < last || y = sink) then
+            next := e
           else incr p
         done;
         it.(x) <- !p;

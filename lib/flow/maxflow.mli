@@ -21,7 +21,10 @@ val add_edge : t -> src:int -> dst:int -> cap:float -> unit
 
 val run :
   ?deadline:Rar_util.Deadline.t -> t -> source:int -> sink:int -> float
-(** Max-flow value. May be called once per instance. [?deadline] is
+(** Max-flow value. May be called once per instance. Each phase's BFS
+    stops once the sink is labelled, and its blocking flow enters a
+    node at the sink's level only at the sink: no node at or past that
+    level lies on a shortest augmenting path. [?deadline] is
     sampled (strided, see {!Rar_util.Deadline.check}) once per BFS pop
     and once per DFS step; expiry raises
     [Rar_util.Deadline.Expired { phase = "maxflow"; _ }]. Publishes the

@@ -26,7 +26,8 @@ type seq_cell = {
 type t = {
   lib_name : string;
   lib_drives : int list;
-  cells : (Cell_kind.t * int, comb_cell) Hashtbl.t;
+  cells : comb_cell array array;
+    (* per kind, at its [slot]: that kind's cells, one per drive *)
   lib_latch : seq_cell;
   lib_flop : seq_cell;
   wire_cap_per_fanout : float;
@@ -37,15 +38,51 @@ let drives t = t.lib_drives
 let latch t = t.lib_latch
 let flop t = t.lib_flop
 
+(* A kind's row in [cells]: its position in [Cell_kind.all]. *)
+let slot = function
+  | Cell_kind.Buf -> 0
+  | Cell_kind.Inv -> 1
+  | Cell_kind.And -> 2
+  | Cell_kind.Nand -> 3
+  | Cell_kind.Or -> 4
+  | Cell_kind.Nor -> 5
+  | Cell_kind.Xor -> 6
+  | Cell_kind.Xnor -> 7
+  | Cell_kind.Aoi21 -> 8
+  | Cell_kind.Oai21 -> 9
+  | Cell_kind.Mux2 -> 10
+
+(* The rows of a cell list; a later cell replaces an earlier one of the
+   same kind and drive. *)
+let table cells =
+  let rows = Array.make (List.length Cell_kind.all) [] in
+  List.iter
+    (fun (c : comb_cell) ->
+      let k = slot c.fn in
+      rows.(k) <-
+        c :: List.filter (fun (d : comb_cell) -> d.drive <> c.drive) rows.(k))
+    cells;
+  Array.map Array.of_list rows
+
+(* The position of [drive] in a kind's row, or -1. *)
+let rec drive_index (row : comb_cell array) drive i =
+  if i = Array.length row then -1
+  else if row.(i).drive = drive then i
+  else drive_index row drive (i + 1)
+
+(* A search of one short row, not a hash lookup: a hit allocates
+   nothing, and STA looks a cell up per gate and per fanout. *)
 let comb_cell t fn ~drive =
-  match Hashtbl.find_opt t.cells (fn, drive) with
-  | Some c -> c
-  | None ->
+  let row = t.cells.(slot fn) in
+  let i = drive_index row drive 0 in
+  if i < 0 then
     invalid_arg
       (Printf.sprintf "Liberty.comb_cell: no %s with drive %d"
          (Cell_kind.name fn) drive)
+  else row.(i)
 
-let wire_cap t ~fanouts = t.wire_cap_per_fanout *. float_of_int fanouts
+let[@inline] wire_cap t ~fanouts =
+  t.wire_cap_per_fanout *. float_of_int fanouts
 
 (* ------------------------------------------------------------------ *)
 (* Default library                                                     *)
@@ -94,13 +131,12 @@ let scale_cell fn drive =
 
 let default () =
   let lib_drives = [ 1; 2; 4 ] in
-  let cells = Hashtbl.create 64 in
-  List.iter
-    (fun fn ->
-      List.iter
-        (fun d -> Hashtbl.replace cells (fn, d) (scale_cell fn d))
-        lib_drives)
-    Cell_kind.all;
+  let cells =
+    table
+      (List.concat_map
+         (fun fn -> List.map (scale_cell fn) lib_drives)
+         Cell_kind.all)
+  in
   (* Latch area = 43% of flop area (paper §VI-D); ck_to_q is 40% larger
      than d_to_q (§III). *)
   let lib_flop =
@@ -114,35 +150,26 @@ let default () =
     wire_cap_per_fanout = 0.15 }
 
 let make ~name ~cells ~latch ~flop ~wire_cap_per_fanout =
-  let tbl = Hashtbl.create 32 in
-  let drives = Hashtbl.create 8 in
-  List.iter
-    (fun (c : comb_cell) ->
-      Hashtbl.replace drives c.drive ();
-      Hashtbl.replace tbl (c.fn, c.drive) c)
-    cells;
   {
     lib_name = name;
-    lib_drives = List.sort compare (Hashtbl.fold (fun d () l -> d :: l) drives []);
-    cells = tbl;
+    lib_drives =
+      List.sort_uniq compare (List.map (fun (c : comb_cell) -> c.drive) cells);
+    cells = table cells;
     lib_latch = latch;
     lib_flop = flop;
     wire_cap_per_fanout;
   }
 
 let all_cells t =
-  Hashtbl.fold (fun _ c acc -> c :: acc) t.cells []
+  List.concat_map Array.to_list (Array.to_list t.cells)
   |> List.sort (fun a b -> compare (a.fn, a.drive) (b.fn, b.drive))
 
 let wire_cap_per_fanout t = t.wire_cap_per_fanout
 
 let synthetic ~name ~cells ~latch ~flop =
-  let tbl = Hashtbl.create 16 in
-  let drives = Hashtbl.create 8 in
-  List.iter
-    (fun ((fn, drive), area, delay) ->
-      Hashtbl.replace drives drive ();
-      Hashtbl.replace tbl (fn, drive)
+  let cells =
+    List.map
+      (fun ((fn, drive), area, delay) ->
         {
           fn;
           drive;
@@ -152,40 +179,55 @@ let synthetic ~name ~cells ~latch ~flop =
           load_slope = { rise = 0.; fall = 0. };
           pin_derate = 0.;
         })
-    cells;
-  {
-    lib_name = name;
-    lib_drives = List.sort compare (Hashtbl.fold (fun d () l -> d :: l) drives []);
-    cells = tbl;
-    lib_latch = latch;
-    lib_flop = flop;
-    wire_cap_per_fanout = 0.;
-  }
+      cells
+  in
+  make ~name ~cells ~latch ~flop ~wire_cap_per_fanout:0.
 
 (* ------------------------------------------------------------------ *)
 (* Delay queries                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The delay from input [pin] of [cell] for one output transition,
+   from that transition's intrinsic delay and load slope. *)
+let[@inline] derated cell ~pin intrinsic slope load =
+  (1. +. (float_of_int pin *. cell.pin_derate))
+  *. (intrinsic +. (slope *. load))
+
 let pin_arc cell ~pin ~load =
-  let derate = 1. +. (float_of_int pin *. cell.pin_derate) in
   {
-    rise = derate *. (cell.intrinsic.rise +. (cell.load_slope.rise *. load));
-    fall = derate *. (cell.intrinsic.fall +. (cell.load_slope.fall *. load));
+    rise = derated cell ~pin cell.intrinsic.rise cell.load_slope.rise load;
+    fall = derated cell ~pin cell.intrinsic.fall cell.load_slope.fall load;
   }
 
-let node_input_cap t net v ~pin =
+let[@inline] node_input_cap t net v =
   match Netlist.kind net v with
   | Netlist.Gate { fn; drive } -> (comb_cell t fn ~drive).input_cap
   | Netlist.Seq _ -> t.lib_latch.seq_input_cap
   | Netlist.Output -> 1.0 (* nominal external load *)
-  | Netlist.Input -> ignore pin; 0.
+  | Netlist.Input -> 0.
 
-let gate_load t net v =
+(* Inlined into [pin_arcs], so the load is never a boxed float. *)
+let[@inline] gate_load t net v =
   let total = ref (wire_cap t ~fanouts:(Netlist.fanout_count net v)) in
-  Array.iter
-    (fun w -> total := !total +. node_input_cap t net w ~pin:0)
-    (Netlist.fanouts net v);
+  let fo = Netlist.fanouts net v in
+  for i = 0 to Array.length fo - 1 do
+    total := !total +. node_input_cap t net fo.(i)
+  done;
   !total
+
+let pin_arcs t net v ~rise ~fall ~at =
+  match Netlist.kind net v with
+  | Netlist.Gate { fn; drive } ->
+    let cell = comb_cell t fn ~drive in
+    let load = gate_load t net v in
+    for pin = 0 to Array.length (Netlist.fanins net v) - 1 do
+      rise.(at + pin) <-
+        derated cell ~pin cell.intrinsic.rise cell.load_slope.rise load;
+      fall.(at + pin) <-
+        derated cell ~pin cell.intrinsic.fall cell.load_slope.fall load
+    done
+  | Netlist.Input | Netlist.Output | Netlist.Seq _ ->
+    invalid_arg "Liberty.pin_arcs: not a gate"
 
 let gate_area t net v =
   match Netlist.kind net v with

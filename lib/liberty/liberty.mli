@@ -104,6 +104,14 @@ val pin_arc : comb_cell -> pin:int -> load:float -> arc
 val gate_load : t -> Netlist.t -> int -> float
 (** Output load of node [v] in a netlist: fanout pins + wire. *)
 
+val pin_arcs :
+  t -> Netlist.t -> int -> rise:float array -> fall:float array -> at:int ->
+  unit
+(** [pin_arcs t net v ~rise ~fall ~at] writes {!pin_arc} of every input
+    pin [i] of gate [v], under its {!gate_load}, to [rise.(at + i)] and
+    [fall.(at + i)]: a whole gate's arcs, bitwise those of {!pin_arc},
+    with nothing allocated. [Invalid_argument] unless [v] is a gate. *)
+
 val gate_area : t -> Netlist.t -> int -> float
 (** Area of node [v]: combinational cell area for gates, latch area for
     master/slave latches (error-detection overhead is {e not} included

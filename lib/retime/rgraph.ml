@@ -1,12 +1,15 @@
 module Netlist = Rar_netlist.Netlist
+module Compact = Rar_netlist.Netlist.Compact
 module Transform = Rar_netlist.Transform
 module Difflp = Rar_flow.Difflp
+
+(* Variable layout: the host, comb node [v] at [v + 1], the mirrors in
+   node order, then the canonical P(t) vertices in sink order. *)
+let host = 0
 
 type t = {
   stage : Stage.t;
   lp : Difflp.t;
-  host : int;
-  var_of : int array;      (* comb node -> variable *)
   p_sinks : (int * int) list;
   (* The graph edges are the first LP constraints, one each, in
      emission order; edge [i] has breadth [beta.(i)]. *)
@@ -18,164 +21,175 @@ let p_vars t = t.p_sinks
 
 let m_endpoints_pruned = Rar_obs.Metrics.counter "endpoints_pruned"
 
+(* Endpoint-domination rule: a Target sink whose cut set g(t) equals an
+   earlier target's adds no new constraint — its P(t) vertex would sit
+   at exactly max(-1, max over g(t) of r(g)) in any optimum, the same
+   value as the canonical one — so it shares that vertex (its EDL
+   reward accumulates on the shared coefficient) and the LP keeps only
+   the sparse endpoint frontier. Returns every target as (sink,
+   canonical index), in sink order, and the canonical cut sets; the
+   first sink of a cut set wins, so the choice is deterministic. *)
+let endpoint_frontier stage =
+  let by_cut = Hashtbl.create 64 in
+  let canon = ref [] and pruned = ref 0 in
+  let slots =
+    Array.fold_right
+      (fun s acc ->
+        match Stage.classify stage s with
+        | Stage.Never_ed | Stage.Always_ed -> acc
+        | Stage.Target { cut } -> (s, cut) :: acc)
+      (Stage.sinks stage) []
+    |> List.map (fun (s, cut) ->
+           match Hashtbl.find_opt by_cut cut with
+           | Some j ->
+             incr pruned;
+             (s, j)
+           | None ->
+             let j = Hashtbl.length by_cut in
+             Hashtbl.add by_cut cut j;
+             canon := cut :: !canon;
+             (s, j))
+  in
+  Rar_obs.Metrics.add m_endpoints_pruned !pruned;
+  (slots, List.rev !canon)
+
 let build ?edl_overhead ?(forbidden_edges = []) ?(bias_early = false) stage =
   Rar_obs.Trace.span "rgraph/build" @@ fun () ->
   let net = Stage.comb stage in
-  let n = Netlist.node_count net in
-  let groups = Stage.fanout_groups stage in
-  (* Variable layout: host, comb nodes, mirrors, P(t). *)
-  let host = 0 in
-  let var_of = Array.init n (fun v -> v + 1) in
-  let next = ref (n + 1) in
-  let mirror_of = Array.make n (-1) in
-  List.iter
-    (fun (u, fanouts) ->
-      if List.length fanouts > 1 then begin
-        mirror_of.(u) <- !next;
-        incr next
-      end)
-    groups;
-  let targets =
-    Array.to_list (Stage.sinks stage)
-    |> List.filter_map (fun s ->
-           match Stage.classify stage s with
-           | Stage.Target { cut } -> Some (s, cut)
-           | Stage.Never_ed | Stage.Always_ed -> None)
-  in
-  (* Endpoint-domination rule: a Target sink whose cut set g(t) equals
-     an already-emitted p-var's cut set adds no new constraint — its
-     P(t) vertex would sit at exactly max(-1, max over g(t) of r(g)) in
-     any optimum, the same value as the canonical one — so it shares
-     that variable (its EDL reward accumulates on the shared
-     coefficient) and the LP keeps only the sparse endpoint frontier.
-     Scanning targets in sink order keeps the canonical choice (first
-     sink wins) deterministic. *)
-  let p_sinks, canonical_p =
+  let cv = Netlist.compact net in
+  let n = Compact.n cv in
+  let tags = cv.Compact.tags in
+  let fo_head = cv.Compact.fanout_head and fo = cv.Compact.fanout in
+  let slots, canonical =
     match edl_overhead with
     | None -> ([], [])
-    | Some _ ->
-      let by_cut = Hashtbl.create 64 in
-      let canon = ref [] in
-      let pruned = ref 0 in
-      let ps =
-        List.map
-          (fun (s, cut) ->
-            match Hashtbl.find_opt by_cut cut with
-            | Some v ->
-              incr pruned;
-              (s, v)
-            | None ->
-              let v = !next in
-              incr next;
-              Hashtbl.add by_cut cut v;
-              canon := (v, cut) :: !canon;
-              (s, v))
-          targets
-      in
-      Rar_obs.Metrics.add m_endpoints_pruned !pruned;
-      (ps, List.rev !canon)
+    | Some _ -> endpoint_frontier stage
   in
-  (* One edge per source, one per single fanout, two per shared
-     fanout (into the fanout and on into the mirror). *)
-  let n_edges =
-    List.fold_left
-      (fun k (_, fanouts) ->
-        match fanouts with [ _ ] -> k + 1 | _ -> k + (2 * List.length fanouts))
-      (Array.length (Netlist.inputs net))
-      groups
-  in
-  let lp = Difflp.create ~n:!next in
-  let betas = Array.make n_edges 0. in
-  (* An edge of the retiming graph: from variable [xu] to variable [xv],
-     weight [w], breadth [beta > 0]. Its endpoints differ, so it is LP
-     constraint number [i] exactly. *)
-  let edge xu xv w beta =
-    let i = Difflp.constraint_count lp in
-    Difflp.add_constraint lp ~u:xu ~v:xv ~bound:w;
-    Difflp.add_objective lp xv beta;
-    Difflp.add_objective lp xu (-.beta);
-    betas.(i) <- beta
-  in
-  (* Host edges carry the initial slave of every source. *)
-  Array.iter
-    (fun src -> edge host var_of.(src) 1 1.)
-    (Netlist.inputs net);
-  (* Fanout groups: single edge, or the mirror gadget. *)
-  List.iter
-    (fun (u, fanouts) ->
-      match fanouts with
-      | [] -> ()
-      | [ (v, _) ] -> edge var_of.(u) var_of.(v) 0 1.
-      | _ ->
-        let k = float_of_int (List.length fanouts) in
-        let m = mirror_of.(u) in
-        List.iter
-          (fun (v, _) ->
-            edge var_of.(u) var_of.(v) 0 (1. /. k);
-            edge var_of.(v) m 0 (1. /. k))
-          fanouts)
-    groups;
-  assert (Difflp.constraint_count lp = n_edges);
-  (* Region bounds as host arcs. *)
-  let bound_var ?(lo = -1) ?(hi = 0) x =
-    Difflp.add_constraint lp ~u:x ~v:host ~bound:hi;
-    Difflp.add_constraint lp ~u:host ~v:x ~bound:(-lo)
-  in
-  for v = 0 to n - 1 do
-    match Stage.region stage v with
-    | Stage.Rm -> bound_var ~lo:(-1) ~hi:(-1) var_of.(v)
-    | Stage.Rn -> bound_var ~lo:0 ~hi:0 var_of.(v)
-    | Stage.Rr -> bound_var var_of.(v)
-  done;
-  List.iter (fun (u, _) -> if mirror_of.(u) >= 0 then bound_var mirror_of.(u)) groups;
-  (* Resilient-aware machinery: P(t) vertices, E2 arcs, EDL reward.
-     Bounds and cut constraints are emitted once per canonical P
-     vertex; each sink sharing it still contributes its own reward
-     term, which [Difflp.add_objective] accumulates on the shared
-     coefficient. *)
-  (match edl_overhead with
-  | None -> ()
-  | Some c ->
-    List.iter
-      (fun (pv, cut) ->
-        bound_var pv;
-        List.iter
-          (fun g -> Difflp.add_constraint lp ~u:(var_of.(g)) ~v:pv ~bound:0)
-          cut)
-      canonical_p;
-    List.iter
-      (fun (_, pv) ->
-        (* objective term -c * (r(h) - r(P)) = c*r(P) - c*r(h) *)
-        Difflp.add_objective lp pv c;
-        Difflp.add_objective lp host (-.c))
-      p_sinks);
-  (* No-latch constraints: w + r(v) - r(u) <= 0. A pair (src, src)
-     forbids the host-edge position of a source. The stage's per-edge
-     Constraint-(7) violations are always included. *)
-  List.iter
-    (fun (u, v) ->
-      if u = v then
-        (* host edge of source u: 1 + r(u) - r(h) <= 0 *)
-        Difflp.add_constraint lp ~u:(var_of.(u)) ~v:host ~bound:(-1)
-      else Difflp.add_constraint lp ~u:(var_of.(v)) ~v:(var_of.(u)) ~bound:0)
-    (Stage.illegal_edges stage @ forbidden_edges);
-  if bias_early then begin
-    (* Commercial-baseline behaviour: movement is the primary
-       objective (latches travel no further than the timing
-       constraints force), the latch count only breaks ties. The
-       weight dominates any achievable latch-count difference, which
-       is bounded by the total breadth (< number of variables). *)
-    let w = float_of_int (4 * !next) in
+  (* The one walk that emits the LP: every constraint in order, and
+     every objective term in the order its coefficient sums it. Into
+     [None] it only counts, so the walk into [Some lp] fills a store,
+     an objective [obj] and a breadth array [beta] sized exactly.
+     Returns the constraints, the graph edges and the mirrors. *)
+  let walk lp obj beta =
+    let fill = Option.is_some lp in
+    let m = ref 0 and e = ref 0 and mirrors = ref 0 in
+    let con u v bound =
+      (match lp with
+      | Some lp -> Difflp.add_constraint lp ~u ~v ~bound
+      | None -> ());
+      incr m
+    in
+    (* Graph edge [xu -> xv] of weight [w] and breadth [1/k]: LP
+       constraint number [!e] (its endpoints differ, so it is kept),
+       and the breadth on both endpoints' coefficients. *)
+    let edge xu xv w k =
+      if fill then begin
+        let b = 1. /. float_of_int k in
+        obj.(xv) <- obj.(xv) +. b;
+        obj.(xu) <- obj.(xu) +. -.b;
+        beta.(!e) <- b
+      end;
+      con xu xv w;
+      incr e
+    in
+    (* Region bound [lo <= r(x) <= hi] as two host arcs. *)
+    let bound x lo hi =
+      con x host hi;
+      con host x (-lo)
+    in
+    (* Host edges carry the initial slave of every source. *)
+    Array.iter (fun src -> edge host (src + 1) 1 1) (Netlist.inputs net);
+    (* Fanout rows: one edge to a lone fanout, or the mirror gadget.
+       A row is ascending with parallel pins adjacent, so a fanout is
+       distinct where it differs from its left neighbour. *)
+    for u = 0 to n - 1 do
+      let lo = fo_head.(u) and hi = fo_head.(u + 1) in
+      if hi > lo && tags.(u) <> Compact.tag_output then begin
+        let k = ref 1 in
+        for i = lo + 1 to hi - 1 do
+          if fo.(i) <> fo.(i - 1) then incr k
+        done;
+        if !k = 1 then edge (u + 1) (fo.(lo) + 1) 0 1
+        else begin
+          let mv = n + 1 + !mirrors in
+          incr mirrors;
+          for i = lo to hi - 1 do
+            if i = lo || fo.(i) <> fo.(i - 1) then begin
+              edge (u + 1) (fo.(i) + 1) 0 !k;
+              edge (fo.(i) + 1) mv 0 !k
+            end
+          done
+        end
+      end
+    done;
     for v = 0 to n - 1 do
-      Difflp.add_objective lp var_of.(v) (-.w);
-      Difflp.add_objective lp host w
-    done
-  end;
-  { stage; lp; host; var_of; p_sinks; beta = betas }
+      match Stage.region stage v with
+      | Stage.Rm -> bound (v + 1) (-1) (-1)
+      | Stage.Rn -> bound (v + 1) 0 0
+      | Stage.Rr -> bound (v + 1) (-1) 0
+    done;
+    for x = n + 1 to n + !mirrors do
+      bound x (-1) 0
+    done;
+    (* Resilient-aware machinery: P(t) bounds and E2 arcs once per
+       canonical vertex, then the EDL reward of every target sink,
+       which accumulates on a shared vertex's coefficient. *)
+    let p_base = n + 1 + !mirrors in
+    (match edl_overhead with
+    | None -> ()
+    | Some c ->
+      List.iteri
+        (fun j cut ->
+          let pv = p_base + j in
+          bound pv (-1) 0;
+          List.iter (fun g -> con (g + 1) pv 0) cut)
+        canonical;
+      if fill then
+        List.iter
+          (fun (_, j) ->
+            (* objective term -c * (r(h) - r(P)) = c*r(P) - c*r(h) *)
+            obj.(p_base + j) <- obj.(p_base + j) +. c;
+            obj.(host) <- obj.(host) +. -.c)
+          slots);
+    (* No-latch constraints: w + r(v) - r(u) <= 0. A pair (src, src)
+       forbids the host-edge position of a source. The stage's per-edge
+       Constraint-(7) violations are always included. *)
+    let no_latch (u, v) =
+      if u = v then (* host edge of source u: 1 + r(u) - r(h) <= 0 *)
+        con (u + 1) host (-1)
+      else con (v + 1) (u + 1) 0
+    in
+    List.iter no_latch (Stage.illegal_edges stage);
+    List.iter no_latch forbidden_edges;
+    if bias_early && fill then begin
+      (* Commercial-baseline behaviour: movement is the primary
+         objective (latches travel no further than the timing
+         constraints force), the latch count only breaks ties. The
+         weight dominates any achievable latch-count difference, which
+         is bounded by the total breadth (< number of variables). *)
+      let w = float_of_int (4 * (p_base + List.length canonical)) in
+      for v = 1 to n do
+        obj.(v) <- obj.(v) +. -.w;
+        obj.(host) <- obj.(host) +. w
+      done
+    end;
+    (!m, !e, !mirrors)
+  in
+  let m, edges, mirrors = walk None [||] [||] in
+  let vars = n + 1 + mirrors + List.length canonical in
+  let lp = Difflp.create ~n:vars in
+  Difflp.reserve lp m;
+  let obj = Array.make vars 0. and beta = Array.make edges 0. in
+  ignore (walk (Some lp) obj beta : int * int * int);
+  assert (Difflp.constraint_count lp = m);
+  Difflp.add_objectives lp obj;
+  let p_base = n + 1 + mirrors in
+  let p_sinks = List.map (fun (s, j) -> (s, p_base + j)) slots in
+  { stage; lp; p_sinks; beta }
 
 let solve ?deadline ?on_fallback ?engine ?cache t =
   match
-    Difflp.solve ?deadline ?on_fallback ?engine ?cache t.lp ~reference:t.host
+    Difflp.solve ?deadline ?on_fallback ?engine ?cache t.lp ~reference:host
   with
   | Ok r -> Ok r
   | Error detail -> Error (Error.Infeasible_lp { detail })
@@ -192,7 +206,7 @@ let modelled_latch_count t r =
 let placements_of t r =
   Rar_obs.Trace.span "rgraph/decode" @@ fun () ->
   let net = Stage.comb t.stage in
-  let rv v = r.(t.var_of.(v)) in
+  let rv v = r.(v + 1) in
   let placements = ref [] in
   let add = function Some p -> placements := p :: !placements | None -> () in
   for u = Netlist.node_count net - 1 downto 0 do

@@ -104,35 +104,6 @@ let max_path t s =
   ignore (entry "Stage.max_path" t s : classified);
   Sta.arrival_at_sink t.sta s
 
-(* A fanout row lists each fanout once per connected pin, ascending
-   ({!Netlist.fanouts}), so parallel pins are adjacent and one
-   run-length pass groups them. The result stays a list: a large array
-   of young groups would sit in the major heap and promote every group
-   at the next minor GC. *)
-let fanout_groups t =
-  let net = comb t in
-  let acc = ref [] in
-  for u = Netlist.node_count net - 1 downto 0 do
-    match Netlist.kind net u with
-    | Netlist.Output -> ()
-    | Netlist.Input | Netlist.Gate _ | Netlist.Seq _ ->
-      let fo = Netlist.fanouts net u in
-      if Array.length fo > 0 then begin
-        (* runs right to left, so the list comes out ascending *)
-        let groups = ref [] and i = ref (Array.length fo - 1) in
-        while !i >= 0 do
-          let v = fo.(!i) and j = ref !i in
-          while !j > 0 && fo.(!j - 1) = v do
-            decr j
-          done;
-          groups := (v, !i - !j + 1) :: !groups;
-          i := !j - 1
-        done;
-        acc := (u, !groups) :: !acc
-      end
-  done;
-  !acc
-
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)

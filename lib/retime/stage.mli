@@ -134,11 +134,4 @@ val max_path : t -> int -> float
     the sink's cone, so sinks the classification prunes have it too;
     [Invalid_argument] on a non-sink. *)
 
-val fanout_groups : t -> (int * (int * int) list) list
-(** For every comb node with at least one fanout, in node order: the
-    node paired with its distinct fanout nodes and, per fanout, the
-    number of parallel pins — the sharing groups the retiming graph
-    models with mirror vertices. (Second component lists
-    [(fanout_node, pin_count)], ascending by fanout node.) *)
-
 val pp_summary : Format.formatter -> t -> unit

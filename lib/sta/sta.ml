@@ -50,32 +50,31 @@ let model t = t.mdl
 let m_pin_relax = Rar_obs.Metrics.counter "sta_pin_relaxations"
 let m_incr_pins = Rar_obs.Metrics.counter "sta_incremental_pins"
 
-(* Fill the timing arcs of gate [v] from the library. [extra] is the
-   node's ECO delay annotation, added to every arc; guarded so the
+let[@inline] with_extra extra x = if extra = 0. then x else x +. extra
+
+(* Fill the timing arcs of gate [v] from the library. The node's ECO
+   delay annotation, if any, is added to every arc; guarded so the
    un-annotated path stays bitwise what it always was. Shared by
    [analyse] and [patch] — patched arcs must be bitwise-identical to a
-   cold analysis of the edited netlist. *)
-let fill_gate_arcs lib mdl net cv extra pa_rise pa_fall unate v =
+   cold analysis of the edited netlist. Allocates nothing. *)
+let fill_gate_arcs lib mdl net cv annot pa_rise pa_fall unate v =
   match Netlist.kind net v with
-  | Netlist.Gate { fn; drive } ->
-    let cell = Liberty.comb_cell lib fn ~drive in
-    let load = Liberty.gate_load lib net v in
+  | Netlist.Gate { fn; _ } ->
     let lo = Compact.fanin_lo cv v in
-    let n_pins = Compact.fanin_hi cv v - lo in
-    let adj x = if extra = 0. then x else x +. extra in
-    for pin = 0 to n_pins - 1 do
-      let pa = Liberty.pin_arc cell ~pin ~load in
+    Liberty.pin_arcs lib net v ~rise:pa_rise ~fall:pa_fall ~at:lo;
+    let extra = match annot with None -> 0. | Some a -> a.(v) in
+    for p = lo to Compact.fanin_hi cv v - 1 do
       match mdl with
       | Gate_based ->
-        let d = adj (Liberty.arc_max pa) in
-        pa_rise.(lo + pin) <- d;
-        pa_fall.(lo + pin) <- d;
-        unate.(lo + pin) <- un_scalar
+        let d = with_extra extra (Float.max pa_rise.(p) pa_fall.(p)) in
+        pa_rise.(p) <- d;
+        pa_fall.(p) <- d;
+        unate.(p) <- un_scalar
       | Path_based ->
-        pa_rise.(lo + pin) <- adj pa.Liberty.rise;
-        pa_fall.(lo + pin) <- adj pa.Liberty.fall;
-        unate.(lo + pin) <-
-          (match Cell_kind.unateness fn pin with
+        pa_rise.(p) <- with_extra extra pa_rise.(p);
+        pa_fall.(p) <- with_extra extra pa_fall.(p);
+        unate.(p) <-
+          (match Cell_kind.unateness fn (p - lo) with
           | Cell_kind.Positive -> un_pos
           | Cell_kind.Negative -> un_neg
           | Cell_kind.Non_unate -> un_non)
@@ -169,11 +168,9 @@ let sweep t index slave arr_r arr_f =
   !pins
 
 let check_annot fn_name net = function
-  | None -> fun (_ : int) -> 0.
-  | Some a ->
-    if Array.length a <> Netlist.node_count net then
-      invalid_arg (fn_name ^ ": annot length mismatch");
-    fun v -> a.(v)
+  | Some a when Array.length a <> Netlist.node_count net ->
+    invalid_arg (fn_name ^ ": annot length mismatch")
+  | Some _ | None -> ()
 
 let analyse ?launch ?annot lib mdl net =
   Rar_obs.Trace.span "sta/analyse" @@ fun () ->
@@ -182,7 +179,7 @@ let analyse ?launch ?annot lib mdl net =
       if Netlist.is_seq net v then
         invalid_arg "Sta.analyse: netlist contains sequential nodes")
     (Netlist.seqs net);
-  let extra_of = check_annot "Sta.analyse" net annot in
+  check_annot "Sta.analyse" net annot;
   let launch_time =
     match launch with Some l -> l | None -> (Liberty.latch lib).Liberty.ck_to_q
   in
@@ -193,7 +190,7 @@ let analyse ?launch ?annot lib mdl net =
   let pa_fall = Array.make (Int.max 1 n_pins_total) 0. in
   let unate = Array.make (Int.max 1 n_pins_total) un_non in
   for v = 0 to n - 1 do
-    fill_gate_arcs lib mdl net cv (extra_of v) pa_rise pa_fall unate v
+    fill_gate_arcs lib mdl net cv annot pa_rise pa_fall unate v
   done;
   let t =
     { net; cv; lib; mdl; launch_time; pa_rise; pa_fall; unate;
@@ -205,7 +202,7 @@ let analyse ?launch ?annot lib mdl net =
 
 let patch t ~net ?annot ~dirty_arcs ~seeds () =
   Rar_obs.Trace.span "sta/patch" @@ fun () ->
-  let extra_of = check_annot "Sta.patch" net annot in
+  check_annot "Sta.patch" net annot;
   let cv = Netlist.compact net in
   let n = Compact.n cv in
   if n <> Compact.n t.cv then invalid_arg "Sta.patch: node count changed";
@@ -219,7 +216,7 @@ let patch t ~net ?annot ~dirty_arcs ~seeds () =
   let pins = ref 0 in
   List.iter
     (fun v ->
-      fill_gate_arcs t.lib t.mdl net cv (extra_of v) pa_rise pa_fall unate v;
+      fill_gate_arcs t.lib t.mdl net cv annot pa_rise pa_fall unate v;
       pins := !pins + (Compact.fanin_hi cv v - Compact.fanin_lo cv v))
     dirty_arcs;
   let need = Array.make n false in
@@ -522,21 +519,44 @@ type slave_arcs = { out_rise : float array; out_fall : float array }
 
 (* [latch_out u] pushed through the worst of the pins of [v] that [u]
    drives, for every fanin pin [p] of every gate or sink [v] — the half
-   of Eq. 5 that does not depend on the sink. *)
+   of Eq. 5 that does not depend on the sink. Each pin's worst arc is
+   written in place, so nothing is allocated per pin. *)
 let slave_arcs t ~clocking ~latch =
   let cv = t.cv in
   let n = Compact.n cv in
+  let tags = cv.Compact.tags in
+  let head = cv.Compact.fanin_head and fin = cv.Compact.fanin in
   let n_pins = Int.max 1 (Compact.fanin_lo cv n) in
   let out_rise = Array.make n_pins neg_infinity in
   let out_fall = Array.make n_pins neg_infinity in
   let slave = slave_timing clocking latch in
   for v = 0 to n - 1 do
-    (* analyse rejects sequential nodes: [v] is a gate or a sink *)
-    if Compact.tag cv v <> Compact.tag_input then
-      for p = Compact.fanin_lo cv v to Compact.fanin_hi cv v - 1 do
-        let r, f = slave_through t slave ~u:(Compact.fanin cv p) ~v in
-        out_rise.(p) <- r;
-        out_fall.(p) <- f
+    (* analyse rejects sequential nodes: [v] is a source, gate or sink *)
+    let tg = tags.(v) in
+    if tg <> Compact.tag_input then
+      for p = head.(v) to head.(v + 1) - 1 do
+        let u = fin.(p) in
+        let in_r = through_slave slave t.arr_rise.(u) in
+        let in_f = through_slave slave t.arr_fall.(u) in
+        if tg = Compact.tag_output then begin
+          out_rise.(p) <- in_r;
+          out_fall.(p) <- in_f
+        end
+        else begin
+          (* the worst over every pin of [v] that [u] drives, as
+             [through_rf] takes it *)
+          let best_r = ref neg_infinity and best_f = ref neg_infinity in
+          for q = head.(v) to head.(v + 1) - 1 do
+            if fin.(q) = u then begin
+              let out_r = pin_rise t q in_r in_f
+              and out_f = pin_fall t q in_r in_f in
+              if out_r > !best_r then best_r := out_r;
+              if out_f > !best_f then best_f := out_f
+            end
+          done;
+          out_rise.(p) <- !best_r;
+          out_fall.(p) <- !best_f
+        end
       done
   done;
   { out_rise; out_fall }

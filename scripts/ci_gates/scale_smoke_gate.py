@@ -3,8 +3,9 @@
 
 Checks the schema and the field set of every row (one G-RAR row per
 circuit size), then finds the row of the gated size: its run_s must
-finish under the checked-in wall-clock ceiling, with the span totals
-and hot-path counters present and non-zero. CI runs it on a fresh
+finish under the checked-in wall-clock ceiling, its peak RSS must stay
+under the checked-in memory ceiling, and the span totals and hot-path
+counters must be present and non-zero. CI runs it on a fresh
 `bench/main.exe scale` document and, in the lint job, on the
 checked-in one.
 
@@ -41,13 +42,17 @@ def main(argv):
     grar_s = g["phases"]["run_s"]
     assert grar_s <= gcap, (
         f"G-RAR scale row took {grar_s:.1f} s > {gcap:.0f} s ceiling")
+    rss_cap = floor["grar_scale_max_rss_mb"]
+    rss = g["peak_rss_mb"]
+    assert rss is not None and rss <= rss_cap, (
+        f"G-RAR scale row peaked at {rss} MB > {rss_cap} MB ceiling")
     # the default G-RAR solve is one max-flow closure: Dinic phases and
     # augmentations, no simplex pivots
     assert g["counters"]["maxflow_phases"] > 0, g["counters"]
     assert g["counters"]["maxflow_augmentations"] > 0, g["counters"]
     assert g["n_slaves"] > 0 and g["p_ns"] > 0, g
-    print(f"{g['circuit']}: grar {grar_s:.1f} s (ceiling {gcap:.0f} s, "
-          f"peak RSS {g['peak_rss_mb']} MB), {len(rows)} rows")
+    print(f"{g['circuit']}: grar {grar_s:.1f} s (ceiling {gcap:.0f} s), "
+          f"peak RSS {rss} MB (ceiling {rss_cap} MB), {len(rows)} rows")
 
 
 if __name__ == "__main__":

@@ -633,6 +633,27 @@ let test_maxflow_long_chain () =
   Alcotest.(check bool) "certified" true
     (Maxflow.certify mf ~source:0 ~sink:(n - 1) ~side = Ok ())
 
+(* A short source -> 2 -> sink path beside a long side chain out of
+   node 2 that rejoins the sink only at its end. In the first phase the
+   sink sits at BFS level 2 and the chain's nodes at levels 2 .. n - 2,
+   at or past it, so that phase expands none of them and its blocking
+   flow enters none; the second phase takes the whole chain. *)
+let test_maxflow_sink_level () =
+  let n = 10_000 in
+  let mf = Maxflow.create ~n () in
+  Maxflow.add_edge mf ~src:0 ~dst:2 ~cap:2.;
+  Maxflow.add_edge mf ~src:2 ~dst:1 ~cap:1.5;
+  for i = 2 to n - 2 do
+    Maxflow.add_edge mf ~src:i ~dst:(i + 1) ~cap:1.
+  done;
+  Maxflow.add_edge mf ~src:(n - 1) ~dst:1 ~cap:0.25;
+  feq "flow value" 1.75 (Maxflow.run mf ~source:0 ~sink:1);
+  let side = Maxflow.min_cut_source_side mf ~source:0 in
+  Alcotest.(check bool) "every node but the sink on the source side" true
+    (Array.for_all Fun.id (Array.mapi (fun v s -> s = (v <> 1)) side));
+  Alcotest.(check bool) "certified" true
+    (Maxflow.certify mf ~source:0 ~sink:1 ~side = Ok ())
+
 let test_maxflow_certificate_rejects () =
   let mf = Maxflow.create ~n:3 () in
   Maxflow.add_edge mf ~src:0 ~dst:1 ~cap:1.;
@@ -684,6 +705,8 @@ let suite =
     Alcotest.test_case "scan rejects non-binary LPs" `Quick test_scan_rejects;
     Alcotest.test_case "maxflow 100k chain, iterative DFS" `Quick
       test_maxflow_long_chain;
+    Alcotest.test_case "maxflow stops each phase at the sink's level" `Quick
+      test_maxflow_sink_level;
     Alcotest.test_case "maxflow certificate rejects a non-minimum cut" `Quick
       test_maxflow_certificate_rejects;
     Alcotest.test_case "maxflow honours the deadline" `Quick

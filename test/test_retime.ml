@@ -263,6 +263,94 @@ let test_stage_matches_reference =
       Alcotest.(check bool) "pruned sinks compared" true (!pruned > 0);
       Alcotest.(check bool) "cone-classified sinks compared" true (!coned > 0))
 
+(* Every Rgraph LP, pinned through the public API: the constraints in
+   emission order, the variable count and the bits of each objective
+   coefficient (read as the objective of a unit vector, which sums one
+   term with zeros and so is exact), as one MD5 per LP. Recorded with
+   the list-based builder that the two-pass emitter replaced, so the
+   emitter keeps every LP bitwise: the same solve-cache keys, the same
+   [lp_latches] and the same tables. The forbidden-edge build forbids
+   every target's window edges and the host edge of the first source. *)
+let lp_digest lp =
+  let b = Buffer.create 4096 in
+  Difflp.iter_constraints lp (fun ~u ~v ~bound ->
+      Buffer.add_string b (Printf.sprintf "%d %d %d\n" u v bound));
+  let r = Array.make (Difflp.var_count lp) 0 in
+  for x = 0 to Difflp.var_count lp - 1 do
+    r.(x) <- 1;
+    Buffer.add_string b
+      (Printf.sprintf "%Lx\n"
+         (Int64.bits_of_float (Difflp.objective_value lp r)));
+    r.(x) <- 0
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+type lp_build = Base | Grar of float | Forbidden
+
+let lp_golden =
+  [
+    ("s1196", Base, 908, 4077, "4e4b8ea18c233290b0bfb704c7adb915");
+    ("s1196", Grar 0.5, 911, 4290, "1edd384d53698491536aa30e88cf4005");
+    ("s1196", Grar 1.0, 911, 4290, "52f09e55711896a51316d2c984d3a0f9");
+    ("s1196", Grar 2.0, 911, 4290, "7f8b3527222afc8e2b034f5905e512c2");
+    ("s1423", Base, 1271, 5321, "cbff5c96ebc7bb9dbbff90810c8f866e");
+    ("s1423", Grar 0.5, 1311, 7590, "0e4c6dcb2f18117a53dc336c298d12db");
+    ("s1423", Grar 1.0, 1311, 7590, "76b8b2d561e43b6fa810c33a6fc5ce0c");
+    ("s1423", Grar 2.0, 1311, 7590, "2849eeffa32aee4ec8491292525d3424");
+    ("s1423", Forbidden, 1271, 11881, "78f8fb8d58d7a3242dfb40e81a3c3fd5");
+    ("s5378", Base, 2760, 11553, "672d710f3e41777cae477e5e225124d2");
+    ("s5378", Grar 0.5, 2809, 19244, "a69b0cf7169bc61e32f94fd3e77e52c1");
+    ("s5378", Grar 1.0, 2809, 19244, "9260f4bf913ddfd66335e22aa6de4d64");
+    ("s5378", Grar 2.0, 2809, 19244, "1a61f3bddd08cfd36efc3a65aae2e856");
+    ("pipe4", Base, 1401, 5457, "6559798b4d07666229e9d2e825c3c5a3");
+    ("pipe4", Grar 0.5, 1453, 5821, "ff09ae83f93be74a76ad2e4be196bfd2");
+    ("pipe4", Grar 1.0, 1453, 5821, "b2fbd551183da54f6df1d35b002c7855");
+    ("pipe4", Grar 2.0, 1453, 5821, "4d3d5bb2badd3390503469feaa61f173");
+  ]
+
+let test_lp_golden () =
+  let stages = Hashtbl.create 4 in
+  let stage circuit =
+    match Hashtbl.find_opt stages circuit with
+    | Some st -> st
+    | None ->
+      let p = Result.get_ok (Suite.load circuit) in
+      let st =
+        Result.get_ok
+          (Stage.make ~lib:p.Suite.lib ~clocking:p.Suite.clocking p.Suite.cc)
+      in
+      Hashtbl.replace stages circuit st;
+      st
+  in
+  let forbidden st =
+    let src = (Netlist.inputs (Stage.comb st)).(0) in
+    (src, src)
+    :: List.concat_map
+         (fun s ->
+           match Stage.classify st s with
+           | Stage.Target _ -> Stage.window_edges st s
+           | Stage.Never_ed | Stage.Always_ed -> [])
+         (Array.to_list (Stage.sinks st))
+  in
+  List.iter
+    (fun (circuit, build, vars, m, md5) ->
+      let st = stage circuit in
+      let g, what =
+        match build with
+        | Base -> (Rgraph.build ~bias_early:true st, "base")
+        | Grar c ->
+          (Rgraph.build ~edl_overhead:c st, Printf.sprintf "G-RAR c=%g" c)
+        | Forbidden ->
+          ( Rgraph.build ~forbidden_edges:(forbidden st) ~bias_early:true st,
+            "forbidden edges" )
+      in
+      let lp = Rgraph.lp g and label = circuit ^ " " ^ what in
+      Alcotest.(check int) (label ^ ": variables") vars (Difflp.var_count lp);
+      Alcotest.(check int) (label ^ ": constraints") m
+        (Difflp.constraint_count lp);
+      Alcotest.(check string) (label ^ ": LP digest") md5 (lp_digest lp))
+    lp_golden
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_engines_agree_on_objective;
@@ -276,4 +364,5 @@ let suite =
     Alcotest.test_case "outcome area formula" `Quick test_outcome_area_formula;
     Alcotest.test_case "sizing no-op when clean" `Quick
       test_sizing_noop_when_clean;
+    Alcotest.test_case "every Rgraph LP bitwise pinned" `Quick test_lp_golden;
   ]

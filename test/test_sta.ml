@@ -398,6 +398,45 @@ let test_cone_slave_arrivals_allocation_free () =
   Alcotest.(check (float 0.)) "no words per pin" w_small w_large;
   Alcotest.(check (float 0.)) "nothing allocated per call" 0. w_large
 
+(* The arc fill, the forward sweep and the hoisted slave arcs allocate
+   nothing per gate or pin: a call costs the same minor words on a
+   2000-gate design as on one a quarter its size, and a few words in
+   all. Every array they return is past the minor heap's largest block,
+   so the major heap holds it and it does not count. *)
+let test_analysis_allocation_free () =
+  let lib = Liberty.default () in
+  let latch = Liberty.latch lib and clocking = Clocking.of_p 2.0 in
+  let comb gates =
+    let spec =
+      { (Option.get (Spec.find "s1238")) with
+        Spec.n_gates = gates; depth = 12; seed = "alloc" }
+    in
+    (Transform.extract_comb
+       (Convert.split Convert.Two (Generator.generate spec)))
+      .Transform.comb
+  in
+  let words f =
+    ignore (f ());
+    let before = Gc.minor_words () in
+    ignore (f ());
+    Gc.minor_words () -. before
+  in
+  let small = comb 500 and large = comb 2000 in
+  List.iter
+    (fun (what, model) ->
+      let per_size f =
+        let w_small = words (f small) and w_large = words (f large) in
+        Alcotest.(check (float 0.)) (what ^ ": no words per gate") w_small
+          w_large;
+        Alcotest.(check bool) (what ^ ": a few words per call") true
+          (w_large < 64.)
+      in
+      per_size (fun net () -> Sta.analyse lib model net);
+      per_size (fun net ->
+          let sta = Sta.analyse lib model net in
+          fun () -> Sta.slave_arcs sta ~clocking ~latch))
+    [ ("path-based", Sta.Path_based); ("gate-based", Sta.Gate_based) ]
+
 (* Latch-aware arrivals against plain ones, over three kinds of slave
    placement: random slaves (each driver latches a random subset of its
    fanouts), the un-retimed placement, and the decoded G-RAR solution
@@ -515,6 +554,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_slave_delay_bound;
     Alcotest.test_case "cone A kernel allocation-free" `Quick
       test_cone_slave_arrivals_allocation_free;
+    Alcotest.test_case "arc fill and slave arcs allocation-free" `Quick
+      test_analysis_allocation_free;
     QCheck_alcotest.to_alcotest prop_latches_only_delay;
     Alcotest.test_case "critical path report" `Quick test_critical_path_report;
     Alcotest.test_case "critical path on generated" `Quick
