@@ -54,10 +54,9 @@ let prepare ?lib ?clock ?flop_base net =
     Sta.forward_with_latches sta ~clocking ~latch:(Liberty.latch lib)
       (Transform.pin_index comb (Transform.initial_placements comb))
   in
-  let period = Clocking.period clocking in
   let nce =
     Array.fold_left
-      (fun acc s -> if arr.(s) > period then acc + 1 else acc)
+      (fun acc s -> if Clocking.past_period clocking arr.(s) then acc + 1 else acc)
       0 (Netlist.outputs comb)
   in
   (* Counted on [base]; a master latch counts as one original flop so

@@ -13,8 +13,6 @@ type variant = Nvl | Evl | Rvl
 
 let label = function Nvl -> "NVL" | Evl -> "EVL" | Rvl -> "RVL"
 
-let eps = 1e-9
-
 (* Setup constraints a non-ED master imposes on the retimer: no slave
    latch on any cone edge whose A exceeds the period, and no source may
    keep its shared initial latch if that would cover such an edge. *)
@@ -38,7 +36,7 @@ let seed_types stage variant =
 let run ~deadline ~solve ~post_swap ~c variant stage =
   let sinks = Array.to_list (Stage.sinks stage) in
   let initial_ed = seed_types stage variant in
-  let period = Clocking.period (Stage.clocking stage) in
+  let clocking = Stage.clocking stage in
   (* Masters that can never avoid the window cannot honour a non-ED
      seed; flip them before retiming, as the tool's timing engine
      would. *)
@@ -61,7 +59,8 @@ let run ~deadline ~solve ~post_swap ~c variant stage =
         let forced_to_ed =
           List.filter
             (fun s ->
-              (not (Hashtbl.mem typed_tbl s)) && arr.(s) > period +. eps)
+              (not (Hashtbl.mem typed_tbl s))
+              && Clocking.past_period clocking arr.(s))
             sinks
         in
         let ed_fixed = List.sort_uniq compare (typed_ed @ forced_to_ed) in
@@ -69,7 +68,9 @@ let run ~deadline ~solve ~post_swap ~c variant stage =
            go back to normal latches. *)
         let swapped_to_non_ed =
           if post_swap then
-            List.filter (fun s -> arr.(s) <= period +. eps) ed_fixed
+            List.filter
+              (fun s -> not (Clocking.past_period clocking arr.(s)))
+              ed_fixed
           else []
         in
         let swapped_tbl = Hashtbl.create (1 + List.length swapped_to_non_ed) in

@@ -208,10 +208,12 @@ let[@inline] node_input_cap t net v =
 
 (* Inlined into [pin_arcs], so the load is never a boxed float. *)
 let[@inline] gate_load t net v =
-  let total = ref (wire_cap t ~fanouts:(Netlist.fanout_count net v)) in
-  let fo = Netlist.fanouts net v in
-  for i = 0 to Array.length fo - 1 do
-    total := !total +. node_input_cap t net fo.(i)
+  let c = Netlist.compact net in
+  let head = c.Netlist.Compact.fanout_head
+  and fanout = c.Netlist.Compact.fanout in
+  let total = ref (wire_cap t ~fanouts:(head.(v + 1) - head.(v))) in
+  for p = head.(v) to head.(v + 1) - 1 do
+    total := !total +. node_input_cap t net fanout.(p)
   done;
   !total
 
@@ -220,7 +222,8 @@ let pin_arcs t net v ~rise ~fall ~at =
   | Netlist.Gate { fn; drive } ->
     let cell = comb_cell t fn ~drive in
     let load = gate_load t net v in
-    for pin = 0 to Array.length (Netlist.fanins net v) - 1 do
+    let head = (Netlist.compact net).Netlist.Compact.fanin_head in
+    for pin = 0 to head.(v + 1) - head.(v) - 1 do
       rise.(at + pin) <-
         derated cell ~pin cell.intrinsic.rise cell.load_slope.rise load;
       fall.(at + pin) <-

@@ -32,6 +32,8 @@ let pp_stats ppf s =
    unmodified. *)
 let split phases net =
   let n = Netlist.node_count net in
+  let c = Netlist.compact net in
+  let head = c.Netlist.Compact.fanin_head and fin = c.Netlist.Compact.fanin in
   let b = B.create ~name:(Netlist.name net) () in
   (* [repr.(v)]: the node reading [v]'s output; [wire.(v)]: the node
      taking [v]'s fanins. They differ only for a flop (slave, master). *)
@@ -58,10 +60,10 @@ let split phases net =
       wire.(v) <- id
   done;
   for v = 0 to n - 1 do
-    let fi = Netlist.fanins net v in
-    let fanins = Array.make (Array.length fi) 0 in
-    for i = 0 to Array.length fi - 1 do
-      fanins.(i) <- repr.(fi.(i))
+    let lo = head.(v) in
+    let fanins = Array.make (head.(v + 1) - lo) 0 in
+    for i = 0 to Array.length fanins - 1 do
+      fanins.(i) <- repr.(fin.(lo + i))
     done;
     B.connect b wire.(v) ~fanins
   done;

@@ -6,12 +6,11 @@ type kind =
   | Gate of { fn : Cell_kind.t; drive : int }
   | Seq of seq_role
 
-(* Immutable int-packed CSR view of the graph structure, built once at
-   freeze time and shared by every [t] derived from the same freeze
-   ([with_drive] changes a kind only, never topology). Kept as a
-   separate record so hot loops in Sta/Stage/Sim touch nothing but flat
-   int arrays. [tag] folds the kind down to the 3 bits those loops ever
-   branch on; fn/drive stay in [kinds]. *)
+(* The graph of a frozen netlist, as immutable int-packed CSR arrays:
+   the only adjacency a netlist keeps. Built once per freeze and shared
+   by every [t] derived from it ([with_drive] changes a kind only,
+   never topology). [tag] folds the kind down to the 3 bits graph walks
+   ever branch on; fn/drive stay in [kinds]. *)
 module Compact = struct
   type t = {
     n : int;
@@ -19,7 +18,7 @@ module Compact = struct
     fanin_head : int array;     (* length n+1; pins of v at [head v, head (v+1)) *)
     fanin : int array;          (* flat fanin ids, pin order *)
     fanout_head : int array;    (* length n+1 *)
-    fanout : int array;         (* flat fanout ids, same order as [fanouts] *)
+    fanout : int array;         (* flat fanout ids, ascending per node *)
     topo : int array;           (* = Netlist.topo_comb *)
   }
 
@@ -36,7 +35,6 @@ module Compact = struct
 
   let n t = t.n
   let tag t v = t.tags.(v)
-  let is_gate t v = t.tags.(v) = tag_gate
   let fanin_lo t v = t.fanin_head.(v)
   let fanin_hi t v = t.fanin_head.(v + 1)
   let fanin t i = t.fanin.(i)
@@ -45,36 +43,13 @@ module Compact = struct
   let fanout_hi t v = t.fanout_head.(v + 1)
   let fanout t i = t.fanout.(i)
   let topo t = t.topo
-
-  (* [fanout_head]/[fanout] arrive already flat (the freeze lays them
-     out for its topological sort); the fanin rows are flattened here
-     into an array of the same length. *)
-  let make kinds (fanins : int array array) ~fanout_head ~fanout topo =
-    let n = Array.length kinds in
-    let fanin_head = Array.make (n + 1) 0 in
-    for v = 0 to n - 1 do
-      fanin_head.(v + 1) <- fanin_head.(v) + Array.length fanins.(v)
-    done;
-    let fanin = Array.make (Array.length fanout) 0 in
-    let tags = Array.make n tag_input in
-    for v = 0 to n - 1 do
-      let fi = fanins.(v) and base = fanin_head.(v) in
-      for i = 0 to Array.length fi - 1 do
-        fanin.(base + i) <- fi.(i)
-      done;
-      tags.(v) <- tag_of_kind kinds.(v)
-    done;
-    { n; tags; fanin_head; fanin; fanout_head; fanout; topo }
 end
 
 type t = {
   name : string;
   kinds : kind array;
   names : string array;
-  fanins : int array array;
-  fanouts : int array array;
   by_name : (string, int) Hashtbl.t;
-  topo : int array; (* all nodes, combinational topological order *)
   inputs : int array;
   outputs : int array;
   seqs : int array;
@@ -82,20 +57,28 @@ type t = {
   compact : Compact.t;
 }
 
-let is_comb_kind = function
-  | Gate _ -> true
-  | Input | Output | Seq _ -> false
+(* The fanin CSR of [rows.(0 .. n-1)]: fresh arrays, so no row is
+   kept. *)
+let flatten n rows =
+  let head = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    head.(v + 1) <- head.(v) + Array.length rows.(v)
+  done;
+  let flat = Array.make (Int.max 1 head.(n)) 0 in
+  for v = 0 to n - 1 do
+    Array.blit rows.(v) 0 flat head.(v) (Array.length rows.(v))
+  done;
+  (head, flat)
 
 (* The first defect of node [v] apart from its name, in the order
    validation reports them: a fanin out of range, a primary output
    used as a fanin, then the node's own arity and drive. *)
-let node_defect kinds names fanins v =
+let node_defect kinds names head fanin v =
   let n = Array.length kinds in
-  let fi = fanins.(v) in
-  let arity = Array.length fi in
+  let arity = head.(v + 1) - head.(v) in
   let unknown = ref false and from_output = ref false in
-  for i = 0 to arity - 1 do
-    let u = fi.(i) in
+  for p = head.(v) to head.(v + 1) - 1 do
+    let u = fanin.(p) in
     if u < 0 || u >= n then unknown := true
     else match kinds.(u) with Output -> from_output := true | _ -> ()
   done;
@@ -127,7 +110,7 @@ let node_defect kinds names fanins v =
    keeps, filled with one [replace] per name: a table that did not
    grow means the name was already taken. [None] skips the name
    check, for the names of a netlist already frozen. *)
-let validate_arrays table kinds names fanins =
+let validate_arrays table kinds names head fanin =
   let n = Array.length kinds in
   let rec go v =
     if v = n then Ok ()
@@ -141,7 +124,7 @@ let validate_arrays table kinds names fanins =
       in
       if taken then Error (Printf.sprintf "duplicate node name %S" names.(v))
       else
-        match node_defect kinds names fanins v with
+        match node_defect kinds names head fanin v with
         | Some msg -> Error msg
         | None -> go (v + 1)
   in
@@ -149,29 +132,25 @@ let validate_arrays table kinds names fanins =
 
 (* Fanouts as one flat row per node: [head] of length n+1 and the
    fanout ids, each reader once per connected pin, ascending. *)
-let flat_fanouts fanins =
-  let n = Array.length fanins in
-  let head = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    let fi = fanins.(v) in
-    for i = 0 to Array.length fi - 1 do
-      head.(fi.(i) + 1) <- head.(fi.(i) + 1) + 1
-    done
+let flat_fanouts n head fanin =
+  let fo_head = Array.make (n + 1) 0 in
+  for p = 0 to head.(n) - 1 do
+    let u = fanin.(p) in
+    fo_head.(u + 1) <- fo_head.(u + 1) + 1
   done;
   for v = 0 to n - 1 do
-    head.(v + 1) <- head.(v + 1) + head.(v)
+    fo_head.(v + 1) <- fo_head.(v + 1) + fo_head.(v)
   done;
   let flat = Array.make (Int.max 1 head.(n)) 0 in
-  let cursor = Array.sub head 0 n in
+  let cursor = Array.sub fo_head 0 n in
   for v = 0 to n - 1 do
-    let fi = fanins.(v) in
-    for i = 0 to Array.length fi - 1 do
-      let u = fi.(i) in
+    for p = head.(v) to head.(v + 1) - 1 do
+      let u = fanin.(p) in
       flat.(cursor.(u)) <- v;
       cursor.(u) <- cursor.(u) + 1
     done
   done;
-  (head, flat)
+  (fo_head, flat)
 
 (* Kahn's order of the fanin relation with sequential elements and
    primary inputs treated as sources: a node waits only on its
@@ -180,13 +159,13 @@ let flat_fanouts fanins =
    when its last gate fanin is placed, and the queue is read in that
    order. A purely combinational cycle leaves nodes unplaced: the
    error is the smallest such id. *)
-let topo_order kinds fanins head flat =
-  let n = Array.length kinds in
+let topo_order tags head fanin fo_head fanout =
+  let n = Array.length tags in
+  let gate u = tags.(u) = Compact.tag_gate in
   let indeg = Array.make n 0 in
   for v = 0 to n - 1 do
-    let fi = fanins.(v) in
-    for i = 0 to Array.length fi - 1 do
-      if is_comb_kind kinds.(fi.(i)) then indeg.(v) <- indeg.(v) + 1
+    for p = head.(v) to head.(v + 1) - 1 do
+      if gate fanin.(p) then indeg.(v) <- indeg.(v) + 1
     done
   done;
   let order = Array.make n 0 in
@@ -201,9 +180,9 @@ let topo_order kinds fanins head flat =
   while !next < !tail do
     let u = order.(!next) in
     incr next;
-    if is_comb_kind kinds.(u) then
-      for p = head.(u) to head.(u + 1) - 1 do
-        let v = flat.(p) in
+    if gate u then
+      for p = fo_head.(u) to fo_head.(u + 1) - 1 do
+        let v = fanout.(p) in
         indeg.(v) <- indeg.(v) - 1;
         if indeg.(v) = 0 then begin
           order.(!tail) <- v;
@@ -238,9 +217,11 @@ let with_tag ?order tags tag =
   done;
   out
 
-(* [by_name]: the name table of a frozen netlist with these same
-   names; without it the names are validated into a fresh one. *)
-let build_frozen ?by_name net_name kinds names fanins =
+(* Seal the fanin CSR ([head], [fanin]: fresh arrays the netlist then
+   owns) into a netlist. [by_name]: the name table of a frozen netlist
+   with these same names; without it the names are validated into a
+   fresh one. *)
+let build_frozen ?by_name net_name kinds names head fanin =
   let n = Array.length kinds in
   let by_name, fresh =
     match by_name with
@@ -249,23 +230,20 @@ let build_frozen ?by_name net_name kinds names fanins =
       let table = Hashtbl.create n in
       (table, Some table)
   in
-  (match validate_arrays fresh kinds names fanins with
+  (match validate_arrays fresh kinds names head fanin with
   | Ok () -> ()
   | Error msg -> failwith ("Netlist: " ^ msg));
-  let fanout_head, fanout = flat_fanouts fanins in
-  match topo_order kinds fanins fanout_head fanout with
+  let tags = Array.map Compact.tag_of_kind kinds in
+  let fanout_head, fanout = flat_fanouts n head fanin in
+  match topo_order tags head fanin fanout_head fanout with
   | Error v ->
     failwith
       (Printf.sprintf "Netlist: combinational cycle through %S" names.(v))
   | Ok topo ->
-    let fanouts = Array.make n [||] in
-    for v = 0 to n - 1 do
-      let lo = fanout_head.(v) in
-      fanouts.(v) <- Array.sub fanout lo (fanout_head.(v + 1) - lo)
-    done;
-    let compact = Compact.make kinds fanins ~fanout_head ~fanout topo in
-    let tags = compact.Compact.tags in
-    { name = net_name; kinds; names; fanins; fanouts; by_name; topo;
+    let compact =
+      { Compact.n; tags; fanin_head = head; fanin; fanout_head; fanout; topo }
+    in
+    { name = net_name; kinds; names; by_name;
       inputs = with_tag tags Compact.tag_input;
       outputs = with_tag tags Compact.tag_output;
       seqs = with_tag tags Compact.tag_seq;
@@ -277,7 +255,8 @@ let build_frozen ?by_name net_name kinds names fanins =
 
 module Builder = struct
   (* Node [v] is entry [v] of each array, for [v < count]; the arrays
-     grow by doubling. *)
+     grow by doubling. A row stays the caller's array until {!freeze}
+     copies it into the CSR. *)
   type builder = {
     net_name : string;
     mutable count : int;
@@ -338,16 +317,16 @@ module Builder = struct
   let node_count t = t.count
 
   let freeze t =
-    let n = t.count in
-    let fanins = Array.sub t.fanins 0 n in
+    let n = t.count and rows = t.fanins in
     for v = 0 to n - 1 do
-      if fanins.(v) == unset then
+      if rows.(v) == unset then
         failwith
           (Printf.sprintf "Netlist: deferred node %S was never connected"
              t.names.(v))
     done;
+    let head, fanin = flatten n rows in
     build_frozen t.net_name (Array.sub t.kinds 0 n) (Array.sub t.names 0 n)
-      fanins
+      head fanin
 
   type t = builder
 end
@@ -361,80 +340,63 @@ let node_count t = Array.length t.kinds
 let kind t v = t.kinds.(v)
 let node_name t v = t.names.(v)
 let find t name = Hashtbl.find_opt t.by_name name
-let fanins t v = t.fanins.(v)
-let fanouts t v = t.fanouts.(v)
-let fanout_count t v = Array.length t.fanouts.(v)
+let row head flat v = Array.sub flat head.(v) (head.(v + 1) - head.(v))
+let fanins t v = row t.compact.fanin_head t.compact.fanin v
+let fanouts t v = row t.compact.fanout_head t.compact.fanout v
+let fanout_count t v = t.compact.fanout_head.(v + 1) - t.compact.fanout_head.(v)
 let inputs t = t.inputs
 let outputs t = t.outputs
 let seqs t = t.seqs
 let gates t = t.gates
-let topo_comb t = t.topo
+let topo_comb t = t.compact.topo
 let compact t = t.compact
-let is_comb t v = is_comb_kind t.kinds.(v)
 let is_seq t v = match t.kinds.(v) with Seq _ -> true | _ -> false
 
 let iter_edges t f =
-  for v = 0 to node_count t - 1 do
-    Array.iter (fun u -> f u v) t.fanins.(v)
+  let c = t.compact in
+  for v = 0 to c.n - 1 do
+    for p = c.fanin_head.(v) to c.fanin_head.(v + 1) - 1 do
+      f c.fanin.(p) v
+    done
   done
 
 (* ------------------------------------------------------------------ *)
 (* Cones and depth                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let fanin_cone t v =
-  let mark = Array.make (node_count t) false in
-  let rec go v =
-    if not mark.(v) then begin
-      mark.(v) <- true;
-      if is_comb t v then Array.iter go t.fanins.(v)
-    end
-  in
-  mark.(v) <- true;
-  (* Expand through v's fanins regardless of v's own kind: the cone of a
-     sequential or output endpoint is the logic driving its D pin. *)
-  Array.iter go t.fanins.(v);
-  mark
-
 let fanout_cone t v =
-  let mark = Array.make (node_count t) false in
-  let rec go v =
-    if not mark.(v) then begin
-      mark.(v) <- true;
-      if is_comb t v then Array.iter go t.fanouts.(v)
-    end
+  let c = t.compact in
+  let mark = Array.make c.n false in
+  let rec expand v =
+    for p = c.fanout_head.(v) to c.fanout_head.(v + 1) - 1 do
+      let w = c.fanout.(p) in
+      if not mark.(w) then begin
+        mark.(w) <- true;
+        if c.tags.(w) = Compact.tag_gate then expand w
+      end
+    done
   in
   mark.(v) <- true;
-  Array.iter go t.fanouts.(v);
+  expand v;
   mark
 
 let comb_depth t =
-  let n = node_count t in
-  let depth = Array.make n 0 in
+  let c = t.compact in
+  let depth = Array.make c.n 0 in
   let best = ref 0 in
   Array.iter
     (fun v ->
-      if is_comb t v then begin
+      if c.tags.(v) = Compact.tag_gate then begin
         let d = ref 0 in
-        Array.iter (fun u -> if is_comb t u then d := max !d depth.(u)) t.fanins.(v);
+        for p = c.fanin_head.(v) to c.fanin_head.(v + 1) - 1 do
+          let u = c.fanin.(p) in
+          if c.tags.(u) = Compact.tag_gate then d := max !d depth.(u)
+        done;
         depth.(v) <- !d + 1;
         if depth.(v) > !best then best := depth.(v)
       end)
-    t.topo;
+    c.topo;
   !best
-
-let validate t =
-  match
-    validate_arrays
-      (Some (Hashtbl.create (node_count t)))
-      t.kinds t.names t.fanins
-  with
-  | Error _ as e -> e
-  | Ok () -> (
-    let head, flat = flat_fanouts t.fanins in
-    match topo_order t.kinds t.fanins head flat with
-    | Error v -> Error (Printf.sprintf "combinational cycle through %S" t.names.(v))
-    | Ok _ -> Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Rewriting                                                           *)
@@ -452,12 +414,13 @@ let with_drive t v d =
   { t with kinds }
 
 (* Every node keeps its id, name and kind; only the listed fanins
-   change, so the arrays go straight back through [build_frozen] and
-   the name table is shared. *)
+   change, so the rows go straight back through [build_frozen] and the
+   name table is shared. *)
 let with_fanins t changes =
-  let fanins = Array.copy t.fanins in
-  List.iter (fun (v, fi) -> fanins.(v) <- Array.copy fi) changes;
-  build_frozen ~by_name:t.by_name t.name t.kinds t.names fanins
+  let rows = Array.init (node_count t) (fanins t) in
+  List.iter (fun (v, fi) -> rows.(v) <- fi) changes;
+  let head, fanin = flatten (Array.length rows) rows in
+  build_frozen ~by_name:t.by_name t.name t.kinds t.names head fanin
 
 let pp_summary ppf t =
   Format.fprintf ppf "%s: %d pi, %d po, %d gates, %d seq, depth %d" t.name
@@ -483,15 +446,16 @@ let digest t =
     | Seq Master -> "M"
     | Seq Slave -> "S"
   in
+  let c = t.compact in
   let b = Buffer.create (1 lsl 16) in
-  let n = node_count t in
-  Buffer.add_string b (string_of_int n);
-  for v = 0 to n - 1 do
-    Buffer.add_string b (node_name t v);
-    Buffer.add_string b (kind_tag (kind t v));
-    Array.iter
-      (fun u -> Buffer.add_string b (string_of_int u ^ ","))
-      (fanins t v);
+  Buffer.add_string b (string_of_int c.n);
+  for v = 0 to c.n - 1 do
+    Buffer.add_string b t.names.(v);
+    Buffer.add_string b (kind_tag t.kinds.(v));
+    for p = c.fanin_head.(v) to c.fanin_head.(v + 1) - 1 do
+      Buffer.add_string b (string_of_int c.fanin.(p));
+      Buffer.add_char b ','
+    done;
     Buffer.add_char b ';'
   done;
   Stdlib.Digest.to_hex (Stdlib.Digest.bytes (Buffer.to_bytes b))

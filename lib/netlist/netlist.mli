@@ -7,9 +7,10 @@
     in this project uses as array indices.
 
     Netlists are built through a {!Builder}, then frozen into an
-    immutable {!t} that precomputes fanouts and a combinational
-    topological order. Combinational cycles are rejected at freeze
-    time; cycles through sequential elements are legal. *)
+    immutable {!t} whose graph is one {!Compact} CSR (fanin rows,
+    fanout rows and a combinational topological order). Combinational
+    cycles are rejected at freeze time; cycles through sequential
+    elements are legal. *)
 
 type seq_role =
   | Flop    (** edge-triggered D flip-flop (original benchmark form) *)
@@ -24,16 +25,18 @@ type kind =
 
 type t
 
-(** {1 Compact view}
+(** {1 The graph}
 
-    An immutable int-packed CSR mirror of the graph structure, built
-    once at freeze time and shared by every netlist derived from the
-    same freeze ([with_drive] rewrites a kind only, never topology).
-    Hot loops in STA, stage classification and simulation use it to walk
-    adjacency through flat int arrays instead of per-node boxed
-    arrays; node ids are identical to the owning netlist's, so the
-    name↔id side table is the netlist itself ({!node_name}/{!find}) and
-    is only consulted off the hot path. *)
+    A netlist's graph as immutable int-packed CSR (compressed sparse
+    row) arrays: the only adjacency a frozen netlist keeps. It is built
+    once per freeze and shared by every netlist derived from the same
+    freeze ([with_drive] rewrites a kind only, never topology). Every
+    walk of the graph — STA, stage classification, the retiming graph,
+    simulation, the rewrites in {!Transform} and {!Convert} — reads
+    these flat int arrays; {!fanins} and {!fanouts} copy one row out
+    for cold callers. Node ids are identical to the owning netlist's,
+    so the name↔id side table is the netlist itself
+    ({!node_name}/{!find}). *)
 module Compact : sig
   type t = private {
     n : int;
@@ -60,8 +63,6 @@ module Compact : sig
   val tag_gate : int
   val tag_seq : int
 
-  val is_gate : t -> int -> bool
-
   val fanin_lo : t -> int -> int
   val fanin_hi : t -> int -> int
   (** Pin positions of node [v] are [fanin_lo v .. fanin_hi v - 1] in
@@ -77,23 +78,23 @@ module Compact : sig
   val fanout_lo : t -> int -> int
   val fanout_hi : t -> int -> int
   val fanout : t -> int -> int
-  (** Fanout ids at flat positions, same order (and multiplicity: once
-      per connected pin) as {!fanouts}. *)
+  (** Fanout ids at flat positions: per node ascending, each reader
+      once per connected pin, so the parallel pins of one fanout are
+      adjacent. *)
 
   val topo : t -> int array
   (** The owning netlist's {!topo_comb}, shared (do not mutate). *)
 end
 
 val compact : t -> Compact.t
-(** The compact view (shared, never rebuilt after freeze). *)
+(** The netlist's graph (shared, never rebuilt after freeze). *)
 
 (** {1 Construction} *)
 
 (** Nodes are added with their fanins as [int array]s in pin order.
-    The builder keeps each array as it is handed over (it is not
-    copied), and the frozen netlist returns it from {!fanins}: do not
-    mutate an array once it is passed in. A rebuild may hand over
-    [fanins net v] itself when a node keeps its wiring. *)
+    The builder holds each array until {!freeze}, which copies every
+    row into the frozen netlist's CSR: after the freeze the arrays are
+    the caller's again, and changing one changes no netlist. *)
 module Builder : sig
   type netlist := t
   type t
@@ -128,7 +129,7 @@ module Builder : sig
   val node_count : t -> int
 
   val freeze : t -> netlist
-  (** Validate and seal. Raises [Failure] describing the defect when
+  (** Copy the rows into the CSR, validate and seal. Raises [Failure] describing the defect when
       the netlist is malformed: dangling deferred fanins, duplicate
       names, bad arities, combinational cycles, outputs/seqs without a
       driver. Each name is hashed once, into the table {!find} reads;
@@ -145,13 +146,16 @@ val find : t -> string -> int option
 (** Look a node up by name. *)
 
 val fanins : t -> int -> int array
-(** Fanin ids, in pin order. Do not mutate. *)
+(** A fresh copy of [v]'s fanin row of the {!Compact} CSR: fanin ids,
+    in pin order. For cold callers; graph walks read the CSR. *)
 
 val fanouts : t -> int -> int array
-(** Fanout ids (each repeated once per connected pin), ascending, so
-    the parallel pins of one fanout are adjacent. Do not mutate. *)
+(** A fresh copy of [v]'s fanout row of the {!Compact} CSR: fanout ids
+    (each repeated once per connected pin), ascending, so the parallel
+    pins of one fanout are adjacent. *)
 
 val fanout_count : t -> int -> int
+(** Length of [v]'s fanout row, without copying it. *)
 
 val inputs : t -> int array
 val outputs : t -> int array
@@ -170,7 +174,6 @@ val topo_comb : t -> int array
     treat sequential values as state must initialise them up front or
     iterate to a fixpoint. *)
 
-val is_comb : t -> int -> bool
 val is_seq : t -> int -> bool
 
 val iter_edges : t -> (int -> int -> unit) -> unit
@@ -179,21 +182,13 @@ val iter_edges : t -> (int -> int -> unit) -> unit
 
 (** {1 Queries} *)
 
-val fanin_cone : t -> int -> bool array
-(** [fanin_cone t v] marks every node reaching [v] through purely
-    combinational paths, stopping at (and including) inputs and
-    sequential nodes; [v] itself is marked. *)
-
 val fanout_cone : t -> int -> bool array
-(** Dual of {!fanin_cone}: nodes reachable from [v] without passing
-    through a sequential element, stopping at outputs/seqs. *)
+(** [fanout_cone t v] marks every node [v] reaches through purely
+    combinational paths, stopping at (and including) outputs and
+    sequential nodes; [v] itself is marked. *)
 
 val comb_depth : t -> int
 (** Longest combinational path, counted in gates. *)
-
-val validate : t -> (unit, string) result
-(** Re-run the structural checks on a frozen netlist (useful after
-    hand-editing in tests). *)
 
 (** {1 Rewriting} *)
 
@@ -204,8 +199,9 @@ val with_drive : t -> int -> int -> t
 val with_fanins : t -> (int * int array) list -> t
 (** [with_fanins t changes] replaces the fanins of each listed node
     (a later entry for the same node wins). Every node keeps its id,
-    name and kind, so arrays indexed by node id stay valid; fanouts,
-    topological order and the compact view are recomputed. Validated
+    name and kind, so arrays indexed by node id stay valid; the CSR is
+    rebuilt from [t]'s rows and copies of the listed ones, so no array
+    in [changes] is kept. Validated
     like {!Builder.freeze}: raises [Failure] on a bad arity, a dangling
     or output fanin, or a combinational cycle. The names are unchanged,
     so the name table is shared, not rebuilt. *)

@@ -16,13 +16,14 @@ let compute net =
   let fanin_total = ref 0 in
   let fanout_total = ref 0 and driver_count = ref 0 in
   let hist = Hashtbl.create 16 in
+  let c = Netlist.compact net in
   for v = 0 to Netlist.node_count net - 1 do
     (match Netlist.kind net v with
     | Netlist.Seq Netlist.Flop -> incr n_flops
     | Netlist.Seq Netlist.Master -> incr n_masters
     | Netlist.Seq Netlist.Slave -> incr n_slaves
     | Netlist.Gate { fn; _ } ->
-      fanin_total := !fanin_total + Array.length (Netlist.fanins net v);
+      fanin_total := !fanin_total + Netlist.Compact.fanin_deg c v;
       Hashtbl.replace hist fn (1 + Option.value ~default:0 (Hashtbl.find_opt hist fn))
     | Netlist.Input | Netlist.Output -> ());
     match Netlist.kind net v with

@@ -1,15 +1,18 @@
 module B = Netlist.Builder
+module C = Netlist.Compact
 module Vec = Rar_util.Vec
 
 type comb_circuit = { comb : Netlist.t; orig : int array }
 
 let extract_comb net =
+  let c = Netlist.compact net in
+  let head = c.C.fanin_head and fin = c.C.fanin in
   (* Resolve the combinational driver seen through slave latches: the
      value feeding downstream logic originates at the slave's
      transitive driver. *)
   let rec driver v =
     match Netlist.kind net v with
-    | Netlist.Seq Netlist.Slave -> driver (Netlist.fanins net v).(0)
+    | Netlist.Seq Netlist.Slave -> driver fin.(head.(v))
     | _ -> v
   in
   let n = Netlist.node_count net in
@@ -39,10 +42,10 @@ let extract_comb net =
   done;
   for v = 0 to n - 1 do
     if wire.(v) >= 0 then begin
-      let fi = Netlist.fanins net v in
-      let fanins = Array.make (Array.length fi) 0 in
-      for i = 0 to Array.length fi - 1 do
-        fanins.(i) <- repr.(driver fi.(i))
+      let lo = head.(v) in
+      let fanins = Array.make (head.(v + 1) - lo) 0 in
+      for i = 0 to Array.length fanins - 1 do
+        fanins.(i) <- repr.(driver fin.(lo + i))
       done;
       B.connect b wire.(v) ~fanins
     end
@@ -63,14 +66,6 @@ module Edit = struct
     dirty_arcs : int list;
     seeds : int list;
   }
-
-  let pp ppf = function
-    | Resize { node; drive } -> Format.fprintf ppf "resize %s %d" node drive
-    | Rewire { node; pin; driver } ->
-      Format.fprintf ppf "rewire %s %d %s" node pin driver
-    | Annotate { node; extra } ->
-      Format.fprintf ppf "annotate %s %.17g" node extra
-    | Set_c c -> Format.fprintf ppf "c %.17g" c
 
   let apply ?annot net edits =
     let n = Netlist.node_count net in
@@ -100,7 +95,11 @@ module Edit = struct
       (* [v]'s input capacitance feeds its drivers' loads, so their
          timing arcs change along with [v]'s own. *)
       mark dirty v;
-      Array.iter (fun u -> if is_gate u then mark dirty u) (Netlist.fanins !net v)
+      let c = Netlist.compact !net in
+      for p = C.fanin_lo c v to C.fanin_hi c v - 1 do
+        let u = C.fanin c p in
+        if is_gate u then mark dirty u
+      done
     in
     List.iter
       (fun e ->
@@ -149,7 +148,7 @@ module Edit = struct
             if is_gate old then mark dirty old;
             if is_gate b then mark dirty b;
             mark seeds v;
-            let fi = Array.mapi (fun i u -> if i = pin then b else u) fi in
+            fi.(pin) <- b;
             net := Netlist.with_fanins !net [ (v, fi) ]
           end
         | Annotate { node; extra } ->
@@ -248,19 +247,20 @@ type placement = { after : int; latched : (int * int) list }
 
 (* Fanouts ascending, the pins of one fanout in descending pin order:
    the order every placement has been listed in. A fanout row repeats
-   a fanout once per pin, adjacently ({!Netlist.fanouts}), so walking
-   it right to left and prepending builds that order directly. *)
+   a fanout once per pin, adjacently ({!Netlist.Compact.fanout}), so
+   walking it right to left and prepending builds that order
+   directly. *)
 let slave_after net u ~keep =
-  let fo = Netlist.fanouts net u in
+  let c = Netlist.compact net in
+  let fo_head = c.C.fanout_head and fo = c.C.fanout in
+  let head = c.C.fanin_head and fin = c.C.fanin in
   let latched = ref [] in
-  for i = Array.length fo - 1 downto 0 do
+  for i = fo_head.(u + 1) - 1 downto fo_head.(u) do
     let v = fo.(i) in
-    if (i = 0 || fo.(i - 1) <> v) && keep v then begin
-      let fi = Netlist.fanins net v in
-      for pin = 0 to Array.length fi - 1 do
-        if fi.(pin) = u then latched := (v, pin) :: !latched
+    if (i = fo_head.(u) || fo.(i - 1) <> v) && keep v then
+      for p = head.(v) to head.(v + 1) - 1 do
+        if fin.(p) = u then latched := (v, p - head.(v)) :: !latched
       done
-    end
   done;
   if !latched = [] then None else Some { after = u; latched = !latched }
 
@@ -272,35 +272,37 @@ let initial_placements net =
       | None -> acc)
     (Netlist.inputs net) []
 
+(* Plain recursion over each placement's pins, so the index array is
+   all a call allocates besides two closures. *)
 let pin_index net placements =
   let c = Netlist.compact net in
-  let pins = Netlist.Compact.fanin_lo c (Netlist.Compact.n c) in
-  let index = Array.make (Int.max 1 pins) (-1) in
-  List.iteri
-    (fun i p ->
-      List.iter
-        (fun (v, pin) ->
-          let fi = Netlist.fanins net v in
-          if pin < 0 || pin >= Array.length fi then
-            invalid_arg "Transform.pin_index: pin out of range";
-          if fi.(pin) <> p.after then
-            invalid_arg
-              (Printf.sprintf
-                 "Transform.pin_index: pin %d of %s is not driven by %s"
-                 pin (Netlist.node_name net v)
-                 (Netlist.node_name net p.after));
-          let at = Netlist.Compact.fanin_lo c v + pin in
-          if index.(at) >= 0 then
-            invalid_arg "Transform.pin_index: pin latched twice";
-          index.(at) <- i)
-        p.latched)
-    placements;
+  let head = c.C.fanin_head and fin = c.C.fanin in
+  let index = Array.make (Int.max 1 head.(c.C.n)) (-1) in
+  let rec pins i after = function
+    | [] -> ()
+    | (v, pin) :: rest ->
+      if pin < 0 || pin >= head.(v + 1) - head.(v) then
+        invalid_arg "Transform.pin_index: pin out of range";
+      let at = head.(v) + pin in
+      if fin.(at) <> after then
+        invalid_arg
+          (Printf.sprintf
+             "Transform.pin_index: pin %d of %s is not driven by %s"
+             pin (Netlist.node_name net v)
+             (Netlist.node_name net after));
+      if index.(at) >= 0 then
+        invalid_arg "Transform.pin_index: pin latched twice";
+      index.(at) <- i;
+      pins i after rest
+  in
+  List.iteri (fun i p -> pins i p.after p.latched) placements;
   index
 
 let apply_retiming cc placements =
   let net = cc.comb in
   let n = Netlist.node_count net in
   let c = Netlist.compact net in
+  let head = c.C.fanin_head and fin = c.C.fanin in
   let capture = pin_index net placements in
   (* Every comb node is copied first, so it keeps its id; the slaves,
      one per placement, come after them. *)
@@ -320,21 +322,14 @@ let apply_retiming cc placements =
            B.add_seq b name ~role:Netlist.Slave ~fanin:p.after)
          placements)
   in
-  (* A node with no latched pin keeps its fanin array as it is. *)
+  (* Each row is the node's CSR row with every latched pin read
+     through its slave. *)
   for v = 0 to n - 1 do
-    let fi = Netlist.fanins net v and lo = Netlist.Compact.fanin_lo c v in
-    let latched = ref false in
-    for pin = 0 to Array.length fi - 1 do
-      if capture.(lo + pin) >= 0 then latched := true
-    done;
+    let lo = head.(v) in
     let fanins =
-      if not !latched then fi
-      else
-        Array.mapi
-          (fun pin u ->
-            let i = capture.(lo + pin) in
-            if i >= 0 then slave.(i) else u)
-          fi
+      Array.init (head.(v + 1) - lo) (fun pin ->
+          let i = capture.(lo + pin) in
+          if i >= 0 then slave.(i) else fin.(lo + pin))
     in
     B.connect b v ~fanins
   done;

@@ -77,9 +77,6 @@ module Edit : sig
       non-finite c. Edits that change nothing (same drive, same
       driver, zero extra) are accepted and dirty nothing. *)
 
-  val pp : Format.formatter -> t -> unit
-  (** Prints in the {!parse_script} grammar. *)
-
   val parse_script : string -> (t list list, string) result
   (** Parse an edit script into batches. One edit per line —
       [resize NODE DRIVE], [rewire NODE PIN DRIVER],
@@ -120,9 +117,9 @@ val pin_index : Netlist.t -> placement list -> int array
     position of the placement whose slave feeds flat pin position [p]
     of [Netlist.compact net] ({!Netlist.Compact.fanin_lo} [v + pin]),
     or [-1] for a directly connected pin. Length
-    [max 1 (pin count)]. Raises [Invalid_argument] on a pin out of
-    range, a pin its placement's [after] does not drive, or a pin
-    latched twice. *)
+    [max 1 (pin count)], and the only array a call allocates. Raises
+    [Invalid_argument] on a pin out of range, a pin its placement's
+    [after] does not drive, or a pin latched twice. *)
 
 val apply_retiming : comb_circuit -> placement list -> Netlist.t
 (** Materialise slave latches inside the combinational circuit. The

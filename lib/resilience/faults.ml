@@ -100,8 +100,6 @@ let use_env () = setting := From_env
 let configure ?(seed = 0) ?deadline_s profiles =
   set { seed; profiles; deadline_s }
 
-let enabled () = active () <> None
-
 (* --- deterministic firing decisions -------------------------------- *)
 
 (* Avalanche mix: fire/no-fire depends only on (seed, site, key), never

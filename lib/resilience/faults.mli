@@ -56,7 +56,6 @@ val to_string : config -> string
 (** {1 Activation} *)
 
 val active : unit -> config option
-val enabled : unit -> bool
 val set : config -> unit
 val configure : ?seed:int -> ?deadline_s:float -> profile list -> unit
 val disable : unit -> unit

@@ -35,8 +35,6 @@ let to_string = function
   | Worker_crashed { detail } ->
     Printf.sprintf "worker task crashed: %s" detail
 
-let pp ppf e = Format.pp_print_string ppf (to_string e)
-
 let kind = function
   | Unknown_circuit _ -> "unknown_circuit"
   | Illegal_stage _ -> "illegal_stage"

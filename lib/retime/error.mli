@@ -41,8 +41,6 @@ type t =
 val to_string : t -> string
 (** One-line diagnostic, suitable for CLI [stderr]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val kind : t -> string
 (** Stable machine-readable tag (["unknown_circuit"],
     ["infeasible_lp"], …) used by the JSON renderings. *)

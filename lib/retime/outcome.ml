@@ -15,26 +15,24 @@ type t = {
   total_area : float;
 }
 
-let eps = 1e-9
-
 let account ?ed ~c stage placements arr =
   Rar_obs.Trace.span "outcome/assemble" @@ fun () ->
   let net = Stage.comb stage in
   let clocking = Stage.clocking stage in
-  let period = Clocking.period clocking in
-  let limit = Clocking.max_delay clocking in
   let sinks = Stage.sinks stage in
   let arrivals = Array.map (fun s -> (s, arr.(s))) sinks in
   let needs_ed =
     Array.to_list arrivals
-    |> List.filter_map (fun (s, a) -> if a > period +. eps then Some s else None)
+    |> List.filter_map (fun (s, a) ->
+           if Clocking.past_period clocking a then Some s else None)
   in
   let ed_sinks = match ed with Some e -> e | None -> needs_ed in
   let ed_set = Hashtbl.create (1 + List.length ed_sinks) in
   List.iter (fun s -> Hashtbl.replace ed_set s ()) ed_sinks;
   let violations =
     (Array.to_list arrivals
-    |> List.filter_map (fun (s, a) -> if a > limit +. eps then Some s else None))
+    |> List.filter_map (fun (s, a) ->
+           if Clocking.past_max_delay clocking a then Some s else None))
     @ List.filter (fun s -> not (Hashtbl.mem ed_set s)) needs_ed
     |> List.sort_uniq compare
   in
@@ -71,10 +69,3 @@ let of_initial ~c stage =
     (Stage.initial_arrivals stage)
 
 let ed_count t = List.length t.ed_sinks
-
-let pp ppf t =
-  Format.fprintf ppf
-    "slaves=%d masters=%d edl=%d seq_area=%.2f total=%.2f%s" t.n_slaves
-    t.n_masters (ed_count t) t.seq_area t.total_area
-    (if t.violations = [] then ""
-     else Printf.sprintf " VIOLATIONS=%d" (List.length t.violations))

@@ -53,9 +53,6 @@ val account :
 
 val of_initial : c:float -> Stage.t -> t
 (** The un-retimed two-phase design ({!Transform.initial_placements}),
-    accounted on the arrivals the stage computed when it was built
-    ({!Stage.initial_arrivals}). *)
+    accounted on its {!Stage.initial_arrivals}. *)
 
 val ed_count : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -3,11 +3,9 @@ module Transform = Rar_netlist.Transform
 module Liberty = Rar_liberty.Liberty
 module Sta = Rar_sta.Sta
 
-let eps = 1e-9
-
 let violating ~deadlines stage arr =
   Array.to_list (Stage.sinks stage)
-  |> List.filter (fun s -> arr.(s) > deadlines s +. eps)
+  |> List.filter (fun s -> arr.(s) > deadlines s +. Rar_sta.Clocking.tolerance)
 
 (* Rank the gates of a violating sink's cone by criticality
    (D^f + D^b), and return those not yet at the maximum drive. *)

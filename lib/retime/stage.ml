@@ -36,7 +36,6 @@ type t = {
   sta : Sta.t;
   annot : float array option; (* ECO delay annotations baked into sta *)
   regions : region array;
-  initial_arr : float array;   (* un-retimed arrivals *)
   illegal : (int * int) list;        (* edges that can never hold a slave *)
   per_sink : (int * classified) array;
     (* every sink's classification, in sink order — read by the
@@ -75,16 +74,20 @@ let a_value t ~db ~u ~v =
   Sta.arrival_with_slave_after t.sta ~clocking:t.clocking
     ~latch:(slave_latch t) ~u ~v ~db
 
-let initial_arrivals t = t.initial_arr
-
 let latched_arrivals t index =
   Sta.forward_with_latches t.sta ~clocking:t.clocking ~latch:(slave_latch t)
     index
 
+let initial_arrivals t =
+  let net = comb t in
+  latched_arrivals t
+    (Transform.pin_index net (Transform.initial_placements net))
+
 let near_critical_initial t =
-  let period = Clocking.period t.clocking in
+  let arr = initial_arrivals t in
   Array.fold_right
-    (fun s acc -> if t.initial_arr.(s) > period then s :: acc else acc)
+    (fun s acc ->
+      if Clocking.past_period t.clocking arr.(s) then s :: acc else acc)
     (sinks t) []
 
 (* Packed pin positions as [(u, v)] edges, in descending position
@@ -108,23 +111,25 @@ let max_path t s =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let eps = 1e-9
+(* A slave just after a node whose forward delay is past this bound
+   misses its setup against the closing edge (Constraint 6). *)
+let launch_bound clocking latch =
+  Clocking.slave_close clocking -. latch.Liberty.setup +. Clocking.tolerance
 
 let compute_regions ~sta_an ~lib ~clocking net =
-  let slave = Liberty.latch lib in
-  let close_limit = Clocking.slave_close clocking -. slave.Liberty.setup in
-  let budget = Clocking.backward_budget clocking in
+  let launch_by = launch_bound clocking (Liberty.latch lib) in
+  let budget = Clocking.backward_budget clocking +. Clocking.tolerance in
   let back_all = Sta.backward_all sta_an in
   let n = Netlist.node_count net in
   let regions = Array.make n Rr in
   let conflict = ref None in
   for v = 0 to n - 1 do
-    let must_move = back_all.(v) > budget +. eps in
+    let must_move = back_all.(v) > budget in
     let cannot_move =
       (match Netlist.kind net v with
       | Netlist.Output -> true
       | Netlist.Input | Netlist.Gate _ | Netlist.Seq _ -> false)
-      || Sta.df sta_an v > close_limit +. eps
+      || Sta.df sta_an v > launch_by
     in
     if must_move && cannot_move then
       conflict := Some (Netlist.node_name net v)
@@ -209,8 +214,10 @@ let prefix buf len = if len = 0 then [||] else Array.sub buf 0 len
    scratch per chunk. [launchable u]: a slave just after [u] meets its
    own setup against the closing edge (Constraint 6). *)
 let classify_cone ~sta_an ~clocking ~arcs ~launchable sc s =
-  let period = Clocking.period clocking in
-  let limit = Clocking.max_delay clocking in
+  (* {!Clocking.past_period} and {!Clocking.past_max_delay}, with their
+     thresholds read once. *)
+  let late_at = Clocking.period clocking +. Clocking.tolerance in
+  let ill_at = Clocking.max_delay clocking +. Clocking.tolerance in
   let cv = Netlist.compact (Sta.netlist sta_an) in
   let c = sc.cone in
   Sta.load_cone sta_an c ~sink:s;
@@ -245,9 +252,9 @@ let classify_cone ~sta_an ~clocking ~arcs ~launchable sc s =
       for p = head.(v) to head.(v + 1) - 1 do
         let u = fin.(p) in
         let ap = a.(p) in
-        let late = ap > period +. eps in
+        let late = ap > late_at in
         let good =
-          launchable.(u) && ap <= limit +. eps
+          launchable.(u) && ap <= ill_at
           && begin
             if ap > !a_max_legal then a_max_legal := ap;
             not late
@@ -259,7 +266,7 @@ let classify_cone ~sta_an ~clocking ~arcs ~launchable sc s =
         if late then begin
           set_flag u (flag u lor f_late_out);
           fv := !fv lor f_late_in;
-          if ap > limit +. eps then fv := !fv lor f_ill_in
+          if ap > ill_at then fv := !fv lor f_ill_in
         end
       done;
       set_flag v !fv;
@@ -271,7 +278,7 @@ let classify_cone ~sta_an ~clocking ~arcs ~launchable sc s =
     end
   done;
   let always = flag s land f_bad <> 0 in
-  let never = (not always) && !a_max_legal <= period +. eps in
+  let never = (not always) && !a_max_legal <= late_at in
   let target = not (always || never) in
   if target then
     (* g(t) per Eq. 8-9, over legal positions: a node with a good
@@ -313,11 +320,11 @@ let classify_cone ~sta_an ~clocking ~arcs ~launchable sc s =
     if tg = Netlist.Compact.tag_input then cut := v :: !cut
     else begin
       for p = head.(v) to head.(v + 1) - 1 do
-        if a.(p) > limit +. eps then begin
+        if a.(p) > ill_at then begin
           ill_buf.(!n_ill) <- p;
           incr n_ill
         end
-        else if a.(p) > period +. eps then begin
+        else if a.(p) > late_at then begin
           win_buf.(!n_win) <- p;
           incr n_win
         end
@@ -350,10 +357,10 @@ let classify_sink ~sta_an ~clocking ~arcs ~launchable ~never_late sc s =
 (* Per node: a slave just after it meets its setup against the closing
    edge (Constraint 6) — shared by every sink's classification. *)
 let launchable_nodes ~sta_an ~clocking ~latch =
-  let close_limit = Clocking.slave_close clocking -. latch.Liberty.setup in
+  let launch_by = launch_bound clocking latch in
   Array.init
     (Netlist.node_count (Sta.netlist sta_an))
-    (fun u -> Sta.df sta_an u <= close_limit +. eps)
+    (fun u -> Sta.df sta_an u <= launch_by)
 
 (* The prune test (DESIGN.md §13): a slave anywhere delays a sink by at
    most [d] ({!Sta.slave_delay_bound}), so a sink with
@@ -387,24 +394,26 @@ let classify_sinks ~sta_an ~clocking ~latch sinks =
 (* Shared back half of {!make} and {!patch}: reject untimeable sinks,
    index the per-sink results and merge their illegal edges
    sequentially in sink order (so the edge list is identical for every
-   pool size — and identical between a cold make and a patch), promote
-   illegal-edge sources and compute the initial arrivals. *)
-let finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~latch ~regions
-    ~classified =
+   pool size — and identical between a cold make and a patch), and
+   promote illegal-edge sources. *)
+let finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~regions ~classified =
   let net = cc.Transform.comb in
-  let limit = Clocking.max_delay clocking in
   let too_long =
     Array.fold_left
       (fun acc s ->
         match acc with
         | Some _ -> acc
         | None ->
-          if Sta.arrival_at_sink sta_an s > limit +. eps then Some s else None)
+          if Clocking.past_max_delay clocking (Sta.arrival_at_sink sta_an s)
+          then Some s
+          else None)
       None (Netlist.outputs net)
   in
   match too_long with
   | Some s ->
-    Error (Error.Untimeable_sink { sink = Netlist.node_name net s; limit })
+    Error
+      (Error.Untimeable_sink
+         { sink = Netlist.node_name net s; limit = Clocking.max_delay clocking })
   | None ->
     let cv = Netlist.compact net in
     let fin = cv.Netlist.Compact.fanin and head = cv.Netlist.Compact.fanin_head in
@@ -434,12 +443,8 @@ let finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~latch ~regions
         if Netlist.kind net u = Netlist.Input && regions.(u) = Rr then
           regions.(u) <- Rm)
       illegal;
-    let initial_arr =
-      Sta.forward_with_latches sta_an ~clocking ~latch
-        (Transform.pin_index net (Transform.initial_placements net))
-    in
-    Ok { cc; source; lib; clocking; sta = sta_an; annot; regions;
-         initial_arr; illegal; per_sink = classified; slot; owner }
+    Ok { cc; source; lib; clocking; sta = sta_an; annot; regions; illegal;
+         per_sink = classified; slot; owner }
 
 let make ?(model = Sta.Path_based) ?source ?annot ~lib ~clocking cc =
   let net = cc.Transform.comb in
@@ -467,8 +472,7 @@ let make ?(model = Sta.Path_based) ?source ?annot ~lib ~clocking cc =
     let classified =
       classify_sinks ~sta_an ~clocking ~latch (Netlist.outputs net)
     in
-    finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~latch ~regions
-      ~classified
+    finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~regions ~classified
 
 let patch t (applied : Transform.Edit.applied) =
   Rar_obs.Trace.span "stage/patch" @@ fun () ->
@@ -513,8 +517,8 @@ let patch t (applied : Transform.Edit.applied) =
     Array.iter
       (fun (s, r) -> classified.(t.slot.(s)) <- (s, r))
       (classify_sinks ~sta_an ~clocking ~latch affected);
-    finish ~cc ~source:t.source ~lib ~clocking ~sta_an ~annot ~latch
-      ~regions ~classified
+    finish ~cc ~source:t.source ~lib ~clocking ~sta_an ~annot ~regions
+      ~classified
 
 let pp_summary ppf t =
   let net = comb t in

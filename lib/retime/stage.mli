@@ -55,7 +55,7 @@ val make :
 val patch : t -> Transform.Edit.applied -> (t, Error.t) result
 (** Incremental re-analysis after a {!Transform.Edit.apply}: runs
     {!Sta.patch} over the edit's dirty set, recomputes the (cheap)
-    region and initial-arrival passes, and re-classifies only sinks
+    region pass, and re-classifies only sinks
     forward-reachable from a changed node, reusing the cached
     classification of every other sink. The result is identical —
     bitwise, including table iteration orders — to
@@ -92,7 +92,14 @@ val illegal_edges : t -> (int * int) list
     [V_m]/[V_n] regions approximate this; the per-edge set makes
     Constraint (7) exact, and {!Rgraph.build} always forbids these
     positions. Sources whose initial (host-edge) position covers an
-    illegal edge are promoted to [V_m]. *)
+    illegal edge are promoted to [V_m].
+
+    The list is not sorted: it is the [Hashtbl.fold] order of the
+    per-sink merge (the sinks' edges added in sink order into a table
+    created with 64 buckets). The order is deterministic — the same for
+    every pool size and between a cold {!make} and a {!patch} — and
+    {!Rgraph.build} emits its no-latch constraints in it, so the
+    retiming LPs depend on it bit for bit. *)
 
 val db_of_sink : t -> int -> Sta.db
 (** Backward delays to one sink (uncached; computed on demand). *)
@@ -111,15 +118,17 @@ val latched_arrivals : t -> int array -> float array
 
 val initial_arrivals : t -> float array
 (** {!latched_arrivals} of {!Transform.initial_placements} — the
-    un-retimed two-phase design — computed once when the stage is
-    built. Shared: do not mutate. *)
+    un-retimed two-phase design — swept afresh on each call (building
+    or patching a stage does not run it). *)
 
 val near_critical_initial : t -> int list
 (** Sinks near-critical in the {e initial} two-phase design (slaves at
-    the sources, so the slave-opening floor delays every path): the NCE
-    set Table I reports and the RVL-RAR seed. Most of these are
-    retiming-dependent targets — pure combinational delay below the
-    period but initial arrival inside the resiliency window. *)
+    the sources, so the slave-opening floor delays every path): the
+    sinks whose {!initial_arrivals} fail {!Clocking.past_period}, in
+    sink order. This is the NCE set Table I counts and the RVL-RAR
+    seed. Most of these are retiming-dependent targets — pure
+    combinational delay below the period but initial arrival inside
+    the resiliency window. *)
 
 val window_edges : t -> int -> (int * int) list
 (** For a [Target] sink: the cone edges [(u, v)] whose [A(u,v,t)]

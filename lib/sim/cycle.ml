@@ -24,21 +24,24 @@ module Rng = Rar_util.Rng
    {!equivalent} exploits. *)
 
 let eval_gates net values =
+  let c = Netlist.compact net in
+  let head = c.Netlist.Compact.fanin_head and fin = c.Netlist.Compact.fanin in
   Array.iter
     (fun v ->
       match Netlist.kind net v with
       | Netlist.Gate { fn; _ } ->
-        let fi = Netlist.fanins net v in
-        values.(v) <- Cell_kind.eval_at fn values fi 0 (Array.length fi)
-      | Netlist.Output -> values.(v) <- values.((Netlist.fanins net v).(0))
+        values.(v) <- Cell_kind.eval_at fn values fin head.(v) head.(v + 1)
+      | Netlist.Output -> values.(v) <- values.(fin.(head.(v)))
       | Netlist.Input | Netlist.Seq _ -> ())
-    (Netlist.topo_comb net)
+    c.Netlist.Compact.topo
 
 let run net ~vectors =
   let inputs = Netlist.inputs net in
   let outputs = Netlist.outputs net in
   let seqs = Netlist.seqs net in
   let n = Netlist.node_count net in
+  let c = Netlist.compact net in
+  let head = c.Netlist.Compact.fanin_head and fin = c.Netlist.Compact.fanin in
   let n_pi = Array.length inputs in
   Array.iteri
     (fun t vec ->
@@ -66,7 +69,7 @@ let run net ~vectors =
         (fun v ->
           match Netlist.kind net v with
           | Netlist.Seq (Netlist.Flop | Netlist.Master) ->
-            next.(v) <- values.((Netlist.fanins net v).(0))
+            next.(v) <- values.(fin.(head.(v)))
           | _ -> ())
         seqs;
       if has_slaves then begin
@@ -88,14 +91,15 @@ let run net ~vectors =
             (fun v ->
               match Netlist.kind net v with
               | Netlist.Gate { fn; _ } ->
-                let fi = Netlist.fanins net v in
-                let x = Cell_kind.eval_at fn values fi 0 (Array.length fi) in
+                let x =
+                  Cell_kind.eval_at fn values fin head.(v) head.(v + 1)
+                in
                 if x <> values.(v) then begin
                   values.(v) <- x;
                   changed := true
                 end
               | Netlist.Seq Netlist.Slave ->
-                let x = values.((Netlist.fanins net v).(0)) in
+                let x = values.(fin.(head.(v))) in
                 if x <> values.(v) then begin
                   values.(v) <- x;
                   changed := true
@@ -103,7 +107,7 @@ let run net ~vectors =
               | Netlist.Output | Netlist.Input
               | Netlist.Seq (Netlist.Flop | Netlist.Master) ->
                 ())
-            (Netlist.topo_comb net)
+            c.Netlist.Compact.topo
         done;
         Array.iter
           (fun v ->

@@ -55,8 +55,7 @@ type compiled = {
   close_t : float;
   ck_to_q : float;
   d_to_q : float;
-  period : float;
-  limit : float;
+  clocking : Clocking.t;
 }
 
 (* Kahn's order over every fanin edge, latches included: settling with
@@ -139,8 +138,7 @@ let compile design =
     close_t = Clocking.slave_close design.clocking;
     ck_to_q = latch.Liberty.ck_to_q;
     d_to_q = latch.Liberty.d_to_q;
-    period = Clocking.period design.clocking;
-    limit = Clocking.max_delay design.clocking;
+    clocking = design.clocking;
   }
 
 (* A node's value from its fanins' current values, latches transparent. *)
@@ -271,8 +269,8 @@ let step ?on_event c st ~prev ~next =
     let s = c.outputs.(k) in
     let t = capture.(s) in
     if t > neg_infinity then captures := (s, t) :: !captures;
-    if t > c.limit +. 1e-9 then late := s :: !late
-    else if t > c.period +. 1e-9 then
+    if Clocking.past_max_delay c.clocking t then late := s :: !late
+    else if Clocking.past_period c.clocking t then
       if c.is_ed.(s) then errors := s :: !errors else silent := s :: !silent
   done;
   { errors = !errors; silent = !silent; late = !late;

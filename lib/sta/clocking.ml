@@ -42,6 +42,9 @@ let resiliency_window = function
     c.phi +. c.gamma
 
 let max_delay t = period t +. resiliency_window t
+let tolerance = 1e-9
+let past_period t arrival = arrival > period t +. tolerance
+let past_max_delay t arrival = arrival > max_delay t +. tolerance
 
 let slave_open = function
   | Two_phase c -> c.phi1 +. c.gamma1

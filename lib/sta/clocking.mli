@@ -59,6 +59,19 @@ val max_delay : t -> float
 (** Longest legal master-to-master path,
     [period + resiliency_window]. *)
 
+val tolerance : float
+(** [1e-9] ns: the float rounding that every timing comparison of an
+    arrival or delay against a deadline forgives. *)
+
+val past_period : t -> float -> bool
+(** The window test: an arrival later than {!period} by more than
+    {!tolerance}. Its master must detect errors — the capture falls in
+    the resiliency window, or past it. *)
+
+val past_max_delay : t -> float -> bool
+(** The max-delay test: an arrival later than {!max_delay} by more
+    than {!tolerance}, which no error detection can repair. *)
+
 val resiliency_window : t -> float
 (** Two-phase: [phi1]. Three-phase: [phi + gamma] (the window runs
     through the non-overlap gap — see the module comment). *)

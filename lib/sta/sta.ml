@@ -695,8 +695,8 @@ let report_path t ~clocking ~sink =
     (Printf.sprintf
        "%-24s %6s %9s %9.4f\n%-24s %6s %9s %9.4f\nendpoint arrival %.4f: %s\n"
        "period Pi" "" "" period "max delay P" "" "" limit arrival
-       (if arrival > limit +. 1e-9 then "VIOLATED"
-        else if arrival > period +. 1e-9 then
+       (if Clocking.past_max_delay clocking arrival then "VIOLATED"
+        else if Clocking.past_period clocking arrival then
           "inside resiliency window (needs error detection)"
         else "met before the window"));
   Buffer.contents buf

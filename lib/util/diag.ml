@@ -21,8 +21,6 @@ let to_string d =
   Buffer.add_string b d.msg;
   Buffer.contents b
 
-let pp ppf d = Format.pp_print_string ppf (to_string d)
-
 let read_file path =
   match In_channel.with_open_bin path In_channel.input_all with
   | text -> Ok text

@@ -19,8 +19,6 @@ val to_string : t -> string
 (** GCC-style one-liner: ["file:line:col: msg"], omitting the unknown
     parts. *)
 
-val pp : Format.formatter -> t -> unit
-
 val read_file : string -> (string, t) result
 (** The whole contents of [path]; an unreadable file becomes an
     unlocated diagnostic carrying the [Sys_error] message. *)

@@ -117,6 +117,7 @@ let strip_json cfg r =
    analyses compare bitwise. *)
 let stage_fingerprint st =
   let bits = Int64.bits_of_float in
+  let initial = Stage.initial_arrivals st in
   ( Array.init (Netlist.node_count (Stage.comb st)) (Stage.region st),
     Stage.illegal_edges st,
     Array.map
@@ -124,7 +125,7 @@ let stage_fingerprint st =
         let cls = Stage.classify st s in
         ( cls,
           bits (Stage.max_path st s),
-          bits (Stage.initial_arrivals st).(s),
+          bits initial.(s),
           match cls with
           | Stage.Always_ed -> []
           | Stage.Never_ed | Stage.Target _ -> Stage.window_edges st s ))

@@ -394,18 +394,21 @@ let outcome_digest (o : Outcome.t) =
       List.iter (Printf.bprintf b " %d") (List.sort compare o.Outcome.ed_sinks);
       Printf.bprintf b " slaves %d" o.Outcome.n_slaves)
 
+(* Prepared suite circuits, loaded once for the two tests below; the
+   second drops them when it is done. *)
+let prepared = Hashtbl.create 12
+
+let load circuit =
+  match Hashtbl.find_opt prepared circuit with
+  | Some p -> p
+  | None ->
+    let p = Result.get_ok (Suite.load circuit) in
+    Hashtbl.replace prepared circuit p;
+    p
+
 let test_arrival_digests () =
   Faults.disable ();
   Fun.protect ~finally:Faults.use_env @@ fun () ->
-  let prepared = Hashtbl.create 4 in
-  let load circuit =
-    match Hashtbl.find_opt prepared circuit with
-    | Some p -> p
-    | None ->
-      let p = Result.get_ok (Suite.load circuit) in
-      Hashtbl.replace prepared circuit p;
-      p
-  in
   List.iter
     (fun (circuit, name, want) ->
       let spec = Option.get (Engine.of_name name) in
@@ -424,18 +427,26 @@ let test_arrival_digests () =
         (circuit ^ " initial arrivals")
         want
         (bits_digest (fun add _ ->
-             Array.iter (fun s -> add (Stage.initial_arrivals stage).(s))
-               (Stage.sinks stage))))
+             let initial = Stage.initial_arrivals stage in
+             Array.iter (fun s -> add initial.(s)) (Stage.sinks stage))))
     initial_arrival_digests;
   List.iter
     (fun (circuit, want) ->
-      let nce =
-        match Hashtbl.find_opt prepared circuit with
-        | Some p -> p.Suite.nce
-        | None -> (Result.get_ok (Suite.load circuit)).Suite.nce
-      in
-      Alcotest.(check int) (circuit ^ " NCE") want nce)
+      Alcotest.(check int) (circuit ^ " NCE") want (load circuit).Suite.nce)
     suite_nce
+
+(* Table I's NCE count and RVL's seed apply one window test to one
+   sweep: on every suite circuit the prepared count is the size of the
+   stage's near-critical set. *)
+let test_nce_is_near_critical_initial () =
+  List.iter
+    (fun (circuit, _) ->
+      let p = load circuit in
+      let stage = Result.get_ok (Engine.stage_of p) in
+      Alcotest.(check int) (circuit ^ " NCE") p.Suite.nce
+        (List.length (Stage.near_critical_initial stage)))
+    suite_nce;
+  Hashtbl.reset prepared
 
 (* Rgraph.build bounds every LP variable into closure's {-1, 0}
    window, so under the default solver every LP an engine solves is
@@ -498,4 +509,6 @@ let suite =
       test_lp_engines_take_closure;
     Alcotest.test_case "verified arrivals pinned per engine" `Slow
       test_arrival_digests;
+    Alcotest.test_case "NCE = the stage's near-critical sinks" `Slow
+      test_nce_is_near_critical_initial;
   ]

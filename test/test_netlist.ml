@@ -25,7 +25,6 @@ let test_builder_basic () =
   Alcotest.(check int) "inputs" 1 (Array.length (Netlist.inputs net));
   Alcotest.(check int) "outputs" 1 (Array.length (Netlist.outputs net));
   Alcotest.(check int) "gates" 2 (Array.length (Netlist.gates net));
-  Alcotest.(check bool) "validate" true (Netlist.validate net = Ok ());
   match Netlist.find net "g2" with
   | None -> Alcotest.fail "find"
   | Some g2 ->
@@ -71,14 +70,86 @@ let test_arity_checked () =
 
 let test_cones () =
   let net = small_seq () in
-  let g2 = Option.get (Netlist.find net "g2") in
-  let cone = Netlist.fanin_cone net g2 in
-  let pi = Option.get (Netlist.find net "pi") in
-  let ff = Option.get (Netlist.find net "ff") in
-  let g1 = Option.get (Netlist.find net "g1") in
-  Alcotest.(check bool) "pi in cone" true cone.(pi);
-  Alcotest.(check bool) "ff in cone" true cone.(ff);
-  Alcotest.(check bool) "cone stops at seq" false cone.(g1)
+  let id name = Option.get (Netlist.find net name) in
+  let cone = Netlist.fanout_cone net (id "g1") in
+  Alcotest.(check bool) "g1 in its cone" true cone.(id "g1");
+  Alcotest.(check bool) "ff in cone" true cone.(id "ff");
+  Alcotest.(check bool) "cone stops at seq" false cone.(id "g2");
+  Alcotest.(check bool) "po behind the seq" false cone.(id "po");
+  let cone = Netlist.fanout_cone net (id "pi") in
+  Alcotest.(check (list bool)) "pi reaches g2 directly, so every node"
+    [ true; true; true; true; true ]
+    (List.map (fun n -> cone.(id n)) [ "pi"; "g1"; "ff"; "g2"; "po" ])
+
+(* Freeze copies every row into the CSR: an array handed to [add_gate],
+   [connect] or [with_fanins] is the caller's again once the netlist is
+   frozen, and changing it changes no netlist. *)
+let test_freeze_copies_rows () =
+  let b = B.create ~name:"rows" () in
+  let pi = B.add_input b "pi" and pj = B.add_input b "pj" in
+  let row = [| pi; pj |] in
+  let g = B.add_gate b "g" ~fn:Cell_kind.Nand ~fanins:row () in
+  let h = B.add_gate_deferred b "h" ~fn:Cell_kind.And () in
+  let late = [| g; pi |] in
+  B.connect b h ~fanins:late;
+  let _ = B.add_output b "po" ~fanin:h in
+  let net = B.freeze b in
+  let before = Netlist.digest net in
+  row.(0) <- pj;
+  late.(1) <- pj;
+  Alcotest.(check string) "builder rows copied" before (Netlist.digest net);
+  Alcotest.(check (array int)) "g keeps its row" [| pi; pj |]
+    (Netlist.fanins net g);
+  let change = [| pj; pj |] in
+  let net' = Netlist.with_fanins net [ (g, change) ] in
+  let after = Netlist.digest net' in
+  change.(1) <- pi;
+  Alcotest.(check string) "with_fanins row copied" after (Netlist.digest net');
+  Alcotest.(check (array int)) "g rewired" [| pj; pj |] (Netlist.fanins net' g);
+  (* a copied-out row is a copy too *)
+  (Netlist.fanins net' g).(0) <- pi;
+  (Netlist.fanouts net' pj).(0) <- pi;
+  Alcotest.(check string) "fanins/fanouts are copies" after
+    (Netlist.digest net');
+  Alcotest.(check string) "the source netlist is untouched" before
+    (Netlist.digest net)
+
+(* [fanins]/[fanouts] are the CSR's rows, on a flop netlist, its
+   two-phase split and its combinational stage; each fanout row lists
+   the readers of its fanin rows, ascending, once per pin. *)
+let test_rows_are_csr () =
+  let flop =
+    Rar_circuits.Generator.generate
+      (Option.get (Rar_circuits.Spec.find "s1196"))
+  in
+  let two = Convert.split Convert.Two flop in
+  List.iter
+    (fun net ->
+      let c = Netlist.compact net in
+      let slice head flat v =
+        Array.sub flat head.(v) (head.(v + 1) - head.(v))
+      in
+      let n = Netlist.node_count net in
+      let readers = Array.make n [] in
+      for v = n - 1 downto 0 do
+        Array.iter (fun u -> readers.(u) <- v :: readers.(u))
+          (Netlist.fanins net v)
+      done;
+      for v = 0 to n - 1 do
+        Alcotest.(check (array int)) "fanouts read the fanin rows"
+          (Array.of_list (List.sort compare readers.(v)))
+          (Netlist.fanouts net v);
+        Alcotest.(check (array int)) "fanins"
+          (slice c.Netlist.Compact.fanin_head c.Netlist.Compact.fanin v)
+          (Netlist.fanins net v);
+        Alcotest.(check (array int)) "fanouts"
+          (slice c.Netlist.Compact.fanout_head c.Netlist.Compact.fanout v)
+          (Netlist.fanouts net v);
+        Alcotest.(check int) "fanout_count"
+          (Array.length (Netlist.fanouts net v))
+          (Netlist.fanout_count net v)
+      done)
+    [ flop; two; (Transform.extract_comb two).Transform.comb ]
 
 let test_split () =
   let net = Convert.split Convert.Two (small_seq ()) in
@@ -86,7 +157,6 @@ let test_split () =
   Alcotest.(check int) "no flops left" 0 stats.Stats.n_flops;
   Alcotest.(check int) "one master" 1 stats.Stats.n_masters;
   Alcotest.(check int) "one slave" 1 stats.Stats.n_slaves;
-  Alcotest.(check bool) "still valid" true (Netlist.validate net = Ok ());
   (* the master feeds the slave *)
   let m = Option.get (Netlist.find net "ff$m") in
   let s = Option.get (Netlist.find net "ff$s") in
@@ -140,7 +210,6 @@ let test_extract_comb () =
       Alcotest.(check string) "gate origin" (Netlist.node_name comb g)
         (orig_name g))
     (Netlist.gates comb);
-  Alcotest.(check bool) "comb is valid" true (Netlist.validate comb = Ok ());
   Alcotest.(check int) "no seq nodes" 0 (Array.length (Netlist.seqs comb))
 
 let test_apply_retiming_initial_position () =
@@ -155,7 +224,6 @@ let test_apply_retiming_initial_position () =
   let staged = Transform.apply_retiming cc placements in
   let stats = Stats.compute staged in
   Alcotest.(check int) "two slaves" 2 stats.Stats.n_slaves;
-  Alcotest.(check bool) "valid" true (Netlist.validate staged = Ok ());
   (* every comb node keeps its id; the slaves come after them *)
   for v = 0 to Netlist.node_count comb - 1 do
     Alcotest.(check string) "comb id kept" (Netlist.node_name comb v)
@@ -166,6 +234,37 @@ let test_apply_retiming_initial_position () =
       Alcotest.(check bool) "slave appended" true
         (s >= Netlist.node_count comb))
     (Netlist.seqs staged)
+
+(* [pin_index] allocates its index array and nothing per placement or
+   pin. On the small circuit the index sits in the minor heap, so a
+   call's minor words are the array's and a few more; on 500- and
+   2000-gate designs the index is past the minor heap's largest block
+   (the major heap holds it), and a call costs the same few minor words
+   on both. *)
+let test_pin_index_allocation () =
+  let comb flop =
+    (Transform.extract_comb (Convert.split Convert.Two flop)).Transform.comb
+  in
+  let words net =
+    let placements = Transform.initial_placements net in
+    ignore (Transform.pin_index net placements : int array);
+    let before = Gc.minor_words () in
+    let index = Transform.pin_index net placements in
+    (Gc.minor_words () -. before, Array.length index)
+  in
+  let w, len = words (comb (small_seq ())) in
+  Alcotest.(check bool) "small: the index and a few words" true
+    (w <= float_of_int (len + 1) +. 16.);
+  let generated gates =
+    comb
+      (Rar_circuits.Generator.generate
+         { (Option.get (Rar_circuits.Spec.find "s1238")) with
+           Rar_circuits.Spec.n_gates = gates; depth = 12; seed = "pins" })
+  in
+  let w_small, _ = words (generated 500) and w_large, len = words (generated 2000) in
+  Alcotest.(check bool) "the index is past the minor heap" true (len > 256);
+  Alcotest.(check (float 0.)) "no words per placement or pin" w_small w_large;
+  Alcotest.(check bool) "a few words per call" true (w_large <= 16.)
 
 let test_apply_retiming_rejects_bad_pin () =
   let two = Convert.split Convert.Two (small_seq ()) in
@@ -548,7 +647,10 @@ let suite =
     Alcotest.test_case "seq cycle accepted" `Quick test_seq_cycle_accepted;
     Alcotest.test_case "duplicate names rejected" `Quick test_duplicate_names_rejected;
     Alcotest.test_case "arity checked" `Quick test_arity_checked;
-    Alcotest.test_case "fanin cone" `Quick test_cones;
+    Alcotest.test_case "fanout cone" `Quick test_cones;
+    Alcotest.test_case "freeze copies every row" `Quick test_freeze_copies_rows;
+    Alcotest.test_case "fanins and fanouts are CSR rows" `Quick
+      test_rows_are_csr;
     Alcotest.test_case "two-phase conversion" `Quick test_split;
     Alcotest.test_case "split passes latches through" `Quick
       test_split_passes_latches;
@@ -559,6 +661,8 @@ let suite =
       test_apply_retiming_initial_position;
     Alcotest.test_case "apply retiming rejects bad pin" `Quick
       test_apply_retiming_rejects_bad_pin;
+    Alcotest.test_case "pin_index allocates only its index" `Quick
+      test_pin_index_allocation;
     Alcotest.test_case "bench parse" `Quick test_bench_parse;
     Alcotest.test_case "bench roundtrip" `Quick test_bench_roundtrip;
     Alcotest.test_case "bench errors" `Quick test_bench_errors;
