@@ -176,11 +176,12 @@ let span_totals f =
       (List.sort compare (Hashtbl.fold (fun k v a -> (k, num v) :: a) totals [])),
     counters )
 
-(* The flow-engine effort counters published in every scale and ECO
-   row: max-flow phases and augmentations for the default closure
-   solve, pivots and block-pricing hits when network simplex runs, and
-   LP-prep pruning. A fixed list keeps the row shape stable; absent
-   counters read 0. *)
+(* The effort counters published in every scale and ECO row: max-flow
+   phases and augmentations for the default closure solve, pivots and
+   block-pricing hits when network simplex runs, LP-prep pruning, and
+   stage classification's sinks decided by the prune bound, the summed
+   cones of the others and the summed unions of their batches. A fixed
+   list keeps the row shape stable; absent counters read 0. *)
 let counters_json counters =
   Json.Obj
     (List.map
@@ -194,6 +195,9 @@ let counters_json counters =
          "netsimplex_cycle_arcs";
          "netsimplex_shift_nodes";
          "endpoints_pruned";
+         "stage_sinks_pruned";
+         "stage_cone_nodes";
+         "stage_sweep_nodes";
        ])
 
 (* ------------------------------------------------------------------ *)

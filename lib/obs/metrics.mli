@@ -6,8 +6,8 @@
 
     {b Counters} are algorithm-effort totals — [netsimplex_pivots],
     [maxflow_phases], [maxflow_augmentations], [sta_pin_relaxations],
-    [stage_cone_nodes], [solver_fallbacks], [sim_cycles],
-    [sim_events]. Kernels
+    [stage_cone_nodes], [stage_sweep_nodes], [stage_sinks_pruned],
+    [solver_fallbacks], [sim_cycles], [sim_events]. Kernels
     accumulate a local count and publish it once per call, so counter
     totals are deterministic: identical for the same work under any
     [RAR_JOBS] (atomic adds commute, and per-call counts do not depend

@@ -140,64 +140,83 @@ let compute_regions ~sta_an ~lib ~clocking net =
   | Some name -> Error (Error.Illegal_stage { node = name })
   | None -> Ok regions
 
-(* Per-sink classification state, owned by one chunk of one {!make} or
-   {!patch} call (see [Pool.map_adaptive_with]) and reused for every
-   sink of that chunk, so a sink costs O(|cone| + cone pins) rather
-   than O(n). Every entry is written before it is read for each sink,
-   so nothing is cleared between sinks. *)
+(* Per-batch classification state, owned by one chunk of one {!make}
+   or {!patch} call (see [Pool.map_adaptive_with]) and reused for every
+   batch of that chunk, so a batch costs O(lanes * (|union| + union
+   pins)) rather than O(n). Every entry is written before it is read
+   for each batch, so nothing is cleared between batches. *)
 type scratch = {
-  cone : Sta.cone;
-  flags : Bytes.t;  (* per node: the [f_*] bits below *)
-  cand : int array; (* nodes feeding the edge and cut lists *)
-  ill_buf : int array; (* pin positions, then copied out per sink *)
+  batch : Sta.batch;
+  flags : int array;     (* per node: the lane masks of the fields below *)
+  cand : int array;      (* nodes feeding the edge and cut lists *)
+  sort_tmp : int array;  (* the radix sort's second buffer *)
+  pin_lanes : int array; (* per union pin: illegal lanes, window lanes *)
+  ill_buf : int array;   (* pin positions of one lane, then copied out *)
   win_buf : int array;
 }
+
+let lanes = Sta.lanes
 
 let new_scratch sta_an =
   let cv = Netlist.compact (Sta.netlist sta_an) in
   let n = Netlist.Compact.n cv in
   let n_pins = Int.max 1 (Netlist.Compact.fanin_lo cv n) in
-  { cone = Sta.cone_scratch sta_an; flags = Bytes.create n;
-    cand = Array.make n 0; ill_buf = Array.make n_pins 0;
-    win_buf = Array.make n_pins 0 }
+  { batch = Sta.batch_scratch sta_an; flags = Array.make n 0;
+    cand = Array.make n 0; sort_tmp = Array.make n 0;
+    pin_lanes = Array.make n_pins 0;
+    ill_buf = Array.make n_pins 0; win_buf = Array.make n_pins 0 }
 
-(* Node flags of the sink being classified. *)
-let f_bad = 1      (* some source-to-node path passes no good position *)
-let f_late_in = 2  (* some fanin pin's A exceeds the period *)
-let f_good_out = 4 (* some cone out-edge is a good position *)
-let f_late_out = 8 (* some cone out-edge's A exceeds the period *)
-let f_ill_in = 16  (* some fanin pin's A exceeds the max delay *)
+(* A node's flags, each a lane mask (bit [l] for the batch's lane [l])
+   in its own [lanes]-bit field of one int, at these shifts. *)
+let f_bad = 0              (* some source-to-node path passes no good position *)
+let f_late_in = lanes      (* some fanin pin's A exceeds the period *)
+let f_good_out = 2 * lanes (* some cone out-edge is a good position *)
+let f_late_out = 3 * lanes (* some cone out-edge's A exceeds the period *)
+let f_ill_in = 4 * lanes   (* some fanin pin's A exceeds the max delay *)
 
-(* Ascending in-place heapsort of [a.(0 .. len-1)], monomorphic on
-   ints (the polymorphic [Array.sort] pays a closure call and a
-   generic compare per comparison). *)
-let sort_prefix (a : int array) len =
-  let rec sift root hi =
-    let child = (2 * root) + 1 in
-    if child < hi then begin
-      let child =
-        if child + 1 < hi && a.(child + 1) > a.(child) then child + 1
-        else child
-      in
-      if a.(child) > a.(root) then begin
-        let x = a.(root) in
-        a.(root) <- a.(child);
-        a.(child) <- x;
-        sift child hi
-      end
-    end
-  in
-  for i = (len / 2) - 1 downto 0 do
-    sift i len
+let all_lanes = (1 lsl lanes) - 1
+let[@inline] field flags f = (flags lsr f) land all_lanes
+
+(* Set bits of a lane mask ([lanes] = 8 bits). *)
+let popcount m =
+  let m = m - ((m lsr 1) land 0x55) in
+  let m = (m land 0x33) + ((m lsr 2) land 0x33) in
+  (m + (m lsr 4)) land 0x0f
+
+(* Ascending LSD radix sort of the node ids [a.(0 .. len-1)], all
+   below [n]: a byte per pass, through [tmp]. Linear in [len] plus 256
+   per pass, where a comparison sort of a batch's candidates (often
+   tens of thousands of nodes on the 100k row) is not. *)
+let sort_ids ~n (a : int array) (tmp : int array) len =
+  let count = Array.make 256 0 in
+  let src = ref a and dst = ref tmp and shift = ref 0 in
+  while 1 lsl !shift < n do
+    let s = !src and d = !dst and sh = !shift in
+    Array.fill count 0 256 0;
+    for i = 0 to len - 1 do
+      let b = (s.(i) lsr sh) land 255 in
+      count.(b) <- count.(b) + 1
+    done;
+    let at = ref 0 in
+    for b = 0 to 255 do
+      let c = count.(b) in
+      count.(b) <- !at;
+      at := !at + c
+    done;
+    for i = 0 to len - 1 do
+      let x = s.(i) in
+      let b = (x lsr sh) land 255 in
+      d.(count.(b)) <- x;
+      count.(b) <- count.(b) + 1
+    done;
+    src := d;
+    dst := s;
+    shift := sh + 8
   done;
-  for hi = len - 1 downto 1 do
-    let x = a.(0) in
-    a.(0) <- a.(hi);
-    a.(hi) <- x;
-    sift 0 hi
-  done
+  if !src != a then Array.blit !src 0 a 0 len
 
 let m_cone_nodes = Rar_obs.Metrics.counter "stage_cone_nodes"
+let m_sweep_nodes = Rar_obs.Metrics.counter "stage_sweep_nodes"
 let m_sinks_pruned = Rar_obs.Metrics.counter "stage_sinks_pruned"
 
 (* A sink decided by the prune bound: no slave position can be late. *)
@@ -205,162 +224,183 @@ let pruned = { cls = Never_ed; ill = [||]; win = [||]; empty_cut = false }
 
 let prefix buf len = if len = 0 then [||] else Array.sub buf 0 len
 
-(* Classification of one sink by its cone (paper §IV-A). While
-   scanning every latch position in the cone we also record the
-   positions that violate the max-delay bound for this sink (the
-   per-edge form of Constraint 7). Reads only the shared read-only
-   [sta_an] (whose [backward_all] cache {!make} forces before fan-out)
-   and [arcs], and writes only [sc], so sinks classify in parallel, one
-   scratch per chunk. [launchable u]: a slave just after [u] meets its
-   own setup against the closing edge (Constraint 6). *)
-let classify_cone ~sta_an ~clocking ~arcs ~launchable sc s =
+(* Classification of a batch of sinks by their cones (paper §IV-A),
+   lane [l] for [sinks.(l)]. While scanning every latch position in a
+   cone we also record the positions that violate the max-delay bound
+   for its sink (the per-edge form of Constraint 7). Reads only the
+   shared read-only [sta_an] (whose [backward_all] cache {!make} forces
+   before fan-out) and [arcs], and writes only [sc], so batches
+   classify in parallel, one scratch per chunk. [launchable u]: a slave
+   just after [u] meets its own setup against the closing edge
+   (Constraint 6). *)
+let classify_batch ~sta_an ~clocking ~arcs ~launchable sc sinks =
   (* {!Clocking.past_period} and {!Clocking.past_max_delay}, with their
      thresholds read once. *)
   let late_at = Clocking.period clocking +. Clocking.tolerance in
   let ill_at = Clocking.max_delay clocking +. Clocking.tolerance in
   let cv = Netlist.compact (Sta.netlist sta_an) in
-  let c = sc.cone in
-  Sta.load_cone sta_an c ~sink:s;
-  let size = Sta.cone_size c in
-  Rar_obs.Metrics.add m_cone_nodes size;
-  let nodes = Sta.cone_nodes c in
-  let a = Sta.cone_slave_arrivals sta_an c arcs in
+  let b = sc.batch in
+  Sta.load_batch sta_an b sinks;
+  let k = b.Sta.width and size = b.Sta.size in
+  let order = b.Sta.order and mask = b.Sta.mask and a = b.Sta.a in
+  Rar_obs.Metrics.add m_sweep_nodes size;
   let flags = sc.flags and cand = sc.cand in
   let tags = cv.Netlist.Compact.tags and head = cv.Netlist.Compact.fanin_head
   and fin = cv.Netlist.Compact.fanin in
-  let flag v = Char.code (Bytes.get flags v) in
-  let set_flag v f = Bytes.set flags v (Char.unsafe_chr f) in
-  (* One forward pass over the cone ([nodes] reversed is a topological
-     order), reading each pin's A once. A position (u,v) is legal when
+  (* One forward pass over the union, in its topological [order],
+     reading each pin's A once per lane. A position (u,v) is legal when
      [launchable u] and the capture meets max delay (per-edge
      Constraint 7); it is *good* when additionally the capture stays
-     out of the resiliency window. The pass takes the worst legal A,
-     runs the path DP — [f_bad]: some path to the node passed no good
-     position, so the sink can be made non-error-detecting iff it is
-     not bad — and records the g(t) conditions as node flags. A node's
-     flags are initialised when the pass reaches it, before any of its
-     fanouts (later in the order) set out-edge bits on it. Nodes with a
-     late fanin pin are collected as candidates: they hold every window
-     and illegal edge (max delay >= period) and every gate of g(t). *)
-  let a_max_legal = ref neg_infinity in
-  let n_cand = ref 0 and n_ill_nodes = ref 0 in
-  for i = size - 1 downto 0 do
-    let v = nodes.(i) in
-    if tags.(v) = Netlist.Compact.tag_input then set_flag v f_bad
+     out of the resiliency window. The pass records each pin's late and
+     illegal lanes and the lanes with a legal late position, runs the
+     path DP — [f_bad]: some path to the node passed no good position,
+     so a sink can be made non-error-detecting iff it is not bad — and
+     records the g(t) conditions as node flags, a bit per lane. A
+     node's flags are initialised when the pass reaches it, before any
+     of its fanouts (later in the order) set out-edge bits on it. Nodes
+     with a late fanin pin in some lane are collected as candidates:
+     they hold every window and illegal edge and every gate of g(t). *)
+  let pin_lanes = sc.pin_lanes in
+  let cone_nodes = ref 0 and n_cand = ref 0 and legal_late = ref 0 in
+  for i = 0 to size - 1 do
+    let v = order.(i) in
+    let mv = mask.(v) in
+    cone_nodes := !cone_nodes + popcount mv;
+    if tags.(v) = Netlist.Compact.tag_input then flags.(v) <- mv lsl f_bad
     else begin
-      let fv = ref 0 in
-      for p = head.(v) to head.(v + 1) - 1 do
-        let u = fin.(p) in
-        let ap = a.(p) in
-        let late = ap > late_at in
-        let good =
-          launchable.(u) && ap <= ill_at
-          && begin
-            if ap > !a_max_legal then a_max_legal := ap;
-            not late
+      Sta.batch_slave_arrivals sta_an b arcs v;
+      let bad = ref 0 and late_in = ref 0 and ill_in = ref 0 in
+      let lo = head.(v) in
+      for p = lo to head.(v + 1) - 1 do
+        let u = fin.(p) and j = (p - lo) * lanes in
+        let late = ref 0 and ill = ref 0 in
+        for l = 0 to k - 1 do
+          (* in bounds: [Sta.batch] sizes [a] for the widest node *)
+          let ap = Array.unsafe_get a (j + l) in
+          if ap > late_at then begin
+            late := !late lor (1 lsl l);
+            if ap > ill_at then ill := !ill lor (1 lsl l)
           end
+        done;
+        let late = !late and ill = !ill in
+        (* Max delay >= period, so a position is good iff its driver is
+           launchable and it is not late. A lane whose cone misses [v]
+           reads A = -inf, which is not late: only [v]'s own lanes have
+           a cone edge here. *)
+        let good =
+          if launchable.(u) then begin
+            legal_late := !legal_late lor (late land lnot ill);
+            mv land lnot late
+          end
+          else 0
         in
-        let fu = flag u in
-        if good then set_flag u (fu lor f_good_out)
-        else if fu land f_bad <> 0 then fv := !fv lor f_bad;
-        if late then begin
-          set_flag u (flag u lor f_late_out);
-          fv := !fv lor f_late_in;
-          if ap > ill_at then fv := !fv lor f_ill_in
-        end
+        let fu = flags.(u) in
+        flags.(u) <- fu lor (good lsl f_good_out) lor (late lsl f_late_out);
+        bad := !bad lor (field fu f_bad land lnot good);
+        late_in := !late_in lor late;
+        ill_in := !ill_in lor ill;
+        pin_lanes.(p) <- ill lor ((late land lnot ill) lsl lanes)
       done;
-      set_flag v !fv;
-      if !fv land f_late_in <> 0 then begin
-        cand.(!n_cand) <- v;
-        incr n_cand;
-        if !fv land f_ill_in <> 0 then incr n_ill_nodes
-      end
-    end
-  done;
-  let always = flag s land f_bad <> 0 in
-  let never = (not always) && !a_max_legal <= late_at in
-  let target = not (always || never) in
-  if target then
-    (* g(t) per Eq. 8-9, over legal positions: a node with a good
-       out-edge and a late position before it. A source has no fanin
-       pins; condition (9) uses its host-edge position, i.e. its own
-       cone out-edges. *)
-    for i = 0 to size - 1 do
-      let v = nodes.(i) in
-      if
-        tags.(v) = Netlist.Compact.tag_input
-        && flag v land (f_good_out lor f_late_out) = f_good_out lor f_late_out
-      then begin
+      flags.(v) <-
+        ((!bad land mv) lsl f_bad) lor (!late_in lsl f_late_in)
+        lor (!ill_in lsl f_ill_in);
+      if !late_in <> 0 then begin
         cand.(!n_cand) <- v;
         incr n_cand
       end
-    done
-  else begin
-    (* A Never_ed or Always_ed sink keeps only its illegal edges: narrow
-       the candidates to the nodes holding one (usually none, so
-       nothing is sorted). *)
-    let k = ref 0 in
-    if !n_ill_nodes > 0 then
-      for j = 0 to !n_cand - 1 do
-        let v = cand.(j) in
-        if flag v land f_ill_in <> 0 then begin
-          cand.(!k) <- v;
-          incr k
-        end
-      done;
-    n_cand := !k
-  end;
-  (* The arrays follow ascending node id, then pin order. *)
-  sort_prefix cand !n_cand;
-  let ill_buf = sc.ill_buf and win_buf = sc.win_buf in
-  let n_ill = ref 0 and n_win = ref 0 and cut = ref [] in
-  for j = 0 to !n_cand - 1 do
-    let v = cand.(j) in
-    let tg = tags.(v) in
-    if tg = Netlist.Compact.tag_input then cut := v :: !cut
-    else begin
-      for p = head.(v) to head.(v + 1) - 1 do
-        if a.(p) > ill_at then begin
-          ill_buf.(!n_ill) <- p;
-          incr n_ill
-        end
-        else if a.(p) > late_at then begin
-          win_buf.(!n_win) <- p;
-          incr n_win
-        end
-      done;
-      if
-        target && tg = Netlist.Compact.tag_gate
-        && flag v land f_good_out <> 0
-      then cut := v :: !cut
     end
   done;
-  let ill = prefix ill_buf !n_ill in
-  let none = { cls = Never_ed; ill; win = [||]; empty_cut = false } in
-  if always then { none with cls = Always_ed }
-  else if never then none
-  else if !cut = [] then { none with cls = Always_ed; empty_cut = true }
-  else
-    { none with cls = Target { cut = List.rev !cut };
-      win = prefix win_buf !n_win }
+  Rar_obs.Metrics.add m_cone_nodes !cone_nodes;
+  (* A sink is Always_ed when bad, else Never_ed when no legal position
+     is late, else a target. *)
+  let always = ref 0 in
+  for l = 0 to k - 1 do
+    if field flags.(sinks.(l)) f_bad land (1 lsl l) <> 0 then
+      always := !always lor (1 lsl l)
+  done;
+  let always = !always in
+  let target = !legal_late land lnot always in
+  (* Keep the candidates some lane lists: a late node of a target lane,
+     or a node holding an illegal edge in any lane (a Never_ed or
+     Always_ed sink keeps only its illegal edges). *)
+  let n = ref 0 in
+  for j = 0 to !n_cand - 1 do
+    let v = cand.(j) in
+    let f = flags.(v) in
+    if (field f f_late_in land target) lor field f f_ill_in <> 0 then begin
+      cand.(!n) <- v;
+      incr n
+    end
+  done;
+  (* g(t) per Eq. 8-9, over legal positions: a node with a good
+     out-edge and a late position before it. A source has no fanin
+     pins; condition (9) uses its host-edge position, i.e. its own cone
+     out-edges. *)
+  if target <> 0 then
+    for i = 0 to size - 1 do
+      let v = order.(i) in
+      let f = flags.(v) in
+      if
+        tags.(v) = Netlist.Compact.tag_input
+        && field f f_good_out land field f f_late_out land target <> 0
+      then begin
+        cand.(!n) <- v;
+        incr n
+      end
+    done;
+  let n_cand = !n in
+  (* The arrays follow ascending node id, then pin order. *)
+  sort_ids ~n:(Netlist.Compact.n cv) cand sc.sort_tmp n_cand;
+  let ill_buf = sc.ill_buf and win_buf = sc.win_buf in
+  Array.init k (fun l ->
+      let bit = 1 lsl l in
+      let is_target = target land bit <> 0 in
+      let n_ill = ref 0 and n_win = ref 0 and cut = ref [] in
+      for j = 0 to n_cand - 1 do
+        let v = cand.(j) in
+        let f = flags.(v) in
+        let tg = tags.(v) in
+        if tg = Netlist.Compact.tag_input then begin
+          if
+            is_target
+            && field f f_good_out land field f f_late_out land bit <> 0
+          then cut := v :: !cut
+        end
+        else if
+          field f f_late_in land bit <> 0
+          && (is_target || field f f_ill_in land bit <> 0)
+        then begin
+          for p = head.(v) to head.(v + 1) - 1 do
+            let pl = pin_lanes.(p) in
+            if pl land bit <> 0 then begin
+              ill_buf.(!n_ill) <- p;
+              incr n_ill
+            end
+            else if (pl lsr lanes) land bit <> 0 then begin
+              win_buf.(!n_win) <- p;
+              incr n_win
+            end
+          done;
+          if
+            is_target && tg = Netlist.Compact.tag_gate
+            && field f f_good_out land bit <> 0
+          then cut := v :: !cut
+        end
+      done;
+      let ill = prefix ill_buf !n_ill in
+      let none = { cls = Never_ed; ill; win = [||]; empty_cut = false } in
+      if always land bit <> 0 then { none with cls = Always_ed }
+      else if not is_target then none
+      else if !cut = [] then { none with cls = Always_ed; empty_cut = true }
+      else
+        { none with cls = Target { cut = List.rev !cut };
+          win = prefix win_buf !n_win })
 
-(* [never_late s]: the prune bound proves every slave position of [s]
-   early, so [s] is Never_ed with no edges and its cone is never
-   loaded. *)
-let classify_sink ~sta_an ~clocking ~arcs ~launchable ~never_late sc s =
-  if never_late s then begin
-    Rar_obs.Metrics.incr m_sinks_pruned;
-    pruned
-  end
-  else classify_cone ~sta_an ~clocking ~arcs ~launchable sc s
-
-(* Per node: a slave just after it meets its setup against the closing
-   edge (Constraint 6) — shared by every sink's classification. *)
-let launchable_nodes ~sta_an ~clocking ~latch =
+(* [can_launch u]: a slave just after [u] meets its setup against the
+   closing edge (Constraint 6). *)
+let can_launch ~sta_an ~clocking ~latch =
   let launch_by = launch_bound clocking latch in
-  Array.init
-    (Netlist.node_count (Sta.netlist sta_an))
-    (fun u -> Sta.df sta_an u <= launch_by)
+  fun u -> Sta.df sta_an u <= launch_by
 
 (* The prune test (DESIGN.md §13): a slave anywhere delays a sink by at
    most [d] ({!Sta.slave_delay_bound}), so a sink with
@@ -369,27 +409,62 @@ let launchable_nodes ~sta_an ~clocking ~latch =
    launchable, each source's out-edges are then good positions, no
    path is bad, and the sink is Never_ed: exactly what its cone scan
    would return. *)
-let never_late_test ~sta_an ~clocking ~latch ~launchable =
+let never_late_test ~sta_an ~clocking ~latch =
   let period = Clocking.period clocking in
   match Sta.slave_delay_bound sta_an ~clocking ~latch with
   | Some d
     when Array.for_all
-           (fun u -> launchable.(u))
+           (can_launch ~sta_an ~clocking ~latch)
            (Netlist.inputs (Sta.netlist sta_an)) ->
     fun s -> Sta.arrival_at_sink sta_an s +. d <= period
   | Some _ | None -> fun _ -> false
 
-(* Classify [sinks] over the domain pool, one scratch per chunk. *)
+(* Classify [sinks], in sink order. The prune bound decides what it
+   can first; the other sinks are cut, in sink order, into batches of
+   [lanes] (the last may be shorter) before dispatch, so the batches,
+   and the counters they add, are the same for every pool size. The
+   batches classify over the domain pool, one scratch per chunk. *)
 let classify_sinks ~sta_an ~clocking ~latch sinks =
   Rar_obs.Trace.span "stage/classify" @@ fun () ->
-  let launchable = launchable_nodes ~sta_an ~clocking ~latch in
-  let never_late = never_late_test ~sta_an ~clocking ~latch ~launchable in
-  let arcs = Sta.slave_arcs sta_an ~clocking ~latch in
-  Rar_util.Pool.map_adaptive_with
-    ~init:(fun () -> new_scratch sta_an)
+  let never_late = never_late_test ~sta_an ~clocking ~latch in
+  let decided = Array.map never_late sinks in
+  let open_ =
+    Array.of_list
+      (List.filteri (fun i _ -> not decided.(i)) (Array.to_list sinks))
+  in
+  let n_open = Array.length open_ in
+  Rar_obs.Metrics.add m_sinks_pruned (Array.length sinks - n_open);
+  let batches =
+    Array.init ((n_open + lanes - 1) / lanes) (fun i ->
+        Array.sub open_ (i * lanes) (Int.min lanes (n_open - (i * lanes))))
+  in
+  let classified =
+    if n_open = 0 then [||]
+    else begin
+      (* What every batch shares: per node, whether a slave after it
+         can launch, and the sink-independent half of Eq. 5. *)
+      let launchable =
+        Array.init
+          (Netlist.node_count (Sta.netlist sta_an))
+          (can_launch ~sta_an ~clocking ~latch)
+      in
+      let arcs = Sta.slave_arcs sta_an ~clocking ~latch in
+      Rar_util.Pool.map_adaptive_with
+        ~init:(fun () -> new_scratch sta_an)
+        batches
+        (classify_batch ~sta_an ~clocking ~arcs ~launchable)
+    end
+  in
+  let next = ref 0 in
+  Array.mapi
+    (fun i s ->
+      if decided.(i) then (s, pruned)
+      else begin
+        let r = classified.(!next / lanes).(!next mod lanes) in
+        incr next;
+        (s, r)
+      end)
     sinks
-    (fun sc s ->
-      (s, classify_sink ~sta_an ~clocking ~arcs ~launchable ~never_late sc s))
 
 (* Shared back half of {!make} and {!patch}: reject untimeable sinks,
    index the per-sink results and merge their illegal edges
@@ -453,22 +528,14 @@ let make ?(model = Sta.Path_based) ?source ?annot ~lib ~clocking cc =
   match compute_regions ~sta_an ~lib ~clocking net with
   | Error _ as e -> e
   | Ok regions ->
-    (* Per-sink classification is independent (each sink scans its
-       own fan-in cone against the shared read-only STA), so it fans
-       out across the domain pool. [backward_all]'s memo is already
-       forced by [compute_regions] above; force it regardless so the
-       shared [Sta.t] stays read-only inside the workers. *)
+    (* Batches classify independently (each sweeps its sinks' cones
+       against the shared read-only STA), so they fan out across the
+       domain pool; fewer than 512 batches run in place, so only
+       designs with thousands of undecided sinks dispatch.
+       [backward_all]'s memo is already forced by [compute_regions]
+       above; force it regardless so the shared [Sta.t] stays
+       read-only inside the workers. *)
     ignore (Sta.backward_all sta_an : float array);
-    (* Adaptive chunked dispatch: a sink classifies in O(|cone|) on a
-       reused scratch — tens of microseconds on the 24x64 pipeline —
-       so anything smaller than a few hundred sinks is cheaper to scan
-       in place than to ship through the pool (waking a domain costs
-       milliseconds on a contended host). ISCAS-scale circuits
-       (<= ~250 sinks) therefore stay on the sequential path; larger
-       endpoint sets are cut into a few chunks per worker, each with
-       its own scratch, so mid-size
-       designs fan out instead of tripping the pool's task-ratio
-       fallback the old fixed 256-sink grain hit. *)
     let classified =
       classify_sinks ~sta_an ~clocking ~latch (Netlist.outputs net)
     in

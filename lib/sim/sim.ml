@@ -208,60 +208,58 @@ let step ?on_event c st ~prev ~next =
     end
   done;
   let late_slave = ref [] in
-  let draining = ref true in
-  while !draining do
-    match Heap.pop_min q with
-    | None -> draining := false
-    | Some (t, item) ->
-      if item < 0 then begin
-        (* sample the driver's settled value at opening *)
-        let v = -1 - item in
-        let u = c.fanin.(c.fanin_head.(v)) in
-        if values.(u) <> values.(v) then begin
-          scheduled.(v) <- values.(u);
-          Heap.add q (t +. c.ck_to_q) (value_item v values.(u))
-        end
+  while q.Heap.size > 0 do
+    let t = q.Heap.prio.(0) and item = q.Heap.items.(0) in
+    Heap.remove_min q;
+    if item < 0 then begin
+      (* sample the driver's settled value at opening *)
+      let v = -1 - item in
+      let u = c.fanin.(c.fanin_head.(v)) in
+      if values.(u) <> values.(v) then begin
+        scheduled.(v) <- values.(u);
+        Heap.add q (t +. c.ck_to_q) (value_item v values.(u))
       end
-      else begin
-        let v = item lsr 1 and value = item land 1 = 1 in
-        if values.(v) <> value then begin
-          values.(v) <- value;
-          st.events <- st.events + 1;
-          emit on_event t v value;
-          for p = c.fanout_head.(v) to c.fanout_head.(v + 1) - 1 do
-            let w = c.fanout.(p) in
-            match c.role.(w) with
-            | Output ->
-              if values.(w) <> value then begin
-                values.(w) <- value;
+    end
+    else begin
+      let v = item lsr 1 and value = item land 1 = 1 in
+      if values.(v) <> value then begin
+        values.(v) <- value;
+        st.events <- st.events + 1;
+        emit on_event t v value;
+        for p = c.fanout_head.(v) to c.fanout_head.(v + 1) - 1 do
+          let w = c.fanout.(p) in
+          match c.role.(w) with
+          | Output ->
+            if values.(w) <> value then begin
+              values.(w) <- value;
+              scheduled.(w) <- value;
+              capture.(w) <- Float.max capture.(w) t;
+              st.events <- st.events + 1;
+              emit on_event t w value
+            end
+          | Slave ->
+            if t < c.open_t then () (* sampled at the opening edge *)
+            else if t <= c.close_t then begin
+              if scheduled.(w) <> value then begin
                 scheduled.(w) <- value;
-                capture.(w) <- Float.max capture.(w) t;
-                st.events <- st.events + 1;
-                emit on_event t w value
+                Heap.add q (t +. c.d_to_q) (value_item w value)
               end
-            | Slave ->
-              if t < c.open_t then () (* sampled at the opening edge *)
-              else if t <= c.close_t then begin
-                if scheduled.(w) <> value then begin
-                  scheduled.(w) <- value;
-                  Heap.add q (t +. c.d_to_q) (value_item w value)
-                end
-              end
-              else late_slave := w :: !late_slave
-            | Input | Inert -> ()
-            | Gate ->
-              (* Transport delay: evaluate against the current fanin
-                 values; [scheduled] holds the logically latest output,
-                 so an unchanged evaluation schedules nothing. *)
-              let nv = eval c values w in
-              if nv <> scheduled.(w) then begin
-                scheduled.(w) <- nv;
-                let d = if nv then c.rise.(w) else c.fall.(w) in
-                Heap.add q (t +. d) (value_item w nv)
-              end
-          done
-        end
+            end
+            else late_slave := w :: !late_slave
+          | Input | Inert -> ()
+          | Gate ->
+            (* Transport delay: evaluate against the current fanin
+               values; [scheduled] holds the logically latest output,
+               so an unchanged evaluation schedules nothing. *)
+            let nv = eval c values w in
+            if nv <> scheduled.(w) then begin
+              scheduled.(w) <- nv;
+              let d = if nv then c.rise.(w) else c.fall.(w) in
+              Heap.add q (t +. d) (value_item w nv)
+            end
+        done
       end
+    end
   done;
   let errors = ref [] and silent = ref [] and late = ref [] in
   let captures = ref [] in

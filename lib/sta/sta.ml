@@ -421,94 +421,179 @@ let arrival_with_slave_after t ~clocking ~latch ~u ~v ~db =
   Float.max (out_r +. db.rise.(v)) (out_f +. db.fall.(v))
 
 (* ------------------------------------------------------------------ *)
-(* Per-sink cone scratch                                               *)
+(* Lane-batched cone scratch                                           *)
 (* ------------------------------------------------------------------ *)
 
-type cone = {
+let lanes = 8
+
+type batch = {
   mutable epoch : int;
-  seen : int array;        (* [= epoch]: node is in the loaded cone *)
-  nodes : int array;       (* [0 .. size-1]: the cone, sink first *)
+  seen : int array;        (* [= epoch]: node is in the loaded union *)
+  order : int array;       (* [0 .. size-1]: the union, each node before its fanins *)
   mutable size : int;
+  mutable width : int;     (* sinks loaded: lanes [0 .. width-1] *)
   stack_v : int array;     (* DFS stack: node ... *)
   stack_p : int array;     (* ... and its next fanin pin position *)
-  cone_db : db;            (* D^b; entries valid on cone nodes only *)
-  a_pin : float array;     (* per fanin pin position: A(fanin, node, sink) *)
+  mask : int array;        (* per node: bit [l] iff in lane [l]'s cone *)
+  dbr : float array;       (* [v * lanes + l]: D^b(v, sink l), per polarity *)
+  dbf : float array;
+  a : float array;         (* [(p - fanin_lo v) * lanes + l]: A at one node *)
 }
 
-let cone_scratch t =
-  let n = Compact.n t.cv in
+let batch_scratch t =
+  let cv = t.cv in
+  let n = Compact.n cv in
+  let max_pins = ref 1 in
+  for v = 0 to n - 1 do
+    max_pins := Int.max !max_pins (Compact.fanin_hi cv v - Compact.fanin_lo cv v)
+  done;
   {
     epoch = 0;
     seen = Array.make n 0;
-    nodes = Array.make n 0;
+    order = Array.make n 0;
     size = 0;
+    width = 0;
     stack_v = Array.make n 0;
     stack_p = Array.make n 0;
-    cone_db =
-      { rise = Array.make n neg_infinity; fall = Array.make n neg_infinity };
-    a_pin = Array.make (Int.max 1 (Compact.fanin_lo t.cv n)) neg_infinity;
+    mask = Array.make n 0;
+    (* written before they are read, so left uninitialised *)
+    dbr = Array.create_float (n * lanes);
+    dbf = Array.create_float (n * lanes);
+    a = Array.create_float (!max_pins * lanes);
   }
 
-let cone_size c = c.size
-let cone_nodes c = c.nodes
-let cone_db c = c.cone_db
+(* Unchecked access to the lane arenas. Every index is [v * lanes + l]
+   with [v < n] and [l < width <= lanes], into arrays of [n * lanes]
+   (or, for [a], [p * lanes + l] with [p] under the widest node's pin
+   count): in bounds by construction. *)
+let[@inline] lget (x : float array) i = Array.unsafe_get x i
+let[@inline] lset (x : float array) i (y : float) = Array.unsafe_set x i y
 
-let load_cone t c ~sink =
-  check_sink "Sta.load_cone" t sink;
+(* Push backward times [c_r]/[c_f] into entry [i], keeping the worst. *)
+let[@inline] push dbr dbf i c_r c_f =
+  if c_r > lget dbr i then lset dbr i c_r;
+  if c_f > lget dbf i then lset dbf i c_f
+
+(* [relax_back] of node [w] in every loaded lane at once: the same
+   float expressions per lane, with the unateness dispatch hoisted out
+   of the lane loop. A lane whose cone misses [w] holds [neg_infinity]
+   there and pushes nothing, so the loops need not test the mask. *)
+let relax_lanes t b w =
   let cv = t.cv in
-  if Array.length c.seen <> Compact.n cv then
-    invalid_arg "Sta.load_cone: scratch built for another netlist";
-  c.epoch <- c.epoch + 1;
-  let ep = c.epoch in
-  let seen = c.seen and nodes = c.nodes in
-  let head = cv.Compact.fanin_head and fin = cv.Compact.fanin in
-  let stack_v = c.stack_v and stack_p = c.stack_p in
-  (* Iterative DFS from the sink along fanin edges; the reverse
-     postorder puts every cone node before its fanins (sink first),
-     exactly the processing order the backward DP needs, so the DP
-     touches only the |cone| nodes instead of scanning all n. *)
-  seen.(sink) <- ep;
-  stack_v.(0) <- sink;
-  stack_p.(0) <- head.(sink);
-  let top = ref 1 and k = ref 0 in
-  while !top > 0 do
-    let v = stack_v.(!top - 1) in
-    let p = stack_p.(!top - 1) in
-    if p < head.(v + 1) then begin
-      stack_p.(!top - 1) <- p + 1;
+  let fin = cv.Compact.fanin and head = cv.Compact.fanin_head in
+  let tg = cv.Compact.tags.(w) in
+  let k = b.width and dbr = b.dbr and dbf = b.dbf and mask = b.mask in
+  let wb = w * lanes in
+  if tg = Compact.tag_input then ()
+  else if tg = Compact.tag_output then begin
+    let u = fin.(head.(w)) in
+    let ub = u * lanes in
+    mask.(u) <- mask.(u) lor mask.(w);
+    for l = 0 to k - 1 do
+      push dbr dbf (ub + l) (lget dbr (wb + l)) (lget dbf (wb + l))
+    done
+  end
+  else begin
+    let m = mask.(w) in
+    for p = head.(w) to head.(w + 1) - 1 do
       let u = fin.(p) in
-      if seen.(u) <> ep then begin
-        seen.(u) <- ep;
-        stack_v.(!top) <- u;
-        stack_p.(!top) <- head.(u);
-        incr top
-      end
-    end
-    else begin
-      nodes.(!k) <- v;
-      incr k;
-      decr top
-    end
+      let ub = u * lanes in
+      mask.(u) <- mask.(u) lor m;
+      let code = t.unate.(p) and d_r = t.pa_rise.(p) and d_f = t.pa_fall.(p) in
+      if code = un_pos then
+        for l = 0 to k - 1 do
+          push dbr dbf (ub + l)
+            (d_r +. lget dbr (wb + l))
+            (d_f +. lget dbf (wb + l))
+        done
+      else if code = un_neg then
+        for l = 0 to k - 1 do
+          push dbr dbf (ub + l)
+            (d_f +. lget dbf (wb + l))
+            (d_r +. lget dbr (wb + l))
+        done
+      else if code = un_non then
+        for l = 0 to k - 1 do
+          let worst =
+            Float.max (d_r +. lget dbr (wb + l)) (d_f +. lget dbf (wb + l))
+          in
+          push dbr dbf (ub + l) worst worst
+        done
+      else
+        for l = 0 to k - 1 do
+          let c = d_r +. Float.max (lget dbr (wb + l)) (lget dbf (wb + l)) in
+          push dbr dbf (ub + l) c c
+        done
+    done
+  end
+
+(* Add [v] to the union of the loaded batch ([k] lanes, stamp [ep]),
+   with its lanes cleared: only the union's lanes are reset, and
+   nothing else is read. *)
+let[@inline] discover b k ep v =
+  b.seen.(v) <- ep;
+  b.mask.(v) <- 0;
+  let base = v * lanes in
+  for i = base to base + k - 1 do
+    lset b.dbr i neg_infinity;
+    lset b.dbf i neg_infinity
+  done
+
+let load_batch t b sinks =
+  let k = Array.length sinks in
+  if k < 1 || k > lanes then invalid_arg "Sta.load_batch: 1 to 8 sinks";
+  for l = 0 to k - 1 do
+    check_sink "Sta.load_batch" t sinks.(l)
   done;
-  let size = !k in
-  for i = 0 to (size / 2) - 1 do
-    let j = size - 1 - i in
-    let x = nodes.(i) in
-    nodes.(i) <- nodes.(j);
-    nodes.(j) <- x
+  let cv = t.cv in
+  if Array.length b.seen <> Compact.n cv then
+    invalid_arg "Sta.load_batch: scratch built for another netlist";
+  b.epoch <- b.epoch + 1;
+  b.width <- k;
+  let ep = b.epoch in
+  let seen = b.seen and order = b.order and mask = b.mask in
+  let head = cv.Compact.fanin_head and fin = cv.Compact.fanin in
+  let stack_v = b.stack_v and stack_p = b.stack_p in
+  (* One iterative DFS along fanin edges from each sink in turn, over
+     one [seen] stamp. In a DAG a node finishes after all its fanins,
+     whichever root reached it, so the postorder of the whole forest is
+     a topological order of the union: the backward DP runs it from the
+     end, with no sort and no pass over all n. *)
+  let size = ref 0 in
+  for l = 0 to k - 1 do
+    let s = sinks.(l) in
+    if seen.(s) <> ep then begin
+      discover b k ep s;
+      stack_v.(0) <- s;
+      stack_p.(0) <- head.(s);
+      let top = ref 1 in
+      while !top > 0 do
+        let v = stack_v.(!top - 1) in
+        let p = stack_p.(!top - 1) in
+        if p < head.(v + 1) then begin
+          stack_p.(!top - 1) <- p + 1;
+          let u = fin.(p) in
+          if seen.(u) <> ep then begin
+            discover b k ep u;
+            stack_v.(!top) <- u;
+            stack_p.(!top) <- head.(u);
+            incr top
+          end
+        end
+        else begin
+          order.(!size) <- v;
+          incr size;
+          decr top
+        end
+      done
+    end;
+    lset b.dbr ((s * lanes) + l) 0.;
+    lset b.dbf ((s * lanes) + l) 0.;
+    mask.(s) <- mask.(s) lor (1 lsl l)
   done;
-  c.size <- size;
-  (* Only cone entries are reset: the DP reads and writes nothing else. *)
-  let dbr = c.cone_db.rise and dbf = c.cone_db.fall in
-  for i = 0 to size - 1 do
-    let v = nodes.(i) in
-    dbr.(v) <- neg_infinity;
-    dbf.(v) <- neg_infinity
-  done;
-  dbr.(sink) <- 0.;
-  dbf.(sink) <- 0.;
-  for i = 0 to size - 1 do
-    relax_back t dbr dbf nodes.(i)
+  b.size <- !size;
+  for i = !size - 1 downto 0 do
+    relax_lanes t b order.(i)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -568,21 +653,25 @@ let slave_delay_bound t ~clocking ~latch =
     let slave = slave_timing clocking latch in
     Some (Float.max (slave.(0) -. t.launch_time) slave.(1))
 
-(* Eq. 5 per cone pin from the hoisted arcs: one add pair and a max. *)
-let cone_slave_arrivals t c arcs =
-  let head = t.cv.Compact.fanin_head and tags = t.cv.Compact.tags in
+(* Eq. 5 at every fanin pin of [v], in every loaded lane, from the
+   hoisted arcs: one add pair and a max per pin and lane. *)
+let batch_slave_arrivals t b arcs v =
+  let head = t.cv.Compact.fanin_head in
+  if Array.length b.seen <> Compact.n t.cv || v < 0 || v >= Array.length b.seen
+  then invalid_arg "Sta.batch_slave_arrivals: node outside the scratch";
+  let lo = head.(v) and hi = head.(v + 1) in
+  if (hi - lo) * lanes > Array.length b.a then
+    invalid_arg "Sta.batch_slave_arrivals: scratch built for another netlist";
   let out_r = arcs.out_rise and out_f = arcs.out_fall in
-  let dbr = c.cone_db.rise and dbf = c.cone_db.fall and a_pin = c.a_pin in
-  for i = 0 to c.size - 1 do
-    let v = c.nodes.(i) in
-    if tags.(v) <> Compact.tag_input then begin
-      let r = dbr.(v) and f = dbf.(v) in
-      for p = head.(v) to head.(v + 1) - 1 do
-        a_pin.(p) <- Float.max (out_r.(p) +. r) (out_f.(p) +. f)
-      done
-    end
-  done;
-  a_pin
+  let dbr = b.dbr and dbf = b.dbf and a = b.a and k = b.width in
+  let vb = v * lanes in
+  for p = lo to hi - 1 do
+    let o_r = out_r.(p) and o_f = out_f.(p) and j = (p - lo) * lanes in
+    for l = 0 to k - 1 do
+      lset a (j + l)
+        (Float.max (o_r +. lget dbr (vb + l)) (o_f +. lget dbf (vb + l)))
+    done
+  done
 
 let forward_with_latches t ~clocking ~latch index =
   let cv = t.cv in

@@ -126,48 +126,70 @@ val arrival_with_slave_after :
   db:db -> float
 (** [A(u,v,t)] of Eq. 5: worst arrival at the sink whose backward
     times are [db], through a slave latch on edge [(u,v)]. Allocates a
-    few boxed floats and a tuple per call; per-sink classification
-    evaluates [A] through {!cone_slave_arrivals} instead. *)
+    few boxed floats and a tuple per call; batched classification
+    evaluates [A] through {!batch_slave_arrivals} instead. *)
 
-(** {1 Per-sink cone scratch}
+(** {1 Lane-batched cone scratch}
 
-    Reusable buffers for the per-sink kernel of
-    {!Rar_retime.Stage} classification. A scratch is sized once for a
-    netlist (O(n + pins)) and then serves any number of sinks back to
-    back: loading a sink costs O(|cone| + cone pins) — nothing is
-    cleared or allocated per sink. A scratch is mutable, single-owner
-    state: never share one between domains or concurrent calls. *)
+    Reusable buffers for the batch kernel of {!Rar_retime.Stage}
+    classification: up to {!lanes} sinks at a time, sink [l] of a batch
+    in lane [l]. A scratch is sized once for a netlist (O(lanes * n +
+    pins)) and then serves any number of batches back to back: loading
+    one costs O(lanes * (|union| + union pins)), where the union is
+    every node in some loaded sink's fan-in cone — nothing is cleared
+    or allocated per batch. A scratch is mutable, single-owner state:
+    never share one between domains or concurrent calls. *)
 
-type cone
+val lanes : int
+(** Sinks per batch: 8. *)
 
-val cone_scratch : t -> cone
+type batch = private {
+  mutable epoch : int;
+  seen : int array;
+  order : int array;
+      (** [0 .. size-1]: the union in topological order, every node
+          after its fanins; later entries are stale *)
+  mutable size : int;  (** node count of the union *)
+  mutable width : int; (** sinks loaded, in lanes [0 .. width-1] *)
+  stack_v : int array;
+  stack_p : int array;
+  mask : int array;
+      (** per union node: bit [l] is set iff the node is in the fan-in
+          cone of lane [l]'s sink *)
+  dbr : float array;
+  dbf : float array;
+      (** [dbr.(v * lanes + l)]/[dbf.(v * lanes + l)]: on a union node
+          [v], [D^b(v, t)] for lane [l]'s sink [t] by polarity at [v],
+          bitwise {!backward_packed}, and [neg_infinity] when [v] is
+          outside that sink's cone *)
+  a : float array;
+      (** written by {!batch_slave_arrivals}: [a.((p - lo) * lanes + l)]
+          for fanin pin position [p] of one node whose pins start at
+          [lo] *)
+}
+(** The fields are the scratch's own — read-only outside this module.
+    Entries of nodes outside the union and of lanes past [width] are
+    stale. Per-batch kernels read them directly: under separate
+    compilation every accessor call is a real call. *)
+
+val batch_scratch : t -> batch
 (** Fresh scratch for [t]'s netlist; usable with any analysis of a
     netlist with the same node count and pin layout. *)
 
-val load_cone : t -> cone -> sink:int -> unit
-(** Load [sink]'s fan-in cone and its backward delays into the scratch,
-    replacing the previous sink's. Raises [Invalid_argument] if [sink]
-    is not an [Output] node or the scratch was built for a netlist of
-    another size. *)
-
-val cone_size : cone -> int
-(** Node count of the loaded cone. *)
-
-val cone_nodes : cone -> int array
-(** The loaded cone in its first {!cone_size} entries, ordered so every
-    node precedes its fanins (the sink first); entries past the cone
-    are stale. The buffer is the scratch's own: read-only. *)
-
-val cone_db : cone -> db
-(** The loaded sink's backward delays: on cone nodes, bitwise
-    [backward_packed t ~sink]; entries of other nodes are stale. The
-    arrays are the scratch's own: read-only. *)
+val load_batch : t -> batch -> int array -> unit
+(** [load_batch t b sinks] loads the fan-in cones of [sinks] (1 to
+    {!lanes} [Output] nodes, [sinks.(l)] into lane [l]) and their
+    backward delays into the scratch, replacing the previous batch's:
+    one DFS from every sink over one [seen] stamp, whose postorder is
+    the union's order, then one backward pass over it in every lane. Raises [Invalid_argument] if [sinks] is empty or longer
+    than {!lanes}, holds a node that is not an [Output], or the scratch
+    was built for a netlist of another size. *)
 
 (** {1 Slave arcs}
 
-    The sink-independent half of Eq. 5, hoisted out of the per-sink
+    The sink-independent half of Eq. 5, hoisted out of the batch
     kernel: computed once per analysis and clocking, read by every
-    sink's {!cone_slave_arrivals}. *)
+    batch's {!batch_slave_arrivals}. *)
 
 type slave_arcs
 (** Per fanin pin position [p] of a gate or sink [v], driven by [u]:
@@ -192,16 +214,17 @@ val slave_delay_bound :
     propagation to the sink keeps the shift); [None] when some node
     arrives earlier (a negative library arc, a gate without fanins). *)
 
-val cone_slave_arrivals : t -> cone -> slave_arcs -> float array
-(** Evaluate [A(u,v,t)] (Eq. 5) for the loaded sink at every fanin pin
-    position [p] of every non-input cone node [v], as
-    [max (out_rise p + D^b_rise v) (out_fall p + D^b_fall v)] over the
-    hoisted arcs: entry [p] of the returned per-pin array equals
-    [arrival_with_slave_after t ~clocking ~latch ~u ~v ~db] bitwise,
-    with [arcs = slave_arcs t ~clocking ~latch], [u] the pin's driver
-    and [db] the sink's backward delays. Other entries are stale; the
-    array is the scratch's own (read-only, overwritten by the next
-    call). Allocates nothing. *)
+val batch_slave_arrivals : t -> batch -> slave_arcs -> int -> unit
+(** [batch_slave_arrivals t b arcs v] evaluates [A(u,v,t)] (Eq. 5) at
+    every fanin pin position [p] of [v] (driven by [u]) in every loaded
+    lane, as [max (out_rise p + D^b_rise v) (out_fall p + D^b_fall v)]
+    over the hoisted arcs, into [b.a]: per lane whose cone holds [v],
+    bitwise [arrival_with_slave_after t ~clocking ~latch ~u ~v ~db] with
+    [arcs = slave_arcs t ~clocking ~latch] and [db] that sink's backward
+    delays; [neg_infinity] in the other lanes. [v] must be in the loaded
+    union (other nodes read stale lanes). Raises [Invalid_argument] when
+    the scratch was built for a netlist of another size or [v] has more
+    pins than any node of that netlist. Allocates nothing. *)
 
 val forward_with_latches :
   t -> clocking:Clocking.t -> latch:Liberty.seq_cell -> int array -> float array

@@ -34,33 +34,30 @@ let add t p x =
   prio.(!i) <- p;
   items.(!i) <- x
 
-let pop_min t =
-  let top = if t.size = 0 then None else Some (t.prio.(0), t.items.(0)) in
-  if t.size > 0 then begin
-    let last = t.size - 1 in
-    t.size <- last;
-    if last > 0 then begin
-      let prio = t.prio and items = t.items in
-      let p = prio.(last) and x = items.(last) in
-      let i = ref 0 and sifting = ref true in
-      while !sifting do
-        let l = (2 * !i) + 1 in
-        let r = l + 1 in
-        let c =
-          if l < last && prio.(l) < p then
-            if r < last && prio.(r) < prio.(l) then r else l
-          else if r < last && prio.(r) < p then r
-          else !i
-        in
-        if c = !i then sifting := false
-        else begin
-          prio.(!i) <- prio.(c);
-          items.(!i) <- items.(c);
-          i := c
-        end
-      done;
-      prio.(!i) <- p;
-      items.(!i) <- x
-    end
-  end;
-  top
+let remove_min t =
+  if t.size = 0 then invalid_arg "Heap.remove_min: empty heap";
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then begin
+    let prio = t.prio and items = t.items in
+    let p = prio.(last) and x = items.(last) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let r = l + 1 in
+      let c =
+        if l < last && prio.(l) < p then
+          if r < last && prio.(r) < prio.(l) then r else l
+        else if r < last && prio.(r) < p then r
+        else !i
+      in
+      if c = !i then sifting := false
+      else begin
+        prio.(!i) <- prio.(c);
+        items.(!i) <- items.(c);
+        i := c
+      end
+    done;
+    prio.(!i) <- p;
+    items.(!i) <- x
+  end

@@ -7,11 +7,24 @@
     smaller; sift-down prefers the left child over an equal right one),
     so the simulator's event order is deterministic. Priorities and
     payloads live in two flat arrays, so once they have grown {!add}
-    allocates nothing. *)
+    allocates nothing, and neither does reading the minimum or
+    {!remove_min}. *)
 
-type t
+type t = private {
+  mutable prio : float array;
+  mutable items : int array;
+  mutable size : int;
+}
+(** The heap's own arrays, read-only outside this module: [size]
+    entries, the minimum at index 0 of [prio] (its priority) and
+    [items] (its payload) when [size > 0]. A loop reads the top in
+    place, so no option, tuple or boxed float is made per entry (dev
+    builds compile with [-opaque], so nothing is inlined across
+    modules). *)
 
 val create : unit -> t
 val add : t -> float -> int -> unit
 
-val pop_min : t -> (float * int) option
+val remove_min : t -> unit
+(** Drop the minimum entry. Raises [Invalid_argument] on an empty
+    heap. *)

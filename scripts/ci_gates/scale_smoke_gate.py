@@ -5,7 +5,10 @@ Checks the schema and the field set of every row (one G-RAR row per
 circuit size), then finds the row of the gated size: its run_s must
 finish under the checked-in wall-clock ceiling, its peak RSS must stay
 under the checked-in memory ceiling, and the span totals and hot-path
-counters must be present and non-zero. CI runs it on a fresh
+counters must be present and non-zero. Stage classification's summed
+batch unions (stage_sweep_nodes) must stay at most half its summed
+cones (stage_cone_nodes), a host-independent check that sinks are
+classified in shared batches. CI runs it on a fresh
 `bench/main.exe scale` document and, in the lint job, on the
 checked-in one.
 
@@ -50,6 +53,15 @@ def main(argv):
     # augmentations, no simplex pivots
     assert g["counters"]["maxflow_phases"] > 0, g["counters"]
     assert g["counters"]["maxflow_augmentations"] > 0, g["counters"]
+    # stage classification sweeps batches of sinks: the summed batch
+    # unions stay at most half the summed cones of the sinks classified
+    # by cone, which per-sink cone walks (union = cone) would not meet
+    c = g["counters"]
+    for k in ("stage_sinks_pruned", "stage_cone_nodes", "stage_sweep_nodes"):
+        assert c.get(k, 0) > 0, (k, c)
+    assert c["stage_sweep_nodes"] <= c["stage_cone_nodes"] / 2, (
+        f"stage swept {c['stage_sweep_nodes']} nodes for "
+        f"{c['stage_cone_nodes']} cone nodes: batches share too little")
     assert g["n_slaves"] > 0 and g["p_ns"] > 0, g
     print(f"{g['circuit']}: grar {grar_s:.1f} s (ceiling {gcap:.0f} s), "
           f"peak RSS {rss} MB (ceiling {rss_cap} MB), {len(rows)} rows")

@@ -28,7 +28,13 @@ module Heap = struct
     Vec.add_last q.events ev
 
   let pop_min q =
-    Option.map (fun (t, i) -> (t, Vec.get q.events i)) (H.pop_min q.heap)
+    let h = q.heap in
+    if h.H.size = 0 then None
+    else begin
+      let t = h.H.prio.(0) and i = h.H.items.(0) in
+      H.remove_min h;
+      Some (t, Vec.get q.events i)
+    end
 end
 
 type event = Value of int * bool | Latch_wake of int

@@ -11,6 +11,7 @@ module Clocking = Rar_sta.Clocking
 module Spec = Rar_circuits.Spec
 module Generator = Rar_circuits.Generator
 module Suite = Rar_circuits.Suite
+module Fig4 = Rar_circuits.Fig4
 module Stage = Rar_retime.Stage
 module Rgraph = Rar_retime.Rgraph
 module Outcome = Rar_retime.Outcome
@@ -183,85 +184,122 @@ let test_sizing_noop_when_clean () =
 (* [Stage.make] against the dense first-written classifier
    ([Stage_ref]), bitwise: every sink's class (cut sets in order),
    longest-path bits and window edges in order, and the merged illegal
-   edge list in order. Random DAGs and carry-chain pipelines, both
-   delay models, both clocking schemes, each at the derived clock and
-   with a looser one (fewer window edges, more never-ED sinks). The
-   [stage_sinks_pruned] counter splits the compared sinks into those
-   the prune bound decided without their cone ([pruned]) and those
-   classified by their cone ([coned]). *)
+   edge list in order. The [stage_sinks_pruned] counter splits the
+   compared sinks into those the prune bound decided without their cone
+   ([pruned]) and those classified by their cone ([coned]); the latter
+   are cut, in sink order, into batches of [Sta.lanes], so a stage's
+   cone-classified count gives its full batches and whether its last is
+   a single sink or a partial batch. [None] when the stage is
+   rejected. *)
 let m_sinks_pruned = Rar_obs.Metrics.counter "stage_sinks_pruned"
 
-let prop_stage_matches_reference ~pruned ~coned =
-  QCheck.Test.make ~name:"Stage.make = dense reference classifier" ~count:8
-    QCheck.(int_bound 40)
-    (fun seed ->
-      let net =
-        if seed mod 2 = 0 then Generator.generate (small_spec seed)
-        else
-          Generator.pipeline ~width:6 ~seed:(Printf.sprintf "ref%d" seed)
-            ~stages:2 ()
-      in
-      let p = Suite.prepare net in
-      let lib = p.Suite.lib and cc = p.Suite.cc in
-      let latch = Liberty.latch lib in
-      let bits = Int64.bits_of_float in
-      List.for_all
-        (fun (model, clock) ->
-          let _, p0 =
-            Suite.derive_clocking ~clock
-              (Sta.analyse lib Sta.Path_based cc.Transform.comb)
-          in
-          let checked =
-            List.filter_map
-              (fun scale ->
-                let clocking = clock (p0 *. scale) in
-                let before = Rar_obs.Metrics.value m_sinks_pruned in
-                match Stage.make ~model ~lib ~clocking cc with
-                | Error _ -> None
-                | Ok st ->
-                  let n_pruned =
-                    Rar_obs.Metrics.value m_sinks_pruned - before
-                  in
-                  pruned := !pruned + n_pruned;
-                  coned := !coned + Array.length (Stage.sinks st) - n_pruned;
-                  let per_sink, illegal =
-                    Stage_ref.classify ~sta:(Stage.sta st) ~clocking ~latch
-                  in
-                  Some
-                    (Stage.illegal_edges st = illegal
-                    && Array.for_all
-                         (fun (s, r) ->
-                           Stage.classify st s = r.Stage_ref.cls
-                           && bits (Stage.max_path st s) = bits r.Stage_ref.mp
-                           &&
-                           match r.Stage_ref.cls with
-                           | Stage.Target _ ->
-                             Stage.window_edges st s = r.Stage_ref.win
-                           | Stage.Never_ed | Stage.Always_ed -> true)
-                         per_sink))
-              [ 1.0; 1.3 ]
-          in
-          checked <> [] && List.for_all Fun.id checked)
-        [ (Sta.Path_based, Clocking.of_p); (Sta.Gate_based, Clocking.of_p);
-          (Sta.Path_based, Clocking.of_p3); (Sta.Gate_based, Clocking.of_p3) ])
+type counts = {
+  pruned : int ref;
+  coned : int ref;
+  single : int ref;  (* single-sink batches *)
+  partial : int ref; (* batches of 2 to [Sta.lanes - 1] sinks *)
+  full : int ref;
+}
 
-(* The property under armed metrics, then the coverage check: across
-   its cases, both pruned and cone-classified sinks were compared. *)
+let stage_matches_reference c ~model ~lib ~clocking cc =
+  let before = Rar_obs.Metrics.value m_sinks_pruned in
+  match Stage.make ~model ~lib ~clocking cc with
+  | Error _ -> None
+  | Ok st ->
+    let n_pruned = Rar_obs.Metrics.value m_sinks_pruned - before in
+    let n_coned = Array.length (Stage.sinks st) - n_pruned in
+    c.pruned := !(c.pruned) + n_pruned;
+    c.coned := !(c.coned) + n_coned;
+    c.full := !(c.full) + (n_coned / Sta.lanes);
+    (match n_coned mod Sta.lanes with
+    | 0 -> ()
+    | 1 -> incr c.single
+    | _ -> incr c.partial);
+    let per_sink, illegal =
+      Stage_ref.classify ~sta:(Stage.sta st) ~clocking
+        ~latch:(Liberty.latch lib)
+    in
+    let bits = Int64.bits_of_float in
+    Some
+      (Stage.illegal_edges st = illegal
+      && Array.for_all
+           (fun (s, r) ->
+             Stage.classify st s = r.Stage_ref.cls
+             && bits (Stage.max_path st s) = bits r.Stage_ref.mp
+             &&
+             match r.Stage_ref.cls with
+             | Stage.Target _ -> Stage.window_edges st s = r.Stage_ref.win
+             | Stage.Never_ed | Stage.Always_ed -> true)
+           per_sink)
+
+(* Random DAGs (even seeds) and carry-chain pipelines (odd), both delay
+   models, both clocking schemes, each at the derived clock and with a
+   looser one (fewer window edges, more never-ED sinks). *)
+let reference_case c seed =
+  let net =
+    if seed mod 2 = 0 then Generator.generate (small_spec seed)
+    else
+      Generator.pipeline ~width:6 ~seed:(Printf.sprintf "ref%d" seed)
+        ~stages:2 ()
+  in
+  let p = Suite.prepare net in
+  let lib = p.Suite.lib and cc = p.Suite.cc in
+  List.for_all
+    (fun (model, clock) ->
+      let _, p0 =
+        Suite.derive_clocking ~clock
+          (Sta.analyse lib Sta.Path_based cc.Transform.comb)
+      in
+      let checked =
+        List.filter_map
+          (fun scale ->
+            stage_matches_reference c ~model ~lib ~clocking:(clock (p0 *. scale))
+              cc)
+          [ 1.0; 1.3 ]
+      in
+      checked <> [] && List.for_all Fun.id checked)
+    [ (Sta.Path_based, Clocking.of_p); (Sta.Gate_based, Clocking.of_p);
+      (Sta.Path_based, Clocking.of_p3); (Sta.Gate_based, Clocking.of_p3) ]
+
+(* The property under armed metrics, plus two fixed cases: the paper's
+   Fig. 4 circuit, whose one sink is classified alone, and pipeline
+   seed 1, whose stages cut 8 and 6 sinks into batches. Then the
+   coverage check: across all of them, both pruned and cone-classified
+   sinks were compared, the latter in single-sink, partial and full
+   batches. *)
 let test_stage_matches_reference =
-  let pruned = ref 0 and coned = ref 0 in
+  let c =
+    { pruned = ref 0; coned = ref 0; single = ref 0; partial = ref 0;
+      full = ref 0 }
+  in
   let name, speed, run =
-    QCheck_alcotest.to_alcotest (prop_stage_matches_reference ~pruned ~coned)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"Stage.make = dense reference classifier"
+         ~count:8 QCheck.(int_bound 40) (reference_case c))
   in
   Alcotest.test_case name speed (fun () ->
-      pruned := 0;
-      coned := 0;
+      List.iter (fun r -> r := 0) [ c.pruned; c.coned; c.single; c.partial; c.full ];
       let armed = Rar_obs.Metrics.enabled () in
       Rar_obs.Metrics.arm ();
       Fun.protect
         ~finally:(fun () -> if not armed then Rar_obs.Metrics.disarm ())
-        run;
-      Alcotest.(check bool) "pruned sinks compared" true (!pruned > 0);
-      Alcotest.(check bool) "cone-classified sinks compared" true (!coned > 0))
+        (fun () ->
+          run ();
+          Alcotest.(check bool) "pipeline seed 1 = reference" true
+            (reference_case c 1);
+          List.iter
+            (fun model ->
+              Alcotest.(check (option bool)) "Fig. 4 = reference" (Some true)
+                (stage_matches_reference c ~model ~lib:(Fig4.library ())
+                   ~clocking:Fig4.clocking (Fig4.circuit ())))
+            [ Sta.Path_based; Sta.Gate_based ]);
+      Alcotest.(check bool) "pruned sinks compared" true (!(c.pruned) > 0);
+      Alcotest.(check bool) "cone-classified sinks compared" true
+        (!(c.coned) > 0);
+      Alcotest.(check bool) "single-sink batches compared" true
+        (!(c.single) > 0);
+      Alcotest.(check bool) "partial batches compared" true (!(c.partial) > 0);
+      Alcotest.(check bool) "full batches compared" true (!(c.full) > 0))
 
 (* Every Rgraph LP, pinned through the public API: the constraints in
    emission order, the variable count and the bits of each objective

@@ -227,32 +227,62 @@ let cone_comb seed =
 
 let bits = Int64.bits_of_float
 
-(* The scratch loaded with [s] against a fresh dense [backward_packed]:
-   the cone is exactly the dense support, listed once, sink first and
-   every node before its fanins, with bitwise-equal delays on it. *)
-let cone_matches_dense sta comb c s =
+(* [sinks] cut into batches of [sizes] (cycled), in order. *)
+let batches ?(sizes = [ Sta.lanes ]) sinks =
+  let n = Array.length sinks in
+  let rec go at sz acc =
+    if at >= n then List.rev acc
+    else
+      let sz = if sz = [] then sizes else sz in
+      let k = Int.min (List.hd sz) (n - at) in
+      go (at + k) (List.tl sz) (Array.sub sinks at k :: acc)
+  in
+  go 0 sizes []
+
+(* The scratch loaded with [sinks] against a fresh dense
+   [backward_packed] per sink: the union is exactly the union of the
+   dense supports, listed once with every node after its fanins; a
+   node's lane bit is set iff it is in that lane's support, where its
+   delays are bitwise the dense ones, and they are [neg_infinity] off
+   it. *)
+let batch_matches_dense sta comb b sinks =
   let n = Netlist.node_count comb in
-  Sta.load_cone sta c ~sink:s;
-  let size = Sta.cone_size c and cone = Sta.cone_nodes c in
-  let db = Sta.cone_db c in
-  let dense = Sta.backward_packed sta ~sink:s in
+  Sta.load_batch sta b sinks;
+  let size = b.Sta.size and order = b.Sta.order in
   let pos = Array.make n (-1) in
   for i = 0 to size - 1 do
-    pos.(cone.(i)) <- i
+    pos.(order.(i)) <- i
   done;
-  let in_dense v =
-    dense.Sta.rise.(v) > neg_infinity || dense.Sta.fall.(v) > neg_infinity
+  let dense = Array.map (fun s -> Sta.backward_packed sta ~sink:s) sinks in
+  let in_dense l v =
+    dense.(l).Sta.rise.(v) > neg_infinity
+    || dense.(l).Sta.fall.(v) > neg_infinity
   in
-  let support = List.filter in_dense (List.init n Fun.id) in
-  List.length support = size
+  let lanes = List.init (Array.length sinks) Fun.id in
+  let union =
+    List.filter
+      (fun v -> List.exists (fun l -> in_dense l v) lanes)
+      (List.init n Fun.id)
+  in
+  b.Sta.width = Array.length sinks
+  && List.length union = size
   && List.for_all
        (fun v ->
          pos.(v) >= 0
-         && bits db.Sta.rise.(v) = bits dense.Sta.rise.(v)
-         && bits db.Sta.fall.(v) = bits dense.Sta.fall.(v)
-         && Array.for_all (fun u -> pos.(u) > pos.(v)) (Netlist.fanins comb v))
-       support
-  && cone.(0) = s
+         && Array.for_all (fun u -> pos.(u) < pos.(v)) (Netlist.fanins comb v)
+         && List.for_all
+              (fun l ->
+                let at = (v * Sta.lanes) + l in
+                let r = b.Sta.dbr.(at) and f = b.Sta.dbf.(at) in
+                if in_dense l v then
+                  b.Sta.mask.(v) land (1 lsl l) <> 0
+                  && bits r = bits dense.(l).Sta.rise.(v)
+                  && bits f = bits dense.(l).Sta.fall.(v)
+                else
+                  b.Sta.mask.(v) land (1 lsl l) = 0
+                  && r = neg_infinity && f = neg_infinity)
+              lanes)
+       union
 
 let prop_cone_matches_backward =
   QCheck.Test.make ~name:"cone scratch = backward on every node" ~count:10
@@ -260,13 +290,14 @@ let prop_cone_matches_backward =
     (fun seed ->
       let comb = cone_comb seed in
       let sta = Sta.analyse (Liberty.default ()) Sta.Path_based comb in
-      Array.for_all
-        (fun s -> cone_matches_dense sta comb (Sta.cone_scratch sta) s)
-        (Netlist.outputs comb))
+      List.for_all
+        (fun sinks -> batch_matches_dense sta comb (Sta.batch_scratch sta) sinks)
+        (batches (Netlist.outputs comb)))
 
-(* One scratch serving many sinks back to back — both delay models of
-   the same netlist, every sink in reverse, then forward order — must
-   keep matching fresh dense results: no state leaks between sinks. *)
+(* One scratch serving many batches back to back — both delay models
+   of the same netlist, every sink in reverse, then forward order, in
+   batches of 1 to [Sta.lanes] sinks — must keep matching fresh dense
+   results: no state leaks between batches or from wider ones. *)
 let prop_cone_scratch_reused =
   QCheck.Test.make ~name:"one cone scratch serves many sinks" ~count:5
     QCheck.(int_bound 20)
@@ -274,18 +305,42 @@ let prop_cone_scratch_reused =
       let comb = cone_comb seed in
       let lib = Liberty.default () in
       let sinks = Netlist.outputs comb in
-      let c = Sta.cone_scratch (Sta.analyse lib Sta.Path_based comb) in
+      let b = Sta.batch_scratch (Sta.analyse lib Sta.Path_based comb) in
+      let sizes = [ 8; 1; 3; 8; 2; 5; 7; 4; 6 ] in
       List.for_all
         (fun model ->
           let sta = Sta.analyse lib model comb in
-          let order =
-            Array.append (Array.of_list (List.rev (Array.to_list sinks))) sinks
-          in
-          Array.for_all (cone_matches_dense sta comb c) order)
+          let rev = Array.of_list (List.rev (Array.to_list sinks)) in
+          List.for_all
+            (batch_matches_dense sta comb b)
+            (batches ~sizes rev @ batches ~sizes:(List.rev sizes) sinks))
         [ Sta.Path_based; Sta.Gate_based ])
 
+(* [f v p l u] at every fanin pin [p] (driven by [u]) of every
+   non-input union node [v] and every lane [l] of the loaded batch,
+   after {!Sta.batch_slave_arrivals} of [v]. *)
+let for_all_union_pins sta comb b arcs f =
+  let cv = Netlist.compact comb in
+  let ok = ref true in
+  for i = 0 to b.Sta.size - 1 do
+    let v = b.Sta.order.(i) in
+    if Netlist.kind comb v <> Netlist.Input then begin
+      Sta.batch_slave_arrivals sta b arcs v;
+      let lo = Netlist.Compact.fanin_lo cv v in
+      for p = lo to Netlist.Compact.fanin_hi cv v - 1 do
+        for l = 0 to b.Sta.width - 1 do
+          if not (f v l (Netlist.Compact.fanin cv p)
+                    b.Sta.a.(((p - lo) * Sta.lanes) + l))
+          then ok := false
+        done
+      done
+    end
+  done;
+  !ok
+
 (* The per-pin A kernel over the hoisted slave arcs equals
-   [arrival_with_slave_after] bitwise. *)
+   [arrival_with_slave_after] bitwise in every lane whose cone holds
+   the node, and is [neg_infinity] in the others. *)
 let prop_cone_slave_arrivals =
   QCheck.Test.make ~name:"cone A kernel = arrival_with_slave_after" ~count:5
     QCheck.(int_bound 20)
@@ -293,34 +348,23 @@ let prop_cone_slave_arrivals =
       let comb = cone_comb seed in
       let lib = Liberty.default () in
       let latch = Liberty.latch lib in
-      let cv = Netlist.compact comb in
       List.for_all
         (fun (model, clocking) ->
           let sta = Sta.analyse lib model comb in
-          let c = Sta.cone_scratch sta in
+          let b = Sta.batch_scratch sta in
           let arcs = Sta.slave_arcs sta ~clocking ~latch in
-          Array.for_all
-            (fun s ->
-              Sta.load_cone sta c ~sink:s;
-              let a = Sta.cone_slave_arrivals sta c arcs in
-              let db = Sta.backward_packed sta ~sink:s in
-              let cone = Sta.cone_nodes c in
-              let ok = ref true in
-              for i = 0 to Sta.cone_size c - 1 do
-                let v = cone.(i) in
-                if Netlist.kind comb v <> Netlist.Input then
-                  for p = Netlist.Compact.fanin_lo cv v
-                          to Netlist.Compact.fanin_hi cv v - 1 do
-                    let u = Netlist.Compact.fanin cv p in
-                    let want =
-                      Sta.arrival_with_slave_after sta ~clocking ~latch ~u ~v
-                        ~db
-                    in
-                    if bits a.(p) <> bits want then ok := false
-                  done
-              done;
-              !ok)
-            (Netlist.outputs comb))
+          List.for_all
+            (fun sinks ->
+              Sta.load_batch sta b sinks;
+              let db = Array.map (fun s -> Sta.backward_packed sta ~sink:s) sinks in
+              for_all_union_pins sta comb b arcs (fun v l u a ->
+                  if b.Sta.mask.(v) land (1 lsl l) <> 0 then
+                    bits a
+                    = bits
+                        (Sta.arrival_with_slave_after sta ~clocking ~latch ~u
+                           ~v ~db:db.(l))
+                  else a = neg_infinity))
+            (batches ~sizes:[ 8; 3; 1 ] (Netlist.outputs comb)))
         [ (Sta.Path_based, Clocking.of_p 2.0);
           (Sta.Gate_based, Clocking.of_p3 2.0) ])
 
@@ -334,51 +378,45 @@ let prop_slave_delay_bound =
       let comb = cone_comb seed in
       let lib = Liberty.default () in
       let latch = Liberty.latch lib in
-      let cv = Netlist.compact comb in
       List.for_all
         (fun (model, clocking) ->
           let sta = Sta.analyse lib model comb in
           match Sta.slave_delay_bound sta ~clocking ~latch with
           | None -> false
           | Some d ->
-            let c = Sta.cone_scratch sta in
+            let b = Sta.batch_scratch sta in
             let arcs = Sta.slave_arcs sta ~clocking ~latch in
-            Array.for_all
-              (fun s ->
-                Sta.load_cone sta c ~sink:s;
-                let a = Sta.cone_slave_arrivals sta c arcs in
-                let bound = Sta.arrival_at_sink sta s +. d +. 1e-12 in
-                let cone = Sta.cone_nodes c and ok = ref true in
-                for i = 0 to Sta.cone_size c - 1 do
-                  let v = cone.(i) in
-                  if Netlist.kind comb v <> Netlist.Input then
-                    for p = Netlist.Compact.fanin_lo cv v
-                            to Netlist.Compact.fanin_hi cv v - 1 do
-                      if a.(p) > bound then ok := false
-                    done
-                done;
-                !ok)
-              (Netlist.outputs comb))
+            List.for_all
+              (fun sinks ->
+                Sta.load_batch sta b sinks;
+                for_all_union_pins sta comb b arcs (fun _ l _ a ->
+                    a <= Sta.arrival_at_sink sta sinks.(l) +. d +. 1e-12))
+              (batches (Netlist.outputs comb)))
         [ (Sta.Path_based, Clocking.of_p 2.0);
           (Sta.Gate_based, Clocking.of_p3 2.0);
           (Sta.Path_based, Clocking.of_p 0.5) ])
 
-(* The per-pin A evaluation allocates nothing: a call costs the same
-   minor words on the sink with the smallest cone as on the one with
-   the most pins. *)
+(* Loading a batch and evaluating A allocate nothing: the same minor
+   words (none) for one sink with the smallest cone as for a full batch
+   of the largest ones. *)
 let test_cone_slave_arrivals_allocation_free () =
   let comb = cone_comb 3 in
   let lib = Liberty.default () in
   let latch = Liberty.latch lib and clocking = Clocking.of_p 2.0 in
   let sta = Sta.analyse lib Sta.Path_based comb in
-  let c = Sta.cone_scratch sta in
+  let b = Sta.batch_scratch sta in
   let arcs = Sta.slave_arcs sta ~clocking ~latch in
-  let words_per_call s =
-    Sta.load_cone sta c ~sink:s;
-    ignore (Sta.cone_slave_arrivals sta c arcs : float array);
+  let sweep sinks =
+    Sta.load_batch sta b sinks;
+    for i = 0 to b.Sta.size - 1 do
+      Sta.batch_slave_arrivals sta b arcs b.Sta.order.(i)
+    done
+  in
+  let words_per_call sinks =
+    sweep sinks;
     let before = Gc.minor_words () in
     for _ = 1 to 100 do
-      ignore (Sta.cone_slave_arrivals sta c arcs : float array)
+      sweep sinks
     done;
     (Gc.minor_words () -. before) /. 100.
   in
@@ -387,14 +425,16 @@ let test_cone_slave_arrivals_allocation_free () =
       (Array.to_list
          (Array.map
             (fun s ->
-              Sta.load_cone sta c ~sink:s;
-              (Sta.cone_size c, s))
+              Sta.load_batch sta b [| s |];
+              (b.Sta.size, s))
             (Netlist.outputs comb)))
   in
   let small_n, small = List.hd by_size in
-  let large_n, large = List.hd (List.rev by_size) in
-  Alcotest.(check bool) "cones differ in size" true (large_n > 10 * small_n);
-  let w_small = words_per_call small and w_large = words_per_call large in
+  let large = Array.of_list (List.filteri (fun i _ -> i < Sta.lanes) (List.rev by_size)) in
+  Sta.load_batch sta b (Array.map snd large);
+  Alcotest.(check bool) "unions differ in size" true (b.Sta.size > 10 * small_n);
+  let w_small = words_per_call [| small |]
+  and w_large = words_per_call (Array.map snd large) in
   Alcotest.(check (float 0.)) "no words per pin" w_small w_large;
   Alcotest.(check (float 0.)) "nothing allocated per call" 0. w_large
 

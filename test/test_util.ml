@@ -27,12 +27,21 @@ let test_vec_bounds () =
   Alcotest.check_raises "get oob" (Invalid_argument "Vec.get: index 3 out of bounds (len 3)")
     (fun () -> ignore (Vec.get v 3))
 
+(* The top entry of [h], removed: the simulator's read-then-remove. *)
+let heap_pop h =
+  if h.Heap.size = 0 then None
+  else begin
+    let top = (h.Heap.prio.(0), h.Heap.items.(0)) in
+    Heap.remove_min h;
+    Some top
+  end
+
 let test_heap_sorts () =
   let h = Heap.create () in
   let input = [ 5.; 1.; 4.; 1.5; 9.; 0.; 2. ] in
   List.iter (fun p -> Heap.add h p (int_of_float (p *. 10.))) input;
   let rec drain acc =
-    match Heap.pop_min h with
+    match heap_pop h with
     | None -> List.rev acc
     | Some (p, _) -> drain (p :: acc)
   in
@@ -41,10 +50,13 @@ let test_heap_sorts () =
 
 let test_heap_empty () =
   let h = Heap.create () in
-  Alcotest.(check bool) "pop empty" true (Heap.pop_min h = None);
+  Alcotest.(check int) "empty" 0 h.Heap.size;
+  Alcotest.check_raises "remove from empty"
+    (Invalid_argument "Heap.remove_min: empty heap") (fun () ->
+      Heap.remove_min h);
   Heap.add h 1.5 7;
-  Alcotest.(check bool) "pop last" true (Heap.pop_min h = Some (1.5, 7));
-  Alcotest.(check bool) "pop drained" true (Heap.pop_min h = None)
+  Alcotest.(check bool) "pop last" true (heap_pop h = Some (1.5, 7));
+  Alcotest.(check int) "drained" 0 h.Heap.size
 
 let test_rng_deterministic () =
   let a = Rng.make 7 and b = Rng.make 7 in
@@ -212,7 +224,7 @@ let prop_heap_matches_sort =
       let h = Heap.create () in
       List.iter (fun p -> Heap.add h p 0) input;
       let rec drain acc =
-        match Heap.pop_min h with
+        match heap_pop h with
         | None -> List.rev acc
         | Some (p, _) -> drain (p :: acc)
       in
@@ -274,7 +286,7 @@ let prop_heap_tie_order =
     QCheck.(list (option (int_bound 3)))
     (fun script ->
       let h = Heap.create () and r = Swap_heap.create () in
-      let agree () = Heap.pop_min h = Swap_heap.pop r in
+      let agree () = heap_pop h = Swap_heap.pop r in
       List.for_all Fun.id
         (List.mapi
            (fun i op ->
