@@ -54,40 +54,46 @@ let with_jobs j f =
   Pool.set_jobs j;
   Fun.protect ~finally:(fun () -> Pool.set_jobs jobs_effective) f
 
-(* The checked-out revision, read from .git as rarbench reads it (a
-   packed ref included); null outside a checkout. *)
-let git_rev () =
-  let read f = String.trim (In_channel.with_open_text f In_channel.input_all) in
-  let packed r =
-    match read ".git/packed-refs" with
-    | exception Sys_error _ -> None
-    | text ->
-      List.find_map
-        (fun line ->
-          match String.split_on_char ' ' line with
-          | [ sha; r' ] when r' = r -> Some sha
-          | _ -> None)
-        (String.split_on_char '\n' text)
+(* The digest of the sources the numbers come from, read from the
+   checkout in the cwd (null outside one): one MD5 over every [*.ml],
+   [*.mli] and [dune] file under lib/, bin/ and bench/, names beginning
+   with a dot skipped, in ascending byte order of relative path — each
+   file as its path, a newline, its byte length in decimal, a newline
+   and its bytes. EXPERIMENTS.md gives the encoding, and the CI gates
+   recompute it from the tree, so a document written before a source
+   change reads stale. *)
+let src_digest () =
+  let rec walk dir acc =
+    Array.fold_left
+      (fun acc name ->
+        let path = dir ^ "/" ^ name in
+        if name.[0] = '.' then acc
+        else if Sys.is_directory path then walk path acc
+        else if
+          name = "dune"
+          || Filename.check_suffix name ".ml"
+          || Filename.check_suffix name ".mli"
+        then path :: acc
+        else acc)
+      acc (Sys.readdir dir)
   in
-  let rev =
-    match read ".git/HEAD" with
-    | exception Sys_error _ -> None
-    | head -> (
-      match Scanf.sscanf_opt head "ref: %s" Fun.id with
-      | None -> Some head
-      | Some r -> (
-        match read (Filename.concat ".git" r) with
-        | sha -> Some sha
-        | exception Sys_error _ -> packed r))
-  in
-  Option.fold ~none:Json.Null ~some:(fun s -> Json.String s) rev
+  match List.fold_right walk [ "lib"; "bin"; "bench" ] [] with
+  | exception Sys_error _ -> Json.Null
+  | files ->
+    let b = Buffer.create (1 lsl 20) in
+    List.iter
+      (fun path ->
+        let text = In_channel.with_open_bin path In_channel.input_all in
+        Printf.bprintf b "%s\n%d\n%s" path (String.length text) text)
+      (List.sort compare files);
+    Json.String (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let host () =
   Json.Obj
     [
       ("cores", Json.Int (Pool.host_cores ()));
       ("jobs_effective", Json.Int jobs_effective);
-      ("git_rev", git_rev ());
+      ("src_digest", src_digest ());
     ]
 
 (* The one writer of every BENCH document. A container whose compact
@@ -334,7 +340,7 @@ let run_eval () =
   write_doc "BENCH_eval.json"
     (Json.Obj
        [
-         ("schema", Json.String "rar-bench-eval/3");
+         ("schema", Json.String "rar-bench-eval/4");
          ("host", host ());
          ("kernels", Json.List kernels);
          ("overhead", overhead);
@@ -428,7 +434,7 @@ let run_scale () =
   write_doc "BENCH_scale.json"
     (Json.Obj
        [
-         ("schema", Json.String "rar-bench-scale/4");
+         ("schema", Json.String "rar-bench-scale/5");
          ("host", host ());
          ("curve", Json.List rows);
        ])
@@ -541,7 +547,7 @@ let run_eco () =
   write_doc "BENCH_eco.json"
     (Json.Obj
        [
-         ("schema", Json.String "rar-bench-eco/2");
+         ("schema", Json.String "rar-bench-eco/3");
          ("host", host ());
          ("total_s", num total_s);
          ("eco", eco);

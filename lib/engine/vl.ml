@@ -13,19 +13,6 @@ type variant = Nvl | Evl | Rvl
 
 let label = function Nvl -> "NVL" | Evl -> "EVL" | Rvl -> "RVL"
 
-(* Setup constraints a non-ED master imposes on the retimer: no slave
-   latch on any cone edge whose A exceeds the period, and no source may
-   keep its shared initial latch if that would cover such an edge. *)
-let forbidden_for stage sink =
-  let net = Stage.comb stage in
-  let edges = Stage.window_edges stage sink in
-  List.sort_uniq compare
-    (List.concat_map
-       (fun (u, v) ->
-         if Netlist.kind net u = Netlist.Input then [ (u, v); (u, u) ]
-         else [ (u, v) ])
-       edges)
-
 let seed_types stage variant =
   let sinks = Array.to_list (Stage.sinks stage) in
   match variant with
@@ -35,6 +22,8 @@ let seed_types stage variant =
 
 let run ~deadline ~solve ~post_swap ~c variant stage =
   let sinks = Array.to_list (Stage.sinks stage) in
+  let cv = Netlist.compact (Stage.comb stage) in
+  let n_pins = Array.length cv.Netlist.Compact.fanin in
   let initial_ed = seed_types stage variant in
   let clocking = Stage.clocking stage in
   (* Masters that can never avoid the window cannot honour a non-ED
@@ -98,11 +87,17 @@ let run ~deadline ~solve ~post_swap ~c variant stage =
       let ed_tbl = Hashtbl.create (1 + List.length ed_set) in
       List.iter (fun s -> Hashtbl.replace ed_tbl s ()) ed_set;
       let non_ed = List.filter (fun s -> not (Hashtbl.mem ed_tbl s)) sinks in
-      (* Per-sink setup-constraint prep reads only the stage's cached
-         window edges; concatenated in sink order, which is the LP's
-         constraint emission order. *)
-      let forbidden = List.concat_map (forbidden_for stage) non_ed in
-      let g = Rgraph.build ~forbidden_edges:forbidden ~bias_early:true stage in
+      (* Setup constraints the non-ED masters impose on the retimer:
+         no slave on their window pins, where A exceeds the period (nor
+         a source's initial slave over one). One set for the round. *)
+      let forbidden = Array.make n_pins false in
+      List.iter
+        (fun s ->
+          Array.iter
+            (fun p -> forbidden.(p) <- true)
+            (Stage.window_pins stage s))
+        non_ed;
+      let g = Rgraph.build ~forbidden_pins:forbidden ~bias_early:true stage in
       match solve g with
       | Ok r -> finish ed_set rounds g r
       | Error _ ->

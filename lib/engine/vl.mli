@@ -36,7 +36,10 @@ val run :
   Lp_tail.run
 (** Seed the master types, then retime under the typed setup
     constraints, flipping the non-ED master with the longest path to
-    error-detecting whenever the LP is infeasible. [deadline] is
+    error-detecting whenever the LP is infeasible. Each retype round
+    builds one forbidden set, the {!Stage.window_pins} of every non-ED
+    master, as a per-pin mark for {!Rar_retime.Rgraph.build}, which
+    forbids each of its edges once. [deadline] is
     force-checked at the top of every retype round (phase
     ["vl-retype"]). The round that solves ends in {!Lp_tail.finish}:
     typed-ED sinks are size-fixed to the max-delay bound, the rest to

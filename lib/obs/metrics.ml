@@ -116,19 +116,17 @@ let () =
 let pool_jobs_requested = gauge "pool_jobs_requested"
 let pool_jobs_effective = gauge "pool_jobs_effective"
 let pool_seq_nested = gauge "pool_seq_fallback_nested"
-let pool_seq_single = gauge "pool_seq_fallback_single_chunk"
+let pool_seq_single = gauge "pool_seq_fallback_single_element"
 let pool_seq_host = gauge "pool_seq_fallback_host_clamp"
-let pool_seq_ratio = gauge "pool_seq_fallback_task_ratio"
 
 let () =
   Pool.set_decision_hook
     (Some
-       (fun ~requested ~effective ~n_tasks:_ ~reason ->
+       (fun ~requested ~effective ~reason ->
          set pool_jobs_requested requested;
          set pool_jobs_effective effective;
          match reason with
          | "nested" -> add pool_seq_nested 1
-         | "single_chunk" -> add pool_seq_single 1
+         | "single_element" -> add pool_seq_single 1
          | "host_clamp" when effective = 1 -> add pool_seq_host 1
-         | "task_ratio" -> add pool_seq_ratio 1
          | _ -> ()))

@@ -14,8 +14,8 @@
     on scheduling).
 
     {b Gauges} are scheduling-dependent observations — [pool_batches],
-    [pool_tasks], [pool_queue_max], the self-sizing decisions
-    [pool_jobs_requested]/[pool_jobs_effective] and the
+    [pool_tasks] (participants), [pool_queue_max], the self-sizing
+    decisions [pool_jobs_requested]/[pool_jobs_effective] and the
     [pool_seq_fallback_*] reason counts — and carry no cross-[RAR_JOBS]
     determinism contract (a 1-job run never touches the pool at
     all). *)

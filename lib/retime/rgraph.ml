@@ -53,7 +53,7 @@ let endpoint_frontier stage =
   Rar_obs.Metrics.add m_endpoints_pruned !pruned;
   (slots, List.rev !canon)
 
-let build ?edl_overhead ?(forbidden_edges = []) ?(bias_early = false) stage =
+let build ?edl_overhead ?forbidden_pins ?(bias_early = false) stage =
   Rar_obs.Trace.span "rgraph/build" @@ fun () ->
   let net = Stage.comb stage in
   let cv = Netlist.compact net in
@@ -64,6 +64,31 @@ let build ?edl_overhead ?(forbidden_edges = []) ?(bias_early = false) stage =
     match edl_overhead with
     | None -> ([], [])
     | Some _ -> endpoint_frontier stage
+  in
+  let fi_head = cv.Compact.fanin_head and fin = cv.Compact.fanin in
+  (* The no-latch positions: the pins, ascending — the stage's illegal
+     (per-edge Constraint 7) pins and every forbidden pin — and the
+     sources with a forbidden out-pin, in source order. Without
+     forbidden pins only the illegal pins are read. *)
+  let no_latch_pins, no_latch_hosts =
+    match forbidden_pins with
+    | None -> (Stage.illegal_pins stage, Seq.empty)
+    | Some f when Array.length f = fi_head.(n) ->
+      let marked = Array.copy f and drives = Array.make n false in
+      Array.iter (fun p -> marked.(p) <- true) (Stage.illegal_pins stage);
+      Array.iteri (fun p b -> if b then drives.(fin.(p)) <- true) f;
+      ( Array.of_seq
+          (Seq.filter (Array.get marked) (Seq.init fi_head.(n) Fun.id)),
+        Seq.filter (Array.get drives) (Array.to_seq (Netlist.inputs net)) )
+    | Some _ -> invalid_arg "Rgraph.build: forbidden pins of another layout"
+  in
+  (* The node whose fanin row holds pin [p], by bisection. *)
+  let rec node_of_pin lo hi p =
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if fi_head.(mid) <= p then node_of_pin mid hi p
+      else node_of_pin lo mid p
   in
   (* The one walk that emits the LP: every constraint in order, and
      every objective term in the order its coefficient sums it. Into
@@ -151,16 +176,21 @@ let build ?edl_overhead ?(forbidden_edges = []) ?(bias_early = false) stage =
             obj.(p_base + j) <- obj.(p_base + j) +. c;
             obj.(host) <- obj.(host) +. -.c)
           slots);
-    (* No-latch constraints: w + r(v) - r(u) <= 0. A pair (src, src)
-       forbids the host-edge position of a source. The stage's per-edge
-       Constraint-(7) violations are always included. *)
-    let no_latch (u, v) =
-      if u = v then (* host edge of source u: 1 + r(u) - r(h) <= 0 *)
-        con (u + 1) host (-1)
-      else con (v + 1) (u + 1) 0
-    in
-    List.iter no_latch (Stage.illegal_edges stage);
-    List.iter no_latch forbidden_edges;
+    (* No-latch constraints, w + r(v) - r(u) <= 0, each position once:
+       the edges in fanin CSR order, then the host edges. *)
+    Array.iteri
+      (fun i p ->
+        let u = fin.(p) and v = node_of_pin 0 n p in
+        (* Parallel pins of one driver share their marks: the first in
+           the row stands for the edge. *)
+        let rec first j =
+          j < 0
+          || no_latch_pins.(j) < fi_head.(v)
+          || (fin.(no_latch_pins.(j)) <> u && first (j - 1))
+        in
+        if first (i - 1) then con (v + 1) (u + 1) 0)
+      no_latch_pins;
+    Seq.iter (fun u -> con (u + 1) host (-1)) no_latch_hosts;
     if bias_early && fill then begin
       (* Commercial-baseline behaviour: movement is the primary
          objective (latches travel no further than the timing

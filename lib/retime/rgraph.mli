@@ -12,8 +12,11 @@
       expressed as host arcs;
     - E2 constraints [r(g) <= r(P(t))] for [g in g(t)] plus the [-c]
       objective reward on [P(t)] (Eq. 10's EDL term);
-    - optional {e no-latch} constraints forbidding a slave on given
-      edges (the virtual-library engine's typed setup constraints).
+    - {e no-latch} constraints: [r(v) - r(u) <= 0] once per distinct
+      edge with an illegal ({!Stage.illegal_pins}, per-edge Constraint
+      7) or forbidden pin, in fanin CSR order (heads ascending, each
+      edge at its driver's first such pin), then [1 + r(u) - r(h) <= 0]
+      once per source with a forbidden out-pin, in source order.
 
     The LP solution is decoded back into physical slave placements with
     {!placements_of}. *)
@@ -25,15 +28,18 @@ type t
 
 val build :
   ?edl_overhead:float ->
-  ?forbidden_edges:(int * int) list ->
+  ?forbidden_pins:bool array ->
   ?bias_early:bool ->
   Stage.t ->
   t
 (** [edl_overhead = Some c] enables the resilient-aware (G-RAR)
     objective; omitting it gives plain min-latch retiming (the base /
-    virtual-library engine). [forbidden_edges] are comb edges [(u, v)]
-    (or [(src, src)] to forbid the initial host position of a source)
-    that must hold no slave after retiming.
+    virtual-library engine). [forbidden_pins] marks, per fanin pin
+    position ({!Rar_netlist.Netlist.Compact}), the edges that must
+    hold no slave after retiming (the virtual-library engine's typed
+    setup constraints); a marked out-pin of a source also forbids the
+    source's initial host-edge slave. [Invalid_argument] unless it has
+    one entry per pin.
 
     [bias_early] (default false) switches the objective to the
     commercial-baseline model: slave movement is minimised first (a

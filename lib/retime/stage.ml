@@ -15,16 +15,15 @@ type sink_class =
   | Always_ed
   | Target of { cut : int list }
 
-(* Result of classifying one sink. Its edges are packed as flat arrays
-   of fanin pin positions (position [p] is the edge
-   [(fanin p, owner p)]), ascending — node id, then pin order; the
-   accessors rebuild the public lists. Results are returned (not pushed
-   into shared tables) so classification can run on the domain pool;
-   {!make} merges them sequentially after the join. *)
+(* Result of classifying one sink. Its slave positions are flat arrays
+   of fanin pin positions, ascending — node id, then pin order.
+   Results are returned (not pushed into shared tables) so
+   classification can run on the domain pool; {!make} merges them
+   sequentially after the join. *)
 type classified = {
   cls : sink_class;
   ill : int array;             (* per-edge Constraint (7) violations *)
-  win : int array;             (* window edges (Target sinks only) *)
+  win : int array;             (* window pins (Target sinks only) *)
   empty_cut : bool;            (* Always_ed via an empty g(t): warn *)
 }
 
@@ -36,13 +35,12 @@ type t = {
   sta : Sta.t;
   annot : float array option; (* ECO delay annotations baked into sta *)
   regions : region array;
-  illegal : (int * int) list;        (* edges that can never hold a slave *)
+  illegal : int array; (* fanin pins that can never hold a slave, ascending *)
   per_sink : (int * classified) array;
     (* every sink's classification, in sink order — read by the
        accessors below and reused by {!patch} for sinks outside an
        edit's affected cone *)
   slot : int array; (* node id -> index into [per_sink], -1 off sinks *)
-  owner : int array; (* fanin pin position -> the node it belongs to *)
 }
 
 let cc t = t.cc
@@ -66,7 +64,7 @@ let entry fn t s =
 
 let classify t s = (entry "Stage.classify" t s).cls
 
-let illegal_edges t = t.illegal
+let illegal_pins t = t.illegal
 
 let db_of_sink t s = Sta.backward_packed t.sta ~sink:s
 
@@ -90,18 +88,11 @@ let near_critical_initial t =
       if Clocking.past_period t.clocking arr.(s) then s :: acc else acc)
     (sinks t) []
 
-(* Packed pin positions as [(u, v)] edges, in descending position
-   order: the order {!window_edges} returns. *)
-let edges_desc ~owner net pins =
-  let fin = (Netlist.compact net).Netlist.Compact.fanin in
-  Array.fold_left (fun acc p -> (fin.(p), owner.(p)) :: acc) [] pins
-
-let window_edges t s =
-  let r = entry "Stage.window_edges" t s in
+let window_pins t s =
+  let r = entry "Stage.window_pins" t s in
   match r.cls with
-  | Target _ -> edges_desc ~owner:t.owner (comb t) r.win
-  | Never_ed -> []
-  | Always_ed -> invalid_arg "Stage.window_edges: always-error-detecting sink"
+  | Target _ | Never_ed -> r.win
+  | Always_ed -> invalid_arg "Stage.window_pins: always-error-detecting sink"
 
 let max_path t s =
   ignore (entry "Stage.max_path" t s : classified);
@@ -140,11 +131,12 @@ let compute_regions ~sta_an ~lib ~clocking net =
   | Some name -> Error (Error.Illegal_stage { node = name })
   | None -> Ok regions
 
-(* Per-batch classification state, owned by one chunk of one {!make}
-   or {!patch} call (see [Pool.map_adaptive_with]) and reused for every
-   batch of that chunk, so a batch costs O(lanes * (|union| + union
-   pins)) rather than O(n). Every entry is written before it is read
-   for each batch, so nothing is cleared between batches. *)
+(* Per-batch classification state, owned by one pool participant of
+   one {!make} or {!patch} call (see [Pool.map_adaptive_with]) and
+   reused for every batch that participant classifies, so a batch
+   costs O(lanes * (|union| + union pins)) rather than O(n). Every
+   entry is written before it is read for each batch, so nothing is
+   cleared between batches. *)
 type scratch = {
   batch : Sta.batch;
   flags : int array;     (* per node: the lane masks of the fields below *)
@@ -230,8 +222,8 @@ let prefix buf len = if len = 0 then [||] else Array.sub buf 0 len
    for its sink (the per-edge form of Constraint 7). Reads only the
    shared read-only [sta_an] (whose [backward_all] cache {!make} forces
    before fan-out) and [arcs], and writes only [sc], so batches
-   classify in parallel, one scratch per chunk. [launchable u]: a slave
-   just after [u] meets its own setup against the closing edge
+   classify in parallel, one scratch per participant. [launchable u]:
+   a slave just after [u] meets its own setup against the closing edge
    (Constraint 6). *)
 let classify_batch ~sta_an ~clocking ~arcs ~launchable sc sinks =
   (* {!Clocking.past_period} and {!Clocking.past_max_delay}, with their
@@ -423,7 +415,8 @@ let never_late_test ~sta_an ~clocking ~latch =
    can first; the other sinks are cut, in sink order, into batches of
    [lanes] (the last may be shorter) before dispatch, so the batches,
    and the counters they add, are the same for every pool size. The
-   batches classify over the domain pool, one scratch per chunk. *)
+   batches classify over the domain pool, one scratch per
+   participant. *)
 let classify_sinks ~sta_an ~clocking ~latch sinks =
   Rar_obs.Trace.span "stage/classify" @@ fun () ->
   let never_late = never_late_test ~sta_an ~clocking ~latch in
@@ -467,10 +460,10 @@ let classify_sinks ~sta_an ~clocking ~latch sinks =
     sinks
 
 (* Shared back half of {!make} and {!patch}: reject untimeable sinks,
-   index the per-sink results and merge their illegal edges
-   sequentially in sink order (so the edge list is identical for every
-   pool size — and identical between a cold make and a patch), and
-   promote illegal-edge sources. *)
+   index the per-sink results, collect their illegal pins as one
+   ascending set and promote each source that drives one. A set has no
+   order of its own, so the stage is the same for every pool size and
+   between a cold make and a patch. *)
 let finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~regions ~classified =
   let net = cc.Transform.comb in
   let too_long =
@@ -491,18 +484,23 @@ let finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~regions ~classified =
          { sink = Netlist.node_name net s; limit = Clocking.max_delay clocking })
   | None ->
     let cv = Netlist.compact net in
-    let fin = cv.Netlist.Compact.fanin and head = cv.Netlist.Compact.fanin_head in
-    let owner = Array.make (Int.max 1 head.(Netlist.Compact.n cv)) 0 in
-    for v = 0 to Netlist.Compact.n cv - 1 do
-      Array.fill owner head.(v) (head.(v + 1) - head.(v)) v
-    done;
-    let illegal_tbl = Hashtbl.create 64 in
+    let fin = cv.Netlist.Compact.fanin and tags = cv.Netlist.Compact.tags in
+    let seen = Array.make (Array.length fin) false and illegal = ref [] in
     let slot = Array.make (Netlist.node_count net) (-1) in
     Array.iteri
       (fun i (s, r) ->
         slot.(s) <- i;
         Array.iter
-          (fun p -> Hashtbl.replace illegal_tbl (fin.(p), owner.(p)) ())
+          (fun p ->
+            if not seen.(p) then begin
+              seen.(p) <- true;
+              illegal := p :: !illegal;
+              (* A source whose shared initial position covers an
+                 illegal pin must clear its host latch: promote to V_m. *)
+              let u = fin.(p) in
+              if tags.(u) = Netlist.Compact.tag_input && regions.(u) = Rr
+              then regions.(u) <- Rm
+            end)
           r.ill;
         if r.empty_cut then
           Log.warn (fun m ->
@@ -510,16 +508,9 @@ let finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~regions ~classified =
                  always error-detecting"
                 (Netlist.node_name net s)))
       classified;
-    let illegal = Hashtbl.fold (fun e () acc -> e :: acc) illegal_tbl [] in
-    (* A source whose shared initial position covers an illegal edge
-       must clear its host latch: promote to V_m. *)
-    List.iter
-      (fun (u, _) ->
-        if Netlist.kind net u = Netlist.Input && regions.(u) = Rr then
-          regions.(u) <- Rm)
-      illegal;
+    let illegal = Array.of_list (List.sort Int.compare !illegal) in
     Ok { cc; source; lib; clocking; sta = sta_an; annot; regions; illegal;
-         per_sink = classified; slot; owner }
+         per_sink = classified; slot }
 
 let make ?(model = Sta.Path_based) ?source ?annot ~lib ~clocking cc =
   let net = cc.Transform.comb in
@@ -530,8 +521,7 @@ let make ?(model = Sta.Path_based) ?source ?annot ~lib ~clocking cc =
   | Ok regions ->
     (* Batches classify independently (each sweeps its sinks' cones
        against the shared read-only STA), so they fan out across the
-       domain pool; fewer than 512 batches run in place, so only
-       designs with thousands of undecided sinks dispatch.
+       domain pool, one batch per element.
        [backward_all]'s memo is already forced by [compute_regions]
        above; force it regardless so the shared [Sta.t] stays
        read-only inside the workers. *)

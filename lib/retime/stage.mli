@@ -58,7 +58,7 @@ val patch : t -> Transform.Edit.applied -> (t, Error.t) result
     region pass, and re-classifies only sinks
     forward-reachable from a changed node, reusing the cached
     classification of every other sink. The result is identical —
-    bitwise, including table iteration orders — to
+    bitwise, down to every window pin and illegal pin — to
     [make ~model ~annot:applied.annot] on the edited circuit, at a
     cost proportional to the affected cones. The input stage must be
     the one the edit was applied against (same netlist, same
@@ -86,20 +86,16 @@ val classify : t -> int -> sink_class
 val slave_latch : t -> Liberty.seq_cell
 (** The latch cell used for slave timing (the library's normal latch). *)
 
-val illegal_edges : t -> (int * int) list
-(** Comb edges [(u, v)] on which a slave latch can never be legal: for
-    some sink [t], [A(u,v,t) > max_delay]. The paper's node-level
+val illegal_pins : t -> int array
+(** The fanin pin positions ({!Netlist.Compact}) that can never hold a
+    slave, ascending and each once: for some sink [t],
+    [A(u,v,t) > max_delay] on the pin's edge. The paper's node-level
     [V_m]/[V_n] regions approximate this; the per-edge set makes
     Constraint (7) exact, and {!Rgraph.build} always forbids these
-    positions. Sources whose initial (host-edge) position covers an
-    illegal edge are promoted to [V_m].
-
-    The list is not sorted: it is the [Hashtbl.fold] order of the
-    per-sink merge (the sinks' edges added in sink order into a table
-    created with 64 buckets). The order is deterministic — the same for
-    every pool size and between a cold {!make} and a {!patch} — and
-    {!Rgraph.build} emits its no-latch constraints in it, so the
-    retiming LPs depend on it bit for bit. *)
+    positions. Sources that drive an illegal pin (their initial
+    host-edge position covers it) are promoted to [V_m]. Parallel pins
+    of one driver are illegal together. Shared: never mutate the
+    array. *)
 
 val db_of_sink : t -> int -> Sta.db
 (** Backward delays to one sink (uncached; computed on demand). *)
@@ -130,12 +126,13 @@ val near_critical_initial : t -> int list
     combinational delay below the period but initial arrival inside
     the resiliency window. *)
 
-val window_edges : t -> int -> (int * int) list
-(** For a [Target] sink: the cone edges [(u, v)] whose [A(u,v,t)]
-    exceeds the period — a slave there forces [t] error-detecting.
-    Computed during classification and cached. [Never_ed] sinks return
-    [[]]; [Always_ed] sinks raise [Invalid_argument] (every position is
-    inside the window). *)
+val window_pins : t -> int -> int array
+(** For a [Target] sink: the cone's fanin pin positions whose edge
+    [(u, v)] has [A(u,v,t)] past the period — a slave there forces
+    [t] error-detecting — ascending (node id, then pin order). Computed
+    during classification and shared: never mutate the array.
+    [Never_ed] sinks return [[||]]; [Always_ed] sinks raise
+    [Invalid_argument] (every position is inside the window). *)
 
 val max_path : t -> int -> float
 (** Longest pure combinational path delay into a sink: its forward

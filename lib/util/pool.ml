@@ -33,37 +33,31 @@ let jobs () = match !override with Some j -> j | None -> default_jobs ()
 (* Self-sizing: the requested job count is a ceiling, not a command.
    Worker domains beyond the physical core count time-slice against
    each other (and against the submitting domain) — measured at 0.24x
-   on a 1-core host — so dispatch clamps to the core count; and a
-   batch with fewer than [min_tasks_per_domain] tasks per worker pays
-   more in queue/wake traffic than it can win back, so it runs
-   sequentially. *)
-let min_tasks_per_domain = 2
-
+   on a 1-core host — so dispatch clamps to the core count, and never
+   runs more participants than elements. *)
 let effective_jobs () = Int.min (jobs ()) (host_cores ())
 
 (* Optional per-dispatch decision hook (installed by the observability
    layer, which lives above this module): fired once per
    [map_adaptive_with] call with the sizing decision, [reason] one of
-   "parallel", "requested", "nested", "single_chunk", "host_clamp",
-   "task_ratio". *)
+   "parallel", "requested", "nested", "single_element", "host_clamp". *)
 let decision_hook :
-    (requested:int -> effective:int -> n_tasks:int -> reason:string -> unit)
-    option
-    ref =
+    (requested:int -> effective:int -> reason:string -> unit) option ref =
   ref None
 
 let set_decision_hook h = decision_hook := h
 
-let decide ~n_tasks ~nested =
+let decide ~n ~nested =
   let requested = jobs () in
   let clamped = Int.min requested (host_cores ()) in
   if nested then (requested, 1, "nested")
   else if requested <= 1 then (requested, 1, "requested")
-  else if n_tasks <= 1 then (requested, 1, "single_chunk")
+  else if n <= 1 then (requested, 1, "single_element")
   else if clamped <= 1 then (requested, 1, "host_clamp")
-  else if n_tasks < min_tasks_per_domain * clamped then
-    (requested, 1, "task_ratio")
-  else (requested, clamped, if clamped < requested then "host_clamp" else "parallel")
+  else
+    ( requested,
+      Int.min clamped n,
+      if clamped < requested then "host_clamp" else "parallel" )
 
 let worker p () =
   Domain.DLS.set in_worker true;
@@ -156,20 +150,13 @@ let batch_hook :
 
 let set_batch_hook h = batch_hook := h
 
-(* The one dispatch kernel, one pool task per chunk: [init] builds
-   per-chunk state once, in the domain that runs the chunk, and [f]
-   receives it with every element of that chunk.
-
-   Adaptive chunking: the chunk size follows the batch size and the
-   effective worker count instead of a fixed grain. A fixed chunk
-   interacts badly with the task-ratio threshold in [decide]: 256-sink
-   chunks turn a 1125-sink batch into 5 tasks, which at 4 workers is
-   below the 2-tasks-per-domain floor, so the whole batch silently ran
-   sequentially — exactly on the multi-thousand-element inputs the
-   pool exists for. Aiming at 4 tasks per worker keeps the batch above
-   the threshold while leaving enough tasks for the queue to balance
-   uneven chunk costs. Batches under 512 elements run sequentially,
-   and no chunk is smaller than 64 elements. *)
+(* The one dispatch kernel, one pool task per participating domain:
+   each task builds its [init] state once, in its own domain, then
+   pulls element indices from one shared counter until none is left,
+   so the elements balance across the participants whatever each one
+   costs. A task that starts after the last element was taken builds
+   no state: a worker that picks up a second task of the same call has
+   finished its first, so no domain builds two states in one call. *)
 let map_adaptive_with ~(init : unit -> 's) (xs : 'a array)
     (f : 's -> 'a -> 'b) : 'b array =
   let f =
@@ -181,36 +168,35 @@ let map_adaptive_with ~(init : unit -> 's) (xs : 'a array)
         f s x
   in
   let n = Array.length xs in
-  let chunk =
-    if n < 512 then Int.max 1 n
-    else
-      let target = effective_jobs () * 4 in
-      Int.max 64 ((n + target - 1) / target)
+  (* One participant means the pool could only serialise the work with
+     extra dispatch overhead: take the plain sequential path (identical
+     results — pool size never changes outputs, only wall clock). *)
+  let requested, size, reason =
+    decide ~n ~nested:(Domain.DLS.get in_worker)
   in
-  let n_tasks = (n + chunk - 1) / chunk in
-  (* A single chunk means the pool could only serialise the work with
-     extra dispatch overhead; likewise a sub-threshold task-per-domain
-     ratio or a host with fewer cores than requested domains: all
-     those take the plain sequential path (identical results — pool
-     size never changes outputs, only wall clock). *)
-  let requested, size, reason = decide ~n_tasks ~nested:(Domain.DLS.get in_worker) in
   (match !decision_hook with
-  | Some hook -> hook ~requested ~effective:size ~n_tasks ~reason
+  | Some hook -> hook ~requested ~effective:size ~reason
   | None -> ());
   if n = 0 then [||]
   else if size <= 1 then Array.map (f (init ())) xs
   else begin
-    let p = get_pool size in
+    let p = get_pool (effective_jobs ()) in
     let results : ('b, exn * Printexc.raw_backtrace) result option array =
       Array.make n None
     in
-    let pending = ref n_tasks in
+    let next = Atomic.make 0 in
+    let rec pull g =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <- Some (g i);
+        pull g
+      end
+    in
+    let pending = ref size in
     let join_lock = Mutex.create () in
     let all_done = Condition.create () in
     Mutex.lock p.lock;
-    for t = 0 to n_tasks - 1 do
-      let lo = t * chunk in
-      let hi = Int.min n (lo + chunk) - 1 in
+    for _ = 1 to size do
       Queue.add
         (fun () ->
           (* The batch counter must complete even if something raises
@@ -224,20 +210,15 @@ let map_adaptive_with ~(init : unit -> 's) (xs : 'a array)
               if !pending = 0 then Condition.signal all_done;
               Mutex.unlock join_lock)
             (fun () ->
-              match init () with
-              | s ->
-                for i = lo to hi do
-                  let r =
-                    try Ok (f s xs.(i))
-                    with e -> Error (e, Printexc.get_raw_backtrace ())
-                  in
-                  results.(i) <- Some r
-                done
-              | exception e ->
-                let r = Error (e, Printexc.get_raw_backtrace ()) in
-                for i = lo to hi do
-                  results.(i) <- Some r
-                done))
+              if Atomic.get next < n then
+                match init () with
+                | s ->
+                  pull (fun i ->
+                      try Ok (f s xs.(i))
+                      with e -> Error (e, Printexc.get_raw_backtrace ()))
+                | exception e ->
+                  let r = Error (e, Printexc.get_raw_backtrace ()) in
+                  pull (fun _ -> r)))
         p.queue
     done;
     let occupancy = Queue.length p.queue in
@@ -246,7 +227,7 @@ let map_adaptive_with ~(init : unit -> 's) (xs : 'a array)
     let on_done =
       match !batch_hook with
       | None -> None
-      | Some hook -> Some (hook ~n_tasks ~occupancy)
+      | Some hook -> Some (hook ~n_tasks:size ~occupancy)
     in
     Fun.protect
       ~finally:(fun () -> Option.iter (fun fin -> fin ()) on_done)

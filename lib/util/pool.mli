@@ -12,10 +12,9 @@
     {!map_adaptive_with} dispatch is self-sizing. The count is clamped
     to the physical core count ([Domain.recommended_domain_count ()] —
     oversubscribed domains time-slice against the submitter and each
-    other), and a batch with fewer than two tasks per worker runs
-    sequentially (dispatch overhead would dominate). Pool size never
-    changes results, only wall clock, so the clamp is invisible except
-    in timing and the {!set_decision_hook} observability seam.
+    other) and to the element count. Pool size never changes results,
+    only wall clock, so the clamp is invisible except in timing and
+    the {!set_decision_hook} observability seam.
 
     With an effective size of 1 every call degrades to plain
     sequential evaluation in the calling domain — no domains are
@@ -25,9 +24,10 @@
     which makes {!map_adaptive_with} safe to use at every layer of
     the evaluation stack.
 
-    Exceptions raised by tasks are captured per task and re-raised at
-    the join, lowest task index first, with their original backtrace,
-    so [Error]/[Failure] plumbing behaves as in sequential code. *)
+    Exceptions raised by elements are captured per element and
+    re-raised at the join, lowest element index first, with their
+    original backtrace, so [Error]/[Failure] plumbing behaves as in
+    sequential code. *)
 
 val jobs : unit -> int
 (** Requested pool size (≥ 1), before host clamping. *)
@@ -36,9 +36,9 @@ val host_cores : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
 val effective_jobs : unit -> int
-(** [min (jobs ()) (host_cores ())]: the upper bound on worker domains
-    any dispatch will actually use (a specific batch may still fall
-    back to sequential on the task-ratio threshold). *)
+(** [min (jobs ()) (host_cores ())]: the pool's worker count, and the
+    upper bound on the domains any dispatch uses (a call with fewer
+    elements uses fewer). *)
 
 val set_jobs : int -> unit
 (** Override the pool size (values < 1 are clamped to 1). If a pool of
@@ -51,22 +51,21 @@ val map_adaptive_with :
   ('s -> 'a -> 'b) ->
   'b array
 (** [map_adaptive_with ~init xs f] applies [f] to every element, in
-    parallel across the pool in chunks, preserving order, with
-    per-chunk state. Inputs shorter than 512 elements run
-    sequentially in place; larger ones are cut into roughly 4 chunks
-    per effective worker, never smaller than 64 elements, one pool
-    task per chunk. The grain adapts because a fixed one, on
-    per-element work in the 0.1–1 ms range, either starves the pool on
-    mid-size batches (too few tasks trips the task-ratio fallback) or
-    drowns it in dispatch overhead on huge ones.
+    parallel across the pool, preserving order, with per-participant
+    state. The call takes [min (effective_jobs ()) (Array.length xs)]
+    participants, one pool task each; every participant pulls element
+    indices from one shared counter until none is left, so elements of
+    uneven cost balance across the domains. With one participant, or
+    from inside a pool task, the call runs sequentially in place.
 
-    Every chunk the call runs (the whole array, on the sequential
-    path) first builds its own state with [init], in the domain that
-    evaluates it, and passes it to [f] for each of its elements. For
-    reusable scratch buffers that must stay private to one call and
-    one domain: the state is never shared between chunks, calls or
-    domains. [init] is not called for an empty array; an [init] that
-    raises fails every element of its chunk. Results are identical to
+    Every participant (the calling domain, on the sequential path)
+    first builds its own state with [init], in the domain that runs
+    it, and passes it to [f] for each element it takes: at most one
+    state per participating domain. For reusable scratch buffers that
+    must stay private to one call and one domain: the state is never
+    shared between participants, calls or domains. [init] is not
+    called for an empty array; an [init] that raises fails every
+    element its participant takes. Results are identical to
     [Array.map (f (init ())) xs] at any pool size, exceptions included
     up to which of several raising elements wins: the lowest-index
     exception is re-raised. *)
@@ -85,7 +84,7 @@ val submit : (unit -> unit) -> unit
 val set_task_hook : (unit -> unit) option -> unit
 (** Install (or clear) a hook run immediately before every element a
     {!map_adaptive_with} call evaluates — on the sequential path too,
-    so behaviour does not depend on the pool threshold. A raising hook
+    so behaviour does not depend on the pool size. A raising hook
     behaves exactly like a raising task: captured per element and
     re-raised at the submitter's join. This is the fault-injection
     seam used by [Rar_resilience.Faults] to simulate a killed pool
@@ -94,20 +93,19 @@ val set_task_hook : (unit -> unit) option -> unit
 val set_batch_hook : (n_tasks:int -> occupancy:int -> (unit -> unit)) option -> unit
 (** Install (or clear) a hook fired once per pooled
     {!map_adaptive_with} dispatch — never on the sequential fast path
-    — with the number of tasks in the batch and the queue occupancy
-    just after enqueueing. The hook returns a completion callback,
-    invoked when the batch joins (even when the join re-raises a task's
-    exception), so the pair brackets the batch's lifetime. This is the
+    — with the number of tasks (participants) in the batch and the
+    queue occupancy just after enqueueing. The hook returns a
+    completion callback, invoked when the batch joins (even when the
+    join re-raises an element's exception), so the pair brackets the
+    batch's lifetime. This is the
     seam [Rar_obs] uses for pool gauges and [pool/batch] spans; with no
     hook installed the code path is unchanged. *)
 
 val set_decision_hook :
-  (requested:int -> effective:int -> n_tasks:int -> reason:string -> unit)
-  option ->
-  unit
+  (requested:int -> effective:int -> reason:string -> unit) option -> unit
 (** Install (or clear) a hook fired once per {!map_adaptive_with}
     call — sequential paths included — with the sizing decision: the
-    requested job count, the effective count used ([1] = sequential),
-    the task count, and the reason ("parallel", "requested", "nested",
-    "single_chunk", "host_clamp", "task_ratio"). The seam [Rar_obs]
-    uses for the [pool_jobs_effective] / fallback gauges. *)
+    requested job count, the participants used ([1] = sequential), and
+    the reason ("parallel", "requested", "nested", "single_element",
+    "host_clamp"). The seam [Rar_obs] uses for the
+    [pool_jobs_effective] / fallback gauges. *)

@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""Gate a rar-bench-eval/3 document (BENCH_eval.json).
+"""Gate a rar-bench-eval/4 document (BENCH_eval.json).
 
 Checks the schema and its field set, gates the G-RAR pipeline kernel
 against the checked-in floor (a >2x regression fails the build) and
-holds the armed-deadline and armed-tracing overheads under their
-caps.
-CI runs it on a fresh `bench/main.exe eval` document and, in the lint
-job, on the checked-in one.
+holds the armed-deadline and armed-tracing overheads under their caps.
+host.src_digest must name the checkout's sources (src_digest.py), so a
+document written before a source change fails. CI runs it on a fresh
+`bench/main.exe eval` document and, in the lint job, on the checked-in
+one.
 
 Usage: bench_smoke_gate.py BENCH_EVAL_JSON FLOOR_JSON
 """
 
 import json
 import sys
+
+from src_digest import check_host
 
 KERNELS = {
     "g/table_vii/engine_simplex",
@@ -26,11 +29,9 @@ def main(argv):
     if len(argv) != 3:
         raise SystemExit(f"usage: {argv[0]} BENCH_EVAL_JSON FLOOR_JSON")
     d = json.load(open(argv[1]))
-    assert d["schema"] == "rar-bench-eval/3", d["schema"]
+    assert d["schema"] == "rar-bench-eval/4", d["schema"]
     assert set(d) == {"schema", "host", "kernels", "overhead"}, sorted(d)
-    host = d["host"]
-    assert set(host) == {"cores", "jobs_effective", "git_rev"}, host
-    assert host["cores"] >= 1 and host["jobs_effective"] >= 1, host
+    check_host(d["host"])
     ns = {k["name"]: k["ns_per_run"] for k in d["kernels"]}
     assert set(ns) == KERNELS, sorted(ns)
     assert all(v > 0 for v in ns.values()), ns

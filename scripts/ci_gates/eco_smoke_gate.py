@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Gate a rar-bench-eco/2 document (BENCH_eco.json).
+"""Gate a rar-bench-eco/3 document (BENCH_eco.json).
 
 Checks the schema and its field set. The steady-state edit-and-resolve
 speedup over a cold re-solve must clear the checked-in floor with the
 session outcome identical to the cold run — including under the
 RAR_FAULTS degradation matrix, where solve-cache replays bypass
-injection and only the cold legs slow down. CI runs it on a fresh
-`bench/main.exe eco` document and, in the lint job, on the checked-in
-one.
+injection and only the cold legs slow down. host.src_digest must name
+the checkout's sources (src_digest.py), so a document written before a
+source change fails. CI runs it on a fresh `bench/main.exe eco`
+document and, in the lint job, on the checked-in one.
 
 Usage: eco_smoke_gate.py BENCH_ECO_JSON FLOOR_JSON
 """
 
 import json
 import sys
+
+from src_digest import check_host
 
 ECO = {"circuit", "gates", "engine", "stage_make_s", "cold_solve_s",
        "warmup_resolve_s", "resolve_s", "mean_resolve_s",
@@ -24,11 +27,9 @@ def main(argv):
     if len(argv) != 3:
         raise SystemExit(f"usage: {argv[0]} BENCH_ECO_JSON FLOOR_JSON")
     d = json.load(open(argv[1]))
-    assert d["schema"] == "rar-bench-eco/2", d["schema"]
+    assert d["schema"] == "rar-bench-eco/3", d["schema"]
     assert set(d) == {"schema", "host", "total_s", "eco"}, sorted(d)
-    host = d["host"]
-    assert set(host) == {"cores", "jobs_effective", "git_rev"}, host
-    assert host["cores"] >= 1 and host["jobs_effective"] >= 1, host
+    check_host(d["host"])
     floor = json.load(open(argv[2]))
     e = d["eco"]
     assert set(e) == ECO, sorted(e)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Gate a rar-bench-scale/4 document (BENCH_scale.json).
+"""Gate a rar-bench-scale/5 document (BENCH_scale.json).
 
 Checks the schema and the field set of every row (one G-RAR row per
 circuit size), then finds the row of the gated size: its run_s must
@@ -8,15 +8,18 @@ under the checked-in memory ceiling, and the span totals and hot-path
 counters must be present and non-zero. Stage classification's summed
 batch unions (stage_sweep_nodes) must stay at most half its summed
 cones (stage_cone_nodes), a host-independent check that sinks are
-classified in shared batches. CI runs it on a fresh
-`bench/main.exe scale` document and, in the lint job, on the
-checked-in one.
+classified in shared batches. host.src_digest must name the checkout's
+sources (src_digest.py), so a document written before a source change
+fails. CI runs it on a fresh `bench/main.exe scale` document and, in
+the lint job, on the checked-in one.
 
 Usage: scale_smoke_gate.py BENCH_SCALE_JSON FLOOR_JSON
 """
 
 import json
 import sys
+
+from src_digest import check_host
 
 ROW = {"circuit", "gates", "phases", "spans", "counters", "p_ns",
        "n_slaves", "edl_count", "total_area", "peak_rss_mb"}
@@ -26,11 +29,9 @@ def main(argv):
     if len(argv) != 3:
         raise SystemExit(f"usage: {argv[0]} BENCH_SCALE_JSON FLOOR_JSON")
     d = json.load(open(argv[1]))
-    assert d["schema"] == "rar-bench-scale/4", d["schema"]
+    assert d["schema"] == "rar-bench-scale/5", d["schema"]
     assert set(d) == {"schema", "host", "curve"}, sorted(d)
-    host = d["host"]
-    assert set(host) == {"cores", "jobs_effective", "git_rev"}, host
-    assert host["cores"] >= 1 and host["jobs_effective"] >= 1, host
+    check_host(d["host"])
     rows = {}
     for r in d["curve"]:
         assert set(r) == ROW, sorted(r)

@@ -94,8 +94,8 @@ let classify_sink ~sta ~clocking ~latch s =
     else { cls = Stage.Target { cut }; mp = max_path; ill; win = !window }
   end
 
-(* Per sink, in [Netlist.outputs] order, plus the stage-wide illegal
-   edge list merged the way [Stage.make] merges it. *)
+(* Per sink, in [Netlist.outputs] order, plus the stage-wide set of
+   illegal edges, ascending. *)
 let classify ~sta ~clocking ~latch =
   let net = Sta.netlist sta in
   let per_sink =
@@ -103,8 +103,6 @@ let classify ~sta ~clocking ~latch =
       (fun s -> (s, classify_sink ~sta ~clocking ~latch s))
       (Netlist.outputs net)
   in
-  let illegal_tbl = Hashtbl.create 64 in
-  Array.iter
-    (fun (_, r) -> List.iter (fun e -> Hashtbl.replace illegal_tbl e ()) r.ill)
-    per_sink;
-  (per_sink, Hashtbl.fold (fun e () acc -> e :: acc) illegal_tbl [])
+  ( per_sink,
+    List.sort_uniq compare
+      (List.concat_map (fun (_, r) -> r.ill) (Array.to_list per_sink)) )

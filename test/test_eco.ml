@@ -119,7 +119,7 @@ let stage_fingerprint st =
   let bits = Int64.bits_of_float in
   let initial = Stage.initial_arrivals st in
   ( Array.init (Netlist.node_count (Stage.comb st)) (Stage.region st),
-    Stage.illegal_edges st,
+    Stage.illegal_pins st,
     Array.map
       (fun s ->
         let cls = Stage.classify st s in
@@ -127,8 +127,8 @@ let stage_fingerprint st =
           bits (Stage.max_path st s),
           bits initial.(s),
           match cls with
-          | Stage.Always_ed -> []
-          | Stage.Never_ed | Stage.Target _ -> Stage.window_edges st s ))
+          | Stage.Always_ed -> [||]
+          | Stage.Never_ed | Stage.Target _ -> Stage.window_pins st s ))
       (Stage.sinks st) )
 
 let stage_of cfg p =

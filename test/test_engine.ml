@@ -75,15 +75,10 @@ let one_slave_per_path staged =
   Array.for_all (fun o -> count o = (1, 1)) (Netlist.outputs staged)
 
 (* No slave sits on a position the stage analysis proved illegal — the
-   per-edge form of Constraints (6)/(7). *)
+   per-edge form of Constraints (6)/(7): no illegal pin is latched. *)
 let placements_legal stage placements =
-  let illegal = Stage.illegal_edges stage in
-  List.for_all
-    (fun (p : Transform.placement) ->
-      List.for_all
-        (fun (fanout, _pin) -> not (List.mem (p.Transform.after, fanout) illegal))
-        p.Transform.latched)
-    placements
+  let index = Transform.pin_index (Stage.comb stage) placements in
+  Array.for_all (fun p -> index.(p) < 0) (Stage.illegal_pins stage)
 
 (* ED set vs verified arrivals: a late master must always be flagged
    error-detecting (the safety direction, every engine); engines that

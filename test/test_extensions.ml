@@ -171,8 +171,8 @@ let test_grar_identical_across_jobs () =
   (* The pooled per-sink prep (Stage.make's classification fan-out over
      [Pool.map_adaptive_with], the rgraph endpoint dedup) and the
      block-priced simplex must produce byte-identical results at every
-     pool size. The circuit has > 512 sinks so the adaptive fan-out
-     takes its parallel branch rather than the sequential floor. *)
+     pool size. The circuit's undecided sinks fill many batches, so the
+     classification fan-out takes its parallel branch. *)
   let spec =
     { (Option.get (Rar_circuits.Spec.find "s1196")) with
       Rar_circuits.Spec.n_flops = 560;

@@ -280,15 +280,16 @@ let test_check_balanced_detects () =
    dispatch's sizing through the gauges, on any host. A single-element
    batch is refused before the host clamp is even consulted, so that
    branch is host-agnostic; the oversubscription clamp is pinned to
-   [host_cores ()], whatever it is. The clamped batch grows with the
-   host (256 elements per core, at least 1024), so it is cut into at
-   least two tasks per core and never trips the task-ratio fallback. *)
+   [host_cores ()], whatever it is. The clamped map grows with the
+   host (256 elements per core, at least 1024), so it always has more
+   elements than the host has cores and takes one participant per
+   core. *)
 let test_pool_decision_gauges () =
   with_obs @@ fun () ->
   Fun.protect ~finally:(fun () -> Pool.set_jobs 1) @@ fun () ->
   let requested = Metrics.gauge "pool_jobs_requested" in
   let effective = Metrics.gauge "pool_jobs_effective" in
-  let single = Metrics.gauge "pool_seq_fallback_single_chunk" in
+  let single = Metrics.gauge "pool_seq_fallback_single_element" in
   let host_clamp = Metrics.gauge "pool_seq_fallback_host_clamp" in
   Pool.set_jobs 2;
   let map xs f = Pool.map_adaptive_with ~init:ignore xs (fun () x -> f x) in

@@ -517,8 +517,8 @@ let test_pool_survives_killed_batch () =
   (* A raising task must neither kill its worker domain nor wedge the
      batch counter: the next batch on the same pool must run. *)
   Pool.set_jobs 2;
-  (* 1024 elements: above the 512 below which a map runs sequentially,
-     so the kill lands in pool tasks *)
+  (* 1024 elements at two jobs: the map runs on the pool, so the kill
+     lands in pool tasks *)
   let map () =
     Pool.map_adaptive_with ~init:ignore (Array.init 1024 Fun.id)
       (fun () x -> x + 1)

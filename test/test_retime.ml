@@ -181,10 +181,31 @@ let test_sizing_noop_when_clean () =
       Alcotest.(check bool) "same netlist object" true (st' == r.Engine.stage)
     | Error e -> Alcotest.fail (Rar_retime.Error.to_string e))
 
+(* The edge [(u, v)] of each fanin pin position of [net]. *)
+let pin_edges net =
+  let cv = Netlist.compact net in
+  let n = Netlist.Compact.n cv in
+  let edges = Array.make (Netlist.Compact.fanin_lo cv n) (0, 0) in
+  for v = 0 to n - 1 do
+    for p = Netlist.Compact.fanin_lo cv v to Netlist.Compact.fanin_hi cv v - 1
+    do
+      edges.(p) <- (Netlist.Compact.fanin cv p, v)
+    done
+  done;
+  edges
+
+(* The edges of the stage's illegal pins, as an ascending set; [None]
+   unless the pins are strictly ascending. *)
+let illegal_edges st =
+  let edges = pin_edges (Stage.comb st) in
+  let pins = Array.to_list (Stage.illegal_pins st) in
+  if List.sort_uniq Int.compare pins <> pins then None
+  else Some (List.sort_uniq compare (List.map (Array.get edges) pins))
+
 (* [Stage.make] against the dense first-written classifier
    ([Stage_ref]), bitwise: every sink's class (cut sets in order),
-   longest-path bits and window edges in order, and the merged illegal
-   edge list in order. The [stage_sinks_pruned] counter splits the
+   longest-path bits and window pins in ascending order, and the
+   stage's illegal edges as a set. The [stage_sinks_pruned] counter splits the
    compared sinks into those the prune bound decided without their cone
    ([pruned]) and those classified by their cone ([coned]); the latter
    are cut, in sink order, into batches of [Sta.lanes], so a stage's
@@ -220,22 +241,29 @@ let stage_matches_reference c ~model ~lib ~clocking cc =
         ~latch:(Liberty.latch lib)
     in
     let bits = Int64.bits_of_float in
+    let edges = pin_edges (Stage.comb st) in
     Some
-      (Stage.illegal_edges st = illegal
+      (illegal_edges st = Some illegal
       && Array.for_all
            (fun (s, r) ->
              Stage.classify st s = r.Stage_ref.cls
              && bits (Stage.max_path st s) = bits r.Stage_ref.mp
              &&
              match r.Stage_ref.cls with
-             | Stage.Target _ -> Stage.window_edges st s = r.Stage_ref.win
-             | Stage.Never_ed | Stage.Always_ed -> true)
+             | Stage.Target _ | Stage.Never_ed ->
+               (* the reference lists its window descending *)
+               List.map (Array.get edges)
+                 (Array.to_list (Stage.window_pins st s))
+               = List.rev r.Stage_ref.win
+             | Stage.Always_ed -> true)
            per_sink)
 
 (* Random DAGs (even seeds) and carry-chain pipelines (odd), both delay
    models, both clocking schemes, each at the derived clock and with a
-   looser one (fewer window edges, more never-ED sinks). *)
-let reference_case c seed =
+   looser one (fewer window edges, more never-ED sinks). [check] is
+   [None] on a rejected stage; a case holds when some stage was checked
+   and every check held. *)
+let reference_case check seed =
   let net =
     if seed mod 2 = 0 then Generator.generate (small_spec seed)
     else
@@ -252,9 +280,7 @@ let reference_case c seed =
       in
       let checked =
         List.filter_map
-          (fun scale ->
-            stage_matches_reference c ~model ~lib ~clocking:(clock (p0 *. scale))
-              cc)
+          (fun scale -> check ~model ~lib ~clocking:(clock (p0 *. scale)) cc)
           [ 1.0; 1.3 ]
       in
       checked <> [] && List.for_all Fun.id checked)
@@ -275,7 +301,8 @@ let test_stage_matches_reference =
   let name, speed, run =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"Stage.make = dense reference classifier"
-         ~count:8 QCheck.(int_bound 40) (reference_case c))
+         ~count:8 QCheck.(int_bound 40)
+         (reference_case (stage_matches_reference c)))
   in
   Alcotest.test_case name speed (fun () ->
       List.iter (fun r -> r := 0) [ c.pruned; c.coned; c.single; c.partial; c.full ];
@@ -286,7 +313,7 @@ let test_stage_matches_reference =
         (fun () ->
           run ();
           Alcotest.(check bool) "pipeline seed 1 = reference" true
-            (reference_case c 1);
+            (reference_case (stage_matches_reference c) 1);
           List.iter
             (fun model ->
               Alcotest.(check (option bool)) "Fig. 4 = reference" (Some true)
@@ -301,14 +328,179 @@ let test_stage_matches_reference =
       Alcotest.(check bool) "partial batches compared" true (!(c.partial) > 0);
       Alcotest.(check bool) "full batches compared" true (!(c.full) > 0))
 
+(* Each no-latch position once. On the reference cases' stages, a
+   G-RAR LP and a VL LP that forbids the window pins of a random subset
+   of the targets end in one constraint per distinct edge among the
+   reference's illegal edges and the subset's window edges, in fanin
+   CSR order (heads ascending, then each driver's first pin), then one
+   host constraint per source with a forbidden edge, in source order.
+   Before them the LP holds no constraint of either form but the V_m
+   bounds, in node order. Closure returns the same [r] for the LP and
+   for a copy with the per-sink lists the list-based builder emitted
+   appended: every sink's illegal edges, and each forbidden sink's
+   window edges with the host edge of every source among them. *)
+type no_latch_cover = {
+  illegal_seen : int ref; (* LPs with an illegal edge *)
+  hosts_seen : int ref;   (* LPs with a host constraint *)
+  vl_solved : int ref;    (* feasible VL LPs compared with their copy *)
+}
+
+let no_latch_once cov ~rng ~model ~lib ~clocking cc =
+  match Stage.make ~model ~lib ~clocking cc with
+  | Error _ -> None
+  | Ok st ->
+    let net = Stage.comb st in
+    let n = Netlist.node_count net in
+    let per_sink, illegal =
+      Stage_ref.classify ~sta:(Stage.sta st) ~clocking
+        ~latch:(Liberty.latch lib)
+    in
+    let chosen =
+      List.filter
+        (fun (_, r) ->
+          match r.Stage_ref.cls with
+          | Stage.Target _ -> Random.State.bool rng
+          | Stage.Never_ed | Stage.Always_ed -> false)
+        (Array.to_list per_sink)
+    in
+    let forbidden = Array.make (Array.length (pin_edges net)) false in
+    List.iter
+      (fun (s, _) ->
+        Array.iter (fun p -> forbidden.(p) <- true) (Stage.window_pins st s))
+      chosen;
+    let is_input u = Netlist.kind net u = Netlist.Input in
+    let first_pin (u, v) =
+      let fins = Netlist.fanins net v in
+      let rec go i = if fins.(i) = u then i else go (i + 1) in
+      go 0
+    in
+    let no_latch (u, v) = if u = v then (u + 1, 0, -1) else (v + 1, u + 1, 0) in
+    let expected window =
+      List.map no_latch
+        (List.sort
+           (fun a b -> compare (snd a, first_pin a) (snd b, first_pin b))
+           (List.sort_uniq compare (illegal @ window)))
+      @ List.filter_map
+          (fun u ->
+            if List.exists (fun (w, _) -> w = u) window then
+              Some (no_latch (u, u))
+            else None)
+          (Array.to_list (Netlist.inputs net))
+    in
+    let v_m =
+      List.filter_map
+        (fun v ->
+          if Stage.region st v = Stage.Rm then Some (v + 1, 0, -1) else None)
+        (List.init n Fun.id)
+    in
+    let reversed_edge (a, b, w) =
+      w = 0 && a >= 1 && a <= n && b >= 1 && b <= n
+      && Array.mem (b - 1) (Netlist.fanins net (a - 1))
+    in
+    let constraints lp =
+      let acc = ref [] in
+      Difflp.iter_constraints lp (fun ~u ~v ~bound ->
+          acc := (u, v, bound) :: !acc);
+      List.rev !acc
+    in
+    let once lp expected =
+      let cons = constraints lp in
+      let m = List.length cons - List.length expected in
+      let before = List.filteri (fun i _ -> i < m) cons in
+      m >= 0
+      && List.filteri (fun i _ -> i >= m) cons = expected
+      && (not (List.exists reversed_edge before))
+      && List.filter (fun (_, b, w) -> b = 0 && w = -1) before = v_m
+    in
+    (* The LP again, through the public API, with [dups] appended. *)
+    let with_duplicates lp dups =
+      let vars = Difflp.var_count lp in
+      let copy = Difflp.create ~n:vars in
+      List.iter (fun (u, v, bound) -> Difflp.add_constraint copy ~u ~v ~bound)
+        (constraints lp @ dups);
+      let unit = Array.make vars 0 in
+      Difflp.add_objectives copy
+        (Array.init vars (fun x ->
+             unit.(x) <- 1;
+             let a = Difflp.objective_value lp unit in
+             unit.(x) <- 0;
+             a));
+      copy
+    in
+    let solve lp = Difflp.solve ~engine:Difflp.Closure lp ~reference:0 in
+    let same lp dups =
+      match (solve lp, solve (with_duplicates lp dups)) with
+      | Ok r, Ok r' -> r = r'
+      | Error _, Error _ -> true
+      | Ok _, Error _ | Error _, Ok _ -> false
+    in
+    let per_sink_illegal =
+      List.concat_map (fun (_, r) -> List.map no_latch r.Stage_ref.ill)
+        (Array.to_list per_sink)
+    in
+    let per_sink_window =
+      List.concat_map
+        (fun (_, r) ->
+          List.map no_latch
+            (List.sort_uniq compare
+               (List.concat_map
+                  (fun (u, v) ->
+                    if is_input u then [ (u, v); (u, u) ] else [ (u, v) ])
+                  r.Stage_ref.win)))
+        chosen
+    in
+    let window = List.concat_map (fun (_, r) -> r.Stage_ref.win) chosen in
+    let c = List.nth [ 0.5; 1.0; 2.0 ] (Random.State.int rng 3) in
+    let grar = Rgraph.lp (Rgraph.build ~edl_overhead:c st) in
+    let vl =
+      Rgraph.lp (Rgraph.build ~forbidden_pins:forbidden ~bias_early:true st)
+    in
+    if illegal <> [] then incr cov.illegal_seen;
+    if List.exists (fun (u, _) -> is_input u) window then incr cov.hosts_seen;
+    if Result.is_ok (solve vl) then incr cov.vl_solved;
+    Some
+      (once grar (expected [])
+      && once vl (expected window)
+      && same grar per_sink_illegal
+      && same vl (per_sink_illegal @ per_sink_window))
+
+let test_no_latch_once =
+  let cov =
+    { illegal_seen = ref 0; hosts_seen = ref 0; vl_solved = ref 0 }
+  in
+  let case seed =
+    reference_case
+      (no_latch_once cov ~rng:(Random.State.make [| seed |]))
+      seed
+  in
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"each no-latch edge once" ~count:8
+         QCheck.(int_bound 40) case)
+  in
+  Alcotest.test_case name speed (fun () ->
+      (* Closure's answer is the one compared: pin a clean fault
+         configuration, so no injected failure hands a solve to the
+         fallback engine. *)
+      Rar_resilience.Faults.disable ();
+      Fun.protect ~finally:Rar_resilience.Faults.use_env @@ fun () ->
+      List.iter (fun r -> r := 0)
+        [ cov.illegal_seen; cov.hosts_seen; cov.vl_solved ];
+      run ();
+      Alcotest.(check bool) "pipeline seed 1" true (case 1);
+      let seen what r = Alcotest.(check bool) what true (!r > 0) in
+      seen "illegal edges emitted" cov.illegal_seen;
+      seen "host constraints emitted" cov.hosts_seen;
+      seen "feasible VL LPs compared" cov.vl_solved)
+
 (* Every Rgraph LP, pinned through the public API: the constraints in
    emission order, the variable count and the bits of each objective
    coefficient (read as the objective of a unit vector, which sums one
-   term with zeros and so is exact), as one MD5 per LP. Recorded with
-   the list-based builder that the two-pass emitter replaced, so the
-   emitter keeps every LP bitwise: the same solve-cache keys, the same
-   [lp_latches] and the same tables. The forbidden-edge build forbids
-   every target's window edges and the host edge of the first source. *)
+   term with zeros and so is exact), as one MD5 per LP. A builder
+   change that moves a constraint, its order or a coefficient bit moves
+   a digest, and with it the solve-cache keys; recorded with the
+   no-latch constraints in fanin CSR order, each edge once. The
+   forbidden-pin build forbids every target's window pins. *)
 let lp_digest lp =
   let b = Buffer.create 4096 in
   Difflp.iter_constraints lp (fun ~u ~v ~bound ->
@@ -327,23 +519,23 @@ type lp_build = Base | Grar of float | Forbidden
 
 let lp_golden =
   [
-    ("s1196", Base, 908, 4077, "4e4b8ea18c233290b0bfb704c7adb915");
-    ("s1196", Grar 0.5, 911, 4290, "1edd384d53698491536aa30e88cf4005");
-    ("s1196", Grar 1.0, 911, 4290, "52f09e55711896a51316d2c984d3a0f9");
-    ("s1196", Grar 2.0, 911, 4290, "7f8b3527222afc8e2b034f5905e512c2");
-    ("s1423", Base, 1271, 5321, "cbff5c96ebc7bb9dbbff90810c8f866e");
-    ("s1423", Grar 0.5, 1311, 7590, "0e4c6dcb2f18117a53dc336c298d12db");
-    ("s1423", Grar 1.0, 1311, 7590, "76b8b2d561e43b6fa810c33a6fc5ce0c");
-    ("s1423", Grar 2.0, 1311, 7590, "2849eeffa32aee4ec8491292525d3424");
-    ("s1423", Forbidden, 1271, 11881, "78f8fb8d58d7a3242dfb40e81a3c3fd5");
-    ("s5378", Base, 2760, 11553, "672d710f3e41777cae477e5e225124d2");
-    ("s5378", Grar 0.5, 2809, 19244, "a69b0cf7169bc61e32f94fd3e77e52c1");
-    ("s5378", Grar 1.0, 2809, 19244, "9260f4bf913ddfd66335e22aa6de4d64");
-    ("s5378", Grar 2.0, 2809, 19244, "1a61f3bddd08cfd36efc3a65aae2e856");
-    ("pipe4", Base, 1401, 5457, "6559798b4d07666229e9d2e825c3c5a3");
-    ("pipe4", Grar 0.5, 1453, 5821, "ff09ae83f93be74a76ad2e4be196bfd2");
-    ("pipe4", Grar 1.0, 1453, 5821, "b2fbd551183da54f6df1d35b002c7855");
-    ("pipe4", Grar 2.0, 1453, 5821, "4d3d5bb2badd3390503469feaa61f173");
+    ("s1196", Base, 908, 4077, "706e1f6d8b9ddc06d1de0dac56db0b1a");
+    ("s1196", Grar 0.5, 911, 4290, "01249eb8b8a4ce55fa1877bf105dc562");
+    ("s1196", Grar 1.0, 911, 4290, "030b0cecfd6336c914a9e86b51c41195");
+    ("s1196", Grar 2.0, 911, 4290, "1f9d902c627d10cf24e495466c2a3e9a");
+    ("s1423", Base, 1271, 5321, "24a997611ee1b017d30b75214a9756e7");
+    ("s1423", Grar 0.5, 1311, 7590, "fa039c9f503802afa9cfeb4d7485453e");
+    ("s1423", Grar 1.0, 1311, 7590, "d85b3b92c9c906c3ee6c1b70cb6ed337");
+    ("s1423", Grar 2.0, 1311, 7590, "f106ad2f97b529562383398c572ab91d");
+    ("s1423", Forbidden, 1271, 5814, "1328b66625151f1e24154125a730a8e5");
+    ("s5378", Base, 2760, 11553, "8ab179fa8fa809b5c4b85899211602a5");
+    ("s5378", Grar 0.5, 2809, 19244, "dad4bb5e9618182a0f7dbd82dfaf3813");
+    ("s5378", Grar 1.0, 2809, 19244, "98b84cd7a6553ae3645b2890465ae54e");
+    ("s5378", Grar 2.0, 2809, 19244, "e505e412b0983ea652cf5c79782cebdb");
+    ("pipe4", Base, 1401, 5457, "105597a43290854034d6fd66d8b64ac4");
+    ("pipe4", Grar 0.5, 1453, 5821, "73f36224a54183ee7c7961064fe127ee");
+    ("pipe4", Grar 1.0, 1453, 5821, "6d18aa5a003f2ded9df3bdae33869118");
+    ("pipe4", Grar 2.0, 1453, 5821, "c3a327a27b5b9da6cea4398b013ccc07");
   ]
 
 let test_lp_golden () =
@@ -361,14 +553,15 @@ let test_lp_golden () =
       st
   in
   let forbidden st =
-    let src = (Netlist.inputs (Stage.comb st)).(0) in
-    (src, src)
-    :: List.concat_map
-         (fun s ->
-           match Stage.classify st s with
-           | Stage.Target _ -> Stage.window_edges st s
-           | Stage.Never_ed | Stage.Always_ed -> [])
-         (Array.to_list (Stage.sinks st))
+    let marks = Array.make (Array.length (pin_edges (Stage.comb st))) false in
+    Array.iter
+      (fun s ->
+        match Stage.classify st s with
+        | Stage.Target _ ->
+          Array.iter (fun p -> marks.(p) <- true) (Stage.window_pins st s)
+        | Stage.Never_ed | Stage.Always_ed -> ())
+      (Stage.sinks st);
+    marks
   in
   List.iter
     (fun (circuit, build, vars, m, md5) ->
@@ -379,8 +572,8 @@ let test_lp_golden () =
         | Grar c ->
           (Rgraph.build ~edl_overhead:c st, Printf.sprintf "G-RAR c=%g" c)
         | Forbidden ->
-          ( Rgraph.build ~forbidden_edges:(forbidden st) ~bias_early:true st,
-            "forbidden edges" )
+          ( Rgraph.build ~forbidden_pins:(forbidden st) ~bias_early:true st,
+            "forbidden pins" )
       in
       let lp = Rgraph.lp g and label = circuit ^ " " ^ what in
       Alcotest.(check int) (label ^ ": variables") vars (Difflp.var_count lp);
@@ -396,6 +589,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_deterministic;
     QCheck_alcotest.to_alcotest prop_ed_iff_window;
     test_stage_matches_reference;
+    test_no_latch_once;
     Alcotest.test_case "regions exclusive" `Quick test_regions_exclusive;
     Alcotest.test_case "grar conversions verified" `Quick
       test_grar_converts_targets;

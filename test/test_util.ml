@@ -84,9 +84,9 @@ let with_jobs j f =
   Pool.set_jobs j;
   Fun.protect ~finally:(fun () -> Pool.set_jobs 1) f
 
-(* A stateless map over [Pool.map_adaptive_with]. Batches under 512
-   elements run sequentially whatever the pool size, so the scenarios
-   that are about the pooled path map at least [pooled] elements. *)
+(* A stateless map over [Pool.map_adaptive_with]. Any map of two or
+   more elements takes the pooled path at a pool size above 1; the
+   scenarios map [pooled] elements, many per participant. *)
 let pmap xs f = Pool.map_adaptive_with ~init:ignore xs (fun () x -> f x)
 let pooled = 1024
 
@@ -129,7 +129,7 @@ let test_pool_exception_propagation () =
           | _ -> Alcotest.fail "expected exception from pool task"
           | exception Boom i ->
             (* Lowest-index raiser wins, as in sequential Array.map,
-               although later chunks raise too. *)
+               although later elements raise too. *)
             Alcotest.(check int)
               (Printf.sprintf "lowest index re-raised (jobs=%d)" j)
               600 i))
@@ -166,7 +166,7 @@ let test_pool_size_clamp () =
 let test_pool_nested_map () =
   (* A nested map from inside a worker task must not deadlock the
      fixed pool: inner calls degrade to sequential evaluation. Both
-     batches are large enough to take the pooled path on their own. *)
+     maps would take the pooled path on their own. *)
   with_jobs 2 (fun () ->
       let got =
         pmap (Array.init 512 Fun.id) (fun x ->
@@ -176,42 +176,47 @@ let test_pool_nested_map () =
       let expect = Array.init 512 (fun x -> (512_000 * x) + 130_816) in
       Alcotest.(check (array int)) "nested map" expect got)
 
-let test_pool_map_with_chunk_state () =
-  (* Each chunk builds its state once and shares it with no other
-     chunk: every element records the state that served it, the states
-     served contiguous ranges, and their counts add up. *)
+let test_pool_map_with_state () =
+  (* Each participant builds its state once, in its own domain, and
+     shares it with no other: every element is served exactly once, by
+     one of at most [min (effective_jobs ()) n] states, each built in a
+     different domain. *)
   List.iter
     (fun j ->
       with_jobs j (fun () ->
           let inits = Atomic.make 0 in
+          let built = ref [] and lock = Mutex.create () in
           let init () =
             Atomic.incr inits;
-            ref 0
+            let st = (Domain.self (), ref 0) in
+            Mutex.protect lock (fun () -> built := st :: !built);
+            st
           in
           Alcotest.(check int) "empty array builds no state" 0
             (Array.length
                (Pool.map_adaptive_with ~init [||] (fun _ (x : int) -> x)));
           Alcotest.(check int) "no init for an empty array" 0
             (Atomic.get inits);
-          let xs = Array.init 2000 Fun.id in
+          let n = 2000 in
+          let xs = Array.init n Fun.id in
           let got =
-            Pool.map_adaptive_with ~init xs (fun served x ->
+            Pool.map_adaptive_with ~init xs (fun ((_, served) as st) x ->
                 incr served;
-                (3 * x, served))
+                (3 * x, st))
           in
           Alcotest.(check (array int))
             (Printf.sprintf "results (jobs=%d)" j)
             (Array.map (fun x -> 3 * x) xs)
             (Array.map fst got);
-          let runs = ref [] in
-          Array.iteri
-            (fun i (_, st) ->
-              if i = 0 || snd got.(i - 1) != st then runs := st :: !runs)
-            got;
-          Alcotest.(check int) "one contiguous run per state" (Atomic.get inits)
-            (List.length !runs);
-          Alcotest.(check int) "states served every element" 2000
-            (List.fold_left (fun acc st -> acc + !st) 0 !runs);
+          let built = !built in
+          Alcotest.(check bool) "every element served by a built state" true
+            (Array.for_all (fun (_, st) -> List.memq st built) got);
+          Alcotest.(check bool) "at most one state per participant" true
+            (List.length built <= Int.min (Pool.effective_jobs ()) n);
+          Alcotest.(check int) "one state per domain" (List.length built)
+            (List.length (List.sort_uniq compare (List.map fst built)));
+          Alcotest.(check int) "each element served once" n
+            (List.fold_left (fun acc (_, served) -> acc + !served) 0 built);
           if j = 1 then
             Alcotest.(check int) "sequential path builds one state" 1
               (Atomic.get inits)))
@@ -487,8 +492,8 @@ let suite =
     Alcotest.test_case "pool workers survive raising tasks" `Quick
       test_pool_worker_survives_raise;
     Alcotest.test_case "pool size-1 fallback" `Quick test_pool_size_clamp;
-    Alcotest.test_case "pool per-chunk state" `Quick
-      test_pool_map_with_chunk_state;
+    Alcotest.test_case "pool per-participant state" `Quick
+      test_pool_map_with_state;
     Alcotest.test_case "pool nested map" `Quick test_pool_nested_map;
     Alcotest.test_case "pool submit" `Quick test_pool_submit;
     Alcotest.test_case "json parse basics" `Quick test_json_parse_basics;
