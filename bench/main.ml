@@ -55,13 +55,9 @@ let with_jobs j f =
   Fun.protect ~finally:(fun () -> Pool.set_jobs jobs_effective) f
 
 (* The digest of the sources the numbers come from, read from the
-   checkout in the cwd (null outside one): one MD5 over every [*.ml],
-   [*.mli] and [dune] file under lib/, bin/ and bench/, names beginning
-   with a dot skipped, in ascending byte order of relative path — each
-   file as its path, a newline, its byte length in decimal, a newline
-   and its bytes. EXPERIMENTS.md gives the encoding, and the CI gates
-   recompute it from the tree, so a document written before a source
-   change reads stale. *)
+   checkout in the cwd (null outside one), in the encoding
+   EXPERIMENTS.md gives. The CI gates recompute it from the tree, so a
+   document written before a source change reads stale. *)
 let src_digest () =
   let rec walk dir acc =
     Array.fold_left

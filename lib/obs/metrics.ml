@@ -92,11 +92,9 @@ let snapshot_json () =
 
 (* --- pool instrumentation ------------------------------------------ *)
 
-(* The pool lives below this library, so it cannot name these cells;
-   instead it exposes a batch hook that we install at load time (the
-   same pattern Faults uses for its pool-kill hook). The hook fires
-   once per pooled batch — never on the sequential fast path, which is
-   why all three are gauges. *)
+(* The pool lives below this library, so we install its batch hook at
+   load time. It fires once per pooled batch, never on the sequential
+   path, which is why all three are gauges. *)
 let pool_batches = gauge "pool_batches"
 let pool_tasks = gauge "pool_tasks"
 let pool_queue_max = gauge "pool_queue_max"
@@ -110,14 +108,14 @@ let () =
          set_max pool_queue_max occupancy;
          Trace.span_fn "pool/batch"))
 
-(* Self-sizing decisions (PR 6): the last dispatch's effective size
-   plus one fallback counter per reason, so a run's metrics show both
-   what the pool resolved to and why batches stayed sequential. *)
+(* The last dispatch's sizing, plus one count per reason a call stayed
+   sequential. *)
 let pool_jobs_requested = gauge "pool_jobs_requested"
 let pool_jobs_effective = gauge "pool_jobs_effective"
 let pool_seq_nested = gauge "pool_seq_fallback_nested"
 let pool_seq_single = gauge "pool_seq_fallback_single_element"
 let pool_seq_host = gauge "pool_seq_fallback_host_clamp"
+let pool_seq_little = gauge "pool_seq_fallback_little_work"
 
 let () =
   Pool.set_decision_hook
@@ -129,4 +127,5 @@ let () =
          | "nested" -> add pool_seq_nested 1
          | "single_element" -> add pool_seq_single 1
          | "host_clamp" when effective = 1 -> add pool_seq_host 1
+         | "little_work" -> add pool_seq_little 1
          | _ -> ()))

@@ -411,12 +411,22 @@ let never_late_test ~sta_an ~clocking ~latch =
     fun s -> Sta.arrival_at_sink sta_an s +. d <= period
   | Some _ | None -> fun _ -> false
 
+(* Estimated swept nodes per pool participant (DESIGN.md §11): only
+   stages past two million leave the calling domain. *)
+let sweep_per_participant = ref 1_000_000
+
+let with_sweep_per_participant w f =
+  let saved = !sweep_per_participant in
+  sweep_per_participant := Int.max 1 w;
+  Fun.protect ~finally:(fun () -> sweep_per_participant := saved) f
+
 (* Classify [sinks], in sink order. The prune bound decides what it
    can first; the other sinks are cut, in sink order, into batches of
    [lanes] (the last may be shorter) before dispatch, so the batches,
    and the counters they add, are the same for every pool size. The
    batches classify over the domain pool, one scratch per
-   participant. *)
+   participant; the sweep is estimated as the first batch's union
+   times the batch count. *)
 let classify_sinks ~sta_an ~clocking ~latch sinks =
   Rar_obs.Trace.span "stage/classify" @@ fun () ->
   let never_late = never_late_test ~sta_an ~clocking ~latch in
@@ -442,8 +452,17 @@ let classify_sinks ~sta_an ~clocking ~latch sinks =
           (can_launch ~sta_an ~clocking ~latch)
       in
       let arcs = Sta.slave_arcs sta_an ~clocking ~latch in
+      (* The estimate's DFS uses the first participant's scratch. *)
+      let sc = new_scratch sta_an in
+      let spare = Atomic.make (Some sc) in
       Rar_util.Pool.map_adaptive_with
-        ~init:(fun () -> new_scratch sta_an)
+        ~max_participants:(fun () ->
+          Sta.union_size sta_an sc.batch batches.(0)
+          * Array.length batches / !sweep_per_participant)
+        ~init:(fun () ->
+          match Atomic.exchange spare None with
+          | Some sc -> sc
+          | None -> new_scratch sta_an)
         batches
         (classify_batch ~sta_an ~clocking ~arcs ~launchable)
     end

@@ -64,6 +64,12 @@ val patch : t -> Transform.Edit.applied -> (t, Error.t) result
     the one the edit was applied against (same netlist, same
     cumulative annotations). *)
 
+val with_sweep_per_participant : int -> (unit -> 'a) -> 'a
+(** [with_sweep_per_participant w f] runs [f] with [w], not a million,
+    as the estimated swept nodes each pool participant of a sink
+    classification needs: tests pass 1 to classify small stages in
+    parallel. Results never depend on it. *)
+
 val annot : t -> float array option
 (** The ECO delay annotations this stage was analysed under. *)
 

@@ -539,7 +539,7 @@ let[@inline] discover b k ep v =
     lset b.dbf i neg_infinity
   done
 
-let load_batch t b sinks =
+let union_size t b sinks =
   let k = Array.length sinks in
   if k < 1 || k > lanes then invalid_arg "Sta.load_batch: 1 to 8 sinks";
   for l = 0 to k - 1 do
@@ -592,8 +592,11 @@ let load_batch t b sinks =
     mask.(s) <- mask.(s) lor (1 lsl l)
   done;
   b.size <- !size;
-  for i = !size - 1 downto 0 do
-    relax_lanes t b order.(i)
+  !size
+
+let load_batch t b sinks =
+  for i = union_size t b sinks - 1 downto 0 do
+    relax_lanes t b b.order.(i)
   done
 
 (* ------------------------------------------------------------------ *)

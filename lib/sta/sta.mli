@@ -185,6 +185,10 @@ val load_batch : t -> batch -> int array -> unit
     than {!lanes}, holds a node that is not an [Output], or the scratch
     was built for a netlist of another size. *)
 
+val union_size : t -> batch -> int array -> int
+(** The node count of the union {!load_batch} loads, by its DFS alone:
+    the scratch is left without backward delays. *)
+
 (** {1 Slave arcs}
 
     The sink-independent half of Eq. 5, hoisted out of the batch

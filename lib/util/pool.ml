@@ -30,24 +30,21 @@ let default_jobs () =
 let override : int option ref = ref None
 let jobs () = match !override with Some j -> j | None -> default_jobs ()
 
-(* Self-sizing: the requested job count is a ceiling, not a command.
-   Worker domains beyond the physical core count time-slice against
-   each other (and against the submitting domain) — measured at 0.24x
-   on a 1-core host — so dispatch clamps to the core count, and never
-   runs more participants than elements. *)
+(* Worker domains beyond the core count time-slice against each other
+   and the submitter (0.24x measured on a 1-core host). *)
 let effective_jobs () = Int.min (jobs ()) (host_cores ())
 
-(* Optional per-dispatch decision hook (installed by the observability
-   layer, which lives above this module): fired once per
-   [map_adaptive_with] call with the sizing decision, [reason] one of
-   "parallel", "requested", "nested", "single_element", "host_clamp". *)
+(* The observability layer's hooks (see the .mli): it lives above this
+   module, so it installs them at load time. *)
 let decision_hook :
     (requested:int -> effective:int -> reason:string -> unit) option ref =
   ref None
 
 let set_decision_hook h = decision_hook := h
 
-let decide ~n ~nested =
+(* [max_participants] is asked last, so a bound that costs work to
+   compute is paid only where the call could otherwise go parallel. *)
+let decide ~n ~nested ~max_participants =
   let requested = jobs () in
   let clamped = Int.min requested (host_cores ()) in
   if nested then (requested, 1, "nested")
@@ -55,9 +52,10 @@ let decide ~n ~nested =
   else if n <= 1 then (requested, 1, "single_element")
   else if clamped <= 1 then (requested, 1, "host_clamp")
   else
-    ( requested,
-      Int.min clamped n,
-      if clamped < requested then "host_clamp" else "parallel" )
+    let size = Int.min (Int.min clamped n) (max_participants ()) in
+    if size <= 1 then (requested, 1, "little_work")
+    else
+      (requested, size, if clamped < requested then "host_clamp" else "parallel")
 
 let worker p () =
   Domain.DLS.set in_worker true;
@@ -131,34 +129,21 @@ let set_jobs j =
   | Some p when p.size <> Int.min j (host_cores ()) -> shutdown_locked ()
   | Some _ | None -> ()
 
-(* Optional per-element hook, run just before each element is
-   evaluated (on both the sequential and pooled paths). Installed by
-   the fault-injection layer to simulate a task dying mid-batch; when
-   [None] the paths are byte-for-byte the unhooked behaviour. *)
 let task_hook : (unit -> unit) option ref = ref None
 let set_task_hook h = task_hook := h
 
-(* Optional per-batch hook, fired once per pooled [map_adaptive_with]
-   dispatch (never on the sequential path) with the batch size and the
-   queue occupancy just after enqueueing. It returns a completion
-   callback invoked when the batch joins — even if the join re-raises a
-   task's exception. Installed by the observability layer, which lives
-   above this module and so cannot be named from here. *)
 let batch_hook :
     (n_tasks:int -> occupancy:int -> (unit -> unit)) option ref =
   ref None
 
 let set_batch_hook h = batch_hook := h
 
-(* The one dispatch kernel, one pool task per participating domain:
-   each task builds its [init] state once, in its own domain, then
-   pulls element indices from one shared counter until none is left,
-   so the elements balance across the participants whatever each one
-   costs. A task that starts after the last element was taken builds
+(* One pool task per participant, pulling element indices from one
+   counter. A task that starts after the last element was taken builds
    no state: a worker that picks up a second task of the same call has
    finished its first, so no domain builds two states in one call. *)
-let map_adaptive_with ~(init : unit -> 's) (xs : 'a array)
-    (f : 's -> 'a -> 'b) : 'b array =
+let map_adaptive_with ?(max_participants = fun () -> max_int)
+    ~(init : unit -> 's) (xs : 'a array) (f : 's -> 'a -> 'b) : 'b array =
   let f =
     match !task_hook with
     | None -> f
@@ -172,7 +157,7 @@ let map_adaptive_with ~(init : unit -> 's) (xs : 'a array)
      extra dispatch overhead: take the plain sequential path (identical
      results — pool size never changes outputs, only wall clock). *)
   let requested, size, reason =
-    decide ~n ~nested:(Domain.DLS.get in_worker)
+    decide ~n ~nested:(Domain.DLS.get in_worker) ~max_participants
   in
   (match !decision_hook with
   | Some hook -> hook ~requested ~effective:size ~reason

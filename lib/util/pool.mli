@@ -8,26 +8,9 @@
     + the [RAR_JOBS] environment variable;
     + [Domain.recommended_domain_count () - 1], but at least 1.
 
-    The requested size is a ceiling, not a command: each
-    {!map_adaptive_with} dispatch is self-sizing. The count is clamped
-    to the physical core count ([Domain.recommended_domain_count ()] —
-    oversubscribed domains time-slice against the submitter and each
-    other) and to the element count. Pool size never changes results,
-    only wall clock, so the clamp is invisible except in timing and
-    the {!set_decision_hook} observability seam.
-
-    With an effective size of 1 every call degrades to plain
-    sequential evaluation in the calling domain — no domains are
-    spawned, so that path is byte-for-byte the old sequential
-    behaviour. Calls made {e from inside} a worker task also run
-    sequentially (nested parallelism would deadlock a fixed pool),
-    which makes {!map_adaptive_with} safe to use at every layer of
-    the evaluation stack.
-
-    Exceptions raised by elements are captured per element and
-    re-raised at the join, lowest element index first, with their
-    original backtrace, so [Error]/[Failure] plumbing behaves as in
-    sequential code. *)
+    The requested size is a ceiling: each {!map_adaptive_with} call
+    sizes itself, and the pool size never changes results, only wall
+    clock. *)
 
 val jobs : unit -> int
 (** Requested pool size (≥ 1), before host clamping. *)
@@ -46,29 +29,31 @@ val set_jobs : int -> unit
     re-spawned lazily at the next parallel call. *)
 
 val map_adaptive_with :
+  ?max_participants:(unit -> int) ->
   init:(unit -> 's) ->
   'a array ->
   ('s -> 'a -> 'b) ->
   'b array
-(** [map_adaptive_with ~init xs f] applies [f] to every element, in
-    parallel across the pool, preserving order, with per-participant
-    state. The call takes [min (effective_jobs ()) (Array.length xs)]
-    participants, one pool task each; every participant pulls element
-    indices from one shared counter until none is left, so elements of
-    uneven cost balance across the domains. With one participant, or
-    from inside a pool task, the call runs sequentially in place.
+(** [map_adaptive_with ~init xs f] is [Array.map (f (init ())) xs],
+    evaluated across the pool. The call takes [min (effective_jobs ())
+    (Array.length xs) (max_participants ())] participants, one pool
+    task each. Each builds its own state with [init], in the domain
+    that runs it (never shared between participants, calls or domains:
+    for private scratch buffers), and pulls element indices from one
+    shared counter until none is left, so elements of uneven cost
+    balance. With one participant, or from inside a pool task (nested
+    parallelism would deadlock a fixed pool), the call runs in the
+    calling domain with one state. [init] is not called for an empty
+    array; an [init] that raises fails every element its participant
+    takes. Results are identical at any pool size: of several raising
+    elements, the lowest-index exception is re-raised at the join,
+    with its backtrace.
 
-    Every participant (the calling domain, on the sequential path)
-    first builds its own state with [init], in the domain that runs
-    it, and passes it to [f] for each element it takes: at most one
-    state per participating domain. For reusable scratch buffers that
-    must stay private to one call and one domain: the state is never
-    shared between participants, calls or domains. [init] is not
-    called for an empty array; an [init] that raises fails every
-    element its participant takes. Results are identical to
-    [Array.map (f (init ())) xs] at any pool size, exceptions included
-    up to which of several raising elements wins: the lowest-index
-    exception is re-raised. *)
+    [max_participants] (default: none) is the caller's bound from the
+    work it can observe: a participant costs its own state, and the
+    first dispatch leaves idle domains that every later minor
+    collection of the process waits for. It is asked at most once, and
+    only where the call could otherwise run on two or more domains. *)
 
 val submit : (unit -> unit) -> unit
 (** [submit task] enqueues [task] for asynchronous execution on a pool
@@ -107,5 +92,5 @@ val set_decision_hook :
     call — sequential paths included — with the sizing decision: the
     requested job count, the participants used ([1] = sequential), and
     the reason ("parallel", "requested", "nested", "single_element",
-    "host_clamp"). The seam [Rar_obs] uses for the
+    "host_clamp", "little_work"). The seam [Rar_obs] uses for the
     [pool_jobs_effective] / fallback gauges. *)

@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
 """The source digest a BENCH document's host.src_digest must equal.
 
-One MD5 over every *.ml, *.mli and dune file under lib/, bin/ and
-bench/ of the checkout, names beginning with a dot skipped, in
-ascending byte order of relative path ('/'-separated): each file as
-its path, a newline, its byte length in decimal, a newline and its
-bytes. bench/main.ml stamps the same digest when it writes a document,
-so a document written before a source change fails check_host.
+src_digest implements the encoding EXPERIMENTS.md ("Runtime and
+parallel evaluation") gives. bench/main.ml stamps the same digest when
+it writes a document, so a document written before a source change
+fails check_host.
 
 Usage: src_digest.py   (prints the checkout's digest)
 """

@@ -214,6 +214,9 @@ let prop_resolve_matches_cold =
     ~count:12 QCheck.small_int (fun seed ->
       let saved = Pool.jobs () in
       Fun.protect ~finally:(fun () -> Pool.set_jobs saved) @@ fun () ->
+      (* One swept node per participant: every patch and cold make of
+         more than one batch classifies on the pool at 2 and 4 jobs. *)
+      Stage.with_sweep_per_participant 1 @@ fun () ->
       let transcripts =
         List.map
           (fun jobs ->

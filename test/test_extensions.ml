@@ -171,8 +171,9 @@ let test_grar_identical_across_jobs () =
   (* The pooled per-sink prep (Stage.make's classification fan-out over
      [Pool.map_adaptive_with], the rgraph endpoint dedup) and the
      block-priced simplex must produce byte-identical results at every
-     pool size. The circuit's undecided sinks fill many batches, so the
-     classification fan-out takes its parallel branch. *)
+     pool size. The circuit's undecided sinks fill many batches, and a
+     bound of one swept node per participant puts the classification
+     fan-out on its parallel branch. *)
   let spec =
     { (Option.get (Rar_circuits.Spec.find "s1196")) with
       Rar_circuits.Spec.n_flops = 560;
@@ -206,6 +207,7 @@ let test_grar_identical_across_jobs () =
   in
   let reference = run () in
   Fun.protect ~finally:(fun () -> Rar_util.Pool.set_jobs 1) @@ fun () ->
+  Stage.with_sweep_per_participant 1 @@ fun () ->
   List.iter
     (fun jobs ->
       Rar_util.Pool.set_jobs jobs;

@@ -283,7 +283,8 @@ let test_check_balanced_detects () =
    [host_cores ()], whatever it is. The clamped map grows with the
    host (256 elements per core, at least 1024), so it always has more
    elements than the host has cores and takes one participant per
-   core. *)
+   core. On a host with more than one core, a work bound of one
+   participant keeps the same map in place. *)
 let test_pool_decision_gauges () =
   with_obs @@ fun () ->
   Fun.protect ~finally:(fun () -> Pool.set_jobs 1) @@ fun () ->
@@ -311,6 +312,17 @@ let test_pool_decision_gauges () =
   if Pool.host_cores () = 1 then
     Alcotest.(check bool) "1-core host counts a host_clamp fallback" true
       (Metrics.value host_clamp > 0)
+  else begin
+    let little = Metrics.gauge "pool_seq_fallback_little_work" in
+    let r =
+      Pool.map_adaptive_with ~max_participants:(fun () -> 1) ~init:ignore xs
+        (fun () x -> x + 1)
+    in
+    Alcotest.(check (array int)) "bounded map result" (Array.map succ xs) r;
+    Alcotest.(check int) "work bound counted" 1 (Metrics.value little);
+    Alcotest.(check int) "work-bound map ran sequentially" 1
+      (Metrics.value effective)
+  end
 
 (* rar-run/1 output (wall-clock zeroed) must be byte-identical however
    the pool is sized — the scheduling of parallel batches must never

@@ -222,6 +222,46 @@ let test_pool_map_with_state () =
               (Atomic.get inits)))
     [ 1; 4 ]
 
+let test_pool_work_bound () =
+  (* [max_participants] caps the participants, and the pool asks it
+     only where the call could go parallel: never at one job, for one
+     element or from inside a pool task. *)
+  let asked = Atomic.make 0 in
+  let states xs ~bound =
+    let built = Atomic.make 0 in
+    let got =
+      Pool.map_adaptive_with
+        ~max_participants:(fun () ->
+          Atomic.incr asked;
+          bound)
+        ~init:(fun () -> Atomic.incr built)
+        xs
+        (fun () x -> x + 1)
+    in
+    Alcotest.(check (array int)) "results" (Array.map succ xs) got;
+    Atomic.get built
+  in
+  let xs = Array.init pooled Fun.id in
+  with_jobs 1 (fun () ->
+      Alcotest.(check int) "one state at one job" 1 (states xs ~bound:4);
+      Alcotest.(check int) "bound not asked at one job" 0 (Atomic.get asked));
+  with_jobs 4 (fun () ->
+      Alcotest.(check int) "one state for one element" 1
+        (states [| 1 |] ~bound:4);
+      Alcotest.(check int) "bound not asked for one element" 0
+        (Atomic.get asked);
+      Alcotest.(check int) "a bound of 1 runs in place" 1
+        (states xs ~bound:1);
+      Alcotest.(check int) "bound asked once where the call could go parallel"
+        (if Pool.effective_jobs () >= 2 then 1 else 0)
+        (Atomic.get asked);
+      Alcotest.(check bool) "at most two states under a bound of 2" true
+        (states xs ~bound:2 <= 2);
+      Atomic.set asked 0;
+      ignore (pmap [| 1; 2 |] (fun _ -> states xs ~bound:4));
+      Alcotest.(check int) "bound not asked from inside a pool task" 0
+        (Atomic.get asked))
+
 let prop_heap_matches_sort =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
     QCheck.(list (float_bound_exclusive 1000.))
@@ -494,6 +534,7 @@ let suite =
     Alcotest.test_case "pool size-1 fallback" `Quick test_pool_size_clamp;
     Alcotest.test_case "pool per-participant state" `Quick
       test_pool_map_with_state;
+    Alcotest.test_case "pool work bound" `Quick test_pool_work_bound;
     Alcotest.test_case "pool nested map" `Quick test_pool_nested_map;
     Alcotest.test_case "pool submit" `Quick test_pool_submit;
     Alcotest.test_case "json parse basics" `Quick test_json_parse_basics;
