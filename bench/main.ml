@@ -182,14 +182,15 @@ let span_totals f =
    phases and augmentations for the default closure solve, pivots and
    block-pricing hits when network simplex runs, LP-prep pruning, and
    stage classification's sinks decided by the prune bound, the summed
-   cones of the others and the summed unions of their batches. A fixed
-   list keeps the row shape stable; absent counters read 0. *)
-let counters_json counters =
+   cones of the others and the summed unions of their batches; [extra]
+   names a row's own. A fixed list keeps the row shape stable; absent
+   counters read 0. *)
+let counters_json ?(extra = []) counters =
   Json.Obj
     (List.map
        (fun k ->
          (k, Json.Int (Option.value ~default:0 (List.assoc_opt k counters))))
-       [
+       ([
          "maxflow_phases";
          "maxflow_augmentations";
          "netsimplex_pivots";
@@ -200,7 +201,8 @@ let counters_json counters =
          "stage_sinks_pruned";
          "stage_cone_nodes";
          "stage_sweep_nodes";
-       ])
+       ]
+       @ extra))
 
 (* ------------------------------------------------------------------ *)
 (* eval: BENCH_eval.json                                               *)
@@ -468,11 +470,12 @@ let eco_edit_targets net k =
    and check the session's last result against it. The G-RAR LP is
    built from the stage's discrete data only (regions, sink classes,
    cut sets, fanout groups), so annotations too small to flip a
-   classification leave the LP byte-identical and steady-state
-   resolves replay the cached solution: the measured speedup is
-   cone-limited re-analysis plus a solve-cache hit versus the full
-   cold stage + solve pipeline. The first resolve (empty batch) pays
-   the one-time cache-priming solve and is reported separately. The
+   classification leave the stage's LP generation unchanged and
+   steady-state resolves reuse the session's solution without building
+   the LP: the measured speedup is cone-limited re-analysis plus the
+   LP tail versus the full cold stage + solve pipeline. The first
+   resolve (empty batch) pays the one-time priming solve (and the
+   patch state's first build) and is reported separately. The
    headline ratio uses the median resolve: an edit that does flip a
    downstream classification legitimately pays a genuine re-solve, and
    one such batch must not mask the steady-state cost of the others. *)
@@ -534,7 +537,12 @@ let eco_measure () =
       ("median_resolve_s", num median);
       ("speedup", num (cold_s /. Float.max 1e-9 median));
       ("identical", Json.Bool identical);
-      ("counters", counters_json counters);
+      (* the ECO row adds the pins the patches re-relaxed and the
+         resolves that reused the session's solution *)
+      ( "counters",
+        counters_json
+          ~extra:[ "sta_incremental_pins"; "eco_solutions_reused" ]
+          counters );
     ]
 
 let run_eco () =

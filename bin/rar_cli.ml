@@ -623,13 +623,19 @@ let eco_cmd =
       value & flag
       & info [ "metrics" ]
           ~doc:
-            "Embed the cumulative counter/gauge snapshot (including \
-             $(b,sta_incremental_pins) and $(b,difflp_cache_hits)) as a \
-             $(b,metrics) object in every streamed record.")
+            "Embed the cumulative counter/gauge snapshot as a \
+             $(b,metrics) object in every streamed record. Among the \
+             counters: $(b,sta_incremental_pins), the pins the patched \
+             timing re-relaxed; $(b,eco_solutions_reused), the base or \
+             G-RAR resolves whose edits left the LP's inputs as they were, \
+             so the session's last solution was used without building or \
+             solving the LP; and $(b,difflp_cache_hits), the VL solves \
+             replayed from the session's solve cache.")
   in
   (* Stripped comparison documents for --verify-cold: wall clocks
-     always differ and an LP cache hit legitimately drops fallback
-     events, so those two fields are outside the identity contract. *)
+     always differ and a reused solution or an LP cache hit
+     legitimately drops fallback events, so those two fields are
+     outside the identity contract. *)
   let strip = function
     | Json.Obj fields ->
       Json.Obj
@@ -755,9 +761,10 @@ let eco_cmd =
        ~doc:
          "Incremental (ECO) retiming: open a session on a benchmark, apply \
           batches of local edits from a script and re-solve each batch \
-          incrementally — cone-limited STA, a patched stage analysis and \
-          replayed LP solves — streaming one rar-run/1 JSON record per \
-          batch. Results are identical to cold re-solves on the edited \
+          incrementally — cone-limited STA, a patched stage analysis and, \
+          when a batch leaves the LP as it was, the session's last LP \
+          solution — streaming one rar-run/1 JSON record per batch. \
+          Results are identical to cold re-solves on the edited \
           netlist ($(b,--verify-cold) checks)."
        ~man:
          [ `S Manpage.s_exit_status;

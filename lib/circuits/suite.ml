@@ -11,6 +11,7 @@ type prepared = {
   two_phase : Netlist.t;
   cc : Transform.comb_circuit;
   lib : Liberty.t;
+  sta : Sta.t;
   clocking : Clocking.t;
   p : float;
   n_flops : int;
@@ -46,6 +47,9 @@ let prepare ?lib ?clock ?flop_base net =
   let two_phase = Convert.split Convert.Two net in
   let cc = Transform.extract_comb two_phase in
   let sta = Sta.analyse lib Sta.Path_based cc.Transform.comb in
+  (* Stages built on [sta] share it read-only, so its one memo is
+     filled here, before anything shares it. *)
+  ignore (Sta.backward_all sta : float array);
   let clocking, p = derive_clocking ?clock sta in
   (* NCE of the initial two-phase design: a slave at every source, so
      the slave-opening floor delays every path. *)
@@ -81,6 +85,7 @@ let prepare ?lib ?clock ?flop_base net =
     two_phase;
     cc;
     lib;
+    sta;
     clocking;
     p;
     n_flops;

@@ -14,6 +14,10 @@ type prepared = {
   two_phase : Netlist.t;      (** after master/slave splitting *)
   cc : Transform.comb_circuit;
   lib : Liberty.t;
+  sta : Sta.t;
+      (** the path-based analysis of [cc]'s comb netlist that derived
+          the clock, with its {!Sta.backward_all} memo filled: a
+          path-based stage of the unedited circuit shares it *)
   clocking : Clocking.t;      (** the paper's 0.3/0/0.35/0.05 split of [p] *)
   p : float;                  (** derived max stage delay *)
   n_flops : int;

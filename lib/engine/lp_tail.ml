@@ -28,9 +28,15 @@ type extras =
 type solve = Rgraph.t -> (int array, Error.t) result
 type run = (Stage.t * Outcome.t * extras, Error.t) result
 
-let finish ~approach ~meets_period ~assemble stage g r =
-  let placements = Rgraph.placements_of g r in
-  match Rgraph.check_legal g placements with
+type solution = {
+  r : int array;
+  lp_latches : float;
+  modelled_non_ed : int list;
+}
+
+let finish ~approach ~meets_period ~assemble stage r =
+  let placements = Rgraph.placements_on stage r in
+  match Rgraph.check_legal_on stage placements with
   | Error e -> Error e
   | Ok () -> (
     (* Size-only fix against the per-sink deadlines. *)
@@ -49,28 +55,40 @@ let finish ~approach ~meets_period ~assemble stage g r =
 
 (* Base builds no [P(t)] vertices, so it models no sink non-ED and
    every deadline is the max-delay bound. *)
-let retiming ~approach ~solve ~c g stage =
-  match solve g with
+let retiming ~approach ~solve ?solved ~c build stage =
+  let solved =
+    match solved with
+    | Some sol -> Ok sol
+    | None -> (
+      let g = build stage in
+      match solve g with
+      | Error e -> Error e
+      | Ok r ->
+        Ok
+          {
+            r;
+            lp_latches = Rgraph.modelled_latch_count g r;
+            modelled_non_ed =
+              List.filter_map
+                (fun (s, pv) -> if r.(pv) = -1 then Some s else None)
+                (Rgraph.p_vars g);
+          })
+  in
+  match solved with
   | Error e -> Error e
-  | Ok r ->
-    let modelled_non_ed =
-      List.filter_map
-        (fun (s, pv) -> if r.(pv) = -1 then Some s else None)
-        (Rgraph.p_vars g)
-    in
-    let lp_latches = Rgraph.modelled_latch_count g r in
+  | Ok { r; lp_latches; modelled_non_ed } ->
     let non_ed = Hashtbl.create (1 + List.length modelled_non_ed) in
     List.iter (fun s -> Hashtbl.replace non_ed s ()) modelled_non_ed;
     finish ~approach ~meets_period:(Hashtbl.mem non_ed)
       ~assemble:(fun stage' placements arr ->
         ( Outcome.account ~c stage' placements arr,
           Retiming { r; lp_latches; modelled_non_ed } ))
-      stage g r
+      stage r
 
-let base ~solve ~c stage =
-  retiming ~approach:"Base" ~solve ~c (Rgraph.build ~bias_early:true stage)
-    stage
+let base ?solved ~solve ~c stage =
+  retiming ~approach:"Base" ~solve ?solved ~c
+    (Rgraph.build ~bias_early:true) stage
 
-let grar ~solve ~c stage =
-  retiming ~approach:"G-RAR" ~solve ~c (Rgraph.build ~edl_overhead:c stage)
-    stage
+let grar ?solved ~solve ~c stage =
+  retiming ~approach:"G-RAR" ~solve ?solved ~c
+    (Rgraph.build ~edl_overhead:c) stage

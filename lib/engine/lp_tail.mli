@@ -54,6 +54,15 @@ type solve = Rgraph.t -> (int array, Error.t) result
 type run = (Stage.t * Outcome.t * extras, Error.t) result
 (** The post-sizing stage, the outcome verified on it, and the extras. *)
 
+type solution = {
+  r : int array;
+  lp_latches : float;
+  modelled_non_ed : int list;
+}
+(** What a base or G-RAR solve hands the tail: the LP solution, its
+    modelled latch count and the sinks it priced non-error-detecting —
+    the fields of the [Retiming] extras. A function of the LP alone. *)
+
 val finish :
   approach:string ->
   meets_period:(int -> bool) ->
@@ -63,22 +72,26 @@ val finish :
     float array ->
     Outcome.t * extras) ->
   Stage.t ->
-  Rgraph.t ->
   int array ->
   run
-(** [finish ~approach ~meets_period ~assemble stage g r] decodes the
-    solution [r] of [g], checks it, size-fixes [stage] to the period
-    on the sinks [meets_period] selects and to the max-delay bound on
-    the rest, and assembles on the sized stage: [assemble] gets the
-    sized stage, the placements and their verified arrivals from the
-    sizing round that chose the stage
-    ({!Rar_retime.Sizing.fix_timed}), so the tail runs no arrival pass
-    of its own. Any violation left is
+(** [finish ~approach ~meets_period ~assemble stage r] decodes the
+    solution [r] of an LP built from [stage] (or from a stage with the
+    same graph), checks it, size-fixes [stage] to the period on the
+    sinks [meets_period] selects and to the max-delay bound on the
+    rest, and assembles on the sized stage: [assemble] gets the sized
+    stage, the placements and their verified arrivals from the sizing
+    round that chose the stage ({!Rar_retime.Sizing.fix_timed}), so the
+    tail runs no arrival pass of its own. Any violation left is
     [Timing_violations { approach; _ }]. *)
 
-val base : solve:solve -> c:float -> Stage.t -> run
+val base : ?solved:solution -> solve:solve -> c:float -> Stage.t -> run
 (** Base retiming; [c] only prices the after-the-fact EDL assignment.
-    Extras: [Retiming] with no modelled non-ED sinks. *)
+    Extras: [Retiming] with no modelled non-ED sinks. [solved] is a
+    solution of this stage's base LP — one solved on a stage with the
+    same {!Stage.lp_generation} — and skips the build and the solve;
+    decoding, the legality check, sizing and assembly still run on
+    [stage]. *)
 
-val grar : solve:solve -> c:float -> Stage.t -> run
-(** G-RAR at EDL overhead [c]. Extras: [Retiming]. *)
+val grar : ?solved:solution -> solve:solve -> c:float -> Stage.t -> run
+(** G-RAR at EDL overhead [c]. Extras: [Retiming]. [solved] as for
+    {!base}, for the G-RAR LP at this [c]. *)

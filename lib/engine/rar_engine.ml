@@ -161,7 +161,9 @@ let effective_deadline deadline =
         Some (Deadline.make ~budget_s:Float.infinity)
       else None)
 
-let run ?deadline ?solve_cache (cfg : config) stage =
+(* [solved]: a base or G-RAR solution of this stage's LP, which the
+   engine's tail runs on without building or solving (ECO sessions). *)
+let run_with ?deadline ?solve_cache ?solved (cfg : config) stage =
   if not (Float.is_finite cfg.c && cfg.c >= 0.) then
     Error
       (Error.Invalid_input
@@ -188,8 +190,8 @@ let run ?deadline ?solve_cache (cfg : config) stage =
   let ran =
     match cfg.spec with
     | Initial -> Ok (stage, Outcome.of_initial ~c:cfg.c stage, No_extras)
-    | Base -> Lp_tail.base ~solve ~c:cfg.c stage
-    | Grar -> Lp_tail.grar ~solve ~c:cfg.c stage
+    | Base -> Lp_tail.base ?solved ~solve ~c:cfg.c stage
+    | Grar -> Lp_tail.grar ?solved ~solve ~c:cfg.c stage
     | Vl v ->
       Vl.run ~deadline ~solve ~post_swap:cfg.post_swap ~c:cfg.c v stage
     | Movable ->
@@ -208,16 +210,23 @@ let run ?deadline ?solve_cache (cfg : config) stage =
       })
     ran
 
-let stage_of ?model ?edits (p : Suite.prepared) =
+let run ?deadline ?solve_cache cfg stage =
+  run_with ?deadline ?solve_cache cfg stage
+
+let stage_of ?(model = Sta.Path_based) ?edits (p : Suite.prepared) =
   guard @@ fun () ->
-  let cc, annot =
-    match edits with
-    | None -> (p.Suite.cc, None)
-    | Some (a : Transform.Edit.applied) ->
+  (* The unedited path-based stage reuses the analysis that derived
+     the clock, so a cold run analyses its circuit once. *)
+  let cc, annot, sta =
+    match (edits, model) with
+    | None, Sta.Path_based -> (p.Suite.cc, None, Some p.Suite.sta)
+    | None, Sta.Gate_based -> (p.Suite.cc, None, None)
+    | Some (a : Transform.Edit.applied), _ ->
       ( { p.Suite.cc with Transform.comb = a.Transform.Edit.net },
-        Some a.Transform.Edit.annot )
+        Some a.Transform.Edit.annot,
+        None )
   in
-  Stage.make ?model ~source:p.Suite.two_phase ?annot ~lib:p.Suite.lib
+  Stage.make ~model ?sta ~source:p.Suite.two_phase ?annot ~lib:p.Suite.lib
     ~clocking:p.Suite.clocking cc
 
 let run_prepared ?deadline (cfg : config) (p : Suite.prepared) =
@@ -240,14 +249,18 @@ let load_and_run ?deadline cfg circuit =
 (* A session owns the warm state of a resolve loop: the incrementally
    patched stage (always the *pre-sizing* analysis, so it stays
    byte-identical to [Stage.make] on the cumulatively edited netlist),
-   the current EDL overhead (updated by [Set_c] edits) and the LP solve
-   cache shared across resolves. Failed resolves leave all of it
-   untouched. Single-owner: not thread-safe. *)
+   the current EDL overhead (updated by [Set_c] edits), the last base
+   or G-RAR solution with the LP generation and c it was solved at,
+   and the LP solve cache, which only VL runs read. Failed resolves
+   leave all of it untouched. Single-owner: not thread-safe. *)
 type session = {
   mutable s_cfg : config;
   mutable s_stage : Stage.t;
+  mutable s_solved : (int * float * Lp_tail.solution) option;
   solve_cache : Difflp.cache;
 }
+
+let m_reused = Rar_obs.Metrics.counter "eco_solutions_reused"
 
 let open_session (cfg : config) stage =
   (match cfg.spec with
@@ -256,7 +269,8 @@ let open_session (cfg : config) stage =
       "Rar_engine.open_session: the movable engine rebuilds the two-phase \
        netlist per move and cannot resolve incrementally"
   | Initial | Base | Grar | Vl _ -> ());
-  { s_cfg = cfg; s_stage = stage; solve_cache = Difflp.create_cache () }
+  { s_cfg = cfg; s_stage = stage; s_solved = None;
+    solve_cache = Difflp.create_cache () }
 
 let session_config s = s.s_cfg
 
@@ -299,14 +313,41 @@ let resolve ?deadline (s : session) edits =
     match Stage.patch stage applied with
     | Error _ as e -> e
     | Ok stage' -> (
-      match run ?deadline ~solve_cache:s.solve_cache cfg stage' with
+      (* A base or G-RAR LP is a function of the stage's discrete data
+         and c alone: when the patch left those inputs as they were,
+         the last solution is this LP's, and the engine's tail runs on
+         it. VL's LPs also depend on timing (RVL's seeds, the retype
+         order), so VL runs go through the solve cache instead. *)
+      let gen = Stage.lp_generation stage' in
+      let solved =
+        match (cfg.spec, s.s_solved) with
+        | (Base | Grar), Some (g, c, sol)
+          when g = gen && Int64.bits_of_float c = Int64.bits_of_float cfg.c ->
+          Rar_obs.Metrics.incr m_reused;
+          Some { sol with Lp_tail.r = Array.copy sol.Lp_tail.r }
+        | _ -> None
+      in
+      let solve_cache =
+        match cfg.spec with
+        | Vl _ -> Some s.solve_cache
+        | Initial | Base | Grar | Movable -> None
+      in
+      match run_with ?deadline ?solve_cache ?solved cfg stage' with
       | Error _ as e -> e
-      | Ok _ as ok ->
+      | Ok r as ok ->
         (* Commit only on success; keep the pre-sizing stage so the
            next edit patches the same analysis a cold [Stage.make]
            would produce. *)
         s.s_cfg <- cfg;
         s.s_stage <- stage';
+        (match r.extras with
+        | Retiming { r; lp_latches; modelled_non_ed } ->
+          s.s_solved <-
+            Some
+              ( gen,
+                cfg.c,
+                { Lp_tail.r = Array.copy r; lp_latches; modelled_non_ed } )
+        | No_extras | Retype _ | Moves _ -> ());
         ok))
 
 let sink_names stage sinks =

@@ -177,10 +177,10 @@ val run :
     [Error (Worker_crashed _)].
 
     [?solve_cache] replays previously solved identical LP instances
-    without running a solver (ECO sessions thread their cache here);
-    a cache hit skips fault injection and produces no fallback events,
-    but the returned solution is byte-identical. The [Movable] engine
-    never reads the cache. *)
+    without running a solver; a cache hit skips fault injection and
+    produces no fallback events, but the returned solution is
+    byte-identical. ECO sessions thread their cache here for VL runs
+    only (see {!resolve}); the [Movable] engine never reads it. *)
 
 val stage_of :
   ?model:Sta.model ->
@@ -239,10 +239,13 @@ end
 
 type session
 (** Warm state for an edit-and-resolve loop: the incrementally patched
-    stage analysis, the current config (updated by [Set_c] edits) and
-    an LP solve cache shared across resolves. Single-owner — a session
-    must not be shared between domains (the Difflp cache it feeds is
-    itself lock-guarded). *)
+    stage analysis (which carries what its next patch reuses, see
+    {!Stage.patch}), the current config (updated by [Set_c] edits), the
+    last base or G-RAR LP solution with the {!Stage.lp_generation} and
+    [c] it was solved at, and an LP solve cache for VL runs.
+    Single-owner — a session must not be shared between domains (the
+    Difflp cache it feeds is itself lock-guarded); two sessions may
+    share the stage they were opened on. *)
 
 val open_session : config -> Stage.t -> session
 (** Open an ECO session over a prepared stage. Raises
@@ -258,12 +261,25 @@ val resolve :
   Rar_netlist.Transform.Edit.t list -> (result, Error.t) Stdlib.result
 (** Apply a batch of edits to the session netlist, repropagate timing
     through the edit cones only ({!Stage.patch}), and re-run the
-    configured engine with the session's warm solver state. The result
-    is identical to a cold {!run} of the session config on the edited
-    netlist — bitwise, except that [wall_s] differs and LP cache hits
-    report no [events]. Ill-formed edits surface as
-    [Error (Invalid_input _)]; on any error the session state is
-    unchanged (the failed batch can be corrected and resubmitted). *)
+    configured engine with the session's warm solver state.
+
+    A base or G-RAR LP is a function of the stage's discrete data
+    (graph, regions, illegal pins, sink classes and cut sets) and [c]
+    alone. When the patched stage keeps the generation of the last
+    solved one and [c] is unchanged, the LP is the one the session last
+    solved, so its solution is used without building or solving it
+    (counted in the [eco_solutions_reused] metric); decoding, the
+    legality check, sizing and assembly still run on the patched stage.
+    VL LPs also depend on timing (RVL's seeds, the retype order), so VL
+    resolves replay identical LPs from the session's solve cache
+    instead.
+
+    The result is identical to a cold {!run} of the session config on
+    the edited netlist — bitwise, except that [wall_s] differs and
+    reused solutions and LP cache hits report no [events]. Ill-formed
+    edits surface as [Error (Invalid_input _)]; on any error the
+    session state is unchanged (the failed batch can be corrected and
+    resubmitted). *)
 
 (** {1 Structured output} *)
 

@@ -37,7 +37,7 @@ let run ~deadline ~solve ~post_swap ~c variant stage =
   (* Size-only incremental compile against the typed deadlines, then
      the mandatory fixes and the optional swap on the verified
      arrivals. *)
-  let finish typed_ed rounds g r =
+  let finish typed_ed rounds r =
     let typed_tbl = Hashtbl.create (1 + List.length typed_ed) in
     List.iter (fun s -> Hashtbl.replace typed_tbl s ()) typed_ed;
     Lp_tail.finish ~approach:(label variant)
@@ -75,7 +75,7 @@ let run ~deadline ~solve ~post_swap ~c variant stage =
               swapped_to_non_ed;
               retype_rounds = rounds;
             } ))
-      stage g r
+      stage r
   in
   let rec attempt ed_set rounds =
     Option.iter
@@ -99,7 +99,7 @@ let run ~deadline ~solve ~post_swap ~c variant stage =
         non_ed;
       let g = Rgraph.build ~forbidden_pins:forbidden ~bias_early:true stage in
       match solve g with
-      | Ok r -> finish ed_set rounds g r
+      | Ok r -> finish ed_set rounds r
       | Error _ ->
         (* The typed constraints are collectively unsatisfiable: flip
            the non-ED master with the longest path, like a designer

@@ -233,9 +233,9 @@ let modelled_latch_count t r =
   done;
   !acc
 
-let placements_of t r =
+let placements_on stage r =
   Rar_obs.Trace.span "rgraph/decode" @@ fun () ->
-  let net = Stage.comb t.stage in
+  let net = Stage.comb stage in
   let rv v = r.(v + 1) in
   let placements = ref [] in
   let add = function Some p -> placements := p :: !placements | None -> () in
@@ -251,9 +251,11 @@ let placements_of t r =
   done;
   !placements
 
-let check_legal t placements =
+let placements_of t r = placements_on t.stage r
+
+let check_legal_on stage placements =
   Rar_obs.Trace.span "rgraph/legal" @@ fun () ->
-  let net = Stage.comb t.stage in
+  let net = Stage.comb stage in
   match Transform.pin_index net placements with
   | exception Invalid_argument detail ->
     Error (Error.Illegal_placement { detail })
@@ -302,3 +304,5 @@ let check_legal t placements =
                  (if lo.(v) = max_int then -1 else lo.(v))
                  (if hi.(v) = min_int then -1 else hi.(v));
            })
+
+let check_legal t placements = check_legal_on t.stage placements

@@ -90,3 +90,15 @@ val check_legal :
     {!Transform.pin_index}: every source-to-sink path crosses exactly
     one slave. A placement the index rejects is [Illegal_placement]
     too. Runs under an [rgraph/legal] trace span. *)
+
+(** {2 On a stage}
+
+    Decoding and the legality check read only the stage's comb netlist,
+    so a solution can be decoded on any stage with the same graph as
+    the one its LP was built from — a patched stage with the same
+    {!Stage.lp_generation}, say — without the LP. [placements_of g] and
+    [check_legal g] are these on [g]'s stage. *)
+
+val placements_on : Stage.t -> int array -> Transform.placement list
+val check_legal_on :
+  Stage.t -> Transform.placement list -> (unit, Error.t) result

@@ -27,6 +27,49 @@ type classified = {
   empty_cut : bool;            (* Always_ed via an empty g(t): warn *)
 }
 
+(* Per-batch classification state, owned by one pool participant of
+   one {!make} or {!patch} call at a time (see
+   [Pool.map_adaptive_with]) and reused for every batch that
+   participant classifies, so a batch costs O(lanes * (|union| + union
+   pins)) rather than O(n); a patched stage keeps the first
+   participant's for its own next patch ([carry]). Every entry is
+   written before it is read for each batch, so nothing is cleared
+   between batches or calls. *)
+type scratch = {
+  batch : Sta.batch;
+  flags : int array;     (* per node: the lane masks of the fields below *)
+  cand : int array;      (* nodes feeding the edge and cut lists *)
+  sort_tmp : int array;  (* the radix sort's second buffer *)
+  pin_lanes : int array; (* per union pin: illegal lanes, window lanes *)
+  ill_buf : int array;   (* pin positions of one lane, then copied out *)
+  win_buf : int array;
+}
+
+let lanes = Sta.lanes
+
+let new_scratch sta_an =
+  let cv = Netlist.compact (Sta.netlist sta_an) in
+  let n = Netlist.Compact.n cv in
+  let n_pins = Int.max 1 (Netlist.Compact.fanin_lo cv n) in
+  { batch = Sta.batch_scratch sta_an; flags = Array.make n 0;
+    cand = Array.make n 0; sort_tmp = Array.make n 0;
+    pin_lanes = Array.make n_pins 0;
+    ill_buf = Array.make n_pins 0; win_buf = Array.make n_pins 0 }
+
+(* What a patch carries to the stage it builds, so that the next patch
+   pays for its edit rather than for the design: built on a stage's
+   first patch, so a stage that was never patched carries nothing. It
+   describes the stage whose slot holds it and moves, through that
+   atomic slot, to the stage a patch builds, which updates it in place:
+   of two patches of one stage, one takes it and the other builds its
+   own, so a stage stays shareable between domains. *)
+type carry = {
+  back : Sta.db;            (* Sta.backward_all_db of the stage's STA *)
+  launchable : bool array;  (* per node: a slave after it can launch *)
+  arcs : Sta.slave_arcs;
+  mutable spare : scratch option; (* a classification scratch *)
+}
+
 type t = {
   cc : Transform.comb_circuit;
   source : Netlist.t option; (* two-phase netlist the cc came from *)
@@ -34,13 +77,15 @@ type t = {
   clocking : Clocking.t;
   sta : Sta.t;
   annot : float array option; (* ECO delay annotations baked into sta *)
-  regions : region array;
+  regions : Bytes.t; (* per node, its region's [code] *)
   illegal : int array; (* fanin pins that can never hold a slave, ascending *)
   per_sink : (int * classified) array;
     (* every sink's classification, in sink order — read by the
        accessors below and reused by {!patch} for sinks outside an
        edit's affected cone *)
   slot : int array; (* node id -> index into [per_sink], -1 off sinks *)
+  lp_gen : int; (* shared only by stages whose LP inputs are equal *)
+  carry : carry option Atomic.t;
 }
 
 let cc t = t.cc
@@ -51,7 +96,10 @@ let sta t = t.sta
 let lib t = t.lib
 let clocking t = t.clocking
 let model t = Sta.model t.sta
-let region t v = t.regions.(v)
+(* Regions one byte per node: a patch copies and compares them whole. *)
+let code = function Rm -> '\000' | Rn -> '\001' | Rr -> '\002'
+let of_code = function '\000' -> Rm | '\001' -> Rn | _ -> Rr
+let region t v = of_code (Bytes.get t.regions v)
 let sinks t = Netlist.outputs (comb t)
 let slave_latch t = Liberty.latch t.lib
 
@@ -65,6 +113,7 @@ let entry fn t s =
 let classify t s = (entry "Stage.classify" t s).cls
 
 let illegal_pins t = t.illegal
+let lp_generation t = t.lp_gen
 
 let db_of_sink t s = Sta.backward_packed t.sta ~sink:s
 
@@ -107,56 +156,41 @@ let max_path t s =
 let launch_bound clocking latch =
   Clocking.slave_close clocking -. latch.Liberty.setup +. Clocking.tolerance
 
-let compute_regions ~sta_an ~lib ~clocking net =
-  let launch_by = launch_bound clocking (Liberty.latch lib) in
+(* [can_launch u]: a slave just after [u] meets its setup against the
+   closing edge (Constraint 6). *)
+let can_launch ~sta_an ~clocking ~latch =
+  let launch_by = launch_bound clocking latch in
+  fun u -> Sta.df sta_an u <= launch_by
+
+let launchable_of ~sta_an ~clocking ~latch =
+  Array.init
+    (Netlist.node_count (Sta.netlist sta_an))
+    (can_launch ~sta_an ~clocking ~latch)
+
+(* The regions of §IV-B of the nodes [stale] visits, written into
+   [regions]: [V_m] where some path is too long for a slave before the
+   node, [V_n] at sinks and where a slave after the node cannot launch.
+   A node that must and cannot move at once makes the stage illegal;
+   the highest such id names the error. Sources are promoted
+   afterwards ({!promote_and_warn}). *)
+let compute_regions ~sta_an ~clocking ~launchable ~stale regions =
   let budget = Clocking.backward_budget clocking +. Clocking.tolerance in
   let back_all = Sta.backward_all sta_an in
-  let n = Netlist.node_count net in
-  let regions = Array.make n Rr in
-  let conflict = ref None in
-  for v = 0 to n - 1 do
-    let must_move = back_all.(v) > budget in
-    let cannot_move =
-      (match Netlist.kind net v with
-      | Netlist.Output -> true
-      | Netlist.Input | Netlist.Gate _ | Netlist.Seq _ -> false)
-      || Sta.df sta_an v > launch_by
-    in
-    if must_move && cannot_move then
-      conflict := Some (Netlist.node_name net v)
-    else if must_move then regions.(v) <- Rm
-    else if cannot_move then regions.(v) <- Rn
-  done;
-  match !conflict with
-  | Some name -> Error (Error.Illegal_stage { node = name })
-  | None -> Ok regions
-
-(* Per-batch classification state, owned by one pool participant of
-   one {!make} or {!patch} call (see [Pool.map_adaptive_with]) and
-   reused for every batch that participant classifies, so a batch
-   costs O(lanes * (|union| + union pins)) rather than O(n). Every
-   entry is written before it is read for each batch, so nothing is
-   cleared between batches. *)
-type scratch = {
-  batch : Sta.batch;
-  flags : int array;     (* per node: the lane masks of the fields below *)
-  cand : int array;      (* nodes feeding the edge and cut lists *)
-  sort_tmp : int array;  (* the radix sort's second buffer *)
-  pin_lanes : int array; (* per union pin: illegal lanes, window lanes *)
-  ill_buf : int array;   (* pin positions of one lane, then copied out *)
-  win_buf : int array;
-}
-
-let lanes = Sta.lanes
-
-let new_scratch sta_an =
-  let cv = Netlist.compact (Sta.netlist sta_an) in
-  let n = Netlist.Compact.n cv in
-  let n_pins = Int.max 1 (Netlist.Compact.fanin_lo cv n) in
-  { batch = Sta.batch_scratch sta_an; flags = Array.make n 0;
-    cand = Array.make n 0; sort_tmp = Array.make n 0;
-    pin_lanes = Array.make n_pins 0;
-    ill_buf = Array.make n_pins 0; win_buf = Array.make n_pins 0 }
+  let net = Sta.netlist sta_an in
+  let tags = (Netlist.compact net).Netlist.Compact.tags in
+  let conflict = ref (-1) in
+  stale (fun v ->
+      let must_move = back_all.(v) > budget in
+      let cannot_move =
+        tags.(v) = Netlist.Compact.tag_output || not launchable.(v)
+      in
+      if must_move && cannot_move then conflict := Int.max !conflict v
+      else
+        Bytes.set regions v
+          (code (if must_move then Rm else if cannot_move then Rn else Rr)));
+  if !conflict >= 0 then
+    Error (Error.Illegal_stage { node = Netlist.node_name net !conflict })
+  else Ok ()
 
 (* A node's flags, each a lane mask (bit [l] for the batch's lane [l])
    in its own [lanes]-bit field of one int, at these shifts. *)
@@ -388,12 +422,6 @@ let classify_batch ~sta_an ~clocking ~arcs ~launchable sc sinks =
         { none with cls = Target { cut = List.rev !cut };
           win = prefix win_buf !n_win })
 
-(* [can_launch u]: a slave just after [u] meets its setup against the
-   closing edge (Constraint 6). *)
-let can_launch ~sta_an ~clocking ~latch =
-  let launch_by = launch_bound clocking latch in
-  fun u -> Sta.df sta_an u <= launch_by
-
 (* The prune test (DESIGN.md §13): a slave anywhere delays a sink by at
    most [d] ({!Sta.slave_delay_bound}), so a sink with
    [arrival + d <= period] has no late position — no window or illegal
@@ -426,8 +454,12 @@ let with_sweep_per_participant w f =
    and the counters they add, are the same for every pool size. The
    batches classify over the domain pool, one scratch per
    participant; the sweep is estimated as the first batch's union
-   times the batch count. *)
-let classify_sinks ~sta_an ~clocking ~latch sinks =
+   times the batch count. [shared ()] gives what every batch reads —
+   per node, whether a slave after it can launch, and the
+   sink-independent half of Eq. 5 — and the first participant's
+   scratch; it is called once, in the calling domain, and only when
+   some sink is left to sweep. *)
+let classify_sinks ~sta_an ~clocking ~latch ~shared sinks =
   Rar_obs.Trace.span "stage/classify" @@ fun () ->
   let never_late = never_late_test ~sta_an ~clocking ~latch in
   let decided = Array.map never_late sinks in
@@ -444,16 +476,8 @@ let classify_sinks ~sta_an ~clocking ~latch sinks =
   let classified =
     if n_open = 0 then [||]
     else begin
-      (* What every batch shares: per node, whether a slave after it
-         can launch, and the sink-independent half of Eq. 5. *)
-      let launchable =
-        Array.init
-          (Netlist.node_count (Sta.netlist sta_an))
-          (can_launch ~sta_an ~clocking ~latch)
-      in
-      let arcs = Sta.slave_arcs sta_an ~clocking ~latch in
+      let launchable, arcs, sc = shared () in
       (* The estimate's DFS uses the first participant's scratch. *)
-      let sc = new_scratch sta_an in
       let spare = Atomic.make (Some sc) in
       Rar_util.Pool.map_adaptive_with
         ~max_participants:(fun () ->
@@ -478,123 +502,217 @@ let classify_sinks ~sta_an ~clocking ~latch sinks =
       end)
     sinks
 
-(* Shared back half of {!make} and {!patch}: reject untimeable sinks,
-   index the per-sink results, collect their illegal pins as one
-   ascending set and promote each source that drives one. A set has no
-   order of its own, so the stage is the same for every pool size and
-   between a cold make and a patch. *)
-let finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~regions ~classified =
-  let net = cc.Transform.comb in
-  let too_long =
-    Array.fold_left
-      (fun acc s ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          if Clocking.past_max_delay clocking (Sta.arrival_at_sink sta_an s)
-          then Some s
-          else None)
-      None (Netlist.outputs net)
-  in
-  match too_long with
+(* The first of [sinks], in sink order, whose arrival is past the
+   max-delay bound: no slave placement can time it. *)
+let untimeable ~sta_an ~clocking sinks =
+  match
+    Array.find_opt
+      (fun s -> Clocking.past_max_delay clocking (Sta.arrival_at_sink sta_an s))
+      sinks
+  with
+  | None -> Ok ()
   | Some s ->
     Error
       (Error.Untimeable_sink
-         { sink = Netlist.node_name net s; limit = Clocking.max_delay clocking })
-  | None ->
-    let cv = Netlist.compact net in
-    let fin = cv.Netlist.Compact.fanin and tags = cv.Netlist.Compact.tags in
-    let seen = Array.make (Array.length fin) false and illegal = ref [] in
-    let slot = Array.make (Netlist.node_count net) (-1) in
-    Array.iteri
-      (fun i (s, r) ->
-        slot.(s) <- i;
-        Array.iter
-          (fun p ->
-            if not seen.(p) then begin
-              seen.(p) <- true;
-              illegal := p :: !illegal;
-              (* A source whose shared initial position covers an
-                 illegal pin must clear its host latch: promote to V_m. *)
-              let u = fin.(p) in
-              if tags.(u) = Netlist.Compact.tag_input && regions.(u) = Rr
-              then regions.(u) <- Rm
-            end)
-          r.ill;
-        if r.empty_cut then
-          Log.warn (fun m ->
-              m "sink %s: retiming-dependent but empty g(t); treating as \
-                 always error-detecting"
-                (Netlist.node_name net s)))
-      classified;
-    let illegal = Array.of_list (List.sort Int.compare !illegal) in
-    Ok { cc; source; lib; clocking; sta = sta_an; annot; regions; illegal;
-         per_sink = classified; slot }
+         { sink = Netlist.node_name (Sta.netlist sta_an) s;
+           limit = Clocking.max_delay clocking })
 
-let make ?(model = Sta.Path_based) ?source ?annot ~lib ~clocking cc =
+(* Every sink's illegal pins as one ascending set. A set has no order
+   of its own, so the stage is the same for every pool size and
+   between a cold make and a patch. *)
+let illegal_of net per_sink =
+  let n_pins = Array.length (Netlist.compact net).Netlist.Compact.fanin in
+  let seen = Array.make n_pins false in
+  let illegal = ref [] in
+  Array.iter
+    (fun (_, r) ->
+      Array.iter
+        (fun p ->
+          if not seen.(p) then begin
+            seen.(p) <- true;
+            illegal := p :: !illegal
+          end)
+        r.ill)
+    per_sink;
+  Array.of_list (List.sort Int.compare !illegal)
+
+(* The back half {!make} and {!patch} share: promote each source whose
+   shared initial position covers an illegal pin — it must clear its
+   host latch, so it moves to V_m — and warn of every target with an
+   empty g(t). *)
+let promote_and_warn net regions illegal per_sink =
+  let cv = Netlist.compact net in
+  let fin = cv.Netlist.Compact.fanin and tags = cv.Netlist.Compact.tags in
+  Array.iter
+    (fun p ->
+      let u = fin.(p) in
+      if tags.(u) = Netlist.Compact.tag_input && Bytes.get regions u = code Rr
+      then Bytes.set regions u (code Rm))
+    illegal;
+  Array.iter
+    (fun (s, r) ->
+      if r.empty_cut then
+        Log.warn (fun m ->
+            m "sink %s: retiming-dependent but empty g(t); treating as \
+               always error-detecting"
+              (Netlist.node_name net s)))
+    per_sink
+
+let generations = Atomic.make 0
+let fresh_generation () = Atomic.fetch_and_add generations 1
+
+let make ?(model = Sta.Path_based) ?sta ?source ?annot ~lib ~clocking cc =
   let net = cc.Transform.comb in
-  let sta_an = Sta.analyse ?annot lib model net in
+  let sta_an =
+    match sta with
+    | None -> Sta.analyse ?annot lib model net
+    | Some a when Sta.netlist a == net && Sta.model a = model -> a
+    | Some _ -> invalid_arg "Stage.make: sta analyses another netlist or model"
+  in
   let latch = Liberty.latch lib in
-  match compute_regions ~sta_an ~lib ~clocking net with
+  let launchable = launchable_of ~sta_an ~clocking ~latch in
+  let n = Netlist.node_count net in
+  let regions = Bytes.make n (code Rr) in
+  let all f = for v = 0 to n - 1 do f v done in
+  match compute_regions ~sta_an ~clocking ~launchable ~stale:all regions with
   | Error _ as e -> e
-  | Ok regions ->
+  | Ok () -> (
     (* Batches classify independently (each sweeps its sinks' cones
        against the shared read-only STA), so they fan out across the
-       domain pool, one batch per element.
-       [backward_all]'s memo is already forced by [compute_regions]
-       above; force it regardless so the shared [Sta.t] stays
+       domain pool, one batch per element. [compute_regions] has
+       forced [backward_all]'s memo, so the shared [Sta.t] stays
        read-only inside the workers. *)
-    ignore (Sta.backward_all sta_an : float array);
-    let classified =
-      classify_sinks ~sta_an ~clocking ~latch (Netlist.outputs net)
+    let per_sink =
+      classify_sinks ~sta_an ~clocking ~latch
+        ~shared:(fun () ->
+          ( launchable,
+            Sta.slave_arcs sta_an ~clocking ~latch,
+            new_scratch sta_an ))
+        (Netlist.outputs net)
     in
-    finish ~cc ~source ~lib ~clocking ~sta_an ~annot ~regions ~classified
+    match untimeable ~sta_an ~clocking (Netlist.outputs net) with
+    | Error _ as e -> e
+    | Ok () ->
+      let illegal = illegal_of net per_sink in
+      promote_and_warn net regions illegal per_sink;
+      let slot = Array.make (Netlist.node_count net) (-1) in
+      Array.iteri (fun i (s, _) -> slot.(s) <- i) per_sink;
+      Ok { cc; source; lib; clocking; sta = sta_an; annot; regions; illegal;
+           per_sink; slot; lp_gen = fresh_generation ();
+           carry = Atomic.make None })
 
 let patch t (applied : Transform.Edit.applied) =
   Rar_obs.Trace.span "stage/patch" @@ fun () ->
   let net = applied.Transform.Edit.net in
   let annot = Some applied.Transform.Edit.annot in
+  let dirty_arcs = applied.Transform.Edit.dirty_arcs
+  and seeds = applied.Transform.Edit.seeds in
   let cc = { t.cc with Transform.comb = net } in
   let lib = t.lib and clocking = t.clocking in
   let latch = Liberty.latch lib in
-  let sta_an, changed =
-    Sta.patch t.sta ~net ?annot
-      ~dirty_arcs:applied.Transform.Edit.dirty_arcs
-      ~seeds:applied.Transform.Edit.seeds ()
+  let sta_an, changed = Sta.patch t.sta ~net ?annot ~dirty_arcs ~seeds () in
+  let cv = Netlist.compact net in
+  let n = Netlist.Compact.n cv in
+  (* The carried state, brought up to date where the edit can have
+     moved it: backward times over the dirty backward cone, launch
+     tests and regions where an arrival or a backward time moved (and
+     at every source, which {!promote_and_warn} re-promotes), slave
+     arcs on the pins of changed nodes and of their readers. A stage's
+     first patch, or one whose state another patch took, builds it in
+     full. *)
+  let regions = Bytes.copy t.regions in
+  let carry, stale =
+    match Atomic.exchange t.carry None with
+    | None ->
+      ( { back = Sta.backward_all_db sta_an;
+          launchable = launchable_of ~sta_an ~clocking ~latch;
+          arcs = Sta.slave_arcs sta_an ~clocking ~latch;
+          spare = None },
+        fun f -> for v = 0 to n - 1 do f v done )
+    | Some c ->
+      let moved =
+        Sta.patch_backward_all sta_an ~prev:t.sta ~db:c.back ~dirty_arcs ~seeds
+      in
+      let can = can_launch ~sta_an ~clocking ~latch in
+      Array.iteri (fun v ch -> if ch then c.launchable.(v) <- can v) changed;
+      Sta.patch_slave_arcs sta_an c.arcs ~clocking ~latch ~changed;
+      ( c,
+        fun f ->
+          Array.iteri (fun v ch -> if ch then f v) changed;
+          List.iter f moved;
+          Array.iter f (Netlist.inputs net) )
   in
-  match compute_regions ~sta_an ~lib ~clocking net with
+  let launchable = carry.launchable in
+  match compute_regions ~sta_an ~clocking ~launchable ~stale regions with
   | Error _ as e -> e
-  | Ok regions ->
+  | Ok () -> (
     (* Affected sinks: everything forward-reachable (over the edited
        netlist) from a node whose arcs, fanins or arrival changed.
        Every other sink's fan-in cone has identical structure and
-       timing, so its cached classification is still exact. *)
-    let cv = Netlist.compact net in
-    let n = Netlist.Compact.n cv in
-    let reach = Array.copy changed in
+       timing, so its cached classification is still exact — and its
+       arrival too, so only an affected sink can be untimeable. *)
+    let reach =
+      Bytes.init n (fun v -> if changed.(v) then '\001' else '\000')
+    in
     let topo = Netlist.Compact.topo cv in
     for i = 0 to n - 1 do
       let v = topo.(i) in
-      if reach.(v) then begin
+      if Bytes.get reach v <> '\000' then begin
         let hi = Netlist.Compact.fanout_hi cv v in
         for p = Netlist.Compact.fanout_lo cv v to hi - 1 do
-          reach.(Netlist.Compact.fanout cv p) <- true
+          Bytes.set reach (Netlist.Compact.fanout cv p) '\001'
         done
       end
     done;
     let affected =
       Array.of_list
         (Array.fold_right
-           (fun (s, _) acc -> if reach.(s) then s :: acc else acc)
+           (fun (s, _) acc ->
+             if Bytes.get reach s <> '\000' then s :: acc else acc)
            t.per_sink [])
     in
-    ignore (Sta.backward_all sta_an : float array);
-    let classified = Array.copy t.per_sink in
-    Array.iter
-      (fun (s, r) -> classified.(t.slot.(s)) <- (s, r))
-      (classify_sinks ~sta_an ~clocking ~latch affected);
-    finish ~cc ~source:t.source ~lib ~clocking ~sta_an ~annot ~regions
-      ~classified
+    let scratch () =
+      match carry.spare with
+      | Some sc -> sc
+      | None ->
+        let sc = new_scratch sta_an in
+        carry.spare <- Some sc;
+        sc
+    in
+    let reclassified =
+      classify_sinks ~sta_an ~clocking ~latch
+        ~shared:(fun () -> (launchable, carry.arcs, scratch ()))
+        affected
+    in
+    match untimeable ~sta_an ~clocking affected with
+    | Error _ as e -> e
+    | Ok () ->
+      let per_sink = Array.copy t.per_sink in
+      let kept = ref true and same_ill = ref true in
+      Array.iter
+        (fun (s, r) ->
+          let i = t.slot.(s) in
+          let old = snd per_sink.(i) in
+          kept := !kept && r.cls = old.cls;
+          same_ill := !same_ill && r.ill = old.ill;
+          per_sink.(i) <- (s, r))
+        reclassified;
+      let illegal = if !same_ill then t.illegal else illegal_of net per_sink in
+      promote_and_warn net regions illegal per_sink;
+      (* The LP ({!Rgraph.build}) reads the graph, the regions, the
+         illegal pins and each sink's class and g(t): a stage that left
+         all of them as they were keeps its generation. *)
+      let lp_gen =
+        if
+          seeds = [] && !kept
+          && Bytes.equal regions t.regions
+          && illegal = t.illegal
+        then t.lp_gen
+        else fresh_generation ()
+      in
+      Ok { cc; source = t.source; lib; clocking; sta = sta_an; annot; regions;
+           illegal; per_sink; slot = t.slot; lp_gen;
+           carry = Atomic.make (Some carry) })
 
 let pp_summary ppf t =
   let net = comb t in
@@ -614,7 +732,7 @@ let pp_summary ppf t =
     "stage %s: |Vm|=%d |Vn|=%d |Vr|=%d sinks: %d never-ed, %d always-ed, %d \
      targets"
     (Netlist.name net)
-    (count (fun v -> t.regions.(v) = Rm) ids)
-    (count (fun v -> t.regions.(v) = Rn) ids)
-    (count (fun v -> t.regions.(v) = Rr) ids)
+    (count (fun v -> region t v = Rm) ids)
+    (count (fun v -> region t v = Rn) ids)
+    (count (fun v -> region t v = Rr) ids)
     never always target

@@ -32,6 +32,7 @@ type t
 
 val make :
   ?model:Sta.model ->
+  ?sta:Sta.t ->
   ?source:Netlist.t ->
   ?annot:float array ->
   lib:Liberty.t ->
@@ -50,19 +51,50 @@ val make :
 
     [annot] is a per-node ECO delay annotation forwarded to
     {!Sta.analyse} and recorded in the stage ({!annot}); derived stages
-    must carry it forward. *)
+    must carry it forward.
+
+    [sta] is an analysis to use instead of running one: {!Sta.analyse}
+    of [cc]'s comb netlist (the same physical netlist) under [model]
+    and [annot] — a prepared circuit's ({!Rar_circuits.Suite}). It
+    becomes the stage's {!sta}. A shared analysis must have its
+    {!Sta.backward_all} memo forced before it is shared.
+    [Invalid_argument] when it analyses another netlist or model. *)
 
 val patch : t -> Transform.Edit.applied -> (t, Error.t) result
 (** Incremental re-analysis after a {!Transform.Edit.apply}: runs
-    {!Sta.patch} over the edit's dirty set, recomputes the (cheap)
-    region pass, and re-classifies only sinks
-    forward-reachable from a changed node, reusing the cached
+    {!Sta.patch} over the edit's dirty set and re-classifies only the
+    sinks forward-reachable from a changed node, reusing the cached
     classification of every other sink. The result is identical —
     bitwise, down to every window pin and illegal pin — to
-    [make ~model ~annot:applied.annot] on the edited circuit, at a
-    cost proportional to the affected cones. The input stage must be
-    the one the edit was applied against (same netlist, same
-    cumulative annotations). *)
+    [make ~model ~annot:applied.annot] on the edited circuit. The
+    input stage must be the one the edit was applied against (same
+    netlist, same cumulative annotations).
+
+    Cost. The first patch of a stage pays one whole-design pass for
+    the state a patch carries forward (the multi-sink backward times,
+    the per-node launch test, the slave arcs of {!Sta.slave_arcs} and
+    a classification scratch); a stage built by [patch] holds it, and
+    its own patch updates it where the edit can have moved it: the
+    backward times and regions over the dirty backward cone
+    ({!Sta.patch_backward_all}), the slave arcs on the pins of changed
+    nodes and their readers ({!Sta.patch_slave_arcs}), the sink index
+    kept. What remains is proportional to the affected cones, plus a
+    few copies and scans of per-node and per-pin arrays. A stage that
+    [make] built carries nothing, so cold stages do not grow. The
+    state is read-only once built (the scratch passes from a stage to
+    its patch through an atomic slot), so a stage stays shareable
+    between domains. *)
+
+val lp_generation : t -> int
+(** A signal that the retiming LP's inputs did not change: two stages
+    with the same generation give the same {!Rgraph.build} LP, since
+    they share the graph, the regions, the illegal pins and every
+    sink's class and cut set. {!make} draws a fresh generation on
+    every call. {!patch} keeps its input's when the batch rewired no
+    pin ([seeds = []]) and the regions, the illegal pins and the
+    class and g(t) of every re-classified sink came out as they were;
+    otherwise it draws a fresh one. Stages with different generations
+    may still give equal LPs. *)
 
 val with_sweep_per_participant : int -> (unit -> 'a) -> 'a
 (** [with_sweep_per_participant w f] runs [f] with [w], not a million,

@@ -57,9 +57,9 @@ let[@inline] with_extra extra x = if extra = 0. then x else x +. extra
    un-annotated path stays bitwise what it always was. Shared by
    [analyse] and [patch] — patched arcs must be bitwise-identical to a
    cold analysis of the edited netlist. Allocates nothing. *)
-let fill_gate_arcs lib mdl net cv annot pa_rise pa_fall unate v =
+let fill_gate_arcs lib mdl net cv annot pa_rise pa_fall v =
   match Netlist.kind net v with
-  | Netlist.Gate { fn; _ } ->
+  | Netlist.Gate _ ->
     let lo = Compact.fanin_lo cv v in
     Liberty.pin_arcs lib net v ~rise:pa_rise ~fall:pa_fall ~at:lo;
     let extra = match annot with None -> 0. | Some a -> a.(v) in
@@ -68,16 +68,29 @@ let fill_gate_arcs lib mdl net cv annot pa_rise pa_fall unate v =
       | Gate_based ->
         let d = with_extra extra (Float.max pa_rise.(p) pa_fall.(p)) in
         pa_rise.(p) <- d;
-        pa_fall.(p) <- d;
-        unate.(p) <- un_scalar
+        pa_fall.(p) <- d
       | Path_based ->
         pa_rise.(p) <- with_extra extra pa_rise.(p);
-        pa_fall.(p) <- with_extra extra pa_fall.(p);
-        unate.(p) <-
-          (match Cell_kind.unateness fn (p - lo) with
+        pa_fall.(p) <- with_extra extra pa_fall.(p)
+    done
+  | Netlist.Input | Netlist.Output | Netlist.Seq _ -> ()
+
+(* The propagation codes of gate [v]'s pins. They depend on the model
+   and the cell function alone, which no edit changes (a resize keeps
+   the function), so [patch] shares the array. *)
+let fill_unate mdl net cv unate v =
+  match Netlist.kind net v with
+  | Netlist.Gate { fn; _ } ->
+    let lo = Compact.fanin_lo cv v in
+    for p = lo to Compact.fanin_hi cv v - 1 do
+      unate.(p) <-
+        (match mdl with
+        | Gate_based -> un_scalar
+        | Path_based -> (
+          match Cell_kind.unateness fn (p - lo) with
           | Cell_kind.Positive -> un_pos
           | Cell_kind.Negative -> un_neg
-          | Cell_kind.Non_unate -> un_non)
+          | Cell_kind.Non_unate -> un_non))
     done
   | Netlist.Input | Netlist.Output | Netlist.Seq _ -> ()
 
@@ -190,7 +203,8 @@ let analyse ?launch ?annot lib mdl net =
   let pa_fall = Array.make (Int.max 1 n_pins_total) 0. in
   let unate = Array.make (Int.max 1 n_pins_total) un_non in
   for v = 0 to n - 1 do
-    fill_gate_arcs lib mdl net cv annot pa_rise pa_fall unate v
+    fill_gate_arcs lib mdl net cv annot pa_rise pa_fall v;
+    fill_unate mdl net cv unate v
   done;
   let t =
     { net; cv; lib; mdl; launch_time; pa_rise; pa_fall; unate;
@@ -206,62 +220,69 @@ let patch t ~net ?annot ~dirty_arcs ~seeds () =
   let cv = Netlist.compact net in
   let n = Compact.n cv in
   if n <> Compact.n t.cv then invalid_arg "Sta.patch: node count changed";
-  for v = 0 to n - 1 do
-    if Compact.fanin_lo cv v <> Compact.fanin_lo t.cv v then
-      invalid_arg "Sta.patch: pin layout changed"
-  done;
-  let pa_rise = Array.copy t.pa_rise in
-  let pa_fall = Array.copy t.pa_fall in
-  let unate = Array.copy t.unate in
+  (* A resize or an annotation keeps the compact view itself: only a
+     rewired netlist has a layout to check. *)
+  if cv.Compact.fanin_head != t.cv.Compact.fanin_head then
+    for v = 0 to n - 1 do
+      if Compact.fanin_lo cv v <> Compact.fanin_lo t.cv v then
+        invalid_arg "Sta.patch: pin layout changed"
+    done;
+  (* Arc tables are never written after they are filled, so a patch
+     with no dirty arc shares them, and every patch shares the
+     propagation codes. *)
+  let pa_rise, pa_fall =
+    if dirty_arcs = [] then (t.pa_rise, t.pa_fall)
+    else (Array.copy t.pa_rise, Array.copy t.pa_fall)
+  in
   let pins = ref 0 in
   List.iter
     (fun v ->
-      fill_gate_arcs t.lib t.mdl net cv annot pa_rise pa_fall unate v;
+      fill_gate_arcs t.lib t.mdl net cv annot pa_rise pa_fall v;
       pins := !pins + (Compact.fanin_hi cv v - Compact.fanin_lo cv v))
     dirty_arcs;
-  let need = Array.make n false in
+  (* [need]: a node whose arcs or fanins changed, or one of whose
+     fanins changed its arrival (marked through the fanout rows as the
+     wave reaches that fanin, which the order puts first). *)
+  let need = Bytes.make n '\000' in
   let changed = Array.make n false in
-  List.iter (fun v -> need.(v) <- true) dirty_arcs;
-  List.iter (fun v -> need.(v) <- true) seeds;
+  List.iter (fun v -> Bytes.set need v '\001') dirty_arcs;
+  List.iter (fun v -> Bytes.set need v '\001') seeds;
   let t' =
-    { t with net; cv; pa_rise; pa_fall; unate;
+    { t with net; cv; pa_rise; pa_fall;
       arr_rise = Array.copy t.arr_rise; arr_fall = Array.copy t.arr_fall;
       back_all_cache = None }
   in
   let arr_rise = t'.arr_rise and arr_fall = t'.arr_fall in
+  let tags = cv.Compact.tags in
+  let fo_head = cv.Compact.fanout_head and fo = cv.Compact.fanout in
   let topo = Compact.topo cv in
   for i = 0 to n - 1 do
     let v = topo.(i) in
-    let tg = Compact.tag cv v in
-    if tg = Compact.tag_input then ()
-      (* launch time never changes *)
-    else begin
+    (* a source's launch time never changes *)
+    if Bytes.get need v <> '\000' && tags.(v) <> Compact.tag_input then begin
       let lo = Compact.fanin_lo cv v and hi = Compact.fanin_hi cv v in
-      let touched = ref need.(v) in
-      let p = ref lo in
-      while (not !touched) && !p < hi do
-        if changed.(Compact.fanin cv !p) then touched := true;
-        incr p
-      done;
-      if !touched then begin
-        let old_r = arr_rise.(v) and old_f = arr_fall.(v) in
-        if tg = Compact.tag_output then begin
-          let u = Compact.fanin cv lo in
-          incr pins;
-          arr_rise.(v) <- arr_rise.(u);
-          arr_fall.(v) <- arr_fall.(u)
-        end
-        else begin
-          relax_gate t' [||] [||] arr_rise arr_fall v;
-          pins := !pins + (hi - lo)
-        end;
-        (* Bitwise-equal cutoff: propagation stops where the recomputed
-           arrival is exactly the old one (identical float expressions
-           over identical inputs downstream stay identical too). *)
-        if
-          Int64.bits_of_float old_r <> Int64.bits_of_float arr_rise.(v)
-          || Int64.bits_of_float old_f <> Int64.bits_of_float arr_fall.(v)
-        then changed.(v) <- true
+      let old_r = arr_rise.(v) and old_f = arr_fall.(v) in
+      if tags.(v) = Compact.tag_output then begin
+        let u = Compact.fanin cv lo in
+        incr pins;
+        arr_rise.(v) <- arr_rise.(u);
+        arr_fall.(v) <- arr_fall.(u)
+      end
+      else begin
+        relax_gate t' [||] [||] arr_rise arr_fall v;
+        pins := !pins + (hi - lo)
+      end;
+      (* Bitwise-equal cutoff: propagation stops where the recomputed
+         arrival is exactly the old one (identical float expressions
+         over identical inputs downstream stay identical too). *)
+      if
+        Int64.bits_of_float old_r <> Int64.bits_of_float arr_rise.(v)
+        || Int64.bits_of_float old_f <> Int64.bits_of_float arr_fall.(v)
+      then begin
+        changed.(v) <- true;
+        for q = fo_head.(v) to fo_head.(v + 1) - 1 do
+          Bytes.unsafe_set need fo.(q) '\001'
+        done
       end
     end
   done;
@@ -277,6 +298,24 @@ let patch t ~net ?annot ~dirty_arcs ~seeds () =
 let arrival_arc t v = Liberty.{ rise = t.arr_rise.(v); fall = t.arr_fall.(v) }
 let df t v = Float.max t.arr_rise.(v) t.arr_fall.(v)
 let arrival_at_sink t v = df t v
+
+(* The backward times pin [p] hands its driver when the pin's reader
+   has [r] (output rising) and [f] at its output: the backward rule of
+   the pin's unateness, by the polarity at the driver. Inlined into
+   every caller, so the floats are never boxed. *)
+let[@inline] back_rise t p r f =
+  let code = t.unate.(p) in
+  if code = un_pos then t.pa_rise.(p) +. r
+  else if code = un_neg then t.pa_fall.(p) +. f
+  else if code = un_non then Float.max (t.pa_rise.(p) +. r) (t.pa_fall.(p) +. f)
+  else t.pa_rise.(p) +. Float.max r f
+
+let[@inline] back_fall t p r f =
+  let code = t.unate.(p) in
+  if code = un_pos then t.pa_fall.(p) +. f
+  else if code = un_neg then t.pa_rise.(p) +. r
+  else if code = un_non then Float.max (t.pa_rise.(p) +. r) (t.pa_fall.(p) +. f)
+  else t.pa_rise.(p) +. Float.max r f
 
 (* Relax one node of the backward DP: push [dbr/dbf .(w)] into the
    backward times of w's fanins. Pure float-array arithmetic: the old
@@ -294,29 +333,46 @@ let relax_back t dbr dbf w =
   end
   else begin
     let r = dbr.(w) and f = dbf.(w) in
-    let hi = head.(w + 1) in
-    for p = head.(w) to hi - 1 do
+    for p = head.(w) to head.(w + 1) - 1 do
       let u = fin.(p) in
-      let code = t.unate.(p) in
-      let c_r, c_f =
-        if code = un_pos then (t.pa_rise.(p) +. r, t.pa_fall.(p) +. f)
-        else if code = un_neg then (t.pa_fall.(p) +. f, t.pa_rise.(p) +. r)
-        else if code = un_non then begin
-          let via_rise = t.pa_rise.(p) +. r in
-          let via_fall = t.pa_fall.(p) +. f in
-          let worst = Float.max via_rise via_fall in
-          (worst, worst)
-        end
-        else begin
-          let d = t.pa_rise.(p) in
-          let worst = Float.max r f in
-          (d +. worst, d +. worst)
-        end
-      in
+      let c_r = back_rise t p r f and c_f = back_fall t p r f in
       if c_r > dbr.(u) then dbr.(u) <- c_r;
       if c_f > dbf.(u) then dbf.(u) <- c_f
     done
   end
+
+(* [relax_back] in pull form: [u]'s backward times recomputed from its
+   readers' entries, over every pin it drives. The same terms as the
+   push pass, whose result does not depend on their order (a max), so
+   the two agree bitwise. *)
+let pull_back t dbr dbf u =
+  let cv = t.cv in
+  let fin = cv.Compact.fanin and head = cv.Compact.fanin_head in
+  let fo_head = cv.Compact.fanout_head and fo = cv.Compact.fanout in
+  let tags = cv.Compact.tags in
+  let best_r = ref neg_infinity and best_f = ref neg_infinity in
+  let lo = fo_head.(u) in
+  for q = lo to fo_head.(u + 1) - 1 do
+    let w = fo.(q) in
+    (* a reader's parallel pins are adjacent: visit it once *)
+    if q = lo || fo.(q - 1) <> w then begin
+      let r = dbr.(w) and f = dbf.(w) in
+      if tags.(w) = Compact.tag_output then begin
+        if r > !best_r then best_r := r;
+        if f > !best_f then best_f := f
+      end
+      else
+        for p = head.(w) to head.(w + 1) - 1 do
+          if fin.(p) = u then begin
+            let c_r = back_rise t p r f and c_f = back_fall t p r f in
+            if c_r > !best_r then best_r := c_r;
+            if c_f > !best_f then best_f := c_f
+          end
+        done
+    end
+  done;
+  dbr.(u) <- !best_r;
+  dbf.(u) <- !best_f
 
 (* Shared backward DP: [init] seeds the starting times. *)
 let backward_from t init =
@@ -353,24 +409,87 @@ let backward_scalar t ~sink =
   let { rise; fall } = backward_packed t ~sink in
   Array.init (Array.length rise) (fun v -> Float.max rise.(v) fall.(v))
 
+let worst_of { rise; fall } =
+  let w = Array.create_float (Array.length rise) in
+  for v = 0 to Array.length rise - 1 do
+    w.(v) <- Float.max rise.(v) fall.(v)
+  done;
+  w
+
+let backward_all_db t =
+  Rar_obs.Trace.span "sta/backward_all" @@ fun () ->
+  let db =
+    backward_from t (fun dbr dbf ->
+        Array.iter
+          (fun s ->
+            dbr.(s) <- 0.;
+            dbf.(s) <- 0.)
+          (Netlist.outputs t.net))
+  in
+  if t.back_all_cache = None then t.back_all_cache <- Some (worst_of db);
+  db
+
 let backward_all t =
   match t.back_all_cache with
   | Some r -> r
   | None ->
-    Rar_obs.Trace.span "sta/backward_all" @@ fun () ->
-    let { rise; fall } =
-      backward_from t (fun dbr dbf ->
-          Array.iter
-            (fun s ->
-              dbr.(s) <- 0.;
-              dbf.(s) <- 0.)
-            (Netlist.outputs t.net))
-    in
-    let r =
-      Array.init (Array.length rise) (fun v -> Float.max rise.(v) fall.(v))
-    in
-    t.back_all_cache <- Some r;
-    r
+    ignore (backward_all_db t : db);
+    Option.get t.back_all_cache
+
+let patch_backward_all t ~prev ~db ~dirty_arcs ~seeds =
+  let cv = t.cv in
+  let n = Compact.n cv in
+  if n <> Compact.n prev.cv || Array.length db.rise <> n then
+    invalid_arg "Sta.patch_backward_all: analyses of different netlists";
+  let dbr = db.rise and dbf = db.fall in
+  let need = Bytes.make n '\000' in
+  let mark_fanins (c : Compact.t) w =
+    for p = c.Compact.fanin_head.(w) to c.Compact.fanin_head.(w + 1) - 1 do
+      Bytes.unsafe_set need c.Compact.fanin.(p) '\001'
+    done
+  in
+  (* Stale: the drivers of a node whose arcs changed, and the node
+     itself (a rewire's old and new drivers change readers); a rewired
+     node's drivers before and after the edit. Then every driver of a
+     node whose times moved, which the reverse order reaches later. *)
+  List.iter
+    (fun v ->
+      Bytes.set need v '\001';
+      mark_fanins cv v)
+    dirty_arcs;
+  List.iter
+    (fun v ->
+      mark_fanins cv v;
+      mark_fanins prev.cv v)
+    seeds;
+  let tags = cv.Compact.tags and topo = Compact.topo cv in
+  let moved = ref [] in
+  for i = n - 1 downto 0 do
+    let u = topo.(i) in
+    (* a sink's own time is 0 whatever changed *)
+    if Bytes.get need u <> '\000' && tags.(u) <> Compact.tag_output then begin
+      let old_r = dbr.(u) and old_f = dbf.(u) in
+      pull_back t dbr dbf u;
+      (* the forward wave's bitwise-equal cutoff *)
+      if
+        Int64.bits_of_float old_r <> Int64.bits_of_float dbr.(u)
+        || Int64.bits_of_float old_f <> Int64.bits_of_float dbf.(u)
+      then begin
+        moved := u :: !moved;
+        mark_fanins cv u
+      end
+    end
+  done;
+  let worst =
+    match prev.back_all_cache with
+    | None -> worst_of db
+    | Some w ->
+      let w = Array.copy w in
+      List.iter (fun v -> w.(v) <- Float.max dbr.(v) dbf.(v)) !moved;
+      w
+  in
+  t.back_all_cache <- Some worst;
+  !moved
 
 (* Worst arc at the output of [via] when the pin(s) driven by [driver]
    switch at (in_r, in_f); raises like the old record-based [through]
@@ -606,52 +725,81 @@ let load_batch t b sinks =
 type slave_arcs = { out_rise : float array; out_fall : float array }
 
 (* [latch_out u] pushed through the worst of the pins of [v] that [u]
-   drives, for every fanin pin [p] of every gate or sink [v] — the half
-   of Eq. 5 that does not depend on the sink. Each pin's worst arc is
+   drives, for every fanin pin [p] of gate or sink [v] — the half of
+   Eq. 5 that does not depend on the sink. Each pin's worst arc is
    written in place, so nothing is allocated per pin. *)
+let fill_slave_arcs t slave out_rise out_fall v =
+  let cv = t.cv in
+  let head = cv.Compact.fanin_head and fin = cv.Compact.fanin in
+  let is_sink = cv.Compact.tags.(v) = Compact.tag_output in
+  for p = head.(v) to head.(v + 1) - 1 do
+    let u = fin.(p) in
+    let in_r = through_slave slave t.arr_rise.(u) in
+    let in_f = through_slave slave t.arr_fall.(u) in
+    if is_sink then begin
+      out_rise.(p) <- in_r;
+      out_fall.(p) <- in_f
+    end
+    else begin
+      (* the worst over every pin of [v] that [u] drives, as
+         [through_rf] takes it *)
+      let best_r = ref neg_infinity and best_f = ref neg_infinity in
+      for q = head.(v) to head.(v + 1) - 1 do
+        if fin.(q) = u then begin
+          let out_r = pin_rise t q in_r in_f
+          and out_f = pin_fall t q in_r in_f in
+          if out_r > !best_r then best_r := out_r;
+          if out_f > !best_f then best_f := out_f
+        end
+      done;
+      out_rise.(p) <- !best_r;
+      out_fall.(p) <- !best_f
+    end
+  done
+
 let slave_arcs t ~clocking ~latch =
   let cv = t.cv in
   let n = Compact.n cv in
-  let tags = cv.Compact.tags in
-  let head = cv.Compact.fanin_head and fin = cv.Compact.fanin in
   let n_pins = Int.max 1 (Compact.fanin_lo cv n) in
   let out_rise = Array.make n_pins neg_infinity in
   let out_fall = Array.make n_pins neg_infinity in
   let slave = slave_timing clocking latch in
   for v = 0 to n - 1 do
     (* analyse rejects sequential nodes: [v] is a source, gate or sink *)
-    let tg = tags.(v) in
-    if tg <> Compact.tag_input then
-      for p = head.(v) to head.(v + 1) - 1 do
-        let u = fin.(p) in
-        let in_r = through_slave slave t.arr_rise.(u) in
-        let in_f = through_slave slave t.arr_fall.(u) in
-        if tg = Compact.tag_output then begin
-          out_rise.(p) <- in_r;
-          out_fall.(p) <- in_f
-        end
-        else begin
-          (* the worst over every pin of [v] that [u] drives, as
-             [through_rf] takes it *)
-          let best_r = ref neg_infinity and best_f = ref neg_infinity in
-          for q = head.(v) to head.(v + 1) - 1 do
-            if fin.(q) = u then begin
-              let out_r = pin_rise t q in_r in_f
-              and out_f = pin_fall t q in_r in_f in
-              if out_r > !best_r then best_r := out_r;
-              if out_f > !best_f then best_f := out_f
-            end
-          done;
-          out_rise.(p) <- !best_r;
-          out_fall.(p) <- !best_f
-        end
-      done
+    if cv.Compact.tags.(v) <> Compact.tag_input then
+      fill_slave_arcs t slave out_rise out_fall v
   done;
   { out_rise; out_fall }
 
+let patch_slave_arcs t arcs ~clocking ~latch ~changed =
+  let cv = t.cv in
+  let n = Compact.n cv in
+  if
+    Array.length changed <> n
+    || Array.length arcs.out_rise <> Int.max 1 (Compact.fanin_lo cv n)
+  then invalid_arg "Sta.patch_slave_arcs: arcs of another pin layout";
+  let slave = slave_timing clocking latch in
+  let head = cv.Compact.fanin_head and fin = cv.Compact.fanin in
+  for v = 0 to n - 1 do
+    if cv.Compact.tags.(v) <> Compact.tag_input then begin
+      (* a pin's arc reads its reader's arcs and fanins and its
+         driver's arrival *)
+      let stale = ref changed.(v) and p = ref head.(v) in
+      while (not !stale) && !p < head.(v + 1) do
+        stale := changed.(fin.(!p));
+        incr p
+      done;
+      if !stale then fill_slave_arcs t slave arcs.out_rise arcs.out_fall v
+    end
+  done
+
 let slave_delay_bound t ~clocking ~latch =
-  let early a = a < t.launch_time in
-  if Array.exists early t.arr_rise || Array.exists early t.arr_fall then None
+  let early = ref false in
+  for v = 0 to Array.length t.arr_rise - 1 do
+    if t.arr_rise.(v) < t.launch_time || t.arr_fall.(v) < t.launch_time then
+      early := true
+  done;
+  if !early then None
   else
     let slave = slave_timing clocking latch in
     Some (Float.max (slave.(0) -. t.launch_time) slave.(1))

@@ -44,9 +44,10 @@ val patch :
   unit ->
   t * bool array
 (** Incremental re-analysis after an ECO edit ({!Transform.Edit}).
-    [net] is the edited netlist; it must have the same node count and
-    pin layout as the analysed one (the {!Transform.Edit.applied}
-    contract). [dirty_arcs] are the nodes whose timing arcs changed
+    [net] is the edited netlist; it must have the same node count,
+    pin layout and cell functions as the analysed one (the
+    {!Transform.Edit.applied} contract: edits change drives, fanins and
+    annotations only). [dirty_arcs] are the nodes whose timing arcs changed
     (their arcs are refilled from the library under [annot]);
     [seeds] are nodes whose fanin identity changed. Arrivals are
     re-propagated forward only from those nodes, stopping where the
@@ -106,6 +107,27 @@ val backward_all : t -> float array
     memoised in [t]; call it once from a single domain before sharing
     [t] read-only across {!Rar_util.Pool} workers (every other
     accessor of [t] is pure). *)
+
+val backward_all_db : t -> db
+(** The multi-sink pass of {!backward_all} by polarity at each node
+    (its result is their max), computed afresh; fills {!backward_all}'s
+    memo when empty, under the same single-domain rule. *)
+
+val patch_backward_all :
+  t -> prev:t -> db:db -> dirty_arcs:int list -> seeds:int list -> int list
+(** [patch_backward_all t ~prev ~db ~dirty_arcs ~seeds], where [t] is
+    [fst (patch prev ~dirty_arcs ~seeds ...)] and [db] is
+    {!backward_all_db} of [prev]: updates [db] in place to
+    {!backward_all_db} of [t], bitwise, recomputing only the dirty
+    backward cone — the drivers of [dirty_arcs] nodes, those nodes
+    themselves, the drivers of every [seeds] node before and after the
+    edit, and transitively the drivers of every node whose times
+    moved, stopping where a recomputed time is bitwise-equal to the old
+    one, as {!patch}'s forward wave does. [dirty_arcs] must hold every
+    gate whose readers changed (the {!Transform.Edit.applied}
+    contract). Sets [t]'s {!backward_all} memo and returns the nodes
+    whose times moved. [db] must be no one else's: the caller owns
+    it. *)
 
 (** {1 Edge propagation} *)
 
@@ -195,17 +217,28 @@ val union_size : t -> batch -> int array -> int
     kernel: computed once per analysis and clocking, read by every
     batch's {!batch_slave_arrivals}. *)
 
-type slave_arcs
+type slave_arcs = private { out_rise : float array; out_fall : float array }
 (** Per fanin pin position [p] of a gate or sink [v], driven by [u]:
     the arc at [v]'s output when a slave sits right after [u] —
     {!latch_out} of [u] pushed through the worst of the pins of [v]
-    that [u] drives (unchanged into a sink). *)
+    that [u] drives (unchanged into a sink), by output polarity.
+    Read-only outside this module. *)
 
 val slave_arcs :
   t -> clocking:Clocking.t -> latch:Liberty.seq_cell -> slave_arcs
 (** One pass over the fanin pins, with the arithmetic of
     {!arrival_with_slave_after}. Read-only once built, so pool workers
     may share it. *)
+
+val patch_slave_arcs :
+  t -> slave_arcs -> clocking:Clocking.t -> latch:Liberty.seq_cell ->
+  changed:bool array -> unit
+(** [patch_slave_arcs t arcs ~clocking ~latch ~changed], where [t] and
+    [changed] are {!patch}'s result and [arcs] the slave arcs of the
+    analysis it patched: updates [arcs] in place to {!slave_arcs} of
+    [t], bitwise, recomputing only the pins of [changed] nodes and of
+    their readers (a pin's arc reads its reader's arcs and fanins and
+    its driver's arrival). [arcs] must be no one else's. *)
 
 val slave_delay_bound :
   t -> clocking:Clocking.t -> latch:Liberty.seq_cell -> float option

@@ -4,10 +4,11 @@
    over a session must produce exactly the result a cold
    [Rar_engine.run] computes on the cumulatively edited netlist — same
    outcome, same extras (including the LP solution array), same
-   serialised JSON apart from [wall_s] and [solver_events] (LP cache
-   hits skip the solver, so they can legitimately drop fallback
-   events). The sweep runs the same seeds under pool sizes 1, 2 and 4
-   and additionally requires the three transcripts to agree, pinning
+   serialised JSON apart from [wall_s] and [solver_events] (reused
+   solutions and LP cache hits skip the solver, so they can
+   legitimately drop fallback events). The sweep runs the same seeds
+   under pool sizes 1, 2 and 4 and additionally requires the three
+   transcripts to agree, pinning
    the determinism-across-domains contract the incremental layers
    inherit from the cold path. *)
 
@@ -48,11 +49,12 @@ let cached_prepared =
 
 (* --- random legal edit batches ------------------------------------- *)
 
-(* Drivers for rewires are restricted to nodes strictly earlier in a
-   topological order of the current netlist, so no generated edit can
-   close a combinational cycle (the new arc is consistent with an
-   existing topo order). *)
-let gen_batch rng net lib =
+(* Edit makers over [net]: a resize, an annotation of a given extra
+   delay and a rewire. Drivers for rewires are restricted to nodes
+   strictly earlier in a topological order of the current netlist, so
+   no generated edit can close a combinational cycle (the new arc is
+   consistent with an existing topo order). *)
+let edit_makers rng net lib =
   let n = Netlist.node_count net in
   let gates =
     Array.of_list
@@ -67,38 +69,59 @@ let gen_batch rng net lib =
   let drives = Array.of_list (Liberty.drives lib) in
   let pick a = a.(Random.State.int rng (Array.length a)) in
   let name v = Netlist.node_name net v in
+  let resize () =
+    Edit.Resize { node = name (pick gates); drive = pick drives }
+  in
+  let annotate extra = Edit.Annotate { node = name (pick gates); extra } in
+  let rewire () =
+    (* rewire one pin of a gate to any legal earlier driver *)
+    let v = pick gates in
+    let pin = Random.State.int rng (Array.length (Netlist.fanins net v)) in
+    let candidates =
+      List.filter
+        (fun u ->
+          pos.(u) >= 0 && pos.(u) < pos.(v)
+          &&
+          match Netlist.kind net u with
+          | Netlist.Input | Netlist.Gate _ -> true
+          | _ -> false)
+        (List.init n Fun.id)
+    in
+    match candidates with
+    | [] -> Edit.Resize { node = name v; drive = pick drives }
+    | _ ->
+      let u =
+        List.nth candidates (Random.State.int rng (List.length candidates))
+      in
+      Edit.Rewire { node = name v; pin; driver = name u }
+  in
+  (resize, annotate, rewire)
+
+let gen_batch rng net lib =
+  let resize, annotate, rewire = edit_makers rng net lib in
   let gen_edit () =
     match Random.State.int rng 5 with
-    | 0 ->
-      Edit.Resize { node = name (pick gates); drive = pick drives }
-    | 1 ->
-      Edit.Annotate
-        {
-          node = name (pick gates);
-          extra = float_of_int (Random.State.int rng 5) /. 100.;
-        }
+    | 0 -> resize ()
+    | 1 -> annotate (float_of_int (Random.State.int rng 5) /. 100.)
     | 2 -> Edit.Set_c (0.2 +. (float_of_int (Random.State.int rng 6) /. 10.))
-    | _ -> (
-      (* rewire one pin of a gate to any legal earlier driver *)
-      let v = pick gates in
-      let pin = Random.State.int rng (Array.length (Netlist.fanins net v)) in
-      let candidates =
-        List.filter
-          (fun u ->
-            pos.(u) >= 0 && pos.(u) < pos.(v)
-            &&
-            match Netlist.kind net u with
-            | Netlist.Input | Netlist.Gate _ -> true
-            | _ -> false)
-          (List.init n Fun.id)
-      in
-      match candidates with
-      | [] -> Edit.Resize { node = name v; drive = pick drives }
-      | _ ->
-        let u = List.nth candidates (Random.State.int rng (List.length candidates)) in
-        Edit.Rewire { node = name v; pin; driver = name u })
+    | _ -> rewire ()
   in
   List.init (1 + Random.State.int rng 3) (fun _ -> gen_edit ())
+
+(* ECO-sized batches: mostly one to three annotations of 1e-5 to 5e-5
+   ns, as rarbench's eco_edits makes them, with an occasional resize,
+   rewire or c (which may repeat the current one) leading a batch. *)
+let gen_tiny_batch rng net lib =
+  let resize, annotate, rewire = edit_makers rng net lib in
+  let tiny () = annotate (1e-5 *. float_of_int (1 + Random.State.int rng 5)) in
+  let lead =
+    match Random.State.int rng 8 with
+    | 0 -> [ resize () ]
+    | 1 -> [ rewire () ]
+    | 2 -> [ Edit.Set_c (if Random.State.bool rng then 0.5 else 1.0) ]
+    | _ -> []
+  in
+  lead @ List.init (1 + Random.State.int rng 3) (fun _ -> tiny ())
 
 (* --- resolve vs cold ----------------------------------------------- *)
 
@@ -137,44 +160,67 @@ let stage_of cfg p =
   | Error e ->
     Alcotest.failf "stage analysis failed: %s" (Rar_retime.Error.to_string e)
 
-(* Run one edit scenario under the current pool size; returns the
-   per-batch transcript (either the stripped JSON of the matching
-   results, or a tag recording that both sides failed identically). *)
-let run_scenario seed =
-  let p = cached_prepared (seed mod 7) in
-  let spec = if seed mod 2 = 0 then Engine.Grar else Engine.Base in
-  let cfg = Engine.config ~c:0.5 spec in
+(* One batch of a replay: what the session did and the cold
+   reference it was held to. *)
+type step = {
+  applied : Edit.applied option;  (* the batch applied cold, when valid *)
+  before : Stage.t;               (* the session's stage before the batch *)
+  cold : Stage.t option;          (* the cold pre-sizing stage after it *)
+  cfg_before : Engine.config;
+  cfg_after : Engine.config;
+  ok : bool;                      (* the resolve succeeded *)
+  reused : bool;                  (* it reused the session's solution *)
+}
+
+let reused = Rar_obs.Metrics.counter "eco_solutions_reused"
+
+(* Replay [n_batches] batches of [gen] through a session over [p] and
+   hold each result to a cold run on the cumulatively edited netlist,
+   under the current pool size: outcome, extras, the post-sizing stage
+   bitwise and the JSON (without [wall_s] and [solver_events]), or the
+   same error. Returns the per-batch transcript (the stripped JSON, or
+   the shared error) and calls [on_step] on every batch. *)
+let replay ?(on_step = fun (_ : step) -> ()) ~n_batches ~gen ~seed cfg p =
   let stage0 = stage_of cfg p in
   let session = Engine.open_session cfg stage0 in
   let rng = Random.State.make [| 0xec0; seed |] in
   let cold_net = ref (Stage.comb stage0) in
   let cold_annot = ref None in
   let cold_cfg = ref cfg in
+  let cold_stage = ref stage0 in
   let transcript = ref [] in
-  for batch_no = 0 to 2 do
-    let batch = gen_batch rng !cold_net p.Suite.lib in
+  for batch_no = 0 to n_batches - 1 do
+    let batch = gen rng !cold_net p.Suite.lib in
+    let count = Rar_obs.Metrics.value reused in
     let inc = Engine.resolve session batch in
+    let step =
+      { applied = None; before = !cold_stage; cold = None;
+        cfg_before = !cold_cfg; cfg_after = !cold_cfg; ok = Result.is_ok inc;
+        reused = Rar_obs.Metrics.value reused > count }
+    in
     (* Cold reference: the same edits applied from scratch, full stage
        re-analysis ([Engine.stage_of ~edits]), fresh engine run. *)
-    let cold =
+    let cold, step =
       match
         (try Ok (Edit.apply ?annot:!cold_annot !cold_net batch)
          with Invalid_argument d ->
            Error (Rar_retime.Error.Invalid_input d))
       with
-      | Error _ as e -> (e, None)
+      | Error _ as e -> (e, step)
       | Ok applied -> (
         let cfg' =
           match applied.Edit.c with
           | None -> !cold_cfg
           | Some c -> { !cold_cfg with Engine.c }
         in
+        let step = { step with applied = Some applied; cfg_after = cfg' } in
         match Engine.stage_of ~model:cfg'.Engine.model ~edits:applied p with
-        | Error e -> (Error e, None)
-        | Ok stage -> (Engine.run cfg' stage, Some (applied, cfg')))
+        | Error e -> (Error e, step)
+        | Ok stage -> (Engine.run cfg' stage, { step with cold = Some stage }))
     in
-    match (inc, cold) with
-    | Ok ri, (Ok rc, Some (applied, cfg')) ->
+    on_step step;
+    match (inc, cold, step.applied) with
+    | Ok ri, Ok rc, Some applied ->
       if not (ri.Engine.outcome = rc.Engine.outcome) then
         Alcotest.failf "batch %d: outcomes differ" batch_no;
       if not (ri.Engine.extras = rc.Engine.extras) then
@@ -183,31 +229,39 @@ let run_scenario seed =
          is bitwise the from-scratch one *)
       if stage_fingerprint ri.Engine.stage <> stage_fingerprint rc.Engine.stage
       then Alcotest.failf "batch %d: stage analyses differ" batch_no;
-      let si = strip_json cfg' ri and sc = strip_json cfg' rc in
+      let si = strip_json step.cfg_after ri
+      and sc = strip_json step.cfg_after rc in
       if si <> sc then
         Alcotest.failf "batch %d: JSON differs\nincr: %s\ncold: %s" batch_no
           si sc;
       transcript := si :: !transcript;
       cold_net := applied.Edit.net;
       cold_annot := Some applied.Edit.annot;
-      cold_cfg := cfg'
-    | Error ei, (Error ec, _) ->
+      cold_cfg := step.cfg_after;
+      cold_stage := Option.get step.cold
+    | Error ei, Error ec, _ ->
       if ei <> ec then
         Alcotest.failf "batch %d: errors differ (%s vs %s)" batch_no
           (Rar_retime.Error.to_string ei)
           (Rar_retime.Error.to_string ec);
       transcript := ("error:" ^ Rar_retime.Error.to_string ei) :: !transcript
-    | Ok _, (Error e, _) ->
+    | Ok _, Error e, _ ->
       Alcotest.failf "batch %d: resolve succeeded but cold failed: %s"
         batch_no
         (Rar_retime.Error.to_string e)
-    | Error e, (Ok _, _) ->
+    | Error e, Ok _, _ ->
       Alcotest.failf "batch %d: cold succeeded but resolve failed: %s"
         batch_no
         (Rar_retime.Error.to_string e)
-    | Ok _, (Ok _, None) -> assert false (* Ok cold implies Some applied *)
+    | Ok _, Ok _, None -> assert false (* Ok cold implies Some applied *)
   done;
   List.rev !transcript
+
+(* Run one edit scenario under the current pool size. *)
+let run_scenario ?(n_batches = 3) seed =
+  let p = cached_prepared (seed mod 7) in
+  let spec = if seed mod 2 = 0 then Engine.Grar else Engine.Base in
+  replay ~n_batches ~gen:gen_batch ~seed (Engine.config ~c:0.5 spec) p
 
 let prop_resolve_matches_cold =
   QCheck.Test.make ~name:"resolve = cold run, across pool sizes 1/2/4"
@@ -227,6 +281,110 @@ let prop_resolve_matches_cold =
       match transcripts with
       | [ a; b; c ] -> a = b && b = c
       | _ -> false)
+
+(* The same contract over chains of twenty batches, where the state a
+   patch carries forward and the reused solutions have time to drift,
+   classifying on the pool at two jobs. *)
+let prop_long_chain_matches_cold =
+  QCheck.Test.make ~name:"resolve = cold run over long chains, pool 1/2"
+    ~count:3 QCheck.small_int (fun seed ->
+      let saved = Pool.jobs () in
+      Fun.protect ~finally:(fun () -> Pool.set_jobs saved) @@ fun () ->
+      Stage.with_sweep_per_participant 1 @@ fun () ->
+      match
+        List.map
+          (fun jobs ->
+            Pool.set_jobs jobs;
+            run_scenario ~n_batches:20 seed)
+          [ 1; 2 ]
+      with
+      | [ a; b ] -> a = b
+      | _ -> false)
+
+(* An LP as text: its constraints in emission order and the bits of
+   every objective coefficient (read as the objective of a unit vector,
+   which sums one term with zeros and so is exact). *)
+let lp_text lp =
+  let b = Buffer.create 4096 in
+  Rar_flow.Difflp.iter_constraints lp (fun ~u ~v ~bound ->
+      Buffer.add_string b (Printf.sprintf "%d %d %d\n" u v bound));
+  let r = Array.make (Rar_flow.Difflp.var_count lp) 0 in
+  for x = 0 to Array.length r - 1 do
+    r.(x) <- 1;
+    Buffer.add_string b
+      (Printf.sprintf "%Lx\n"
+         (Int64.bits_of_float (Rar_flow.Difflp.objective_value lp r)));
+    r.(x) <- 0
+  done;
+  Buffer.contents b
+
+let lp_of (cfg : Engine.config) stage =
+  Rar_retime.Rgraph.lp
+    (match cfg.Engine.spec with
+    | Engine.Grar -> Rar_retime.Rgraph.build ~edl_overhead:cfg.Engine.c stage
+    | _ -> Rar_retime.Rgraph.build ~bias_early:true stage)
+
+(* A reused solution is the rebuilt LP's: over ECO-sized chains on
+   suite circuits and small generated designs, every result is the
+   cold run's ([replay]); whenever the session reused its solution,
+   the LP built from the cold stage is, constraint by constraint and in
+   objective bits, the one the session last solved; and a batch with a
+   new c, a rewire or a sink whose class moved never reuses. *)
+let test_reused_solution_is_rebuilt_lps () =
+  Rar_obs.Metrics.arm ();
+  Fun.protect ~finally:Rar_obs.Metrics.disarm @@ fun () ->
+  let total = ref 0 in
+  List.iter
+    (fun (label, p, spec, seed) ->
+      let cfg = Engine.config ~c:0.5 spec in
+      let last_solved = ref None in
+      let batch_no = ref 0 in
+      let on_step st =
+        let fail fmt =
+          Alcotest.failf ("%s batch %d: " ^^ fmt) label !batch_no
+        in
+        incr batch_no;
+        if st.reused then begin
+          incr total;
+          let new_c =
+            Int64.bits_of_float st.cfg_after.Engine.c
+            <> Int64.bits_of_float st.cfg_before.Engine.c
+          in
+          let rewired =
+            match st.applied with
+            | Some a -> a.Edit.seeds <> []
+            | None -> false
+          in
+          let flipped =
+            match st.cold with
+            | None -> false
+            | Some cold ->
+              Array.exists
+                (fun s -> Stage.classify cold s <> Stage.classify st.before s)
+                (Stage.sinks cold)
+          in
+          if new_c then fail "reused across a new c";
+          if rewired then fail "reused across a rewire";
+          if flipped then fail "reused across a class change"
+        end;
+        match (st.ok, st.cold) with
+        | true, Some cold ->
+          let lp = lp_text (lp_of st.cfg_after cold) in
+          if st.reused then begin
+            if Some lp <> !last_solved then
+              fail "the reused solution is not the rebuilt LP's"
+          end
+          else last_solved := Some lp
+        | _ -> ()
+      in
+      ignore
+        (replay ~on_step ~n_batches:24 ~gen:gen_tiny_batch ~seed cfg p
+          : string list))
+    [ ("s1196", Result.get_ok (Suite.load "s1196"), Engine.Grar, 1);
+      ("s1423", Result.get_ok (Suite.load "s1423"), Engine.Base, 2);
+      ("eco3", cached_prepared 3, Engine.Grar, 3);
+      ("eco5", cached_prepared 5, Engine.Base, 5) ];
+  if !total = 0 then Alcotest.fail "no batch reused a solution"
 
 (* --- edit-script parsing -------------------------------------------- *)
 
@@ -310,15 +468,16 @@ let test_eco_metrics_registered () =
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " registered") true (has name))
-    [ "sta_incremental_pins"; "difflp_cache_hits" ]
+    [ "sta_incremental_pins"; "difflp_cache_hits"; "eco_solutions_reused" ]
 
 (* --- concurrent sessions ------------------------------------------- *)
 
 (* Two sessions over the *same* shared stage, resolving interleaved
    from different pool tasks, must produce transcripts bitwise equal
    to the same sessions resolved serially. This exercises the shared
-   read-only [Stage.t] (forced STA memos) and the thread-safe [Difflp]
-   caches under real contention. *)
+   read-only [Stage.t] (forced STA memos) under real contention, and
+   the patch state a stage hands to one patch only (both sessions patch
+   the shared stage first). *)
 let test_concurrent_sessions_match_serial () =
   let p = cached_prepared 4 in
   let cfg = Engine.config ~c:0.5 Engine.Grar in
@@ -387,4 +546,7 @@ let suite =
     Alcotest.test_case "concurrent sessions match serial" `Slow
       test_concurrent_sessions_match_serial;
     QCheck_alcotest.to_alcotest prop_resolve_matches_cold;
+    QCheck_alcotest.to_alcotest prop_long_chain_matches_cold;
+    Alcotest.test_case "a reused solution is the rebuilt LP's" `Slow
+      test_reused_solution_is_rebuilt_lps;
   ]

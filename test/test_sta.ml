@@ -368,6 +368,104 @@ let prop_cone_slave_arrivals =
         [ (Sta.Path_based, Clocking.of_p 2.0);
           (Sta.Gate_based, Clocking.of_p3 2.0) ])
 
+(* A chain of ECO edits through [Sta.patch], with the state
+   [Stage.patch] carries — the multi-sink backward times and the slave
+   arcs — updated in place, equals a fresh analysis of the edited
+   netlist after every batch, bitwise: arrivals, backward times by
+   polarity, the [backward_all] memo and every pin's slave arc. *)
+let prop_patch_chain_carries_bitwise =
+  QCheck.Test.make ~name:"patched analysis and carried state = fresh"
+    ~count:6 QCheck.(int_bound 50)
+    (fun seed ->
+      let comb = cone_comb seed in
+      let lib = Liberty.default () in
+      let latch = Liberty.latch lib in
+      let rng = Random.State.make [| 0x5a; seed |] in
+      let n = Netlist.node_count comb in
+      let gates = Netlist.gates comb in
+      let drives = Array.of_list (Liberty.drives lib) in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let same_bits a b =
+        Array.length a = Array.length b
+        && Array.for_all2 (fun x y -> bits x = bits y) a b
+      in
+      List.for_all
+        (fun (model, clocking) ->
+          let sta = ref (Sta.analyse lib model comb) in
+          let db = Sta.backward_all_db !sta in
+          let arcs = Sta.slave_arcs !sta ~clocking ~latch in
+          let net = ref comb and annot = ref None in
+          List.for_all
+            (fun _ ->
+              let name v = Netlist.node_name !net v in
+              let topo = Netlist.topo_comb !net in
+              let pos = Array.make n 0 in
+              Array.iteri (fun i v -> pos.(v) <- i) topo;
+              let edit () =
+                let v = pick gates in
+                match Random.State.int rng 4 with
+                | 0 ->
+                  Transform.Edit.Resize { node = name v; drive = pick drives }
+                | 1 ->
+                  (* rewire a pin to a node earlier in the order: no cycle *)
+                  let pin =
+                    Random.State.int rng (Array.length (Netlist.fanins !net v))
+                  in
+                  let earlier =
+                    Array.of_list
+                      (List.filter
+                         (fun u ->
+                           pos.(u) < pos.(v) && not (Netlist.is_seq !net u))
+                         (Array.to_list
+                            (Array.append (Netlist.inputs !net) gates)))
+                  in
+                  Transform.Edit.Rewire
+                    { node = name v; pin; driver = name (pick earlier) }
+                | _ ->
+                  Transform.Edit.Annotate
+                    { node = name v;
+                      extra =
+                        1e-5 *. float_of_int (1 + Random.State.int rng 5) }
+              in
+              let applied =
+                Transform.Edit.apply ?annot:!annot !net
+                  (List.init (1 + Random.State.int rng 3) (fun _ -> edit ()))
+              in
+              let dirty_arcs = applied.Transform.Edit.dirty_arcs
+              and seeds = applied.Transform.Edit.seeds in
+              let prev = !sta in
+              let patched, changed =
+                Sta.patch prev ~net:applied.Transform.Edit.net
+                  ~annot:applied.Transform.Edit.annot ~dirty_arcs ~seeds ()
+              in
+              ignore
+                (Sta.patch_backward_all patched ~prev ~db ~dirty_arcs ~seeds
+                  : int list);
+              Sta.patch_slave_arcs patched arcs ~clocking ~latch ~changed;
+              sta := patched;
+              net := applied.Transform.Edit.net;
+              annot := Some applied.Transform.Edit.annot;
+              let fresh =
+                Sta.analyse ~annot:applied.Transform.Edit.annot lib model !net
+              in
+              let fresh_db = Sta.backward_all_db fresh in
+              let fresh_arcs = Sta.slave_arcs fresh ~clocking ~latch in
+              let arr s =
+                Array.init n (fun v -> (Sta.arrival_arc s v).Liberty.rise)
+              and arr_f s =
+                Array.init n (fun v -> (Sta.arrival_arc s v).Liberty.fall)
+              in
+              same_bits (arr patched) (arr fresh)
+              && same_bits (arr_f patched) (arr_f fresh)
+              && same_bits db.Sta.rise fresh_db.Sta.rise
+              && same_bits db.Sta.fall fresh_db.Sta.fall
+              && same_bits (Sta.backward_all patched) (Sta.backward_all fresh)
+              && same_bits arcs.Sta.out_rise fresh_arcs.Sta.out_rise
+              && same_bits arcs.Sta.out_fall fresh_arcs.Sta.out_fall)
+            (List.init 12 Fun.id))
+        [ (Sta.Path_based, Clocking.of_p 2.0);
+          (Sta.Gate_based, Clocking.of_p3 2.0) ])
+
 (* The bound stage classification prunes by: a slave on any cone edge
    delays the sink by at most [slave_delay_bound] past its arrival (up
    to float rounding, far inside the classifier's 1e-9 tolerance). *)
@@ -592,6 +690,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cone_scratch_reused;
     QCheck_alcotest.to_alcotest prop_cone_slave_arrivals;
     QCheck_alcotest.to_alcotest prop_slave_delay_bound;
+    QCheck_alcotest.to_alcotest prop_patch_chain_carries_bitwise;
     Alcotest.test_case "cone A kernel allocation-free" `Quick
       test_cone_slave_arrivals_allocation_free;
     Alcotest.test_case "arc fill and slave arcs allocation-free" `Quick
