@@ -1178,10 +1178,7 @@ let timing_cmd =
     match Suite.load name with
     | Error e -> `Error (false, e)
     | Ok p ->
-      let sta =
-        Rar_sta.Sta.analyse p.Suite.lib Rar_sta.Sta.Path_based
-          p.Suite.cc.Transform.comb
-      in
+      let sta = p.Suite.sta in
       let sinks =
         Array.to_list (Rar_netlist.Netlist.outputs p.Suite.cc.Transform.comb)
         |> List.map (fun s -> (Rar_sta.Sta.arrival_at_sink sta s, s))

@@ -39,19 +39,15 @@ let finish ~approach ~meets_period ~assemble stage r =
   match Rgraph.check_legal_on stage placements with
   | Error e -> Error e
   | Ok () -> (
-    (* Size-only fix against the per-sink deadlines. *)
     let clocking = Stage.clocking stage in
     let period = Clocking.period clocking in
     let limit = Clocking.max_delay clocking in
     let deadlines s = if meets_period s then period else limit in
-    match Sizing.fix_timed ~deadlines stage placements with
+    match Sizing.check ~approach ~deadlines stage placements with
     | Error e -> Error e
-    | Ok (stage', arr) -> (
-      let outcome, extras = assemble stage' placements arr in
-      match outcome.Outcome.violations with
-      | [] -> Ok (stage', outcome, extras)
-      | vs ->
-        Error (Error.Timing_violations { approach; count = List.length vs })))
+    | Ok arr ->
+      let outcome, extras = assemble placements arr in
+      Ok (stage, outcome, extras))
 
 (* Base builds no [P(t)] vertices, so it models no sink non-ED and
    every deadline is the max-delay bound. *)
@@ -80,8 +76,8 @@ let retiming ~approach ~solve ?solved ~c build stage =
     let non_ed = Hashtbl.create (1 + List.length modelled_non_ed) in
     List.iter (fun s -> Hashtbl.replace non_ed s ()) modelled_non_ed;
     finish ~approach ~meets_period:(Hashtbl.mem non_ed)
-      ~assemble:(fun stage' placements arr ->
-        ( Outcome.account ~c stage' placements arr,
+      ~assemble:(fun placements arr ->
+        ( Outcome.account ~c stage placements arr,
           Retiming { r; lp_latches; modelled_non_ed } ))
       stage r
 

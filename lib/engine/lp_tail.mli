@@ -3,11 +3,11 @@
 
     After a retiming LP is solved, base retiming, G-RAR and the
     virtual-library retype loop all do the same: decode the slave
-    placements, check the single-latch-per-path invariant, size-fix
-    against per-sink deadlines, assemble the verified outcome and
-    reject any remaining timing violation. They differ only in the
-    graph they solve, which sinks must stay out of the resiliency
-    window, and how they assign error-detecting masters.
+    placements, check the single-latch-per-path invariant, check every
+    sink against its deadline on one latch-aware arrival sweep, and
+    account the verified outcome on those arrivals. They differ only
+    in the graph they solve, which sinks must stay out of the
+    resiliency window, and how they assign error-detecting masters.
 
     - {b Base} (§VI-D): classic min-area retiming with the commercial
       early bias, blind to the EDL overhead; masters whose verified
@@ -15,10 +15,10 @@
       fact.
     - {b G-RAR} (§IV), the paper's contribution: the modified graph
       with a [P(t)] vertex per target master and the [-c] EDL reward;
-      sinks the LP priced non-error-detecting are size-fixed to the
-      period, everything else to the hard max-delay bound. The stage's
-      delay model selects the journal's path-based or the DAC'17
-      gate-based formulation (Table II). *)
+      sinks the LP priced non-error-detecting are checked against the
+      period, everything else against the hard max-delay bound. The
+      stage's delay model selects the journal's path-based or the
+      DAC'17 gate-based formulation (Table II). *)
 
 module Transform = Rar_netlist.Transform
 module Stage = Rar_retime.Stage
@@ -52,7 +52,9 @@ type solve = Rgraph.t -> (int array, Error.t) result
     and solve cache already applied. *)
 
 type run = (Stage.t * Outcome.t * extras, Error.t) result
-(** The post-sizing stage, the outcome verified on it, and the extras. *)
+(** The stage the outcome was verified on (the tail returns the stage
+    it was given; the movable engine returns its moved stage), the
+    outcome and the extras. *)
 
 type solution = {
   r : int array;
@@ -66,31 +68,31 @@ type solution = {
 val finish :
   approach:string ->
   meets_period:(int -> bool) ->
-  assemble:
-    (Stage.t ->
-    Transform.placement list ->
-    float array ->
-    Outcome.t * extras) ->
+  assemble:(Transform.placement list -> float array -> Outcome.t * extras) ->
   Stage.t ->
   int array ->
   run
 (** [finish ~approach ~meets_period ~assemble stage r] decodes the
     solution [r] of an LP built from [stage] (or from a stage with the
-    same graph), checks it, size-fixes [stage] to the period on the
-    sinks [meets_period] selects and to the max-delay bound on the
-    rest, and assembles on the sized stage: [assemble] gets the sized
-    stage, the placements and their verified arrivals from the sizing
-    round that chose the stage ({!Rar_retime.Sizing.fix_timed}), so the
-    tail runs no arrival pass of its own. Any violation left is
-    [Timing_violations { approach; _ }]. *)
+    same graph), checks its legality, and checks every sink of [stage]
+    against its deadline ({!Rar_retime.Sizing.check}): the period on
+    the sinks [meets_period] selects, the max-delay bound on the rest.
+    A sink past its deadline fails the run with
+    [Timing_violations { approach; _ }]; otherwise [assemble] gets the
+    placements and the arrivals that check timed, so the tail runs one
+    arrival sweep, and the run returns [stage] itself. The check
+    subsumes any rejection on the assembled outcome: an outcome that
+    derives its error-detecting set from these arrivals, or that
+    types every master past the period error-detecting, reports no
+    violation. *)
 
 val base : ?solved:solution -> solve:solve -> c:float -> Stage.t -> run
 (** Base retiming; [c] only prices the after-the-fact EDL assignment.
     Extras: [Retiming] with no modelled non-ED sinks. [solved] is a
     solution of this stage's base LP — one solved on a stage with the
     same {!Stage.lp_generation} — and skips the build and the solve;
-    decoding, the legality check, sizing and assembly still run on
-    [stage]. *)
+    decoding, the legality check, the deadline check and assembly
+    still run on [stage]. *)
 
 val grar : ?solved:solution -> solve:solve -> c:float -> Stage.t -> run
 (** G-RAR at EDL overhead [c]. Extras: [Retiming]. [solved] as for

@@ -247,12 +247,12 @@ let load_and_run ?deadline cfg circuit =
 (* ------------------------------------------------------------------ *)
 
 (* A session owns the warm state of a resolve loop: the incrementally
-   patched stage (always the *pre-sizing* analysis, so it stays
-   byte-identical to [Stage.make] on the cumulatively edited netlist),
-   the current EDL overhead (updated by [Set_c] edits), the last base
-   or G-RAR solution with the LP generation and c it was solved at,
-   and the LP solve cache, which only VL runs read. Failed resolves
-   leave all of it untouched. Single-owner: not thread-safe. *)
+   patched stage (byte-identical to [Stage.make] on the cumulatively
+   edited netlist), the current EDL overhead (updated by [Set_c]
+   edits), the last base or G-RAR solution with the LP generation and
+   c it was solved at, and the LP solve cache, which only VL runs
+   read. Failed resolves leave all of it untouched. Single-owner: not
+   thread-safe. *)
 type session = {
   mutable s_cfg : config;
   mutable s_stage : Stage.t;
@@ -335,9 +335,8 @@ let resolve ?deadline (s : session) edits =
       match run_with ?deadline ?solve_cache ?solved cfg stage' with
       | Error _ as e -> e
       | Ok r as ok ->
-        (* Commit only on success; keep the pre-sizing stage so the
-           next edit patches the same analysis a cold [Stage.make]
-           would produce. *)
+        (* Commit only on success: the next edit patches this stage,
+           the analysis a cold [Stage.make] would produce. *)
         s.s_cfg <- cfg;
         s.s_stage <- stage';
         (match r.extras with

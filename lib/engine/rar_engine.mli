@@ -59,8 +59,9 @@ type extras = Lp_tail.extras =
   | Retype of {
       initial_ed : int list;  (** masters seeded error-detecting *)
       forced_to_ed : int list;
-          (** non-ED seeds the retimer could not honour (timing fix,
-              always applied — [17]'s manual violation fixes) *)
+          (** non-ED seeds the retimer could not honour ([17]'s manual
+              violation fixes); always empty, because the LP tail
+              rejects a non-ED master past the period instead *)
       swapped_to_non_ed : int list;
           (** EDL masters relaxed by the optional post-retiming swap *)
       retype_rounds : int;  (** infeasibility retries during retiming *)
@@ -74,7 +75,9 @@ type extras = Lp_tail.extras =
 type result = {
   spec : spec;
   outcome : Outcome.t;  (** verified placement, ED set, areas *)
-  stage : Stage.t;  (** stage the outcome was verified on (post sizing) *)
+  stage : Stage.t;
+      (** stage the outcome was verified on: the stage the run was
+          given, or the moved stage for [Movable] *)
   extras : extras;
   events : Difflp.fallback_event list;
       (** solver-fallback events, chronological; empty on a clean run *)
@@ -163,9 +166,10 @@ val run :
 
     [Vl _] force-checks the deadline at each retype round (phase
     ["vl-retype"]) and [Movable] before each candidate move (phase
-    ["movable-search"]); a post-sizing timing violation is
-    [Timing_violations] labelled ["Base"], ["G-RAR"], ["NVL"],
-    ["EVL"] or ["RVL"] (a movable run reports its RVL runs' label).
+    ["movable-search"]); a sink past its deadline in the LP tail's
+    check is [Timing_violations] labelled ["Base"], ["G-RAR"],
+    ["NVL"], ["EVL"] or ["RVL"] (a movable run reports its RVL runs'
+    label).
 
     [?deadline] bounds the run cooperatively: the solver inner loops
     check it and an overrun surfaces as [Error (Timeout _)] — the run
@@ -269,7 +273,8 @@ val resolve :
     solved one and [c] is unchanged, the LP is the one the session last
     solved, so its solution is used without building or solving it
     (counted in the [eco_solutions_reused] metric); decoding, the
-    legality check, sizing and assembly still run on the patched stage.
+    legality check, the deadline check and assembly still run on the
+    patched stage.
     VL LPs also depend on timing (RVL's seeds, the retype order), so VL
     resolves replay identical LPs from the session's solve cache
     instead.

@@ -34,44 +34,29 @@ let run ~deadline ~solve ~post_swap ~c variant stage =
     | Stage.Always_ed -> true
     | Stage.Never_ed | Stage.Target _ -> false
   in
-  (* Size-only incremental compile against the typed deadlines, then
-     the mandatory fixes and the optional swap on the verified
-     arrivals. *)
+  (* The tail checks the typed deadlines: a non-ED master past the
+     period fails the run, so no master needs a mandatory fix. The
+     optional swap sends the typed masters that meet the period back
+     to normal latches. *)
   let finish typed_ed rounds r =
+    let typed_ed = List.sort_uniq compare typed_ed in
     let typed_tbl = Hashtbl.create (1 + List.length typed_ed) in
     List.iter (fun s -> Hashtbl.replace typed_tbl s ()) typed_ed;
     Lp_tail.finish ~approach:(label variant)
       ~meets_period:(fun s -> not (Hashtbl.mem typed_tbl s))
-      ~assemble:(fun stage' placements arr ->
-        (* Mandatory fixes, on the verified arrivals: non-ED masters
-           still inside the window become error-detecting. *)
-        let forced_to_ed =
-          List.filter
-            (fun s ->
-              (not (Hashtbl.mem typed_tbl s))
-              && Clocking.past_period clocking arr.(s))
-            sinks
-        in
-        let ed_fixed = List.sort_uniq compare (typed_ed @ forced_to_ed) in
-        (* Optional saving swap: EDL masters that meet the non-ED setup
-           go back to normal latches. *)
-        let swapped_to_non_ed =
+      ~assemble:(fun placements arr ->
+        let swapped_to_non_ed, ed_final =
           if post_swap then
-            List.filter
+            List.partition
               (fun s -> not (Clocking.past_period clocking arr.(s)))
-              ed_fixed
-          else []
+              typed_ed
+          else ([], typed_ed)
         in
-        let swapped_tbl = Hashtbl.create (1 + List.length swapped_to_non_ed) in
-        List.iter (fun s -> Hashtbl.replace swapped_tbl s ()) swapped_to_non_ed;
-        let ed_final =
-          List.filter (fun s -> not (Hashtbl.mem swapped_tbl s)) ed_fixed
-        in
-        ( Outcome.account ~ed:ed_final ~c stage' placements arr,
+        ( Outcome.account ~ed:ed_final ~c stage placements arr,
           Lp_tail.Retype
             {
               initial_ed;
-              forced_to_ed;
+              forced_to_ed = [];
               swapped_to_non_ed;
               retype_rounds = rounds;
             } ))

@@ -41,10 +41,11 @@ val run :
     master, as a per-pin mark for {!Rar_retime.Rgraph.build}, which
     forbids each of its edges once. [deadline] is
     force-checked at the top of every retype round (phase
-    ["vl-retype"]). The round that solves ends in {!Lp_tail.finish}:
-    typed-ED sinks are size-fixed to the max-delay bound, the rest to
-    the period; non-ED masters still inside the window are forced
-    error-detecting ([17]'s manual violation fixes), and with
-    [post_swap] error-detecting masters that meet the period go back
-    to normal latches (§V; off reproduces the paper's "-0.36%" RVL
-    data point). Extras: [Retype]. *)
+    ["vl-retype"]). The round that solves ends in {!Lp_tail.finish},
+    which checks typed-ED sinks against the max-delay bound and the
+    rest against the period: the forbidden window pins keep every
+    non-ED master out of the window, so none needs [17]'s manual
+    violation fix and [forced_to_ed] is empty. With [post_swap]
+    error-detecting masters that meet the period go back to normal
+    latches (§V; off reproduces the paper's "-0.36%" RVL data point).
+    Extras: [Retype]. *)

@@ -6,7 +6,7 @@
 
     - pin-to-pin rise/fall delays with a linear load model, so the
       path-based STA of §VI-B has real slack over the gate-based model;
-    - multiple drive strengths, enabling the size-only fixing pass;
+    - multiple drive strengths, which ECO resize edits choose among;
     - a latch whose D-to-Q and clock-to-Q delays differ by ~40% (§III);
     - a latch area that is 43% of the flip-flop area (§VI-D);
     - error-detecting latches parameterised by overhead [c] in 0.5..2,
@@ -89,13 +89,11 @@ val latch : t -> seq_cell
 val flop : t -> seq_cell
 (** The original flip-flop the benchmarks are written with. *)
 
-val wire_cap : t -> fanouts:int -> float
-(** Estimated wire load as a function of fanout count. *)
-
 (** {1 Delay queries}
 
     [load] is the total capacitive load at the cell output (sum of the
-    fanout pins' input caps plus {!wire_cap}). *)
+    fanout pins' input caps plus an estimated wire load of
+    {!wire_cap_per_fanout} per fanout). *)
 
 val pin_arc : comb_cell -> pin:int -> load:float -> arc
 (** Pin-to-pin delay of input [pin] to output, rise/fall of the
@@ -111,12 +109,6 @@ val pin_arcs :
     pin [i] of gate [v], under its {!gate_load}, to [rise.(at + i)] and
     [fall.(at + i)]: a whole gate's arcs, bitwise those of {!pin_arc},
     with nothing allocated. [Invalid_argument] unless [v] is a gate. *)
-
-val gate_area : t -> Netlist.t -> int -> float
-(** Area of node [v]: combinational cell area for gates, latch area for
-    master/slave latches (error-detection overhead is {e not} included
-    here; the retiming engines account for it via their own cost
-    terms), flop area for flops, 0 for ports. *)
 
 val comb_area : t -> Netlist.t -> float
 (** Total area of the combinational gates only. *)

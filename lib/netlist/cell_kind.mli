@@ -44,9 +44,6 @@ val arity : t -> int option
 (** [Some n] when the kind has a fixed arity, [None] for the n-ary
     simple gates ([And], [Nand], [Or], [Nor], [Xor], [Xnor]). *)
 
-val min_arity : t -> int
-(** Smallest legal number of inputs. *)
-
 val valid_arity : t -> int -> bool
 (** [valid_arity k n] holds when a [k]-gate may have [n] inputs. *)
 

@@ -96,7 +96,7 @@ type placement = {
 
     This is the one slave-placement format of the flow: the LP decoder
     ({!Rar_retime.Rgraph.placements_of}) and {!initial_placements}
-    write it, and every reader — the legality check, the size-only fix,
+    write it, and every reader — the legality check, the deadline check,
     the latch-aware timing sweep ({!Rar_sta.Sta.forward_with_latches}),
     outcome assembly and {!apply_retiming} — looks pins up through one
     {!pin_index}. *)

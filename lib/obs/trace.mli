@@ -14,8 +14,9 @@
     [engine/*] (one per {!Rar_engine.run} / prepare), [rgraph/build],
     [difflp/solve], [solver/*] (network-simplex, closure),
     the LP tail — [rgraph/decode] (one [Rgraph.placements_of]),
-    [rgraph/legal] (one [Rgraph.check_legal]), [sizing/fix] (one
-    size-only fix, its arrival sweeps included) and [outcome/assemble]
+    [rgraph/legal] (one [Rgraph.check_legal]), [sizing/fix] (the
+    tail's one latch-aware arrival sweep and its deadline check) and
+    [outcome/assemble]
     (one [Outcome.account], the ED and area accounting) — [sta/*]
     (analyse, patch, backward_all), [stage/*] (classify, patch),
     [sim/error_rate], [pool/batch]. *)

@@ -76,8 +76,8 @@ val sim_design : Stage.t -> Outcome.t -> Rar_sim.Sim.design
 (** The simulatable retimed design: the outcome's slave placements
     realised in the stage's netlist ({!Rar_netlist.Transform.apply_retiming}),
     its error-detecting masters mapped onto that netlist, under the
-    stage's library and clocking. Pass an engine result's own
-    (post-sizing) stage. *)
+    stage's library and clocking. Pass an engine result's own stage
+    (the movable engine's is its moved stage). *)
 
 val error_rate :
   t -> string -> spec:Engine.spec -> c:float -> Rar_sim.Sim.rate

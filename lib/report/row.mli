@@ -25,14 +25,6 @@ type table = {
 val float' : ?decimals:int -> float -> cell
 (** [Float] with the report default of 2 decimals. *)
 
-val cell_text : cell -> string
-(** The exact string the text and CSV renderings show. *)
-
-val cell_json : cell -> Json.t
-(** Numeric cells serialise as the number the text shows (parsed back
-    from {!cell_text}), so JSON consumers and text readers agree;
-    [Time] becomes [{"time_s": s}]; [Empty] is [null]. *)
-
 val map_cells : (cell -> cell) -> table -> table
 (** Cell-wise rewrite (tests use it to mask wall-clock cells). *)
 
@@ -44,6 +36,9 @@ val render_csv : table -> string
 val to_json : table -> Json.t
 (** ["rar-tables/1"]: [schema], [number], [title],
     [columns] ([{"name"; "align"}], align ["l"]/["r"]) and [rows]
-    (each [{"cells": [...]}] or [{"rule": true}]). *)
+    (each [{"cells": [...]}] or [{"rule": true}]). A numeric cell
+    serialises as the number the text rendering shows, so JSON
+    consumers and text readers agree; [Time] becomes
+    [{"time_s": s}]; [Empty] is [null]. *)
 
 val render_json : table -> string

@@ -23,8 +23,7 @@ let to_string = function
   | Illegal_placement { detail } ->
     Printf.sprintf "illegal placement: %s" detail
   | Timing_violations { approach; count } ->
-    Printf.sprintf "%s: %d sinks violate max delay after sizing" approach
-      count
+    Printf.sprintf "%s: %d sinks miss their timing deadline" approach count
   | Retype_diverged { rounds } ->
     Printf.sprintf
       "virtual-library retyping failed to converge after %d rounds" rounds

@@ -22,7 +22,9 @@ type t =
   | Illegal_placement of { detail : string }
       (** a decoded placement breaks the one-slave-per-path invariant *)
   | Timing_violations of { approach : string; count : int }
-      (** sinks still violate [max_delay] after the size-only fix *)
+      (** sinks whose verified arrival misses its deadline — the period
+          for a master that must stay non-error-detecting, [max_delay]
+          elsewhere — in the LP tail's check *)
   | Retype_diverged of { rounds : int }
       (** the virtual-library retyping loop failed to converge *)
   | Search_failed of { detail : string }

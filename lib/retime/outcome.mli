@@ -16,9 +16,10 @@ type t = {
   n_slaves : int;
   n_masters : int;           (** = number of capture points (sinks) *)
   ed_sinks : int list;       (** masters carrying error-detecting latches *)
-  violations : int list;     (** sinks whose arrival exceeds [max_delay];
-                                 non-empty means the engine must fix or
-                                 reject *)
+  violations : int list;     (** sinks whose arrival exceeds [max_delay]
+                                 (see {!account}); the LP tail rejects a
+                                 retiming that would have any, so only
+                                 the un-retimed design reports some *)
   arrivals : (int * float) array;  (** per sink *)
   edl_overhead : float;      (** the [c] used for the area model *)
   seq_area : float;          (** slaves + masters + EDL overhead *)
@@ -42,7 +43,7 @@ val account :
 (** [account ?ed ~c stage placements arr]: the ED and area accounting
     of {!assemble} on an arrival pass already run — [arr] must be
     {!Stage.latched_arrivals} of [stage] under [placements] (per node;
-    only sinks are read), as {!Sizing.fix_timed} returns it. [ed]
+    only sinks are read), as {!Sizing.check} returns it. [ed]
     overrides the error-detecting set (used by the virtual-library
     engine, which re-types its masters from the same pass); by default
     it is derived from the verified arrivals: a master is

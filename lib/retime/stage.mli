@@ -47,7 +47,7 @@ val make :
     [source] optionally records the two-phase netlist the
     [comb_circuit] was extracted from; engines that perturb the full
     netlist (the movable-master search) require it, everything else
-    ignores it. Derived stages (e.g. after sizing) inherit it.
+    ignores it. Derived stages (e.g. patched ones) inherit it.
 
     [annot] is a per-node ECO delay annotation forwarded to
     {!Sta.analyse} and recorded in the stage ({!annot}); derived stages
@@ -120,9 +120,6 @@ val sinks : t -> int array
 val classify : t -> int -> sink_class
 (** Classification of a sink node; [Invalid_argument] on any other
     node. *)
-
-val slave_latch : t -> Liberty.seq_cell
-(** The latch cell used for slave timing (the library's normal latch). *)
 
 val illegal_pins : t -> int array
 (** The fanin pin positions ({!Netlist.Compact}) that can never hold a

@@ -36,12 +36,6 @@ type verb = Run of run_req | Ping | Metrics | Shutdown
 
 type request = { id : Rar_util.Json.t; verb : verb }
 
-val req_schema : string
-(** ["rar-req/1"]. *)
-
-val resp_schema : string
-(** ["rar-serve/1"]. *)
-
 val parse : Rar_util.Json.t -> (request, string) result
 (** Validate a parsed request object. Unknown [verb], mistyped or
     contradictory fields are errors (a present-but-mistyped field

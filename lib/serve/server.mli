@@ -26,7 +26,6 @@ val create : unit -> t
 
 val caches : t -> Cache.t
 val stopping : t -> bool
-val uptime_s : t -> float
 
 val signal_stop : t -> unit
 (** Async-signal-safe stop request: flips the stop flag only (no
@@ -37,10 +36,6 @@ val signal_stop : t -> unit
 val initiate_shutdown : t -> unit
 (** Stop intake and run the transport wakeup hooks. Idempotent;
     safe from signal-handler context apart from the hooks it runs. *)
-
-val on_shutdown : t -> (unit -> unit) -> unit
-(** Register a wakeup hook run once by {!initiate_shutdown} (used by
-    transports to unblock [accept]/[read]). *)
 
 val drain : t -> unit
 (** Block until every scheduled request has been answered. *)

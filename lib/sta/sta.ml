@@ -405,10 +405,6 @@ let backward t ~sink =
       if rise.(v) = neg_infinity && fall.(v) = neg_infinity then neg_inf_arc
       else Liberty.{ rise = rise.(v); fall = fall.(v) })
 
-let backward_scalar t ~sink =
-  let { rise; fall } = backward_packed t ~sink in
-  Array.init (Array.length rise) (fun v -> Float.max rise.(v) fall.(v))
-
 let worst_of { rise; fall } =
   let w = Array.create_float (Array.length rise) in
   for v = 0 to Array.length rise - 1 do

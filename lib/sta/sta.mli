@@ -98,9 +98,6 @@ val backward_packed : t -> sink:int -> db
 (** {!backward} in packed form (the arrays {!backward} materialises
     its arcs from). *)
 
-val backward_scalar : t -> sink:int -> float array
-(** Max of the {!backward} arcs. *)
-
 val backward_all : t -> float array
 (** Per node, [max] over every sink of [D^b(v,t)] — one multi-sink
     pass; used for the [V_m] region test (Constraint 7). The result is

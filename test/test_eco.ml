@@ -165,7 +165,7 @@ let stage_of cfg p =
 type step = {
   applied : Edit.applied option;  (* the batch applied cold, when valid *)
   before : Stage.t;               (* the session's stage before the batch *)
-  cold : Stage.t option;          (* the cold pre-sizing stage after it *)
+  cold : Stage.t option;          (* the cold stage after it *)
   cfg_before : Engine.config;
   cfg_after : Engine.config;
   ok : bool;                      (* the resolve succeeded *)
@@ -176,7 +176,7 @@ let reused = Rar_obs.Metrics.counter "eco_solutions_reused"
 
 (* Replay [n_batches] batches of [gen] through a session over [p] and
    hold each result to a cold run on the cumulatively edited netlist,
-   under the current pool size: outcome, extras, the post-sizing stage
+   under the current pool size: outcome, extras, the verified stage
    bitwise and the JSON (without [wall_s] and [solver_events]), or the
    same error. Returns the per-batch transcript (the stripped JSON, or
    the shared error) and calls [on_step] on every batch. *)
@@ -225,8 +225,8 @@ let replay ?(on_step = fun (_ : step) -> ()) ~n_batches ~gen ~seed cfg p =
         Alcotest.failf "batch %d: outcomes differ" batch_no;
       if not (ri.Engine.extras = rc.Engine.extras) then
         Alcotest.failf "batch %d: extras differ" batch_no;
-      (* the patched analysis (post-sizing, as the engine verified it)
-         is bitwise the from-scratch one *)
+      (* the patched analysis the engine verified on is bitwise the
+         from-scratch one *)
       if stage_fingerprint ri.Engine.stage <> stage_fingerprint rc.Engine.stage
       then Alcotest.failf "batch %d: stage analyses differ" batch_no;
       let si = strip_json step.cfg_after ri

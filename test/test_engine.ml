@@ -13,6 +13,7 @@ module Transform = Rar_netlist.Transform
 module Clocking = Rar_sta.Clocking
 module Spec = Rar_circuits.Spec
 module Generator = Rar_circuits.Generator
+module Fig4 = Rar_circuits.Fig4
 module Suite = Rar_circuits.Suite
 module Stage = Rar_retime.Stage
 module Outcome = Rar_retime.Outcome
@@ -96,7 +97,18 @@ let ed_consistent spec (o : Outcome.t) period =
       if derived then ed = late else (not late) || ed)
     o.Outcome.arrivals
 
-let result_legal spec (r : Engine.result) =
+(* A base or G-RAR run charges no EDL to a sink its LP priced
+   non-error-detecting: the tail held that sink to the period. *)
+let modelled_non_ed_kept spec (r : Engine.result) =
+  match (spec, r.Engine.extras) with
+  | (Engine.Base | Engine.Grar), Engine.Retiming { modelled_non_ed; _ } ->
+    List.for_all
+      (fun s -> not (List.mem s r.Engine.outcome.Outcome.ed_sinks))
+      modelled_non_ed
+  | (Engine.Base | Engine.Grar), _ -> false
+  | (Engine.Initial | Engine.Vl _ | Engine.Movable), _ -> true
+
+let result_legal spec stage (r : Engine.result) =
   let o = r.Engine.outcome in
   let period = Clocking.period (Stage.clocking r.Engine.stage) in
   let staged =
@@ -104,29 +116,90 @@ let result_legal spec (r : Engine.result) =
   in
   (* The un-retimed design may sit on positions retiming exists to fix,
      so the timing-cleanliness and Constraint (6)/(7) checks apply to
-     the retiming engines only. *)
+     the retiming engines only. Every engine but the movable search
+     verifies its outcome on the very stage it was given: the LP tail
+     checks deadlines and leaves the stage as it is. *)
   (spec = Engine.Initial
   || o.Outcome.violations = []
      && placements_legal r.Engine.stage o.Outcome.placements)
+  && (spec = Engine.Movable || r.Engine.stage == stage)
+  && modelled_non_ed_kept spec r
   && o.Outcome.n_slaves = List.length o.Outcome.placements
   && ed_consistent spec o period
   && one_slave_per_path staged
 
+(* The property's designs: random layered DAGs, carry-chain pipelines
+   and the paper's Fig. 4 circuit. *)
+type design = Random of int | Pipeline of int | Fig4_circuit
+
+let design_name = function
+  | Random seed -> Printf.sprintf "random %d" seed
+  | Pipeline seed -> Printf.sprintf "pipeline %d" seed
+  | Fig4_circuit -> "Fig. 4"
+
+let cached_pipeline =
+  let tbl = Hashtbl.create 8 in
+  fun seed ->
+    match Hashtbl.find_opt tbl seed with
+    | Some p -> p
+    | None ->
+      let p =
+        Suite.prepare
+          (Generator.pipeline ~width:(4 + (seed mod 5))
+             ~seed:(Printf.sprintf "prop%d" seed)
+             ~stages:(2 + (seed mod 2)) ())
+      in
+      Hashtbl.replace tbl seed p;
+      p
+
+(* Fig. 4 has no two-phase source, so the movable engine rejects its
+   stage (test_movable_requires_source covers that) and the property
+   runs every other engine on it. *)
+let design_stage design model =
+  let ok = function
+    | Ok st -> st
+    | Error e -> QCheck.Test.fail_reportf "stage: %s" (Error.to_string e)
+  in
+  match design with
+  | Random seed -> ok (Engine.stage_of ~model (cached_prepared seed))
+  | Pipeline seed -> ok (Engine.stage_of ~model (cached_pipeline seed))
+  | Fig4_circuit ->
+    ok
+      (Stage.make ~model ~lib:(Fig4.library ()) ~clocking:Fig4.clocking
+         (Fig4.circuit ()))
+
+let arb_case =
+  let open QCheck.Gen in
+  let design =
+    frequency
+      [ (3, map (fun s -> Random s) (int_bound 40));
+        (2, map (fun s -> Pipeline s) (int_bound 20));
+        (1, return Fig4_circuit) ]
+  in
+  QCheck.make
+    ~print:(fun (d, model, c) ->
+      Printf.sprintf "%s, %s, c = %g" (design_name d)
+        (Engine.model_name model) c)
+    (triple design
+       (oneofl [ Rar_sta.Sta.Path_based; Rar_sta.Sta.Gate_based ])
+       (oneofl [ 0.25; 0.5; 1.0; 2.0; 3.0 ]))
+
 let prop_registry_legal =
   QCheck.Test.make ~name:"every registered engine is legal and timing-clean"
-    ~count:6
-    QCheck.(int_bound 40)
-    (fun seed ->
-      let p = cached_prepared seed in
+    ~count:60 arb_case
+    (fun (design, model, c) ->
+      let stage = design_stage design model in
       List.for_all
         (fun spec ->
-          let cfg = Engine.config ~c:1.0 ~movable_moves:2 spec in
-          match Engine.run_prepared cfg p with
-          | Ok r -> result_legal spec r
+          let cfg = Engine.config ~model ~c ~movable_moves:2 spec in
+          match Engine.run cfg stage with
+          | Ok r -> result_legal spec stage r
           | Error e ->
             QCheck.Test.fail_reportf "%s failed: %s" (Engine.name spec)
               (Error.to_string e))
-        Engine.all)
+        (match design with
+        | Fig4_circuit -> List.filter (( <> ) Engine.Movable) Engine.all
+        | Random _ | Pipeline _ -> Engine.all))
 
 (* Registry unit checks. *)
 

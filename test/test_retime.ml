@@ -170,7 +170,7 @@ let test_sizing_noop_when_clean () =
   match run Engine.Base ~c:1.0 st with
   | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
   | Ok r ->
-    (* A second sizing pass over a clean result changes nothing. *)
+    (* Checking a clean result again returns the stage it was given. *)
     let limit = Clocking.max_delay (Stage.clocking st) in
     let placements = r.Engine.outcome.Outcome.placements in
     (match
@@ -180,6 +180,35 @@ let test_sizing_noop_when_clean () =
     | Ok st' ->
       Alcotest.(check bool) "same netlist object" true (st' == r.Engine.stage)
     | Error e -> Alcotest.fail (Rar_retime.Error.to_string e))
+
+(* The failure path no workload reaches: the same clean result under
+   an unmeetable deadline is a typed rejection that counts every sink
+   and leaves the stage as it was. *)
+let test_sizing_rejects_missed_deadline () =
+  let st = cached_stage 7 in
+  match run Engine.Base ~c:1.0 st with
+  | Error e -> Alcotest.fail (Rar_retime.Error.to_string e)
+  | Ok r ->
+    let stage = r.Engine.stage in
+    let digest = Netlist.digest (Stage.comb stage) in
+    let placements = r.Engine.outcome.Outcome.placements in
+    (match Rar_retime.Sizing.fix ~deadlines:(fun _ -> 0.) stage placements with
+    | Error (Rar_retime.Error.Timing_violations { count; _ }) ->
+      Alcotest.(check int) "every sink late"
+        (Array.length (Stage.sinks stage))
+        count
+    | Error e ->
+      Alcotest.fail
+        ("expected Timing_violations, got " ^ Rar_retime.Error.to_string e)
+    | Ok _ -> Alcotest.fail "an unmeetable deadline must be rejected");
+    Alcotest.(check string) "netlist unchanged" digest
+      (Netlist.digest (Stage.comb stage));
+    let again = Outcome.assemble ~c:1.0 stage placements in
+    Alcotest.(check bool) "arrivals unchanged, bitwise" true
+      (Array.for_all2
+         (fun (s, a) (s', a') ->
+           s = s' && Int64.bits_of_float a = Int64.bits_of_float a')
+         r.Engine.outcome.Outcome.arrivals again.Outcome.arrivals)
 
 (* The edge [(u, v)] of each fanin pin position of [net]. *)
 let pin_edges net =
@@ -596,5 +625,7 @@ let suite =
     Alcotest.test_case "outcome area formula" `Quick test_outcome_area_formula;
     Alcotest.test_case "sizing no-op when clean" `Quick
       test_sizing_noop_when_clean;
+    Alcotest.test_case "sizing rejects a missed deadline" `Quick
+      test_sizing_rejects_missed_deadline;
     Alcotest.test_case "every Rgraph LP bitwise pinned" `Quick test_lp_golden;
   ]
